@@ -66,9 +66,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Quick kernel benchmark: serial vs parallel matmul at 64/256/512.
+# Quick kernel benchmark: serial vs parallel matmul at 64/256/512 —
+# then the engine-overhead guard: the same card requests through a
+# default engine (EngineSolo) and through the model alone
+# (EngineModelOnly), one pass of 6 requests each. Solo minus ModelOnly
+# is the scheduler's cost and must read tens of µs per request, not a
+# millisecond.
 bench-smoke:
 	$(GO) test -run=NONE -bench='MatMul' -benchtime=1x .
+	$(GO) test -run=NONE -bench='EngineSolo|EngineModelOnly' -benchtime=1x ./internal/serve
 
 # Inference fast-path benches with allocation counts: cached vs legacy
 # beam search, pooled vs map Figure-4 codec, grad vs no-grad forward.

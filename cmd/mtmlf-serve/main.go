@@ -103,8 +103,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "database seed; must match the training run")
 	scale := flag.Float64("scale", 0.06, "database scale; must match the training run")
 	sessions := flag.Int("sessions", 0, "concurrent inference sessions (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("maxbatch", 8, "max requests fused per micro-batch (1 disables batching)")
-	window := flag.Duration("window", 200*time.Microsecond, "micro-batch fill window")
+	maxBatch := flag.Int("maxbatch", 8, "max queued requests fused per micro-batch (1 disables batching)")
 	maxQueue := flag.Int("max-queue", 0, "admission queue depth; a full queue sheds with 429 (0 = 4x sessions)")
 	workers := flag.Int("workers", 0, "tensor-kernel worker pool size (0 = all cores)")
 	precision := flag.String("precision", "f64", "serving tier: f64 (reference), f32, or int8 (calibrated lowered replica; see DESIGN.md §9)")
@@ -156,10 +155,9 @@ func main() {
 		*ckpt, info.Version, info.DBName, len(info.Tables), info.Config.Dim)
 
 	engine, err := serve.NewEngine(model, serve.Options{
-		Sessions:    *sessions,
-		MaxBatch:    *maxBatch,
-		BatchWindow: *window,
-		QueueDepth:  *maxQueue,
+		Sessions:   *sessions,
+		MaxBatch:   *maxBatch,
+		QueueDepth: *maxQueue,
 		// An HTTP front end sheds; blocking admission is for
 		// in-process embedding (see serve.Options).
 		ShedOverload: true,
@@ -215,7 +213,7 @@ func main() {
 				log.Printf("SIGHUP reload rejected (still serving old weights): %v", err)
 				continue
 			}
-			log.Printf("SIGHUP reload complete (%d total)", engine.Stats().Reloads)
+			log.Printf("SIGHUP reload complete (%d total)", engine.Reloads())
 		}
 	}()
 

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -226,8 +227,10 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 		return r.Context(), func() {}, nil
 	}
 	ms, err := strconv.ParseInt(hdr, 10, 64)
-	if err != nil || ms <= 0 {
-		return nil, nil, fmt.Errorf("%w: %s must be a positive integer, got %q", ErrBadRequest, DeadlineHeader, hdr)
+	// The upper bound keeps ms*time.Millisecond from wrapping negative
+	// (a context born expired, 504 on every request).
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+		return nil, nil, fmt.Errorf("%w: %s must be a positive millisecond count that fits a time.Duration, got %q", ErrBadRequest, DeadlineHeader, hdr)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
 	return ctx, cancel, nil
@@ -313,7 +316,7 @@ func (h *handler) reloadz(w http.ResponseWriter, _ *http.Request) {
 		Status:   "ok",
 		Database: db.Name,
 		Tables:   len(db.Tables),
-		Reloads:  h.engine.Stats().Reloads,
+		Reloads:  h.engine.Reloads(),
 	})
 }
 
@@ -331,7 +334,7 @@ func (h *handler) healthz(w http.ResponseWriter, _ *http.Request) {
 		Database: db.Name,
 		Tables:   len(db.Tables),
 		Sessions: h.engine.opts.Sessions,
-		Reloads:  h.engine.Stats().Reloads,
+		Reloads:  h.engine.Reloads(),
 	})
 }
 

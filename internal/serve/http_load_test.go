@@ -33,24 +33,29 @@ func postJSONDeadline(t *testing.T, url, deadline string, body any) *http.Respon
 	return resp
 }
 
-// TestHTTPDeadlineHeader: a malformed or non-positive X-Deadline-Ms
-// is a 400 before any model work; a generous one serves normally.
+// TestHTTPDeadlineHeader: a malformed, non-positive or
+// duration-overflowing X-Deadline-Ms is a 400 before any model work; a
+// generous one — up to the largest that fits — serves normally.
 func TestHTTPDeadlineHeader(t *testing.T) {
 	srv, qs, done := testServer(t)
 	defer done()
 	body := RequestJSON{Query: EncodeQuery(qs[0].Q), Plan: EncodePlan(qs[0].Plan)}
 
-	for _, bad := range []string{"abc", "-5", "0", "1.5"} {
+	// MaxInt64 ms wraps negative as a Duration; 9223372036855 is the
+	// smallest count that does.
+	for _, bad := range []string{"abc", "-5", "0", "1.5", "9223372036854775807", "9223372036855"} {
 		resp := postJSONDeadline(t, srv.URL+"/estimate/card", bad, body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("deadline %q: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	resp := postJSONDeadline(t, srv.URL+"/estimate/card", "60000", body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generous deadline: status %d, want 200", resp.StatusCode)
+	for _, good := range []string{"60000", "9223372036854"} {
+		resp := postJSONDeadline(t, srv.URL+"/estimate/card", good, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("deadline %q: status %d, want 200", good, resp.StatusCode)
+		}
 	}
 }
 

@@ -59,7 +59,6 @@ func TestEngineShedBurstServesAdmitted(t *testing.T) {
 		MaxBatch:     1,
 		QueueDepth:   1,
 		ShedOverload: true,
-		BatchWindow:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,19 +173,27 @@ func newIdleEngine(t *testing.T, m *mtmlf.Model, opts Options) *Engine {
 	return e
 }
 
+// liveRequest builds a deadline-free card request as submit would.
+func liveRequest(lq *workload.LabeledQuery) *request {
+	return &request{ep: EndpointCard, q: lq.Q, p: lq.Plan, start: time.Now(), done: make(chan result, 1)}
+}
+
+// expiredRequest is liveRequest with a deadline already in the past.
+func expiredRequest(lq *workload.LabeledQuery) *request {
+	r := liveRequest(lq)
+	r.deadline = r.start.Add(-time.Millisecond)
+	return r
+}
+
 // TestEngineDeadlineRejectedBeforeBatchAdmission: a queued request
 // whose deadline lapses before a worker picks it up is answered with
 // ErrDeadline at admission — no session, no model compute — and a
 // batch fill skips expired stragglers the same way.
 func TestEngineDeadlineRejectedBeforeBatchAdmission(t *testing.T) {
 	m, qs := testModel(t)
-	e := newIdleEngine(t, m, Options{Sessions: 1, MaxBatch: 4, BatchWindow: -1})
+	e := newIdleEngine(t, m, Options{Sessions: 1, MaxBatch: 4})
 
-	expired := &request{
-		ep: EndpointCard, q: qs[0].Q, p: qs[0].Plan,
-		start: time.Now(), deadline: time.Now().Add(-time.Millisecond),
-		done: make(chan result, 1),
-	}
+	expired := expiredRequest(qs[0])
 	if e.admit(expired) {
 		t.Fatal("admit accepted an expired request")
 	}
@@ -200,12 +207,8 @@ func TestEngineDeadlineRejectedBeforeBatchAdmission(t *testing.T) {
 
 	// fill must exclude an expired straggler from the batch and answer
 	// it, while keeping the live ones.
-	live := &request{ep: EndpointCard, q: qs[0].Q, p: qs[0].Plan, start: time.Now(), done: make(chan result, 1)}
-	lateStraggler := &request{
-		ep: EndpointCard, q: qs[1%len(qs)].Q, p: qs[1%len(qs)].Plan,
-		start: time.Now(), deadline: time.Now().Add(-time.Millisecond),
-		done: make(chan result, 1),
-	}
+	live := liveRequest(qs[0])
+	lateStraggler := expiredRequest(qs[1%len(qs)])
 	e.reqs <- lateStraggler
 	batch := e.fill(live)
 	if len(batch) != 1 || batch[0] != live {
@@ -217,30 +220,92 @@ func TestEngineDeadlineRejectedBeforeBatchAdmission(t *testing.T) {
 	}
 }
 
-// TestEngineFillWindowCappedByDeadline: a batch holding a
-// tight-deadline request must not wait the full BatchWindow for fill
-// — the wait is capped by the request's remaining slack.
-func TestEngineFillWindowCappedByDeadline(t *testing.T) {
+// TestEngineFillTakesBacklog: with k live requests queued, fill returns
+// min(k+1, MaxBatch) in arrival order and leaves the rest queued. It
+// never waits for more: the k = 0 case would hang if it did, since
+// nothing ever sends on an idle engine's queue. MaxBatch 1 disables
+// batching even over a backlog.
+func TestEngineFillTakesBacklog(t *testing.T) {
 	m, qs := testModel(t)
-	e := newIdleEngine(t, m, Options{Sessions: 1, MaxBatch: 8, BatchWindow: time.Hour})
+	for _, tc := range []struct{ maxBatch, k int }{{4, 0}, {4, 1}, {4, 3}, {4, 4}, {4, 8}, {1, 2}} {
+		e := newIdleEngine(t, m, Options{Sessions: 1, MaxBatch: tc.maxBatch, QueueDepth: 8})
+		first := liveRequest(qs[0])
+		queued := make([]*request, tc.k)
+		for i := range queued {
+			queued[i] = liveRequest(qs[i%len(qs)])
+			e.reqs <- queued[i]
+		}
+		batch := e.fill(first)
+		wantLen := min(tc.k+1, tc.maxBatch)
+		if len(batch) != wantLen {
+			t.Fatalf("%+v: fill returned %d requests, want %d", tc, len(batch), wantLen)
+		}
+		if batch[0] != first {
+			t.Fatalf("%+v: first request is not at the head of its batch", tc)
+		}
+		for i, r := range batch[1:] {
+			if r != queued[i] {
+				t.Fatalf("%+v: batch[%d] is out of arrival order", tc, i+1)
+			}
+		}
+		if left := tc.k + 1 - wantLen; len(e.reqs) != left {
+			t.Fatalf("%+v: %d requests left queued, want %d", tc, len(e.reqs), left)
+		}
+	}
+}
 
-	slack := 20 * time.Millisecond
-	first := &request{
-		ep: EndpointCard, q: qs[0].Q, p: qs[0].Plan,
-		start: time.Now(), deadline: time.Now().Add(slack),
-		done: make(chan result, 1),
+// TestEngineQueueWaitRecorded: admit stamps submit → pickup on the
+// request, and a served request's wait reaches the /statsz
+// queue_wait_* percentiles.
+func TestEngineQueueWaitRecorded(t *testing.T) {
+	m, qs := testModel(t)
+	e := newIdleEngine(t, m, Options{Sessions: 1})
+	const waited = 50 * time.Millisecond
+	r := liveRequest(qs[0])
+	r.start = r.start.Add(-waited) // as if submitted 50 ms ago
+	if !e.admit(r) {
+		t.Fatal("admit refused a live request")
 	}
-	t0 := time.Now()
-	batch := e.fill(first)
-	waited := time.Since(t0)
-	if len(batch) != 1 {
-		t.Fatalf("fill returned %d requests, want 1", len(batch))
+	if r.queued < waited {
+		t.Fatalf("admit stamped a %v queue wait on a request submitted %v ago", r.queued, waited)
 	}
-	// An hour-long window must collapse to ~slack. Generous upper
-	// bound for slow CI machines.
-	if waited > 10*slack {
-		t.Fatalf("fill waited %v with only %v of deadline slack", waited, slack)
+	if snap := e.Stats(); snap.QueueWaitP50Ms != 0 || snap.QueueWaitP99Ms != 0 {
+		t.Fatalf("queue wait reported before any request was served: %+v", snap)
 	}
+	e.stats.record(r.ep, time.Since(r.start), r.queued)
+	snap := e.Stats()
+	if want := float64(waited / time.Millisecond); snap.QueueWaitP50Ms < want || snap.QueueWaitP99Ms < want {
+		t.Fatalf("queue wait p50 %.1f ms / p99 %.1f ms, want at least %.0f", snap.QueueWaitP50Ms, snap.QueueWaitP99Ms, want)
+	}
+}
+
+// TestEngineReloadsMatchesStats: the lock-free Reloads read that
+// /healthz, /reloadz and the SIGHUP log use agrees with Stats().Reloads
+// before, between and after reloads (rejected ones included).
+func TestEngineReloadsMatchesStats(t *testing.T) {
+	m, _ := testModel(t)
+	e, err := NewEngine(m, Options{Sessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	check := func(want uint64) {
+		t.Helper()
+		if got, snap := e.Reloads(), e.Stats().Reloads; got != want || snap != want {
+			t.Fatalf("Reloads() = %d, Stats().Reloads = %d, want both %d", got, snap, want)
+		}
+	}
+	check(0)
+	for i := uint64(1); i <= 3; i++ {
+		if err := e.Reload(m); err != nil {
+			t.Fatal(err)
+		}
+		check(i)
+	}
+	if err := e.Reload(nil); err == nil {
+		t.Fatal("nil reload accepted")
+	}
+	check(3)
 }
 
 // TestEngineReloadValidates: incompatible models are refused and the

@@ -7,12 +7,15 @@
 // inference session per batch (one ag.Eval checked out of the
 // process-wide evaluator pool via AcquireEval, released — and with it
 // every pooled tensor — when the batch completes). Requests funnel
-// through one bounded queue; a worker that picks up a request drains
-// up to MaxBatch-1 more within BatchWindow and serves them as a
-// micro-batch: each request's (F)+(S) representation runs in the
-// shared session, and the cardinality/cost head projections of the
-// whole batch fuse into single kernel dispatches over the
-// row-concatenated node representations. The kernels compute every
+// through one bounded queue; a worker blocks only for its first
+// request, then takes whatever is already queued (up to MaxBatch-1
+// more, never waiting) and serves them as a micro-batch — so batches
+// form from backlog exactly when every session is busy, and an idle
+// engine answers a lone request with no added wait. Each request's
+// (F)+(S) representation runs in the shared session, and the
+// cardinality/cost head projections of the whole batch fuse into
+// single kernel dispatches over the row-concatenated node
+// representations. The kernels compute every
 // output row independently with a fixed accumulation order (see
 // tensor/matmul.go), so each request's slice of the fused result is
 // BITWISE identical to a solo forward — concurrency and batching
@@ -30,10 +33,9 @@
 // Deadlines: the *Ctx request methods propagate the caller's context
 // deadline (mtmlf-serve derives one from the X-Deadline-Ms header)
 // into the scheduler. A request whose deadline has already expired is
-// rejected with ErrDeadline at submit; a worker re-checks at batch
-// admission, so compute is never spent on an answer nobody can use,
-// and a batch never waits for fill past the earliest deadline it
-// already holds.
+// rejected with ErrDeadline at submit; a worker re-checks at pickup,
+// for the first request and for every companion it drains, so compute
+// is never spent on an answer nobody can use.
 //
 // Hot reload: Reload atomically swaps in a new model for the same
 // database. Each micro-batch snapshots the model pointer exactly once
@@ -75,10 +77,6 @@ type Options struct {
 	// MaxBatch is the maximum number of requests fused into one
 	// micro-batch (and one session). 0 means 8; 1 disables batching.
 	MaxBatch int
-	// BatchWindow is how long a worker holding a non-full batch waits
-	// for more requests before serving. 0 means 200µs; negative means
-	// never wait (batches still form from queue backlog).
-	BatchWindow time.Duration
 	// QueueDepth bounds the request queue. 0 means 4*Sessions.
 	QueueDepth int
 	// ShedOverload selects the admission policy for a full queue:
@@ -106,9 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch < 1 {
 		o.MaxBatch = 1
-	}
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 200 * time.Microsecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.Sessions
@@ -174,7 +169,10 @@ type request struct {
 	// useless to the caller; zero means none. Checked at submit and
 	// re-checked at batch admission.
 	deadline time.Time
-	done     chan result
+	// queued is the submit → pickup wait, set by the worker in admit
+	// before it answers on done (which orders the caller's read).
+	queued time.Duration
+	done   chan result
 }
 
 // expired reports whether the request's deadline has passed at now.
@@ -406,7 +404,7 @@ func (e *Engine) submit(ctx context.Context, ep Endpoint, q *sqldb.Query, p *pla
 			e.stats.recordError()
 			return result{}, res.err
 		}
-		e.stats.record(ep, time.Since(r.start))
+		e.stats.record(ep, time.Since(r.start), r.queued)
 		return res, nil
 	case <-e.quit:
 		// The engine may still complete the request; don't leave the
@@ -423,10 +421,10 @@ func (e *Engine) submit(ctx context.Context, ep Endpoint, q *sqldb.Query, p *pla
 	}
 }
 
-// worker is one session loop: pick up a request, fill a micro-batch,
-// serve it from a freshly checked-out evaluator session. The model is
-// snapshotted once per batch, so a concurrent Reload never splits a
-// batch (or a response) across two weight sets.
+// worker is one session loop: block for a request, take its queued
+// companions, serve them from a freshly checked-out evaluator session.
+// The model is snapshotted once per batch, so a concurrent Reload
+// never splits a batch (or a response) across two weight sets.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
@@ -445,55 +443,32 @@ func (e *Engine) worker() {
 
 // admit is the batch-admission deadline gate: a request that has
 // already missed its deadline is answered with ErrDeadline (without
-// spending a session on it) and excluded from the batch.
+// spending a session on it) and excluded from the batch. A live one
+// has its queue wait stamped here, at pickup.
 func (e *Engine) admit(r *request) bool {
-	if r.expired(time.Now()) {
+	now := time.Now()
+	if r.expired(now) {
 		e.stats.recordDeadlineMiss()
 		r.done <- result{err: fmt.Errorf("%w: deadline expired in queue", ErrDeadline)}
 		return false
 	}
+	r.queued = now.Sub(r.start)
 	return true
 }
 
-// fill drains the queue (bounded by MaxBatch and BatchWindow) to form
-// a micro-batch around the first request. The fill wait never extends
-// past the earliest deadline already admitted: a batch must not make
-// its own members late.
+// fill forms a micro-batch around first from whatever is already
+// queued, up to MaxBatch. It never blocks: a batch grows past one only
+// when requests arrived faster than the sessions served them, which is
+// the only time fusing pays.
 func (e *Engine) fill(first *request) []*request {
 	batch := []*request{first}
-	if e.opts.MaxBatch <= 1 {
-		return batch
-	}
-	wait := e.opts.BatchWindow
-	if !first.deadline.IsZero() {
-		if slack := time.Until(first.deadline); slack < wait {
-			wait = slack
-		}
-	}
-	var window <-chan time.Time
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		window = t.C
-	}
 	for len(batch) < e.opts.MaxBatch {
 		select {
 		case r := <-e.reqs:
 			if e.admit(r) {
 				batch = append(batch, r)
 			}
-			continue
 		default:
-		}
-		if window == nil {
-			break
-		}
-		select {
-		case r := <-e.reqs:
-			if e.admit(r) {
-				batch = append(batch, r)
-			}
-		case <-window:
 			return batch
 		}
 	}
@@ -708,6 +683,12 @@ func (e *Engine) runJoinOrder(m *mtmlf.Model, r *request, rep *mtmlf.InferRep) {
 		Legal:   best.Legal,
 	}}
 }
+
+// Reloads returns the number of successful hot checkpoint swaps since
+// boot. It is a single atomic read — what probes should call instead of
+// Stats, which sorts the latency rings under the lock every request
+// records into.
+func (e *Engine) Reloads() uint64 { return e.stats.reloads.Load() }
 
 // Stats returns a snapshot of the engine's serving metrics.
 func (e *Engine) Stats() StatsSnapshot {

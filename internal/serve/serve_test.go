@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/datagen"
@@ -230,50 +229,39 @@ func TestNoGradAndBeamSearchConcurrentDirect(t *testing.T) {
 	}
 }
 
-// TestEngineMicroBatching forces requests through one session worker
-// and checks that (a) batches actually fuse and (b) fused answers
-// stay bitwise identical.
+// TestEngineMicroBatching drives one session's worth of scheduling by
+// hand over a pre-filled queue (no workers, so nothing depends on
+// arrival timing) and checks that (a) the backlog fuses into full
+// batches and (b) fused answers stay bitwise identical.
 func TestEngineMicroBatching(t *testing.T) {
 	m, qs := testModel(t)
 	want := serialExpected(m, qs)
-	e, err := NewEngine(m, Options{Sessions: 1, MaxBatch: 8, BatchWindow: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	const n, maxBatch = 16, 8
+	e := newIdleEngine(t, m, Options{Sessions: 1, MaxBatch: maxBatch, QueueDepth: n})
 
-	const n = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			i := r % len(qs)
-			res, err := e.EstimateCard(qs[i].Q, qs[i].Plan)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for j := range res.Nodes {
-				if res.Nodes[j] != want[i].cards[j] {
-					errs <- errors.New("batched card diverged from serial")
-					return
-				}
-			}
-		}(r)
+	reqs := make([]*request, n)
+	for i := range reqs {
+		reqs[i] = liveRequest(qs[i%len(qs)])
+		e.reqs <- reqs[i]
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	for len(e.reqs) > 0 {
+		batch := e.fill(<-e.reqs)
+		if len(batch) != maxBatch {
+			t.Fatalf("fill took %d of a %d-deep backlog, want %d", len(batch), n, maxBatch)
+		}
+		e.runBatch(e.cur.Load(), batch)
+	}
+	for i, r := range reqs {
+		res := <-r.done
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		sameFloats(t, "batched card", res.nodes, want[i%len(qs)].cards)
 	}
 	snap := e.Stats()
-	if snap.Batches == 0 || snap.Batches >= n {
-		t.Fatalf("expected fused batches, got %d batches for %d requests", snap.Batches, n)
-	}
-	if snap.FusedRequests == 0 {
-		t.Fatal("no requests were micro-batched")
+	if snap.Batches != n/maxBatch || snap.FusedRequests != n {
+		t.Fatalf("got %d batches fusing %d requests, want %d fusing %d",
+			snap.Batches, snap.FusedRequests, n/maxBatch, n)
 	}
 }
 

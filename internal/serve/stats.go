@@ -7,14 +7,30 @@ package serve
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mtmlf/internal/tensor"
 )
 
-// latWindow is the per-endpoint latency ring size percentiles are
-// computed over (the most recent latWindow requests).
+// latWindow is the latency ring size percentiles are computed over
+// (the most recent latWindow requests).
 const latWindow = 1024
+
+// latRing holds the most recent latWindow durations.
+type latRing struct {
+	buf []time.Duration
+	n   int // total inserted
+}
+
+func (r *latRing) add(d time.Duration) {
+	if len(r.buf) < latWindow {
+		r.buf = append(r.buf, d)
+	} else {
+		r.buf[r.n%latWindow] = d
+	}
+	r.n++
+}
 
 // stats accumulates serving telemetry. One mutex suffices: the
 // critical sections are a few counter bumps against milliseconds of
@@ -36,33 +52,31 @@ type stats struct {
 	// deadlineMisses counts requests rejected with ErrDeadline —
 	// expired before admission or while queued.
 	deadlineMisses uint64
-	// reloads counts successful hot checkpoint swaps.
-	reloads uint64
+	// reloads counts successful hot checkpoint swaps. Atomic, not under
+	// mu: Engine.Reloads serves probes without touching the lock.
+	reloads atomic.Uint64
 	// panics counts handler panics recovered by the HTTP middleware
 	// (each returned a 500 instead of killing the server).
 	panics uint64
 
-	lat  [numEndpoints][]time.Duration // rings
-	latN [numEndpoints]int             // total inserted per ring
+	lat [numEndpoints]latRing
+	// queueWait is submit → batch pickup of served requests, across
+	// endpoints.
+	queueWait latRing
 }
 
 func newStats(sessions int) *stats {
 	return &stats{start: time.Now(), sessions: sessions}
 }
 
-func (s *stats) record(ep Endpoint, d time.Duration) {
+// record counts one served request: its end-to-end latency d and the
+// part of it spent queued before a worker picked it up.
+func (s *stats) record(ep Endpoint, d, queued time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.counts[ep]++
-	if s.lat[ep] == nil {
-		s.lat[ep] = make([]time.Duration, 0, latWindow)
-	}
-	if len(s.lat[ep]) < latWindow {
-		s.lat[ep] = append(s.lat[ep], d)
-	} else {
-		s.lat[ep][s.latN[ep]%latWindow] = d
-	}
-	s.latN[ep]++
+	s.lat[ep].add(d)
+	s.queueWait.add(queued)
 }
 
 func (s *stats) recordError() {
@@ -83,11 +97,7 @@ func (s *stats) recordDeadlineMiss() {
 	s.mu.Unlock()
 }
 
-func (s *stats) recordReload() {
-	s.mu.Lock()
-	s.reloads++
-	s.mu.Unlock()
-}
+func (s *stats) recordReload() { s.reloads.Add(1) }
 
 func (s *stats) recordPanic() {
 	s.mu.Lock()
@@ -157,6 +167,12 @@ type StatsSnapshot struct {
 	Cost      EndpointStats `json:"cost"`
 	JoinOrder EndpointStats `json:"joinorder"`
 
+	// QueueWait percentiles are submit → batch pickup over the most
+	// recent latWindow served requests, all endpoints together: the
+	// share of the latencies above spent waiting for a session.
+	QueueWaitP50Ms float64 `json:"queue_wait_p50_ms"`
+	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
+
 	// Batches is the number of micro-batches served; FusedRequests the
 	// requests that shared a batch with at least one other.
 	Batches       uint64  `json:"batches"`
@@ -174,7 +190,7 @@ func (s *stats) snapshot(queueDepth, maxQueue int) StatsSnapshot {
 	snap.Sessions = s.sessions
 	for ep := Endpoint(0); ep < numEndpoints; ep++ {
 		es := EndpointStats{Requests: s.counts[ep]}
-		es.P50Ms, es.P95Ms, es.P99Ms = ringPercentiles(s.lat[ep])
+		es.P50Ms, es.P95Ms, es.P99Ms = ringPercentiles(s.lat[ep].buf)
 		switch ep {
 		case EndpointCard:
 			snap.Card = es
@@ -188,13 +204,14 @@ func (s *stats) snapshot(queueDepth, maxQueue int) StatsSnapshot {
 	snap.Errors = s.errors
 	snap.Shed = s.shed
 	snap.DeadlineMisses = s.deadlineMisses
-	snap.Reloads = s.reloads
+	snap.Reloads = s.reloads.Load()
 	snap.Panics = s.panics
 	snap.QueueDepth = queueDepth
 	snap.MaxQueue = maxQueue
 	if snap.UptimeSeconds > 0 {
 		snap.QPS = float64(snap.Requests) / snap.UptimeSeconds
 	}
+	snap.QueueWaitP50Ms, _, snap.QueueWaitP99Ms = ringPercentiles(s.queueWait.buf)
 	snap.Batches = s.batches
 	snap.FusedRequests = s.fused
 	if s.batches > 0 {
