@@ -9,7 +9,7 @@ RACE_PKGS := ./internal/parallel ./internal/tensor ./internal/ag ./internal/nn .
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build vet vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-infer bench-roofline calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint ci
+.PHONY: all build vet vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-infer bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint ci
 
 all: build
 
@@ -81,11 +81,14 @@ bench-smoke:
 bench-infer:
 	$(GO) test -run=NONE -bench='BeamWidth|Figure4Decoding|BeamSearchCached|BeamSearchLegacy|InferNoGrad' -benchmem -benchtime=1x .
 
-# Machine-readable perf report: serving-path benchmarks plus the
-# per-kernel precision roofline (GFLOP/s and streamed bytes per op at
-# f64/f32/int8). CI uploads the artifact.
-bench-roofline:
-	$(GO) run ./cmd/mtmlf-bench -json BENCH_PR9.json
+# The repository benchmark (bench/, run by bench/run.sh) is a nested
+# module, so `go build ./...` and `go vet ./...` never compile it. It
+# is frozen and calls internal/ by name; this target is what turns an
+# internal/ rename that would break it into a CI failure instead of a
+# silently unrunnable benchmark. GOPROXY=off: it has no dependency
+# outside this repository.
+bench-build:
+	GOPROXY=off $(GO) vet -C bench ./...
 
 # Reduced-precision calibration gate: the f32 and int8 tiers must stay
 # inside their q-error budgets and reproduce the f64 join orders on
@@ -156,4 +159,4 @@ docs-lint:
 			{ echo "docs-lint: $$d has no package comment"; bad=1; }; \
 	done; [ "$$bad" = 0 ]
 
-ci: build vet vet-custom fmt-check test race bench-smoke bench-infer calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint
+ci: build vet vet-custom fmt-check test race bench-smoke bench-infer bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint

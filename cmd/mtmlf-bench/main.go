@@ -5,7 +5,7 @@
 //
 //	mtmlf-bench -exp table1|table2|table3|all [-scale quick|full] [-seed N]
 //	            [-workers 0]
-//	mtmlf-bench -json BENCH_PR9.json
+//	mtmlf-bench -json report.json
 //	mtmlf-bench -calib
 //
 // -workers sizes the shared worker pool (0 = all cores): independent
@@ -14,11 +14,11 @@
 //
 // -json skips the tables and instead measures the key serving-path
 // benchmarks (cached vs legacy beam search across beam widths, the
-// pooled vs map Figure-4 codec, grad vs no-grad forward) plus the
-// per-kernel precision roofline (effective GFLOP/s and streamed
-// bytes per op for each kernel at f64/f32/int8 — see roofline.go),
-// writing ns/op, allocs/op, B/op and the speedup ratios to the given
-// file — the artifact CI uploads so the perf trajectory accumulates.
+// pooled vs map Figure-4 codec, grad vs no-grad forward), writing
+// ns/op, allocs/op, B/op and the speedup ratios to the given file.
+// Per-kernel and per-tier numbers (GFLOP/s against a bandwidth
+// ceiling, resident bytes per tier) come from the repository
+// benchmark: bench/README.md, metrics tensor.* and mtmlf.param_bytes.*.
 //
 // -calib runs the reduced-precision calibration harness on the
 // deterministic smoke fleet and exits non-zero if any lowered tier
@@ -119,14 +119,13 @@ func main() {
 	}
 }
 
-// runJSONBench measures the serving-path benchmark suite plus the
-// per-kernel roofline and writes the report. The serving-path scenario
-// bodies live in internal/inferbench and are shared with the root `go
-// test -bench` harness, so CLI numbers and bench numbers describe the
-// same workload by construction.
+// runJSONBench measures the serving-path benchmark suite and writes
+// the report. The scenario bodies live in internal/inferbench and are
+// shared with the root `go test -bench` harness, so CLI numbers and
+// bench numbers describe the same workload by construction.
 func runJSONBench(path string, workers int) error {
 	m, lq := inferbench.Setup()
-	report := benchjson.NewReport("PR9 reduced-precision inference")
+	report := benchjson.NewReport("inference fast path")
 	// Record the resolved pool size, not the raw flag: -workers 0 means
 	// "all cores", and the report should say how many that was.
 	if workers <= 0 {
@@ -157,11 +156,6 @@ func runJSONBench(path string, workers int) error {
 	report.Measure("infer/grad", inferbench.InferGrad(m, lq))
 	report.Measure("infer/nograd", inferbench.InferNoGrad(m, lq))
 	if err := report.AddSpeedup("infer_no_grad", "infer/grad", "infer/nograd"); err != nil {
-		return err
-	}
-
-	// Per-kernel roofline across the precision tiers (PR9).
-	if err := addRoofline(report); err != nil {
 		return err
 	}
 

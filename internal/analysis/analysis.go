@@ -148,10 +148,24 @@ func All() []*Analyzer {
 	return []*Analyzer{MapIter, GlobalRand, AtomicWrite, GobRegister, PoolRelease}
 }
 
+// calleeExpr returns the expression naming the function call calls,
+// with parentheses and any explicit type arguments (f[T](...),
+// pkg.F[K, V](...)) stripped.
+func calleeExpr(call *ast.CallExpr) ast.Expr {
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.IndexExpr:
+		return ast.Unparen(fn.X)
+	case *ast.IndexListExpr:
+		return ast.Unparen(fn.X)
+	default:
+		return fn
+	}
+}
+
 // calleeObject resolves the called function or method of call, or nil
 // for dynamic/unresolvable calls.
 func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fn := ast.Unparen(call.Fun).(type) {
+	switch fn := calleeExpr(call).(type) {
 	case *ast.Ident:
 		return info.Uses[fn]
 	case *ast.SelectorExpr:

@@ -19,7 +19,9 @@ import (
 // Matching is by the Acquire/Release naming pair: a call to a
 // function or method named "Acquire<X>" acquires; a call to
 // "Release<X>" (free function taking the value, or method on it)
-// releases. Transferring ownership out — returning the value or
+// releases. Explicit type arguments are looked through, so the generic
+// pair ag.Acquire[T]() / ag.Release(e) is held to the same rule as
+// ag.AcquireEval() / ag.ReleaseEval(e). Transferring ownership out — returning the value or
 // storing it into a field, map, slice, or global — also discharges
 // the obligation: the release duty moves with the value.
 var PoolRelease = &Analyzer{
@@ -180,7 +182,7 @@ func collectOwnershipUses(pass *Pass, fn *ast.FuncDecl, obj types.Object, releas
 				return true
 			}
 		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && rel.Signature().Recv() != nil {
+		if sel, ok := calleeExpr(call).(*ast.SelectorExpr); ok && rel.Signature().Recv() != nil {
 			return mentions(sel.X)
 		}
 		return false
@@ -254,7 +256,7 @@ func collectOwnershipUses(pass *Pass, fn *ast.FuncDecl, obj types.Object, releas
 
 // callName renders the callee expression for diagnostics ("ag.AcquireEval").
 func callName(call *ast.CallExpr) string {
-	switch fn := ast.Unparen(call.Fun).(type) {
+	switch fn := calleeExpr(call).(type) {
 	case *ast.Ident:
 		return fn.Name
 	case *ast.SelectorExpr:

@@ -90,14 +90,58 @@ func store(s *session) {
 	s.e = e
 }
 
-// EvalF32 stands in for ag.EvalF32: the reduced-precision session
-// handle. The analyzer matches by the Acquire<X>/Release<X> naming
-// pair, so the f32 session is covered by the same rule with no
-// analyzer change — these fixtures pin that.
-type EvalF32 struct{ live int }
+// Float and Session stand in for tensor.Float and ag.Session: the
+// session is written once over the element type, and the generic
+// Acquire/Release pair is what generic serving code calls.
+type Float interface{ ~float32 | ~float64 }
 
-func AcquireEvalF32() *EvalF32  { return &EvalF32{} }
-func ReleaseEvalF32(e *EvalF32) { e.live = 0 }
+type Session[T Float] struct{ live int }
+
+func Acquire[T Float]() *Session[T]  { return &Session[T]{} }
+func Release[T Float](s *Session[T]) { s.live = 0 }
+
+// EvalF32 and its non-generic pair mirror ag.EvalF32 /
+// ag.AcquireEvalF32: an alias and one-line forwards. The analyzer
+// matches by the Acquire<X>/Release<X> naming pair, so each spelling
+// is covered by the same rule.
+type EvalF32 = Session[float32]
+
+func AcquireEvalF32() *EvalF32  { return Acquire[float32]() }
+func ReleaseEvalF32(e *EvalF32) { Release(e) }
+
+// Flagged: a generic function acquires a session over its own type
+// parameter (explicit instantiation at the call) and never releases it.
+func leakGeneric[T Float](work func(*Session[T]) int) int {
+	e := Acquire[T]() // want `result of Acquire is never released with Release`
+	return work(e)
+}
+
+// Flagged: the generic session leaks on the error path.
+func leakGenericOnErrPath[T Float](fail bool, work func(*Session[T]) int) int {
+	e := Acquire[T]() // want `not released with Release on the return path`
+	if fail {
+		return -1
+	}
+	n := work(e)
+	Release(e)
+	return n
+}
+
+// Flagged: result of the instantiated call discarded outright.
+func discardGeneric[T Float]() {
+	Acquire[T]() // want `result of Acquire is discarded`
+}
+
+// Clean: the generic twin — deferred release (type argument inferred)
+// covers every path.
+func deferredGeneric[T Float](fail bool, work func(*Session[T]) int) int {
+	e := Acquire[T]()
+	defer Release(e)
+	if fail {
+		return -1
+	}
+	return work(e)
+}
 
 // Flagged: f32 session acquired, used, never released.
 func leakF32(work func(*EvalF32) int) int {
@@ -116,8 +160,8 @@ func leakF32OnErrPath(fail bool, work func(*EvalF32) int) int {
 	return n
 }
 
-// Clean: the release pair is tier-specific — ReleaseEvalF32 for the
-// f32 session, deferred to cover every path.
+// Clean: the release pair is spelling-specific — ReleaseEvalF32 for a
+// session from AcquireEvalF32, deferred to cover every path.
 func deferredF32(fail bool, work func(*EvalF32) int) int {
 	e := AcquireEvalF32()
 	defer ReleaseEvalF32(e)

@@ -28,17 +28,6 @@ type Entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// GFlops is the effective arithmetic throughput (flops/ns ==
-	// GFLOP/s) for kernel entries measured via MeasureKernel; absent
-	// from plain Measure entries.
-	GFlops float64 `json:"gflops,omitempty"`
-	// Precision tags roofline entries with their numeric tier ("f64",
-	// "f32", "int8").
-	Precision string `json:"precision,omitempty"`
-	// DataBytesPerOp is the bytes the kernel streams per op (operands +
-	// result) — the denominator of the roofline arithmetic intensity.
-	// Distinct from BytesPerOp, which counts heap *allocations*.
-	DataBytesPerOp int64 `json:"data_bytes_per_op,omitempty"`
 }
 
 // Speedup relates a baseline entry to its fast-path counterpart.
@@ -129,23 +118,6 @@ func (r *Report) Measure(name string, f func(b *testing.B)) Entry {
 		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
 		AllocsPerOp: res.AllocsPerOp(),
 		BytesPerOp:  res.AllocedBytesPerOp(),
-	}
-	r.Entries = append(r.Entries, e)
-	return e
-}
-
-// MeasureKernel measures f like Measure and stamps the entry with its
-// roofline coordinates: precision tier, effective GFLOP/s (flops per
-// op divided by ns per op), and the bytes of data the kernel streams
-// per op. flops or dataBytes of 0 leave the respective field unset
-// (model-bytes entries record capacity, not arithmetic).
-func (r *Report) MeasureKernel(name, precision string, flops, dataBytes int64, f func(b *testing.B)) Entry {
-	e := r.Measure(name, f)
-	r.Entries = r.Entries[:len(r.Entries)-1]
-	e.Precision = precision
-	e.DataBytesPerOp = dataBytes
-	if flops > 0 && e.NsPerOp > 0 {
-		e.GFlops = float64(flops) / e.NsPerOp
 	}
 	r.Entries = append(r.Entries, e)
 	return e

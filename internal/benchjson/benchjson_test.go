@@ -12,6 +12,7 @@ var escape []byte
 
 func TestReportMeasureSpeedupAndWrite(t *testing.T) {
 	r := NewReport("test")
+	r.Workers = 4
 	sink := 0
 	r.Measure("slow", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -51,7 +52,7 @@ func TestReportMeasureSpeedupAndWrite(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Label != "test" || len(back.Entries) != 2 || len(back.Speedups) != 1 {
+	if back.Label != "test" || back.Workers != 4 || len(back.Entries) != 2 || len(back.Speedups) != 1 {
 		t.Fatalf("roundtrip mismatch: %+v", back)
 	}
 	if back.Entries[0].Name != "slow" || back.Entries[0].NsPerOp <= 0 {
@@ -93,77 +94,4 @@ func TestReportAddLoadRoundTrip(t *testing.T) {
 	if strings.Contains(string(data), `"open_loop_qps": 0`) {
 		t.Fatal("zero open_loop_qps serialized despite omitempty")
 	}
-}
-
-// TestMeasureKernelRoundTrip covers the roofline fields: gflops,
-// precision and data_bytes_per_op survive ReadFile/AppendTo, and plain
-// entries omit them entirely.
-func TestMeasureKernelRoundTrip(t *testing.T) {
-	r := NewReport("roofline")
-	r.Workers = 4
-	sink := 0.0
-	e := r.MeasureKernel("roofline/matmul/64/w1", "f32", 2*64*64*64, 3*4*64*64, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += float64(i)
-		}
-	})
-	if e.GFlops <= 0 || e.Precision != "f32" || e.DataBytesPerOp != 3*4*64*64 {
-		t.Fatalf("kernel entry missing roofline fields: %+v", e)
-	}
-	// Capacity entry: no flops, so no gflops field.
-	cap := r.MeasureKernel("model_bytes/int8", "int8", 0, 12345, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink++
-		}
-	})
-	if cap.GFlops != 0 {
-		t.Fatalf("capacity entry gained gflops: %+v", cap)
-	}
-	r.Measure("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink++
-		}
-	})
-
-	path := filepath.Join(t.TempDir(), "roofline.json")
-	if err := r.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Workers != 4 {
-		t.Fatalf("workers not round-tripped: %+v", back)
-	}
-	if back.Entries[0] != r.Entries[0] || back.Entries[1] != r.Entries[1] {
-		t.Fatalf("kernel entries changed across round trip:\n%+v\n%+v", back.Entries, r.Entries)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plain entries must not serialize zero-valued roofline fields.
-	if strings.Count(string(raw), `"gflops"`) != 1 || strings.Count(string(raw), `"precision"`) != 2 {
-		t.Fatalf("omitempty roofline fields leaked into plain entries:\n%s", raw)
-	}
-
-	// AppendTo merges kernel entries into an existing trajectory intact.
-	r2 := NewReport("roofline2")
-	r2.MeasureKernel("roofline/matmul/64/w8", "f64", 2*64*64*64, 3*8*64*64, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink++
-		}
-	})
-	if err := r2.AppendTo(path); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Entries) != 4 || merged.Entries[3].Precision != "f64" {
-		t.Fatalf("AppendTo dropped roofline fields: %+v", merged.Entries)
-	}
-	_ = sink
 }

@@ -77,6 +77,9 @@ type Featurizer struct {
 	Stats *stats.DBStats
 	Cfg   Config
 	Encs  map[string]*TableEncoder
+	// f64 is the float64 inference view of Encs (see Lower): it
+	// aliases the encoders' weights, so it is built once, here.
+	f64 *Lowered[float64]
 }
 
 // New builds a featurizer with freshly initialized encoders for every
@@ -107,6 +110,7 @@ func NewFrom(cat catalog.Catalog, cfg Config, seed int64) *Featurizer {
 			Head: nn.NewMLP(rng, nn.ActGELU, cfg.Dim, cfg.Dim, 1),
 		}
 	}
+	f.f64 = Lower[float64](f, nn.PrecisionF64)
 	return f
 }
 
@@ -223,26 +227,6 @@ func (f *Featurizer) EncodeTable(table string, filters []sqldb.Filter) *ag.Value
 	seq := ag.ConcatRows(rows...)
 	out := enc.Enc.Forward(seq, nil)
 	return ag.SliceRows(out, 0, 1)
-}
-
-// EncodeTableInfer is the no-grad twin of EncodeTable on the Eval
-// fast path: same kernels, no graph, pooled intermediates. Output is
-// bitwise identical to EncodeTable's forward result.
-func (f *Featurizer) EncodeTableInfer(e *ag.Eval, table string, filters []sqldb.Filter) *tensor.Tensor {
-	enc, ok := f.Encs[table]
-	if !ok {
-		panic(fmt.Sprintf("featurize: unknown table %q", table))
-	}
-	seq := enc.CLS.T
-	if len(filters) > 0 {
-		raw := e.Get(len(filters), f.Cfg.TokenWidth())
-		for i, flt := range filters {
-			copy(raw.Row(i), f.FilterToken(flt))
-		}
-		seq = e.ConcatRows(enc.CLS.T, enc.Proj.Infer(e, raw))
-	}
-	out := enc.Enc.Infer(e, seq, nil)
-	return e.RowsView(out, 0, 1)
 }
 
 // PredictLogCard runs the single-table CardEst head of Enc_i — its

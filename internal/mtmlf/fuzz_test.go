@@ -2,6 +2,7 @@ package mtmlf
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -30,6 +31,14 @@ func FuzzLoadModel(f *testing.F) {
 	flip2[20] ^= 1
 	flip1 := bytes.Clone(v1)
 	flip1[len(flip1)/2] ^= 0x10
+	// Well-formed and CRC-valid, but one weight is NaN: must be
+	// rejected (nn.ErrNonFinite), not loaded.
+	poisoned := NewModel(tinyConfig(), db, 17)
+	poisoned.Shared.CardHead.Layers[0].W.T.Data[0] = math.NaN()
+	var nan bytes.Buffer
+	if err := Save(&nan, poisoned); err != nil {
+		f.Fatal(err)
+	}
 	for _, seed := range [][]byte{
 		v2.Bytes(),
 		shared.Bytes(),
@@ -39,6 +48,7 @@ func FuzzLoadModel(f *testing.F) {
 		v2.Bytes()[:11],                // truncated preamble
 		flip2,                          // bit rot under a checksum
 		flip1,                          // bit rot with no checksum (v1)
+		nan.Bytes(),                    // non-finite weight under a valid checksum
 		[]byte(CheckpointMagic),
 		{},
 	} {
@@ -50,8 +60,14 @@ func FuzzLoadModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Errors (typed or otherwise) are the expected outcome on
 		// mutated inputs; the property under test is that neither entry
-		// point ever panics.
-		_, _, _ = LoadModel(bytes.NewReader(data), db)
+		// point ever panics — and that nothing non-finite gets through.
+		if m, _, err := LoadModel(bytes.NewReader(data), db); err == nil {
+			for i, p := range m.Params() {
+				if p.T.HasNaN() {
+					t.Fatalf("LoadModel accepted a checkpoint whose parameter %d is not finite", i)
+				}
+			}
+		}
 		_, _ = Load(bytes.NewReader(data), dst)
 	})
 }

@@ -2,10 +2,15 @@ package mtmlf
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mtmlf/internal/ag"
+	"mtmlf/internal/nn"
+	"mtmlf/internal/plan"
+	"mtmlf/internal/sqldb"
 	"mtmlf/internal/tensor"
+	"mtmlf/internal/workload"
 )
 
 // TestBeamSearchCachedMatchesLegacy is the tentpole equivalence test:
@@ -106,6 +111,95 @@ func TestInferJoinOrderMatchesGradPath(t *testing.T) {
 			if want[i] != got[i] {
 				t.Fatalf("order differs: grad %v, infer %v", want, got)
 			}
+		}
+	}
+}
+
+// qerr returns the q-error max(a/b, b/a) of two positive estimates.
+func qerr(a, b float64) float64 {
+	if a < b {
+		a, b = b, a
+	}
+	return a / b
+}
+
+// tier is the serial serving surface every instantiation of Lowered
+// answers from.
+type tier interface {
+	EstimateRoot(*workload.LabeledQuery) (card, cost float64)
+	InferJoinOrder(*sqldb.Query, *plan.Node) []string
+}
+
+// TestTiersTrackReference bounds the end-to-end model-level q-error of
+// each tier against the float64 model — the per-model precursor of the
+// corpus-level calibration harness — and asserts the decode-at-f64
+// design holds up: every tier returns the identical argmax join order.
+// The f64 row is the one generic stack at T = float64: budget 1, i.e.
+// exactly the Model methods' numbers.
+func TestTiersTrackReference(t *testing.T) {
+	m, qs := tinySetup(t, 51, 4)
+	for _, tc := range []struct {
+		p      nn.Precision
+		tier   tier
+		budget float64
+	}{
+		{nn.PrecisionF64, m.Reference(), 1},
+		{nn.PrecisionF32, m.Lower(nn.PrecisionF32), 1.01},
+		{nn.PrecisionInt8, m.Lower(nn.PrecisionInt8), 1.5},
+	} {
+		for _, lq := range qs {
+			refCard, refCost := m.EstimateRoot(lq)
+			gotCard, gotCost := tc.tier.EstimateRoot(lq)
+			if q := qerr(gotCard, refCard); q > tc.budget {
+				t.Fatalf("%v card q-error %.4f exceeds %.2f (got %g, ref %g)", tc.p, q, tc.budget, gotCard, refCard)
+			}
+			if q := qerr(gotCost, refCost); q > tc.budget {
+				t.Fatalf("%v cost q-error %.4f exceeds %.2f (got %g, ref %g)", tc.p, q, tc.budget, gotCost, refCost)
+			}
+			if len(lq.Q.Tables) < 2 {
+				continue
+			}
+			ref := m.InferJoinOrder(lq.Q, lq.Plan)
+			got := tc.tier.InferJoinOrder(lq.Q, lq.Plan)
+			if strings.Join(ref, ",") != strings.Join(got, ",") {
+				t.Fatalf("%v join order %v differs from reference %v", tc.p, got, ref)
+			}
+		}
+	}
+}
+
+// TestLoweredParamBytes pins the memory-sizing claims: f32 halves the
+// resident model bytes apart from the f64 decoder, and int8 is at most
+// half of the float64 model overall (the PR's acceptance criterion).
+func TestLoweredParamBytes(t *testing.T) {
+	m, _ := tinySetup(t, 53, 1)
+	f64Bytes := m.ParamBytes()
+	f32Bytes := m.Lower(nn.PrecisionF32).ParamBytes()
+	int8Bytes := m.Lower(nn.PrecisionInt8).ParamBytes()
+	if f32Bytes >= f64Bytes {
+		t.Fatalf("f32 replica %d bytes not smaller than f64 %d", f32Bytes, f64Bytes)
+	}
+	if 2*int8Bytes > f64Bytes {
+		t.Fatalf("int8 replica %d bytes more than half of f64 %d", int8Bytes, f64Bytes)
+	}
+	if int8Bytes >= f32Bytes {
+		t.Fatalf("int8 replica %d bytes not smaller than f32 %d", int8Bytes, f32Bytes)
+	}
+}
+
+// TestExpClampSameAtBothElementTypes asserts the clamp gives the same
+// estimates for the same (f32-representable) logs at either type.
+func TestExpClampSameAtBothElementTypes(t *testing.T) {
+	in32 := []float32{-5, 0, 0.5, 39.5, 41, 100}
+	in64 := make([]float64, len(in32))
+	for i, v := range in32 {
+		in64[i] = float64(v)
+	}
+	got := ExpClamp(in32)
+	want := ExpClamp(in64)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("element %d: ExpClamp at float32 %v, at float64 %v", i, got[i], want[i])
 		}
 	}
 }

@@ -31,16 +31,26 @@ type JoinOrder struct {
 	// previous timestamp" input).
 	PrevProj *nn.Linear
 	dim      int
+	// dec and prevProj are the float64 inference views of Dec and
+	// PrevProj (nn/lower.go: they alias the trained weights, so they
+	// are built once, here). Trans_JO decodes at float64 in every
+	// serving tier, which is what keeps join orders identical across
+	// tiers rather than merely close.
+	dec      *nn.LoweredDecoder[float64]
+	prevProj *nn.LoweredLinear[float64]
 }
 
 // NewJoinOrder builds the decoder.
 func NewJoinOrder(rng *rand.Rand, cfg Config) *JoinOrder {
-	return &JoinOrder{
+	j := &JoinOrder{
 		Dec:      nn.NewDecoder(rng, cfg.Dim, cfg.Heads, cfg.DecBlocks),
 		Start:    ag.Param(tensor.RandNorm(rng, 1, cfg.Dim, 0.02)),
 		PrevProj: nn.NewLinear(rng, cfg.Dim, cfg.Dim),
 		dim:      cfg.Dim,
 	}
+	j.dec = nn.LowerDecoder[float64](j.Dec, nn.PrecisionF64)
+	j.prevProj = nn.LowerLinear[float64](j.PrevProj, nn.PrecisionF64)
+	return j
 }
 
 // Params implements nn.Module.
@@ -106,9 +116,9 @@ func (j *JoinOrder) logitsInfer(e *ag.Eval, mem *tensor.Tensor, prev []int) *ten
 	if len(prev) == 0 {
 		x = j.Start.T
 	} else {
-		x = e.ConcatRows(j.Start.T, j.PrevProj.Infer(e, e.Gather(mem, prev)))
+		x = e.ConcatRows(j.Start.T, j.prevProj.Infer(e, e.Gather(mem, prev)))
 	}
-	out := j.Dec.Infer(e, x, mem, nn.CausalMask(x.Rows()))
+	out := j.dec.Infer(e, x, mem, nn.CausalMask(x.Rows()))
 	scale := 1 / math.Sqrt(float64(j.dim))
 	return e.Scale(e.MatMulTransB(out, mem), scale)
 }
@@ -251,7 +261,7 @@ func (j *JoinOrder) BeamSearch(memory *ag.Value, q *sqldb.Query, k int, constrai
 type cachedBeam struct {
 	seq   []int
 	logp  float64
-	cache *nn.DecCache
+	cache *nn.DecCache[float64]
 }
 
 // BeamSearchTensor is BeamSearch over a raw memory tensor — the
@@ -264,7 +274,7 @@ func (j *JoinOrder) BeamSearchTensor(mem *tensor.Tensor, q *sqldb.Query, k int, 
 	defer ag.ReleaseEval(e)
 	scale := 1 / math.Sqrt(float64(j.dim))
 
-	beams := []cachedBeam{{cache: j.Dec.NewCache(mem, mTabs)}}
+	beams := []cachedBeam{{cache: j.dec.NewCache(e, mem, mTabs)}}
 	type candidate struct {
 		parent int
 		pos    int
@@ -285,13 +295,13 @@ func (j *JoinOrder) BeamSearchTensor(mem *tensor.Tensor, q *sqldb.Query, k int, 
 			for _, b := range beams {
 				lastPicks = append(lastPicks, b.seq[len(b.seq)-1])
 			}
-			x = j.PrevProj.Infer(e, e.Gather(mem, lastPicks))
+			x = j.prevProj.Infer(e, e.Gather(mem, lastPicks))
 		}
-		caches := make([]*nn.DecCache, len(beams))
+		caches := make([]*nn.DecCache[float64], len(beams))
 		for i := range beams {
 			caches[i] = beams[i].cache
 		}
-		out := j.Dec.StepBeams(e, x, caches)
+		out := j.dec.StepBeams(e, x, caches)
 		logits := e.Scale(e.MatMulTransB(out, mem), scale)
 
 		cands = cands[:0]

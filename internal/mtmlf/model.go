@@ -27,7 +27,6 @@ import (
 	"mtmlf/internal/plan"
 	"mtmlf/internal/sqldb"
 	"mtmlf/internal/tensor"
-	"mtmlf/internal/workload"
 )
 
 // Config sizes MTMLF-QO.
@@ -102,12 +101,15 @@ type Shared struct {
 	CardHead *nn.MLP
 	CostHead *nn.MLP
 	JO       *JoinOrder
+	// f64 is the float64 inference view of the modules above (see
+	// infer.go): it aliases their weights, so it is built once, here.
+	f64 *LoweredShared[float64]
 }
 
 // NewShared initializes the transferable modules.
 func NewShared(cfg Config, seed int64) *Shared {
 	rng := rand.New(rand.NewSource(seed))
-	return &Shared{
+	s := &Shared{
 		Cfg:      cfg,
 		NodeProj: nn.NewLinear(rng, cfg.nodeRawWidth(), cfg.Dim),
 		TreePos:  nn.NewTreePositionalEncoder(rng, cfg.MaxDepth, cfg.Dim),
@@ -117,6 +119,8 @@ func NewShared(cfg Config, seed int64) *Shared {
 		CostHead: nn.NewMLP(rng, nn.ActGELU, cfg.Dim, cfg.Dim, 1),
 		JO:       NewJoinOrder(rng, cfg),
 	}
+	s.f64 = lowerShared[float64](s, nn.PrecisionF64)
+	return s
 }
 
 // Params returns all transferable parameters in a stable order.
@@ -253,53 +257,4 @@ func (m *Model) PredictLogCards(rep *Representation) *ag.Value {
 // PredictLogCosts returns the predicted log-cost per node.
 func (m *Model) PredictLogCosts(rep *Representation) *ag.Value {
 	return m.Shared.CostHead.Forward(rep.S)
-}
-
-// EstimateNodeCards runs inference and returns per-node cardinality
-// estimates (exponentiated, clamped to >= 1). Served from the no-grad
-// fast path: numerically identical to the grad-tracked forward.
-func (m *Model) EstimateNodeCards(lq *workload.LabeledQuery) []float64 {
-	e := ag.AcquireEval()
-	defer ag.ReleaseEval(e)
-	rep := m.RepresentInfer(e, lq.Q, lq.Plan)
-	return ExpClamp(m.PredictLogCardsInfer(e, rep).Data)
-}
-
-// EstimateNodeCosts runs inference and returns per-node cost estimates.
-func (m *Model) EstimateNodeCosts(lq *workload.LabeledQuery) []float64 {
-	e := ag.AcquireEval()
-	defer ag.ReleaseEval(e)
-	rep := m.RepresentInfer(e, lq.Q, lq.Plan)
-	return ExpClamp(m.PredictLogCostsInfer(e, rep).Data)
-}
-
-// EstimateRoot returns the root cardinality and cost estimates in one
-// forward pass on the no-grad fast path.
-func (m *Model) EstimateRoot(lq *workload.LabeledQuery) (card, costv float64) {
-	e := ag.AcquireEval()
-	defer ag.ReleaseEval(e)
-	rep := m.RepresentInfer(e, lq.Q, lq.Plan)
-	cards := ExpClamp(m.PredictLogCardsInfer(e, rep).Data)
-	costs := ExpClamp(m.PredictLogCostsInfer(e, rep).Data)
-	return cards[len(cards)-1], costs[len(costs)-1]
-}
-
-// ExpClamp maps log-space head outputs to estimates: exponentiated
-// with the exponent clamped (an untrained model cannot overflow) and
-// floored at 1. Exported for the serving layer, whose fused
-// micro-batch path must clamp exactly like the serial estimators.
-func ExpClamp(logs []float64) []float64 {
-	out := make([]float64, len(logs))
-	for i, v := range logs {
-		// Clamp the exponent so an untrained model cannot overflow.
-		if v > 40 {
-			v = 40
-		}
-		e := math.Exp(v)
-		if e < 1 {
-			e = 1
-		}
-		out[i] = e
-	}
-	return out
 }

@@ -17,6 +17,10 @@
 // add exact zeros), so cached decoding is BITWISE identical to
 // full-prefix recompute — asserted with eps = 0 by the decoder step
 // tests here and the beam-search equivalence tests in mtmlf.
+//
+// The caches and steps are methods of the lowered decoder, so they are
+// generic like the rest of infer.go; only float64 is instantiated
+// today (Trans_JO decodes at float64 in every tier, DESIGN.md §9).
 package nn
 
 import (
@@ -29,30 +33,30 @@ import (
 // AttnKV is the growable self-attention K/V cache of one attention
 // block for one hypothesis: per head, the keys and values of every
 // token decoded so far, stored as [n, dh] matrices.
-type AttnKV struct {
+type AttnKV[T tensor.Float] struct {
 	dh int
 	// K and V hold one [n, dh] matrix per head. Their Data slices are
 	// append-grown; headers are reused across appends.
-	K, V []*tensor.Tensor
+	K, V []*tensor.Dense[T]
 }
 
 // NewAttnKV creates an empty cache for the given head count and head
 // width, with capacity for capTokens appends before reallocation.
-func NewAttnKV(heads, dh, capTokens int) *AttnKV {
-	c := &AttnKV{dh: dh, K: make([]*tensor.Tensor, heads), V: make([]*tensor.Tensor, heads)}
+func NewAttnKV[T tensor.Float](heads, dh, capTokens int) *AttnKV[T] {
+	c := &AttnKV[T]{dh: dh, K: make([]*tensor.Dense[T], heads), V: make([]*tensor.Dense[T], heads)}
 	for h := 0; h < heads; h++ {
-		c.K[h] = &tensor.Tensor{Data: make([]float64, 0, capTokens*dh), Shape: []int{0, dh}}
-		c.V[h] = &tensor.Tensor{Data: make([]float64, 0, capTokens*dh), Shape: []int{0, dh}}
+		c.K[h] = &tensor.Dense[T]{Data: make([]T, 0, capTokens*dh), Shape: []int{0, dh}}
+		c.V[h] = &tensor.Dense[T]{Data: make([]T, 0, capTokens*dh), Shape: []int{0, dh}}
 	}
 	return c
 }
 
 // Len returns the number of cached tokens.
-func (c *AttnKV) Len() int { return c.K[0].Shape[0] }
+func (c *AttnKV[T]) Len() int { return c.K[0].Shape[0] }
 
 // Append adds one token's key and value rows (each a dim-wide slice,
 // split per head).
-func (c *AttnKV) Append(kRow, vRow []float64) {
+func (c *AttnKV[T]) Append(kRow, vRow []T) {
 	for h := range c.K {
 		seg := kRow[h*c.dh : (h+1)*c.dh]
 		c.K[h].Data = append(c.K[h].Data, seg...)
@@ -66,8 +70,8 @@ func (c *AttnKV) Append(kRow, vRow []float64) {
 // Clone deep-copies the cache — the beam-fork operation. The copy
 // keeps the source's capacity so a forked beam does not reallocate on
 // its next append.
-func (c *AttnKV) Clone() *AttnKV {
-	out := &AttnKV{dh: c.dh, K: make([]*tensor.Tensor, len(c.K)), V: make([]*tensor.Tensor, len(c.V))}
+func (c *AttnKV[T]) Clone() *AttnKV[T] {
+	out := &AttnKV[T]{dh: c.dh, K: make([]*tensor.Dense[T], len(c.K)), V: make([]*tensor.Dense[T], len(c.V))}
 	for h := range c.K {
 		out.K[h] = cloneKV(c.K[h])
 		out.V[h] = cloneKV(c.V[h])
@@ -75,30 +79,29 @@ func (c *AttnKV) Clone() *AttnKV {
 	return out
 }
 
-func cloneKV(t *tensor.Tensor) *tensor.Tensor {
-	d := make([]float64, len(t.Data), cap(t.Data))
+func cloneKV[T tensor.Float](t *tensor.Dense[T]) *tensor.Dense[T] {
+	d := make([]T, len(t.Data), cap(t.Data))
 	copy(d, t.Data)
-	return &tensor.Tensor{Data: d, Shape: []int{t.Shape[0], t.Shape[1]}}
+	return &tensor.Dense[T]{Data: d, Shape: []int{t.Shape[0], t.Shape[1]}}
 }
 
 // CrossKV holds the precomputed per-head cross-attention keys and
 // values of one attention block over a fixed memory. It is immutable
 // after construction and safely shared by every beam of a search.
-type CrossKV struct {
-	K, V []*tensor.Tensor // per head, [memRows, dh]
+type CrossKV[T tensor.Float] struct {
+	K, V []*tensor.Dense[T] // per head, [memRows, dh]
 }
 
-// NewCrossKV projects the memory through the block's WK/WV once. The
-// arithmetic matches the full forward's K = WK(mem), V = WV(mem)
-// exactly (same kernels), so cached cross-attention is bitwise
-// identical to recomputing the projections every step.
-func (a *MultiHeadAttention) NewCrossKV(mem *tensor.Tensor) *CrossKV {
-	K := tensor.MatMul(mem, a.WK.W.T)
-	tensor.AddBiasInto(K, a.WK.B.T, K)
-	V := tensor.MatMul(mem, a.WV.W.T)
-	tensor.AddBiasInto(V, a.WV.B.T, V)
+// NewCrossKV projects the memory through the block's WK/WV once, in
+// the caller's session, and copies the per-head slices out of it. The
+// projections are the full forward's K = WK(mem), V = WV(mem) (same
+// layer, same kernels), so cached cross-attention is bitwise identical
+// to recomputing them every step.
+func (a *LoweredAttention[T]) NewCrossKV(e *ag.Session[T], mem *tensor.Dense[T]) *CrossKV[T] {
+	K := a.WK.Infer(e, mem)
+	V := a.WV.Infer(e, mem)
 	dh := a.Dim / a.Heads
-	out := &CrossKV{K: make([]*tensor.Tensor, a.Heads), V: make([]*tensor.Tensor, a.Heads)}
+	out := &CrossKV[T]{K: make([]*tensor.Dense[T], a.Heads), V: make([]*tensor.Dense[T], a.Heads)}
 	for h := 0; h < a.Heads; h++ {
 		out.K[h] = sliceColsCopy(K, h*dh, (h+1)*dh)
 		out.V[h] = sliceColsCopy(V, h*dh, (h+1)*dh)
@@ -106,9 +109,9 @@ func (a *MultiHeadAttention) NewCrossKV(mem *tensor.Tensor) *CrossKV {
 	return out
 }
 
-func sliceColsCopy(t *tensor.Tensor, from, to int) *tensor.Tensor {
+func sliceColsCopy[T tensor.Float](t *tensor.Dense[T], from, to int) *tensor.Dense[T] {
 	m := t.Rows()
-	out := tensor.New(m, to-from)
+	out := tensor.NewOf[T](m, to-from)
 	for i := 0; i < m; i++ {
 		copy(out.Row(i), t.Row(i)[from:to])
 	}
@@ -118,29 +121,30 @@ func sliceColsCopy(t *tensor.Tensor, from, to int) *tensor.Tensor {
 // DecCache is the full decoding state of one hypothesis: per decoder
 // layer, an owned self-attention K/V cache and a shared cross-attention
 // K/V cache over the encoder memory.
-type DecCache struct {
-	Self  []*AttnKV  // per layer; owned, deep-copied on Clone
-	Cross []*CrossKV // per layer; immutable, shared across clones
+type DecCache[T tensor.Float] struct {
+	Self  []*AttnKV[T]  // per layer; owned, deep-copied on Clone
+	Cross []*CrossKV[T] // per layer; immutable, shared across clones
 }
 
 // NewCache precomputes the cross-attention K/V of every layer for the
 // given memory and returns an empty decoding cache with room for
-// capTokens tokens.
-func (d *Decoder) NewCache(mem *tensor.Tensor, capTokens int) *DecCache {
-	c := &DecCache{
-		Self:  make([]*AttnKV, len(d.Layers)),
-		Cross: make([]*CrossKV, len(d.Layers)),
+// capTokens tokens. The cache owns its tensors: it stays valid after e
+// is reset.
+func (d *LoweredDecoder[T]) NewCache(e *ag.Session[T], mem *tensor.Dense[T], capTokens int) *DecCache[T] {
+	c := &DecCache[T]{
+		Self:  make([]*AttnKV[T], len(d.Layers)),
+		Cross: make([]*CrossKV[T], len(d.Layers)),
 	}
 	for i, l := range d.Layers {
 		heads := l.SelfAttn.Heads
-		c.Self[i] = NewAttnKV(heads, l.SelfAttn.Dim/heads, capTokens)
-		c.Cross[i] = l.CrossAttn.NewCrossKV(mem)
+		c.Self[i] = NewAttnKV[T](heads, l.SelfAttn.Dim/heads, capTokens)
+		c.Cross[i] = l.CrossAttn.NewCrossKV(e, mem)
 	}
 	return c
 }
 
 // Len returns the number of tokens decoded into the cache.
-func (c *DecCache) Len() int {
+func (c *DecCache[T]) Len() int {
 	if len(c.Self) == 0 {
 		return 0
 	}
@@ -149,8 +153,8 @@ func (c *DecCache) Len() int {
 
 // Clone forks the hypothesis: self caches are deep-copied, cross
 // caches are shared.
-func (c *DecCache) Clone() *DecCache {
-	out := &DecCache{Self: make([]*AttnKV, len(c.Self)), Cross: c.Cross}
+func (c *DecCache[T]) Clone() *DecCache[T] {
+	out := &DecCache[T]{Self: make([]*AttnKV[T], len(c.Self)), Cross: c.Cross}
 	for i, s := range c.Self {
 		out.Self[i] = s.Clone()
 	}
@@ -159,12 +163,12 @@ func (c *DecCache) Clone() *DecCache {
 
 // stepBeams advances one attention block by one token for a batch of
 // hypotheses. x is [nb, dim] (row i = beam i's new input); for
-// self-attention (cross == nil) each beam's K/V rows are appended to
+// self-attention (crosses == nil) each beam's K/V rows are appended to
 // its cache first, so the new token attends to itself like the masked
 // full forward does. The nb×heads tiny products run through the
 // batched kernels in single pool dispatches — that is what lets a
 // k-wide beam use more than one core per step.
-func (a *MultiHeadAttention) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*AttnKV, crosses []*CrossKV) *tensor.Tensor {
+func (a *LoweredAttention[T]) stepBeams(e *ag.Session[T], x *tensor.Dense[T], selves []*AttnKV[T], crosses []*CrossKV[T]) *tensor.Dense[T] {
 	nb := x.Rows()
 	dh := a.Dim / a.Heads
 	scale := 1 / math.Sqrt(float64(dh))
@@ -176,9 +180,9 @@ func (a *MultiHeadAttention) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*A
 			s.Append(K.Row(i), V.Row(i))
 		}
 	}
-	qs := make([]*tensor.Tensor, nb*a.Heads)
-	ks := make([]*tensor.Tensor, nb*a.Heads)
-	vs := make([]*tensor.Tensor, nb*a.Heads)
+	qs := make([]*tensor.Dense[T], nb*a.Heads)
+	ks := make([]*tensor.Dense[T], nb*a.Heads)
+	vs := make([]*tensor.Dense[T], nb*a.Heads)
 	for i := 0; i < nb; i++ {
 		for h := 0; h < a.Heads; h++ {
 			qs[i*a.Heads+h] = e.RowSeg(Q, i, h*dh, (h+1)*dh)
@@ -192,7 +196,7 @@ func (a *MultiHeadAttention) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*A
 		}
 	}
 	scores := e.MatMulTransBBatch(qs, ks)
-	attns := make([]*tensor.Tensor, len(scores))
+	attns := make([]*tensor.Dense[T], len(scores))
 	for i, s := range scores {
 		attns[i] = e.SoftmaxRows(e.Scale(s, scale))
 	}
@@ -207,30 +211,12 @@ func (a *MultiHeadAttention) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*A
 	return a.WO.Infer(e, out)
 }
 
-// ForwardStep advances causal self-attention by one token for a
-// single hypothesis: xNew is [1, dim], cache holds the previous
-// tokens' K/V and is extended in place.
-func (a *MultiHeadAttention) ForwardStep(e *ag.Eval, xNew *tensor.Tensor, cache *AttnKV) *tensor.Tensor {
-	return a.stepBeams(e, xNew, []*AttnKV{cache}, nil)
-}
-
-// CrossStep attends a single new token over precomputed memory K/V.
-func (a *MultiHeadAttention) CrossStep(e *ag.Eval, xNew *tensor.Tensor, cross *CrossKV) *tensor.Tensor {
-	return a.stepBeams(e, xNew, nil, []*CrossKV{cross})
-}
-
 // stepBeams advances the decoder block by one token for a batch of
-// hypotheses; see Decoder.StepBeams.
-func (l *DecoderLayer) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*AttnKV, crosses []*CrossKV) *tensor.Tensor {
+// hypotheses; see LoweredDecoder.StepBeams.
+func (l *LoweredDecoderLayer[T]) stepBeams(e *ag.Session[T], x *tensor.Dense[T], selves []*AttnKV[T], crosses []*CrossKV[T]) *tensor.Dense[T] {
 	x = l.LN1.Infer(e, e.Add(x, l.SelfAttn.stepBeams(e, x, selves, nil)))
 	x = l.LN2.Infer(e, e.Add(x, l.CrossAttn.stepBeams(e, x, nil, crosses)))
 	return l.LN3.Infer(e, e.Add(x, l.FF.Infer(e, x)))
-}
-
-// ForwardStep advances the decoder block by one token for a single
-// hypothesis.
-func (l *DecoderLayer) ForwardStep(e *ag.Eval, xNew *tensor.Tensor, self *AttnKV, cross *CrossKV) *tensor.Tensor {
-	return l.stepBeams(e, xNew, []*AttnKV{self}, []*CrossKV{cross})
 }
 
 // StepBeams advances the decoder stack by one token for a batch of
@@ -238,12 +224,12 @@ func (l *DecoderLayer) ForwardStep(e *ag.Eval, xNew *tensor.Tensor, self *AttnKV
 // and the result row i is the decoder output for that hypothesis's
 // new position — bitwise identical to row (cache.Len()) of a full
 // forward over the whole prefix.
-func (d *Decoder) StepBeams(e *ag.Eval, x *tensor.Tensor, caches []*DecCache) *tensor.Tensor {
+func (d *LoweredDecoder[T]) StepBeams(e *ag.Session[T], x *tensor.Dense[T], caches []*DecCache[T]) *tensor.Dense[T] {
 	if x.Rows() != len(caches) {
-		panic("nn: Decoder.StepBeams row/cache count mismatch")
+		panic("nn: LoweredDecoder.StepBeams row/cache count mismatch")
 	}
-	selves := make([]*AttnKV, len(caches))
-	crosses := make([]*CrossKV, len(caches))
+	selves := make([]*AttnKV[T], len(caches))
+	crosses := make([]*CrossKV[T], len(caches))
 	for li := range d.Layers {
 		for i, c := range caches {
 			selves[i] = c.Self[li]
@@ -252,10 +238,4 @@ func (d *Decoder) StepBeams(e *ag.Eval, x *tensor.Tensor, caches []*DecCache) *t
 		x = d.Layers[li].stepBeams(e, x, selves, crosses)
 	}
 	return x
-}
-
-// ForwardStep advances the decoder stack by one token for a single
-// hypothesis.
-func (d *Decoder) ForwardStep(e *ag.Eval, xNew *tensor.Tensor, cache *DecCache) *tensor.Tensor {
-	return d.StepBeams(e, xNew, []*DecCache{cache})
 }

@@ -1,13 +1,19 @@
-// Precision lowering: the pass that converts trained float64 layers
-// into reduced-precision inference replicas running on ag.EvalF32.
+// Lowering: the one pass that turns trained layers into the inference
+// layers of infer.go, at any element type.
 //
-// Lowering is one-way and serving-only — the float64 model remains the
-// single source of truth for training, checkpoints, and the eps=0
-// bitwise contracts; a lowered replica is a derived artifact rebuilt
-// from it at load/reload time. Within the f32 tier the serial/sharded
-// bitwise contract still holds (the f32 kernels guarantee it); across
-// tiers agreement with the float64 reference is *calibrated*, not
-// bitwise — internal/calib enforces the q-error budgets (DESIGN.md §9).
+// At float64 lowering ALIASES: tensor.Convert returns the trained
+// tensor itself, so a float64 lowered layer is a view of the layer it
+// came from. The view never goes stale because nothing ever replaces
+// an ag.Value's tensor — optimizers, DecodeParams and CopyParams all
+// write into T.Data in place — so it is built once, next to the
+// trained layers, and every later weight update is visible through it.
+//
+// At float32 lowering CONVERTS, one-way and serving-only: the float64
+// model remains the single source of truth for training, checkpoints,
+// and the eps=0 bitwise contracts, and a reduced-precision replica is
+// a derived artifact rebuilt from it at load/reload time. Across tiers
+// agreement with the float64 reference is *calibrated*, not bitwise —
+// internal/calib enforces the q-error budgets (DESIGN.md §9).
 //
 // At PrecisionInt8 every Linear weight is quantized per output channel
 // (tensor.QuantizeLinear) while biases, layer norms, embeddings and
@@ -17,9 +23,7 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
-	"mtmlf/internal/ag"
 	"mtmlf/internal/tensor"
 )
 
@@ -61,272 +65,84 @@ func ParsePrecision(s string) (Precision, error) {
 	return 0, fmt.Errorf("nn: unknown precision %q (want f64, f32 or int8)", s)
 }
 
-// LinearF32 is a lowered linear layer: either f32 weights (W) or
-// int8-quantized weights (W8), exactly one of which is non-nil.
-type LinearF32 struct {
-	W  *tensor.F32        // [in, out], f32 tier
-	W8 *tensor.Int8Matrix // int8 tier (stored transposed [out, in])
-	B  *tensor.F32        // [1, out]
-}
-
-// LowerLinear lowers a trained linear layer to p (which must not be
-// PrecisionF64 — the f64 path serves from the original layer).
-func LowerLinear(l *Linear, p Precision) *LinearF32 {
-	lf := &LinearF32{B: tensor.F32FromTensor(l.B.T)}
+// LowerLinear lowers a trained linear layer to element type T; at
+// PrecisionInt8 the weight is quantized instead of converted.
+func LowerLinear[T tensor.Float](l *Linear, p Precision) *LoweredLinear[T] {
+	ll := &LoweredLinear[T]{B: tensor.Convert[T](l.B.T)}
 	if p == PrecisionInt8 {
-		lf.W8 = tensor.QuantizeLinear(l.W.T)
+		ll.W8 = tensor.QuantizeLinear(l.W.T)
 	} else {
-		lf.W = tensor.F32FromTensor(l.W.T)
+		ll.W = tensor.Convert[T](l.W.T)
 	}
-	return lf
-}
-
-// Infer applies the lowered layer.
-func (l *LinearF32) Infer(e *ag.EvalF32, x *tensor.F32) *tensor.F32 {
-	if l.W8 != nil {
-		return e.LinearInt8(x, l.W8, l.B)
-	}
-	return e.AddBias(e.MatMul(x, l.W), l.B)
-}
-
-// Bytes returns the resident weight bytes of the lowered layer.
-func (l *LinearF32) Bytes() int {
-	n := l.B.Bytes()
-	if l.W8 != nil {
-		return n + l.W8.Bytes()
-	}
-	return n + l.W.Bytes()
-}
-
-// EmbeddingF32 is a lowered embedding table (always f32: lookup rows
-// feed matmuls as activations, not weights).
-type EmbeddingF32 struct {
-	W *tensor.F32 // [vocab, dim]
+	return ll
 }
 
 // LowerEmbedding lowers an embedding table.
-func LowerEmbedding(emb *Embedding) *EmbeddingF32 {
-	return &EmbeddingF32{W: tensor.F32FromTensor(emb.W.T)}
-}
-
-// Infer looks up the rows for ids, in order.
-func (emb *EmbeddingF32) Infer(e *ag.EvalF32, ids []int) *tensor.F32 {
-	return e.Gather(emb.W, ids)
-}
-
-// Bytes returns the resident bytes of the table.
-func (emb *EmbeddingF32) Bytes() int { return emb.W.Bytes() }
-
-// LayerNormF32 is a lowered layer norm (always f32 gain/bias).
-type LayerNormF32 struct {
-	Gamma *tensor.F32
-	Beta  *tensor.F32
-	Eps   float64
+func LowerEmbedding[T tensor.Float](emb *Embedding) *LoweredEmbedding[T] {
+	return &LoweredEmbedding[T]{W: tensor.Convert[T](emb.W.T)}
 }
 
 // LowerLayerNorm lowers a layer norm.
-func LowerLayerNorm(l *LayerNorm) *LayerNormF32 {
-	return &LayerNormF32{
-		Gamma: tensor.F32FromTensor(l.Gamma.T),
-		Beta:  tensor.F32FromTensor(l.Beta.T),
+func LowerLayerNorm[T tensor.Float](l *LayerNorm) *LoweredLayerNorm[T] {
+	return &LoweredLayerNorm[T]{
+		Gamma: tensor.Convert[T](l.Gamma.T),
+		Beta:  tensor.Convert[T](l.Beta.T),
 		Eps:   l.Eps,
 	}
 }
 
-// Infer applies the normalization.
-func (l *LayerNormF32) Infer(e *ag.EvalF32, x *tensor.F32) *tensor.F32 {
-	return e.LayerNormRows(x, l.Gamma, l.Beta, l.Eps)
-}
-
-// Bytes returns the resident bytes of the gain/bias rows.
-func (l *LayerNormF32) Bytes() int { return l.Gamma.Bytes() + l.Beta.Bytes() }
-
-// MLPF32 is a lowered MLP.
-type MLPF32 struct {
-	Layers []*LinearF32
-	Act    Activation
-}
-
-// LowerMLP lowers an MLP to p.
-func LowerMLP(m *MLP, p Precision) *MLPF32 {
-	lf := &MLPF32{Act: m.Act}
+// LowerMLP lowers an MLP.
+func LowerMLP[T tensor.Float](m *MLP, p Precision) *LoweredMLP[T] {
+	lm := &LoweredMLP[T]{Act: m.Act}
 	for _, l := range m.Layers {
-		lf.Layers = append(lf.Layers, LowerLinear(l, p))
+		lm.Layers = append(lm.Layers, LowerLinear[T](l, p))
 	}
-	return lf
+	return lm
 }
 
-func applyActInferF32(e *ag.EvalF32, a Activation, x *tensor.F32) *tensor.F32 {
-	switch a {
-	case ActReLU:
-		return e.ReLU(x)
-	case ActGELU:
-		return e.GELU(x)
-	case ActTanh:
-		return e.Tanh(x)
-	default:
-		panic("nn: unknown activation")
-	}
-}
-
-// Infer applies the lowered MLP.
-func (m *MLPF32) Infer(e *ag.EvalF32, x *tensor.F32) *tensor.F32 {
-	for i, l := range m.Layers {
-		x = l.Infer(e, x)
-		if i+1 < len(m.Layers) {
-			x = applyActInferF32(e, m.Act, x)
-		}
-	}
-	return x
-}
-
-// Bytes returns the resident bytes of the stack.
-func (m *MLPF32) Bytes() int {
-	n := 0
-	for _, l := range m.Layers {
-		n += l.Bytes()
-	}
-	return n
-}
-
-// MultiHeadAttentionF32 is a lowered attention block.
-type MultiHeadAttentionF32 struct {
-	WQ, WK, WV, WO *LinearF32
-	Heads          int
-	Dim            int
-}
-
-// LowerMultiHeadAttention lowers an attention block to p.
-func LowerMultiHeadAttention(a *MultiHeadAttention, p Precision) *MultiHeadAttentionF32 {
-	return &MultiHeadAttentionF32{
-		WQ:    LowerLinear(a.WQ, p),
-		WK:    LowerLinear(a.WK, p),
-		WV:    LowerLinear(a.WV, p),
-		WO:    LowerLinear(a.WO, p),
+// LowerMultiHeadAttention lowers an attention block.
+func LowerMultiHeadAttention[T tensor.Float](a *MultiHeadAttention, p Precision) *LoweredAttention[T] {
+	return &LoweredAttention[T]{
+		WQ:    LowerLinear[T](a.WQ, p),
+		WK:    LowerLinear[T](a.WK, p),
+		WV:    LowerLinear[T](a.WV, p),
+		WO:    LowerLinear[T](a.WO, p),
 		Heads: a.Heads,
 		Dim:   a.Dim,
 	}
 }
 
-// Infer runs multi-head attention mirroring the f64 Infer op for op.
-// mask, if non-nil, is a [lq, lk] additive mask.
-func (a *MultiHeadAttentionF32) Infer(e *ag.EvalF32, q, kv, mask *tensor.F32) *tensor.F32 {
-	Q := a.WQ.Infer(e, q)
-	K := a.WK.Infer(e, kv)
-	V := a.WV.Infer(e, kv)
-	dh := a.Dim / a.Heads
-	scale := 1 / math.Sqrt(float64(dh))
-	qhs := make([]*tensor.F32, a.Heads)
-	khs := make([]*tensor.F32, a.Heads)
-	vhs := make([]*tensor.F32, a.Heads)
-	for h := 0; h < a.Heads; h++ {
-		qhs[h] = e.SliceCols(Q, h*dh, (h+1)*dh)
-		khs[h] = e.SliceCols(K, h*dh, (h+1)*dh)
-		vhs[h] = e.SliceCols(V, h*dh, (h+1)*dh)
-	}
-	scores := e.MatMulTransBBatch(qhs, khs)
-	attns := make([]*tensor.F32, a.Heads)
-	for h, s := range scores {
-		s = e.Scale(s, scale)
-		if mask != nil {
-			s = e.Add(s, mask)
-		}
-		attns[h] = e.SoftmaxRows(s)
-	}
-	heads := e.MatMulBatch(attns, vhs)
-	return a.WO.Infer(e, e.ConcatCols(heads...))
-}
-
-// Bytes returns the resident bytes of the four projections.
-func (a *MultiHeadAttentionF32) Bytes() int {
-	return a.WQ.Bytes() + a.WK.Bytes() + a.WV.Bytes() + a.WO.Bytes()
-}
-
-// EncoderLayerF32 is a lowered post-norm encoder block.
-type EncoderLayerF32 struct {
-	Attn *MultiHeadAttentionF32
-	FF   *MLPF32
-	LN1  *LayerNormF32
-	LN2  *LayerNormF32
-}
-
-// LowerEncoderLayer lowers one encoder block to p.
-func LowerEncoderLayer(l *EncoderLayer, p Precision) *EncoderLayerF32 {
-	return &EncoderLayerF32{
-		Attn: LowerMultiHeadAttention(l.Attn, p),
-		FF:   LowerMLP(l.FF, p),
-		LN1:  LowerLayerNorm(l.LN1),
-		LN2:  LowerLayerNorm(l.LN2),
-	}
-}
-
-// Infer applies the block.
-func (l *EncoderLayerF32) Infer(e *ag.EvalF32, x, mask *tensor.F32) *tensor.F32 {
-	x = l.LN1.Infer(e, e.Add(x, l.Attn.Infer(e, x, x, mask)))
-	return l.LN2.Infer(e, e.Add(x, l.FF.Infer(e, x)))
-}
-
-// Bytes returns the resident bytes of the block.
-func (l *EncoderLayerF32) Bytes() int {
-	return l.Attn.Bytes() + l.FF.Bytes() + l.LN1.Bytes() + l.LN2.Bytes()
-}
-
-// EncoderF32 is a lowered encoder stack.
-type EncoderF32 struct {
-	Layers []*EncoderLayerF32
-}
-
-// LowerEncoder lowers an encoder stack to p.
-func LowerEncoder(enc *Encoder, p Precision) *EncoderF32 {
-	out := &EncoderF32{}
+// LowerEncoder lowers an encoder stack.
+func LowerEncoder[T tensor.Float](enc *Encoder, p Precision) *LoweredEncoder[T] {
+	out := &LoweredEncoder[T]{}
 	for _, l := range enc.Layers {
-		out.Layers = append(out.Layers, LowerEncoderLayer(l, p))
+		out.Layers = append(out.Layers, &LoweredEncoderLayer[T]{
+			Attn: LowerMultiHeadAttention[T](l.Attn, p),
+			FF:   LowerMLP[T](l.FF, p),
+			LN1:  LowerLayerNorm[T](l.LN1),
+			LN2:  LowerLayerNorm[T](l.LN2),
+		})
 	}
 	return out
 }
 
-// Infer applies the stack.
-func (enc *EncoderF32) Infer(e *ag.EvalF32, x, mask *tensor.F32) *tensor.F32 {
-	for _, l := range enc.Layers {
-		x = l.Infer(e, x, mask)
+// LowerDecoder lowers a decoder stack.
+func LowerDecoder[T tensor.Float](d *Decoder, p Precision) *LoweredDecoder[T] {
+	out := &LoweredDecoder[T]{}
+	for _, l := range d.Layers {
+		out.Layers = append(out.Layers, &LoweredDecoderLayer[T]{
+			SelfAttn:  LowerMultiHeadAttention[T](l.SelfAttn, p),
+			CrossAttn: LowerMultiHeadAttention[T](l.CrossAttn, p),
+			FF:        LowerMLP[T](l.FF, p),
+			LN1:       LowerLayerNorm[T](l.LN1),
+			LN2:       LowerLayerNorm[T](l.LN2),
+			LN3:       LowerLayerNorm[T](l.LN3),
+		})
 	}
-	return x
+	return out
 }
 
-// Bytes returns the resident bytes of the stack.
-func (enc *EncoderF32) Bytes() int {
-	n := 0
-	for _, l := range enc.Layers {
-		n += l.Bytes()
-	}
-	return n
+// LowerTreePositionalEncoder lowers the tree positional encoder.
+func LowerTreePositionalEncoder[T tensor.Float](t *TreePositionalEncoder, p Precision) *LoweredTreePos[T] {
+	return &LoweredTreePos[T]{MaxDepth: t.MaxDepth, Proj: LowerLinear[T](t.Proj, p), src: t}
 }
-
-// TreePositionalEncoderF32 is a lowered tree positional encoder. It
-// keeps a reference to its source for the memoized RawFeature rows
-// (the raw 0/1 features are exact in every tier).
-type TreePositionalEncoderF32 struct {
-	MaxDepth int
-	Proj     *LinearF32
-	src      *TreePositionalEncoder
-}
-
-// LowerTreePositionalEncoder lowers the tree positional encoder to p.
-func LowerTreePositionalEncoder(t *TreePositionalEncoder, p Precision) *TreePositionalEncoderF32 {
-	return &TreePositionalEncoderF32{MaxDepth: t.MaxDepth, Proj: LowerLinear(t.Proj, p), src: t}
-}
-
-// Infer encodes a batch of paths into a [len(paths), dim] matrix.
-func (t *TreePositionalEncoderF32) Infer(e *ag.EvalF32, paths []TreePath) *tensor.F32 {
-	raw := e.Get(len(paths), 2*t.MaxDepth)
-	for i, p := range paths {
-		row := raw.Row(i)
-		for j, v := range t.src.RawFeature(p) {
-			row[j] = float32(v)
-		}
-	}
-	return t.Proj.Infer(e, raw)
-}
-
-// Bytes returns the resident bytes of the projection.
-func (t *TreePositionalEncoderF32) Bytes() int { return t.Proj.Bytes() }

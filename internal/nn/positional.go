@@ -139,14 +139,5 @@ func (t *TreePositionalEncoder) Forward(paths []TreePath) *ag.Value {
 	return t.Proj.Forward(ag.Const(raw))
 }
 
-// Infer is the no-grad twin of Forward on the Eval fast path.
-func (t *TreePositionalEncoder) Infer(e *ag.Eval, paths []TreePath) *tensor.Tensor {
-	raw := e.Get(len(paths), 2*t.MaxDepth)
-	for i, p := range paths {
-		copy(raw.Row(i), t.RawFeature(p))
-	}
-	return t.Proj.Infer(e, raw)
-}
-
 // Params implements Module.
 func (t *TreePositionalEncoder) Params() []*ag.Value { return t.Proj.Params() }

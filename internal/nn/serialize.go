@@ -2,12 +2,21 @@ package nn
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 
 	"mtmlf/internal/ag"
+	"mtmlf/internal/tensor"
 )
+
+// ErrNonFinite is returned (wrapped) by DecodeParams for a parameter
+// section holding NaN or ±Inf. Such a file is well-formed — its CRC
+// matches — but every estimate served from it would be NaN, which
+// JSON cannot even carry; refusing it at load is the only place the
+// failure is still attributable to the checkpoint.
+var ErrNonFinite = errors.New("nn: non-finite parameter")
 
 // paramBlob is the on-wire form of one parameter tensor.
 type paramBlob struct {
@@ -60,10 +69,12 @@ func EncodeParams(enc *gob.Encoder, params []*ag.Value) error {
 }
 
 // DecodeParams reads a section written by EncodeParams into params,
-// validating the element count and every tensor's shape before any
-// data is copied — a checkpoint for a different architecture (or a
-// reordered parameter list) fails with a descriptive error instead of
-// silently smearing weights across the wrong tensors.
+// validating the element count, every tensor's shape, and that every
+// value is finite (ErrNonFinite) before any data is copied — a
+// checkpoint for a different architecture (or a reordered parameter
+// list) fails with a descriptive error instead of silently smearing
+// weights across the wrong tensors, and a rejected file leaves params
+// exactly as they were.
 func DecodeParams(dec *gob.Decoder, params []*ag.Value) error {
 	var blobs []paramBlob
 	if err := dec.Decode(&blobs); err != nil {
@@ -79,6 +90,9 @@ func DecodeParams(dec *gob.Decoder, params []*ag.Value) error {
 		}
 		if len(b.Data) != p.T.Size() {
 			return fmt.Errorf("nn: parameter %d size mismatch: file %d, model %d", i, len(b.Data), p.T.Size())
+		}
+		if (&tensor.Tensor{Data: b.Data}).HasNaN() {
+			return fmt.Errorf("%w: parameter %d %v holds NaN or Inf", ErrNonFinite, i, b.Shape)
 		}
 	}
 	for i, b := range blobs {

@@ -3,6 +3,8 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,6 +43,32 @@ func TestLoadRejectsShapeMismatch(t *testing.T) {
 	for i, v := range dst[0].T.Data {
 		if v != before[i] {
 			t.Fatal("Load modified weights before failing validation")
+		}
+	}
+}
+
+// TestLoadRejectsNonFinite: a well-formed section holding NaN or ±Inf
+// (a diverged training run saved faithfully) must fail with
+// ErrNonFinite before any weight is overwritten — including the
+// earlier, finite tensors of the same section.
+func TestLoadRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		src := randParams(1, [2]int{3, 4}, [2]int{2, 5})
+		src[1].T.Data[7] = bad
+		var buf bytes.Buffer
+		if err := Save(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		dst := randParams(2, [2]int{3, 4}, [2]int{2, 5})
+		before := append([]float64{}, dst[0].T.Data...)
+		err := Load(&buf, dst)
+		if !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%v weight: want ErrNonFinite, got %v", bad, err)
+		}
+		for i, v := range dst[0].T.Data {
+			if v != before[i] {
+				t.Fatalf("%v weight: Load modified weights before failing validation", bad)
+			}
 		}
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/mtmlf"
+	"mtmlf/internal/nn"
 	"mtmlf/internal/workload"
 )
 
@@ -148,6 +150,28 @@ func TestHTTPReloadz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("incompatible reload: status %d, want 409", resp.StatusCode)
+	}
+
+	// A CRC-valid checkpoint holding one NaN weight (a diverged run,
+	// saved faithfully) → non-200 from the real loader, model
+	// untouched. Loaded, it would answer every request 200 with an
+	// empty body: NaN estimates cannot be encoded as JSON.
+	poisoned := mtmlf.NewModel(cfg, db, 5)
+	poisoned.Shared.CardHead.Layers[0].W.T.Data[0] = math.NaN()
+	var ckpt bytes.Buffer
+	if err := mtmlf.Save(&ckpt, poisoned); err != nil {
+		t.Fatal(err)
+	}
+	var loadErr error
+	nextModel, _, loadErr = mtmlf.LoadModel(bytes.NewReader(ckpt.Bytes()), db)
+	if !errors.Is(loadErr, nn.ErrNonFinite) {
+		t.Fatalf("loading a NaN checkpoint: err %v, want nn.ErrNonFinite", loadErr)
+	}
+	nextErr = loadErr
+	resp = postJSON(t, srv.URL+"/reloadz", nil)
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Fatal("/reloadz accepted a checkpoint with a NaN weight")
 	}
 
 	resp = postJSON(t, srv.URL+"/estimate/card", body)

@@ -4,9 +4,9 @@
 // checkpoint, and the layer mtmlf-loadgen is built to saturate.
 //
 // Architecture: a bounded pool of session workers, each owning one
-// inference session per batch (one ag.Eval checked out of the
-// process-wide evaluator pool via AcquireEval, released — and with it
-// every pooled tensor — when the batch completes). Requests funnel
+// inference session per batch (one ag.Session checked out of the
+// process-wide pool via ag.Acquire, released — and with it every
+// pooled tensor — when the batch completes). Requests funnel
 // through one bounded queue; a worker blocks only for its first
 // request, then takes whatever is already queued (up to MaxBatch-1
 // more, never waiting) and serves them as a micro-batch — so batches
@@ -181,22 +181,24 @@ func (r *request) expired(now time.Time) bool {
 }
 
 // served bundles everything one micro-batch needs to be consistent: a
-// model and (at reduced precision) the replica lowered from it. A
-// Reload builds a fresh bundle and swaps the one pointer, so a batch
-// that snapshotted the old bundle keeps a matching model/replica pair.
+// model and its inference form at the engine's tier — exactly one of
+// f64 (a view of the model's own weights) and f32 (an f32 or
+// int8-weight replica lowered from them). A Reload builds a fresh
+// bundle and swaps the one pointer, so a batch that snapshotted the
+// old bundle keeps a matching model/replica pair.
 type served struct {
 	model *mtmlf.Model
-	// lowered is the reduced-precision replica (nil at PrecisionF64).
-	lowered *mtmlf.LoweredModel
+	f64   *mtmlf.Lowered[float64]
+	f32   *mtmlf.LoweredModel
 }
 
-// newServed lowers m to p (a no-op bundle at PrecisionF64).
+// newServed builds m's inference form at tier p.
 func newServed(m *mtmlf.Model, p nn.Precision) *served {
-	s := &served{model: m}
-	if p != nn.PrecisionF64 {
-		s.lowered = m.Lower(p)
+	if p == nn.PrecisionF64 {
+		ref := m.Reference()
+		return &served{model: m, f64: &ref}
 	}
-	return s
+	return &served{model: m, f32: m.Lower(p)}
 }
 
 // Engine is the concurrent serving front end over one hot-swappable
@@ -300,8 +302,8 @@ func (e *Engine) Precision() nn.Precision { return e.opts.Precision }
 // precision, the float64 model otherwise.
 func (e *Engine) LoweredParamBytes() int {
 	s := e.cur.Load()
-	if s.lowered != nil {
-		return s.lowered.ParamBytes()
+	if s.f32 != nil {
+		return s.f32.ParamBytes()
 	}
 	return s.model.ParamBytes()
 }
@@ -437,7 +439,7 @@ func (e *Engine) worker() {
 		if !e.admit(first) {
 			continue
 		}
-		e.runBatch(e.cur.Load(), e.fill(first))
+		e.cur.Load().run(e, e.fill(first))
 	}
 }
 
@@ -475,49 +477,32 @@ func (e *Engine) fill(first *request) []*request {
 	return batch
 }
 
-// runBatch serves one micro-batch inside one inference session
-// against one model-bundle snapshot, dispatching on the serving tier.
-// The session's evaluator (and every pooled tensor of the batch) is
-// released at the end — see DESIGN.md "Session ownership".
-func (e *Engine) runBatch(s *served, batch []*request) {
-	if s.lowered != nil {
-		e.runBatchF32(s.lowered, batch)
-		return
+// run serves one micro-batch against this bundle, at the element type
+// of its tier.
+func (s *served) run(e *Engine, batch []*request) {
+	if s.f32 != nil {
+		runBatch(e, *s.f32, batch)
+	} else {
+		runBatch(e, *s.f64, batch)
 	}
-	m := s.model
-	ev := ag.AcquireEval()
-	defer ag.ReleaseEval(ev)
-
-	reps := make([]*mtmlf.InferRep, len(batch))
-	for i, r := range batch {
-		reps[i] = e.represent(m, ev, r)
-	}
-	e.runHeads(m, ev, EndpointCard, batch, reps)
-	e.runHeads(m, ev, EndpointCost, batch, reps)
-	for i, r := range batch {
-		if r.ep == EndpointJoinOrder && reps[i] != nil {
-			e.runJoinOrder(m, r, reps[i])
-		}
-	}
-	e.stats.recordBatch(len(batch))
 }
 
-// runBatchF32 is runBatch's reduced-precision twin: same fused-head
-// batching, same panic/delivery discipline, running on the EvalF32
-// session over the lowered replica.
-func (e *Engine) runBatchF32(lm *mtmlf.LoweredModel, batch []*request) {
-	ev := ag.AcquireEvalF32()
-	defer ag.ReleaseEvalF32(ev)
+// runBatch serves one micro-batch inside one inference session. The
+// session (and every pooled tensor of the batch) is released at the
+// end — see DESIGN.md "Session ownership".
+func runBatch[T tensor.Float](e *Engine, lm mtmlf.Lowered[T], batch []*request) {
+	ev := ag.Acquire[T]()
+	defer ag.Release(ev)
 
-	reps := make([]*mtmlf.InferRepF32, len(batch))
+	reps := make([]*mtmlf.Rep[T], len(batch))
 	for i, r := range batch {
-		reps[i] = e.representF32(lm, ev, r)
+		reps[i] = represent(lm, ev, r)
 	}
-	e.runHeadsF32(lm, ev, EndpointCard, batch, reps)
-	e.runHeadsF32(lm, ev, EndpointCost, batch, reps)
+	runHeads(lm, ev, EndpointCard, batch, reps)
+	runHeads(lm, ev, EndpointCost, batch, reps)
 	for i, r := range batch {
 		if r.ep == EndpointJoinOrder && reps[i] != nil {
-			e.runJoinOrderF32(lm, r, reps[i])
+			runJoinOrder(lm, r, reps[i])
 		}
 	}
 	e.stats.recordBatch(len(batch))
@@ -526,23 +511,23 @@ func (e *Engine) runBatchF32(lm *mtmlf.LoweredModel, batch []*request) {
 // represent computes one request's shared representation in the
 // session, converting any surviving model panic into ErrInternal
 // (validation should have caught everything typed).
-func (e *Engine) represent(m *mtmlf.Model, ev *ag.Eval, r *request) (rep *mtmlf.InferRep) {
+func represent[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], r *request) (rep *mtmlf.Rep[T]) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = nil
 			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
 		}
 	}()
-	return m.RepresentInfer(ev, r.q, r.p)
+	return lm.RepresentInfer(ev, r.q, r.p)
 }
 
 // runHeads fuses one head over every batch request of the given kind:
 // a single MLP dispatch over the row-concatenated node
 // representations. Each request's rows are computed independently by
 // the kernels, so its slice is bitwise identical to a solo forward.
-func (e *Engine) runHeads(m *mtmlf.Model, ev *ag.Eval, ep Endpoint, batch []*request, reps []*mtmlf.InferRep) {
+func runHeads[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], ep Endpoint, batch []*request, reps []*mtmlf.Rep[T]) {
 	var idx []int
-	var ss []*tensor.Tensor
+	var ss []*tensor.Dense[T]
 	for i, r := range batch {
 		if r.ep == ep && reps[i] != nil {
 			idx = append(idx, i)
@@ -569,9 +554,9 @@ func (e *Engine) runHeads(m *mtmlf.Model, ev *ag.Eval, ep Endpoint, batch []*req
 	if len(ss) > 1 {
 		fused = ev.ConcatRows(ss...)
 	}
-	head := m.Shared.CardHead
+	head := lm.CardHead
 	if ep == EndpointCost {
-		head = m.Shared.CostHead
+		head = lm.CostHead
 	}
 	out := head.Infer(ev, fused) // [total nodes, 1]
 	row := 0
@@ -585,93 +570,20 @@ func (e *Engine) runHeads(m *mtmlf.Model, ev *ag.Eval, ep Endpoint, batch []*req
 	}
 }
 
-// representF32 is represent's reduced-precision twin.
-func (e *Engine) representF32(lm *mtmlf.LoweredModel, ev *ag.EvalF32, r *request) (rep *mtmlf.InferRepF32) {
-	defer func() {
-		if p := recover(); p != nil {
-			rep = nil
-			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
-		}
-	}()
-	return lm.RepresentInfer(ev, r.q, r.p)
-}
-
-// runHeadsF32 fuses one lowered head over every batch request of the
-// given kind, with the same delivered-counting panic backstop as
-// runHeads. ExpClamp32 copies into fresh float64 slices, so no pooled
-// f32 memory escapes the session.
-func (e *Engine) runHeadsF32(lm *mtmlf.LoweredModel, ev *ag.EvalF32, ep Endpoint, batch []*request, reps []*mtmlf.InferRepF32) {
-	var idx []int
-	var ss []*tensor.F32
-	for i, r := range batch {
-		if r.ep == ep && reps[i] != nil {
-			idx = append(idx, i)
-			ss = append(ss, reps[i].S)
-		}
-	}
-	if len(idx) == 0 {
-		return
-	}
-	delivered := 0
-	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("%w: %v", ErrInternal, p)
-			for _, i := range idx[delivered:] {
-				batch[i].done <- result{err: err}
-			}
-		}
-	}()
-	fused := ss[0]
-	if len(ss) > 1 {
-		fused = ev.ConcatRows(ss...)
-	}
-	head := lm.CardHead
-	if ep == EndpointCost {
-		head = lm.CostHead
-	}
-	out := head.Infer(ev, fused) // [total nodes, 1]
-	row := 0
-	for _, i := range idx {
-		nRows := reps[i].S.Rows()
-		batch[i].done <- result{nodes: mtmlf.ExpClamp32(out.Data[row : row+nRows])}
-		delivered++
-		row += nRows
-	}
-}
-
-// runJoinOrderF32 serves one join-order request from a lowered
-// representation: the [m, Dim] memory is up-converted once and decoded
-// by the source model's float64 Trans_JO (join orders are identical
-// across tiers by the calibration contract, not merely close).
-func (e *Engine) runJoinOrderF32(lm *mtmlf.LoweredModel, r *request, rep *mtmlf.InferRepF32) {
+// runJoinOrder serves one join-order request from its representation:
+// KV-cached constrained beam search by the source model's float64
+// Trans_JO, same as the serial fast path. A reduced-precision
+// representation's [m, Dim] memory is up-converted once first, so join
+// orders are identical across tiers by construction of the decoder,
+// not merely close.
+func runJoinOrder[T tensor.Float](lm mtmlf.Lowered[T], r *request, rep *mtmlf.Rep[T]) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
 		}
 	}()
-	mem := rep.Memory.ToTensor()
-	res := lm.Src.Shared.JO.BeamSearchTensor(mem, r.q, lm.Src.Shared.Cfg.BeamWidth, true)
-	best, ok := mtmlf.BestBeam(res)
-	if !ok {
-		r.done <- result{err: fmt.Errorf("%w: join graph admits no connected order", ErrNoJoinOrder)}
-		return
-	}
-	r.done <- result{order: JoinOrderResult{
-		Order:   best.OrderTables(rep.Tables),
-		LogProb: best.LogProb,
-		Legal:   best.Legal,
-	}}
-}
-
-// runJoinOrder serves one join-order request from its representation
-// (KV-cached constrained beam search, same as the serial fast path).
-func (e *Engine) runJoinOrder(m *mtmlf.Model, r *request, rep *mtmlf.InferRep) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
-		}
-	}()
-	res := m.Shared.JO.BeamSearchTensor(rep.Memory, r.q, m.Shared.Cfg.BeamWidth, true)
+	s := lm.Src.Shared
+	res := s.JO.BeamSearchTensor(rep.Memory.ToTensor(), r.q, s.Cfg.BeamWidth, true)
 	best, ok := mtmlf.BestBeam(res)
 	if !ok {
 		r.done <- result{err: fmt.Errorf("%w: join graph admits no connected order", ErrNoJoinOrder)}
@@ -686,7 +598,7 @@ func (e *Engine) runJoinOrder(m *mtmlf.Model, r *request, rep *mtmlf.InferRep) {
 
 // Reloads returns the number of successful hot checkpoint swaps since
 // boot. It is a single atomic read — what probes should call instead of
-// Stats, which sorts the latency rings under the lock every request
+// Stats, which copies the latency rings under the lock every request
 // records into.
 func (e *Engine) Reloads() uint64 { return e.stats.reloads.Load() }
 

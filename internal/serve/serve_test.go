@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/datagen"
@@ -249,7 +250,7 @@ func TestEngineMicroBatching(t *testing.T) {
 		if len(batch) != maxBatch {
 			t.Fatalf("fill took %d of a %d-deep backlog, want %d", len(batch), n, maxBatch)
 		}
-		e.runBatch(e.cur.Load(), batch)
+		e.cur.Load().run(e, batch)
 	}
 	for i, r := range reqs {
 		res := <-r.done
@@ -387,5 +388,55 @@ func TestEngineClose(t *testing.T) {
 	e.Close()
 	if _, err := e.EstimateCard(qs[0].Q, qs[0].Plan); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
+	}
+}
+
+// TestStatsSnapshotConcurrentWithRecord polls snapshot while several
+// goroutines record: snapshot copies the rings under the lock and
+// sorts outside it, so (under -race) no sort may touch memory record
+// is writing, and every snapshot must still be internally consistent —
+// percentiles ordered and inside the recorded range, counts monotonic.
+func TestStatsSnapshotConcurrentWithRecord(t *testing.T) {
+	const writers, perWriter = 4, 3000
+	s := newStats(writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				d := time.Duration(1+(i+w)%50) * time.Millisecond
+				s.record(Endpoint(i%int(numEndpoints)), d, d/2)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var last uint64
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false // one final snapshot after the last record
+		default:
+		}
+		snap := s.snapshot(0, 8)
+		if snap.Requests < last {
+			t.Fatalf("requests went backwards: %d after %d", snap.Requests, last)
+		}
+		last = snap.Requests
+		for _, es := range []EndpointStats{snap.Card, snap.Cost, snap.JoinOrder} {
+			if es.Requests == 0 {
+				continue
+			}
+			if es.P50Ms < 1 || es.P99Ms > 50 || es.P50Ms > es.P95Ms || es.P95Ms > es.P99Ms {
+				t.Fatalf("inconsistent percentiles under concurrent record: %+v", es)
+			}
+		}
+		if snap.QueueWaitP50Ms > snap.QueueWaitP99Ms || snap.QueueWaitP99Ms > 25 {
+			t.Fatalf("inconsistent queue-wait percentiles: p50 %v p99 %v", snap.QueueWaitP50Ms, snap.QueueWaitP99Ms)
+		}
+	}
+	if last != writers*perWriter {
+		t.Fatalf("final snapshot counted %d requests, want %d", last, writers*perWriter)
 	}
 }

@@ -5,6 +5,7 @@
 package serve
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -182,40 +183,44 @@ type StatsSnapshot struct {
 	Pool PoolStats `json:"pool"`
 }
 
+// snapshot copies the counters and the four latency rings under the
+// lock and sorts the copies after releasing it: record takes the same
+// lock on every served request, so a /statsz poll must cost the
+// request path four 1024-element memmoves, not four sorts.
 func (s *stats) snapshot(queueDepth, maxQueue int) StatsSnapshot {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var snap StatsSnapshot
-	snap.UptimeSeconds = time.Since(s.start).Seconds()
-	snap.Sessions = s.sessions
-	for ep := Endpoint(0); ep < numEndpoints; ep++ {
-		es := EndpointStats{Requests: s.counts[ep]}
-		es.P50Ms, es.P95Ms, es.P99Ms = ringPercentiles(s.lat[ep].buf)
-		switch ep {
-		case EndpointCard:
-			snap.Card = es
-		case EndpointCost:
-			snap.Cost = es
-		default:
-			snap.JoinOrder = es
-		}
-		snap.Requests += s.counts[ep]
+	snap := StatsSnapshot{
+		UptimeSeconds:  time.Since(s.start).Seconds(),
+		Sessions:       s.sessions,
+		Errors:         s.errors,
+		Shed:           s.shed,
+		DeadlineMisses: s.deadlineMisses,
+		Reloads:        s.reloads.Load(),
+		Panics:         s.panics,
+		QueueDepth:     queueDepth,
+		MaxQueue:       maxQueue,
+		Batches:        s.batches,
+		FusedRequests:  s.fused,
 	}
-	snap.Errors = s.errors
-	snap.Shed = s.shed
-	snap.DeadlineMisses = s.deadlineMisses
-	snap.Reloads = s.reloads.Load()
-	snap.Panics = s.panics
-	snap.QueueDepth = queueDepth
-	snap.MaxQueue = maxQueue
+	counts := s.counts
+	var lat [numEndpoints][]time.Duration
+	for ep := range lat {
+		lat[ep] = slices.Clone(s.lat[ep].buf)
+	}
+	queueWait := slices.Clone(s.queueWait.buf)
+	s.mu.Unlock()
+
+	for ep, es := range []*EndpointStats{&snap.Card, &snap.Cost, &snap.JoinOrder} {
+		es.Requests = counts[ep]
+		es.P50Ms, es.P95Ms, es.P99Ms = ringPercentiles(lat[ep])
+		snap.Requests += counts[ep]
+	}
 	if snap.UptimeSeconds > 0 {
 		snap.QPS = float64(snap.Requests) / snap.UptimeSeconds
 	}
-	snap.QueueWaitP50Ms, _, snap.QueueWaitP99Ms = ringPercentiles(s.queueWait.buf)
-	snap.Batches = s.batches
-	snap.FusedRequests = s.fused
-	if s.batches > 0 {
-		snap.AvgBatch = float64(snap.Requests) / float64(s.batches)
+	snap.QueueWaitP50Ms, _, snap.QueueWaitP99Ms = ringPercentiles(queueWait)
+	if snap.Batches > 0 {
+		snap.AvgBatch = float64(snap.Requests) / float64(snap.Batches)
 	}
 	gets, allocs := tensor.PoolCounters()
 	snap.Pool = PoolStats{Gets: gets, Allocs: allocs}

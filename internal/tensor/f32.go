@@ -1,146 +1,26 @@
-// The float32 dense type of the reduced-precision inference tier.
-//
-// F32 mirrors the subset of Tensor the no-grad serving path touches:
-// row-major rank-2 matrices, views, conversions to and from the
-// float64 substrate, and the shape plumbing PoolF32 needs. It exists
-// for serving only — training stays float64 end to end, and a lowered
-// model (see internal/nn's precision-lowering pass) is always derived
-// from float64 weights, never trained in f32.
-//
-// Contract: within the f32 tier the kernels keep the same
-// serial/sharded bitwise-equality guarantee as the float64 kernels
-// (matmul_f32.go). Across tiers correctness is *calibrated*, not
-// bitwise: the q-error budgets live in internal/calib and DESIGN.md §9.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+// The float32 spellings of generic kernels, kept because the frozen
+// benchmark (bench/kernels.go, which no change may edit) calls them by
+// these names. Each is a one-line forward to the generic kernel; new
+// code calls the generic name and lets the argument types pick T.
 
-// F32 is a dense row-major float32 matrix. The zero value is not
-// usable; construct with NewF32, F32FromTensor, or PoolF32.
-type F32 struct {
-	// Data holds the elements in row-major order.
-	Data []float32
-	// Shape holds the extent of each dimension.
-	Shape []int
+// MatMulF32Into is MatMulInto at float32.
+func MatMulF32Into(a, b, out *F32) { MatMulInto(a, b, out) }
+
+// MatMulTransBF32Into is MatMulTransBInto at float32.
+func MatMulTransBF32Into(a, b, out *F32) { MatMulTransBInto(a, b, out) }
+
+// GELUF32Into is GELUInto at float32.
+func GELUF32Into(a, out *F32) { GELUInto(a, out) }
+
+// SoftmaxRowsF32Into is SoftmaxRowsInto at float32.
+func SoftmaxRowsF32Into(a, out *F32) { SoftmaxRowsInto(a, out) }
+
+// LayerNormRowsF32Into is LayerNormRowsInto at float32.
+func LayerNormRowsF32Into(a, gamma, beta *F32, eps float64, out *F32) {
+	LayerNormRowsInto(a, gamma, beta, eps, out)
 }
 
-// NewF32 creates a zero-initialized f32 tensor with the given shape.
-func NewF32(shape ...int) *F32 {
-	n := 1
-	for _, s := range shape {
-		if s < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d", s))
-		}
-		n *= s
-	}
-	sh := make([]int, len(shape))
-	copy(sh, shape)
-	return &F32{Data: make([]float32, n), Shape: sh}
-}
-
-// F32FromTensor truncates a float64 tensor to f32 — the lowering
-// primitive. Each element is the nearest float32 (Go's conversion
-// rounds to nearest, ties to even).
-func F32FromTensor(t *Tensor) *F32 {
-	out := NewF32(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = float32(v)
-	}
-	return out
-}
-
-// ToTensor widens back to float64 (exact: every float32 is
-// representable as a float64).
-func (t *F32) ToTensor() *Tensor {
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = float64(v)
-	}
-	return out
-}
-
-// Rows returns the first dimension extent (panics if not a matrix).
-func (t *F32) Rows() int { t.mustMatrix(); return t.Shape[0] }
-
-// Cols returns the second dimension extent (panics if not a matrix).
-func (t *F32) Cols() int { t.mustMatrix(); return t.Shape[1] }
-
-// Size returns the total number of elements.
-func (t *F32) Size() int { return len(t.Data) }
-
-func (t *F32) mustMatrix() {
-	if len(t.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: expected matrix, got shape %v", t.Shape))
-	}
-}
-
-// At returns element (i, j) of a matrix.
-func (t *F32) At(i, j int) float32 {
-	t.mustMatrix()
-	return t.Data[i*t.Shape[1]+j]
-}
-
-// Set assigns element (i, j) of a matrix.
-func (t *F32) Set(i, j int, v float32) {
-	t.mustMatrix()
-	t.Data[i*t.Shape[1]+j] = v
-}
-
-// Row returns a view (not a copy) of row i of a matrix.
-func (t *F32) Row(i int) []float32 {
-	t.mustMatrix()
-	c := t.Shape[1]
-	return t.Data[i*c : (i+1)*c]
-}
-
-// Clone returns a deep copy.
-func (t *F32) Clone() *F32 {
-	out := NewF32(t.Shape...)
-	copy(out.Data, t.Data)
-	return out
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *F32) SameShape(o *F32) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// setShape points t at a new shape without allocating when the rank
-// matches the previous use of the buffer (PoolF32's shape plumbing,
-// same as Tensor.setShape).
-func (t *F32) setShape(shape []int) {
-	if len(t.Shape) == len(shape) {
-		copy(t.Shape, shape)
-		return
-	}
-	t.Shape = append([]int(nil), shape...)
-}
-
-// EqualF32 reports whether two f32 tensors have identical shape and
-// all elements within eps of each other (eps = 0 asserts bitwise
-// equality, the within-tier contract).
-func EqualF32(a, b *F32, eps float64) bool {
-	if !a.SameShape(b) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(float64(a.Data[i])-float64(b.Data[i])) > eps {
-			return false
-		}
-	}
-	return true
-}
-
-// Bytes returns the resident size of the tensor's payload in bytes.
-func (t *F32) Bytes() int { return 4 * len(t.Data) }
+// AddBiasF32Into is AddBiasInto at float32.
+func AddBiasF32Into(a, bias, out *F32) { AddBiasInto(a, bias, out) }

@@ -8,6 +8,15 @@
 // identical — the invariant the no-grad equivalence tests assert with
 // eps = 0.
 //
+// Every kernel here is written once over the element type. gc has no
+// float32 transcendentals, so exp/log/tanh/sqrt run through the
+// float64 math package and are rounded to T on the way out — a no-op
+// at float64, one rounding at float32. Reductions (softmax partition,
+// layer-norm moments) accumulate in T: the f32 tier is honest about
+// its precision, and the cross-tier error is what internal/calib
+// budgets for. All kernels are elementwise or row-independent, so
+// serial and sharded execution agree bitwise in both tiers.
+//
 // Unless noted otherwise, out must have the correct shape already
 // (Pool.Get hands it out that way) and must not alias an input.
 package tensor
@@ -20,7 +29,7 @@ import (
 )
 
 // AddInto computes out = a + b elementwise. out may alias a or b.
-func AddInto(a, b, out *Tensor) {
+func AddInto[T Float](a, b, out *Dense[T]) {
 	if !a.SameShape(b) || !a.SameShape(out) {
 		panic(fmt.Sprintf("tensor: AddInto shape mismatch %v + %v -> %v", a.Shape, b.Shape, out.Shape))
 	}
@@ -30,7 +39,7 @@ func AddInto(a, b, out *Tensor) {
 }
 
 // ScaleInto computes out = s * a. out may alias a.
-func ScaleInto(a *Tensor, s float64, out *Tensor) {
+func ScaleInto[T Float](a *Dense[T], s T, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic(fmt.Sprintf("tensor: ScaleInto shape mismatch %v -> %v", a.Shape, out.Shape))
 	}
@@ -42,7 +51,7 @@ func ScaleInto(a *Tensor, s float64, out *Tensor) {
 // AddBiasInto broadcasts the 1xN bias row across every row of a [M,N]
 // matrix: out = a + 1·bias. out may alias a. The row-major loop is the
 // same as ag.AddBias's forward.
-func AddBiasInto(a, bias, out *Tensor) {
+func AddBiasInto[T Float](a, bias, out *Dense[T]) {
 	m, n := a.Rows(), a.Cols()
 	if bias.Rows() != 1 || bias.Cols() != n || !a.SameShape(out) {
 		panic(fmt.Sprintf("tensor: AddBiasInto shape %v + %v -> %v", a.Shape, bias.Shape, out.Shape))
@@ -58,7 +67,7 @@ func AddBiasInto(a, bias, out *Tensor) {
 
 // SoftmaxRowsInto applies the row-wise softmax of SoftmaxRows into
 // out. out may alias a.
-func SoftmaxRowsInto(a, out *Tensor) {
+func SoftmaxRowsInto[T Float](a, out *Dense[T]) {
 	a.mustMatrix()
 	if !a.SameShape(out) {
 		panic(fmt.Sprintf("tensor: SoftmaxRowsInto shape mismatch %v -> %v", a.Shape, out.Shape))
@@ -67,15 +76,15 @@ func SoftmaxRowsInto(a, out *Tensor) {
 	for i := 0; i < m; i++ {
 		row := a.Data[i*n : (i+1)*n]
 		orow := out.Data[i*n : (i+1)*n]
-		mx := math.Inf(-1)
+		mx := T(math.Inf(-1))
 		for _, v := range row {
 			if v > mx {
 				mx = v
 			}
 		}
-		var z float64
+		var z T
 		for j, v := range row {
-			e := math.Exp(v - mx)
+			e := T(math.Exp(float64(v - mx)))
 			orow[j] = e
 			z += e
 		}
@@ -91,7 +100,7 @@ func SoftmaxRowsInto(a, out *Tensor) {
 // LogSoftmaxRowsInto applies the numerically stable row-wise
 // log-softmax (same arithmetic as ag.LogSoftmaxRows's forward). out
 // may alias a.
-func LogSoftmaxRowsInto(a, out *Tensor) {
+func LogSoftmaxRowsInto[T Float](a, out *Dense[T]) {
 	a.mustMatrix()
 	if !a.SameShape(out) {
 		panic(fmt.Sprintf("tensor: LogSoftmaxRowsInto shape mismatch %v -> %v", a.Shape, out.Shape))
@@ -99,17 +108,17 @@ func LogSoftmaxRowsInto(a, out *Tensor) {
 	m, n := a.Shape[0], a.Shape[1]
 	for i := 0; i < m; i++ {
 		row := a.Data[i*n : (i+1)*n]
-		mx := math.Inf(-1)
+		mx := T(math.Inf(-1))
 		for _, v := range row {
 			if v > mx {
 				mx = v
 			}
 		}
-		var z float64
+		var z T
 		for _, v := range row {
-			z += math.Exp(v - mx)
+			z += T(math.Exp(float64(v - mx)))
 		}
-		lz := math.Log(z) + mx
+		lz := T(math.Log(float64(z))) + mx
 		orow := out.Data[i*n : (i+1)*n]
 		for j, v := range row {
 			orow[j] = v - lz
@@ -120,25 +129,25 @@ func LogSoftmaxRowsInto(a, out *Tensor) {
 // LayerNormRowsInto normalizes each row of a to zero mean / unit
 // variance and applies the 1xN gain gamma and bias beta, with the
 // exact expressions of ag.LayerNormRows's forward. out may alias a.
-func LayerNormRowsInto(a, gamma, beta *Tensor, eps float64, out *Tensor) {
+func LayerNormRowsInto[T Float](a, gamma, beta *Dense[T], eps float64, out *Dense[T]) {
 	m, n := a.Rows(), a.Cols()
 	if gamma.Cols() != n || beta.Cols() != n || !a.SameShape(out) {
 		panic("tensor: LayerNormRowsInto shape mismatch")
 	}
 	for i := 0; i < m; i++ {
 		row := a.Row(i)
-		var mean float64
+		var mean T
 		for _, v := range row {
 			mean += v
 		}
-		mean /= float64(n)
-		var va float64
+		mean /= T(n)
+		var va T
 		for _, v := range row {
 			d := v - mean
 			va += d * d
 		}
-		va /= float64(n)
-		is := 1 / math.Sqrt(va+eps)
+		va /= T(n)
+		is := T(1 / math.Sqrt(float64(va)+eps))
 		orow := out.Row(i)
 		for j, v := range row {
 			xh := (v - mean) * is
@@ -148,7 +157,7 @@ func LayerNormRowsInto(a, gamma, beta *Tensor, eps float64, out *Tensor) {
 }
 
 // ReLUInto computes out = max(0, a) elementwise. out may alias a.
-func ReLUInto(a, out *Tensor) {
+func ReLUInto[T Float](a, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic("tensor: ReLUInto shape mismatch")
 	}
@@ -163,41 +172,42 @@ func ReLUInto(a, out *Tensor) {
 
 // GELUInto computes the tanh-approximation GELU elementwise with the
 // same expression as ag.GELU. out may alias a.
-func GELUInto(a, out *Tensor) {
+func GELUInto[T Float](a, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic("tensor: GELUInto shape mismatch")
 	}
 	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i, x := range a.Data {
-		out.Data[i] = 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
+	for i, v := range a.Data {
+		x := float64(v)
+		out.Data[i] = T(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
 	}
 }
 
 // TanhInto computes out = tanh(a) elementwise. out may alias a.
-func TanhInto(a, out *Tensor) {
+func TanhInto[T Float](a, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic("tensor: TanhInto shape mismatch")
 	}
 	for i, x := range a.Data {
-		out.Data[i] = math.Tanh(x)
+		out.Data[i] = T(math.Tanh(float64(x)))
 	}
 }
 
 // SigmoidInto computes the logistic function elementwise (same
 // expression as ag.Sigmoid). out may alias a.
-func SigmoidInto(a, out *Tensor) {
+func SigmoidInto[T Float](a, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic("tensor: SigmoidInto shape mismatch")
 	}
 	for i, x := range a.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-x))
+		out.Data[i] = T(1 / (1 + math.Exp(-float64(x))))
 	}
 }
 
 // MatMulInto computes out = a @ b. out must be [m,n] and zeroed (the
 // kernel accumulates); Pool.Get satisfies both. out must not alias a
 // or b.
-func MatMulInto(a, b, out *Tensor) {
+func MatMulInto[T Float](a, b, out *Dense[T]) {
 	a.mustMatrix()
 	b.mustMatrix()
 	m, k := a.Shape[0], a.Shape[1]
@@ -211,7 +221,7 @@ func MatMulInto(a, b, out *Tensor) {
 // MatMulTransBInto computes out = a @ b^T for a [m,k], b [n,k]. out
 // must be [m,n] and must not alias the inputs (zeroing is not needed:
 // this kernel overwrites).
-func MatMulTransBInto(a, b, out *Tensor) {
+func MatMulTransBInto[T Float](a, b, out *Dense[T]) {
 	a.mustMatrix()
 	b.mustMatrix()
 	m, k := a.Shape[0], a.Shape[1]
@@ -219,19 +229,13 @@ func MatMulTransBInto(a, b, out *Tensor) {
 	if k != k2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto %v @ %v^T -> %v", a.Shape, b.Shape, out.Shape))
 	}
-	if m*k*n < serialFlops {
-		matMulTransBRows(a.Data, b.Data, out.Data, k, n, 0, m)
-		return
-	}
-	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulTransBRows(a.Data, b.Data, out.Data, k, n, i0, i1)
-	})
+	matMulTransBInto(a.Data, b.Data, out.Data, m, k, n)
 }
 
 // MatMulBatchInto computes outs[i] = as[i] @ bs[i] for every triple on
 // the worker pool; the pooled-destination twin of MatMulBatch. Each
 // outs[i] must be zeroed (the kernel accumulates).
-func MatMulBatchInto(as, bs, outs []*Tensor) {
+func MatMulBatchInto[T Float](as, bs, outs []*Dense[T]) {
 	if len(as) != len(bs) || len(as) != len(outs) {
 		panic(fmt.Sprintf("tensor: MatMulBatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))
 	}
@@ -244,7 +248,7 @@ func MatMulBatchInto(as, bs, outs []*Tensor) {
 
 // MatMulTransBBatchInto computes outs[i] = as[i] @ bs[i]^T for every
 // triple on the worker pool; see MatMulBatchInto.
-func MatMulTransBBatchInto(as, bs, outs []*Tensor) {
+func MatMulTransBBatchInto[T Float](as, bs, outs []*Dense[T]) {
 	if len(as) != len(bs) || len(as) != len(outs) {
 		panic(fmt.Sprintf("tensor: MatMulTransBBatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))
 	}

@@ -19,6 +19,16 @@
 // goroutine: at transformer-layer sizes a goroutine handoff costs more
 // than the arithmetic it saves.
 //
+// Element types: the dispatchers are written once over T. The only
+// type-specialised code in the package is the pair of inner row
+// kernels they pick between by looking at the element type
+// (matMulRowsOf, matMulTransBRowsOf): matMulRows/matMulTransBRows for
+// float64, whose zero-skip and one-term-at-a-time accumulation order
+// the training bitwise contracts rest on, and the 4x4-unrolled
+// matMulF32Rows/matMulTransBF32Rows of matmul_f32.go for float32.
+// The benchmark's serve_wide workload runs the same requests through
+// both (legs a and b; the f32 tier serves about 1.46x the f64 rate).
+//
 // Cache blocking: the B operand is walked in kcBlock-row slabs
 // (MatMul) or jcBlock-row slabs (MatMulTransB) sized to stay resident
 // in L2 while every output row in the shard streams over them.
@@ -80,14 +90,55 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-func matMulInto(a, b, out []float64, m, k, n int) {
+// matMulInto accumulates a @ b into out (which must be zeroed),
+// serially below serialFlops and sharded by output row above it.
+func matMulInto[T Float](a, b, out []T, m, k, n int) {
 	if m*k*n < serialFlops {
-		matMulRows(a, b, out, k, n, 0, m)
+		matMulRowsOf(a, b, out, k, n, 0, m)
 		return
 	}
 	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulRows(a, b, out, k, n, i0, i1)
+		matMulRowsOf(a, b, out, k, n, i0, i1)
 	})
+}
+
+// matMulTransBInto overwrites out with a @ b^T; see matMulInto.
+func matMulTransBInto[T Float](a, b, out []T, m, k, n int) {
+	if m*k*n < serialFlops {
+		matMulTransBRowsOf(a, b, out, k, n, 0, m)
+		return
+	}
+	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
+		matMulTransBRowsOf(a, b, out, k, n, i0, i1)
+	})
+}
+
+// matMulRowsOf runs the a @ b row kernel specialised for the element
+// type. This and matMulTransBRowsOf are the only places the package
+// branches on it. (The boxed slices must not reach the panic: that
+// would make them escape and cost every call an allocation.)
+func matMulRowsOf[T Float](a, b, out []T, k, n, i0, i1 int) {
+	switch a := any(a).(type) {
+	case []float64:
+		matMulRows(a, any(b).([]float64), any(out).([]float64), k, n, i0, i1)
+	case []float32:
+		matMulF32Rows(a, any(b).([]float32), any(out).([]float32), k, n, i0, i1)
+	default:
+		panic(fmt.Sprintf("tensor: no matmul kernel for %T", *new(T)))
+	}
+}
+
+// matMulTransBRowsOf runs the a @ b^T row kernel specialised for the
+// element type.
+func matMulTransBRowsOf[T Float](a, b, out []T, k, n, i0, i1 int) {
+	switch a := any(a).(type) {
+	case []float64:
+		matMulTransBRows(a, any(b).([]float64), any(out).([]float64), k, n, i0, i1)
+	case []float32:
+		matMulTransBF32Rows(a, any(b).([]float32), any(out).([]float32), k, n, i0, i1)
+	default:
+		panic(fmt.Sprintf("tensor: no matmul kernel for %T", *new(T)))
+	}
 }
 
 // matMulRows computes output rows [i0, i1) of a @ b. The k loop is
@@ -130,13 +181,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dim mismatch %v @ %v^T", a.Shape, b.Shape))
 	}
 	out := New(m, n)
-	if m*k*n < serialFlops {
-		matMulTransBRows(a.Data, b.Data, out.Data, k, n, 0, m)
-		return out
-	}
-	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulTransBRows(a.Data, b.Data, out.Data, k, n, i0, i1)
-	})
+	matMulTransBInto(a.Data, b.Data, out.Data, m, k, n)
 	return out
 }
 

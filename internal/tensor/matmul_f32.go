@@ -1,13 +1,13 @@
-// Float32 matrix-multiply kernels for the reduced-precision inference
-// tier.
+// The float32 row kernels of the reduced-precision inference tier —
+// with matMulRows/matMulTransBRows, the only type-specialised code in
+// the package (matmul.go's matMulRowsOf and matMulTransBRowsOf pick
+// between them).
 //
-// These follow the float64 kernels' structure exactly — a cache-blocked
-// inner kernel over a contiguous range of output rows, and a dispatcher
-// that runs it serially below serialFlops or shards output rows across
-// the worker pool — so they inherit the same bitwise guarantee WITHIN
-// the f32 tier: every output element is accumulated in the same order
-// no matter how rows are sharded, and tests assert serial == sharded
-// with eps = 0.
+// They plug into the same dispatchers as the float64 kernels — serial
+// below serialFlops, output rows sharded across the worker pool above
+// it — so they inherit the same bitwise guarantee WITHIN the f32 tier:
+// every output element is accumulated in the same order no matter how
+// rows are sharded, and tests assert serial == sharded with eps = 0.
 //
 // Two deliberate differences from the float64 kernels, both because
 // this tier serves dense post-projection activations rather than
@@ -29,50 +29,6 @@
 // product uses four partial sums reduced in a fixed tree; that order
 // is part of the f32 kernel definition and identical on every path.
 package tensor
-
-import (
-	"fmt"
-
-	"mtmlf/internal/parallel"
-)
-
-// MatMulF32 returns a @ b for f32 matrices a [m,k] and b [k,n].
-func MatMulF32(a, b *F32) *F32 {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulF32 inner dim mismatch %v @ %v", a.Shape, b.Shape))
-	}
-	out := NewF32(m, n)
-	matMulF32Into(a.Data, b.Data, out.Data, m, k, n)
-	return out
-}
-
-// MatMulF32Into computes out = a @ b. out must be [m,n] and zeroed
-// (the kernel accumulates); PoolF32.Get satisfies both. out must not
-// alias a or b.
-func MatMulF32Into(a, b, out *F32) {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 || out.Shape[0] != m || out.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulF32Into %v @ %v -> %v", a.Shape, b.Shape, out.Shape))
-	}
-	matMulF32Into(a.Data, b.Data, out.Data, m, k, n)
-}
-
-func matMulF32Into(a, b, out []float32, m, k, n int) {
-	if m*k*n < serialFlops {
-		matMulF32Rows(a, b, out, k, n, 0, m)
-		return
-	}
-	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulF32Rows(a, b, out, k, n, i0, i1)
-	})
-}
 
 // matMulF32Rows computes output rows [i0, i1) of a @ b, k-blocked so
 // the active B slab stays cache-resident. The axpy update is unrolled
@@ -157,45 +113,6 @@ func matMulF32Rows(a, b, out []float32, k, n, i0, i1 int) {
 	}
 }
 
-// MatMulTransBF32 returns a @ b^T for a [m,k], b [n,k] without
-// materializing the transpose.
-func MatMulTransBF32(a, b *F32) *F32 {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransBF32 inner dim mismatch %v @ %v^T", a.Shape, b.Shape))
-	}
-	out := NewF32(m, n)
-	matMulTransBF32Into(a.Data, b.Data, out.Data, m, k, n)
-	return out
-}
-
-// MatMulTransBF32Into computes out = a @ b^T for a [m,k], b [n,k].
-// out must be [m,n] and must not alias the inputs (no zeroing needed:
-// the kernel overwrites).
-func MatMulTransBF32Into(a, b, out *F32) {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 || out.Shape[0] != m || out.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBF32Into %v @ %v^T -> %v", a.Shape, b.Shape, out.Shape))
-	}
-	matMulTransBF32Into(a.Data, b.Data, out.Data, m, k, n)
-}
-
-func matMulTransBF32Into(a, b, out []float32, m, k, n int) {
-	if m*k*n < serialFlops {
-		matMulTransBF32Rows(a, b, out, k, n, 0, m)
-		return
-	}
-	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulTransBF32Rows(a, b, out, k, n, i0, i1)
-	})
-}
-
 // matMulTransBF32Rows computes output rows [i0, i1) of a @ b^T as dot
 // products over jcBlock-row B slabs. Each dot runs four independent
 // partial sums over constant-length windows, reduced as
@@ -229,31 +146,4 @@ func matMulTransBF32Rows(a, b, out []float32, k, n, i0, i1 int) {
 			}
 		}
 	}
-}
-
-// MatMulF32BatchInto computes outs[i] = as[i] @ bs[i] for every triple
-// on the worker pool. Each outs[i] must be zeroed (the kernel
-// accumulates).
-func MatMulF32BatchInto(as, bs, outs []*F32) {
-	if len(as) != len(bs) || len(as) != len(outs) {
-		panic(fmt.Sprintf("tensor: MatMulF32BatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))
-	}
-	parallel.For(len(as), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			MatMulF32Into(as[i], bs[i], outs[i])
-		}
-	})
-}
-
-// MatMulTransBF32BatchInto computes outs[i] = as[i] @ bs[i]^T for
-// every triple on the worker pool.
-func MatMulTransBF32BatchInto(as, bs, outs []*F32) {
-	if len(as) != len(bs) || len(as) != len(outs) {
-		panic(fmt.Sprintf("tensor: MatMulTransBF32BatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))
-	}
-	parallel.For(len(as), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			MatMulTransBF32Into(as[i], bs[i], outs[i])
-		}
-	})
 }

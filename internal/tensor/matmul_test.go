@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,10 +10,10 @@ import (
 // refMatMul is the straightforward (i, l, j) kernel the seed shipped
 // with — the reference the blocked/parallel kernels must match
 // bitwise (identical per-element accumulation order).
-func refMatMul(a, b *Tensor) *Tensor {
+func refMatMul[T Float](a, b *Dense[T]) *Dense[T] {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
-	out := New(m, n)
+	out := NewOf[T](m, n)
 	for i := 0; i < m; i++ {
 		for l := 0; l < k; l++ {
 			av := a.Data[i*k+l]
@@ -60,6 +61,58 @@ func TestMatMulParallelMatchesSerialBitwise(t *testing.T) {
 		}
 		if !Equal(serial, refMatMul(a, b), 0) {
 			t.Fatalf("[%dx%d @ %dx%d] blocked kernel differs from reference", sh.m, sh.k, sh.k, sh.n)
+		}
+	}
+}
+
+// testIntoWithinTierBitwise is the within-tier contract of the
+// destination-taking dispatchers at one element type: serial ==
+// sharded for both products, and a @ b == the ascending-l reference
+// (the f32 a @ b^T dot uses a fixed four-way tree instead, so it has
+// no reference row).
+func testIntoWithinTierBitwise[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sh := range shapes {
+		a := Convert[T](RandNorm(rng, sh.m, sh.k, 1))
+		b := Convert[T](RandNorm(rng, sh.k, sh.n, 1))
+		bt := Convert[T](RandNorm(rng, sh.n, sh.k, 1))
+		run := func(workers int) (mm, tb *Dense[T]) {
+			defer SetParallelism(SetParallelism(workers))
+			mm, tb = NewOf[T](sh.m, sh.n), NewOf[T](sh.m, sh.n)
+			MatMulInto(a, b, mm)
+			MatMulTransBInto(a, bt, tb)
+			return mm, tb
+		}
+		mm1, tb1 := run(1)
+		mm8, tb8 := run(8)
+		if !Equal(mm1, mm8, 0) || !Equal(tb1, tb8, 0) {
+			t.Fatalf("[%dx%dx%d] sharded result differs from serial", sh.m, sh.k, sh.n)
+		}
+		if !Equal(mm1, refMatMul(a, b), 0) {
+			t.Fatalf("[%dx%d @ %dx%d] blocked kernel differs from reference", sh.m, sh.k, sh.k, sh.n)
+		}
+	}
+}
+
+func TestMatMulIntoWithinTierBitwise(t *testing.T) {
+	t.Run("f64", testIntoWithinTierBitwise[float64])
+	t.Run("f32", testIntoWithinTierBitwise[float32])
+}
+
+// TestMatMulF32NearFloat64 pins the cross-tier calibration bound at
+// the kernel level: f32 against the float64 reference on the same
+// inputs, relative error within ~1e-5 at transformer sizes.
+func TestMatMulF32NearFloat64(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	a64, b64 := randPair(rng, 64, 96, 48)
+	out64 := MatMul(a64, b64)
+	out32 := NewF32(64, 48)
+	MatMulInto(Convert[float32](a64), Convert[float32](b64), out32)
+	for i := range out64.Data {
+		ref := out64.Data[i]
+		got := float64(out32.Data[i])
+		if math.Abs(got-ref) > 1e-4+1e-4*math.Abs(ref) {
+			t.Fatalf("element %d: f32 %v vs f64 %v", i, got, ref)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Buffer pooling for the inference fast path.
 //
-// A Pool is an arena of reusable tensors indexed by element count:
+// A Pool is an arena of reusable tensors of one element type, indexed
+// by element count:
 // Get hands out a zeroed tensor of the requested shape, and Reset
 // makes every tensor handed out since the last Reset reusable again
 // without freeing it. At steady state (after the first generation has
@@ -13,7 +14,7 @@
 //     the pool that produced it. Nothing that must outlive the Reset
 //     may point into a pooled tensor — copy it out (Clone) first.
 //   - Pools are NOT safe for concurrent use. Each inference session
-//     (one ag.Eval) owns one Pool; concurrent sessions get their own.
+//     (one ag.Session) owns one Pool; concurrent sessions get their own.
 //     DESIGN.md "Session ownership" records the full lifetime rules
 //     the serving layer builds on.
 package tensor
@@ -31,15 +32,16 @@ var (
 )
 
 // PoolCounters reports the cumulative pooled-tensor Gets and the
-// subset that had to allocate, across every Pool in the process.
+// subset that had to allocate, across every Pool of every element type
+// in the process.
 func PoolCounters() (gets, allocs uint64) {
 	return poolGets.Load(), poolAllocs.Load()
 }
 
 // Pool is a size-indexed tensor arena. The zero value is not usable;
 // construct with NewPool.
-type Pool struct {
-	classes map[int]*poolClass
+type Pool[T Float] struct {
+	classes map[int]*poolClass[T]
 	// live counts Gets since the last Reset (exported via Live for
 	// tests and leak diagnostics).
 	live int
@@ -47,25 +49,23 @@ type Pool struct {
 
 // poolClass is the arena for one element count: bufs[:next] are handed
 // out, bufs[next:] are free.
-type poolClass struct {
-	bufs []*Tensor
+type poolClass[T Float] struct {
+	bufs []*Dense[T]
 	next int
 }
 
 // NewPool creates an empty pool.
-func NewPool() *Pool {
-	return &Pool{classes: map[int]*poolClass{}}
+func NewPool[T Float]() *Pool[T] {
+	return &Pool[T]{classes: map[int]*poolClass[T]{}}
 }
 
 // Get returns a zeroed tensor of the given shape, reusing a free
 // buffer of the same element count when one exists. The tensor is
 // owned by the pool: it becomes invalid at the next Reset.
-func (p *Pool) Get(shape ...int) *Tensor {
+func (p *Pool[T]) Get(shape ...int) *Dense[T] {
 	t, reused := p.get(shape)
 	if reused {
-		for i := range t.Data {
-			t.Data[i] = 0
-		}
+		clear(t.Data)
 	}
 	return t
 }
@@ -75,14 +75,14 @@ func (p *Pool) Get(shape ...int) *Tensor {
 // that overwrite every element before reading any (all the Into
 // kernels except the accumulating matmuls qualify) — it saves one
 // full memory walk per op on the hot serving path.
-func (p *Pool) GetUninit(shape ...int) *Tensor {
+func (p *Pool[T]) GetUninit(shape ...int) *Dense[T] {
 	t, _ := p.get(shape)
 	return t
 }
 
 // get hands out a buffer and reports whether it was reused (and so
 // may hold stale data).
-func (p *Pool) get(shape []int) (t *Tensor, reused bool) {
+func (p *Pool[T]) get(shape []int) (t *Dense[T], reused bool) {
 	n := 1
 	for _, s := range shape {
 		if s < 0 {
@@ -94,7 +94,7 @@ func (p *Pool) get(shape []int) (t *Tensor, reused bool) {
 	poolGets.Add(1)
 	c := p.classes[n]
 	if c == nil {
-		c = &poolClass{}
+		c = &poolClass[T]{}
 		p.classes[n] = c
 	}
 	if c.next < len(c.bufs) {
@@ -104,7 +104,7 @@ func (p *Pool) get(shape []int) (t *Tensor, reused bool) {
 		return t, true
 	}
 	poolAllocs.Add(1)
-	t = New(shape...)
+	t = NewOf[T](shape...)
 	c.bufs = append(c.bufs, t)
 	c.next++
 	return t, false
@@ -112,7 +112,7 @@ func (p *Pool) get(shape []int) (t *Tensor, reused bool) {
 
 // setShape points t at a new shape without allocating when the rank
 // matches the previous use of the buffer.
-func (t *Tensor) setShape(shape []int) {
+func (t *Dense[T]) setShape(shape []int) {
 	if len(t.Shape) == len(shape) {
 		copy(t.Shape, shape)
 		return
@@ -122,7 +122,7 @@ func (t *Tensor) setShape(shape []int) {
 
 // Reset returns every tensor handed out since the last Reset to the
 // free state. Previously returned tensors must no longer be used.
-func (p *Pool) Reset() {
+func (p *Pool[T]) Reset() {
 	for _, c := range p.classes {
 		c.next = 0
 	}
@@ -130,4 +130,4 @@ func (p *Pool) Reset() {
 }
 
 // Live reports how many tensors are currently handed out.
-func (p *Pool) Live() int { return p.live }
+func (p *Pool[T]) Live() int { return p.live }

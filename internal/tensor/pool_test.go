@@ -1,18 +1,24 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 func TestPoolReuseAndZeroing(t *testing.T) {
-	p := NewPool()
+	t.Run("f64", testPoolReuseAndZeroing[float64])
+	t.Run("f32", testPoolReuseAndZeroing[float32])
+}
+
+func testPoolReuseAndZeroing[T Float](t *testing.T) {
+	p := NewPool[T]()
 	a := p.Get(3, 4)
 	if a.Rows() != 3 || a.Cols() != 4 {
 		t.Fatalf("shape %v", a.Shape)
 	}
 	for i := range a.Data {
-		a.Data[i] = float64(i + 1)
+		a.Data[i] = T(i + 1)
 	}
 	b := p.Get(3, 4) // distinct buffer: a is still live
 	if &a.Data[0] == &b.Data[0] {
@@ -34,10 +40,14 @@ func TestPoolReuseAndZeroing(t *testing.T) {
 			t.Fatalf("reused buffer not zeroed at %d: %g", i, v)
 		}
 	}
+	p.GetUninit(3, 4)
+	if p.Live() != 2 {
+		t.Fatalf("live after Reset + 2 gets = %d", p.Live())
+	}
 }
 
 func TestPoolSteadyStateAllocs(t *testing.T) {
-	p := NewPool()
+	p := NewPool[float64]()
 	warm := func() {
 		for _, sh := range [][2]int{{4, 8}, {8, 8}, {1, 16}} {
 			x := p.Get(sh[0], sh[1])
@@ -61,8 +71,6 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	w := Rand(rng, 13, 5, 1)
 	bt := Rand(rng, 4, 13, 1)
 	bias := Rand(rng, 1, 13, 1)
-	gamma := Rand(rng, 1, 13, 1)
-	beta := Rand(rng, 1, 13, 1)
 
 	check := func(name string, want, got *Tensor) {
 		t.Helper()
@@ -113,8 +121,6 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	check("MatMulTransBBatchInto[0]", MatMulTransB(a, bt), touts[0])
 	check("MatMulTransBBatchInto[1]", MatMulTransB(b, bt), touts[1])
 
-	_ = gamma
-	_ = beta
 }
 
 // TestLayerNormAndActIntoKernels covers the normalization and
@@ -136,10 +142,10 @@ func TestLayerNormAndActIntoKernels(t *testing.T) {
 	}
 
 	for name, f := range map[string]func(a, out *Tensor){
-		"ReLUInto":    ReLUInto,
-		"GELUInto":    GELUInto,
-		"TanhInto":    TanhInto,
-		"SigmoidInto": SigmoidInto,
+		"ReLUInto":    ReLUInto[float64],
+		"GELUInto":    GELUInto[float64],
+		"TanhInto":    TanhInto[float64],
+		"SigmoidInto": SigmoidInto[float64],
 	} {
 		fresh := New(6, 10)
 		f(a, fresh)
@@ -147,6 +153,40 @@ func TestLayerNormAndActIntoKernels(t *testing.T) {
 		f(al, al)
 		if !Equal(fresh, al, 0) {
 			t.Fatalf("%s aliased result differs", name)
+		}
+	}
+}
+
+// TestElementwiseKernelsF32NearFloat64 runs every row-wise Into kernel
+// at both element types on the same inputs: the f32 instantiation must
+// track the float64 one within rounding.
+func TestElementwiseKernelsF32NearFloat64(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a64 := RandNorm(rng, 9, 33, 2)
+	g64, b64 := RandNorm(rng, 1, 33, 1), RandNorm(rng, 1, 33, 1)
+	a32, g32, b32 := Convert[float32](a64), Convert[float32](g64), Convert[float32](b64)
+	out64, out32 := New(9, 33), NewF32(9, 33)
+	for _, k := range []struct {
+		name string
+		f64  func()
+		f32  func()
+		tol  float64
+	}{
+		{"softmax", func() { SoftmaxRowsInto(a64, out64) }, func() { SoftmaxRowsInto(a32, out32) }, 1e-5},
+		{"logsoftmax", func() { LogSoftmaxRowsInto(a64, out64) }, func() { LogSoftmaxRowsInto(a32, out32) }, 1e-4},
+		{"layernorm", func() { LayerNormRowsInto(a64, g64, b64, 1e-5, out64) }, func() { LayerNormRowsInto(a32, g32, b32, 1e-5, out32) }, 1e-4},
+		{"gelu", func() { GELUInto(a64, out64) }, func() { GELUInto(a32, out32) }, 1e-5},
+		{"relu", func() { ReLUInto(a64, out64) }, func() { ReLUInto(a32, out32) }, 1e-6},
+		{"tanh", func() { TanhInto(a64, out64) }, func() { TanhInto(a32, out32) }, 1e-6},
+		{"sigmoid", func() { SigmoidInto(a64, out64) }, func() { SigmoidInto(a32, out32) }, 1e-6},
+		{"addbias", func() { AddBiasInto(a64, g64, out64) }, func() { AddBiasInto(a32, g32, out32) }, 1e-6},
+	} {
+		k.f64()
+		k.f32()
+		for i, want := range out64.Data {
+			if math.Abs(float64(out32.Data[i])-want) > k.tol {
+				t.Fatalf("%s element %d: f32 %v vs f64 %v", k.name, i, out32.Data[i], want)
+			}
 		}
 	}
 }

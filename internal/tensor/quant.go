@@ -90,13 +90,13 @@ func (q *Int8Matrix) Dequantize() *Tensor {
 // per element plus the f32 scale vector.
 func (q *Int8Matrix) Bytes() int { return len(q.Data) + 4*len(q.Scales) }
 
-// QuantizeRowInt8 quantizes one f32 activation row symmetrically into
+// QuantizeRowInt8 quantizes one activation row symmetrically into
 // q (len(q) >= len(row)) and returns the scale: q[l] = round(row[l] /
 // scale) with scale = maxabs/127, so |row[l] - float32(q[l])*scale|
 // <= scale/2 for every element (the property the lowering tests
 // assert). An all-zero row quantizes to zeros with scale 1.
-func QuantizeRowInt8(row []float32, q []int8) float32 {
-	var maxAbs float32
+func QuantizeRowInt8[T Float](row []T, q []int8) T {
+	var maxAbs T
 	for _, v := range row {
 		a := v
 		if a < 0 {
@@ -124,17 +124,18 @@ func QuantizeRowInt8(row []float32, q []int8) float32 {
 			q[i] = int8(x - 0.5)
 		}
 	}
-	return float32(float64(maxAbs) / 127)
+	return T(float64(maxAbs) / 127)
 }
 
-// MatMulInt8Into computes out = a @ w^T_dequant + bias for an f32
-// activation a [m,k] against int8 weights w (Out=n output channels of
+// MatMulInt8Into computes out = a @ w^T_dequant + bias for an
+// activation a [m,k] (f32 in the int8 serving tier) against int8
+// weights w (Out=n output channels of
 // In=k weights each): each activation row is quantized dynamically,
 // products accumulate in int32, and dequantization is fused into the
 // bias add. qbuf is caller-provided scratch of at least m*k bytes
-// (ag.EvalF32 owns one per session, keeping the steady state
+// (ag.Session owns one per session, keeping the steady state
 // allocation-free); shards write disjoint row ranges of it.
-func MatMulInt8Into(a *F32, w *Int8Matrix, bias, out *F32, qbuf []int8) {
+func MatMulInt8Into[T Float](a *Dense[T], w *Int8Matrix, bias, out *Dense[T], qbuf []int8) {
 	m, k := a.Rows(), a.Cols()
 	n := w.Out
 	if w.In != k {
@@ -158,7 +159,7 @@ func MatMulInt8Into(a *F32, w *Int8Matrix, bias, out *F32, qbuf []int8) {
 // matMulInt8Rows serves output rows [i0, i1): quantize each activation
 // row in place in its qbuf segment, then dot it against every weight
 // row with a 4x-unrolled int32 accumulation.
-func matMulInt8Rows(a []float32, w *Int8Matrix, bias, out []float32, qbuf []int8, k, n, i0, i1 int) {
+func matMulInt8Rows[T Float](a []T, w *Int8Matrix, bias, out []T, qbuf []int8, k, n, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		arow := a[i*k : i*k+k : i*k+k]
 		q := qbuf[i*k : i*k+k : i*k+k]
@@ -180,7 +181,7 @@ func matMulInt8Rows(a []float32, w *Int8Matrix, bias, out []float32, qbuf []int8
 			for ; l < k; l++ {
 				acc += int32(q[l]) * int32(wrow[l])
 			}
-			orow[j] = float32(acc)*as*w.Scales[j] + bias[j]
+			orow[j] = T(acc)*as*T(w.Scales[j]) + bias[j]
 		}
 	}
 }

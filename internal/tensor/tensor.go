@@ -1,10 +1,17 @@
-// Package tensor provides dense float64 matrices and the raw numeric
-// kernels used by the autodiff engine in internal/ag. It is the lowest
-// layer of the deep-learning substrate that substitutes for PyTorch in
-// this reproduction (see DESIGN.md, substitution table).
+// Package tensor provides dense matrices and the raw numeric kernels
+// used by the autodiff engine in internal/ag. It is the lowest layer of
+// the deep-learning substrate that substitutes for PyTorch in this
+// reproduction (see DESIGN.md, substitution table).
 //
 // Tensors are row-major. Almost all of the model code works with rank-2
 // tensors (matrices); vectors are represented as 1xN matrices.
+//
+// One dense type, Dense[T], serves both element types: Tensor
+// (float64) is what training, checkpoints and the reference serving
+// tier use; F32 (float32) is the storage of the reduced-precision
+// serving tiers (DESIGN.md §9). The pool and every destination-taking
+// ("Into") kernel are written once over T; the allocating functions in
+// this file are the float64 training surface.
 //
 // The matrix-multiply kernels live in matmul.go: they are
 // cache-blocked and shard large products by output row across the
@@ -17,19 +24,33 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"unsafe"
 )
 
-// Tensor is a dense row-major float64 tensor. The zero value is not
-// usable; construct tensors with New, Zeros, FromSlice, or Rand.
-type Tensor struct {
+// Float is the set of element types a Dense tensor can hold.
+type Float interface{ ~float32 | ~float64 }
+
+// Dense is a dense row-major tensor of T. The zero value is not
+// usable; construct tensors with NewOf (or New / NewF32), Zeros,
+// FromSlice, or Rand.
+type Dense[T Float] struct {
 	// Data holds the elements in row-major order.
-	Data []float64
+	Data []T
 	// Shape holds the extent of each dimension.
 	Shape []int
 }
 
-// New creates a zero-initialized tensor with the given shape.
-func New(shape ...int) *Tensor {
+// Tensor is the float64 tensor: the element type of training, of
+// checkpoints, and of the reference serving tier.
+type Tensor = Dense[float64]
+
+// F32 is the float32 tensor of the reduced-precision serving tiers. It
+// exists for serving only: a lowered model is always derived from
+// float64 weights, never trained in f32.
+type F32 = Dense[float32]
+
+// NewOf creates a zero-initialized tensor of T with the given shape.
+func NewOf[T Float](shape ...int) *Dense[T] {
 	n := 1
 	for _, s := range shape {
 		if s < 0 {
@@ -39,8 +60,37 @@ func New(shape ...int) *Tensor {
 	}
 	sh := make([]int, len(shape))
 	copy(sh, shape)
-	return &Tensor{Data: make([]float64, n), Shape: sh}
+	return &Dense[T]{Data: make([]T, n), Shape: sh}
 }
+
+// New creates a zero-initialized float64 tensor with the given shape.
+func New(shape ...int) *Tensor { return NewOf[float64](shape...) }
+
+// NewF32 creates a zero-initialized float32 tensor with the given shape.
+func NewF32(shape ...int) *F32 { return NewOf[float32](shape...) }
+
+// Convert returns t at element type D. When D is already t's element
+// type the result IS t (no copy): this is what lets the float64 tier
+// serve straight from the trained tensors. Otherwise every element is
+// converted, rounding to nearest (ties to even) when narrowing and
+// exactly when widening.
+func Convert[D, S Float](t *Dense[S]) *Dense[D] {
+	if same, ok := any(t).(*Dense[D]); ok {
+		return same
+	}
+	out := NewOf[D](t.Shape...)
+	for i, v := range t.Data {
+		out.Data[i] = D(v)
+	}
+	return out
+}
+
+// ToTensor returns t as a float64 tensor (see Convert: exact, and t
+// itself when it already is one).
+func (t *Dense[T]) ToTensor() *Tensor { return Convert[float64](t) }
+
+// Bytes returns the resident size of the tensor's payload in bytes.
+func (t *Dense[T]) Bytes() int { return int(unsafe.Sizeof(T(0))) * len(t.Data) }
 
 // Zeros is an alias of New, provided for readability at call sites.
 func Zeros(shape ...int) *Tensor { return New(shape...) }
@@ -110,48 +160,57 @@ func Xavier(rng *rand.Rand, rows, cols int) *Tensor {
 }
 
 // Rows returns the first dimension extent (panics if not a matrix).
-func (t *Tensor) Rows() int { t.mustMatrix(); return t.Shape[0] }
+func (t *Dense[T]) Rows() int { t.mustMatrix(); return t.Shape[0] }
 
 // Cols returns the second dimension extent (panics if not a matrix).
-func (t *Tensor) Cols() int { t.mustMatrix(); return t.Shape[1] }
+func (t *Dense[T]) Cols() int { t.mustMatrix(); return t.Shape[1] }
 
 // Size returns the total number of elements.
-func (t *Tensor) Size() int { return len(t.Data) }
+func (t *Dense[T]) Size() int { return len(t.Data) }
 
-func (t *Tensor) mustMatrix() {
+func (t *Dense[T]) mustMatrix() {
 	if len(t.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: expected matrix, got shape %v", t.Shape))
+		panic(notMatrixError(t.Shape))
 	}
 }
 
+// notMatrixError is mustMatrix's panic value. Formatting the message
+// lazily, outside the generic body, is what keeps Rows/Cols/Row/At/Set
+// within the inliner's budget at every instantiation.
+type notMatrixError []int
+
+func (shape notMatrixError) Error() string {
+	return fmt.Sprintf("tensor: expected matrix, got shape %v", []int(shape))
+}
+
 // At returns element (i, j) of a matrix.
-func (t *Tensor) At(i, j int) float64 {
+func (t *Dense[T]) At(i, j int) T {
 	t.mustMatrix()
 	return t.Data[i*t.Shape[1]+j]
 }
 
 // Set assigns element (i, j) of a matrix.
-func (t *Tensor) Set(i, j int, v float64) {
+func (t *Dense[T]) Set(i, j int, v T) {
 	t.mustMatrix()
 	t.Data[i*t.Shape[1]+j] = v
 }
 
 // Row returns a view (not a copy) of row i of a matrix.
-func (t *Tensor) Row(i int) []float64 {
+func (t *Dense[T]) Row(i int) []T {
 	t.mustMatrix()
 	c := t.Shape[1]
 	return t.Data[i*c : (i+1)*c]
 }
 
 // Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := New(t.Shape...)
+func (t *Dense[T]) Clone() *Dense[T] {
+	out := NewOf[T](t.Shape...)
 	copy(out.Data, t.Data)
 	return out
 }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
+func (t *Dense[T]) SameShape(o *Dense[T]) bool {
 	if len(t.Shape) != len(o.Shape) {
 		return false
 	}
@@ -164,17 +223,17 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 }
 
 // Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
+func (t *Dense[T]) Fill(v T) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
 }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
+func (t *Dense[T]) Zero() { t.Fill(0) }
 
 // AddInPlace accumulates o into t elementwise.
-func (t *Tensor) AddInPlace(o *Tensor) {
+func (t *Dense[T]) AddInPlace(o *Dense[T]) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %v vs %v", t.Shape, o.Shape))
 	}
@@ -184,7 +243,7 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 }
 
 // ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float64) {
+func (t *Dense[T]) ScaleInPlace(s T) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
@@ -314,13 +373,14 @@ func SoftmaxRows(a *Tensor) *Tensor {
 }
 
 // Equal reports whether two tensors have identical shape and all
-// elements within eps of each other.
-func Equal(a, b *Tensor, eps float64) bool {
+// elements within eps of each other (eps = 0 asserts bitwise equality
+// up to the sign of zero).
+func Equal[T Float](a, b *Dense[T], eps float64) bool {
 	if !a.SameShape(b) {
 		return false
 	}
 	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > eps {
+		if math.Abs(float64(a.Data[i])-float64(b.Data[i])) > eps {
 			return false
 		}
 	}
@@ -328,7 +388,7 @@ func Equal(a, b *Tensor, eps float64) bool {
 }
 
 // String renders small tensors for debugging.
-func (t *Tensor) String() string {
+func (t *Dense[T]) String() string {
 	if len(t.Shape) == 2 {
 		var b strings.Builder
 		fmt.Fprintf(&b, "Tensor[%dx%d]", t.Shape[0], t.Shape[1])
@@ -352,11 +412,12 @@ func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor%v(%d elems)", t.Shape, t.Size())
 }
 
-// HasNaN reports whether any element is NaN or Inf. Training loops use
-// this as a cheap sanity guard.
-func (t *Tensor) HasNaN() bool {
+// HasNaN reports whether any element is NaN or ±Inf. nn.DecodeParams
+// rejects such parameters at load: one non-finite weight turns every
+// estimate served from it into NaN.
+func (t *Dense[T]) HasNaN() bool {
 	for _, v := range t.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			return true
 		}
 	}
