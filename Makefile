@@ -58,9 +58,12 @@ test:
 # sinks, data-parallel training, experiment fan-out. GOMAXPROCS is
 # pinned above 1 so the worker pool actually fans out (on a 1-CPU
 # machine the pool defaults to size 1 and every path runs inline,
-# which would make this job vacuous).
+# which would make this job vacuous). The dist suite runs five more
+# times: its coordinator is one goroutine per rank, and an interleaving
+# that loses a frame or leaks a goroutine is rare, not impossible.
 race:
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
+	GOMAXPROCS=4 $(GO) test -race -count=5 ./internal/dist
 
 # Full benchmark sweep (slow; regenerates every paper table).
 bench:
@@ -71,10 +74,15 @@ bench:
 # default engine (EngineSolo) and through the model alone
 # (EngineModelOnly), one pass of 6 requests each. Solo minus ModelOnly
 # is the scheduler's cost and must read tens of µs per request, not a
-# millisecond.
+# millisecond. Last, the exchange guard: one gradient round of a 2-rank
+# loopback fleet (AllReduceTCP) next to the same minibatch through
+# Local(); the TCP round must report a few ms, not tens, and a handful
+# of allocs/op (at 1x those are the harness's own; TestTCPRoundAllocatesNothing
+# holds the exact count), not thousands.
 bench-smoke:
 	$(GO) test -run=NONE -bench='MatMul' -benchtime=1x .
 	$(GO) test -run=NONE -bench='EngineSolo|EngineModelOnly' -benchtime=1x ./internal/serve
+	$(GO) test -run=NONE -bench='AllReduceTCP|AllReduceLocal' -benchtime=1x ./internal/dist
 
 # Inference fast-path benches with allocation counts: cached vs legacy
 # beam search, pooled vs map Figure-4 codec, grad vs no-grad forward.
@@ -142,12 +150,15 @@ dist-smoke:
 	./scripts/dist_smoke.sh >dist-smoke.log 2>&1 || { cat dist-smoke.log; exit 1; }
 	@tail -n 3 dist-smoke.log
 
-# Short fuzz pass over the artifact decoders: arbitrary bytes must
-# error, never panic. Seeds cover both checkpoint versions, both
-# corpus versions, and the torn-write/bit-flip corruption shapes.
+# Short fuzz pass over the artifact and wire decoders: arbitrary bytes
+# must error, never panic (and, on the wire, never allocate more than a
+# small multiple of what arrived). Seeds cover both checkpoint
+# versions, both corpus versions, the torn-write/bit-flip corruption
+# shapes, and one valid exchange message of every kind.
 fuzz-smoke:
 	$(GO) test ./internal/mtmlf -run=NONE -fuzz=FuzzLoadModel -fuzztime=10s
 	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusOpen -fuzztime=10s
+	$(GO) test ./internal/dist -run=NONE -fuzz=FuzzWireFrame -fuzztime=10s
 
 # Every package must open with a godoc package comment ("// Package x"
 # for libraries, "// Command x" for binaries) — the operator docs in

@@ -156,7 +156,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer t.Close()
+		// Runs at clean exit only (log.Fatal skips it): where this rank's
+		// exchange time went, next to the coordinator's per-rank waits.
+		defer func() {
+			t.Close()
+			fmt.Printf("rank %d exchange: %v\n", *distRank, t.Stats())
+		}()
 		ex = t
 		fmt.Printf("rank %d/%d joined the fleet at %s\n", *distRank, *distWorld, *distWorker)
 	}
@@ -503,6 +508,9 @@ func runCoordinator(addr string, world int) {
 		log.Fatal(err)
 	}
 	fmt.Printf("fleet of %d ranks completed cleanly\n", world)
+	for rank, wait := range c.Waits() {
+		fmt.Printf("rank %d waited %v in total for the last gradient frame of its rounds\n", rank, wait.Round(time.Millisecond))
+	}
 }
 
 // writeTrajectory writes one hex-formatted float64 per line. Hex

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // CorruptError reports an artifact whose bytes fail an integrity
@@ -66,9 +67,14 @@ type Hash32 interface {
 	Reset()
 }
 
-// frameOverhead is the fixed byte cost of one section frame: an 8-byte
-// big-endian payload length plus a 4-byte big-endian CRC32C.
-const frameOverhead = 12
+// A section frame costs SectionOverhead bytes around its payload: an
+// 8-byte big-endian payload length in front (SectionHeaderLen) and a
+// 4-byte big-endian CRC32C behind.
+const (
+	SectionHeaderLen = 8
+	checksumLen      = 4
+	SectionOverhead  = SectionHeaderLen + checksumLen
+)
 
 // maxSectionBytes bounds a frame's declared payload length. A flipped
 // bit in the length field must fail as corruption, not as a
@@ -92,11 +98,29 @@ func WriteSection(w io.Writer, payload []byte) error {
 	return err
 }
 
+// SealSection completes in place a frame its caller laid out as
+// SectionHeaderLen free bytes followed by the payload: it fills in the
+// length and appends the checksum. One Write of the result sends the
+// bytes WriteSection would, checksummed once however many peers
+// receive them; a frame with room for the checksum in its capacity is
+// sealed without allocating.
+func SealSection(frame []byte) []byte {
+	payload := frame[SectionHeaderLen:]
+	binary.BigEndian.PutUint64(frame, uint64(len(payload)))
+	return binary.BigEndian.AppendUint32(frame, Checksum(payload))
+}
+
 // ReadSection reads one framed section and verifies its checksum,
 // returning the payload. Truncation, an implausible length, and a
 // checksum mismatch all return a *CorruptError naming artifact.
+//
+// It is the read for artifacts loaded once (checkpoints, snapshots)
+// and deliberately not ReadSectionInto with no buffer: where a server's
+// long-lived model lands in the heap depends on the garbage its load
+// left behind, and serve_default measured 6 % fewer requests/s behind
+// the other read's tighter buffers (BENCH_PR15.json).
 func ReadSection(r io.Reader, artifact string) ([]byte, error) {
-	var hdr [8]byte
+	var hdr [SectionHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, Corruptf(artifact, "truncated section header: %v", err)
 	}
@@ -112,11 +136,61 @@ func ReadSection(r io.Reader, artifact string) ([]byte, error) {
 		return nil, Corruptf(artifact, "truncated section payload (%d of %d declared bytes): %v", m, n, err)
 	}
 	payload := buf.Bytes()
-	var sum [4]byte
+	var sum [checksumLen]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
 		return nil, Corruptf(artifact, "truncated section checksum: %v", err)
 	}
 	if want, got := binary.BigEndian.Uint32(sum[:]), Checksum(payload); want != got {
+		return nil, Corruptf(artifact, "section checksum mismatch: stored %08x, computed %08x", want, got)
+	}
+	return payload, nil
+}
+
+// minSectionRead is the first allocation of a ReadSectionInto that was
+// given no buffer (or too small a one).
+const minSectionRead = 4096
+
+// ReadSectionInto is ReadSection, with the same checks and errors, into
+// a buffer the caller keeps: the payload lands in buf's backing array
+// (buf's length is ignored) when it fits and in a grown one when it
+// does not, so a caller reading frames of a steady size — the dist
+// exchange, every round — allocates only while they still grow. The
+// payload aliases the buffer; hand it back as buf to reuse it.
+func ReadSectionInto(r io.Reader, artifact string, buf []byte) ([]byte, error) {
+	// The header is read into the buffer the payload will overwrite: an
+	// array of its own would escape through r and cost every call an
+	// allocation.
+	if cap(buf) < SectionHeaderLen {
+		buf = make([]byte, SectionHeaderLen)
+	}
+	hdr := buf[:SectionHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, Corruptf(artifact, "truncated section header: %v", err)
+	}
+	n := binary.BigEndian.Uint64(hdr)
+	if n > maxSectionBytes {
+		return nil, Corruptf(artifact, "section length %d exceeds limit %d (corrupt length field?)", n, maxSectionBytes)
+	}
+	// Payload and checksum are read together. The buffer grows only as
+	// fast as bytes arrive (doubling): a corrupt length just under the
+	// cap must fail at EOF, not allocate a gigabyte first.
+	need := int(n) + checksumLen
+	buf = buf[:0]
+	for len(buf) < need {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(need-len(buf), max(len(buf), minSectionRead)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), need)])
+		buf = buf[:len(buf)+m]
+		if err != nil && uint64(len(buf)) < n {
+			return nil, Corruptf(artifact, "truncated section payload (%d of %d declared bytes): %v", len(buf), n, err)
+		}
+		if err != nil {
+			return nil, Corruptf(artifact, "truncated section checksum: %v", err)
+		}
+	}
+	payload := buf[:n]
+	if want, got := binary.BigEndian.Uint32(buf[n:]), Checksum(payload); want != got {
 		return nil, Corruptf(artifact, "section checksum mismatch: stored %08x, computed %08x", want, got)
 	}
 	return payload, nil

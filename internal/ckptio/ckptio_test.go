@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -81,6 +82,82 @@ func TestSectionRejectsHugeLength(t *testing.T) {
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("got %v, want *CorruptError", err)
+	}
+}
+
+// A length just under the cap with nothing behind it must fail at EOF
+// having allocated next to nothing, through either read: the buffer
+// grows with the bytes that arrive, not with the length declared.
+func TestSectionLengthDoesNotSizeTheRead(t *testing.T) {
+	frame := make([]byte, 8, 8+100)
+	frame[4] = 0x3f // big-endian 0x3f000000: 1 GiB minus a little
+	frame = append(frame, bytes.Repeat([]byte{7}, 100)...)
+	for name, read := range map[string]func(io.Reader) ([]byte, error){
+		"ReadSection":     func(r io.Reader) ([]byte, error) { return ReadSection(r, "test") },
+		"ReadSectionInto": func(r io.Reader) ([]byte, error) { return ReadSectionInto(r, "test", nil) },
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := read(bytes.NewReader(frame))
+		runtime.ReadMemStats(&m1)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: got %v, want *CorruptError", name, err)
+		}
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<16 {
+			t.Fatalf("%s: a 108-byte stream declaring 1 GiB allocated %d bytes", name, grew)
+		}
+	}
+}
+
+// SealSection lays down the bytes WriteSection writes, and
+// ReadSectionInto reads them back into the buffer it is given: a
+// caller that hands the payload back as the next buffer reads
+// same-sized frames without allocating, a larger frame grows the
+// buffer, and the checks of ReadSection all still apply.
+func TestSealAndReadInto(t *testing.T) {
+	payloads := [][]byte{bytes.Repeat([]byte{1}, 5000), bytes.Repeat([]byte{2}, 5000), []byte("small"), bytes.Repeat([]byte{3}, 70000), {}}
+	var want, sealed bytes.Buffer
+	for _, p := range payloads {
+		if err := WriteSection(&want, p); err != nil {
+			t.Fatal(err)
+		}
+		sealed.Write(SealSection(append(make([]byte, SectionHeaderLen), p...)))
+	}
+	if !bytes.Equal(want.Bytes(), sealed.Bytes()) {
+		t.Fatal("SealSection and WriteSection lay down different bytes")
+	}
+	r := bytes.NewReader(sealed.Bytes())
+	var buf []byte
+	for i, p := range payloads {
+		before := cap(buf)
+		got, err := ReadSectionInto(r, "test", buf)
+		if err != nil {
+			t.Fatalf("section %d: %v", i, err)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("section %d: got %d bytes, want %d", i, len(got), len(p))
+		}
+		if fits := len(p)+SectionOverhead-SectionHeaderLen <= before; fits && cap(got) != before {
+			t.Fatalf("section %d fits the %d-byte buffer it was given but was read into another", i, before)
+		}
+		buf = got
+	}
+	reader := bytes.NewReader(nil)
+	allocs := testing.AllocsPerRun(10, func() {
+		reader.Reset(sealed.Bytes())
+		if _, err := ReadSectionInto(reader, "test", buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading into a buffer that fits allocated %v times", allocs)
+	}
+	flipped := bytes.Clone(sealed.Bytes())
+	flipped[20] ^= 1
+	var ce *CorruptError
+	if _, err := ReadSectionInto(bytes.NewReader(flipped), "test", buf); !errors.As(err, &ce) {
+		t.Fatalf("flipped payload bit: got %v, want *CorruptError", err)
 	}
 }
 

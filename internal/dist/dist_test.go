@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mtmlf/internal/ag"
+	"mtmlf/internal/ckptio"
 	"mtmlf/internal/tensor"
 )
 
@@ -397,50 +398,195 @@ func TestTCPDuplicateRank(t *testing.T) {
 	}
 }
 
-// TestWireRoundTrip pins the frame codecs: encode→decode must be
-// lossless, and a truncated body must error, never panic.
-func TestWireRoundTrip(t *testing.T) {
-	f := &gradsFrame{step: 7, n: 3, scale: 1.0 / 3}
-	f.slots = []slotGrads{
-		{slot: 0, loss: math.Pi, entries: []gradEntry{{param: 0, data: []float64{1, -2, 3.5}}}},
-		{slot: 2, loss: -0.0, entries: []gradEntry{{param: 1, data: []float64{0.125}}, {param: 3, data: nil}}},
-	}
-	enc := encodeGrads(f)
-	got, err := decodeGrads(enc[1:])
+// loopFleet is an in-process 2-rank fleet over loopback TCP for
+// measuring a round: rank 0's AllReduce runs on the caller's goroutine,
+// rank 1's on its own, one round per token, every round exchanging the
+// same pre-built slots.
+type loopFleet struct {
+	ranks   [2]*TCP
+	params  [2][]*ag.Value
+	slots   [2][]ag.Grads
+	losses  [2][]float64
+	start   chan struct{}
+	rank1   chan error
+	coordCh chan error
+}
+
+// newLoopFleet connects the fleet and fills slot i of an n-slot
+// minibatch on its owner with a gradient for every parameter.
+func newLoopFleet(tb testing.TB, shapes [][]int, n int) *loopFleet {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if got.step != f.step || got.n != f.n || got.scale != f.scale || len(got.slots) != len(f.slots) {
-		t.Fatalf("grads round trip: got %+v, want %+v", got, f)
+	coord := NewCoordinator(ln, 2)
+	f := &loopFleet{start: make(chan struct{}), rank1: make(chan error), coordCh: make(chan error, 1)}
+	go func() { f.coordCh <- coord.Run() }()
+	dialed := make(chan error, 2)
+	for rank := range f.ranks {
+		go func() {
+			var err error
+			f.ranks[rank], err = DialRetry(coord.Addr(), rank, 2, "loop", 50, 20*time.Millisecond)
+			dialed <- err
+		}()
 	}
-	if math.Float64bits(got.slots[1].loss) != math.Float64bits(-0.0) {
-		t.Fatal("loss bit pattern not preserved (-0.0)")
-	}
-	if got.slots[0].entries[0].data[2] != 3.5 {
-		t.Fatal("gradient data not preserved")
-	}
-	for cut := 1; cut < len(enc); cut++ {
-		if _, err := decodeGrads(enc[1:cut]); err == nil && cut < len(enc) {
-			t.Fatalf("truncation at %d of %d decoded without error", cut, len(enc))
+	for range f.ranks {
+		if err := <-dialed; err != nil {
+			tb.Fatal(err)
 		}
 	}
-	r := &reducedFrame{step: 9, losses: []float64{1, 2, 3}, entries: []gradEntry{{param: 2, data: []float64{4, 5}}}}
-	encR := encodeReduced(r)
-	gotR, err := decodeReduced(encR[1:])
-	if err != nil {
+	for rank := range f.ranks {
+		f.params[rank] = make([]*ag.Value, len(shapes))
+		for k, shape := range shapes {
+			f.params[rank][k] = ag.Param(tensor.New(shape...))
+		}
+		f.slots[rank], f.losses[rank] = make([]ag.Grads, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			if !Owns(2, rank, i) {
+				continue
+			}
+			f.slots[rank][i] = ag.Grads{}
+			for k, p := range f.params[rank] {
+				f.slots[rank][i][p] = slotGrad(1, i, k, p)
+			}
+		}
+	}
+	go func() {
+		for range f.start {
+			f.rank1 <- f.allReduce(1)
+		}
+	}()
+	return f
+}
+
+func (f *loopFleet) allReduce(rank int) error {
+	for _, p := range f.params[rank] {
+		p.Grad = nil
+	}
+	return f.ranks[rank].AllReduce(f.params[rank], f.slots[rank], f.losses[rank], 1/float64(len(f.slots[rank])))
+}
+
+// round runs one AllReduce on both ranks.
+func (f *loopFleet) round() error {
+	f.start <- struct{}{}
+	err0 := f.allReduce(0)
+	if err1 := <-f.rank1; err1 != nil {
+		return err1
+	}
+	return err0
+}
+
+// wireBytes is what a round moves: both grads frames up, the reduced
+// frame down to both ranks.
+func (f *loopFleet) wireBytes() int64 {
+	var total int64
+	for _, ex := range f.ranks {
+		st := ex.Stats()
+		total += (st.BytesUp + st.BytesDown) / int64(st.Rounds)
+	}
+	return total
+}
+
+func (f *loopFleet) close(tb testing.TB) {
+	tb.Helper()
+	close(f.start)
+	for _, ex := range f.ranks {
+		ex.Close()
+	}
+	if err := <-f.coordCh; err != nil {
+		tb.Fatalf("coordinator: %v", err)
+	}
+}
+
+// modelShapes is a parameter list the size of the benchmark's model:
+// about 65k floats, most of them in a few matrices.
+var modelShapes = func() [][]int {
+	var shapes [][]int
+	for i := 0; i < 12; i++ {
+		shapes = append(shapes, []int{64, 64}, []int{1, 64})
+	}
+	return append(shapes, []int{64, 256}, []int{1, 256})
+}()
+
+// TestTCPRoundAllocatesNothing: once its buffers have grown, a round
+// costs the two workers and the coordinator together a small constant
+// number of allocations, the same for a 100-float model and a
+// 65 000-float one — frames, accumulators and Grad tensors are all
+// kept.
+func TestTCPRoundAllocatesNothing(t *testing.T) {
+	perRound := func(shapes [][]int) float64 {
+		f := newLoopFleet(t, shapes, 8)
+		defer f.close(t)
+		var err error
+		run := func() {
+			if e := f.round(); e != nil {
+				err = e
+			}
+		}
+		run() // first round: buffers, accumulators and Grad tensors are allocated
+		allocs := testing.AllocsPerRun(10, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range f.params[0] {
+			if p.Grad == nil {
+				t.Fatal("a touched parameter ended the round without a gradient")
+			}
+		}
+		return allocs
+	}
+	small, large := perRound([][]int{{5, 10}, {1, 10}, {8, 5}}), perRound(modelShapes)
+	t.Logf("allocations per round, both workers and the coordinator: %v (100 floats), %v (65k floats)", small, large)
+	if small > 4 || large > 4 {
+		t.Fatalf("a warm round allocates %v (100 floats) / %v (65k floats) times, want a handful at most", small, large)
+	}
+}
+
+// TestTCPRankDiesMidFrame: a rank that dies halfway through a frame
+// must abort the fleet at once, also while the round is still waiting
+// for a different, slower rank — every rank has its own reader, so the
+// death is seen whichever rank the coordinator would have read first.
+func TestTCPRankDiesMidFrame(t *testing.T) {
+	const world = 2
+	addr, coordErr := startCoordinator(t, world)
+	ranks := make([]*TCP, world)
+	var wg sync.WaitGroup
+	for rank := range ranks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if ranks[rank], err = DialRetry(addr, rank, world, "mid-frame", 50, 20*time.Millisecond); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	defer ranks[0].Close()
+	// Rank 0 is still computing: it has sent nothing. Rank 1 gets half
+	// of its grads frame out and dies.
+	params := makeParams()
+	frame := ckptio.SealSection(appendGrads(nil, 1, params, []ag.Grads{nil, fillSlot(1, 1, params)}, make([]float64, 2), 0.5))
+	if _, err := ranks[1].conn.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if gotR.step != 9 || len(gotR.losses) != 3 || gotR.entries[0].param != 2 || gotR.entries[0].data[1] != 5 {
-		t.Fatalf("reduced round trip: got %+v", gotR)
+	ranks[1].conn.Close()
+	select {
+	case err := <-coordErr:
+		if err == nil || !strings.Contains(err.Error(), "rank 1") {
+			t.Fatalf("coordinator error = %v, want rank 1's truncated frame", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator still waiting for rank 0 after rank 1 died mid-frame")
 	}
-	h := hello{rank: 1, world: 3, fingerprint: "fp"}
-	encH := encodeHello(h)
-	gotH, err := decodeHello(encH[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotH != h {
-		t.Fatalf("hello round trip: got %+v, want %+v", gotH, h)
+	// Rank 0 learns why when it gets to its exchange.
+	err := ranks[0].AllReduce(params, []ag.Grads{fillSlot(1, 0, params), nil}, make([]float64, 2), 0.5)
+	if err == nil {
+		t.Fatal("rank 0's AllReduce succeeded in an aborted fleet")
 	}
 }
 

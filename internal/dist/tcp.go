@@ -1,13 +1,13 @@
 package dist
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"mtmlf/internal/ag"
+	"mtmlf/internal/ckptio"
 	"mtmlf/internal/tensor"
 )
 
@@ -17,15 +17,51 @@ import (
 
 // TCP is the distributed Exchanger: one rank's connection to the
 // coordinator. Create it with Dial or DialRetry.
+//
+// It owns the three things a gradient round needs and keeps them for
+// the life of the connection, so a round in steady state allocates
+// nothing: out, the grads frame this rank encodes; in, the reduced
+// frame it receives; grads, one Grad tensor per parameter, re-attached
+// to the parameters the reduced frame names.
 type TCP struct {
 	conn  net.Conn
-	r     *bufio.Reader
-	w     *bufio.Writer
 	world int
 	rank  int
 	step  uint64
 	once  sync.Once
+
+	out, in []byte
+	grads   []*tensor.Tensor
+	stats   ExchangeStats
 }
+
+// ExchangeStats is what a rank's AllReduce calls did and where their
+// time went: Encode is building and checksumming the grads frame, Wait
+// runs from its first byte written to the reduced frame's last byte
+// read and verified (the other ranks' compute and the coordinator's
+// reduction are in it), Install is decoding onto the parameters.
+type ExchangeStats struct {
+	Rounds                int
+	BytesUp, BytesDown    int64
+	Encode, Wait, Install time.Duration
+}
+
+func (s ExchangeStats) String() string {
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f ms", float64(d)/float64(time.Millisecond)) }
+	return fmt.Sprintf("%d rounds, %.2f MB up, %.2f MB down, allreduce %s = encode %s + wait %s + install %s",
+		s.Rounds, float64(s.BytesUp)/1e6, float64(s.BytesDown)/1e6,
+		ms(s.Encode+s.Wait+s.Install), ms(s.Encode), ms(s.Wait), ms(s.Install))
+}
+
+// now is this package's one wall-clock read. It feeds ExchangeStats and
+// Coordinator.Waits — what an operator reads at exit — and nothing that
+// reaches a gradient, a loss or an artifact.
+func now() time.Time {
+	return time.Now() //mtmlf:allow:globalrand measurement only, never on the trajectory
+}
+
+// Stats returns the totals over this exchanger's AllReduce calls so far.
+func (t *TCP) Stats() ExchangeStats { return t.stats }
 
 // Dial connects rank (of world) to the coordinator at addr and
 // completes the handshake. The handshake doubles as the startup
@@ -69,24 +105,16 @@ func handshake(conn net.Conn, rank, world int, fingerprint string) (*TCP, error)
 		conn.Close()
 		return nil, fmt.Errorf("dist: rank %d out of range for world %d", rank, world)
 	}
-	t := &TCP{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), world: world, rank: rank}
-	if err := t.send(encodeHello(hello{rank: rank, world: world, fingerprint: fingerprint})); err != nil {
+	t := &TCP{conn: conn, world: world, rank: rank}
+	if err := sendMsg(conn, encodeHello(hello{rank: rank, world: world, fingerprint: fingerprint})); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: handshake send: %w", err)
 	}
-	if _, err := expectMsg(t.r, msgHelloAck); err != nil {
+	if _, err := readMsg(conn, nil, msgHelloAck); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: handshake: %w", err)
 	}
 	return t, nil
-}
-
-// send frames, writes, and flushes one message.
-func (t *TCP) send(payload []byte) error {
-	if err := writeMsg(t.w, payload); err != nil {
-		return err
-	}
-	return t.w.Flush()
 }
 
 // World returns the fleet shape.
@@ -97,56 +125,31 @@ func (t *TCP) World() (int, int) { return t.world, t.rank }
 // it sends back. See Exchanger.
 func (t *TCP) AllReduce(params []*ag.Value, slots []ag.Grads, losses []float64, scale float64) error {
 	t.step++
-	frame := &gradsFrame{step: t.step, n: uint32(len(slots)), scale: scale}
-	for i, slot := range slots {
-		if slot == nil {
-			continue
-		}
-		s := slotGrads{slot: uint32(i), loss: losses[i]}
-		for k, p := range params {
-			g := slot[p]
-			if g == nil {
-				continue
-			}
-			s.entries = append(s.entries, gradEntry{param: uint32(k), data: g.Data})
-		}
-		frame.slots = append(frame.slots, s)
-	}
-	if err := t.send(encodeGrads(frame)); err != nil {
+	start := now()
+	t.out = appendGrads(t.out, t.step, params, slots, losses, scale)
+	frame := ckptio.SealSection(t.out)
+	encoded := now()
+	if _, err := t.conn.Write(frame); err != nil {
 		return fmt.Errorf("dist: send gradients (step %d): %w", t.step, err)
 	}
-	body, err := expectMsg(t.r, msgReduced)
+	p, err := readMsg(t.conn, t.in, msgReduced)
 	if err != nil {
 		return fmt.Errorf("dist: receive reduced gradient (step %d): %w", t.step, err)
 	}
-	red, err := decodeReduced(body)
-	if err != nil {
+	t.in = p
+	received := now()
+	if len(t.grads) != len(params) {
+		t.grads = make([]*tensor.Tensor, len(params))
+	}
+	if err := installReduced(p[1:], t.step, params, t.grads, losses); err != nil {
 		return err
 	}
-	if red.step != t.step {
-		return fmt.Errorf("dist: reduced frame for step %d, this rank is at step %d", red.step, t.step)
-	}
-	if len(red.losses) != len(losses) {
-		return fmt.Errorf("dist: reduced frame has %d losses for an n=%d minibatch", len(red.losses), len(losses))
-	}
-	copy(losses, red.losses)
-	for _, e := range red.entries {
-		if int(e.param) >= len(params) {
-			return fmt.Errorf("dist: reduced gradient for parameter %d, model has %d", e.param, len(params))
-		}
-		p := params[e.param]
-		if len(e.data) != p.T.Size() {
-			return fmt.Errorf("dist: reduced gradient for parameter %d has %d elements, parameter has %d",
-				e.param, len(e.data), p.T.Size())
-		}
-		g := tensor.New(p.T.Shape...)
-		copy(g.Data, e.data)
-		if p.Grad == nil {
-			p.Grad = g
-		} else {
-			p.Grad.AddInPlace(g)
-		}
-	}
+	t.stats.Rounds++
+	t.stats.BytesUp += int64(len(frame))
+	t.stats.BytesDown += int64(len(p) + ckptio.SectionOverhead)
+	t.stats.Encode += encoded.Sub(start)
+	t.stats.Wait += received.Sub(encoded)
+	t.stats.Install += now().Sub(received)
 	return nil
 }
 
@@ -156,22 +159,22 @@ func (t *TCP) BroadcastBytes(payload []byte) ([]byte, error) {
 	if t.rank != 0 {
 		payload = nil
 	}
-	if err := t.send(encodePayload(msgBcast, payload)); err != nil {
+	if err := sendMsg(t.conn, encodePayload(msgBcast, payload)); err != nil {
 		return nil, fmt.Errorf("dist: send broadcast: %w", err)
 	}
-	body, err := expectMsg(t.r, msgBcastOut)
+	p, err := readMsg(t.conn, nil, msgBcastOut)
 	if err != nil {
 		return nil, fmt.Errorf("dist: receive broadcast: %w", err)
 	}
-	return decodePayload(body)
+	return decodePayload(p[1:])
 }
 
 // Barrier blocks until every rank has sent its barrier message.
 func (t *TCP) Barrier() error {
-	if err := t.send([]byte{msgBarrier}); err != nil {
+	if err := sendMsg(t.conn, newMsg(nil, msgBarrier)); err != nil {
 		return fmt.Errorf("dist: send barrier: %w", err)
 	}
-	if _, err := expectMsg(t.r, msgBarrierAck); err != nil {
+	if _, err := readMsg(t.conn, nil, msgBarrierAck); err != nil {
 		return fmt.Errorf("dist: barrier: %w", err)
 	}
 	return nil
@@ -183,7 +186,7 @@ func (t *TCP) Close() error {
 	t.once.Do(func() {
 		// Best effort: the coordinator may already be gone after an
 		// abort, and a close must not mask the original error.
-		_ = t.send([]byte{msgDone})
+		_ = sendMsg(t.conn, newMsg(nil, msgDone))
 		_ = t.conn.Close()
 	})
 	return nil
@@ -208,23 +211,68 @@ func (t *TCP) Close() error {
 type Coordinator struct {
 	ln    net.Listener
 	world int
+	waits []time.Duration
 }
 
 // NewCoordinator wraps an already-listening socket. The caller owns
 // choosing the address (and can print ln.Addr() for the workers);
 // Run closes the listener when it returns.
 func NewCoordinator(ln net.Listener, world int) *Coordinator {
-	return &Coordinator{ln: ln, world: world}
+	return &Coordinator{ln: ln, world: world, waits: make([]time.Duration, world)}
 }
 
 // Addr returns the listen address workers should dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// rankConn is one accepted rank's buffered connection.
+// Waits returns, per rank, how long in total that rank's gradient
+// frames sat at the coordinator before the last frame of their round
+// arrived: time the rank idled for slower ranks. The rank whose wait
+// stays near zero is the straggler. Read it after Run has returned.
+func (c *Coordinator) Waits() []time.Duration { return c.waits }
+
+// rankConn is one admitted rank. After the handshake its connection
+// belongs to a serve goroutine, which alternates reading one message
+// and writing the reply Run hands it; in is that goroutine's receive
+// buffer, kept across rounds, and the payload it delivers aliases it
+// until the reply is handed over.
 type rankConn struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	conn  net.Conn
+	in    []byte
+	reply chan []byte // one sealed frame per round; closed by Run to stop the goroutine
+}
+
+// arrival is one message from a rank, or the error that ended its
+// serve goroutine.
+type arrival struct {
+	rank int
+	msg  []byte
+	at   time.Time
+	err  error
+}
+
+// serve is a rank's goroutine: every rank is read, and written to,
+// concurrently, so a frame never queues behind another rank's and a
+// rank that dies is noticed whichever rank the round is waiting for.
+// It sends exactly one arrival per message read and one for the error
+// it exits on, never more than one ahead of Run.
+func (rc *rankConn) serve(rank int, arrivals chan<- arrival) {
+	for {
+		p, err := readMsg(rc.conn, rc.in, msgAny)
+		if err != nil {
+			arrivals <- arrival{rank: rank, err: fmt.Errorf("dist: read from rank %d: %w", rank, err)}
+			return
+		}
+		rc.in = p
+		arrivals <- arrival{rank: rank, msg: p, at: now()}
+		frame, ok := <-rc.reply
+		if !ok {
+			return
+		}
+		if _, err := rc.conn.Write(frame); err != nil {
+			arrivals <- arrival{rank: rank, err: fmt.Errorf("dist: send to rank %d: %w", rank, err)}
+			return
+		}
+	}
 }
 
 // Run serves one training job to completion: handshake with every
@@ -232,13 +280,16 @@ type rankConn struct {
 // It returns nil only for a clean fleet shutdown.
 func (c *Coordinator) Run() error {
 	conns := make([]*rankConn, c.world)
+	var serving sync.WaitGroup
 	defer func() {
 		c.ln.Close()
 		for _, rc := range conns {
 			if rc != nil {
+				close(rc.reply)
 				rc.conn.Close()
 			}
 		}
+		serving.Wait()
 	}()
 	if err := c.accept(conns); err != nil {
 		return err
@@ -246,23 +297,35 @@ func (c *Coordinator) Run() error {
 	// Every rank is connected and validated: release them together.
 	// This is the fleet's startup barrier.
 	for rank, rc := range conns {
-		if err := sendTo(rc, []byte{msgHelloAck}); err != nil {
+		if err := sendMsg(rc.conn, newMsg(nil, msgHelloAck)); err != nil {
 			return c.abort(conns, fmt.Errorf("dist: ack rank %d: %w", rank, err))
 		}
 	}
-	done := 0
+	// A serve goroutine has at most one arrival in flight, so sends
+	// never block, not even after Run has stopped receiving.
+	arrivals := make(chan arrival, c.world)
+	for rank, rc := range conns {
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			rc.serve(rank, arrivals)
+		}()
+	}
+	var rd reducer
+	msgs := make([][]byte, c.world)
+	at := make([]time.Time, c.world)
 	for {
 		// One lockstep round: every rank sends exactly one message and
 		// every message must agree on the kind — a rank asking for a
 		// gradient reduction while another says it is done means the
 		// fleet has drifted, and fail-stop beats silent divergence.
-		msgs := make([][]byte, c.world)
-		for rank, rc := range conns {
-			p, err := readMsg(rc.r)
-			if err != nil {
-				return c.abort(conns, fmt.Errorf("dist: read from rank %d: %w", rank, err))
+		var last time.Time
+		for range conns {
+			a := <-arrivals
+			if a.err != nil {
+				return c.abort(conns, a.err)
 			}
-			msgs[rank] = p
+			msgs[a.rank], at[a.rank], last = a.msg, a.at, a.at
 		}
 		kind := msgs[0][0]
 		for rank, p := range msgs {
@@ -271,26 +334,45 @@ func (c *Coordinator) Run() error {
 					kindName(kind), rank, kindName(p[0])))
 			}
 		}
+		var reply []byte
 		var err error
 		switch kind {
 		case msgDone:
-			done = c.world
+			return nil
 		case msgBarrier:
-			err = c.fanOut(conns, []byte{msgBarrierAck})
+			reply = newMsg(nil, msgBarrierAck)
 		case msgBcast:
-			err = c.relayBroadcast(conns, msgs)
+			reply, err = relayBroadcast(msgs[0][1:])
 		case msgGrads:
-			err = c.reduceRound(conns, msgs)
+			for rank, p := range msgs {
+				msgs[rank] = p[1:]
+				c.waits[rank] += last.Sub(at[rank])
+			}
+			reply, err = rd.reduce(msgs)
 		default:
 			err = fmt.Errorf("dist: unexpected %s message mid-run", kindName(kind))
 		}
 		if err != nil {
 			return c.abort(conns, err)
 		}
-		if done == c.world {
-			return nil
+		// Sealed once; every rank's goroutine writes the same bytes. All
+		// of them have written before the next round's last arrival, so
+		// the reducer's buffer is free again by the time it is reused.
+		reply = ckptio.SealSection(reply)
+		for _, rc := range conns {
+			rc.reply <- reply
 		}
 	}
+}
+
+// relayBroadcast turns rank 0's bcast body into the message every rank
+// receives.
+func relayBroadcast(body []byte) ([]byte, error) {
+	payload, err := decodePayload(body)
+	if err != nil {
+		return nil, fmt.Errorf("dist: rank 0 broadcast frame: %w", err)
+	}
+	return encodePayload(msgBcastOut, payload), nil
 }
 
 // accept admits exactly world ranks, validating each handshake and
@@ -302,18 +384,14 @@ func (c *Coordinator) accept(conns []*rankConn) error {
 		if err != nil {
 			return c.abort(conns, fmt.Errorf("dist: accept: %w", err))
 		}
-		rc := &rankConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-		body, err := expectMsg(rc.r, msgHello)
+		p, err := readMsg(conn, nil, msgHello)
 		if err != nil {
 			conn.Close()
 			return c.abort(conns, fmt.Errorf("dist: handshake: %w", err))
 		}
-		h, err := decodeHello(body)
-		if err != nil {
-			conn.Close()
-			return c.abort(conns, err)
-		}
+		h, err := decodeHello(p[1:])
 		switch {
+		case err != nil:
 		case h.world != c.world:
 			err = fmt.Errorf("dist: rank %d dialed with -dist-world %d, coordinator serves %d", h.rank, h.world, c.world)
 		case h.rank < 0 || h.rank >= c.world:
@@ -325,7 +403,7 @@ func (c *Coordinator) accept(conns []*rankConn) error {
 			conn.Close()
 			return c.abort(conns, err)
 		}
-		conns[h.rank] = rc
+		conns[h.rank] = &rankConn{conn: conn, reply: make(chan []byte, 1)}
 		fingerprints[h.rank] = h.fingerprint
 		admitted++
 	}
@@ -338,58 +416,14 @@ func (c *Coordinator) accept(conns []*rankConn) error {
 	return nil
 }
 
-// reduceRound decodes every rank's gradient frame, performs the
-// slot-ordered reduction, and fans the identical reduced frame out.
-func (c *Coordinator) reduceRound(conns []*rankConn, msgs [][]byte) error {
-	frames := make([]*gradsFrame, c.world)
-	for rank, p := range msgs {
-		f, err := decodeGrads(p[1:])
-		if err != nil {
-			return fmt.Errorf("dist: rank %d gradient frame: %w", rank, err)
-		}
-		frames[rank] = f
-	}
-	red, err := reduceFrames(frames)
-	if err != nil {
-		return err
-	}
-	return c.fanOut(conns, encodeReduced(red))
-}
-
-// relayBroadcast forwards rank 0's payload to every rank.
-func (c *Coordinator) relayBroadcast(conns []*rankConn, msgs [][]byte) error {
-	payload, err := decodePayload(msgs[0][1:])
-	if err != nil {
-		return fmt.Errorf("dist: rank 0 broadcast frame: %w", err)
-	}
-	return c.fanOut(conns, encodePayload(msgBcastOut, payload))
-}
-
-// fanOut sends one identical message to every rank.
-func (c *Coordinator) fanOut(conns []*rankConn, payload []byte) error {
-	for rank, rc := range conns {
-		if err := sendTo(rc, payload); err != nil {
-			return fmt.Errorf("dist: send to rank %d: %w", rank, err)
-		}
-	}
-	return nil
-}
-
 // abort tells every surviving rank why the fleet is going down (best
 // effort) and returns err for Run.
 func (c *Coordinator) abort(conns []*rankConn, err error) error {
-	frame := encodePayload(msgError, []byte(err.Error()))
+	frame := ckptio.SealSection(encodePayload(msgError, []byte(err.Error())))
 	for _, rc := range conns {
 		if rc != nil {
-			_ = sendTo(rc, frame)
+			_, _ = rc.conn.Write(frame)
 		}
 	}
 	return err
-}
-
-func sendTo(rc *rankConn, payload []byte) error {
-	if err := writeMsg(rc.w, payload); err != nil {
-		return err
-	}
-	return rc.w.Flush()
 }

@@ -1,7 +1,9 @@
 package mtmlf
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -75,6 +77,11 @@ func runFleet(t *testing.T, world int, fingerprint string, train func(rank int, 
 // trainJointDist runs the trainWithWorkers setup under an explicit
 // exchanger, recording the trajectory.
 func trainJointDist(batch, workers int, ex dist.Exchanger) (*Model, TrainStats, error) {
+	return trainJointDistSnap(batch, workers, ex, SnapshotOptions{})
+}
+
+// trainJointDistSnap is trainJointDist with snapshots.
+func trainJointDistSnap(batch, workers int, ex dist.Exchanger, snap SnapshotOptions) (*Model, TrainStats, error) {
 	db := tinyDB()
 	m := NewModel(tinyConfig(), db, 7)
 	gen := workload.NewGenerator(db, 8)
@@ -84,7 +91,7 @@ func trainJointDist(batch, workers int, ex dist.Exchanger) (*Model, TrainStats, 
 	qs := gen.Generate(10, cfg)
 	st, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{
 		Epochs: 2, Seed: 9, BatchSize: batch, Workers: workers,
-		RecordTrajectory: true, Exchanger: ex,
+		RecordTrajectory: true, Exchanger: ex, Snapshot: snap,
 	})
 	return m, st, err
 }
@@ -265,6 +272,112 @@ func TestTrainJointDistResume(t *testing.T) {
 	stats := make([]TrainStats, world)
 	runFleet(t, world, "joint-resume", func(rank int, ex dist.Exchanger) error {
 		m, st, err := trainRank(ex, 0)
+		models[rank], stats[rank] = m, st
+		return err
+	})
+	for rank := 0; rank < world; rank++ {
+		checkSameRun(t, fmt.Sprintf("resumed rank=%d", rank), ref, refSt, models[rank], stats[rank])
+	}
+}
+
+// cutMidFrame relays one rank's connection to the coordinator at addr,
+// frame by frame, and drops both ends halfway through the nth frame of
+// more than 4 KiB the rank sends: a process dying in the middle of a
+// gradient frame. Smaller frames (hello, the resume broadcast's empty
+// half, barriers) pass through uncounted.
+func cutMidFrame(t *testing.T, addr string, nth int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer ln.Close()
+		down, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer down.Close()
+		up, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		go io.Copy(down, up) // ends when up is closed
+		var hdr [8]byte
+		for big := 0; big < nth; {
+			if _, err := io.ReadFull(down, hdr[:]); err != nil {
+				return
+			}
+			n := int64(binary.BigEndian.Uint64(hdr[:])) + 4 // payload + checksum
+			if n > 4096 {
+				big++
+			}
+			if big == nth {
+				n /= 2
+			}
+			if _, err := up.Write(hdr[:]); err != nil {
+				return
+			}
+			if _, err := io.CopyN(up, down, n); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestTrainJointDistRankDiesMidFrame: rank 1's connection is cut in the
+// middle of its third gradient frame while rank 0 snapshots every step.
+// Every process must come down with an error, promptly, and a fresh
+// fleet resuming from rank 0's snapshot must finish with the parameters
+// and stats of the run that was never interrupted: a frame torn on the
+// wire costs a restart, never a bit.
+func TestTrainJointDistRankDiesMidFrame(t *testing.T) {
+	const world, batch = 2, 4
+	ref, refSt, err := trainJointDist(batch, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := SnapshotOptions{Path: filepath.Join(t.TempDir(), "dist.snap"), Resume: true, Every: 1}
+	trainRank := func(ex dist.Exchanger) (*Model, TrainStats, error) {
+		return trainJointDistSnap(batch, 2, ex, snap)
+	}
+	// Leg 1: the fleet dies with rank 1's third gradient frame.
+	addr, coordErr := startDistCoordinator(t, world)
+	addrs := []string{addr, cutMidFrame(t, addr, 3)}
+	rankErr := make(chan error, world)
+	for rank := 0; rank < world; rank++ {
+		go func() {
+			ex, err := dist.DialRetry(addrs[rank], rank, world, "joint-cut", 100, 20*time.Millisecond)
+			if err == nil {
+				_, _, err = trainRank(ex)
+				ex.Close()
+			}
+			rankErr <- err
+		}()
+	}
+	for i := 0; i < world+1; i++ {
+		select {
+		case err := <-rankErr:
+			t.Logf("rank: %v", err)
+			if err == nil || err == ErrInterrupted {
+				t.Fatalf("a rank of the cut fleet returned %v, want an exchange error", err)
+			}
+		case err := <-coordErr:
+			t.Logf("coordinator: %v", err)
+			if err == nil {
+				t.Fatal("the coordinator of the cut fleet exited cleanly")
+			}
+		case <-time.After(time.Minute):
+			t.Fatal("the cut fleet did not come down")
+		}
+	}
+	// Leg 2: a fresh fleet resumes from rank 0's snapshot and finishes.
+	models := make([]*Model, world)
+	stats := make([]TrainStats, world)
+	runFleet(t, world, "joint-cut", func(rank int, ex dist.Exchanger) error {
+		m, st, err := trainRank(ex)
 		models[rank], stats[rank] = m, st
 		return err
 	})
