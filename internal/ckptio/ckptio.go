@@ -18,7 +18,6 @@
 package ckptio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -67,14 +66,15 @@ type Hash32 interface {
 	Reset()
 }
 
-// A section frame costs SectionOverhead bytes around its payload: an
-// 8-byte big-endian payload length in front (SectionHeaderLen) and a
-// 4-byte big-endian CRC32C behind.
+// The two ends of a section frame, both big-endian: the payload's
+// length in front of it, its CRC32C behind.
 const (
-	SectionHeaderLen = 8
+	sectionHeaderLen = 8
 	checksumLen      = 4
-	SectionOverhead  = SectionHeaderLen + checksumLen
 )
+
+// SectionLen returns the bytes a payload of n bytes occupies framed.
+func SectionLen(n int) int { return sectionHeaderLen + n + checksumLen }
 
 // maxSectionBytes bounds a frame's declared payload length. A flipped
 // bit in the length field must fail as corruption, not as a
@@ -84,7 +84,7 @@ const maxSectionBytes = 1 << 30
 // WriteSection writes one framed section: [8B length][payload][4B
 // CRC32C of payload].
 func WriteSection(w io.Writer, payload []byte) error {
-	var hdr [8]byte
+	var hdr [sectionHeaderLen]byte
 	binary.BigEndian.PutUint64(hdr[:], uint64(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -92,78 +92,56 @@ func WriteSection(w io.Writer, payload []byte) error {
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	var sum [4]byte
+	var sum [checksumLen]byte
 	binary.BigEndian.PutUint32(sum[:], Checksum(payload))
 	_, err := w.Write(sum[:])
 	return err
 }
 
-// SealSection completes in place a frame its caller laid out as
-// SectionHeaderLen free bytes followed by the payload: it fills in the
-// length and appends the checksum. One Write of the result sends the
-// bytes WriteSection would, checksummed once however many peers
-// receive them; a frame with room for the checksum in its capacity is
-// sealed without allocating.
-func SealSection(frame []byte) []byte {
-	payload := frame[SectionHeaderLen:]
-	binary.BigEndian.PutUint64(frame, uint64(len(payload)))
-	return binary.BigEndian.AppendUint32(frame, Checksum(payload))
+// NewSection starts a frame to be built in place, in buf's backing
+// array when a frame around size payload bytes fits in it and in a
+// grown one when it does not. The caller appends the payload to what it
+// returns and hands that to SealSection.
+func NewSection(buf []byte, size int) []byte {
+	var hdr [sectionHeaderLen]byte
+	return append(slices.Grow(buf[:0], SectionLen(size)), hdr[:]...)
 }
 
-// ReadSection reads one framed section and verifies its checksum,
-// returning the payload. Truncation, an implausible length, and a
-// checksum mismatch all return a *CorruptError naming artifact.
-//
-// It is the read for artifacts loaded once (checkpoints, snapshots)
-// and deliberately not ReadSectionInto with no buffer: where a server's
-// long-lived model lands in the heap depends on the garbage its load
-// left behind, and serve_default measured 6 % fewer requests/s behind
-// the other read's tighter buffers (BENCH_PR15.json).
-func ReadSection(r io.Reader, artifact string) ([]byte, error) {
-	var hdr [SectionHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, Corruptf(artifact, "truncated section header: %v", err)
-	}
-	n := binary.BigEndian.Uint64(hdr[:])
-	if n > maxSectionBytes {
-		return nil, Corruptf(artifact, "section length %d exceeds limit %d (corrupt length field?)", n, maxSectionBytes)
-	}
-	// Copy incrementally instead of pre-allocating n bytes: a corrupt
-	// length just under the cap must fail at EOF, not allocate a
-	// gigabyte first.
-	var buf bytes.Buffer
-	if m, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return nil, Corruptf(artifact, "truncated section payload (%d of %d declared bytes): %v", m, n, err)
-	}
-	payload := buf.Bytes()
-	var sum [checksumLen]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, Corruptf(artifact, "truncated section checksum: %v", err)
-	}
-	if want, got := binary.BigEndian.Uint32(sum[:]), Checksum(payload); want != got {
-		return nil, Corruptf(artifact, "section checksum mismatch: stored %08x, computed %08x", want, got)
-	}
-	return payload, nil
+// SealSection completes a frame begun by NewSection. One Write of the
+// result sends the bytes WriteSection would, checksummed once however
+// many peers receive them; a frame whose payload did not outgrow the
+// size NewSection was given is sealed without allocating.
+func SealSection(frame []byte) []byte {
+	payload := frame[sectionHeaderLen:]
+	binary.BigEndian.PutUint64(frame, uint64(len(payload)))
+	return binary.BigEndian.AppendUint32(frame, Checksum(payload))
 }
 
 // minSectionRead is the first allocation of a ReadSectionInto that was
 // given no buffer (or too small a one).
 const minSectionRead = 4096
 
-// ReadSectionInto is ReadSection, with the same checks and errors, into
-// a buffer the caller keeps: the payload lands in buf's backing array
-// (buf's length is ignored) when it fits and in a grown one when it
-// does not, so a caller reading frames of a steady size — the dist
-// exchange, every round — allocates only while they still grow. The
-// payload aliases the buffer; hand it back as buf to reuse it.
+// ReadSection reads one framed section and verifies its checksum,
+// returning the payload. Truncation, an implausible length, and a
+// checksum mismatch all return a *CorruptError naming artifact.
+func ReadSection(r io.Reader, artifact string) ([]byte, error) {
+	return ReadSectionInto(r, artifact, nil)
+}
+
+// ReadSectionInto is ReadSection into a buffer the caller keeps: the
+// payload lands in buf's backing array (buf's length is ignored) when
+// it fits and in a grown one when it does not, so a caller reading
+// frames of a steady size — the dist exchange, every round — allocates
+// only while they still grow. The payload aliases the buffer; hand it
+// back as buf to reuse it.
 func ReadSectionInto(r io.Reader, artifact string, buf []byte) ([]byte, error) {
 	// The header is read into the buffer the payload will overwrite: an
 	// array of its own would escape through r and cost every call an
 	// allocation.
-	if cap(buf) < SectionHeaderLen {
-		buf = make([]byte, SectionHeaderLen)
+	if cap(buf) < sectionHeaderLen {
+		buf = make([]byte, sectionHeaderLen)
 	}
-	hdr := buf[:SectionHeaderLen]
+	hdr := buf[:sectionHeaderLen]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, Corruptf(artifact, "truncated section header: %v", err)
 	}

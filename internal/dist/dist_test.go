@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -587,6 +588,19 @@ func TestTCPRankDiesMidFrame(t *testing.T) {
 	err := ranks[0].AllReduce(params, []ag.Grads{fillSlot(1, 0, params), nil}, make([]float64, 2), 0.5)
 	if err == nil {
 		t.Fatal("rank 0's AllReduce succeeded in an aborted fleet")
+	}
+}
+
+// TestAddWaits: a rank's wait is measured to the round's latest stamp,
+// in whatever order the frames were handed over, so it is never
+// negative and the last rank to arrive waited for nobody.
+func TestAddWaits(t *testing.T) {
+	t0 := time.Unix(100, 0)
+	waits := []time.Duration{time.Second, 0, 0}
+	addWaits(waits, []time.Time{t0.Add(2 * time.Millisecond), t0, t0.Add(time.Millisecond)})
+	want := []time.Duration{time.Second, 2 * time.Millisecond, time.Millisecond}
+	if !slices.Equal(waits, want) {
+		t.Fatalf("waits %v, want %v", waits, want)
 	}
 }
 

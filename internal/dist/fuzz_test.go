@@ -43,7 +43,7 @@ func FuzzWireFrame(f *testing.F) {
 		appendGrads(nil, 1, params, slots, losses, 0.5),
 		appendGrads(nil, 1, params, []ag.Grads{nil, slots[1]}, losses, 0.5),
 		bytes.Clone(reduced),
-		newMsg(nil, msgBarrier),
+		newMsg(nil, msgBarrier, 0),
 	} {
 		f.Add(msgBody(msg))
 		f.Add(ckptio.SealSection(msg))

@@ -146,7 +146,7 @@ func (t *TCP) AllReduce(params []*ag.Value, slots []ag.Grads, losses []float64, 
 	}
 	t.stats.Rounds++
 	t.stats.BytesUp += int64(len(frame))
-	t.stats.BytesDown += int64(len(p) + ckptio.SectionOverhead)
+	t.stats.BytesDown += int64(ckptio.SectionLen(len(p)))
 	t.stats.Encode += encoded.Sub(start)
 	t.stats.Wait += received.Sub(encoded)
 	t.stats.Install += now().Sub(received)
@@ -171,7 +171,7 @@ func (t *TCP) BroadcastBytes(payload []byte) ([]byte, error) {
 
 // Barrier blocks until every rank has sent its barrier message.
 func (t *TCP) Barrier() error {
-	if err := sendMsg(t.conn, newMsg(nil, msgBarrier)); err != nil {
+	if err := sendMsg(t.conn, newMsg(nil, msgBarrier, 0)); err != nil {
 		return fmt.Errorf("dist: send barrier: %w", err)
 	}
 	if _, err := readMsg(t.conn, nil, msgBarrierAck); err != nil {
@@ -186,7 +186,7 @@ func (t *TCP) Close() error {
 	t.once.Do(func() {
 		// Best effort: the coordinator may already be gone after an
 		// abort, and a close must not mask the original error.
-		_ = sendMsg(t.conn, newMsg(nil, msgDone))
+		_ = sendMsg(t.conn, newMsg(nil, msgDone, 0))
 		_ = t.conn.Close()
 	})
 	return nil
@@ -297,7 +297,7 @@ func (c *Coordinator) Run() error {
 	// Every rank is connected and validated: release them together.
 	// This is the fleet's startup barrier.
 	for rank, rc := range conns {
-		if err := sendMsg(rc.conn, newMsg(nil, msgHelloAck)); err != nil {
+		if err := sendMsg(rc.conn, newMsg(nil, msgHelloAck, 0)); err != nil {
 			return c.abort(conns, fmt.Errorf("dist: ack rank %d: %w", rank, err))
 		}
 	}
@@ -319,13 +319,12 @@ func (c *Coordinator) Run() error {
 		// every message must agree on the kind — a rank asking for a
 		// gradient reduction while another says it is done means the
 		// fleet has drifted, and fail-stop beats silent divergence.
-		var last time.Time
 		for range conns {
 			a := <-arrivals
 			if a.err != nil {
 				return c.abort(conns, a.err)
 			}
-			msgs[a.rank], at[a.rank], last = a.msg, a.at, a.at
+			msgs[a.rank], at[a.rank] = a.msg, a.at
 		}
 		kind := msgs[0][0]
 		for rank, p := range msgs {
@@ -340,13 +339,13 @@ func (c *Coordinator) Run() error {
 		case msgDone:
 			return nil
 		case msgBarrier:
-			reply = newMsg(nil, msgBarrierAck)
+			reply = newMsg(nil, msgBarrierAck, 0)
 		case msgBcast:
 			reply, err = relayBroadcast(msgs[0][1:])
 		case msgGrads:
+			addWaits(c.waits, at)
 			for rank, p := range msgs {
 				msgs[rank] = p[1:]
-				c.waits[rank] += last.Sub(at[rank])
 			}
 			reply, err = rd.reduce(msgs)
 		default:
@@ -362,6 +361,22 @@ func (c *Coordinator) Run() error {
 		for _, rc := range conns {
 			rc.reply <- reply
 		}
+	}
+}
+
+// addWaits adds to each rank's total how long its frame of one round,
+// stamped at[rank], sat until the round's latest frame. The stamps are
+// taken before the hand-over to Run, so the latest need not be the one
+// Run received last.
+func addWaits(waits []time.Duration, at []time.Time) {
+	last := at[0]
+	for _, t := range at {
+		if t.After(last) {
+			last = t
+		}
+	}
+	for rank, t := range at {
+		waits[rank] += last.Sub(t)
 	}
 }
 

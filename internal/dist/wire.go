@@ -84,12 +84,10 @@ func kindName(k byte) string {
 	return fmt.Sprintf("kind-%d", k)
 }
 
-// newMsg starts a message of kind in buf's backing array: the room
-// ckptio.SealSection needs for the section header, then the kind byte.
-// Encoders append the body.
-func newMsg(buf []byte, kind byte) []byte {
-	var hdr [ckptio.SectionHeaderLen]byte
-	return append(append(buf[:0], hdr[:]...), kind)
+// newMsg starts a message of kind in buf's backing array, grown when a
+// body of size bytes would not fit in it. Encoders append the body.
+func newMsg(buf []byte, kind byte, size int) []byte {
+	return append(ckptio.NewSection(buf, 1+size), kind)
 }
 
 // sendMsg seals a message built on newMsg and sends the frame in one
@@ -248,7 +246,7 @@ type hello struct {
 }
 
 func encodeHello(h hello) []byte {
-	b := newMsg(nil, msgHello)
+	b := newMsg(nil, msgHello, 0)
 	b = append(b, protoMagic...)
 	b = appendU16(b, protoVersion)
 	b = appendU32(b, uint32(h.rank))
@@ -278,7 +276,7 @@ func decodeHello(body []byte) (hello, error) {
 // (bcast/bcast-out/error frames all carry one length-prefixed byte
 // string).
 func encodePayload(kind byte, payload []byte) []byte {
-	return appendBytes(newMsg(nil, kind), payload)
+	return appendBytes(newMsg(nil, kind, 4+len(payload)), payload)
 }
 
 func decodePayload(body []byte) ([]byte, error) {
@@ -292,11 +290,11 @@ func decodePayload(body []byte) ([]byte, error) {
 
 // appendGrads encodes one rank's half of an AllReduce round — its
 // owned slots' losses and per-parameter gradients — into buf's backing
-// array, sized exactly (seal included) before the first byte is
-// written. Parameters a slot never touched are simply absent,
-// preserving ag.ReduceGrads's nil-Grad semantics across the wire.
+// array, sized exactly before the first byte is written. Parameters a
+// slot never touched are simply absent, preserving ag.ReduceGrads's
+// nil-Grad semantics across the wire.
 func appendGrads(buf []byte, step uint64, params []*ag.Value, slots []ag.Grads, losses []float64, scale float64) []byte {
-	size, owned := ckptio.SectionOverhead+1+8+4+8+4, 0
+	size, owned := 8+4+8+4, 0
 	for _, slot := range slots {
 		if slot == nil {
 			continue
@@ -309,7 +307,7 @@ func appendGrads(buf []byte, step uint64, params []*ag.Value, slots []ag.Grads, 
 			}
 		}
 	}
-	b := newMsg(slices.Grow(buf[:0], size), msgGrads)
+	b := newMsg(buf, msgGrads, size)
 	b = appendU64(b, step)
 	b = appendU32(b, uint32(len(slots)))
 	b = appendF64(b, scale)
@@ -431,15 +429,11 @@ func (rd *reducer) reduce(bodies [][]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := newMsg(rd.out, msgReduced)
-	out = appendU64(out, step)
-	out = appendU32(out, uint32(len(rd.slots)))
 	for i, s := range rd.slots {
 		if s == nil {
 			return nil, fmt.Errorf("dist: no rank owns slot %d of step %d (missing rank?)", i, step)
 		}
-		c := cursor{b: s} // index walked these bytes: no read can fail
-		out = appendU64(out, c.u64())
+		c := cursor{b: s[8:]} // past the loss; index walked these bytes: no read can fail
 		at, last := 0, -1
 		for entries := c.u32(); entries > 0; entries-- {
 			param := c.u32()
@@ -463,18 +457,28 @@ func (rd *reducer) reduce(bodies [][]byte) ([]byte, error) {
 			addF64s(a.sum, data)
 		}
 	}
-	countAt, touched := len(out), 0
-	out = appendU32(out, 0)
+	size, touched := 8+4+8*len(rd.slots)+4, 0
+	for i := range rd.accs {
+		if rd.accs[i].touched {
+			touched++
+			size += 4 + 4 + 8*len(rd.accs[i].sum)
+		}
+	}
+	out := newMsg(rd.out, msgReduced, size)
+	out = appendU64(out, step)
+	out = appendU32(out, uint32(len(rd.slots)))
+	for _, s := range rd.slots {
+		out = append(out, s[:8]...) // the loss, bit for bit
+	}
+	out = appendU32(out, uint32(touched))
 	for i := range rd.accs {
 		a := &rd.accs[i]
 		if !a.touched {
 			continue
 		}
-		touched++
 		a.touched = false
 		out = appendU32(out, a.param)
 		out = appendU32(out, uint32(len(a.sum)))
-		out = slices.Grow(out, 8*len(a.sum)+ckptio.SectionOverhead) // the last one leaves room to seal
 		at := out[len(out) : len(out)+8*len(a.sum)]
 		out = out[:len(out)+len(at)]
 		for j, v := range a.sum {
@@ -485,7 +489,6 @@ func (rd *reducer) reduce(bodies [][]byte) ([]byte, error) {
 			at, a.sum[j] = at[8:], 0
 		}
 	}
-	binary.BigEndian.PutUint32(out[countAt:], uint32(touched))
 	rd.out = out
 	return out, nil
 }

@@ -13,10 +13,14 @@ import (
 	"mtmlf/internal/tensor"
 )
 
-// msgBody strips the section header room and the kind byte off a
-// message an encoder built, leaving what the decoders take.
+// msgBody takes a message an encoder built through the frame, as a
+// peer would, and strips the kind byte: what the decoders take.
 func msgBody(msg []byte) []byte {
-	return bytes.Clone(msg[ckptio.SectionHeaderLen+1:])
+	p, err := ckptio.ReadSection(bytes.NewReader(ckptio.SealSection(msg)), "test")
+	if err != nil {
+		panic(err)
+	}
+	return p[1:]
 }
 
 // rankBodies encodes one round the way a world-rank fleet would: rank r
@@ -210,7 +214,7 @@ func TestReducerMatchesReduceGrads(t *testing.T) {
 // only entry names parameter 4294967295. A reducer that sizes a table
 // by the index dies allocating ~96 GB.
 func hugeIndexBody() []byte {
-	b := newMsg(nil, msgGrads)
+	b := newMsg(nil, msgGrads, 0)
 	b = appendU64(b, 1) // step
 	b = appendU32(b, 1) // n
 	b = appendF64(b, 1) // scale
@@ -283,7 +287,7 @@ func TestReducerRejectsIncoherentRounds(t *testing.T) {
 	}
 	// Entries of a slot come in ascending parameter order, as every
 	// worker writes them; the merge into the accumulators relies on it.
-	swapped := newMsg(nil, msgGrads)
+	swapped := newMsg(nil, msgGrads, 0)
 	swapped = appendU32(appendF64(appendU32(appendU64(swapped, 1), 1), 1), 1) // step, n, scale, owned slots
 	swapped = appendU32(appendF64(appendU32(swapped, 0), 0.5), 2)             // slot, loss, entries
 	for _, param := range []uint32{1, 0} {

@@ -1,7 +1,7 @@
 package mtmlf
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mtmlf/internal/catalog"
+	"mtmlf/internal/ckptio"
 	"mtmlf/internal/dist"
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
@@ -304,22 +305,21 @@ func cutMidFrame(t *testing.T, addr string, nth int) string {
 		}
 		defer up.Close()
 		go io.Copy(down, up) // ends when up is closed
-		var hdr [8]byte
 		for big := 0; big < nth; {
-			if _, err := io.ReadFull(down, hdr[:]); err != nil {
+			p, err := ckptio.ReadSection(down, "relay")
+			if err != nil {
 				return
 			}
-			n := int64(binary.BigEndian.Uint64(hdr[:])) + 4 // payload + checksum
-			if n > 4096 {
+			var frame bytes.Buffer
+			_ = ckptio.WriteSection(&frame, p)
+			b := frame.Bytes()
+			if len(p) > 4096 {
 				big++
 			}
 			if big == nth {
-				n /= 2
+				b = b[:len(b)/2]
 			}
-			if _, err := up.Write(hdr[:]); err != nil {
-				return
-			}
-			if _, err := io.CopyN(up, down, n); err != nil {
+			if _, err := up.Write(b); err != nil {
 				return
 			}
 		}
