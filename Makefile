@@ -60,10 +60,14 @@ test:
 # machine the pool defaults to size 1 and every path runs inline,
 # which would make this job vacuous). The dist suite runs five more
 # times: its coordinator is one goroutine per rank, and an interleaving
-# that loses a frame or leaks a goroutine is rare, not impossible.
+# that loses a frame or leaks a goroutine is rare, not impossible. So do
+# the table-encoding memo's tests, for the same reason: callers racing
+# to fill one map, a reload swapping it under them (-short leaves out
+# only the single-goroutine budget drill, which `make test` runs).
 race:
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
 	GOMAXPROCS=4 $(GO) test -race -count=5 ./internal/dist
+	GOMAXPROCS=4 $(GO) test -race -short -count=5 -run=Memo ./internal/featurize ./internal/serve
 
 # Full benchmark sweep (slow; regenerates every paper table).
 bench:
@@ -78,11 +82,17 @@ bench:
 # loopback fleet (AllReduceTCP) next to the same minibatch through
 # Local(); the TCP round must report a few ms, not tens, and a handful
 # of allocs/op (at 1x those are the harness's own; TestTCPRoundAllocatesNothing
-# holds the exact count), not thousands.
+# holds the exact count), not thousands. And the memo guard: a warm
+# table-encoding lookup from 1, 2 and 4 parallel sessions (EncodeTableHit:
+# 0 allocs/op, a fraction of a µs against the ~1 ms Enc_i pass it
+# replaces, and not collapsing as -cpu grows), then what a miss adds to
+# that pass (EncodeTableMiss: miss_overhead_% under 2).
 bench-smoke:
 	$(GO) test -run=NONE -bench='MatMul' -benchtime=1x .
 	$(GO) test -run=NONE -bench='EngineSolo|EngineModelOnly' -benchtime=1x ./internal/serve
 	$(GO) test -run=NONE -bench='AllReduceTCP|AllReduceLocal' -benchtime=1x ./internal/dist
+	$(GO) test -run=NONE -bench='EncodeTableHit' -benchmem -cpu=1,2,4 -benchtime=20000x ./internal/featurize
+	$(GO) test -run=NONE -bench='EncodeTableMiss' -benchmem -benchtime=200x ./internal/featurize
 
 # Inference fast-path benches with allocation counts: cached vs legacy
 # beam search, pooled vs map Figure-4 codec, grad vs no-grad forward.
@@ -154,11 +164,15 @@ dist-smoke:
 # must error, never panic (and, on the wire, never allocate more than a
 # small multiple of what arrived). Seeds cover both checkpoint
 # versions, both corpus versions, the torn-write/bit-flip corruption
-# shapes, and one valid exchange message of every kind.
+# shapes, and one valid exchange message of every kind. FuzzMemoKey is
+# the odd one out: not a decoder but an encoder that must be injective
+# — two different (table, filter list) inputs sharing a memo key would
+# be one request served another's table encoding.
 fuzz-smoke:
 	$(GO) test ./internal/mtmlf -run=NONE -fuzz=FuzzLoadModel -fuzztime=10s
 	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusOpen -fuzztime=10s
 	$(GO) test ./internal/dist -run=NONE -fuzz=FuzzWireFrame -fuzztime=10s
+	$(GO) test ./internal/featurize -run=NONE -fuzz=FuzzMemoKey -fuzztime=10s
 
 # Every package must open with a godoc package comment ("// Package x"
 # for libraries, "// Command x" for binaries) — the operator docs in

@@ -10,7 +10,7 @@
 //	POST /reloadz         hot-swap the checkpoint from disk (no downtime)
 //	GET  /healthz         readiness + served-database identity (503 while booting/draining)
 //	GET  /livez           liveness: 200 whenever the process can answer at all
-//	GET  /statsz          QPS, p50/p95/p99 latency, shed/deadline/reload/panic counters
+//	GET  /statsz          QPS, p50/p95/p99 latency, shed/deadline/reload/panic and feat_memo counters
 //	GET  /example         a valid random request body to POST back
 //
 // The -seed/-scale flags must match the training run: the featurizer

@@ -10,7 +10,6 @@ package featurize
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
@@ -117,17 +116,27 @@ func NewFrom(cat catalog.Catalog, cfg Config, seed int64) *Featurizer {
 // FilterToken builds the raw feature vector of one filter predicate
 // (F.i): hashed column slot, operator one-hot, normalized numeric
 // value, hashed character trigrams for string values, and LIKE
-// pattern-shape flags.
+// pattern-shape flags. It is the allocating form of writeFilterToken.
 func (f *Featurizer) FilterToken(flt sqldb.Filter) []float64 {
+	w := make([]float64, f.Cfg.TokenWidth())
+	writeFilterToken(f, w, flt)
+	return w
+}
+
+// writeFilterToken fills w — a zeroed row of TokenWidth elements — with
+// flt's token. Every feature is computed in float64 and rounded to T
+// once, as it is stored (trigram counts are small integers, exact in
+// either type), so a float32 row holds exactly the rounded float64
+// token.
+func writeFilterToken[T tensor.Float](f *Featurizer, w []T, flt sqldb.Filter) {
 	cfg := f.Cfg
-	w := make([]float64, cfg.TokenWidth())
 	w[hashString(flt.Col)%uint32(cfg.MaxCols)] = 1
 	off := cfg.MaxCols
 	w[off+int(flt.Op)] = 1
 	off += 7
 	// Normalized numeric value.
 	if flt.Val.Kind != sqldb.KindString {
-		w[off] = f.normalizeValue(flt)
+		w[off] = T(f.normalizeValue(flt))
 		w[off+1] = 1
 	}
 	off += 2
@@ -143,13 +152,13 @@ func (f *Featurizer) FilterToken(flt sqldb.Filter) []float64 {
 		}
 		// L2-normalize the bag.
 		var norm float64
-		for i := 0; i < cfg.CharDims; i++ {
-			norm += w[off+i] * w[off+i]
+		for _, c := range w[off : off+cfg.CharDims] {
+			norm += float64(c) * float64(c)
 		}
 		if norm > 0 {
 			norm = math.Sqrt(norm)
-			for i := 0; i < cfg.CharDims; i++ {
-				w[off+i] /= norm
+			for i, c := range w[off : off+cfg.CharDims] {
+				w[off+i] = T(float64(c) / norm)
 			}
 		}
 	}
@@ -169,15 +178,14 @@ func (f *Featurizer) FilterToken(flt sqldb.Filter) []float64 {
 				wc++
 			}
 		}
-		w[off+2] = float64(wc) / 4
+		w[off+2] = T(float64(wc) / 4)
 	}
 	off += 3
 	// Statistic hints: ANALYZE-estimated selectivity and log table size.
-	w[off] = f.Stats.Selectivity(flt)
+	w[off] = T(f.Stats.Selectivity(flt))
 	if ts, ok := f.Stats.Tables[flt.Table]; ok {
-		w[off+1] = math.Log(float64(ts.RowCount)+1) / 20
+		w[off+1] = T(math.Log(float64(ts.RowCount)+1) / 20)
 	}
-	return w
 }
 
 // normalizeValue min-max normalizes a numeric comparison value using
@@ -220,7 +228,7 @@ func (f *Featurizer) EncodeTable(table string, filters []sqldb.Filter) *ag.Value
 	if len(filters) > 0 {
 		raw := tensor.New(len(filters), f.Cfg.TokenWidth())
 		for i, flt := range filters {
-			copy(raw.Row(i), f.FilterToken(flt))
+			writeFilterToken(f, raw.Row(i), flt)
 		}
 		rows = append(rows, enc.Proj.Forward(ag.Const(raw)))
 	}
@@ -331,8 +339,12 @@ func (f *Featurizer) Params() []*ag.Value {
 	return out
 }
 
+// hashString is 32-bit FNV-1a, inlined: hash/fnv's interface costs two
+// allocations a call, and a LIKE pattern hashes once per trigram.
 func hashString(s string) uint32 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum32()
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }

@@ -31,6 +31,9 @@ type LoweredTableEncoder[T tensor.Float] struct {
 type Lowered[T tensor.Float] struct {
 	Src  *Featurizer
 	Encs map[string]*LoweredTableEncoder[T]
+	// memo is nil except on the copy Memoized makes for a serve bundle
+	// (memo.go).
+	memo *memo[T]
 }
 
 // Lower builds the inference form of f at element type T and tier p.
@@ -51,26 +54,36 @@ func Lower[T tensor.Float](f *Featurizer, p nn.Precision) *Lowered[T] {
 
 // EncodeTableInfer is the no-grad twin of Featurizer.EncodeTable: Enc_i
 // over the filters applying to one table, same kernels, no graph,
-// pooled intermediates. It returns a [1, Dim] row owned by e; at
-// float64 the row is bitwise identical to EncodeTable's forward result.
+// pooled intermediates. It returns a read-only [1, Dim] row, bitwise
+// identical at float64 to EncodeTable's forward result. The row is
+// owned by e — or, on a memoized l, possibly by the memo, which
+// outlives e.
 func (l *Lowered[T]) EncodeTableInfer(e *ag.Session[T], table string, filters []sqldb.Filter) *tensor.Dense[T] {
 	enc, ok := l.Encs[table]
 	if !ok {
 		panic(fmt.Sprintf("featurize: unknown table %q", table))
 	}
+	var keyBuf [memoMaxKey]byte
+	var key []byte
+	if l.memo != nil {
+		var row *tensor.Dense[T]
+		if row, key = l.memo.lookup(keyBuf[:0], table, filters); row != nil {
+			return row
+		}
+	}
 	seq := enc.CLS
 	if len(filters) > 0 {
 		raw := e.Get(len(filters), l.Src.Cfg.TokenWidth())
 		for i, flt := range filters {
-			row := raw.Row(i)
-			for j, v := range l.Src.FilterToken(flt) {
-				row[j] = T(v)
-			}
+			writeFilterToken(l.Src, raw.Row(i), flt)
 		}
 		seq = e.ConcatRows(enc.CLS, enc.Proj.Infer(e, raw))
 	}
-	out := enc.Enc.Infer(e, seq, nil)
-	return e.RowsView(out, 0, 1)
+	row := e.RowsView(enc.Enc.Infer(e, seq, nil), 0, 1)
+	if key != nil {
+		l.memo.store(key, row)
+	}
+	return row
 }
 
 // Bytes returns the resident weight bytes of all lowered encoders.

@@ -93,6 +93,16 @@ func (m *Model) Reference() Lowered[float64] {
 	return Lowered[float64]{Src: m, LoweredShared: m.Shared.f64, Feat: m.Feat.Reference()}
 }
 
+// Memoized returns a copy of lm whose featurizer keeps the table
+// encodings it computes (featurize/memo.go), counting into c. Only a
+// holder of weights that never change again may call it — the serve
+// bundle; Reference and Lower themselves stay uncached, so every other
+// caller is an independent check on a memoized answer.
+func (lm Lowered[T]) Memoized(c *featurize.MemoCounters) *Lowered[T] {
+	lm.Feat = lm.Feat.Memoized(c)
+	return &lm
+}
+
 // Rep is the no-grad counterpart of Representation: raw tensors owned
 // by the session that produced them (valid until its Reset).
 type Rep[T tensor.Float] struct {

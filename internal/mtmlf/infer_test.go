@@ -96,6 +96,43 @@ func TestRepresentInferMatchesGrad(t *testing.T) {
 	}
 }
 
+// TestBareModelIsUncached: only a serve bundle memoizes table encodings
+// (featurize/memo.go). A bare Model that takes one more Adam step —
+// encoder weights included — after answering must answer with the new
+// weights, through Reference() and through a replica lowered afterwards,
+// and so stays an independent check on every memoized answer.
+func TestBareModelIsUncached(t *testing.T) {
+	m, qs := tinySetup(t, 45, 3)
+	opt := nn.NewAdam(m.Params(), 1e-2)
+	for _, lq := range qs {
+		before := m.EstimateNodeCards(lq)
+		before32 := m.Lower(nn.PrecisionF32).EstimateNodeCards(lq)
+
+		opt.ZeroGrad()
+		m.CardLoss(m.Represent(lq.Q, lq.Plan), lq).Backward()
+		opt.Step()
+
+		want := ExpClamp(m.PredictLogCards(m.Represent(lq.Q, lq.Plan)).T.Data)
+		after := m.EstimateNodeCards(lq)
+		for i := range want {
+			if after[i] != want[i] {
+				t.Fatalf("node %d after the step: %v, grad path %v (a stale encoding?)", i, after[i], want[i])
+			}
+		}
+		same := func(a, b []float64) bool {
+			for i := range a {
+				if a[i] != b[i] {
+					return false
+				}
+			}
+			return true
+		}
+		if same(after, before) || same(m.Lower(nn.PrecisionF32).EstimateNodeCards(lq), before32) {
+			t.Fatal("an Adam step over every parameter left the estimates unchanged")
+		}
+	}
+}
+
 // TestInferJoinOrderMatchesGradPath asserts the one-call serving entry
 // point returns the same order as the grad-path Represent+JoinOrderFor.
 func TestInferJoinOrderMatchesGradPath(t *testing.T) {

@@ -159,6 +159,11 @@ func TestHTTPHealthStatsExample(t *testing.T) {
 	if snap.Pool.Gets == 0 || snap.Pool.ReuseRate <= 0 {
 		t.Fatalf("pool counters empty: %+v", snap.Pool)
 	}
+	// One request on a cold engine: every leaf's encoding was a miss
+	// and is now a row of the bundle's memo.
+	if fm := snap.FeatMemo; fm.Misses != uint64(len(lq.Q.Tables)) || fm.Rows != len(lq.Q.Tables) || fm.Hits != 0 {
+		t.Fatalf("feat_memo %+v after one request over %d tables", fm, len(lq.Q.Tables))
+	}
 
 	// /example emits a valid request body for every POST endpoint.
 	r, err = http.Get(srv.URL + "/example")

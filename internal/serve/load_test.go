@@ -169,7 +169,7 @@ func newIdleEngine(t *testing.T, m *mtmlf.Model, opts Options) *Engine {
 		stats: newStats(opts.Sessions),
 		quit:  make(chan struct{}),
 	}
-	e.cur.Store(newServed(m, opts.Precision))
+	e.cur.Store(e.newServed(m))
 	return e
 }
 

@@ -29,26 +29,32 @@ func TestEnginePrecisionTiers(t *testing.T) {
 			if got := e.Stats().Precision; got != p.String() {
 				t.Fatalf("statsz precision = %q, want %q", got, p)
 			}
-			for i, lq := range qs {
-				card, err := e.EstimateCard(lq.Q, lq.Plan)
-				if err != nil {
-					t.Fatal(err)
+			// Twice: cold, then with every table encoding memoized.
+			for pass := 0; pass < 2; pass++ {
+				for i, lq := range qs {
+					card, err := e.EstimateCard(lq.Q, lq.Plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameFloats(t, "card", card.Nodes, lm.EstimateNodeCards(lq))
+					cost, err := e.EstimateCost(lq.Q, lq.Plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameFloats(t, "cost", cost.Nodes, lm.EstimateNodeCosts(lq))
+					jo, err := e.JoinOrder(lq.Q, lq.Plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameStrings(t, "order vs lowered", jo.Order, lm.InferJoinOrder(lq.Q, lq.Plan))
+					sameStrings(t, "order vs f64", jo.Order, ref[i].order)
+					if !jo.Legal {
+						t.Fatal("constrained search returned illegal order")
+					}
 				}
-				sameFloats(t, "card", card.Nodes, lm.EstimateNodeCards(lq))
-				cost, err := e.EstimateCost(lq.Q, lq.Plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameFloats(t, "cost", cost.Nodes, lm.EstimateNodeCosts(lq))
-				jo, err := e.JoinOrder(lq.Q, lq.Plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameStrings(t, "order vs lowered", jo.Order, lm.InferJoinOrder(lq.Q, lq.Plan))
-				sameStrings(t, "order vs f64", jo.Order, ref[i].order)
-				if !jo.Legal {
-					t.Fatal("constrained search returned illegal order")
-				}
+			}
+			if fm := e.Stats().FeatMemo; fm.Hits <= fm.Misses {
+				t.Fatalf("feat_memo %+v: the second pass did not come from the memo", fm)
 			}
 		})
 	}
@@ -82,8 +88,21 @@ func TestEngineReloadReLowers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	// Warm the old bundle's memo first: none of its rows may answer
+	// after the swap.
+	for _, lq := range qs {
+		if _, err := e.EstimateCard(lq.Q, lq.Plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rows := e.Stats().FeatMemo.Rows; rows == 0 {
+		t.Fatal("served requests left the memo empty")
+	}
 	if err := e.Reload(m2); err != nil {
 		t.Fatal(err)
+	}
+	if rows := e.Stats().FeatMemo.Rows; rows != 0 {
+		t.Fatalf("the reloaded bundle starts with %d memoized rows", rows)
 	}
 	lm2 := m2.Lower(nn.PrecisionF32)
 	for _, lq := range qs {

@@ -11,16 +11,18 @@
 // request, then takes whatever is already queued (up to MaxBatch-1
 // more, never waiting) and serves them as a micro-batch — so batches
 // form from backlog exactly when every session is busy, and an idle
-// engine answers a lone request with no added wait. Each request's
-// (F)+(S) representation runs in the shared session, and the
-// cardinality/cost head projections of the whole batch fuse into
-// single kernel dispatches over the row-concatenated node
-// representations. The kernels compute every
-// output row independently with a fixed accumulation order (see
-// tensor/matmul.go), so each request's slice of the fused result is
-// BITWISE identical to a solo forward — concurrency and batching
-// never perturb a served number (asserted by the -race equivalence
-// tests).
+// engine answers a lone request with no added wait. Each request's (S)
+// representation runs in the batch's session; its (F) table encodings
+// come from the bundle's memo — Enc_i runs once per (table, ordered
+// filter list) per weight set, in the session of whichever request
+// asks first, and its row is kept bit for bit (featurize/memo.go) —
+// and the cardinality/cost head projections of the whole batch fuse
+// into single kernel dispatches over the row-concatenated node
+// representations. The kernels compute every output row independently
+// with a fixed accumulation order (see tensor/matmul.go), so each
+// request's slice of the fused result is BITWISE identical to a solo,
+// uncached forward — concurrency, batching and the memo never perturb
+// a served number (asserted by the -race equivalence tests).
 //
 // Admission control: the queue is the only buffer in the system. In
 // the default (blocking) mode a full queue applies backpressure to
@@ -185,20 +187,31 @@ func (r *request) expired(now time.Time) bool {
 // f64 (a view of the model's own weights) and f32 (an f32 or
 // int8-weight replica lowered from them). A Reload builds a fresh
 // bundle and swaps the one pointer, so a batch that snapshotted the
-// old bundle keeps a matching model/replica pair.
+// old bundle keeps a matching model/replica pair. The inference form is
+// the memoizing copy: the bundle's weights never change, so it owns the
+// table encodings computed from them, and they go when it goes.
 type served struct {
 	model *mtmlf.Model
 	f64   *mtmlf.Lowered[float64]
 	f32   *mtmlf.LoweredModel
 }
 
-// newServed builds m's inference form at tier p.
-func newServed(m *mtmlf.Model, p nn.Precision) *served {
-	if p == nn.PrecisionF64 {
-		ref := m.Reference()
-		return &served{model: m, f64: &ref}
+// newServed builds m's inference form at the engine's tier, with a
+// fresh memo counting into the engine's stats.
+func (e *Engine) newServed(m *mtmlf.Model) *served {
+	c := &e.stats.featMemo
+	if p := e.opts.Precision; p != nn.PrecisionF64 {
+		return &served{model: m, f32: m.Lower(p).Memoized(c)}
 	}
-	return &served{model: m, f32: m.Lower(p)}
+	return &served{model: m, f64: m.Reference().Memoized(c)}
+}
+
+// memoRows returns the number of table encodings the bundle holds.
+func (s *served) memoRows() int {
+	if s.f32 != nil {
+		return s.f32.Feat.MemoRows()
+	}
+	return s.f64.Feat.MemoRows()
 }
 
 // Engine is the concurrent serving front end over one hot-swappable
@@ -231,7 +244,7 @@ func NewEngine(m *mtmlf.Model, opts Options) (*Engine, error) {
 		stats: newStats(opts.Sessions),
 		quit:  make(chan struct{}),
 	}
-	e.cur.Store(newServed(m, opts.Precision))
+	e.cur.Store(e.newServed(m))
 	e.wg.Add(opts.Sessions)
 	for i := 0; i < opts.Sessions; i++ {
 		go e.worker()
@@ -267,7 +280,7 @@ func (e *Engine) Reload(m *mtmlf.Model) error {
 	}
 	// Re-lower before the swap: the engine's precision is fixed at
 	// construction, so the new weights must arrive already lowered.
-	e.cur.Store(newServed(m, e.opts.Precision))
+	e.cur.Store(e.newServed(m))
 	e.stats.recordReload()
 	return nil
 }
@@ -606,5 +619,6 @@ func (e *Engine) Reloads() uint64 { return e.stats.reloads.Load() }
 func (e *Engine) Stats() StatsSnapshot {
 	snap := e.stats.snapshot(len(e.reqs), e.opts.QueueDepth)
 	snap.Precision = e.opts.Precision.String()
+	snap.FeatMemo.Rows = e.cur.Load().memoRows()
 	return snap
 }

@@ -74,7 +74,9 @@ func sameStrings(t *testing.T, what string, got, want []string) {
 }
 
 // TestEngineMatchesSerialBitwise: every engine answer must equal the
-// single-threaded fast path exactly.
+// single-threaded, uncached fast path exactly — the first time (the
+// bundle's memo is cold and Enc_i runs) and the second (every table
+// encoding comes out of the memo).
 func TestEngineMatchesSerialBitwise(t *testing.T) {
 	m, qs := testModel(t)
 	want := serialExpected(m, qs)
@@ -83,28 +85,40 @@ func TestEngineMatchesSerialBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	for i, lq := range qs {
-		card, err := e.EstimateCard(lq.Q, lq.Plan)
-		if err != nil {
-			t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		for i, lq := range qs {
+			card, err := e.EstimateCard(lq.Q, lq.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, "card", card.Nodes, want[i].cards)
+			if card.Root != want[i].cards[len(want[i].cards)-1] {
+				t.Fatal("root misaligned")
+			}
+			cost, err := e.EstimateCost(lq.Q, lq.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, "cost", cost.Nodes, want[i].costs)
+			jo, err := e.JoinOrder(lq.Q, lq.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameStrings(t, "order", jo.Order, want[i].order)
+			if !jo.Legal {
+				t.Fatal("constrained search returned illegal order")
+			}
 		}
-		sameFloats(t, "card", card.Nodes, want[i].cards)
-		if card.Root != want[i].cards[len(want[i].cards)-1] {
-			t.Fatal("root misaligned")
-		}
-		cost, err := e.EstimateCost(lq.Q, lq.Plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFloats(t, "cost", cost.Nodes, want[i].costs)
-		jo, err := e.JoinOrder(lq.Q, lq.Plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameStrings(t, "order", jo.Order, want[i].order)
-		if !jo.Legal {
-			t.Fatal("constrained search returned illegal order")
-		}
+	}
+	// One caller, so each distinct (table, filters) missed exactly once;
+	// the other five of its six encodings per query were hits.
+	leaves := 0
+	for _, lq := range qs {
+		leaves += len(lq.Q.Tables)
+	}
+	fm := e.Stats().FeatMemo
+	if fm.Misses != uint64(fm.Rows) || fm.Rows == 0 || fm.Hits+fm.Misses != uint64(6*leaves) || fm.Bypassed+fm.Resets != 0 {
+		t.Fatalf("feat_memo %+v after 6 requests over each of %d leaves", fm, leaves)
 	}
 }
 
@@ -184,6 +198,11 @@ func TestEngineConcurrentBitwise(t *testing.T) {
 	snap := e.Stats()
 	if got := snap.Requests; got != goroutines*iters {
 		t.Fatalf("stats counted %d requests, want %d", got, goroutines*iters)
+	}
+	// 96 requests over 6 queries: most encodings came from the memo, and
+	// the answers above were bitwise the uncached ones regardless.
+	if fm := snap.FeatMemo; fm.Hits <= fm.Misses || fm.Rows == 0 {
+		t.Fatalf("feat_memo %+v: the concurrent callers never hit a warm memo", fm)
 	}
 }
 

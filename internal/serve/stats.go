@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mtmlf/internal/featurize"
 	"mtmlf/internal/tensor"
 )
 
@@ -59,6 +60,10 @@ type stats struct {
 	// panics counts handler panics recovered by the HTTP middleware
 	// (each returned a 500 instead of killing the server).
 	panics uint64
+
+	// featMemo counts the table-encoding memo traffic of every bundle
+	// the engine has served from; atomics, bumped by the workers off mu.
+	featMemo featurize.MemoCounters
 
 	lat [numEndpoints]latRing
 	// queueWait is submit → batch pickup of served requests, across
@@ -134,6 +139,19 @@ type PoolStats struct {
 	ReuseRate float64 `json:"reuse_rate"`
 }
 
+// FeatMemoStats reports the bundle's memo of table encodings
+// (featurize/memo.go). Hits, Misses, Bypassed and Resets are lifetime
+// counts across reloads; Rows is what the current bundle holds.
+// Hits / (Hits + Misses + Bypassed) is the share of Enc_i passes the
+// memo saved.
+type FeatMemoStats struct {
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+	Rows     int    `json:"rows"`
+	Resets   uint64 `json:"resets"`
+	Bypassed uint64 `json:"bypassed"`
+}
+
 // StatsSnapshot is the /statsz payload. Schema documented for
 // operators in docs/OPERATIONS.md.
 type StatsSnapshot struct {
@@ -181,6 +199,8 @@ type StatsSnapshot struct {
 	AvgBatch      float64 `json:"avg_batch"`
 
 	Pool PoolStats `json:"pool"`
+
+	FeatMemo FeatMemoStats `json:"feat_memo"`
 }
 
 // snapshot copies the counters and the four latency rings under the
@@ -201,6 +221,12 @@ func (s *stats) snapshot(queueDepth, maxQueue int) StatsSnapshot {
 		MaxQueue:       maxQueue,
 		Batches:        s.batches,
 		FusedRequests:  s.fused,
+		FeatMemo: FeatMemoStats{
+			Hits:     s.featMemo.Hits.Load(),
+			Misses:   s.featMemo.Misses.Load(),
+			Resets:   s.featMemo.Resets.Load(),
+			Bypassed: s.featMemo.Bypassed.Load(),
+		},
 	}
 	counts := s.counts
 	var lat [numEndpoints][]time.Duration
