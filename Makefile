@@ -116,7 +116,8 @@ calib-smoke:
 
 # End-to-end serving check: train a tiny full-model checkpoint, boot
 # mtmlf-serve on a random port, curl every endpoint (including the
-# typed-error path).
+# typed-error path), then boot an int8 server on the same checkpoint
+# and require a smaller peak RSS than the f64 one.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -162,9 +163,11 @@ dist-smoke:
 
 # Short fuzz pass over the artifact and wire decoders: arbitrary bytes
 # must error, never panic (and, on the wire, never allocate more than a
-# small multiple of what arrived). Seeds cover both checkpoint
-# versions, both corpus versions, the torn-write/bit-flip corruption
-# shapes, and one valid exchange message of every kind. FuzzMemoKey is
+# small multiple of what arrived, plus — for a checkpoint — the one
+# destination a load builds). Seeds cover both checkpoint flavors and
+# the two refused older versions, both corpus versions, the
+# torn-write/bit-flip/lying-length corruption shapes, and one valid
+# exchange message of every kind. FuzzMemoKey is
 # the odd one out: not a decoder but an encoder that must be injective
 # — two different (table, filter list) inputs sharing a memo key would
 # be one request served another's table encoding.

@@ -24,8 +24,13 @@
 // with 504 before any model compute. See docs/OPERATIONS.md for
 // sizing guidance and the full operator story.
 //
+// The checkpoint is read at the tier -precision names: at f32 and int8
+// the replica is built straight from the file, tensor by tensor, and
+// the float64 model it would have been lowered from never exists — so
+// the smaller tiers boot smaller, not only serve smaller.
+//
 // Hot reload: SIGHUP (or POST /reloadz) re-reads the -checkpoint path
-// and atomically swaps the new weights in; in-flight micro-batches
+// the same way and atomically swaps the new weights in; in-flight micro-batches
 // drain on the old model, so no request is dropped or served from a
 // mix of old and new weights. Retrain → overwrite the checkpoint file
 // → SIGHUP is the zero-downtime update loop.
@@ -64,7 +69,6 @@ import (
 	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/nn"
 	"mtmlf/internal/serve"
-	"mtmlf/internal/sqldb"
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
 )
@@ -85,16 +89,13 @@ func bootHandler() http.Handler {
 	})
 }
 
-// loadCheckpoint reads a full-model checkpoint from path against db.
-// It is the boot loader and the hot-reload loader: /reloadz and
-// SIGHUP call it again on the same path after the file is replaced.
-func loadCheckpoint(path string, db *sqldb.DB) (*mtmlf.Model, *mtmlf.CheckpointInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return mtmlf.LoadModel(f, db)
+// logLoad reports one (re)load the way /statsz will: what was read,
+// what it cost, and what the bundle now keeps resident.
+func logLoad(verb, path string, info *mtmlf.CheckpointInfo, e *serve.Engine) {
+	ck := e.Stats().Checkpoint
+	log.Printf("%s checkpoint %s: v%d, db %q (%d tables), dim %d; %d tensors, %d bytes read in %.1f ms (+ %.1f ms lowering); serving at %s: %d resident parameter bytes (f64 model: %d)",
+		verb, path, info.Version, info.DBName, len(info.Tables), info.Config.Dim,
+		ck.Tensors, ck.Bytes, ck.LoadMs, ck.LowerMs, e.Precision(), ck.ParamBytes, info.ParamBytes)
 }
 
 func main() {
@@ -146,15 +147,15 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
+	// Boot, /reloadz and SIGHUP read the checkpoint through the same
+	// loader, the one -precision selects (serve.Open): at f32/int8 the
+	// replica is built from the stream and no float64 model exists.
 	db := datagen.SyntheticIMDB(*seed, *scale)
-	model, info, err := loadCheckpoint(*ckpt, db)
+	f, err := os.Open(*ckpt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("loaded checkpoint %s: v%d, db %q (%d tables), dim %d",
-		*ckpt, info.Version, info.DBName, len(info.Tables), info.Config.Dim)
-
-	engine, err := serve.NewEngine(model, serve.Options{
+	engine, info, err := serve.Open(f, db, serve.Options{
 		Sessions:   *sessions,
 		MaxBatch:   *maxBatch,
 		QueueDepth: *maxQueue,
@@ -163,24 +164,26 @@ func main() {
 		ShedOverload: true,
 		Precision:    prec,
 	})
+	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if prec != nn.PrecisionF64 {
-		log.Printf("serving at %s: %d resident model bytes (f64 reference would be %d)",
-			prec, engine.LoweredParamBytes(), model.ParamBytes())
-	}
+	logLoad("loaded", *ckpt, info, engine)
 
 	// reload re-reads the checkpoint path; shared by /reloadz and
-	// SIGHUP. Engine.Reload does the atomic swap + compatibility check.
-	reload := func() (*mtmlf.Model, error) {
-		m, ri, err := loadCheckpoint(*ckpt, db)
+	// SIGHUP. Engine.ReloadFrom verifies the whole file, then swaps.
+	reload := func() error {
+		f, err := os.Open(*ckpt)
 		if err != nil {
-			return nil, fmt.Errorf("reload %s: %w", *ckpt, err)
+			return fmt.Errorf("reload %s: %w", *ckpt, err)
 		}
-		log.Printf("reloading checkpoint %s: v%d, db %q, dim %d",
-			*ckpt, ri.Version, ri.DBName, ri.Config.Dim)
-		return m, nil
+		defer f.Close()
+		info, err := engine.ReloadFrom(f)
+		if err != nil {
+			return fmt.Errorf("reload %s: %w", *ckpt, err)
+		}
+		logLoad("reloaded", *ckpt, info, engine)
+		return nil
 	}
 
 	// The example generator gives clients (and the smoke tests) valid
@@ -204,13 +207,8 @@ func main() {
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			m, err := reload()
-			if err != nil {
+			if err := reload(); err != nil {
 				log.Printf("SIGHUP reload failed (still serving old weights): %v", err)
-				continue
-			}
-			if err := engine.Reload(m); err != nil {
-				log.Printf("SIGHUP reload rejected (still serving old weights): %v", err)
 				continue
 			}
 			log.Printf("SIGHUP reload complete (%d total)", engine.Reloads())

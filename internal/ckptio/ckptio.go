@@ -135,6 +135,14 @@ func ReadSection(r io.Reader, artifact string) ([]byte, error) {
 // only while they still grow. The payload aliases the buffer; hand it
 // back as buf to reuse it.
 func ReadSectionInto(r io.Reader, artifact string, buf []byte) ([]byte, error) {
+	return ReadSectionSized(r, artifact, buf, -1)
+}
+
+// ReadSectionSized is ReadSectionInto for a frame whose payload length
+// the reader already knows (a tensor record: the destination's shape
+// fixes it). A header that declares any other length is rejected
+// before one payload byte is read. A negative want accepts any length.
+func ReadSectionSized(r io.Reader, artifact string, buf []byte, want int) ([]byte, error) {
 	// The header is read into the buffer the payload will overwrite: an
 	// array of its own would escape through r and cost every call an
 	// allocation.
@@ -148,6 +156,9 @@ func ReadSectionInto(r io.Reader, artifact string, buf []byte) ([]byte, error) {
 	n := binary.BigEndian.Uint64(hdr)
 	if n > maxSectionBytes {
 		return nil, Corruptf(artifact, "section length %d exceeds limit %d (corrupt length field?)", n, maxSectionBytes)
+	}
+	if want >= 0 && n != uint64(want) {
+		return nil, Corruptf(artifact, "section length %d, want exactly %d", n, want)
 	}
 	// Payload and checksum are read together. The buffer grows only as
 	// fast as bytes arrive (doubling): a corrupt length just under the

@@ -270,3 +270,25 @@ func assertNoTemp(t *testing.T, path string) {
 		t.Fatalf("temp litter left behind: %v", matches)
 	}
 }
+
+// ReadSectionSized refuses a frame of any other length from its header
+// alone — typed, with no payload byte read — and otherwise is
+// ReadSectionInto.
+func TestReadSectionSized(t *testing.T) {
+	frame := SealSection(append(NewSection(nil, 100), bytes.Repeat([]byte{9}, 100)...))
+	got, err := ReadSectionSized(bytes.NewReader(frame), "test", nil, 100)
+	if err != nil || !bytes.Equal(got, frame[8:108]) {
+		t.Fatalf("exact length: %d bytes, err %v", len(got), err)
+	}
+	for _, want := range []int{0, 99, 101} {
+		r := bytes.NewReader(frame)
+		_, err := ReadSectionSized(r, "test", nil, want)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("want %d: got %v, want *CorruptError", want, err)
+		}
+		if read := len(frame) - r.Len(); read != 8 {
+			t.Fatalf("want %d: refused after reading %d bytes, want the 8-byte header only", want, read)
+		}
+	}
+}

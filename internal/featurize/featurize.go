@@ -70,12 +70,20 @@ func (e *TableEncoder) Params() []*ag.Value {
 	return out
 }
 
-// Featurizer is the per-database (F) module.
-type Featurizer struct {
+// Tokenizer is the weight-free half of the (F) module: the database,
+// its ANALYZE statistics and the token layout — all F.i needs to turn a
+// filter into its raw token. A lowered replica keeps this and nothing
+// else of the featurizer it came from.
+type Tokenizer struct {
 	DB    *sqldb.DB
 	Stats *stats.DBStats
 	Cfg   Config
-	Encs  map[string]*TableEncoder
+}
+
+// Featurizer is the per-database (F) module.
+type Featurizer struct {
+	Tokenizer
+	Encs map[string]*TableEncoder
 	// f64 is the float64 inference view of Encs (see Lower): it
 	// aliases the encoders' weights, so it is built once, here.
 	f64 *Lowered[float64]
@@ -93,33 +101,46 @@ func New(db *sqldb.DB, cfg Config, seed int64) *Featurizer {
 // e.g. a database and its corpus round trip — yield bitwise-identical
 // encoders.
 func NewFrom(cat catalog.Catalog, cfg Config, seed int64) *Featurizer {
-	rng := rand.New(rand.NewSource(seed))
-	db := cat.DB()
+	return newFrom(cat, cfg, rand.New(rand.NewSource(seed)))
+}
+
+// NewForLoad builds the destination of a checkpoint load: NewFrom
+// without the initialization draws, every weight zero until the load
+// overwrites it.
+func NewForLoad(cat catalog.Catalog, cfg Config) *Featurizer {
+	return newFrom(cat, cfg, nil)
+}
+
+func newFrom(cat catalog.Catalog, cfg Config, rng *rand.Rand) *Featurizer {
 	f := &Featurizer{
-		DB:    db,
-		Stats: cat.Stats(),
-		Cfg:   cfg,
-		Encs:  map[string]*TableEncoder{},
+		Tokenizer: Tokenizer{DB: cat.DB(), Stats: cat.Stats(), Cfg: cfg},
+		Encs:      map[string]*TableEncoder{},
 	}
-	for _, t := range db.Tables {
-		f.Encs[t.Name] = &TableEncoder{
-			Proj: nn.NewLinear(rng, cfg.TokenWidth(), cfg.Dim),
-			CLS:  ag.Param(tensor.RandNorm(rng, 1, cfg.Dim, 0.02)),
-			Enc:  nn.NewEncoder(rng, cfg.Dim, cfg.Heads, cfg.Blocks),
-			Head: nn.NewMLP(rng, nn.ActGELU, cfg.Dim, cfg.Dim, 1),
-		}
+	for _, t := range f.DB.Tables {
+		f.Encs[t.Name] = NewTableEncoder(rng, cfg)
 	}
 	f.f64 = Lower[float64](f, nn.PrecisionF64)
 	return f
+}
+
+// NewTableEncoder builds one Enc_i; a nil rng leaves its weights zero
+// (tensor.Rand), for a load to overwrite.
+func NewTableEncoder(rng *rand.Rand, cfg Config) *TableEncoder {
+	return &TableEncoder{
+		Proj: nn.NewLinear(rng, cfg.TokenWidth(), cfg.Dim),
+		CLS:  ag.Param(tensor.RandNorm(rng, 1, cfg.Dim, 0.02)),
+		Enc:  nn.NewEncoder(rng, cfg.Dim, cfg.Heads, cfg.Blocks),
+		Head: nn.NewMLP(rng, nn.ActGELU, cfg.Dim, cfg.Dim, 1),
+	}
 }
 
 // FilterToken builds the raw feature vector of one filter predicate
 // (F.i): hashed column slot, operator one-hot, normalized numeric
 // value, hashed character trigrams for string values, and LIKE
 // pattern-shape flags. It is the allocating form of writeFilterToken.
-func (f *Featurizer) FilterToken(flt sqldb.Filter) []float64 {
-	w := make([]float64, f.Cfg.TokenWidth())
-	writeFilterToken(f, w, flt)
+func (k *Tokenizer) FilterToken(flt sqldb.Filter) []float64 {
+	w := make([]float64, k.Cfg.TokenWidth())
+	writeFilterToken(k, w, flt)
 	return w
 }
 
@@ -128,15 +149,15 @@ func (f *Featurizer) FilterToken(flt sqldb.Filter) []float64 {
 // once, as it is stored (trigram counts are small integers, exact in
 // either type), so a float32 row holds exactly the rounded float64
 // token.
-func writeFilterToken[T tensor.Float](f *Featurizer, w []T, flt sqldb.Filter) {
-	cfg := f.Cfg
+func writeFilterToken[T tensor.Float](k *Tokenizer, w []T, flt sqldb.Filter) {
+	cfg := k.Cfg
 	w[hashString(flt.Col)%uint32(cfg.MaxCols)] = 1
 	off := cfg.MaxCols
 	w[off+int(flt.Op)] = 1
 	off += 7
 	// Normalized numeric value.
 	if flt.Val.Kind != sqldb.KindString {
-		w[off] = T(f.normalizeValue(flt))
+		w[off] = T(k.normalizeValue(flt))
 		w[off+1] = 1
 	}
 	off += 2
@@ -182,16 +203,16 @@ func writeFilterToken[T tensor.Float](f *Featurizer, w []T, flt sqldb.Filter) {
 	}
 	off += 3
 	// Statistic hints: ANALYZE-estimated selectivity and log table size.
-	w[off] = T(f.Stats.Selectivity(flt))
-	if ts, ok := f.Stats.Tables[flt.Table]; ok {
+	w[off] = T(k.Stats.Selectivity(flt))
+	if ts, ok := k.Stats.Tables[flt.Table]; ok {
 		w[off+1] = T(math.Log(float64(ts.RowCount)+1) / 20)
 	}
 }
 
 // normalizeValue min-max normalizes a numeric comparison value using
 // the ANALYZE statistics.
-func (f *Featurizer) normalizeValue(flt sqldb.Filter) float64 {
-	ts, ok := f.Stats.Tables[flt.Table]
+func (k *Tokenizer) normalizeValue(flt sqldb.Filter) float64 {
+	ts, ok := k.Stats.Tables[flt.Table]
 	if !ok {
 		return 0.5
 	}
@@ -228,7 +249,7 @@ func (f *Featurizer) EncodeTable(table string, filters []sqldb.Filter) *ag.Value
 	if len(filters) > 0 {
 		raw := tensor.New(len(filters), f.Cfg.TokenWidth())
 		for i, flt := range filters {
-			writeFilterToken(f, raw.Row(i), flt)
+			writeFilterToken(&f.Tokenizer, raw.Row(i), flt)
 		}
 		rows = append(rows, enc.Proj.Forward(ag.Const(raw)))
 	}

@@ -25,11 +25,11 @@ type LoweredTableEncoder[T tensor.Float] struct {
 	Enc  *nn.LoweredEncoder[T]
 }
 
-// Lowered pairs a source featurizer (for the raw FilterToken pipeline
-// and the statistics) with the inference form of its per-table
-// encoders at element type T.
+// Lowered pairs the weight-free half of a featurizer (the raw
+// FilterToken pipeline and the statistics) with the inference form of
+// its per-table encoders at element type T.
 type Lowered[T tensor.Float] struct {
-	Src  *Featurizer
+	Src  *Tokenizer
 	Encs map[string]*LoweredTableEncoder[T]
 	// memo is nil except on the copy Memoized makes for a serve bundle
 	// (memo.go).
@@ -40,16 +40,22 @@ type Lowered[T tensor.Float] struct {
 // At float64 it aliases f's weights (nn/lower.go); NewFrom builds that
 // view once and Featurizer.EncodeTableInfer serves from it.
 func Lower[T tensor.Float](f *Featurizer, p nn.Precision) *Lowered[T] {
-	l := &Lowered[T]{Src: f, Encs: make(map[string]*LoweredTableEncoder[T], len(f.Encs))}
+	l := &Lowered[T]{Src: &f.Tokenizer, Encs: make(map[string]*LoweredTableEncoder[T], len(f.Encs))}
 	for _, t := range f.DB.Tables {
-		enc := f.Encs[t.Name]
-		l.Encs[t.Name] = &LoweredTableEncoder[T]{
-			Proj: nn.LowerLinear[T](enc.Proj, p),
-			CLS:  tensor.Convert[T](enc.CLS.T),
-			Enc:  nn.LowerEncoder[T](enc.Enc, p),
-		}
+		l.Encs[t.Name] = LowerTableEncoder[T](f.Encs[t.Name], p)
 	}
 	return l
+}
+
+// LowerTableEncoder lowers one Enc_i. Exported for the checkpoint
+// loader that builds a reduced-tier replica one table at a time
+// (mtmlf.LoadLowered), where the Featurizer Lower wants never exists.
+func LowerTableEncoder[T tensor.Float](enc *TableEncoder, p nn.Precision) *LoweredTableEncoder[T] {
+	return &LoweredTableEncoder[T]{
+		Proj: nn.LowerLinear[T](enc.Proj, p),
+		CLS:  tensor.Convert[T](enc.CLS.T),
+		Enc:  nn.LowerEncoder[T](enc.Enc, p),
+	}
 }
 
 // EncodeTableInfer is the no-grad twin of Featurizer.EncodeTable: Enc_i

@@ -430,7 +430,7 @@ func TestFilterTokenRoundsOnce(t *testing.T) {
 		for _, flt := range fl {
 			want := f.FilterToken(flt)
 			got := make([]float32, len(want))
-			writeFilterToken(f, got, flt)
+			writeFilterToken(&f.Tokenizer, got, flt)
 			for i := range want {
 				if got[i] != float32(want[i]) {
 					t.Fatalf("%v slot %d: %v, want %v", flt, i, got[i], float32(want[i]))

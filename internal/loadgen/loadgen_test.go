@@ -79,10 +79,8 @@ func loadTestServer(t *testing.T) (*httptest.Server, *sqldb.DB) {
 	}
 	t.Cleanup(e.Close)
 	srv := httptest.NewServer(serve.NewHandlerConfig(e, serve.HandlerConfig{
-		Gen: workload.NewGenerator(db, 99),
-		Reload: func() (*mtmlf.Model, error) {
-			return mtmlf.NewModel(cfg, db, 31), nil
-		},
+		Gen:    workload.NewGenerator(db, 99),
+		Reload: func() error { return e.Reload(mtmlf.NewModel(cfg, db, 31)) },
 	}))
 	t.Cleanup(srv.Close)
 	return srv, db

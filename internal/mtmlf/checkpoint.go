@@ -2,36 +2,42 @@
 //
 // The paper's deployment story (Section 2.3) ships a pretrained model
 // as an artifact: the cloud provider trains, the DBMS loads and
-// serves. nn.Save over Shared.Params() is not that artifact — it
-// covers the transferable (S)+(T) stack but silently drops the
-// per-database featurizer (F) weights, so a "loaded" model serves
-// from randomly initialized table encoders. The checkpoint format
-// here persists everything a serving process needs.
+// serves. The (S)+(T) parameters alone are not that artifact — they
+// drop the per-database featurizer (F) weights, so a "loaded" model
+// would serve from randomly initialized table encoders. The checkpoint
+// format here persists everything a serving process needs.
 //
-// Format v2 (current) is built on ckptio's durability primitives:
+// Format v3, the only one this build reads or writes, is a preamble
+// followed by ckptio section frames ([8B length][payload][CRC32C]):
 //
 //	preamble — 10-byte magic "MTMLF-CKPT" + 2-byte big-endian version
-//	meta     — one ckptio section frame ([length][gob checkpointMeta]
-//	           [CRC32C]): the Config echo, the database identity
-//	           (name, table list, per-table row counts), and whether
-//	           the file is shared-only
-//	params   — one ckptio section frame holding the gob parameter
-//	           blobs: Model.Params() (Shared then Featurizer) for full
-//	           files, Shared.Params() for shared-only files
+//	meta     — one frame, a gob checkpointMeta: the Config echo, the
+//	           database identity (name, table list, per-table row
+//	           counts), and whether the file is shared-only
+//	count    — one frame: the number of tensors that follow (uvarint)
+//	tensors  — one frame per parameter tensor (nn.WriteParams): rank
+//	           and extents as uvarints, then the raw little-endian
+//	           float64 bits — Model.Params() order (Shared then
+//	           Featurizer) for full files, Shared.Params() for
+//	           shared-only files
+//
+// One frame per tensor makes the file streamable at both ends, through
+// one buffer the size of the largest tensor (DESIGN.md §7).
 //
 // Every byte after the preamble is covered by a frame checksum, and
 // the preamble itself only has one valid value, so ANY single-bit
-// flip or truncation fails the load with a typed *ckptio.CorruptError
-// before a weight is touched. Version 1 (a single gob stream:
-// nn.WriteHeader header, meta, params — no checksums) stays readable;
-// the loader sniffs the first bytes and dispatches.
+// flip or truncation fails the load with a typed *ckptio.CorruptError.
+// Files of format v1 (one gob stream) and v2 (one gob parameter
+// section) are refused with that same error type: re-save them with
+// this build's trainer.
 //
-// Loads are strict: wrong magic, future version, a different Config,
-// or a mismatched table list all fail with a descriptive error before
-// any weight is touched. Round trips are bitwise (gob transmits
-// float64 bit patterns verbatim), which the serving tests rely on:
-// save → load → serve must produce the exact floats of the in-memory
-// model.
+// Loads are strict: wrong magic, another version, a different Config,
+// a mismatched table list or tensor count all fail with a descriptive
+// error before any weight is touched, and each tensor is verified —
+// frame length against its destination's shape, checksum, rank and
+// extents, every value finite — before one of its elements is written.
+// Round trips are bitwise, which the serving tests rely on: save →
+// load → serve must produce the exact floats of the in-memory model.
 //
 // SaveShared writes a shared-only checkpoint — the paper's transfer
 // artifact, loadable into a model for a *different* database (whose
@@ -47,28 +53,35 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"time"
 
+	"mtmlf/internal/ag"
+	"mtmlf/internal/catalog"
 	"mtmlf/internal/ckptio"
+	"mtmlf/internal/featurize"
 	"mtmlf/internal/nn"
 	"mtmlf/internal/sqldb"
+	"mtmlf/internal/stats"
 )
 
 const (
 	// CheckpointMagic identifies an MTMLF checkpoint stream.
 	CheckpointMagic = "MTMLF-CKPT"
-	// CheckpointVersion is the current (and maximum readable) format
-	// version. v1: one gob stream, no checksums; v2: raw preamble +
-	// CRC32C-framed sections.
-	CheckpointVersion = 2
-	// ckptPreambleSize is the raw v2 preamble: 10 bytes of magic plus a
+	// CheckpointVersion is the one format version this build reads and
+	// writes: a raw preamble, then CRC32C-framed meta, tensor count and
+	// one frame per tensor.
+	CheckpointVersion = 3
+	// ckptPreambleSize is the raw preamble: 10 bytes of magic plus a
 	// 2-byte big-endian version.
 	ckptPreambleSize = 12
 )
 
 // CheckpointInfo describes a checkpoint's provenance, echoed into the
-// file at save time and returned (validated) by Load.
+// file at save time and returned (validated) by the loaders, plus what
+// loading it cost.
 type CheckpointInfo struct {
-	// Version is the on-disk format version.
+	// Version is the on-disk format version (always CheckpointVersion:
+	// no other loads).
 	Version int
 	// Config is the architecture the weights were trained with; Load
 	// requires it to equal the destination model's Config.
@@ -86,6 +99,16 @@ type CheckpointInfo struct {
 	// SharedOnly marks a transfer checkpoint: (S)+(T) weights only,
 	// no featurizer section.
 	SharedOnly bool
+	// Tensors and Bytes are the parameter tensors and stream bytes the
+	// load consumed; ParamBytes is what those tensors occupy as the
+	// float64 model (8 bytes an element), whatever they were loaded as.
+	Tensors    int
+	Bytes      int64
+	ParamBytes int
+	// LowerTime is the part of a LoadLowered spent lowering tensors as
+	// they landed, as opposed to reading, verifying and decoding them;
+	// zero unless the caller supplied a clock.
+	LowerTime time.Duration
 }
 
 // checkpointMeta is the on-wire metadata record (Version travels in
@@ -146,17 +169,13 @@ func save(w io.Writer, m *Model, sharedOnly bool) error {
 	if err := ckptio.WriteSection(w, mbuf.Bytes()); err != nil {
 		return fmt.Errorf("mtmlf: write checkpoint meta: %w", err)
 	}
-	// One parameter section: the full Model.Params() order (Shared
-	// then Featurizer), or just Shared.Params() for transfer files.
+	// The full Model.Params() order (Shared then Featurizer), or just
+	// Shared.Params() for transfer files.
 	params := m.Params()
 	if sharedOnly {
 		params = m.Shared.Params()
 	}
-	var pbuf bytes.Buffer
-	if err := nn.EncodeParams(gob.NewEncoder(&pbuf), params); err != nil {
-		return fmt.Errorf("mtmlf: encode parameters: %w", err)
-	}
-	if err := ckptio.WriteSection(w, pbuf.Bytes()); err != nil {
+	if err := nn.WriteParams(w, params); err != nil {
 		return fmt.Errorf("mtmlf: write parameters: %w", err)
 	}
 	return nil
@@ -176,124 +195,213 @@ func tableRows(db *sqldb.DB) []int {
 // on (the featurizer parameter order is the table order). Shared-only
 // checkpoints load (S)+(T) and skip the featurizer — that is the
 // transfer path, so the table lists may differ.
+//
+// Meta, config, table list and tensor count are all validated before
+// any weight is touched, but from there tensors land as they verify: a
+// failure at tensor k (a damaged frame, a NaN) leaves m holding the
+// file's first k tensors and its own old values after them, and m must
+// be discarded.
 func Load(r io.Reader, m *Model) (*CheckpointInfo, error) {
-	info, dec, err := openCheckpoint(r)
+	ck, err := openCheckpoint(r)
 	if err != nil {
 		return nil, err
 	}
-	if info.Config != m.Shared.Cfg {
-		return nil, fmt.Errorf("mtmlf: checkpoint config %+v does not match model config %+v", info.Config, m.Shared.Cfg)
+	if ck.info.Config != m.Shared.Cfg {
+		return nil, fmt.Errorf("mtmlf: checkpoint config %+v does not match model config %+v", ck.info.Config, m.Shared.Cfg)
 	}
 	params := m.Shared.Params()
-	if !info.SharedOnly {
-		if err := sameDatabase(info, m.Feat.DB); err != nil {
+	if !ck.info.SharedOnly {
+		if err := sameDatabase(&ck.info, m.Feat.DB); err != nil {
 			return nil, err
 		}
 		params = m.Params()
 	}
-	if err := nn.DecodeParams(dec, params); err != nil {
-		return nil, fmt.Errorf("mtmlf: load parameters: %w", err)
-	}
-	return info, nil
+	return ck.readAll(params)
 }
 
 // LoadModel reads a checkpoint and constructs a ready-to-serve model
 // for db using the checkpoint's own Config — the entry point for a
-// serving process, which knows the database but not the architecture
-// the weights were trained with. Returns an error for shared-only
-// checkpoints: a served model needs trained featurizer weights, and a
-// transfer checkpoint by definition has none for this database.
+// process that serves at float64 (or wants the model itself), which
+// knows the database but not the architecture the weights were trained
+// with. Returns an error for shared-only checkpoints: a served model
+// needs trained featurizer weights, and a transfer checkpoint by
+// definition has none for this database.
 func LoadModel(r io.Reader, db *sqldb.DB) (*Model, *CheckpointInfo, error) {
-	info, dec, err := openCheckpoint(r)
+	ck, err := openServable(r, db)
 	if err != nil {
 		return nil, nil, err
 	}
-	if info.SharedOnly {
-		return nil, nil, fmt.Errorf("mtmlf: checkpoint is shared-only (transfer artifact); serving needs a full-model checkpoint")
-	}
-	if err := sameDatabase(info, db); err != nil {
+	cfg := ck.info.Config
+	// Built without the initialization draws: every weight is about to
+	// be overwritten.
+	m := &Model{Shared: newShared(cfg, nil), Feat: featurize.NewForLoad(catalog.NewMemory(db), cfg.Feat)}
+	info, err := ck.readAll(m.Params())
+	if err != nil {
 		return nil, nil, err
-	}
-	if err := validateConfig(info.Config); err != nil {
-		return nil, nil, err
-	}
-	m := NewModel(info.Config, db, 0)
-	if err := nn.DecodeParams(dec, m.Params()); err != nil {
-		return nil, nil, fmt.Errorf("mtmlf: load parameters: %w", err)
 	}
 	return m, info, nil
 }
 
-// openCheckpoint sniffs the format, validates everything up to and
-// including the metadata, and returns the info plus a decoder
-// positioned at the parameter section. v2 files are recognized by
-// their raw preamble; anything else falls back to the v1 single-gob-
-// stream layout, whose decode failures are reported as corruption
-// (the bytes claim to be a checkpoint and are not).
-func openCheckpoint(r io.Reader) (*CheckpointInfo, *gob.Decoder, error) {
-	pre := make([]byte, ckptPreambleSize)
-	n, _ := io.ReadFull(r, pre)
-	pre = pre[:n]
-	if n >= len(CheckpointMagic) && string(pre[:len(CheckpointMagic)]) == CheckpointMagic {
-		if n < ckptPreambleSize {
-			return nil, nil, ckptio.Corruptf("checkpoint", "truncated preamble (%d bytes)", n)
-		}
-		v := int(binary.BigEndian.Uint16(pre[10:]))
-		if v != CheckpointVersion {
-			// A framed file has exactly one valid version today; any
-			// other value is bit rot in the version field or a future
-			// format this build cannot read.
-			return nil, nil, ckptio.Corruptf("checkpoint", "unsupported framed version %d (supported %d; damaged version field or future file)", v, CheckpointVersion)
-		}
-		metaPayload, err := ckptio.ReadSection(r, "checkpoint")
-		if err != nil {
-			return nil, nil, fmt.Errorf("mtmlf: checkpoint meta: %w", err)
-		}
-		var meta checkpointMeta
-		if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
-			return nil, nil, ckptio.Corruptf("checkpoint", "meta section passed its checksum but does not decode: %v", err)
-		}
-		paramsPayload, err := ckptio.ReadSection(r, "checkpoint")
-		if err != nil {
-			return nil, nil, fmt.Errorf("mtmlf: checkpoint parameters: %w", err)
-		}
-		return infoFrom(v, meta), gob.NewDecoder(bytes.NewReader(paramsPayload)), nil
+// LoadLowered reads a full checkpoint straight into a reduced-precision
+// serving replica (p is PrecisionF32 or PrecisionInt8) — tensor for
+// tensor what LoadModel followed by Lower(p) builds — without the
+// float64 model ever existing. Shared is small: it is loaded at float64
+// and lowered, and its Trans_JO is what the replica decodes with. The
+// per-table encoders are nine tenths of the bytes and all of one shape,
+// so each is decoded into one scratch float64 encoder that is lowered
+// into the replica and reused: the load peaks at the replica plus
+// Shared plus one encoder.
+//
+// Lowering is interleaved with the read, so only the loader can time it
+// apart: now (nil for no timing) is read around each lowering step, the
+// total reported as CheckpointInfo.LowerTime. A parameter, because this
+// package does not read the wall clock (DESIGN.md §8).
+func LoadLowered(r io.Reader, db *sqldb.DB, p nn.Precision, now func() time.Time) (*LoweredModel, *CheckpointInfo, error) {
+	if p == nn.PrecisionF64 {
+		panic("mtmlf: LoadLowered(PrecisionF64) — load the model itself")
 	}
-	// v1: one gob stream from byte 0 (header, meta, params). Reattach
-	// the sniffed prefix.
-	dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(pre), r))
-	v, err := nn.ReadHeader(dec, CheckpointMagic, CheckpointVersion)
+	ck, err := openServable(r, db)
 	if err != nil {
-		return nil, nil, &ckptio.CorruptError{Artifact: "checkpoint", Reason: fmt.Sprintf("not an MTMLF checkpoint: %v", err)}
+		return nil, nil, err
 	}
-	if v != 1 {
-		return nil, nil, ckptio.Corruptf("checkpoint", "version %d inside a v1 gob header (v2+ files use the framed layout)", v)
+	cfg := ck.info.Config
+	shared := newShared(cfg, nil)
+	scratch := featurize.NewTableEncoder(nil, cfg.Feat)
+	sp, ep := shared.Params(), scratch.Params()
+	pr, err := ck.params(len(sp) + len(db.Tables)*len(ep))
+	if err != nil {
+		return nil, nil, err
 	}
-	var meta checkpointMeta
-	if err := dec.Decode(&meta); err != nil {
-		return nil, nil, ckptio.Corruptf("checkpoint", "read v1 meta: %v", err)
+	if err := pr.ReadInto(sp); err != nil {
+		return nil, nil, fmt.Errorf("mtmlf: load parameters: %w", err)
 	}
-	return infoFrom(v, meta), dec, nil
+	if now == nil {
+		now = func() time.Time { return time.Time{} }
+	}
+	tok := &featurize.Tokenizer{DB: db, Stats: stats.Analyze(db), Cfg: cfg.Feat}
+	t0 := now()
+	lm := &LoweredModel{
+		LoweredShared: lowerShared[float32](shared, p),
+		Feat:          &featurize.Lowered[float32]{Src: tok, Encs: make(map[string]*featurize.LoweredTableEncoder[float32], len(db.Tables))},
+	}
+	lowering := now().Sub(t0)
+	for _, t := range db.Tables {
+		if err := pr.ReadInto(ep); err != nil {
+			return nil, nil, fmt.Errorf("mtmlf: load parameters (table %q): %w", t.Name, err)
+		}
+		t0 = now()
+		lm.Feat.Encs[t.Name] = featurize.LowerTableEncoder[float32](scratch, p)
+		lowering += now().Sub(t0)
+	}
+	ck.info.LowerTime = lowering
+	return lm, ck.done(pr), nil
 }
 
-func infoFrom(version int, meta checkpointMeta) *CheckpointInfo {
-	return &CheckpointInfo{
-		Version:    version,
+// ckptStream is a checkpoint open for loading: the reader, counted, and
+// the info validated so far.
+type ckptStream struct {
+	r    io.Reader
+	n    int64 // bytes read
+	info CheckpointInfo
+}
+
+func (c *ckptStream) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// params opens the tensor records, which must number exactly want.
+func (c *ckptStream) params(want int) (*nn.ParamReader, error) {
+	pr, err := nn.NewParamReader(c, "checkpoint", want)
+	if err != nil {
+		return nil, fmt.Errorf("mtmlf: load parameters: %w", err)
+	}
+	c.info.Tensors = want
+	return pr, nil
+}
+
+// done closes the accounting of a successful load through pr.
+func (c *ckptStream) done(pr *nn.ParamReader) *CheckpointInfo {
+	c.info.Bytes, c.info.ParamBytes = c.n, 8*pr.Elements()
+	return &c.info
+}
+
+// readAll reads the whole tensor-record section into params.
+func (c *ckptStream) readAll(params []*ag.Value) (*CheckpointInfo, error) {
+	pr, err := c.params(len(params))
+	if err != nil {
+		return nil, err
+	}
+	if err := pr.ReadInto(params); err != nil {
+		return nil, fmt.Errorf("mtmlf: load parameters: %w", err)
+	}
+	return c.done(pr), nil
+}
+
+// openCheckpoint validates everything up to and including the
+// metadata, leaving the stream at the tensor count frame.
+func openCheckpoint(r io.Reader) (*ckptStream, error) {
+	ck := &ckptStream{r: r}
+	var pre [ckptPreambleSize]byte
+	n, _ := io.ReadFull(ck, pre[:])
+	if n < len(CheckpointMagic) || string(pre[:len(CheckpointMagic)]) != CheckpointMagic {
+		return nil, ckptio.Corruptf("checkpoint", "no %q magic: not an MTMLF checkpoint (or an unsupported checkpoint version 1 file, which predates the preamble; re-save it with this build's trainer)", CheckpointMagic)
+	}
+	if n < ckptPreambleSize {
+		return nil, ckptio.Corruptf("checkpoint", "truncated preamble (%d bytes)", n)
+	}
+	if v := int(binary.BigEndian.Uint16(pre[10:])); v != CheckpointVersion {
+		// Exactly one value is valid: anything else is an older file, a
+		// future one, or bit rot in the version field.
+		return nil, ckptio.Corruptf("checkpoint", "unsupported checkpoint version %d (this build reads version %d only; re-save older files with this build's trainer)", v, CheckpointVersion)
+	}
+	metaPayload, err := ckptio.ReadSection(ck, "checkpoint")
+	if err != nil {
+		return nil, fmt.Errorf("mtmlf: checkpoint meta: %w", err)
+	}
+	var meta checkpointMeta
+	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
+		return nil, ckptio.Corruptf("checkpoint", "meta section passed its checksum but does not decode: %v", err)
+	}
+	ck.info = CheckpointInfo{
+		Version:    CheckpointVersion,
 		Config:     meta.Config,
 		DBName:     meta.DBName,
 		Tables:     meta.Tables,
 		TableRows:  meta.TableRows,
 		SharedOnly: meta.SharedOnly,
 	}
+	return ck, nil
+}
+
+// openServable is openCheckpoint plus what both serving loaders require
+// of a file before allocating anything from its Config: a full
+// checkpoint, for this database, with a sane architecture.
+func openServable(r io.Reader, db *sqldb.DB) (*ckptStream, error) {
+	ck, err := openCheckpoint(r)
+	if err != nil {
+		return nil, err
+	}
+	if ck.info.SharedOnly {
+		return nil, fmt.Errorf("mtmlf: checkpoint is shared-only (transfer artifact); serving needs a full-model checkpoint")
+	}
+	if err := sameDatabase(&ck.info, db); err != nil {
+		return nil, err
+	}
+	if err := validateConfig(ck.info.Config); err != nil {
+		return nil, err
+	}
+	return ck, nil
 }
 
 // validateConfig rejects architecture configs no trainer could have
-// produced — the guard LoadModel needs before trusting a decoded
-// Config enough to allocate a model from it. A v1 checkpoint carries
-// no checksum, so every field here can be arbitrary bit rot: an
-// unvalidated Heads of zero divides by zero inside the attention
-// blocks, and an enormous Dim allocates unbounded memory before the
-// parameter count mismatch would have failed the load anyway.
+// produced — the guard the serving loaders need before trusting a
+// decoded Config enough to allocate from it. The meta frame's checksum
+// stops bit rot, not a hostile or miswritten file: an unvalidated Heads
+// of zero divides by zero inside the attention blocks, and an enormous
+// Dim allocates unbounded memory before the tensor count mismatch
+// would have failed the load anyway.
 func validateConfig(c Config) error {
 	bounds := []struct {
 		name   string

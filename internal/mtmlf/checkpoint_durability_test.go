@@ -2,9 +2,13 @@ package mtmlf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"mtmlf/internal/ckptio"
@@ -21,149 +25,154 @@ func loadFileInto(path string, m *Model) error {
 	return err
 }
 
-// writeV1Checkpoint produces the historical v1 layout — one gob
-// stream: header, meta, params — which the v2 loader must keep
-// reading.
-func writeV1Checkpoint(t testing.TB, m *Model, sharedOnly bool) []byte {
+// oldCheckpoints are the two superseded layouts as this repo's own
+// trainers wrote them, as far as a loader gets before refusing: v1 was
+// one gob stream (nn header, then meta), v2 the framed preamble with
+// version 2 in front of a gob parameter section.
+func oldCheckpoints(t testing.TB, m *Model) (v1, v2 []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	db := m.Feat.DB
+	meta := checkpointMeta{Config: m.Shared.Cfg, DBName: db.Name, Tables: db.TableNames(), TableRows: tableRows(db)}
+	var g1 bytes.Buffer
+	enc := gob.NewEncoder(&g1)
 	if err := nn.WriteHeader(enc, CheckpointMagic, 1); err != nil {
 		t.Fatal(err)
-	}
-	db := m.Feat.DB
-	meta := checkpointMeta{
-		Config:     m.Shared.Cfg,
-		DBName:     db.Name,
-		Tables:     db.TableNames(),
-		TableRows:  tableRows(db),
-		SharedOnly: sharedOnly,
 	}
 	if err := enc.Encode(meta); err != nil {
 		t.Fatal(err)
 	}
-	params := m.Params()
-	if sharedOnly {
-		params = m.Shared.Params()
-	}
-	if err := nn.EncodeParams(enc, params); err != nil {
+	var mbuf, g2 bytes.Buffer
+	if err := gob.NewEncoder(&mbuf).Encode(meta); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	g2.Write(binary.BigEndian.AppendUint16([]byte(CheckpointMagic), 2))
+	if err := ckptio.WriteSection(&g2, mbuf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckptio.WriteSection(&g2, []byte("what was one gob section of every tensor")); err != nil {
+		t.Fatal(err)
+	}
+	return g1.Bytes(), g2.Bytes()
 }
 
-// TestCheckpointV1StillLoads: artifacts written before the format
-// gained checksums keep loading, bitwise, through both entry points.
-func TestCheckpointV1StillLoads(t *testing.T) {
-	m, _ := tinySetup(t, 71, 2)
-	v1 := writeV1Checkpoint(t, m, false)
-
-	restored := NewModel(m.Shared.Cfg, m.Feat.DB, 999)
-	info, err := Load(bytes.NewReader(v1), restored)
-	if err != nil {
-		t.Fatalf("v1 full checkpoint: %v", err)
-	}
-	if info.Version != 1 {
-		t.Fatalf("info.Version = %d, want 1", info.Version)
-	}
-	pa, pb := m.Params(), restored.Params()
-	for i := range pa {
-		for j := range pa[i].T.Data {
-			if pa[i].T.Data[j] != pb[i].T.Data[j] {
-				t.Fatalf("param %d differs after v1 load", i)
+// TestOldCheckpointVersionsRejected: v1 and v2 files — which exist only
+// where this repo's tests made them — are refused by every loader with
+// the typed error, naming the version, and re-saving is the remedy.
+func TestOldCheckpointVersionsRejected(t *testing.T) {
+	m, _ := tinySetup(t, 71, 1)
+	v1, v2 := oldCheckpoints(t, m)
+	dst := NewModel(m.Shared.Cfg, m.Feat.DB, 3)
+	for _, tc := range []struct {
+		data []byte
+		want string
+	}{{v1, "unsupported checkpoint version 1"}, {v2, "unsupported checkpoint version 2"}} {
+		for name, err := range loadAny(m, dst, tc.data) {
+			var ce *ckptio.CorruptError
+			if !errors.As(err, &ce) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: got %v, want a *ckptio.CorruptError saying %q", name, err, tc.want)
 			}
 		}
 	}
-	if _, info, err = LoadModel(bytes.NewReader(v1), m.Feat.DB); err != nil || info.Version != 1 {
-		t.Fatalf("LoadModel on v1: info=%+v err=%v", info, err)
-	}
-
-	sharedV1 := writeV1Checkpoint(t, m, true)
-	if info, err = Load(bytes.NewReader(sharedV1), NewModel(m.Shared.Cfg, m.Feat.DB, 5)); err != nil || !info.SharedOnly {
-		t.Fatalf("v1 shared-only checkpoint: info=%+v err=%v", info, err)
-	}
 }
 
-// loadAny tries both checkpoint entry points against a reusable
-// destination model (corrupt inputs fail before any weight is copied,
-// so reuse across attempts is safe); the corruption tests require
-// each to fail typed.
-func loadAny(m, dst *Model, data []byte) []error {
+// loadAny runs every checkpoint entry point over data — Load into dst,
+// and the two serving loaders, which build their own destination — and
+// returns each one's error by name. dst is a sink: a load that fails
+// part way leaves it partially overwritten, which the next attempt
+// does not mind.
+func loadAny(m, dst *Model, data []byte) map[string]error {
 	_, errLoad := Load(bytes.NewReader(data), dst)
 	_, _, errLoadModel := LoadModel(bytes.NewReader(data), m.Feat.DB)
-	return []error{errLoad, errLoadModel}
+	_, _, errLoadLowered := LoadLowered(bytes.NewReader(data), m.Feat.DB, nn.PrecisionInt8, nil)
+	return map[string]error{"Load": errLoad, "LoadModel": errLoadModel, "LoadLowered": errLoadLowered}
 }
 
-// TestCheckpointDetectsBitFlips: single-bit flips anywhere in a v2
-// checkpoint — preamble, frame headers, gob payloads, checksums —
-// must fail both loaders with *ckptio.CorruptError, never load, never
-// panic. The full cross-product is fuzz territory (FuzzLoadModel);
-// the table here sweeps every bit of the structural prefix plus a
-// stride across the parameter payload.
+// requireCorrupt fails unless every loader refuses data with the typed
+// corruption error.
+func requireCorrupt(t *testing.T, what string, m, dst *Model, data []byte) {
+	t.Helper()
+	for name, err := range loadAny(m, dst, data) {
+		var ce *ckptio.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: %s returned %v, want *ckptio.CorruptError", what, name, err)
+		}
+	}
+}
+
+// structuralEnd returns the offset just past everything in a v3
+// checkpoint that is not tensor data of the second tensor onward:
+// preamble, meta frame, count frame, and the first tensor frame's
+// header, shape prefix and first elements.
+func structuralEnd(ckpt []byte) int {
+	off := ckptPreambleSize
+	for frame := 0; frame < 2; frame++ { // meta, count
+		off += ckptio.SectionLen(int(binary.BigEndian.Uint64(ckpt[off:])))
+	}
+	return off + 8 + 3 + 16
+}
+
+// sweep calls visit for every offset below structuralEnd and about 48
+// evenly spaced ones after it — across the tensor frames, where every
+// byte is under the same three checks (frame length, checksum, shape).
+func sweep(ckpt []byte, visit func(k, i int)) {
+	end := structuralEnd(ckpt)
+	stride := max((len(ckpt)-end)/48, 1)
+	k := 0
+	for i := 0; i < len(ckpt); i++ {
+		if i < end || (i-end)%stride == 0 {
+			visit(k, i)
+			k++
+		}
+	}
+}
+
+// TestCheckpointDetectsBitFlips: single-bit flips anywhere in a v3
+// checkpoint — preamble, frame headers, gob meta, tensor count, shape
+// prefixes, element bits, checksums — must fail every loader with
+// *ckptio.CorruptError, never load, never panic: every bit of the
+// structural part, and one rotating bit at each of the sampled offsets
+// across the tensors. The full cross-product is FuzzLoadModel's.
 func TestCheckpointDetectsBitFlips(t *testing.T) {
 	m, _ := tinySetup(t, 72, 1)
 	var buf bytes.Buffer
 	if err := Save(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	orig := buf.Bytes()
+	ckpt := buf.Bytes()
 	dst := NewModel(m.Shared.Cfg, m.Feat.DB, 3)
-	check := func(i, bit int) {
-		mut := bytes.Clone(orig)
-		mut[i] ^= 1 << bit
-		for _, err := range loadAny(m, dst, mut) {
-			var ce *ckptio.CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("flip byte %d bit %d: got %v, want *ckptio.CorruptError", i, bit, err)
-			}
+	end := structuralEnd(ckpt)
+	sweep(ckpt, func(k, i int) {
+		bits := []int{k % 8}
+		if i < end {
+			bits = []int{0, 1, 2, 3, 4, 5, 6, 7}
 		}
-	}
-	// Every bit of the structural prefix (preamble + first frame header
-	// + start of the meta payload)...
-	for i := 0; i < 64 && i < len(orig); i++ {
-		for bit := 0; bit < 8; bit++ {
-			check(i, bit)
+		for _, bit := range bits {
+			ckpt[i] ^= 1 << bit
+			requireCorrupt(t, fmt.Sprintf("flip byte %d bit %d", i, bit), m, dst, ckpt)
+			ckpt[i] ^= 1 << bit
 		}
-	}
-	// ...then ~48 evenly spaced positions across the rest, rotating the
-	// flipped bit. Each attempt clones and checksums the whole artifact,
-	// so density here is wall-clock; the full cross-product lives in
-	// FuzzLoadModel.
-	stride := (len(orig) - 64) / 48
-	if stride < 1 {
-		stride = 1
-	}
-	for k, i := 0, 64; i < len(orig); k, i = k+1, i+stride {
-		check(i, k%8)
-	}
+	})
 }
 
-// TestCheckpointDetectsTruncation: every truncated prefix of a v2
-// checkpoint fails typed — the torn-write shape a crash mid-save (or
-// a FailingWriter, below) produces.
+// TestCheckpointDetectsTruncation: truncated prefixes of a v3
+// checkpoint fail typed — the torn-write shape a crash mid-save (or a
+// FailingWriter, below) produces. A cut between two tensor frames is
+// the one a format of many frames adds: the file ends cleanly on a
+// frame boundary and only the count says tensors are missing.
 func TestCheckpointDetectsTruncation(t *testing.T) {
 	m, _ := tinySetup(t, 73, 1)
 	var buf bytes.Buffer
 	if err := Save(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	orig := buf.Bytes()
+	ckpt := buf.Bytes()
 	dst := NewModel(m.Shared.Cfg, m.Feat.DB, 3)
-	stride := (len(orig) - 64) / 48
-	if stride < 1 {
-		stride = 1
-	}
-	for n := 0; n < len(orig); n++ {
-		if n >= 64 && (n-64)%stride != 0 {
-			continue
-		}
-		for _, err := range loadAny(m, dst, orig[:n]) {
-			var ce *ckptio.CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("truncate to %d bytes: got %v, want *ckptio.CorruptError", n, err)
-			}
-		}
-	}
+	sweep(ckpt, func(_, n int) {
+		requireCorrupt(t, fmt.Sprintf("truncate to %d bytes", n), m, dst, ckpt[:n])
+	})
+	last := m.Params()[len(m.Params())-1].T
+	boundary := len(ckpt) - ckptio.SectionLen(3+8*last.Size())
+	requireCorrupt(t, "cut on the last frame boundary", m, dst, ckpt[:boundary])
 }
 
 // TestCheckpointSaveThroughFailingWriter: an injected write failure
@@ -177,15 +186,35 @@ func TestCheckpointSaveThroughFailingWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := NewModel(m.Shared.Cfg, m.Feat.DB, 3)
-	for _, cut := range []int64{0, 5, 11, 12, 40, int64(full.Len()) - 1} {
+	for _, cut := range []int64{0, 5, 11, 12, 40, int64(structuralEnd(full.Bytes())), int64(full.Len()) / 2, int64(full.Len()) - 1} {
 		var torn bytes.Buffer
 		if err := Save(&ckptio.FailingWriter{W: &torn, FailAfter: cut}, m); !errors.Is(err, ckptio.ErrInjected) {
 			t.Fatalf("cut %d: Save returned %v, want injected failure", cut, err)
 		}
-		for _, err := range loadAny(m, dst, torn.Bytes()) {
-			var ce *ckptio.CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("cut %d: got %v, want *ckptio.CorruptError", cut, err)
+		requireCorrupt(t, fmt.Sprintf("cut %d", cut), m, dst, torn.Bytes())
+	}
+}
+
+// TestCheckpointRejectsNonFinite: a faithfully saved NaN or Inf is
+// refused by every loader with nn.ErrNonFinite — at a reduced tier too,
+// where the value would otherwise be rounded or quantized into the
+// replica without anyone having looked at it.
+func TestCheckpointRejectsNonFinite(t *testing.T) {
+	db := tinyDB()
+	dst := NewModel(tinyConfig(), db, 3)
+	for _, poison := range []func(m *Model){
+		func(m *Model) { m.Shared.CardHead.Layers[0].W.T.Data[0] = math.NaN() },
+		func(m *Model) { m.Feat.Encs[db.Tables[len(db.Tables)-1].Name].Proj.W.T.Data[5] = math.Inf(-1) },
+	} {
+		m := NewModel(tinyConfig(), db, 17)
+		poison(m)
+		var buf bytes.Buffer
+		if err := Save(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		for name, err := range loadAny(m, dst, buf.Bytes()) {
+			if !errors.Is(err, nn.ErrNonFinite) {
+				t.Fatalf("%s: got %v, want nn.ErrNonFinite", name, err)
 			}
 		}
 	}

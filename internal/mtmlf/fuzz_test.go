@@ -2,15 +2,21 @@ package mtmlf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
+
+	"mtmlf/internal/nn"
 )
 
-// FuzzLoadModel: arbitrary bytes fed to both checkpoint entry points
+// FuzzLoadModel: arbitrary bytes fed to every checkpoint entry point
 // must return an error (or a valid model) — never panic, never divide
-// by zero on a hostile Config, never allocate unboundedly. The seed
-// corpus covers both format versions, both save flavors, and the
-// torn-write / bit-flip shapes the deterministic durability tests
+// by zero on a hostile Config, and never allocate more than a constant,
+// a small multiple of the bytes supplied, and the one destination a
+// load that gets past the metadata builds. The seed corpus covers both
+// save flavors, the two refused older versions, and the torn-write /
+// bit-flip / lying-length shapes the deterministic durability tests
 // sweep; the fuzzer explores the cross-product from there.
 //
 // Run longer than the CI smoke with:
@@ -19,18 +25,24 @@ import (
 func FuzzLoadModel(f *testing.F) {
 	db := tinyDB()
 	m := NewModel(tinyConfig(), db, 17)
-	var v2, shared bytes.Buffer
-	if err := Save(&v2, m); err != nil {
+	var full, shared bytes.Buffer
+	if err := Save(&full, m); err != nil {
 		f.Fatal(err)
 	}
 	if err := SaveShared(&shared, m); err != nil {
 		f.Fatal(err)
 	}
-	v1 := writeV1Checkpoint(f, m, false)
-	flip2 := bytes.Clone(v2.Bytes())
-	flip2[20] ^= 1
-	flip1 := bytes.Clone(v1)
-	flip1[len(flip1)/2] ^= 0x10
+	v3 := full.Bytes()
+	v1, v2 := oldCheckpoints(f, m)
+	end := structuralEnd(v3)
+	flipMeta := bytes.Clone(v3)
+	flipMeta[20] ^= 1
+	flipTensor := bytes.Clone(v3)
+	flipTensor[len(flipTensor)/2] ^= 0x10
+	// The first tensor frame claims a gigabyte: refused from its header,
+	// against the destination's shape, without reading or allocating it.
+	hugeFrame := bytes.Clone(v3)
+	binary.BigEndian.PutUint64(hugeFrame[end-27:], 1<<30-1)
 	// Well-formed and CRC-valid, but one weight is NaN: must be
 	// rejected (nn.ErrNonFinite), not loaded.
 	poisoned := NewModel(tinyConfig(), db, 17)
@@ -40,27 +52,37 @@ func FuzzLoadModel(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, seed := range [][]byte{
-		v2.Bytes(),
+		v3,
 		shared.Bytes(),
-		v1,
-		writeV1Checkpoint(f, m, true),
-		v2.Bytes()[:len(v2.Bytes())/2], // torn write
-		v2.Bytes()[:11],                // truncated preamble
-		flip2,                          // bit rot under a checksum
-		flip1,                          // bit rot with no checksum (v1)
-		nan.Bytes(),                    // non-finite weight under a valid checksum
+		v1,             // refused: predates the preamble
+		v2,             // refused: framed, version 2
+		v3[:len(v3)/2], // torn write, mid tensor
+		v3[:end-27],    // torn write, on a frame boundary
+		v3[:11],        // truncated preamble
+		flipMeta,       // bit rot under the meta checksum
+		flipTensor,     // bit rot under a tensor checksum
+		hugeFrame,      // a lying frame length
+		nan.Bytes(),    // non-finite weight under a valid checksum
 		[]byte(CheckpointMagic),
 		{},
 	} {
 		f.Add(seed)
 	}
-	// Corrupt inputs fail before any weight is copied, so one
-	// destination model is safe to reuse across executions.
+	// dst is a sink: a load that fails part way leaves it partially
+	// overwritten, which no later execution minds.
 	dst := NewModel(tinyConfig(), db, 3)
+	// What one load may allocate besides its input: the destination it
+	// builds (the f64 model, of which a replica is a fraction), the
+	// ANALYZE pass over the database, and the read buffers. Measured on
+	// the valid seed, with room; a declared length that sized an
+	// allocation would be a gigabyte.
+	perLoad := uint64(m.ParamBytes()) + 4<<20
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		// Errors (typed or otherwise) are the expected outcome on
-		// mutated inputs; the property under test is that neither entry
-		// point ever panics — and that nothing non-finite gets through.
+		// mutated inputs; the property under test is that no entry point
+		// ever panics — and that nothing non-finite gets through.
 		if m, _, err := LoadModel(bytes.NewReader(data), db); err == nil {
 			for i, p := range m.Params() {
 				if p.T.HasNaN() {
@@ -68,6 +90,15 @@ func FuzzLoadModel(f *testing.F) {
 				}
 			}
 		}
+		if lm, _, err := LoadLowered(bytes.NewReader(data), db, nn.PrecisionF32, nil); err == nil {
+			if w := lm.CardHead.Layers[0].W; w.HasNaN() {
+				t.Fatal("LoadLowered accepted a checkpoint whose card head is not finite")
+			}
+		}
 		_, _ = Load(bytes.NewReader(data), dst)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, 3*perLoad+8*uint64(len(data)); grew > limit {
+			t.Fatalf("loading %d bytes three ways allocated %d, limit %d", len(data), grew, limit)
+		}
 	})
 }

@@ -16,14 +16,17 @@ import (
 // that never snapshotted. The durability contract leans on
 // byte-identical artifacts (`cmp` in the resume and corpus smoke
 // drills), so every gob type this package writes is registered here,
-// in one fixed order, before any artifact is produced.
+// in one fixed order, before any artifact is produced. Parameters are
+// not among them: tensor records (nn.WriteParams) are raw frames, not
+// gob.
 func init() {
 	enc := gob.NewEncoder(io.Discard)
-	// Checkpoint stream types, in v1 stream order: nn header, meta,
-	// parameter blobs.
+	// The nn header first, where it has always been: corpus files open
+	// with it, and its ID must not depend on whether this process writes
+	// a corpus before or after a checkpoint. Then the checkpoint's one
+	// gob type.
 	_ = nn.WriteHeader(enc, CheckpointMagic, CheckpointVersion)
 	_ = enc.Encode(checkpointMeta{})
-	_ = nn.EncodeParams(enc, nil)
 	// Snapshot stream types.
 	_ = enc.Encode(snapshotMeta{})
 	_ = enc.Encode(nn.AdamState{})

@@ -35,9 +35,14 @@ import (
 	"mtmlf/internal/workload"
 )
 
-// LoweredShared is the inference form of the (F.iii) serializer, the
-// (S) module and the card/cost (T) heads of a Shared.
+// LoweredShared is the inference form of a Shared: the (F.iii)
+// serializer, the (S) module and the card/cost (T) heads at element
+// type T, next to the two things every tier reads as they are — the
+// architecture and the float64 Trans_JO decoder.
 type LoweredShared[T tensor.Float] struct {
+	Cfg Config
+	JO  *JoinOrder
+
 	NodeProj *nn.LoweredLinear[T]
 	TreePos  *nn.LoweredTreePos[T]
 	JoinEmb  *nn.LoweredEmbedding[T]
@@ -48,6 +53,8 @@ type LoweredShared[T tensor.Float] struct {
 
 func lowerShared[T tensor.Float](s *Shared, p nn.Precision) *LoweredShared[T] {
 	return &LoweredShared[T]{
+		Cfg:      s.Cfg,
+		JO:       s.JO,
 		NodeProj: nn.LowerLinear[T](s.NodeProj, p),
 		TreePos:  nn.LowerTreePositionalEncoder[T](s.TreePos, p),
 		JoinEmb:  nn.LowerEmbedding[T](s.JoinEmb),
@@ -57,20 +64,25 @@ func lowerShared[T tensor.Float](s *Shared, p nn.Precision) *LoweredShared[T] {
 	}
 }
 
-// Lowered is the inference form of a Model at element type T. It
-// references its source Model (statistics, raw featurization and the
-// f64 decoder) and holds no state of its own beyond the lowered
-// weights; it is three words, passed by value.
+// Lowered is the inference form of a Model at element type T: the
+// lowered weights plus what inference reads unlowered — the
+// architecture and the f64 decoder (in LoweredShared), the database,
+// its statistics and the raw token pipeline (Feat.Src). It does not
+// reference a Model, so a replica streamed from a checkpoint
+// (LoadLowered) needs none to exist. Two words, passed by value.
 type Lowered[T tensor.Float] struct {
-	Src *Model
 	*LoweredShared[T]
 	// Feat holds the lowered per-table featurizer encoders.
 	Feat *featurize.Lowered[T]
 }
 
 // LoweredModel is a reduced-precision (f32 or int8-weight) serving
-// replica of a Model, rebuilt from it on every reload.
+// replica: lowered from a Model (Lower) or built straight from a
+// checkpoint stream (LoadLowered), afresh on every reload.
 type LoweredModel = Lowered[float32]
+
+// DB returns the database the replica serves.
+func (lm Lowered[T]) DB() *sqldb.DB { return lm.Feat.Src.DB }
 
 // Lower builds a reduced-precision serving replica of m. p must be
 // PrecisionF32 or PrecisionInt8; the f64 tier serves from m itself.
@@ -79,7 +91,6 @@ func (m *Model) Lower(p nn.Precision) *LoweredModel {
 		panic("mtmlf: Lower(PrecisionF64) — serve the source model directly")
 	}
 	return &LoweredModel{
-		Src:           m,
 		LoweredShared: lowerShared[float32](m.Shared, p),
 		Feat:          featurize.Lower[float32](m.Feat, p),
 	}
@@ -90,7 +101,7 @@ func (m *Model) Lower(p nn.Precision) *LoweredModel {
 // the featurizer built once over their own weights, because a Model is
 // a free pairing of the two that callers re-pair at will.
 func (m *Model) Reference() Lowered[float64] {
-	return Lowered[float64]{Src: m, LoweredShared: m.Shared.f64, Feat: m.Feat.Reference()}
+	return Lowered[float64]{LoweredShared: m.Shared.f64, Feat: m.Feat.Reference()}
 }
 
 // Memoized returns a copy of lm whose featurizer keeps the table
@@ -126,8 +137,8 @@ type (
 // e's pool: they are valid until e.Reset() (or Release) and must be
 // cloned to outlive it.
 func (lm Lowered[T]) RepresentInfer(e *ag.Session[T], q *sqldb.Query, p *plan.Node) *Rep[T] {
-	cfg := lm.Src.Shared.Cfg
-	db := lm.Src.Feat.DB
+	cfg := lm.Cfg
+	db := lm.DB()
 	if len(db.Tables) > cfg.MaxTables {
 		panic(fmt.Sprintf("mtmlf: database has %d tables, model supports %d", len(db.Tables), cfg.MaxTables))
 	}
@@ -146,7 +157,7 @@ func (lm Lowered[T]) RepresentInfer(e *ag.Session[T], q *sqldb.Query, p *plan.No
 			}
 			fixed.Data[idx] = 1
 		}
-		estCard := lm.Src.Feat.Stats.EstimateSubplanCard(n.Tables(), q)
+		estCard := lm.Feat.Src.Stats.EstimateSubplanCard(n.Tables(), q)
 		fixed.Data[fixedW-1] = T(math.Log(estCard+1) / 20)
 		var embPart *tensor.Dense[T]
 		if n.IsLeaf() {
@@ -246,7 +257,7 @@ func (lm Lowered[T]) EstimateRoot(lq *workload.LabeledQuery) (card, costv float6
 
 // InferJoinOrder predicts the join order for a query end to end: one
 // no-grad Represent, then KV-cached constrained beam search by the
-// source model's float64 Trans_JO over the [m, Dim] memory (converted
+// float64 Trans_JO over the [m, Dim] memory (converted
 // once when T is not float64; see the package comment for why the
 // decoder is not lowered). This is what the experiment tables and CLIs
 // serve from; at float64 it returns the same order as Represent +
@@ -255,8 +266,7 @@ func (lm Lowered[T]) InferJoinOrder(q *sqldb.Query, p *plan.Node) []string {
 	e := ag.Acquire[T]()
 	defer ag.Release(e)
 	rep := lm.RepresentInfer(e, q, p)
-	s := lm.Src.Shared
-	best, ok := BestBeam(s.JO.BeamSearchTensor(rep.Memory.ToTensor(), q, s.Cfg.BeamWidth, true))
+	best, ok := BestBeam(lm.JO.BeamSearchTensor(rep.Memory.ToTensor(), q, lm.Cfg.BeamWidth, true))
 	if !ok {
 		return nil
 	}
@@ -264,12 +274,11 @@ func (lm Lowered[T]) InferJoinOrder(q *sqldb.Query, p *plan.Node) []string {
 }
 
 // ParamBytes returns the resident parameter bytes of the replica: the
-// lowered weights plus the float64 Trans_JO decoder it shares with the
-// source model.
+// lowered weights plus the float64 Trans_JO decoder.
 func (lm Lowered[T]) ParamBytes() int {
 	n := lm.NodeProj.Bytes() + lm.TreePos.Bytes() + lm.JoinEmb.Bytes() +
 		lm.Share.Bytes() + lm.CardHead.Bytes() + lm.CostHead.Bytes() + lm.Feat.Bytes()
-	for _, p := range lm.Src.Shared.JO.Params() {
+	for _, p := range lm.JO.Params() {
 		n += 8 * p.T.Size()
 	}
 	return n

@@ -93,19 +93,19 @@ func TestBeamProbabilitiesNormalized(t *testing.T) {
 	}
 }
 
-// TestSharedRoundtripThroughGob saves a trained Shared and restores it
-// into a new model, verifying identical predictions — the provider→user
-// artifact flow of Section 2.3.
-func TestSharedRoundtripThroughGob(t *testing.T) {
+// TestSharedRoundtripThroughCheckpoint saves a trained Shared as the
+// transfer artifact and restores it into a new model, verifying
+// identical predictions — the provider→user flow of Section 2.3.
+func TestSharedRoundtripThroughCheckpoint(t *testing.T) {
 	m, qs := tinySetup(t, 42, 8)
 	m.TrainJoint(qs, TrainOptions{Epochs: 1, Seed: 43})
 
 	var buf bytes.Buffer
-	if err := nn.Save(&buf, m.Shared.Params()); err != nil {
+	if err := SaveShared(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	restored := &Model{Shared: NewShared(m.Shared.Cfg, 999), Feat: m.Feat}
-	if err := nn.Load(&buf, restored.Shared.Params()); err != nil {
+	if _, err := Load(&buf, restored); err != nil {
 		t.Fatal(err)
 	}
 	lq := qs[0]

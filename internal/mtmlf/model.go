@@ -108,7 +108,13 @@ type Shared struct {
 
 // NewShared initializes the transferable modules.
 func NewShared(cfg Config, seed int64) *Shared {
-	rng := rand.New(rand.NewSource(seed))
+	return newShared(cfg, rand.New(rand.NewSource(seed)))
+}
+
+// newShared builds the transferable modules from rng's draws, or — for
+// a nil rng — with zero weights and no draws: the destination of a
+// checkpoint load (tensor.Rand).
+func newShared(cfg Config, rng *rand.Rand) *Shared {
 	s := &Shared{
 		Cfg:      cfg,
 		NodeProj: nn.NewLinear(rng, cfg.nodeRawWidth(), cfg.Dim),

@@ -34,8 +34,9 @@ import (
 const (
 	// SnapshotMagic opens every training-state snapshot file.
 	SnapshotMagic = "MTMLF-SNAP"
-	// SnapshotVersion is the snapshot format version.
-	SnapshotVersion = 1
+	// SnapshotVersion is the snapshot format version (2: the parameter
+	// section became tensor records, the checkpoint's codec).
+	SnapshotVersion = 2
 	// snapPreambleSize is the raw preamble: magic + big-endian version.
 	snapPreambleSize = len(SnapshotMagic) + 2
 )
@@ -118,10 +119,11 @@ func matchMeta(want, got snapshotMeta) error {
 	return nil
 }
 
-// writeSnapshot persists the full training state atomically. Sections
-// (meta, optimizer state, parameters) are framed with CRC32C
-// checksums, so a torn or rotted snapshot fails to load with a typed
-// *ckptio.CorruptError instead of resuming from garbage.
+// writeSnapshot persists the full training state atomically: a
+// preamble, then CRC32C-framed sections — meta (gob), optimizer state
+// (gob), and the parameters as tensor records (nn.WriteParams, the
+// checkpoint's codec) — so a torn or rotted snapshot fails to load with
+// a typed *ckptio.CorruptError instead of resuming from garbage.
 func writeSnapshot(path string, meta snapshotMeta, opt *nn.Adam, params []*ag.Value) error {
 	return ckptio.WriteFileAtomic(path, func(w io.Writer) error {
 		var pre [snapPreambleSize]byte
@@ -144,28 +146,15 @@ func writeSnapshot(path string, meta snapshotMeta, opt *nn.Adam, params []*ag.Va
 		if err := ckptio.WriteSection(w, buf.Bytes()); err != nil {
 			return err
 		}
-		buf.Reset()
-		if err := nn.EncodeParams(gob.NewEncoder(&buf), params); err != nil {
-			return fmt.Errorf("mtmlf: encode snapshot parameters: %w", err)
-		}
-		return ckptio.WriteSection(w, buf.Bytes())
+		return nn.WriteParams(w, params)
 	})
 }
 
-// snapshotFile is a parsed-but-not-applied snapshot: the meta is
-// decoded (so the caller can reject a mismatched snapshot before any
-// state is touched), the optimizer and parameter payloads are held
-// as verified bytes until restore.
-type snapshotFile struct {
-	Meta          snapshotMeta
-	adamPayload   []byte
-	paramsPayload []byte
-}
-
-// readSnapshotFile opens and integrity-checks a snapshot. A missing
-// file returns an error satisfying errors.Is(err, os.ErrNotExist); a
-// damaged one a *ckptio.CorruptError.
-func readSnapshotFile(path string) (*snapshotFile, error) {
+// readSnapshotBody opens a snapshot, checks its preamble and returns
+// the sections after it, not yet verified (restoreSnapshot does that).
+// A missing file returns an error satisfying errors.Is(err,
+// os.ErrNotExist); a damaged preamble a *ckptio.CorruptError.
+func readSnapshotBody(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -181,38 +170,65 @@ func readSnapshotFile(path string) (*snapshotFile, error) {
 	if v := binary.BigEndian.Uint16(pre[len(SnapshotMagic):]); v != SnapshotVersion {
 		return nil, ckptio.Corruptf("snapshot", "unsupported version %d (supported %d; damaged version field or future file)", v, SnapshotVersion)
 	}
-	metaPayload, err := ckptio.ReadSection(f, "snapshot")
-	if err != nil {
-		return nil, err
-	}
-	var meta snapshotMeta
-	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
-		return nil, ckptio.Corruptf("snapshot", "decode meta: %v", err)
-	}
-	adamPayload, err := ckptio.ReadSection(f, "snapshot")
-	if err != nil {
-		return nil, err
-	}
-	paramsPayload, err := ckptio.ReadSection(f, "snapshot")
-	if err != nil {
-		return nil, err
-	}
-	return &snapshotFile{Meta: meta, adamPayload: adamPayload, paramsPayload: paramsPayload}, nil
+	return io.ReadAll(f)
 }
 
-// restore applies the snapshot's parameters and optimizer state.
-func (s *snapshotFile) restore(opt *nn.Adam, params []*ag.Value) error {
-	if err := nn.DecodeParams(gob.NewDecoder(bytes.NewReader(s.paramsPayload)), params); err != nil {
-		return ckptio.Corruptf("snapshot", "restore parameters: %v", err)
+// restoreSnapshot applies a snapshot body — from the file, or from rank
+// 0's broadcast of it — to opt and params, and returns its meta. Nothing
+// is touched until everything has been verified: the meta frame and
+// that it describes the run want does, the optimizer frame, and every
+// tensor record against the parameter it restores (frame length,
+// checksum, shape, finite values). Any failure past the meta match is a
+// *ckptio.CorruptError naming artifact.
+func restoreSnapshot(body []byte, artifact string, want snapshotMeta, opt *nn.Adam, params []*ag.Value) (snapshotMeta, error) {
+	var meta snapshotMeta
+	corrupt := func(what string, err error) (snapshotMeta, error) {
+		var ce *ckptio.CorruptError
+		if errors.As(err, &ce) {
+			return meta, err
+		}
+		return meta, ckptio.Corruptf(artifact, "%s: %v", what, err)
+	}
+	r := bytes.NewReader(body)
+	metaPayload, err := ckptio.ReadSection(r, artifact)
+	if err != nil {
+		return meta, err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
+		return corrupt("decode meta", err)
+	}
+	if err := matchMeta(want, meta); err != nil {
+		return meta, err
+	}
+	adamPayload, err := ckptio.ReadSection(r, artifact)
+	if err != nil {
+		return meta, err
 	}
 	var st nn.AdamState
-	if err := gob.NewDecoder(bytes.NewReader(s.adamPayload)).Decode(&st); err != nil {
-		return ckptio.Corruptf("snapshot", "decode optimizer state: %v", err)
+	if err := gob.NewDecoder(bytes.NewReader(adamPayload)).Decode(&st); err != nil {
+		return corrupt("decode optimizer state", err)
+	}
+	records := body[len(body)-r.Len():]
+	pr, err := nn.NewParamReader(r, artifact, len(params))
+	if err != nil {
+		return corrupt("restore parameters", err)
+	}
+	for _, p := range params {
+		if _, err := pr.Next(p.T.Shape); err != nil {
+			return corrupt("restore parameters", err)
+		}
 	}
 	if err := opt.SetState(st); err != nil {
-		return ckptio.Corruptf("snapshot", "restore optimizer state: %v", err)
+		return corrupt("restore optimizer state", err)
 	}
-	return nil
+	// The second pass over the records just verified: it cannot fail.
+	if pr, err = nn.NewParamReader(bytes.NewReader(records), artifact, len(params)); err == nil {
+		err = pr.ReadInto(params)
+	}
+	if err != nil {
+		return corrupt("restore parameters", err)
+	}
+	return meta, nil
 }
 
 // epochCtl is the durability controller the epoch iterator drives:
@@ -277,112 +293,47 @@ func prepareSnapshots(ex dist.Exchanger, snap SnapshotOptions, meta snapshotMeta
 	if !snap.Resume || snap.Path == "" {
 		return ctl, nil
 	}
-	if world <= 1 {
-		file, err := readSnapshotFile(snap.Path)
-		if errors.Is(err, os.ErrNotExist) {
-			return ctl, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := matchMeta(meta, file.Meta); err != nil {
-			return nil, err
-		}
-		if err := file.restore(opt, params); err != nil {
-			return nil, err
-		}
-		*st = file.Meta.Stats
-		ctl.startEpoch, ctl.startOffset = file.Meta.Epoch, file.Meta.Offset
-		return ctl, nil
-	}
-	// Distributed resume: rank 0 owns the snapshot file; everyone else
-	// receives its contents over the exchange plane. A missing file is
-	// a fleet-wide fresh start — the decision must be broadcast too, or
-	// half the fleet could resume while the other half starts over.
-	var blob []byte
+	// body is the snapshot after its preamble; nil means a fresh start.
+	// In a distributed run rank 0 owns the file and everyone else
+	// receives its contents over the exchange plane — and a missing
+	// file is a fleet-wide fresh start, so that decision is broadcast
+	// too, or half the fleet could resume while the other half starts
+	// over.
+	var body []byte
+	artifact := "snapshot"
 	if rank == 0 {
-		file, err := readSnapshotFile(snap.Path)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			blob = encodeResumeState(nil)
-		case err != nil:
+		var err error
+		if body, err = readSnapshotBody(snap.Path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, err
-		default:
-			blob = encodeResumeState(file)
 		}
 	}
-	blob, err := ex.BroadcastBytes(blob)
-	if err != nil {
-		return nil, fmt.Errorf("mtmlf: broadcast resume state: %w", err)
+	if world > 1 {
+		// One marker byte in front: 0 for "no snapshot", 1 for a body.
+		artifact = "resume broadcast"
+		blob := []byte{0}
+		if body != nil {
+			blob = append([]byte{1}, body...)
+		}
+		blob, err := ex.BroadcastBytes(blob)
+		if err != nil {
+			return nil, fmt.Errorf("mtmlf: broadcast resume state: %w", err)
+		}
+		if len(blob) == 0 {
+			return nil, ckptio.Corruptf(artifact, "empty payload")
+		}
+		body = nil
+		if blob[0] != 0 {
+			body = blob[1:]
+		}
 	}
-	file, err := decodeResumeState(blob)
-	if err != nil {
-		return nil, err
-	}
-	if file == nil {
+	if body == nil {
 		return ctl, nil
 	}
-	if err := matchMeta(meta, file.Meta); err != nil {
+	got, err := restoreSnapshot(body, artifact, meta, opt, params)
+	if err != nil {
 		return nil, err
 	}
-	if err := file.restore(opt, params); err != nil {
-		return nil, err
-	}
-	*st = file.Meta.Stats
-	ctl.startEpoch, ctl.startOffset = file.Meta.Epoch, file.Meta.Offset
+	*st = got.Stats
+	ctl.startEpoch, ctl.startOffset = got.Epoch, got.Offset
 	return ctl, nil
-}
-
-// encodeResumeState packs a parsed snapshot (or nil for "fresh start")
-// into one broadcast payload: a marker byte, then the snapshot's three
-// sections re-framed with the same CRC32C section format the file
-// uses. No new gob types are introduced, so the process-global type-ID
-// order gobtypes.go pins is untouched.
-func encodeResumeState(file *snapshotFile) []byte {
-	if file == nil {
-		return []byte{0}
-	}
-	var buf bytes.Buffer
-	buf.WriteByte(1)
-	var mb bytes.Buffer
-	// Encoding snapshotMeta cannot fail: it is a fixed struct of
-	// gob-encodable fields, and the writer is in-memory.
-	if err := gob.NewEncoder(&mb).Encode(file.Meta); err != nil {
-		panic(err)
-	}
-	for _, section := range [][]byte{mb.Bytes(), file.adamPayload, file.paramsPayload} {
-		if err := ckptio.WriteSection(&buf, section); err != nil {
-			panic(err) // bytes.Buffer writes cannot fail
-		}
-	}
-	return buf.Bytes()
-}
-
-// decodeResumeState is the inverse of encodeResumeState. nil means the
-// fleet starts fresh.
-func decodeResumeState(blob []byte) (*snapshotFile, error) {
-	if len(blob) == 0 {
-		return nil, ckptio.Corruptf("resume broadcast", "empty payload")
-	}
-	if blob[0] == 0 {
-		return nil, nil
-	}
-	r := bytes.NewReader(blob[1:])
-	metaPayload, err := ckptio.ReadSection(r, "resume broadcast")
-	if err != nil {
-		return nil, err
-	}
-	var meta snapshotMeta
-	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
-		return nil, ckptio.Corruptf("resume broadcast", "decode meta: %v", err)
-	}
-	adamPayload, err := ckptio.ReadSection(r, "resume broadcast")
-	if err != nil {
-		return nil, err
-	}
-	paramsPayload, err := ckptio.ReadSection(r, "resume broadcast")
-	if err != nil {
-		return nil, err
-	}
-	return &snapshotFile{Meta: meta, adamPayload: adamPayload, paramsPayload: paramsPayload}, nil
 }

@@ -245,10 +245,10 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	src := NewEncoder(rng, 8, 2, 2)
 	dst := NewEncoder(rand.New(rand.NewSource(99)), 8, 2, 2)
 	var buf bytes.Buffer
-	if err := Save(&buf, src.Params()); err != nil {
+	if err := WriteParams(&buf, src.Params()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Load(&buf, dst.Params()); err != nil {
+	if err := loadParams(&buf, dst.Params()); err != nil {
 		t.Fatal(err)
 	}
 	x := ag.Const(tensor.Rand(rng, 3, 8, 1))
@@ -264,10 +264,10 @@ func TestLoadShapeMismatchFails(t *testing.T) {
 	src := NewLinear(rng, 4, 4)
 	dst := NewLinear(rng, 4, 5)
 	var buf bytes.Buffer
-	if err := Save(&buf, src.Params()); err != nil {
+	if err := WriteParams(&buf, src.Params()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Load(&buf, dst.Params()); err == nil {
+	if err := loadParams(&buf, dst.Params()); err == nil {
 		t.Fatal("expected error on shape mismatch")
 	}
 }

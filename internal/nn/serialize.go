@@ -1,28 +1,24 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"math"
 
 	"mtmlf/internal/ag"
-	"mtmlf/internal/tensor"
+	"mtmlf/internal/ckptio"
 )
 
-// ErrNonFinite is returned (wrapped) by DecodeParams for a parameter
-// section holding NaN or ±Inf. Such a file is well-formed — its CRC
+// ErrNonFinite is returned (wrapped) by ParamReader for a tensor record
+// holding NaN or ±Inf. Such a file is well-formed — its CRC
 // matches — but every estimate served from it would be NaN, which
 // JSON cannot even carry; refusing it at load is the only place the
 // failure is still attributable to the checkpoint.
 var ErrNonFinite = errors.New("nn: non-finite parameter")
-
-// paramBlob is the on-wire form of one parameter tensor.
-type paramBlob struct {
-	Shape []int
-	Data  []float64
-}
 
 // header is the on-wire checkpoint preamble. Magic identifies the
 // artifact kind (so a truncated or foreign file fails loudly instead
@@ -32,10 +28,9 @@ type header struct {
 	Version int
 }
 
-// WriteHeader writes a magic/version preamble to a gob stream.
-// Higher-level checkpoint formats (internal/mtmlf's full-model
-// checkpoint) start with this so loaders can reject foreign files and
-// future versions with a descriptive error.
+// WriteHeader writes a magic/version preamble to a gob stream; the
+// corpus header starts with it, so its loader can reject foreign files
+// and future versions with a descriptive error.
 func WriteHeader(enc *gob.Encoder, magic string, version int) error {
 	return enc.Encode(header{Magic: magic, Version: version})
 }
@@ -57,64 +52,137 @@ func ReadHeader(dec *gob.Decoder, magic string, maxVersion int) (int, error) {
 	return h.Version, nil
 }
 
-// EncodeParams writes one parameter section (shapes + data, in order)
-// to a gob stream. Gob transmits float64s as their exact bit patterns,
-// so a save/load round trip is bitwise lossless.
-func EncodeParams(enc *gob.Encoder, params []*ag.Value) error {
-	blobs := make([]paramBlob, len(params))
-	for i, p := range params {
-		blobs[i] = paramBlob{Shape: p.T.Shape, Data: p.T.Data}
-	}
-	return enc.Encode(blobs)
-}
+// Tensor records are the one on-disk form of a parameter list, shared
+// by checkpoints and training snapshots (layout and rationale: DESIGN.md
+// §7): a count frame (uvarint), then one ckptio frame per tensor — rank
+// and extents as uvarints, then the elements' float64 bits,
+// little-endian, verbatim, so a round trip is bitwise lossless.
 
-// DecodeParams reads a section written by EncodeParams into params,
-// validating the element count, every tensor's shape, and that every
-// value is finite (ErrNonFinite) before any data is copied — a
-// checkpoint for a different architecture (or a reordered parameter
-// list) fails with a descriptive error instead of silently smearing
-// weights across the wrong tensors, and a rejected file leaves params
-// exactly as they were.
-func DecodeParams(dec *gob.Decoder, params []*ag.Value) error {
-	var blobs []paramBlob
-	if err := dec.Decode(&blobs); err != nil {
-		return fmt.Errorf("nn: decode parameters: %w", err)
+// WriteParams writes params (in order) as tensor records, building
+// every frame in one reused buffer.
+func WriteParams(w io.Writer, params []*ag.Value) error {
+	buf := ckptio.NewSection(nil, binary.MaxVarintLen64)
+	buf = ckptio.SealSection(binary.AppendUvarint(buf, uint64(len(params))))
+	if _, err := w.Write(buf); err != nil {
+		return err
 	}
-	if len(blobs) != len(params) {
-		return fmt.Errorf("nn: parameter count mismatch: file has %d, model has %d", len(blobs), len(params))
-	}
-	for i, b := range blobs {
-		p := params[i]
-		if !slices.Equal(b.Shape, p.T.Shape) {
-			return fmt.Errorf("nn: parameter %d shape mismatch: file %v, model %v", i, b.Shape, p.T.Shape)
+	for _, p := range params {
+		data := p.T.Data
+		buf = appendShape(ckptio.NewSection(buf, (1+len(p.T.Shape))*binary.MaxVarintLen64+8*len(data)), p.T.Shape)
+		off := len(buf)
+		buf = buf[:off+8*len(data)]
+		for i, v := range data {
+			binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(v))
 		}
-		if len(b.Data) != p.T.Size() {
-			return fmt.Errorf("nn: parameter %d size mismatch: file %d, model %d", i, len(b.Data), p.T.Size())
+		buf = ckptio.SealSection(buf)
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
-		if (&tensor.Tensor{Data: b.Data}).HasNaN() {
-			return fmt.Errorf("%w: parameter %d %v holds NaN or Inf", ErrNonFinite, i, b.Shape)
-		}
-	}
-	for i, b := range blobs {
-		copy(params[i].T.Data, b.Data)
 	}
 	return nil
 }
 
-// Save writes the parameters (in order) to w using encoding/gob. Load
-// with the same architecture restores them; this is how pre-trained
-// MTMLF (S)+(T) modules are shipped to a "new DB" in the paper's
-// cloud-service workflow (Section 2.3). The full-model checkpoint
-// format (internal/mtmlf Save/Load) wraps this section encoding with
-// a magic/version/config header.
-func Save(w io.Writer, params []*ag.Value) error {
-	return EncodeParams(gob.NewEncoder(w), params)
+func appendShape(b []byte, shape []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(shape)))
+	for _, d := range shape {
+		b = binary.AppendUvarint(b, uint64(d))
+	}
+	return b
 }
 
-// Load reads parameters written by Save into the given parameter list,
-// which must match in count and per-tensor shape.
-func Load(r io.Reader, params []*ag.Value) error {
-	return DecodeParams(gob.NewDecoder(r), params)
+// ParamReader reads tensor records one at a time through one reused
+// buffer, which therefore grows to the largest tensor and no further.
+type ParamReader struct {
+	r        io.Reader
+	artifact string
+	buf      []byte
+	shape    []byte // the record prefix the next destination requires
+	next     int
+	elems    int
+}
+
+// NewParamReader reads the count frame of a tensor-record stream and
+// requires it to announce exactly want tensors: a stream for another
+// architecture fails here, before any destination is written. Frame
+// damage is reported as a *ckptio.CorruptError naming artifact.
+func NewParamReader(r io.Reader, artifact string, want int) (*ParamReader, error) {
+	pr := &ParamReader{r: r, artifact: artifact}
+	payload, err := ckptio.ReadSectionInto(r, artifact, nil)
+	if err != nil {
+		return nil, err
+	}
+	n, used := binary.Uvarint(payload)
+	if used <= 0 || used != len(payload) {
+		return nil, ckptio.Corruptf(artifact, "tensor count frame passed its checksum but does not decode")
+	}
+	if n != uint64(want) {
+		return nil, fmt.Errorf("nn: parameter count mismatch: file has %d, model has %d", n, want)
+	}
+	pr.buf = payload
+	return pr, nil
+}
+
+// nonFinite is the exponent field of a float64, all ones in NaN and
+// ±Inf and in nothing else.
+const nonFinite = 0x7FF << 52
+
+// Next reads the next tensor record against the shape its destination
+// has and returns its elements, still encoded, valid until the
+// following call. In order: a frame of any other length is refused
+// unread, the checksum is verified, rank and extents are compared, and
+// every element is checked finite (ErrNonFinite) — so a caller that
+// copies what Next returns never writes one element of a bad tensor.
+func (pr *ParamReader) Next(shape []int) ([]byte, error) {
+	size := 1
+	for _, d := range shape {
+		size *= d
+	}
+	pr.shape = appendShape(pr.shape[:0], shape)
+	payload, err := ckptio.ReadSectionSized(pr.r, pr.artifact, pr.buf, len(pr.shape)+8*size)
+	if err != nil {
+		return nil, fmt.Errorf("nn: parameter %d %v: %w", pr.next, shape, err)
+	}
+	pr.buf = payload
+	if !bytes.HasPrefix(payload, pr.shape) {
+		return nil, pr.shapeError(payload, shape)
+	}
+	raw := payload[len(pr.shape):]
+	for i := 0; i < len(raw); i += 8 {
+		if binary.LittleEndian.Uint64(raw[i:])&nonFinite == nonFinite {
+			return nil, fmt.Errorf("%w: parameter %d %v holds NaN or Inf", ErrNonFinite, pr.next, shape)
+		}
+	}
+	pr.next++
+	pr.elems += size
+	return raw, nil
+}
+
+// Elements returns the number of tensor elements read so far.
+func (pr *ParamReader) Elements() int { return pr.elems }
+
+// shapeError names how a record of the right length still describes
+// another tensor: a different rank, or the same rank with other extents.
+func (pr *ParamReader) shapeError(payload []byte, shape []int) error {
+	if rank, n := binary.Uvarint(payload); n <= 0 || rank != uint64(len(shape)) {
+		return fmt.Errorf("nn: parameter %d rank mismatch: file %d, model %d", pr.next, rank, len(shape))
+	}
+	return fmt.Errorf("nn: parameter %d shape mismatch: the file's extents are not the model's %v", pr.next, shape)
+}
+
+// ReadInto reads the next len(params) tensor records into params, each
+// tensor written only once Next has passed it. Tensors land as they
+// verify: after an error the ones before it hold the file's values.
+func (pr *ParamReader) ReadInto(params []*ag.Value) error {
+	for _, p := range params {
+		raw, err := pr.Next(p.T.Shape)
+		if err != nil {
+			return err
+		}
+		for i := range p.T.Data {
+			p.T.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+	return nil
 }
 
 // CopyParams copies parameter values from src to dst (shapes must match

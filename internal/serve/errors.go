@@ -58,8 +58,8 @@ var (
 // would make the model layer panic (plus a few that would silently
 // degrade, like filters on tables the query doesn't touch).
 func (e *Engine) Validate(q *sqldb.Query, p *plan.Node) error {
-	m := e.cur.Load().model
-	db := m.Feat.DB
+	cur := e.cur.Load()
+	db := cur.db
 	if q == nil {
 		return fmt.Errorf("%w: nil query", ErrBadRequest)
 	}
@@ -69,7 +69,7 @@ func (e *Engine) Validate(q *sqldb.Query, p *plan.Node) error {
 	if len(q.Tables) == 0 {
 		return fmt.Errorf("%w: query has no tables", ErrBadRequest)
 	}
-	if max := m.Shared.Cfg.MaxTables; len(q.Tables) > max {
+	if max := cur.maxTables; len(q.Tables) > max {
 		return fmt.Errorf("%w: query joins %d tables, model supports %d", ErrModelLimit, len(q.Tables), max)
 	}
 	inQuery := make(map[string]bool, len(q.Tables))

@@ -36,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/plan"
 	"mtmlf/internal/workload"
 )
@@ -93,11 +92,11 @@ type HandlerConfig struct {
 	// against the served database (guarded by a mutex: workload
 	// generators are not concurrency-safe).
 	Gen *workload.Generator
-	// Reload, when non-nil, enables POST /reloadz: it loads a fresh
-	// model (typically re-reading the checkpoint path from disk) which
-	// the handler swaps into the engine via Engine.Reload. Calls are
-	// serialized by the handler. When nil, /reloadz returns 404.
-	Reload func() (*mtmlf.Model, error)
+	// Reload, when non-nil, enables POST /reloadz: it loads fresh
+	// weights and swaps them into the engine — typically re-reading the
+	// checkpoint path through Engine.ReloadFrom. Calls are serialized by
+	// the handler. When nil, /reloadz returns 404.
+	Reload func() error
 	// Ready, when non-nil, gates readiness: /healthz answers 503 while
 	// it returns false (during drain, say), steering load balancers
 	// away without touching liveness — GET /livez stays 200 as long as
@@ -180,7 +179,7 @@ type handler struct {
 	ready  func() bool
 
 	reloadMu sync.Mutex
-	reload   func() (*mtmlf.Model, error)
+	reload   func() error
 }
 
 // maxBodyBytes bounds POST bodies: the largest legitimate request (a
@@ -291,10 +290,11 @@ func (h *handler) joinOrder(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, JoinOrderJSON{Order: res.Order, LogProb: res.LogProb, Legal: res.Legal})
 }
 
-// reloadz hot-swaps the served checkpoint. Loading happens outside
-// the engine (the reloader re-reads the checkpoint from disk); the
-// swap itself is atomic and in-flight batches drain on the old model
-// — see Engine.Reload.
+// reloadz hot-swaps the served checkpoint through the configured
+// reloader. The swap itself is atomic and in-flight batches drain on
+// the old bundle — see Engine.Reload. A checkpoint for another schema
+// answers 409; any other failure (an unreadable or damaged file) is the
+// server's, 500. Either way the old bundle keeps serving.
 func (h *handler) reloadz(w http.ResponseWriter, _ *http.Request) {
 	if h.reload == nil {
 		http.NotFound(w, nil)
@@ -302,13 +302,12 @@ func (h *handler) reloadz(w http.ResponseWriter, _ *http.Request) {
 	}
 	h.reloadMu.Lock()
 	defer h.reloadMu.Unlock()
-	m, err := h.reload()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
-		return
-	}
-	if err := h.engine.Reload(m); err != nil {
-		writeError(w, err)
+	if err := h.reload(); err != nil {
+		if errors.Is(err, ErrReloadMismatch) {
+			writeError(w, err)
+		} else {
+			writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+		}
 		return
 	}
 	db := h.engine.DB()

@@ -103,8 +103,13 @@ func TestHTTPReloadz(t *testing.T) {
 	var nextModel *mtmlf.Model = m2
 	var nextErr error
 	srv := httptest.NewServer(NewHandlerConfig(e, HandlerConfig{
-		Gen:    workload.NewGenerator(db, 99),
-		Reload: func() (*mtmlf.Model, error) { return nextModel, nextErr },
+		Gen: workload.NewGenerator(db, 99),
+		Reload: func() error {
+			if nextErr != nil {
+				return nextErr
+			}
+			return e.Reload(nextModel)
+		},
 	}))
 	defer srv.Close()
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/workload"
 )
 
@@ -194,7 +193,7 @@ func TestHTTPRecoverPanic(t *testing.T) {
 	}
 	defer e.Close()
 	srv := httptest.NewServer(NewHandlerConfig(e, HandlerConfig{
-		Reload: func() (*mtmlf.Model, error) { panic("injected reload panic") },
+		Reload: func() error { panic("injected reload panic") },
 	}))
 	defer srv.Close()
 

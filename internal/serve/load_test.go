@@ -162,14 +162,12 @@ func TestEngineDeadlineExpiredAtSubmit(t *testing.T) {
 // the test pulls them through admit/fill itself).
 func newIdleEngine(t *testing.T, m *mtmlf.Model, opts Options) *Engine {
 	t.Helper()
-	opts = opts.withDefaults()
-	e := &Engine{
-		opts:  opts,
-		reqs:  make(chan *request, opts.QueueDepth),
-		stats: newStats(opts.Sessions),
-		quit:  make(chan struct{}),
+	e := newEngine(opts)
+	s, err := e.lower(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.cur.Store(e.newServed(m))
+	e.cur.Store(s)
 	return e
 }
 

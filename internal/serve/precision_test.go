@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"mtmlf/internal/datagen"
@@ -111,5 +112,102 @@ func TestEngineReloadReLowers(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameFloats(t, "card after reload", card.Nodes, lm2.EstimateNodeCards(lq))
+	}
+}
+
+// TestOpenServesTheStreamedReplica: an engine booted from a checkpoint
+// stream (the way mtmlf-serve boots) answers exactly what an engine
+// built from the in-memory model answers, at every tier; /statsz says
+// what the load read and what the bundle keeps; and a reload from a
+// file that goes bad at some tensor — after the loader has already
+// accepted the ones before it — leaves the old bundle serving, while a
+// good file swaps in through the same call.
+func TestOpenServesTheStreamedReplica(t *testing.T) {
+	m1, qs := testModel(t)
+	db := m1.Feat.DB
+	m2 := mtmlf.NewModel(m1.Shared.Cfg, db, 21)
+	var ckpt1, ckpt2 bytes.Buffer
+	if err := mtmlf.Save(&ckpt1, m1); err != nil {
+		t.Fatal(err)
+	}
+	if err := mtmlf.Save(&ckpt2, m2); err != nil {
+		t.Fatal(err)
+	}
+	// Rot in the last quarter of the file: deep in the per-table
+	// encoders, hundreds of verified tensors in.
+	rotten := bytes.Clone(ckpt2.Bytes())
+	rotten[len(rotten)*3/4] ^= 0x04
+
+	for _, p := range []nn.Precision{nn.PrecisionF64, nn.PrecisionF32, nn.PrecisionInt8} {
+		t.Run(p.String(), func(t *testing.T) {
+			answers := func(e *Engine) (out []expected) {
+				t.Helper()
+				for _, lq := range qs {
+					card, err := e.EstimateCard(lq.Q, lq.Plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cost, err := e.EstimateCost(lq.Q, lq.Plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					jo, err := e.JoinOrder(lq.Q, lq.Plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, expected{cards: card.Nodes, costs: cost.Nodes, order: jo.Order})
+				}
+				return out
+			}
+			same := func(what string, got, want []expected) {
+				t.Helper()
+				for i := range want {
+					sameFloats(t, what+" card", got[i].cards, want[i].cards)
+					sameFloats(t, what+" cost", got[i].costs, want[i].costs)
+					sameStrings(t, what+" order", got[i].order, want[i].order)
+				}
+			}
+			var want [2][]expected
+			for i, m := range []*mtmlf.Model{m1, m2} {
+				ref, err := NewEngine(m, Options{Sessions: 1, Precision: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = answers(ref)
+				ref.Close()
+			}
+
+			e, info, err := Open(bytes.NewReader(ckpt1.Bytes()), db, Options{Sessions: 2, Precision: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			same("booted", answers(e), want[0])
+			ck := e.Stats().Checkpoint
+			if ck.Version != mtmlf.CheckpointVersion || ck.Tensors != len(m1.Params()) || ck.Bytes != int64(ckpt1.Len()) ||
+				ck.ParamBytes != e.LoweredParamBytes() || ck.ParamBytes <= 0 || ck.ParamBytes > info.ParamBytes {
+				t.Fatalf("statsz checkpoint %+v does not describe a %d-tensor, %d-byte file behind a bundle of at most %d bytes",
+					ck, len(m1.Params()), ckpt1.Len(), info.ParamBytes)
+			}
+			if (ck.LowerMs > 0) != (p != nn.PrecisionF64) {
+				t.Fatalf("lower_ms = %v at %v", ck.LowerMs, p)
+			}
+
+			if _, err := e.ReloadFrom(bytes.NewReader(rotten)); err == nil {
+				t.Fatal("ReloadFrom accepted a checkpoint with a rotten tensor")
+			}
+			if e.Reloads() != 0 {
+				t.Fatal("a failed reload was counted")
+			}
+			same("after a failed reload", answers(e), want[0])
+
+			if _, err := e.ReloadFrom(bytes.NewReader(ckpt2.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			if e.Reloads() != 1 {
+				t.Fatalf("reloads = %d after one good reload", e.Reloads())
+			}
+			same("reloaded", answers(e), want[1])
+		})
 	}
 }

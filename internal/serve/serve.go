@@ -57,6 +57,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -182,29 +183,84 @@ func (r *request) expired(now time.Time) bool {
 	return !r.deadline.IsZero() && !now.Before(r.deadline)
 }
 
-// served bundles everything one micro-batch needs to be consistent: a
-// model and its inference form at the engine's tier — exactly one of
-// f64 (a view of the model's own weights) and f32 (an f32 or
-// int8-weight replica lowered from them). A Reload builds a fresh
-// bundle and swaps the one pointer, so a batch that snapshotted the
-// old bundle keeps a matching model/replica pair. The inference form is
-// the memoizing copy: the bundle's weights never change, so it owns the
-// table encodings computed from them, and they go when it goes.
+// served bundles everything one micro-batch needs to be consistent: the
+// inference form at the engine's tier — exactly one of f64 (a view of a
+// model's own weights) and f32 (an f32 or int8-weight replica) — and
+// the schema and limit requests are validated against. No *mtmlf.Model:
+// a replica streamed from a checkpoint never had one. A reload builds a
+// fresh bundle and swaps the one pointer, so a batch that snapshotted
+// the old bundle finishes on it. The inference form is the memoizing
+// copy: the bundle's weights never change, so it owns the table
+// encodings computed from them, and they go when it goes.
 type served struct {
-	model *mtmlf.Model
-	f64   *mtmlf.Lowered[float64]
-	f32   *mtmlf.LoweredModel
+	db        *sqldb.DB
+	maxTables int
+	f64       *mtmlf.Lowered[float64]
+	f32       *mtmlf.LoweredModel
+	// load is how the bundle came to be, for /statsz.
+	load LoadStats
 }
 
-// newServed builds m's inference form at the engine's tier, with a
-// fresh memo counting into the engine's stats.
-func (e *Engine) newServed(m *mtmlf.Model) *served {
-	c := &e.stats.featMemo
-	if p := e.opts.Precision; p != nn.PrecisionF64 {
-		return &served{model: m, f32: m.Lower(p).Memoized(c)}
+// describe fills in what the bundle reads off its inference form and
+// applies the one limit a bundle can violate by itself.
+func describe[T tensor.Float](s *served, lm *mtmlf.Lowered[T]) error {
+	s.db, s.maxTables, s.load.ParamBytes = lm.DB(), lm.Cfg.MaxTables, lm.ParamBytes()
+	if n := len(s.db.Tables); n > s.maxTables {
+		return fmt.Errorf("%w: database has %d tables, model supports %d", ErrModelLimit, n, s.maxTables)
 	}
-	return &served{model: m, f64: m.Reference().Memoized(c)}
+	return nil
 }
+
+// lower builds the bundle for an in-memory model: its inference form at
+// the engine's tier, with a fresh memo counting into the engine's stats.
+func (e *Engine) lower(m *mtmlf.Model) (*served, error) {
+	if m == nil {
+		return nil, fmt.Errorf("%w: nil model", ErrBadRequest)
+	}
+	c := &e.stats.featMemo
+	s := &served{}
+	if p := e.opts.Precision; p != nn.PrecisionF64 {
+		t0 := time.Now()
+		s.f32 = m.Lower(p).Memoized(c)
+		s.load.LowerMs = millis(time.Since(t0))
+		return s, describe(s, s.f32)
+	}
+	s.f64 = m.Reference().Memoized(c)
+	return s, describe(s, s.f64)
+}
+
+// load builds the bundle for a checkpoint stream with the loader the
+// engine's tier selects: the float64 model at f64, the replica alone at
+// a reduced tier (mtmlf.LoadLowered).
+func (e *Engine) load(r io.Reader, db *sqldb.DB) (*served, *mtmlf.CheckpointInfo, error) {
+	var s *served
+	var info *mtmlf.CheckpointInfo
+	t0 := time.Now()
+	if p := e.opts.Precision; p != nn.PrecisionF64 {
+		lm, i, err := mtmlf.LoadLowered(r, db, p, time.Now)
+		if err != nil {
+			return nil, nil, err
+		}
+		s, info = &served{f32: lm.Memoized(&e.stats.featMemo)}, i
+		if err := describe(s, s.f32); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		m, i, err := mtmlf.LoadModel(r, db)
+		if err != nil {
+			return nil, nil, err
+		}
+		if s, err = e.lower(m); err != nil {
+			return nil, nil, err
+		}
+		info = i
+	}
+	s.load.Version, s.load.Tensors, s.load.Bytes = info.Version, info.Tensors, info.Bytes
+	s.load.LoadMs, s.load.LowerMs = millis(time.Since(t0)-info.LowerTime), millis(info.LowerTime)
+	return s, info, nil
+}
+
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // memoRows returns the number of table encodings the bundle holds.
 func (s *served) memoRows() int {
@@ -234,34 +290,43 @@ type Engine struct {
 // weights are read-only from here on: training concurrently with
 // serving is a data race. Replace the model with Reload.
 func NewEngine(m *mtmlf.Model, opts Options) (*Engine, error) {
-	if err := checkModel(m); err != nil {
+	e := newEngine(opts)
+	s, err := e.lower(m)
+	if err != nil {
 		return nil, err
 	}
+	return e.start(s), nil
+}
+
+// Open is NewEngine over a full-model checkpoint stream for db, read at
+// opts.Precision — how a server boots, and at a reduced tier at the
+// size of its replica: the float64 model is never built (load).
+func Open(r io.Reader, db *sqldb.DB, opts Options) (*Engine, *mtmlf.CheckpointInfo, error) {
+	e := newEngine(opts)
+	s, info, err := e.load(r, db)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.start(s), info, nil
+}
+
+func newEngine(opts Options) *Engine {
 	opts = opts.withDefaults()
-	e := &Engine{
+	return &Engine{
 		opts:  opts,
 		reqs:  make(chan *request, opts.QueueDepth),
 		stats: newStats(opts.Sessions),
 		quit:  make(chan struct{}),
 	}
-	e.cur.Store(e.newServed(m))
-	e.wg.Add(opts.Sessions)
-	for i := 0; i < opts.Sessions; i++ {
-		go e.worker()
-	}
-	return e, nil
 }
 
-// checkModel validates a model for serving (construction and reload
-// share it).
-func checkModel(m *mtmlf.Model) error {
-	if m == nil {
-		return fmt.Errorf("%w: nil model", ErrBadRequest)
+func (e *Engine) start(s *served) *Engine {
+	e.cur.Store(s)
+	e.wg.Add(e.opts.Sessions)
+	for i := 0; i < e.opts.Sessions; i++ {
+		go e.worker()
 	}
-	if n, max := len(m.Feat.DB.Tables), m.Shared.Cfg.MaxTables; n > max {
-		return fmt.Errorf("%w: database has %d tables, model supports %d", ErrModelLimit, n, max)
-	}
-	return nil
+	return e
 }
 
 // Reload atomically swaps in a new model. The new model must serve
@@ -271,16 +336,32 @@ func checkModel(m *mtmlf.Model) error {
 // old model; batches picked up after Reload returns run entirely on
 // the new one. No request is ever dropped or served from a mix.
 func (e *Engine) Reload(m *mtmlf.Model) error {
-	if err := checkModel(m); err != nil {
-		return err
-	}
-	old := e.cur.Load()
-	if err := sameTables(old.model.Feat.DB, m.Feat.DB); err != nil {
-		return err
-	}
-	// Re-lower before the swap: the engine's precision is fixed at
+	// Lowered before the swap: the engine's precision is fixed at
 	// construction, so the new weights must arrive already lowered.
-	e.cur.Store(e.newServed(m))
+	s, err := e.lower(m)
+	if err != nil {
+		return err
+	}
+	return e.swap(s)
+}
+
+// ReloadFrom is Reload from a checkpoint stream, through the loader
+// Open used. The new bundle is complete, every tensor verified, before
+// the swap: a file that fails anywhere leaves the old bundle serving,
+// and the process peaks at the old bundle plus the new one.
+func (e *Engine) ReloadFrom(r io.Reader) (*mtmlf.CheckpointInfo, error) {
+	s, info, err := e.load(r, e.DB())
+	if err != nil {
+		return nil, err
+	}
+	return info, e.swap(s)
+}
+
+func (e *Engine) swap(s *served) error {
+	if err := sameTables(e.DB(), s.db); err != nil {
+		return err
+	}
+	e.cur.Store(s)
 	e.stats.recordReload()
 	return nil
 }
@@ -303,27 +384,18 @@ func sameTables(old, new *sqldb.DB) error {
 	return nil
 }
 
-// Model returns the currently served model (read-only; may change
-// across calls if Reload runs concurrently).
-func (e *Engine) Model() *mtmlf.Model { return e.cur.Load().model }
-
 // Precision returns the serving tier the engine was built with.
 func (e *Engine) Precision() nn.Precision { return e.opts.Precision }
 
 // LoweredParamBytes returns the resident parameter bytes of whatever
 // is actually answering requests: the lowered replica at reduced
-// precision, the float64 model otherwise.
-func (e *Engine) LoweredParamBytes() int {
-	s := e.cur.Load()
-	if s.f32 != nil {
-		return s.f32.ParamBytes()
-	}
-	return s.model.ParamBytes()
-}
+// precision, the float64 inference view (and the Trans_JO decoder every
+// tier shares) otherwise.
+func (e *Engine) LoweredParamBytes() int { return e.cur.Load().load.ParamBytes }
 
 // DB returns the served database schema (read-only; stable across
 // reloads by the Reload contract).
-func (e *Engine) DB() *sqldb.DB { return e.cur.Load().model.Feat.DB }
+func (e *Engine) DB() *sqldb.DB { return e.cur.Load().db }
 
 // Close stops the workers. In-flight requests finish; subsequent
 // calls return ErrClosed.
@@ -584,8 +656,8 @@ func runHeads[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], ep Endpoin
 }
 
 // runJoinOrder serves one join-order request from its representation:
-// KV-cached constrained beam search by the source model's float64
-// Trans_JO, same as the serial fast path. A reduced-precision
+// KV-cached constrained beam search by the float64 Trans_JO, same as
+// the serial fast path. A reduced-precision
 // representation's [m, Dim] memory is up-converted once first, so join
 // orders are identical across tiers by construction of the decoder,
 // not merely close.
@@ -595,8 +667,7 @@ func runJoinOrder[T tensor.Float](lm mtmlf.Lowered[T], r *request, rep *mtmlf.Re
 			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
 		}
 	}()
-	s := lm.Src.Shared
-	res := s.JO.BeamSearchTensor(rep.Memory.ToTensor(), r.q, s.Cfg.BeamWidth, true)
+	res := lm.JO.BeamSearchTensor(rep.Memory.ToTensor(), r.q, lm.Cfg.BeamWidth, true)
 	best, ok := mtmlf.BestBeam(res)
 	if !ok {
 		r.done <- result{err: fmt.Errorf("%w: join graph admits no connected order", ErrNoJoinOrder)}
@@ -619,6 +690,8 @@ func (e *Engine) Reloads() uint64 { return e.stats.reloads.Load() }
 func (e *Engine) Stats() StatsSnapshot {
 	snap := e.stats.snapshot(len(e.reqs), e.opts.QueueDepth)
 	snap.Precision = e.opts.Precision.String()
-	snap.FeatMemo.Rows = e.cur.Load().memoRows()
+	cur := e.cur.Load()
+	snap.FeatMemo.Rows = cur.memoRows()
+	snap.Checkpoint = cur.load
 	return snap
 }

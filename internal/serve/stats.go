@@ -152,6 +152,27 @@ type FeatMemoStats struct {
 	Bypassed uint64 `json:"bypassed"`
 }
 
+// LoadStats describes how the serving bundle came to be — what an
+// operator sizing a replica, or asking why one took seconds and
+// hundreds of megabytes to come up, needs from the process itself. It
+// describes the last successful (re)load.
+type LoadStats struct {
+	// Version, Tensors and Bytes are the checkpoint's format version,
+	// the parameter tensors read and the stream bytes consumed; LoadMs
+	// is the read + verify + decode time. All zero for a bundle built
+	// from an in-memory model (NewEngine, Reload).
+	Version int     `json:"version"`
+	Tensors int     `json:"tensors"`
+	Bytes   int64   `json:"bytes"`
+	LoadMs  float64 `json:"load_ms"`
+	// LowerMs is the time spent lowering to the serving tier (0 at
+	// f64, which serves a view of the loaded weights).
+	LowerMs float64 `json:"lower_ms"`
+	// ParamBytes is the resident parameter bytes of the bundle: the
+	// weights at the serving tier plus the float64 Trans_JO decoder.
+	ParamBytes int `json:"param_bytes"`
+}
+
 // StatsSnapshot is the /statsz payload. Schema documented for
 // operators in docs/OPERATIONS.md.
 type StatsSnapshot struct {
@@ -201,6 +222,8 @@ type StatsSnapshot struct {
 	Pool PoolStats `json:"pool"`
 
 	FeatMemo FeatMemoStats `json:"feat_memo"`
+
+	Checkpoint LoadStats `json:"checkpoint"`
 }
 
 // snapshot copies the counters and the four latency rings under the

@@ -135,18 +135,27 @@ func FromRows(rows [][]float64) *Tensor {
 func Vector(data []float64) *Tensor { return FromSlice(append([]float64(nil), data...), 1, len(data)) }
 
 // Rand creates a rows x cols matrix with entries drawn uniformly from
-// [-scale, scale] using rng.
+// [-scale, scale] using rng. A nil rng draws nothing and leaves the
+// matrix zero: that is how the destination of a checkpoint load is
+// built, whose every element the load overwrites.
 func Rand(rng *rand.Rand, rows, cols int, scale float64) *Tensor {
 	t := New(rows, cols)
+	if rng == nil {
+		return t
+	}
 	for i := range t.Data {
 		t.Data[i] = (rng.Float64()*2 - 1) * scale
 	}
 	return t
 }
 
-// RandNorm creates a rows x cols matrix with N(0, std) entries.
+// RandNorm creates a rows x cols matrix with N(0, std) entries, or
+// zeros for a nil rng (see Rand).
 func RandNorm(rng *rand.Rand, rows, cols int, std float64) *Tensor {
 	t := New(rows, cols)
+	if rng == nil {
+		return t
+	}
 	for i := range t.Data {
 		t.Data[i] = rng.NormFloat64() * std
 	}
