@@ -9,15 +9,31 @@ RACE_PKGS := ./internal/parallel ./internal/tensor ./internal/ag ./internal/nn .
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build vet vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-infer bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint ci
+.PHONY: all build vet purego cross-arm64 vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-infer bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint ci
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# go vet's asmdecl pass checks internal/tensor/simd_amd64.s against its
+# Go declarations.
 vet:
 	$(GO) vet ./...
+
+# The pure-Go kernels are the fallback where there is no AVX2 and the
+# oracle the assembly is tested against. The purego tag exists for this
+# check only: on an amd64 runner the fallback must compile, be the one
+# selected, and reproduce the same goldens (fleet_golden.json, calib
+# budgets, serial == sharded) as the assembly path `make test` runs.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/calib
+
+# Every non-amd64 build takes the same fallback; arm64 stands for them.
+# Cross-compiling needs no network and no toolchain beyond go's own.
+cross-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 # The contract gate: five custom analyzers (mapiter, globalrand,
 # atomicwrite, gobregister, poolrelease) enforcing the determinism,
@@ -73,8 +89,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Quick kernel benchmark: serial vs parallel matmul at 64/256/512 —
-# then the engine-overhead guard: the same card requests through a
+# Quick kernel benchmark: serial vs parallel matmul at 64/256/512,
+# and the three serving kernels at the wide model's feed-forward shape
+# (MatMulM8: GFLOP/s at f64 / f32 / int8 — one cold pass reads 10 or
+# more per tier with AVX2 and 20 / 40 / 45 warm; low single digits mean
+# the pure-Go fallback is what ran) — then the engine-overhead guard: the same card requests through a
 # default engine (EngineSolo) and through the model alone
 # (EngineModelOnly), one pass of 6 requests each. Solo minus ModelOnly
 # is the scheduler's cost and must read tens of µs per request, not a
@@ -89,6 +108,7 @@ bench:
 # that pass (EncodeTableMiss: miss_overhead_% under 2).
 bench-smoke:
 	$(GO) test -run=NONE -bench='MatMul' -benchtime=1x .
+	$(GO) test -run=NONE -bench='MatMulM8' -benchtime=1x ./internal/tensor
 	$(GO) test -run=NONE -bench='EngineSolo|EngineModelOnly' -benchtime=1x ./internal/serve
 	$(GO) test -run=NONE -bench='AllReduceTCP|AllReduceLocal' -benchtime=1x ./internal/dist
 	$(GO) test -run=NONE -bench='EncodeTableHit' -benchmem -cpu=1,2,4 -benchtime=20000x ./internal/featurize
@@ -187,4 +207,4 @@ docs-lint:
 			{ echo "docs-lint: $$d has no package comment"; bad=1; }; \
 	done; [ "$$bad" = 0 ]
 
-ci: build vet vet-custom fmt-check test race bench-smoke bench-infer bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint
+ci: build vet purego cross-arm64 vet-custom fmt-check test race bench-smoke bench-infer bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint

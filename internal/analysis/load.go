@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -49,7 +50,9 @@ func NewLoader() *Loader {
 
 // LoadDir loads the package in dir under the given import path. Test
 // files (_test.go) are excluded: the gate checks the production
-// contracts; tests exercise them.
+// contracts; tests exercise them. So are files whose build constraints
+// (//go:build lines, _GOOS/_GOARCH names) the host does not satisfy:
+// the gate sees the package the compiler sees.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -60,6 +63,11 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("read %s: %w", filepath.Join(dir, name), err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

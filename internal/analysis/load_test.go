@@ -66,3 +66,24 @@ func TestLoadDirTypeInfo(t *testing.T) {
 		t.Fatalf("bad types package: %v", pkg.Types)
 	}
 }
+
+// TestLoadDirHonorsBuildConstraints loads internal/tensor, whose
+// simd_amd64.go and simd_generic.go declare the same functions under
+// opposite //go:build lines: the loader must see one of them, as the
+// compiler does, not both.
+func TestLoadDirHonorsBuildConstraints(t *testing.T) {
+	root, err := analysis.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := analysis.NewLoader().LoadDir(analysis.PackageDir(root, "mtmlf", "mtmlf/internal/tensor"), "mtmlf/internal/tensor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pkg == nil {
+		t.Fatal("LoadDir returned no package for internal/tensor")
+	}
+	if len(pkg.TypeErrors) != 0 {
+		t.Fatalf("type errors loading tensor: %v", pkg.TypeErrors)
+	}
+}

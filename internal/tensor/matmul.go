@@ -15,7 +15,7 @@
 //
 // SetParallelism(n) bounds the worker count (default GOMAXPROCS); it
 // is the single knob the -workers flags of every binary wire to.
-// Problems below serialFlops multiply-adds never leave the calling
+// Problems of up to serialFlops multiply-adds never leave the calling
 // goroutine: at transformer-layer sizes a goroutine handoff costs more
 // than the arithmetic it saves.
 //
@@ -26,8 +26,19 @@
 // float64, whose zero-skip and one-term-at-a-time accumulation order
 // the training bitwise contracts rest on, and the 4x4-unrolled
 // matMulF32Rows/matMulTransBF32Rows of matmul_f32.go for float32.
-// The benchmark's serve_wide workload runs the same requests through
-// both (legs a and b; the f32 tier serves about 1.46x the f64 rate).
+//
+// These pure-Go kernels are the definition of every product. On amd64
+// with AVX2 the a @ b, a^T @ b and int8 products run instead on the
+// row loops of simd_amd64.go, whose innermost j loop is assembly
+// (simd_amd64.s): output columns in the vector lanes, a separate
+// multiply and add per term in the same ascending-l order, never an
+// FMA — so every element is rounded exactly as here and no golden
+// moves (TestSIMDMatchesPureGo, eps = 0 down to the sign of zero). The
+// choice is one CPUID check at init; the kernels in this file are the
+// fallback everywhere else and the oracle the assembly is tested
+// against. a @ b^T (attention's small QK^T) stays pure Go: a dot
+// product vectorises across several j rows at once or not at all, and
+// it is about 1 % of a served pass. DESIGN.md §9 has the numbers.
 //
 // Cache blocking: the B operand is walked in kcBlock-row slabs
 // (MatMul) or jcBlock-row slabs (MatMulTransB) sized to stay resident
@@ -52,9 +63,22 @@ func SetParallelism(n int) int { return parallel.SetWorkers(n) }
 func Parallelism() int { return parallel.Workers() }
 
 const (
-	// serialFlops is the multiply-add count below which a matmul runs
-	// entirely on the calling goroutine.
-	serialFlops = 1 << 17
+	// serialFlops is the multiply-add count up to which a matmul runs
+	// entirely on the calling goroutine. Measured with the AVX2 row
+	// kernels (PR 24, 2 vCPUs; µs per [m,128]x[128,512] product, one
+	// goroutine -> two, f64 then f32):
+	//
+	//	m=8   (2^19)   46 -> 63     23 -> 30
+	//	m=32  (2^21)  190 -> 205    94 -> 126
+	//	m=64  (2^22)  390 -> 408   200 -> 215
+	//	m=128 (2^23)  800 -> 510   400 -> 320
+	//	256^3 (2^24) 1600 -> 950   840 -> 550
+	//
+	// At -cpu 1 the two coincide. The crossover sits 32x above the
+	// 1<<17 measured against the scalar kernels: the arithmetic got
+	// about 5x cheaper, waking a second thread did not. Sharding never
+	// changes bits, so this is a speed constant and nothing to configure.
+	serialFlops = 1 << 22
 	// kcBlock is the k-dimension block: a kcBlock x n slab of B is
 	// reused across every output row of a shard before moving on.
 	kcBlock = 128
@@ -120,9 +144,9 @@ func matMulTransBInto[T Float](a, b, out []T, m, k, n int) {
 func matMulRowsOf[T Float](a, b, out []T, k, n, i0, i1 int) {
 	switch a := any(a).(type) {
 	case []float64:
-		matMulRows(a, any(b).([]float64), any(out).([]float64), k, n, i0, i1)
+		matMulRowsF64(a, any(b).([]float64), any(out).([]float64), k, n, i0, i1)
 	case []float32:
-		matMulF32Rows(a, any(b).([]float32), any(out).([]float32), k, n, i0, i1)
+		matMulRowsF32(a, any(b).([]float32), any(out).([]float32), k, n, i0, i1)
 	default:
 		panic(fmt.Sprintf("tensor: no matmul kernel for %T", *new(T)))
 	}
@@ -220,11 +244,11 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	}
 	out := New(m, n)
 	if m*k*n < serialFlops {
-		matMulTransARows(a.Data, b.Data, out.Data, k, m, n, 0, m)
+		matMulTransARowsF64(a.Data, b.Data, out.Data, k, m, n, 0, m)
 		return out
 	}
 	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulTransARows(a.Data, b.Data, out.Data, k, m, n, i0, i1)
+		matMulTransARowsF64(a.Data, b.Data, out.Data, k, m, n, i0, i1)
 	})
 	return out
 }

@@ -18,10 +18,12 @@
 //     dense matrices this tier exists for;
 //   - restructured inner loops: bounds-check-free slice windows
 //     (full-slice expressions re-sliced to a constant 4 length) and
-//     4x-unrolled accumulation, which is what "vectorization-friendly"
-//     means under gc — the compiler does not auto-SIMD, so the win is
-//     eliminated bounds checks plus four independent dependency chains
-//     keeping the FMA ports busy.
+//     4x-unrolled accumulation — the most gc does for a scalar loop:
+//     no bounds checks, four independent dependency chains. The 4-deep
+//     l grouping is also the shape the AVX2 kernel takes over: where
+//     the CPU has AVX2, matMulF32Rows's j loop runs in assembly
+//     (simd_amd64.go, axpy4F32) with the same per-element order, and
+//     this file is the fallback and the oracle it is tested against.
 //
 // The j-unrolled axpy updates each output element exactly once per l,
 // so the per-element k-accumulation order is still ascending l — the

@@ -35,12 +35,23 @@ func refMatMulTransA(a, b *Tensor) *Tensor {
 
 // shapes covers the edge cases: empty, scalar-ish, ragged, prime
 // dimensions straddling the block sizes, tall/wide extremes, and
-// sizes large enough to cross the parallel threshold.
+// a size large enough to cross the parallel threshold (serialFlops).
 var shapes = []struct{ m, k, n int }{
 	{0, 3, 4}, {3, 0, 4}, {1, 1, 1}, {2, 3, 1}, {1, 7, 5},
 	{3, 5, 7}, {13, 17, 11}, {64, 64, 64}, {127, 129, 63},
 	{1, 300, 1}, {300, 1, 300}, {200, 70, 3},
-	{130, 140, 150}, {256, 64, 128},
+	{130, 140, 150}, {256, 64, 128}, {190, 170, 180},
+}
+
+// TestShapesCrossParallelThreshold keeps the serial == sharded tests
+// honest when serialFlops moves.
+func TestShapesCrossParallelThreshold(t *testing.T) {
+	for _, sh := range shapes {
+		if sh.m*sh.k*sh.n > serialFlops {
+			return
+		}
+	}
+	t.Fatal("no shape in shapes is sharded: the serial == sharded tests compare a kernel with itself")
 }
 
 func randPair(rng *rand.Rand, m, k, n int) (*Tensor, *Tensor) {
@@ -206,4 +217,35 @@ func TestMatMulConcurrentCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkMatMulM8 is the per-package guard on the three serving
+// kernels at the wide model's feed-forward shape, [8,128] x [128,512],
+// serial — the shape the repository benchmark reports as
+// tensor.matmul_gflops.*.m8. Warm, with AVX2, f64 / f32 / int8 read
+// roughly 20 / 40 / 45 GFLOP/s; the pure-Go kernels (-tags purego)
+// 3.5 / 6.5 / 2.5.
+func BenchmarkMatMulM8(b *testing.B) {
+	const m, k, n = 8, 128, 512
+	defer SetParallelism(SetParallelism(1))
+	rng := rand.New(rand.NewSource(1))
+	a64, b64 := randPair(rng, m, k, n)
+	a32, b32 := Convert[float32](a64), Convert[float32](b64)
+	o64, o32 := New(m, n), NewF32(m, n)
+	w8, bias, qbuf := QuantizeLinear(b64), NewF32(1, n), make([]int8, m*k)
+	for _, bc := range []struct {
+		name string
+		f    func()
+	}{
+		{"f64", func() { clear(o64.Data); MatMulInto(a64, b64, o64) }},
+		{"f32", func() { clear(o32.Data); MatMulInto(a32, b32, o32) }},
+		{"int8", func() { MatMulInt8Into(a32, w8, bias, o32, qbuf) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.f()
+			}
+			b.ReportMetric(2*m*k*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 }

@@ -190,3 +190,26 @@ func TestElementwiseKernelsF32NearFloat64(t *testing.T) {
 		}
 	}
 }
+
+// TestF32TanhKernelsRoundOncePerElement pins what the chunked float32
+// path of GELUInto / TanhInto (viaFloat64) must keep: every element is
+// the float64 expression of that element rounded once, whatever side
+// of a chunk boundary it falls on, with out aliasing a or not.
+func TestF32TanhKernelsRoundOncePerElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 200} {
+		a := Convert[float32](RandNorm(rng, 1, n, 3))
+		gelu, tanh := NewF32(1, n), a.Clone()
+		GELUInto(a, gelu)
+		TanhInto(tanh, tanh)
+		for i, v := range a.Data {
+			x := float64(v)
+			if want := float32(0.5 * x * (1 + math.Tanh(0.7978845608028654*(x+0.044715*x*x*x)))); gelu.Data[i] != want {
+				t.Fatalf("n=%d: GELU element %d = %v, want %v", n, i, gelu.Data[i], want)
+			}
+			if want := float32(math.Tanh(x)); tanh.Data[i] != want {
+				t.Fatalf("n=%d: aliased tanh element %d = %v, want %v", n, i, tanh.Data[i], want)
+			}
+		}
+	}
+}

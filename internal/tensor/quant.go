@@ -148,11 +148,11 @@ func MatMulInt8Into[T Float](a *Dense[T], w *Int8Matrix, bias, out *Dense[T], qb
 		panic(fmt.Sprintf("tensor: MatMulInt8Into scratch %d < %d", len(qbuf), m*k))
 	}
 	if m*k*n < serialFlops {
-		matMulInt8Rows(a.Data, w, bias.Data, out.Data, qbuf, k, n, 0, m)
+		matMulInt8RowsOf(a.Data, w, bias.Data, out.Data, qbuf, k, n, 0, m)
 		return
 	}
 	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulInt8Rows(a.Data, w, bias.Data, out.Data, qbuf, k, n, i0, i1)
+		matMulInt8RowsOf(a.Data, w, bias.Data, out.Data, qbuf, k, n, i0, i1)
 	})
 }
 

@@ -61,7 +61,7 @@ func TestQuantizeLinearRoundTripBound(t *testing.T) {
 
 func TestMatMulInt8ParallelMatchesSerialBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, sh := range []struct{ m, k, n int }{{3, 5, 7}, {64, 64, 64}, {130, 140, 150}} {
+	for _, sh := range []struct{ m, k, n int }{{3, 5, 7}, {64, 64, 64}, {130, 140, 150}, {190, 170, 180}} {
 		a := Convert[float32](RandNorm(rng, sh.m, sh.k, 1))
 		w := QuantizeLinear(Xavier(rng, sh.k, sh.n))
 		bias := Convert[float32](RandNorm(rng, 1, sh.n, 1))

@@ -1,0 +1,24 @@
+//go:build !amd64 || purego
+
+package tensor
+
+// Without the AVX2 primitives of simd_amd64.s every product runs on
+// the pure-Go row kernels. The purego tag forces this file on amd64 so
+// CI can check that the fallback compiles, is selected and reproduces
+// the same goldens; nothing else should set it.
+
+func matMulRowsF64(a, b, out []float64, k, n, i0, i1 int) {
+	matMulRows(a, b, out, k, n, i0, i1)
+}
+
+func matMulRowsF32(a, b, out []float32, k, n, i0, i1 int) {
+	matMulF32Rows(a, b, out, k, n, i0, i1)
+}
+
+func matMulTransARowsF64(a, b, out []float64, k, m, n, i0, i1 int) {
+	matMulTransARows(a, b, out, k, m, n, i0, i1)
+}
+
+func matMulInt8RowsOf[T Float](a []T, w *Int8Matrix, bias, out []T, qbuf []int8, k, n, i0, i1 int) {
+	matMulInt8Rows(a, w, bias, out, qbuf, k, n, i0, i1)
+}
