@@ -27,11 +27,11 @@ import (
 	"mtmlf/internal/cost"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/experiments"
-	"mtmlf/internal/inferbench"
 	"mtmlf/internal/metrics"
 	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/nn"
 	"mtmlf/internal/optimizer"
+	"mtmlf/internal/plan"
 	"mtmlf/internal/sqldb"
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
@@ -89,12 +89,19 @@ func BenchmarkTable3Transfer(b *testing.B) {
 	}
 }
 
-// figure2Setup builds a trained-enough model and a labeled query for
-// pipeline benchmarks (shared with the mtmlf-bench -json report via
-// internal/inferbench so both surfaces measure the same workload).
+// figure2Setup builds a small model and a 4-table labeled query for
+// the pipeline benchmarks.
 func figure2Setup(b *testing.B) (*mtmlf.Model, *workload.LabeledQuery) {
 	b.Helper()
-	return inferbench.Setup()
+	db := datagen.SyntheticIMDB(1, 0.05)
+	cfg := mtmlf.DefaultConfig()
+	cfg.Dim, cfg.Blocks, cfg.DecBlocks = 16, 1, 1
+	cfg.Feat.Dim, cfg.Feat.Blocks = 16, 1
+	m := mtmlf.NewModel(cfg, db, 1)
+	gen := workload.NewGenerator(db, 2)
+	wcfg := workload.DefaultConfig()
+	wcfg.MinTables, wcfg.MaxTables = 4, 4
+	return m, gen.Generate(1, wcfg)[0]
 }
 
 // BenchmarkFigure2Pipeline times one full I→F→S→T forward pass (all
@@ -111,15 +118,23 @@ func BenchmarkFigure2Pipeline(b *testing.B) {
 }
 
 // BenchmarkFigure4Decoding times the Section 4.1 tree↔sequence
-// roundtrip on the paper's Figure 4 example, on the serving path's
-// pooled codec (reused EmbeddingSet + NodeArena: zero steady-state
-// allocations). BenchmarkFigure4DecodingLegacy is the map-based
-// baseline the speedup in BENCH_PR2.json is computed against.
-func BenchmarkFigure4Decoding(b *testing.B) { inferbench.Figure4Pooled()(b) }
-
-// BenchmarkFigure4DecodingLegacy times the original map-allocating
-// codec on the same roundtrip.
-func BenchmarkFigure4DecodingLegacy(b *testing.B) { inferbench.Figure4Legacy()(b) }
+// roundtrip on the paper's Figure 4 left-deep example.
+func BenchmarkFigure4Decoding(b *testing.B) {
+	tree := plan.NewJoin(plan.HashJoin,
+		plan.NewJoin(plan.HashJoin,
+			plan.NewJoin(plan.HashJoin, plan.Leaf("T1", plan.SeqScan), plan.Leaf("T2", plan.SeqScan)),
+			plan.Leaf("T3", plan.SeqScan)),
+		plan.Leaf("T4", plan.SeqScan))
+	for i := 0; i < b.N; i++ {
+		emb, err := plan.DecodingEmbeddings(tree, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.TreeFromEmbeddings(emb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkSequenceLossAblation compares token-level training against
 // the Equation 3 sequence-level loss on identical data, reporting the
@@ -161,40 +176,16 @@ func BenchmarkSequenceLossAblation(b *testing.B) {
 // the decode latency scaling; the quality effect is reported once.
 func BenchmarkBeamWidth(b *testing.B) {
 	m, lq := figure2Setup(b)
+	rep := m.Represent(lq.Q, lq.Plan)
 	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), inferbench.BeamSearchCached(m, lq, k))
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if res := m.Shared.JO.BeamSearch(rep.Memory, lq.Q, k, true); len(res) == 0 {
+					b.Fatal("no candidates")
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkBeamSearchCached vs BenchmarkBeamSearchLegacy is the
-// tentpole inference comparison: KV-cached incremental decoding
-// (encode memory once, extend each beam one token per step) against
-// the full-prefix recompute that rebuilds the autodiff graph for the
-// whole prefix at every step. Both return bitwise identical beams
-// (TestBeamSearchCachedMatchesLegacy).
-func BenchmarkBeamSearchCached(b *testing.B) {
-	m, lq := figure2Setup(b)
-	body := inferbench.BeamSearchCached(m, lq, 4)
-	b.ResetTimer()
-	body(b)
-}
-
-// BenchmarkBeamSearchLegacy times the pre-fast-path beam search.
-func BenchmarkBeamSearchLegacy(b *testing.B) {
-	m, lq := figure2Setup(b)
-	body := inferbench.BeamSearchLegacy(m, lq, 4)
-	b.ResetTimer()
-	body(b)
-}
-
-// BenchmarkInferNoGrad compares one full (F)+(S)+heads forward pass in
-// grad mode (autodiff graph built, fresh tensors per op) against the
-// pooled no-grad evaluator. Outputs are bitwise identical
-// (TestRepresentInferMatchesGrad).
-func BenchmarkInferNoGrad(b *testing.B) {
-	m, lq := figure2Setup(b)
-	b.Run("grad", inferbench.InferGrad(m, lq))
-	b.Run("nograd", inferbench.InferNoGrad(m, lq))
 }
 
 // BenchmarkMLAShuffling ablates Algorithm 1's cross-DB shuffling

@@ -4,7 +4,8 @@
 // popularity, in closed-loop (fixed concurrency) or open-loop (fixed
 // arrival rate) mode, for a fixed duration per level, and reports
 // HDR-style latency histograms both as a human table and as load
-// entries in a benchjson report (BENCH_PR6.json by convention).
+// entries in a JSON report (loadgen.Report; BENCH_PR6.json by
+// convention).
 //
 // The query pool is either synthesized against the same schema flags
 // the server was booted with (-seed/-scale, the default) or replayed
@@ -21,7 +22,9 @@
 // Exit status is non-zero on: unreachable target, any endpoint with
 // fewer than -min-ok successes at any level, more than -max-errors
 // failed requests overall, or a failed mid-run reload. That makes the
-// CLI its own smoke-test assertion (see make load-smoke).
+// CLI its own smoke-test assertion (see make load-smoke). A -levels
+// list that names no positive integer level, or a negative -rate, is
+// a usage error (exit 2), never a run that measures nothing.
 //
 // Usage:
 //
@@ -35,11 +38,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"mtmlf/internal/benchjson"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/loadgen"
 )
@@ -60,17 +61,26 @@ func main() {
 	deadlineMs := flag.Int("deadline-ms", 0, "send X-Deadline-Ms on every request (0 = none)")
 	retries := flag.Int("retries", 0, "per-request retry budget for shed (429) responses, honoring Retry-After with capped backoff + jitter (0 = record sheds immediately)")
 	reloadAfter := flag.Duration("reload-after", 0, "POST /reloadz this far into the first run (0 = never)")
-	jsonOut := flag.String("json", "", "write a benchjson report with load entries to this path")
-	appendOut := flag.Bool("append", false, "with -json: merge the new load entries into an existing report instead of overwriting (corrupt existing file is an error, not a clobber)")
+	jsonOut := flag.String("json", "", "write a JSON report with load entries to this path")
 	label := flag.String("label", "mtmlf-loadgen", "report label")
 	minOK := flag.Uint64("min-ok", 0, "fail unless every driven endpoint has at least this many successes per level")
 	maxErrors := flag.Uint64("max-errors", ^uint64(0), "fail if total failed requests (not shed/deadline) exceed this")
 	flag.Parse()
 
-	if *target == "" {
-		fmt.Fprintln(os.Stderr, "mtmlf-loadgen: -target is required")
+	usage := func(msg string) {
+		fmt.Fprintln(os.Stderr, "mtmlf-loadgen:", msg)
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *target == "" {
+		usage("-target is required")
+	}
+	closedLevels, err := loadgen.ParseLevels(*levels)
+	if err != nil {
+		usage(err.Error())
+	}
+	if !(*rate >= 0) { // NaN too
+		usage(fmt.Sprintf("-rate %g must be a non-negative QPS", *rate))
 	}
 	mix, err := loadgen.ParseMix(*mixFlag)
 	if err != nil {
@@ -89,7 +99,7 @@ func main() {
 	}
 	log.Printf("query pool: %s (%d items, zipf %.2f)", pool.Source, len(pool.Items), *zipf)
 
-	report := benchjson.NewReport(*label)
+	report := loadgen.NewReport(*label)
 	var totalErrors uint64
 	failed := false
 
@@ -117,7 +127,7 @@ func main() {
 		}
 		fmt.Print(loadgen.FormatResult(res, mix))
 		for _, e := range res.LoadEntries(name, concurrency, rateQPS, mix) {
-			report.AddLoad(e)
+			report.Load = append(report.Load, e)
 			if e.OK < *minOK {
 				log.Printf("FAIL: endpoint %s had %d successes at %s, want >= %d", e.Endpoint, e.OK, name, *minOK)
 				failed = true
@@ -136,20 +146,10 @@ func main() {
 	if *rate > 0 {
 		runOne(fmt.Sprintf("r%g", *rate), 0, *rate, *reloadAfter)
 	} else {
-		first := true
-		for _, part := range strings.Split(*levels, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			c, err := strconv.Atoi(part)
-			if err != nil || c <= 0 {
-				log.Fatalf("mtmlf-loadgen: bad concurrency level %q", part)
-			}
+		for i, c := range closedLevels {
 			reload := time.Duration(0)
-			if first {
+			if i == 0 {
 				reload = *reloadAfter
-				first = false
 			}
 			runOne(fmt.Sprintf("c%d", c), c, 0, reload)
 		}
@@ -160,14 +160,10 @@ func main() {
 		failed = true
 	}
 	if *jsonOut != "" {
-		write := report.Write
-		if *appendOut {
-			write = report.AppendTo
-		}
-		if err := write(*jsonOut); err != nil {
+		if err := report.Write(*jsonOut); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("wrote %s (%d new load entries)", *jsonOut, len(report.Load))
+		log.Printf("wrote %s (%d load entries)", *jsonOut, len(report.Load))
 	}
 	if failed {
 		os.Exit(1)

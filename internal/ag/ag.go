@@ -40,9 +40,6 @@ func Const(t *tensor.Tensor) *Value {
 	return &Value{T: t, op: "const"}
 }
 
-// NeedsGrad reports whether gradients flow into this node.
-func (v *Value) NeedsGrad() bool { return v.needGrad }
-
 // Rows and Cols expose the underlying matrix shape.
 func (v *Value) Rows() int { return v.T.Rows() }
 func (v *Value) Cols() int { return v.T.Cols() }

@@ -7,8 +7,8 @@ import "strings"
 // training and featurization path, where iteration order, a global
 // RNG draw, or a wall-clock read changes a loss trajectory or an
 // artifact byte. mapiter and globalrand apply only here; the serving
-// and measurement layers (serve, loadgen, benchjson, stats, metrics,
-// the CLIs) legitimately read the clock and may iterate maps.
+// and measurement layers (serve, loadgen, stats, metrics, the CLIs)
+// legitimately read the clock and may iterate maps.
 var DeterminismCritical = map[string]bool{
 	"mtmlf/internal/mtmlf":     true,
 	"mtmlf/internal/featurize": true,

@@ -20,9 +20,8 @@ func TestInScope(t *testing.T) {
 		{analysis.GlobalRand, "mtmlf/internal/nn", true},
 		{analysis.GlobalRand, "mtmlf/internal/dist", true},
 		{analysis.GlobalRand, "mtmlf/internal/loadgen", false},
-		{analysis.GlobalRand, "mtmlf/internal/benchjson", false},
 		// The atomic-commit rule is module-wide except its implementation.
-		{analysis.AtomicWrite, "mtmlf/internal/benchjson", true},
+		{analysis.AtomicWrite, "mtmlf/internal/loadgen", true},
 		{analysis.AtomicWrite, "mtmlf/cmd/mtmlf-train", true},
 		{analysis.AtomicWrite, "mtmlf/internal/ckptio", false},
 		// Ownership and gob laws are module-wide.

@@ -99,8 +99,9 @@ func qerr(a, b float64) float64 {
 }
 
 // SmokeFleet builds the deterministic calibration substrate: the
-// synthetic-IMDB benchmark model (the inferbench scale) plus a seeded
-// fixed query set spanning 2–4 join tables.
+// synthetic-IMDB benchmark model (the scale of the root Figure 2
+// pipeline benches) plus a seeded fixed query set spanning 2–4 join
+// tables.
 func SmokeFleet(seed int64, n int) (*mtmlf.Model, []*workload.LabeledQuery) {
 	db := datagen.SyntheticIMDB(1, 0.05)
 	cfg := mtmlf.DefaultConfig()

@@ -2,8 +2,8 @@
 // evaluation (Section 6) end to end: workload generation, baseline and
 // MTMLF-QO training, and paper-style result tables. Scales are
 // configurable; QuickConfig finishes on a laptop CPU in tens of
-// seconds per table, FullConfig in minutes. EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// seconds per table, FullConfig in minutes. DESIGN.md §4 indexes which
+// table and ablation of the paper each run regenerates.
 package experiments
 
 import (
@@ -462,7 +462,7 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 	// Attach the held-out DB: train its (F) module, then fine-tune the
 	// shared modules gently (low learning rate — the pre-trained
 	// modules already transfer, and an aggressive local fit destroys
-	// the meta-knowledge; see EXPERIMENTS.md).
+	// the meta-knowledge; Table 3 in DESIGN.md §4).
 	testTask := mtmlf.NewDBTask(shared, testDB, mlaOpts, cfg.Seed+400)
 	testQueries := testTask.Queries
 	nft := cfg.FineTuneQueries

@@ -10,8 +10,9 @@
 // don't slow down when the server does).
 //
 // Every request's latency lands in an HDR-style histogram
-// (Histogram); results aggregate per endpoint and export as
-// benchjson.LoadEntry records for the BENCH_PR6.json trajectory.
+// (Histogram); results aggregate per endpoint and export as LoadEntry
+// records, which a Report writes as JSON (BENCH_PR6.json by
+// convention).
 // Overload shedding (429) and deadline misses (504) are counted
 // separately from errors: for a server under deliberate overload they
 // are correct behavior, and the split is what lets the smoke test
@@ -33,12 +34,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"mtmlf/internal/benchjson"
+	"mtmlf/internal/ckptio"
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/plan"
 	"mtmlf/internal/serve"
@@ -97,6 +99,29 @@ func ParseMix(s string) (Mix, error) {
 		return m, fmt.Errorf("loadgen: mix %q has no positive weight", s)
 	}
 	return m, nil
+}
+
+// ParseLevels parses a comma list of closed-loop concurrency levels
+// ("8,32"). Every level must be a positive integer and the list must
+// name at least one: a run of no levels would measure nothing and
+// still pass.
+func ParseLevels(s string) ([]int, error) {
+	var levels []int
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		c, err := strconv.Atoi(part)
+		if err != nil || c <= 0 {
+			return nil, fmt.Errorf("loadgen: concurrency level %q must be a positive integer", part)
+		}
+		levels = append(levels, c)
+	}
+	if len(levels) == 0 {
+		return nil, fmt.Errorf("loadgen: levels %q name no concurrency level", s)
+	}
+	return levels, nil
 }
 
 // Weight returns the weight of a named endpoint.
@@ -281,17 +306,91 @@ func (r *Result) Totals() (requests, ok, shed, deadline, errors uint64) {
 	return
 }
 
-// LoadEntries exports the run as benchjson records (fixed endpoint
+// LoadEntry is one endpoint driven at one concurrency level (or
+// open-loop arrival rate) for a fixed duration. Latency percentiles
+// come from the endpoint's Histogram over every successful request.
+type LoadEntry struct {
+	// Name identifies the measurement, conventionally
+	// "<endpoint>/c<concurrency>" (closed loop) or
+	// "<endpoint>/r<qps>" (open loop).
+	Name     string `json:"name"`
+	Endpoint string `json:"endpoint"`
+	// Concurrency is the closed-loop worker count; OpenLoopQPS the
+	// open-loop target arrival rate (0 when closed-loop).
+	Concurrency int     `json:"concurrency"`
+	OpenLoopQPS float64 `json:"open_loop_qps,omitempty"`
+	DurationSec float64 `json:"duration_sec"`
+
+	// Requests = OK + Shed + DeadlineMisses + Errors: everything the
+	// generator attempted against this endpoint.
+	Requests       uint64 `json:"requests"`
+	OK             uint64 `json:"ok"`
+	Shed           uint64 `json:"shed"`            // 429s (after the retry budget)
+	DeadlineMisses uint64 `json:"deadline_misses"` // 504s
+	Errors         uint64 `json:"errors"`          // everything else non-2xx + transport
+	// Retries counts extra attempts triggered by 429 responses when
+	// the generator runs with a retry budget (not included in
+	// Requests, which counts logical requests).
+	Retries uint64 `json:"retries,omitempty"`
+
+	// ThroughputRPS is OK / wall-clock duration — goodput, not offered
+	// load.
+	ThroughputRPS float64 `json:"throughput_rps"`
+	P50Ms         float64 `json:"p50_ms"`
+	P90Ms         float64 `json:"p90_ms"`
+	P95Ms         float64 `json:"p95_ms"`
+	P99Ms         float64 `json:"p99_ms"`
+	MaxMs         float64 `json:"max_ms"`
+}
+
+// Report is the JSON document mtmlf-loadgen -json writes: the load
+// entries of every level, stamped with the runtime they were measured
+// on.
+type Report struct {
+	Label      string      `json:"label"`
+	GoVersion  string      `json:"go_version"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	CreatedAt  string      `json:"created_at"`
+	Load       []LoadEntry `json:"load"`
+}
+
+// NewReport creates an empty report stamped with the runtime
+// environment.
+func NewReport(label string) *Report {
+	return &Report{
+		Label:      label,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
+	}
+}
+
+// Write marshals the report to path (pretty-printed, trailing
+// newline). The write is atomic (temp file + fsync + rename via
+// ckptio): CI uploads the report, and a reader must never observe a
+// torn one.
+func (r *Report) Write(path string) error {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return ckptio.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
+}
+
+// LoadEntries exports the run as report entries (fixed endpoint
 // order; endpoints with zero mix weight are omitted). name is
 // conventionally "c<N>" or "r<QPS>".
-func (r *Result) LoadEntries(name string, concurrency int, rateQPS float64, mix Mix) []benchjson.LoadEntry {
-	var out []benchjson.LoadEntry
+func (r *Result) LoadEntries(name string, concurrency int, rateQPS float64, mix Mix) []LoadEntry {
+	var out []LoadEntry
 	for _, ep := range EndpointOrder {
 		res := r.Endpoints[ep]
 		if res == nil || mix.Weight(ep) == 0 {
 			continue
 		}
-		e := benchjson.LoadEntry{
+		e := LoadEntry{
 			Name:           ep + "/" + name,
 			Endpoint:       ep,
 			Concurrency:    concurrency,

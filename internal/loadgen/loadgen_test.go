@@ -1,8 +1,12 @@
 package loadgen
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +32,124 @@ func TestParseMix(t *testing.T) {
 		if _, err := ParseMix(bad); err == nil {
 			t.Fatalf("ParseMix(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseLevels: a level list that names no positive integer level
+// is an error, never a run that measures nothing.
+func TestParseLevels(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []int
+	}{
+		{"8,32", []int{8, 32}},
+		{" 4 , 8 ", []int{4, 8}},
+		{"1", []int{1}},
+		{"4,,8", []int{4, 8}},
+		{"", nil},
+		{",", nil},
+		{" , ", nil},
+		{"0", nil},
+		{"4,-1", nil},
+		{"4,x", nil},
+		{"2.5", nil},
+		{"8;32", nil},
+	} {
+		got, err := ParseLevels(c.in)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("ParseLevels(%q) = %v, want an error", c.in, got)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseLevels(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+}
+
+// TestReportWriteRoundTrip: the entries LoadEntries exports survive
+// Write and decode unchanged, under the field names
+// scripts/load_smoke.sh reads with jq.
+func TestReportWriteRoundTrip(t *testing.T) {
+	var res Result
+	res.Elapsed = 2 * time.Second
+	res.Endpoints = map[string]*EndpointResult{
+		"card": {Requests: 120, OK: 100, Shed: 15, DeadlineMisses: 5, Retries: 3},
+		"cost": {Requests: 40, OK: 40},
+	}
+	for i := 1; i <= 100; i++ {
+		res.Endpoints["card"].Hist.Record(time.Duration(i) * time.Millisecond)
+	}
+	res.Endpoints["cost"].Hist.Record(3 * time.Millisecond)
+	mix := Mix{Card: 1, Cost: 1}
+
+	r := NewReport("load")
+	r.Load = append(r.Load, res.LoadEntries("c8", 8, 0, mix)...)
+	r.Load = append(r.Load, res.LoadEntries("r200", 0, 200, mix)...)
+	path := filepath.Join(t.TempDir(), "load.json")
+	if err := r.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Label != "load" || back.GoVersion == "" || back.GOMAXPROCS < 1 || back.CreatedAt == "" {
+		t.Fatalf("report header did not round-trip: %+v", back)
+	}
+	if !slices.Equal(back.Load, r.Load) || len(back.Load) != 4 {
+		t.Fatalf("load entries did not round-trip:\n%+v\n%+v", back.Load, r.Load)
+	}
+	if e := back.Load[0]; e.Name != "card/c8" || e.ThroughputRPS != 50 || e.P50Ms <= 0 || e.P50Ms > e.P95Ms || e.P95Ms > e.P99Ms {
+		t.Fatalf("card/c8 entry: %+v", e)
+	}
+
+	var raw struct {
+		Load []map[string]any `json:"load"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"name", "ok", "errors", "requests", "throughput_rps", "p50_ms", "p95_ms", "p99_ms"} {
+		if _, ok := raw.Load[0][k]; !ok {
+			t.Errorf("load entry lacks %q, which load_smoke.sh reads: %v", k, raw.Load[0])
+		}
+	}
+	// Closed-loop entries omit the open-loop rate; open-loop ones carry it.
+	if _, ok := raw.Load[0]["open_loop_qps"]; ok {
+		t.Error("closed-loop entry serialized open_loop_qps")
+	}
+	if raw.Load[2]["open_loop_qps"] != 200.0 {
+		t.Errorf("open-loop entry: open_loop_qps = %v, want 200", raw.Load[2]["open_loop_qps"])
+	}
+}
+
+// TestReportWriteIntoNonDirectory: a path whose parent is a regular
+// file (ENOTDIR for any uid, root included) fails the write and leaves
+// nothing behind.
+func TestReportWriteIntoNonDirectory(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "blocker")
+	if err := os.WriteFile(blocker, []byte("not a dir"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewReport("err").Write(filepath.Join(blocker, "report.json")); err == nil {
+		t.Fatal("Write into a non-directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "blocker" {
+		t.Fatalf("failed Write left files behind: %v", entries)
+	}
+	if data, err := os.ReadFile(blocker); err != nil || string(data) != "not a dir" {
+		t.Fatalf("failed Write touched the blocking file: %q, %v", data, err)
 	}
 }
 
@@ -89,7 +211,7 @@ func loadTestServer(t *testing.T) (*httptest.Server, *sqldb.DB) {
 // TestRunClosedLoop drives a live server end to end: every endpoint
 // in the mix sees traffic, nothing fails, a mid-run hot reload
 // succeeds with zero failed in-flight requests, and the run exports
-// well-formed benchjson entries.
+// well-formed report entries.
 func TestRunClosedLoop(t *testing.T) {
 	srv, db := loadTestServer(t)
 	pool, err := SyntheticPool(db, 42, 16, 4)

@@ -2,6 +2,8 @@ package mtmlf
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +14,70 @@ import (
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
 )
+
+// beamSearchLegacy is the reference the cached BeamSearch is held to:
+// the original search, in which every beam re-runs training's Logits
+// over its entire prefix at every step.
+func beamSearchLegacy(j *JoinOrder, memory *ag.Value, q *sqldb.Query, k int, constrained bool) []BeamSearchResult {
+	type beamState struct {
+		seq  []int
+		logp float64
+	}
+	mTabs := memory.Rows()
+	adj := positionAdjacency(q)
+	beams := []beamState{{}}
+	for step := 0; step < mTabs; step++ {
+		var next []beamState
+		for _, b := range beams {
+			used := make([]bool, mTabs)
+			for _, p := range b.seq {
+				used[p] = true
+			}
+			var candidates []int
+			if constrained {
+				candidates = legalNext(adj, used, step)
+			} else {
+				for i := 0; i < mTabs; i++ {
+					if !used[i] {
+						candidates = append(candidates, i)
+					}
+				}
+			}
+			if len(candidates) == 0 {
+				continue
+			}
+			row := j.Logits(memory, b.seq).T.Row(step)
+			// Normalize over the candidate set.
+			lse := math.Inf(-1)
+			for _, c := range candidates {
+				lse = logAdd(lse, row[c])
+			}
+			for _, c := range candidates {
+				next = append(next, beamState{
+					seq:  append(append([]int{}, b.seq...), c),
+					logp: b.logp + row[c] - lse,
+				})
+			}
+		}
+		if len(next) == 0 {
+			return nil
+		}
+		sort.Slice(next, func(a, b int) bool { return next[a].logp > next[b].logp })
+		if len(next) > k {
+			next = next[:k]
+		}
+		beams = next
+	}
+	out := make([]BeamSearchResult, 0, len(beams))
+	for _, b := range beams {
+		out = append(out, BeamSearchResult{
+			Positions: b.seq,
+			LogProb:   b.logp,
+			Legal:     isLegalOrder(adj, b.seq),
+		})
+	}
+	return out
+}
 
 // TestBeamSearchCachedMatchesLegacy is the tentpole equivalence test:
 // KV-cached incremental beam search must return the same beams with
@@ -24,7 +90,7 @@ func TestBeamSearchCachedMatchesLegacy(t *testing.T) {
 			t.Run(fmt.Sprintf("k=%d/constrained=%v", k, constrained), func(t *testing.T) {
 				for _, lq := range qs {
 					rep := m.Represent(lq.Q, lq.Plan)
-					legacy := m.Shared.JO.BeamSearchLegacy(rep.Memory, lq.Q, k, constrained)
+					legacy := beamSearchLegacy(m.Shared.JO, rep.Memory, lq.Q, k, constrained)
 					cached := m.Shared.JO.BeamSearch(rep.Memory, lq.Q, k, constrained)
 					if len(legacy) != len(cached) {
 						t.Fatalf("beam count: legacy %d, cached %d", len(legacy), len(cached))
@@ -50,22 +116,6 @@ func TestBeamSearchCachedMatchesLegacy(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestScoreSequenceFastMatchesGrad asserts the no-grad sequence scorer
-// returns exactly the differentiable ScoreSequence value.
-func TestScoreSequenceFastMatchesGrad(t *testing.T) {
-	m, qs := tinySetup(t, 42, 3)
-	for _, lq := range qs {
-		rep := m.Represent(lq.Q, lq.Plan)
-		for _, r := range m.Shared.JO.BeamSearch(rep.Memory, lq.Q, 3, false) {
-			want := m.Shared.JO.ScoreSequence(rep.Memory, r.Positions).Item()
-			got := m.Shared.JO.ScoreSequenceFast(rep.Memory.T, r.Positions)
-			if want != got {
-				t.Fatalf("seq %v: grad %v, fast %v (diff %g)", r.Positions, want, got, want-got)
-			}
 		}
 	}
 }

@@ -109,49 +109,6 @@ func (j *JoinOrder) ScoreSequence(memory *ag.Value, seq []int) *ag.Value {
 	return total
 }
 
-// logitsInfer is the no-grad twin of Logits: one full-prefix forward
-// on the Eval fast path, bitwise identical to Logits' forward result.
-func (j *JoinOrder) logitsInfer(e *ag.Eval, mem *tensor.Tensor, prev []int) *tensor.Tensor {
-	var x *tensor.Tensor
-	if len(prev) == 0 {
-		x = j.Start.T
-	} else {
-		x = e.ConcatRows(j.Start.T, j.prevProj.Infer(e, e.Gather(mem, prev)))
-	}
-	out := j.dec.Infer(e, x, mem, nn.CausalMask(x.Rows()))
-	scale := 1 / math.Sqrt(float64(j.dim))
-	return e.Scale(e.MatMulTransB(out, mem), scale)
-}
-
-// ScoreSequenceFast is the no-grad twin of ScoreSequence for serving
-// and evaluation paths: it returns the same masked log-probability of
-// emitting seq, as a plain float, without building a graph.
-func (j *JoinOrder) ScoreSequenceFast(mem *tensor.Tensor, seq []int) float64 {
-	e := ag.AcquireEval()
-	defer ag.ReleaseEval(e)
-	mTabs := mem.Rows()
-	logits := j.logitsInfer(e, mem, seq[:len(seq)-1])
-	var total float64
-	used := make([]bool, mTabs)
-	masked := e.Get(1, mTabs)
-	for t, pick := range seq {
-		row := logits.Row(t)
-		for i := 0; i < mTabs; i++ {
-			// Same arithmetic as adding the 0 / -1e9 mask row in
-			// ScoreSequence (x + 0 normalizes a -0 exactly like ag.Add).
-			if used[i] {
-				masked.Data[i] = row[i] + (-1e9)
-			} else {
-				masked.Data[i] = row[i] + 0
-			}
-		}
-		lp := e.LogSoftmaxRows(masked)
-		total += lp.Data[pick]
-		used[pick] = true
-	}
-	return total
-}
-
 // positionAdjacency builds the query-local adjacency matrix of
 // Section 4.3 ("we utilize this relationship to construct a
 // corresponding adjacency matrix for each query"): adj[i][j] reports
@@ -197,12 +154,6 @@ func legalNext(adj [][]bool, used []bool, step int) []int {
 		}
 	}
 	return out
-}
-
-// beamState is one partial hypothesis.
-type beamState struct {
-	seq  []int
-	logp float64
 }
 
 // BeamSearchResult is one completed hypothesis.
@@ -251,8 +202,8 @@ func (r BeamSearchResult) OrderTables(tables []string) []string {
 // encoded once, each beam is extended by one token per step against
 // its per-layer K/V caches (cloned on beam fork), and the k beams'
 // per-step projections run through the batched matmul kernels in one
-// dispatch. Beams and log-probs are bitwise identical to the
-// full-prefix recompute kept as BeamSearchLegacy (eps = 0 test).
+// dispatch. Beams and log-probs are bitwise identical to a full-prefix
+// recompute over Logits (the eps = 0 reference in infer_test.go).
 func (j *JoinOrder) BeamSearch(memory *ag.Value, q *sqldb.Query, k int, constrained bool) []BeamSearchResult {
 	return j.BeamSearchTensor(memory.T, q, k, constrained)
 }
@@ -355,69 +306,6 @@ func (j *JoinOrder) BeamSearchTensor(mem *tensor.Tensor, q *sqldb.Query, k int, 
 			seq := make([]int, 0, len(parent.seq)+1)
 			seq = append(seq, parent.seq...)
 			next[i] = cachedBeam{seq: append(seq, c.pos), logp: c.logp, cache: cache}
-		}
-		beams = next
-	}
-	out := make([]BeamSearchResult, 0, len(beams))
-	for _, b := range beams {
-		out = append(out, BeamSearchResult{
-			Positions: b.seq,
-			LogProb:   b.logp,
-			Legal:     isLegalOrder(adj, b.seq),
-		})
-	}
-	return out
-}
-
-// BeamSearchLegacy is the pre-fast-path implementation: every beam
-// re-runs the full decoder over its entire prefix at every step,
-// building autodiff graphs along the way. It is retained as the
-// reference for the eps = 0 equivalence tests and the speedup
-// benchmarks; new code should call BeamSearch.
-func (j *JoinOrder) BeamSearchLegacy(memory *ag.Value, q *sqldb.Query, k int, constrained bool) []BeamSearchResult {
-	mTabs := memory.Rows()
-	adj := positionAdjacency(q)
-	beams := []beamState{{}}
-	for step := 0; step < mTabs; step++ {
-		var next []beamState
-		for _, b := range beams {
-			used := make([]bool, mTabs)
-			for _, p := range b.seq {
-				used[p] = true
-			}
-			var candidates []int
-			if constrained {
-				candidates = legalNext(adj, used, step)
-			} else {
-				for i := 0; i < mTabs; i++ {
-					if !used[i] {
-						candidates = append(candidates, i)
-					}
-				}
-			}
-			if len(candidates) == 0 {
-				continue
-			}
-			logits := j.Logits(memory, b.seq)
-			row := logits.T.Row(step)
-			// Normalize over the candidate set.
-			lse := math.Inf(-1)
-			for _, c := range candidates {
-				lse = logAdd(lse, row[c])
-			}
-			for _, c := range candidates {
-				next = append(next, beamState{
-					seq:  append(append([]int{}, b.seq...), c),
-					logp: b.logp + row[c] - lse,
-				})
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		sort.Slice(next, func(a, b int) bool { return next[a].logp > next[b].logp })
-		if len(next) > k {
-			next = next[:k]
 		}
 		beams = next
 	}

@@ -334,8 +334,9 @@ func ownedBackward(world, rank, n, nWorkers int, slots []ag.Grads, losses []floa
 // default-configured training run takes. Every other case backwards
 // the rank's owned slots into private buffers and exchanges them:
 // ZeroGrad + AllReduce + Step, which with the Local backend is
-// float-op-for-float-op Adam.StepAveraged, and with the TCP backend
-// the same arithmetic performed once at the coordinator.
+// float-op-for-float-op ag.ReduceGrads in slot order followed by
+// Adam.Step, and with the TCP backend the same arithmetic performed
+// once at the coordinator.
 func runMinibatch(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, nWorkers int, slots []ag.Grads, losses []float64, build func(i int) *ag.Value) error {
 	world, rank := ex.World()
 	if world <= 1 && n == 1 {

@@ -205,26 +205,10 @@ type LoweredDecoderLayer[T tensor.Float] struct {
 	LN1, LN2, LN3       *LoweredLayerNorm[T]
 }
 
-// Infer applies the block. causal is a [lq, lq] additive mask for the
-// self-attention (nil for none); mem is the encoder output.
-func (l *LoweredDecoderLayer[T]) Infer(e *ag.Session[T], x, mem, causal *tensor.Dense[T]) *tensor.Dense[T] {
-	x = l.LN1.Infer(e, e.Add(x, l.SelfAttn.Infer(e, x, x, causal)))
-	x = l.LN2.Infer(e, e.Add(x, l.CrossAttn.Infer(e, x, mem, nil)))
-	return l.LN3.Infer(e, e.Add(x, l.FF.Infer(e, x)))
-}
-
-// LoweredDecoder is the inference form of a Decoder. Its incremental,
-// KV-cached stepping lives in kvcache.go.
+// LoweredDecoder is the inference form of a Decoder. It decodes only
+// incrementally, one KV-cached step per token (kvcache.go).
 type LoweredDecoder[T tensor.Float] struct {
 	Layers []*LoweredDecoderLayer[T]
-}
-
-// Infer applies the stack over a full prefix with a shared causal mask.
-func (d *LoweredDecoder[T]) Infer(e *ag.Session[T], x, mem, causal *tensor.Dense[T]) *tensor.Dense[T] {
-	for _, l := range d.Layers {
-		x = l.Infer(e, x, mem, causal)
-	}
-	return x
 }
 
 // LoweredTreePos is the inference form of a TreePositionalEncoder. It

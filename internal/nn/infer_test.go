@@ -26,7 +26,8 @@ func relErr(got float32, want float64) float64 {
 // ALIASED weights, so the row also asserts no tensor was copied.
 // Lowered to float32 it must track the float64 result within the
 // per-layer relative-error bound the end-to-end q-error budgets build
-// on.
+// on. The decoder has no full-prefix Infer; its KV-cached step is held
+// to Forward by TestDecoderStepMatchesFullForward.
 func TestInferMatchesForwardInEveryTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const dim, heads, seq, memLen = 24, 4, 6, 5
@@ -50,7 +51,6 @@ func TestInferMatchesForwardInEveryTier(t *testing.T) {
 	ids := []int{4, 1, 4}
 	mha := NewMultiHeadAttention(rng, dim, heads)
 	enc := NewEncoder(rng, dim, heads, 2)
-	dec := NewDecoder(rng, dim, heads, 2)
 	tp := NewTreePositionalEncoder(rng, 6, dim)
 	paths := []TreePath{{}, {0}, {0, 1}, {1, 1, 0}}
 
@@ -81,9 +81,6 @@ func TestInferMatchesForwardInEveryTier(t *testing.T) {
 			LowerMultiHeadAttention[float32](mha, f32).Infer(e32, x32, mem32, nil), 1e-3},
 		{"Encoder", enc.Forward(xv, nil),
 			LowerEncoder[float64](enc, f64).Infer(e, x, nil), LowerEncoder[float32](enc, f32).Infer(e32, x32, nil), 1e-2},
-		{"Decoder", dec.Forward(xv, memv, causal),
-			LowerDecoder[float64](dec, f64).Infer(e, x, mem, causal),
-			LowerDecoder[float32](dec, f32).Infer(e32, x32, mem32, causal32), 1e-2},
 		{"TreePos", tp.Forward(paths),
 			LowerTreePositionalEncoder[float64](tp, f64).Infer(e, paths),
 			LowerTreePositionalEncoder[float32](tp, f32).Infer(e32, paths), 1e-4},

@@ -91,18 +91,6 @@ func (a *Adam) Step() {
 	}
 }
 
-// StepAveraged reduces per-example gradient buffers (slots, in slot
-// order) into the parameters' Grad fields scaled by scale — typically
-// 1/batch — and applies one Adam update. It is the reduction half of
-// data-parallel minibatch training: because ag.ReduceGrads sums in
-// slot order, the update is bitwise identical no matter how many
-// workers filled the slots.
-func (a *Adam) StepAveraged(slots []ag.Grads, scale float64) {
-	a.ZeroGrad()
-	ag.ReduceGrads(a.params, slots, scale)
-	a.Step()
-}
-
 // AdamState is the optimizer's complete mutable state — the step
 // count and both moment accumulators — in parameter order. Training
 // snapshots persist it alongside the parameters: resuming Adam

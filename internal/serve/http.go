@@ -104,13 +104,6 @@ type HandlerConfig struct {
 	Ready func() bool
 }
 
-// NewHandler mounts the serving endpoints over e with an example
-// generator only (no reload). Kept for callers that predate
-// HandlerConfig.
-func NewHandler(e *Engine, gen *workload.Generator) http.Handler {
-	return NewHandlerConfig(e, HandlerConfig{Gen: gen})
-}
-
 // NewHandlerConfig mounts the serving endpoints over e, wrapped in a
 // recover middleware: a panicking handler answers 500 (and bumps the
 // /statsz `panics` counter) instead of killing the connection — one

@@ -20,7 +20,7 @@ func testServer(t *testing.T) (*httptest.Server, []*workload.LabeledQuery, func(
 		t.Fatal(err)
 	}
 	gen := workload.NewGenerator(m.Feat.DB, 99)
-	srv := httptest.NewServer(NewHandler(e, gen))
+	srv := httptest.NewServer(NewHandlerConfig(e, HandlerConfig{Gen: gen}))
 	return srv, qs, func() { srv.Close(); e.Close() }
 }
 

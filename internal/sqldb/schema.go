@@ -125,17 +125,6 @@ func (db *DB) MustAddEdge(e JoinEdge) {
 	}
 }
 
-// EdgesBetween returns all join edges connecting tables a and b.
-func (db *DB) EdgesBetween(a, b string) []JoinEdge {
-	var out []JoinEdge
-	for _, e := range db.Edges {
-		if (e.T1 == a && e.T2 == b) || (e.T1 == b && e.T2 == a) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // AdjacentTables returns the sorted set of tables sharing a join edge
 // with t.
 func (db *DB) AdjacentTables(t string) []string {

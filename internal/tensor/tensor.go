@@ -92,9 +92,6 @@ func (t *Dense[T]) ToTensor() *Tensor { return Convert[float64](t) }
 // Bytes returns the resident size of the tensor's payload in bytes.
 func (t *Dense[T]) Bytes() int { return int(unsafe.Sizeof(T(0))) * len(t.Data) }
 
-// Zeros is an alias of New, provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full creates a tensor filled with value v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
