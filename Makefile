@@ -178,18 +178,22 @@ dist-smoke:
 	@tail -n 3 dist-smoke.log
 
 # Short fuzz pass over the artifact and wire decoders: arbitrary bytes
-# must error, never panic (and, on the wire, never allocate more than a
-# small multiple of what arrived, plus — for a checkpoint — the one
-# destination a load builds). Seeds cover both checkpoint flavors and
-# the two refused older versions, both corpus versions, the
+# must error, never panic (and, on the wire and in the corpus record
+# decoders, never allocate more than a small multiple of what arrived,
+# plus — for a checkpoint — the one destination a load builds). Seeds
+# cover both checkpoint flavors and the two refused older versions, a
+# corpus with and without single-table sections, the
 # torn-write/bit-flip/lying-length corruption shapes, and one valid
-# exchange message of every kind. FuzzMemoKey is
+# exchange message of every kind. FuzzCorpusRecord feeds the corpus
+# record decoders directly, since behind the section checksums almost
+# every mutated file dies at the CRC. FuzzMemoKey is
 # the odd one out: not a decoder but an encoder that must be injective
 # — two different (table, filter list) inputs sharing a memo key would
 # be one request served another's table encoding.
 fuzz-smoke:
 	$(GO) test ./internal/mtmlf -run=NONE -fuzz=FuzzLoadModel -fuzztime=10s
 	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusOpen -fuzztime=10s
+	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusRecord -fuzztime=10s
 	$(GO) test ./internal/dist -run=NONE -fuzz=FuzzWireFrame -fuzztime=10s
 	$(GO) test ./internal/featurize -run=NONE -fuzz=FuzzMemoKey -fuzztime=10s
 

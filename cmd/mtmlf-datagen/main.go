@@ -22,8 +22,8 @@
 // synthetic fleet with the single 21-table synthetic IMDB database.
 //
 // -single-table N switches corpus generation into fleet-MLA mode: for
-// each database the corpus additionally stores a v2 single-table
-// section of N labeled encoder pre-training queries per table, and
+// each database the corpus additionally stores a single-table section
+// of N labeled encoder pre-training queries per table, and
 // the multi-table workload is generated with the Algorithm 1 seed
 // scheme (mtmlf.GenMLAData: per-DB task seed, single-table draws
 // first, then -queries multi-table examples from the same rng
@@ -65,7 +65,7 @@ func main() {
 	maxTables := flag.Int("maxtables", 0, "override max tables joined per query (with -out)")
 	imdb := flag.Bool("imdb", false, "generate the synthetic IMDB database instead of a fleet")
 	scale := flag.Float64("scale", 0.06, "synthetic IMDB scale factor (with -imdb)")
-	singleTable := flag.Int("single-table", 0, "with -out: store N single-table queries per table (corpus v2 fleet-MLA mode)")
+	singleTable := flag.Int("single-table", 0, "with -out: store N single-table queries per table (fleet-MLA mode)")
 	flag.Parse()
 	tensor.SetParallelism(*workers)
 

@@ -40,10 +40,10 @@
 //
 // -mla switches to fleet pretraining (Algorithm 1) over EVERY
 // database of a -corpus artifact: per-DB featurizers pre-train from
-// the corpus's cached single-table sections (v2; v1 corpora fall back
-// to live generation), then the shared (S)+(T) modules train on the
-// pooled example stream (mtmlf.TrainMLAStream) without ever
-// materializing the fleet workload. The MLA seed comes from the
+// the corpus's cached single-table sections (databases written without
+// one fall back to live generation), then the shared (S)+(T) modules
+// train on the pooled example stream (mtmlf.TrainMLAStream) without
+// ever materializing the fleet workload. The MLA seed comes from the
 // corpus Meta record, so the run reproduces the in-memory
 // TrainMLA(seed) bitwise; -corpus-mode inmem materializes the per-DB
 // workloads first and must produce the identical trajectory and
@@ -391,8 +391,8 @@ func exitInterrupted(resumePath string) {
 
 // trainMLA is the -mla mode: Algorithm 1 fleet pretraining from one
 // corpus artifact. Every database of the corpus joins the pool; the
-// featurizers pre-train from the v2 single-table sections when the
-// corpus has them (v1: live fallback); and the joint loop streams the
+// featurizers pre-train from the single-table sections when the corpus
+// has them (live fallback otherwise); and the joint loop streams the
 // pooled examples from disk ("stream") or from materialized slices
 // ("inmem") — bitwise-identically either way. With a non-nil ex this
 // process is one rank of a distributed fleet: it prepares every
@@ -440,9 +440,9 @@ func trainMLA(corpusPath, corpusMode string, epochs, encEpochs, stPerTable, batc
 	// -seed only varies the shared-module initialization. Fleet-MLA
 	// corpora (datagen -single-table) also echo their workload config
 	// and per-table count into Meta, so the live (F)-pretrain fallback
-	// on a section-less (v1) file regenerates the exact draws of
-	// generation time; -st-per-table and the default workload config
-	// only apply to corpora that predate that record.
+	// on a database without a single-table section regenerates the
+	// exact draws of generation time; -st-per-table and the default
+	// workload config only apply to corpora not generated for MLA.
 	meta := r.Meta()
 	mlaSeed := meta.Seed
 	wcfg := workload.DefaultConfig()

@@ -7,66 +7,60 @@
 //
 // # File layout
 //
-// A corpus file is a sequence of self-contained gob streams plus a
-// fixed-size binary trailer:
+// A corpus file is a sequence of sections, each one hand-encoded
+// binary record (codec.go), plus a fixed-size trailer:
 //
-//	offset 0   header stream: magic/version preamble (nn.WriteHeader,
-//	           magic "MTMLF-CORPUS") followed by the Meta record
+//	offset 0   header: magic "MTMLF-CORPUS" + big-endian uint16
+//	           version, then the Meta record
 //	...        per database, in order:
-//	             one schema stream: dbRecord (name, columnar tables,
-//	             join edges, fact tables)
-//	             [v2] one OPTIONAL single-table stream: the per-table
-//	             encoder pre-training workloads ([]workload.TableWorkload)
-//	             one stream PER EXAMPLE: the workload.LabeledQuery
-//	...        footer stream: the index — every database's schema
-//	           offset, optional single-table offset, and per-example
-//	           offsets (v3: plus a CRC32C per section and the header's
-//	           end offset + CRC)
-//	end-24     v3 trailer: big-endian footer offset (8 bytes) +
-//	           big-endian footer CRC32C (4 bytes) + reserved zeros
-//	           (4 bytes) + trailer magic "MTCORPV3" (8 bytes).
-//	           v1/v2 files instead end with the 16-byte legacy
-//	           trailer: footer offset (8 bytes) + magic "MTCORPV1".
+//	             one schema section: name, columnar tables, join
+//	             edges, fact tables
+//	             one OPTIONAL single-table section: the per-table
+//	             encoder pre-training workloads
+//	             ([]workload.TableWorkload)
+//	             one section PER EXAMPLE: a workload.LabeledQuery
+//	...        footer: the index — every database's schema offset,
+//	           optional single-table offset, per-example offsets, a
+//	           CRC32C per section, and the header's end offset + CRC
+//	end-24     trailer: big-endian footer offset (8 bytes) + big-endian
+//	           footer CRC32C (4 bytes) + reserved zeros (4 bytes) +
+//	           trailer magic "MTCORPV4" (8 bytes).
 //
 // # Versions
 //
-// The header's version field gates the format. Version 1 has no
-// single-table sections; version 2 adds one optional single-table
-// stream per database, between the schema stream and the first
-// example, located by the index's SingleOff field (0 = absent);
-// version 3 adds integrity checksums: every section (header, schema,
-// single-table, each example, footer) carries a CRC32C, so any bit
-// flip or truncation anywhere in the file fails a read with a typed
-// *CorruptError instead of decoding garbage into a training run. The
-// reader accepts all three versions; v1 files simply report no
-// single-table data, so consumers fall back to generating it live
-// (featurize.PretrainAll instead of PretrainAllFrom). NewWriterVersion
-// still writes v1/v2 files for compatibility tests and older readers.
+// This build reads and writes version 4 only. Versions 1–3 stored
+// every section as its own gob stream; Open refuses them with a
+// *VersionError naming the version, and the remedy is to regenerate
+// the corpus with mtmlf-datagen. A database written without a
+// single-table section reports none, so consumers fall back to
+// generating that data live (featurize.PretrainAll instead of
+// PretrainAllFrom).
 //
-// Opening validates the trailer, the footer checksum (v3), the header
-// checksum (v3), and the whole index before any section is decoded:
-// every database range must lie inside the file, example offsets must
-// be strictly increasing inside their database's range, and section
+// Opening validates the trailer, the footer checksum, the header
+// checksum, and the whole index before any section is decoded: every
+// database range must lie inside the file, example offsets must be
+// strictly increasing inside their database's range, and section
 // order must be schema < single-table < examples. A corrupt index
 // fails at Open with a *CorruptError instead of panicking later in
 // the serving or training process. Schema, single-table, and example
-// sections are checksum-verified lazily, when first decoded.
+// sections are checksum-verified lazily, when first decoded, and every
+// length inside a record is checked against the bytes left before
+// anything is allocated.
 //
-// Every section being its own gob stream is what makes the format
+// Every section being its own record is what makes the format
 // seekable: the reader jumps to any example's offset and decodes just
-// that blob, so an epoch over a corpus far larger than RAM touches
+// that record, so an epoch over a corpus far larger than RAM touches
 // one minibatch of examples at a time. The writer is append-only
 // (offsets are counted, never seeked), so generation can stream
 // examples straight to disk shard by shard.
 //
-// Gob transmits float64 bit patterns verbatim, which the data plane's
+// Floats are stored as their IEEE-754 bits, which the data plane's
 // determinism contract relies on: a write → read round trip
 // reproduces the exact example set, and a training run streamed from
 // disk is bitwise identical to one fed from memory.
 package corpus
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"mtmlf/internal/sqldb"
@@ -74,29 +68,28 @@ import (
 )
 
 const (
-	// Magic identifies a corpus header stream.
+	// Magic opens a corpus file.
 	Magic = "MTMLF-CORPUS"
-	// Version is the current (and maximum readable) format version.
-	// v1: schema + examples; v2: adds the optional per-DB single-table
-	// pre-training section; v3: adds per-section CRC32C checksums and
-	// the 24-byte trailer.
-	Version = 3
-	// trailerMagic closes a v1/v2 file; a torn or truncated write fails
-	// loudly at open instead of gob-decoding garbage.
-	trailerMagic = "MTCORPV1"
-	// trailerSize is the fixed byte size of the legacy (v1/v2) trailer.
-	trailerSize = 16
-	// trailerMagicV3 closes a v3 file.
-	trailerMagicV3 = "MTCORPV3"
-	// trailerSizeV3 is the fixed byte size of the v3 trailer:
+	// Version is the one format version this build reads and writes.
+	Version = 4
+	// preambleSize is the magic plus the uint16 version.
+	preambleSize = len(Magic) + 2
+	// trailerMagic closes a file; a torn or truncated write fails
+	// loudly at open instead of decoding garbage.
+	trailerMagic = "MTCORPV4"
+	// trailerSize is the fixed byte size of the trailer:
 	// [8B footer offset][4B footer CRC32C][4B reserved][8B magic].
-	trailerSizeV3 = 24
+	trailerSize = 24
+	// The trailer magics of the gob-based formats: v1 and v2 files end
+	// with the first, v3 files with the second.
+	legacyTrailerV1 = "MTCORPV1"
+	legacyTrailerV3 = "MTCORPV3"
 )
 
 // Meta describes a corpus's provenance, echoed into the file at write
-// time and returned by Reader.Meta. Gob ignores fields the decoder's
-// type lacks and zero-fills fields the stream lacks, so adding fields
-// here stays wire-compatible in both directions.
+// time and returned by Reader.Meta. The header codec writes every
+// field by hand, so a field added here must be added to appendHeader
+// and decodeHeader too; TestRecordsCarryEveryField fails until it is.
 type Meta struct {
 	// Seed is the master seed the corpus was generated from.
 	Seed int64
@@ -111,8 +104,8 @@ type Meta struct {
 	// -single-table): SingleTablePerTable > 0 marks the corpus as one
 	// and MLAWorkload is the workload config every draw used — what a
 	// training run needs to reproduce the live (F)-pretrain fallback
-	// bitwise when the single-table sections are absent (v1 file).
-	// Zero on corpora that predate v2 or were not generated for MLA.
+	// bitwise when the single-table sections are absent. Zero on
+	// corpora not generated for MLA.
 	SingleTablePerTable int
 	MLAWorkload         workload.Config
 }
@@ -144,27 +137,25 @@ type columnRecord struct {
 // dbIndex locates one database's sections inside the file.
 type dbIndex struct {
 	Name string
-	// Off is the schema stream's offset; ExampleOffs the offset of
-	// every example stream; End the offset one past the last example.
+	// Off is the schema section's offset; ExampleOffs the offset of
+	// every example section; End the offset one past the last example.
 	Off         int64
 	ExampleOffs []int64
 	End         int64
 	// SingleOff is the offset of the optional single-table
-	// pre-training stream (v2); 0 means absent. Gob leaves absent
-	// fields zero, so v1 footers decode with SingleOff == 0 — exactly
-	// the "no section" encoding.
+	// pre-training section; 0 means absent.
 	SingleOff int64
-	// SchemaCRC, SingleCRC, and ExampleCRCs (v3) are the CRC32C of the
-	// schema stream, the single-table stream, and each example stream,
-	// verified lazily when a section is first decoded. Zero-filled on
-	// v1/v2 files, whose sections carry no checksums.
+	// SchemaCRC, SingleCRC, and ExampleCRCs are the CRC32C of the
+	// schema section, the single-table section, and each example
+	// section, verified lazily when a section is first decoded.
+	// ExampleCRCs is as long as ExampleOffs.
 	SchemaCRC   uint32
 	SingleCRC   uint32
 	ExampleCRCs []uint32
 }
 
-// schemaEnd returns the offset one past the schema stream: the next
-// section in file order (single-table stream, first example, or the
+// schemaEnd returns the offset one past the schema section: the next
+// section in file order (single-table section, first example, or the
 // database's end).
 func (d *dbIndex) schemaEnd() int64 {
 	if d.SingleOff > 0 {
@@ -176,7 +167,7 @@ func (d *dbIndex) schemaEnd() int64 {
 	return d.End
 }
 
-// singleEnd returns the offset one past the single-table stream.
+// singleEnd returns the offset one past the single-table section.
 func (d *dbIndex) singleEnd() int64 {
 	if len(d.ExampleOffs) > 0 {
 		return d.ExampleOffs[0]
@@ -184,10 +175,10 @@ func (d *dbIndex) singleEnd() int64 {
 	return d.End
 }
 
-// CorruptError reports a structurally invalid corpus index caught at
-// open time, before any section is decoded. It exists so callers can
-// distinguish "this file is damaged" (errors.As) from I/O errors and
-// version mismatches.
+// CorruptError reports a damaged corpus: a failed checksum, a
+// structurally invalid index, or a record that does not decode. It
+// exists so callers can distinguish "this file is damaged" (errors.As)
+// from I/O errors and version mismatches.
 type CorruptError struct {
 	// Reason describes the failed invariant.
 	Reason string
@@ -199,12 +190,23 @@ func corruptf(format string, args ...any) error {
 	return &CorruptError{Reason: fmt.Sprintf(format, args...)}
 }
 
+// VersionError reports a corpus written in a format this build no
+// longer reads. Nothing converts such a file; it is regenerated.
+type VersionError struct {
+	// Version is the file's format version.
+	Version int
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("corpus: unsupported corpus version %d — regenerate with mtmlf-datagen", e.Version)
+}
+
 // footer is the seekable index written at the end of the file.
 type footer struct {
 	DBs []dbIndex
-	// HeaderEnd and HeaderCRC (v3) delimit and checksum the header
-	// stream (magic/version preamble + Meta), so bit rot in the header
-	// is caught before the header is gob-decoded. Zero on v1/v2 files.
+	// HeaderEnd and HeaderCRC delimit and checksum the header section
+	// (preamble + Meta), so bit rot in the header is caught before it
+	// is decoded.
 	HeaderEnd int64
 	HeaderCRC uint32
 }
@@ -254,11 +256,4 @@ func fromRecord(rec dbRecord) (*sqldb.DB, error) {
 	}
 	db.FactTables = append(db.FactTables, rec.FactTables...)
 	return db, nil
-}
-
-// encodeSection writes one self-contained gob stream and returns
-// nothing; each section gets a fresh encoder so it can later be
-// decoded in isolation at its recorded offset.
-func encodeSection(w *countWriter, v any) error {
-	return gob.NewEncoder(w).Encode(v)
 }

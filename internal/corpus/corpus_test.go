@@ -346,7 +346,7 @@ func singleTableSet(db *sqldb.DB, seed int64, perTable int) []workload.TableWork
 	return gen.GenPretrainSet(perTable, workload.DefaultConfig())
 }
 
-// TestSingleTableRoundTrip: the v2 single-table section reproduces
+// TestSingleTableRoundTrip: the single-table section reproduces
 // the stored pre-training workloads exactly, and databases written
 // without one report ok=false.
 func TestSingleTableRoundTrip(t *testing.T) {
@@ -363,7 +363,7 @@ func TestSingleTableRoundTrip(t *testing.T) {
 		{DB: fleet[1], // no single-table section
 			Examples: workload.GenerateSharded(catalog.NewMemory(fleet[1]), 20, 3, 2, wcfg)},
 	}
-	path := filepath.Join(t.TempDir(), "v2.mtc")
+	path := filepath.Join(t.TempDir(), "single.mtc")
 	if err := WriteFile(path, Meta{Seed: 17}, dbs); err != nil {
 		t.Fatal(err)
 	}
@@ -431,77 +431,6 @@ func mustExample(t *testing.T, s *ExampleSet, i int) *workload.LabeledQuery {
 		t.Fatal(err)
 	}
 	return lq
-}
-
-// TestV1StillReadable: the version gate — a file written at format
-// version 1 opens under the v2 reader, reports Version 1, decodes
-// schema + examples, rejects WriteSingleTable at write time, and
-// reports no single-table data.
-func TestV1StillReadable(t *testing.T) {
-	cfg := datagen.DefaultConfig()
-	cfg.MinTables, cfg.MaxTables = 4, 4
-	cfg.MinRows, cfg.MaxRows = 60, 100
-	db := datagen.GenerateFleet(23, 1, cfg)[0]
-	wcfg := workload.DefaultConfig()
-	wcfg.MaxTables = 3
-	examples := workload.GenerateSharded(catalog.NewMemory(db), 24, 4, 2, wcfg)
-
-	path := filepath.Join(t.TempDir(), "v1.mtc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriterVersion(f, Meta{Seed: 23}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.BeginDB(db); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteSingleTable(singleTableSet(db, 25, 2)); err == nil {
-		t.Fatal("v1 writer must reject WriteSingleTable")
-	}
-	for _, lq := range examples {
-		if err := w.AppendExample(lq); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Version() != 1 {
-		t.Fatalf("version %d, want 1", r.Version())
-	}
-	c, err := r.Catalog(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := c.SingleTable(); ok || err != nil {
-		t.Fatalf("v1 file claims a single-table section: ok=%v err=%v", ok, err)
-	}
-	ex, err := r.Examples(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Len() != len(examples) {
-		t.Fatalf("v1 example count %d, want %d", ex.Len(), len(examples))
-	}
-	for i := range examples {
-		equalExamples(t, examples[i], mustExample(t, ex, i))
-	}
-
-	if _, err := NewWriterVersion(f, Meta{}, Version+1); err == nil {
-		t.Fatal("future version must be unwritable")
-	}
 }
 
 // writeCorrupted writes a tiny corpus whose in-memory index is

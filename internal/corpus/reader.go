@@ -1,10 +1,9 @@
 package corpus
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +11,6 @@ import (
 
 	"mtmlf/internal/catalog"
 	"mtmlf/internal/ckptio"
-	"mtmlf/internal/nn"
 	"mtmlf/internal/sqldb"
 	"mtmlf/internal/stats"
 	"mtmlf/internal/workload"
@@ -25,11 +23,10 @@ import (
 // concurrent use — example reads go through ReadAt, so any number of
 // training workers can stream from one Reader.
 type Reader struct {
-	ra      io.ReaderAt
-	meta    Meta
-	version int
-	index   []dbIndex
-	cats    []*DBCatalog
+	ra    io.ReaderAt
+	meta  Meta
+	index []dbIndex
+	cats  []*DBCatalog
 
 	closer io.Closer // set when Open owns the file
 }
@@ -55,101 +52,94 @@ func Open(path string) (*Reader, error) {
 }
 
 // NewReader opens a corpus from any io.ReaderAt of known size (an
-// os.File, a bytes.Reader, an mmap).
+// os.File, a bytes.Reader, an mmap). A file of an older format fails
+// with a *VersionError, a damaged one with a *CorruptError.
 func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
-	if size < trailerSize {
+	// The last 8 bytes name the format.
+	if size < 8 {
 		return nil, corruptf("file too small (%d bytes)", size)
 	}
-	// Trailer. The last 8 bytes name the trailer format: v3's 24-byte
-	// checksummed trailer or the 16-byte legacy (v1/v2) one.
 	var tmagic [8]byte
 	if _, err := ra.ReadAt(tmagic[:], size-8); err != nil {
 		return nil, fmt.Errorf("corpus: read trailer: %w", err)
 	}
-	var footerOff, dataEnd int64
-	v3 := string(tmagic[:]) == trailerMagicV3
-	if v3 {
-		if size < trailerSizeV3 {
-			return nil, corruptf("file too small for a v3 trailer (%d bytes)", size)
-		}
-		var trailer [trailerSizeV3]byte
-		if _, err := ra.ReadAt(trailer[:], size-trailerSizeV3); err != nil {
-			return nil, fmt.Errorf("corpus: read trailer: %w", err)
-		}
-		for _, b := range trailer[12:16] {
-			if b != 0 {
-				return nil, corruptf("reserved trailer bytes are not zero")
-			}
-		}
-		footerOff = int64(binary.BigEndian.Uint64(trailer[:8]))
-		dataEnd = size - trailerSizeV3
-		if footerOff < 0 || footerOff >= dataEnd {
-			return nil, corruptf("footer offset %d outside file of %d bytes", footerOff, size)
-		}
-		// Verify the footer checksum before trusting any offset in it.
-		fb := make([]byte, dataEnd-footerOff)
-		if _, err := ra.ReadAt(fb, footerOff); err != nil {
-			return nil, corruptf("read footer: %v", err)
-		}
-		if want, got := binary.BigEndian.Uint32(trailer[8:12]), ckptio.Checksum(fb); want != got {
-			return nil, corruptf("footer checksum mismatch: stored %08x, computed %08x", want, got)
-		}
-	} else {
-		var trailer [trailerSize]byte
-		if _, err := ra.ReadAt(trailer[:], size-trailerSize); err != nil {
-			return nil, fmt.Errorf("corpus: read trailer: %w", err)
-		}
-		if string(trailer[8:]) != trailerMagic {
-			return nil, corruptf("bad trailer magic %q (truncated or foreign file?)", trailer[8:])
-		}
-		footerOff = int64(binary.BigEndian.Uint64(trailer[:8]))
-		dataEnd = size - trailerSize
-		if footerOff < 0 || footerOff >= dataEnd {
-			return nil, corruptf("footer offset %d outside file of %d bytes", footerOff, size)
+	switch string(tmagic[:]) {
+	case trailerMagic:
+	case legacyTrailerV1:
+		return nil, &VersionError{Version: legacyVersion(ra)}
+	case legacyTrailerV3:
+		return nil, &VersionError{Version: 3}
+	default:
+		return nil, corruptf("bad trailer magic %q (truncated, foreign, or newer file?)", tmagic[:])
+	}
+	if size < trailerSize {
+		return nil, corruptf("file too small for a trailer (%d bytes)", size)
+	}
+	var trailer [trailerSize]byte
+	if _, err := ra.ReadAt(trailer[:], size-trailerSize); err != nil {
+		return nil, fmt.Errorf("corpus: read trailer: %w", err)
+	}
+	for _, b := range trailer[12:16] {
+		if b != 0 {
+			return nil, corruptf("reserved trailer bytes are not zero")
 		}
 	}
-	// Footer index (checksum already verified on v3 files).
+	footerOff := int64(binary.BigEndian.Uint64(trailer[:8]))
+	dataEnd := size - trailerSize
+	if footerOff < 0 || footerOff >= dataEnd {
+		return nil, corruptf("footer offset %d outside file of %d bytes", footerOff, size)
+	}
+	// Verify the footer checksum before trusting any offset in it.
 	var ft footer
-	dec := gob.NewDecoder(bufio.NewReader(io.NewSectionReader(ra, footerOff, dataEnd-footerOff)))
-	if err := dec.Decode(&ft); err != nil {
-		return nil, corruptf("decode footer: %v", err)
+	fb, err := readSection(ra, footerOff, dataEnd, binary.BigEndian.Uint32(trailer[8:12]))
+	if err == nil {
+		err = decodeFooter(fb, &ft)
 	}
-	// Header: magic/version preamble + meta. On v3 files the header's
-	// bytes are checksum-verified before being gob-decoded, so a flip
-	// in (say) the version field reads as corruption, not as a foreign
-	// or future file.
-	if v3 {
-		if ft.HeaderEnd <= 0 || ft.HeaderEnd > footerOff {
-			return nil, corruptf("header end %d outside data region (0, %d]", ft.HeaderEnd, footerOff)
-		}
-		hb := make([]byte, ft.HeaderEnd)
-		if _, err := ra.ReadAt(hb, 0); err != nil {
-			return nil, corruptf("read header: %v", err)
-		}
-		if got := ckptio.Checksum(hb); got != ft.HeaderCRC {
-			return nil, corruptf("header checksum mismatch: stored %08x, computed %08x", ft.HeaderCRC, got)
-		}
-	}
-	hdr := gob.NewDecoder(bufio.NewReader(io.NewSectionReader(ra, 0, size)))
-	version, err := nn.ReadHeader(hdr, Magic, Version)
 	if err != nil {
-		return nil, fmt.Errorf("corpus: not a corpus file: %w", err)
+		return nil, corruptf("footer: %v", err)
 	}
-	if v3 != (version >= 3) {
-		return nil, corruptf("header version %d inconsistent with trailer format %q", version, tmagic)
+	// The header is checksum-verified before it is decoded, so a flip in
+	// (say) the version field reads as corruption, not as another
+	// version.
+	if ft.HeaderEnd <= 0 || ft.HeaderEnd > footerOff {
+		return nil, corruptf("header end %d outside data region (0, %d]", ft.HeaderEnd, footerOff)
 	}
 	var meta Meta
-	if err := hdr.Decode(&meta); err != nil {
-		return nil, fmt.Errorf("corpus: read meta: %w", err)
+	hb, err := readSection(ra, 0, ft.HeaderEnd, ft.HeaderCRC)
+	if err == nil {
+		meta, err = decodeHeader(hb)
 	}
-	if err := validateIndex(ft.DBs, footerOff, version); err != nil {
+	var verr *VersionError
+	if errors.As(err, &verr) {
 		return nil, err
 	}
-	r := &Reader{ra: ra, meta: meta, version: version, index: ft.DBs, cats: make([]*DBCatalog, len(ft.DBs))}
+	if err != nil {
+		return nil, corruptf("header: %v", err)
+	}
+	if err := validateIndex(ft.DBs, footerOff); err != nil {
+		return nil, err
+	}
+	r := &Reader{ra: ra, meta: meta, index: ft.DBs, cats: make([]*DBCatalog, len(ft.DBs))}
 	for i := range r.cats {
 		r.cats[i] = &DBCatalog{r: r, idx: i}
 	}
 	return r, nil
+}
+
+// legacyVersion tells v1 from v2 in a file closed by the trailer they
+// share. Their gob header holds the magic string followed by the
+// version field: a field delta of 1, then the version doubled (gob's
+// encoding of a small int).
+func legacyVersion(ra io.ReaderAt) int {
+	head := make([]byte, 128)
+	n, _ := ra.ReadAt(head, 0)
+	head = head[:n]
+	if i := bytes.Index(head, []byte(Magic+"\x01")); i >= 0 && i+len(Magic)+1 < n {
+		if v := head[i+len(Magic)+1]; v == 2 || v == 4 {
+			return int(v / 2)
+		}
+	}
+	return 1
 }
 
 // validateIndex checks every structural invariant of the footer index
@@ -159,9 +149,8 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 // are strictly increasing inside [Off, End). A violated invariant
 // means the file is corrupt (torn write, bit rot, hostile input); it
 // fails here with a *CorruptError instead of panicking later when
-// DBCatalog.DB or ExampleSet.Example slices a bogus byte range. On v3
-// files every example must also carry a checksum.
-func validateIndex(dbs []dbIndex, footerOff int64, version int) error {
+// DBCatalog.DB or ExampleSet.Example slices a bogus byte range.
+func validateIndex(dbs []dbIndex, footerOff int64) error {
 	prevEnd := int64(0)
 	for i := range dbs {
 		d := &dbs[i]
@@ -189,10 +178,6 @@ func validateIndex(dbs []dbIndex, footerOff int64, version int) error {
 			}
 			lo = off
 		}
-		if version >= 3 && len(d.ExampleCRCs) != len(d.ExampleOffs) {
-			return corruptf("database %d (%q): %d example checksums for %d examples",
-				i, d.Name, len(d.ExampleCRCs), len(d.ExampleOffs))
-		}
 	}
 	return nil
 }
@@ -208,8 +193,9 @@ func (r *Reader) Close() error {
 // Meta returns the corpus provenance record.
 func (r *Reader) Meta() Meta { return r.meta }
 
-// Version returns the file's format version (1, 2, or 3).
-func (r *Reader) Version() int { return r.version }
+// Version returns the file's format version, which is Version: Open
+// refuses every other.
+func (r *Reader) Version() int { return Version }
 
 // NumDBs returns the number of databases in the corpus.
 func (r *Reader) NumDBs() int { return len(r.index) }
@@ -257,27 +243,19 @@ func (r *Reader) Examples(i int) (*ExampleSet, error) {
 	return &ExampleSet{r: r, d: &r.index[i]}, nil
 }
 
-// section returns a decoder over the byte range [off, end).
-func (r *Reader) section(off, end int64) *gob.Decoder {
-	return gob.NewDecoder(bufio.NewReader(io.NewSectionReader(r.ra, off, end-off)))
-}
-
-// verifiedSection returns a decoder over [off, end) after checking the
-// section's CRC32C (v3 files; earlier versions carry no checksums and
-// decode directly). This is the lazy half of the integrity contract:
-// the index is verified at Open, each data section on first decode.
-func (r *Reader) verifiedSection(off, end int64, want uint32, what string) (*gob.Decoder, error) {
-	if r.version < 3 {
-		return r.section(off, end), nil
-	}
+// readSection returns the bytes of [off, end) once their CRC32C is
+// want. This is the lazy half of the integrity contract: the index is
+// verified at Open, each data section on first decode. Its errors name
+// no section; the caller adds that, on failure only.
+func readSection(ra io.ReaderAt, off, end int64, want uint32) ([]byte, error) {
 	buf := make([]byte, end-off)
-	if _, err := r.ra.ReadAt(buf, off); err != nil {
-		return nil, corruptf("read %s: %v", what, err)
+	if _, err := ra.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("read: %v", err)
 	}
 	if got := ckptio.Checksum(buf); got != want {
-		return nil, corruptf("%s checksum mismatch: stored %08x, computed %08x", what, want, got)
+		return nil, fmt.Errorf("checksum mismatch: stored %08x, computed %08x", want, got)
 	}
-	return gob.NewDecoder(bytes.NewReader(buf)), nil
+	return buf, nil
 }
 
 // DBCatalog is one corpus database behind the catalog.Catalog
@@ -299,15 +277,14 @@ var _ catalog.Catalog = (*DBCatalog)(nil)
 // load decodes and caches the schema + columnar data.
 func (c *DBCatalog) load() error {
 	c.dbOnce.Do(func() {
-		d := c.r.index[c.idx]
-		dec, err := c.r.verifiedSection(d.Off, d.schemaEnd(), d.SchemaCRC, fmt.Sprintf("schema of %q", d.Name))
-		if err != nil {
-			c.dbErr = err
-			return
-		}
+		d := &c.r.index[c.idx]
 		var rec dbRecord
-		if err := dec.Decode(&rec); err != nil {
-			c.dbErr = corruptf("decode database %q: %v", d.Name, err)
+		b, err := readSection(c.r.ra, d.Off, d.schemaEnd(), d.SchemaCRC)
+		if err == nil {
+			err = decodeSchema(b, &rec)
+		}
+		if err != nil {
+			c.dbErr = corruptf("schema of %q: %v", d.Name, err)
 			return
 		}
 		c.db, c.dbErr = fromRecord(rec)
@@ -345,20 +322,20 @@ func (c *DBCatalog) Examples() *ExampleSet {
 }
 
 // SingleTable returns this database's cached encoder pre-training
-// workloads (the v2 single-table section). ok is false when the file
-// predates v2 or was written without the section — consumers then
-// fall back to generating the data live (featurize.PretrainAll).
+// workloads (the single-table section). ok is false when the database
+// was written without the section — consumers then fall back to
+// generating the data live (featurize.PretrainAll).
 func (c *DBCatalog) SingleTable() (data []workload.TableWorkload, ok bool, err error) {
 	d := &c.r.index[c.idx]
 	if d.SingleOff == 0 {
 		return nil, false, nil
 	}
-	dec, err := c.r.verifiedSection(d.SingleOff, d.singleEnd(), d.SingleCRC, fmt.Sprintf("single-table section of %q", d.Name))
-	if err != nil {
-		return nil, false, err
+	b, err := readSection(c.r.ra, d.SingleOff, d.singleEnd(), d.SingleCRC)
+	if err == nil {
+		data, err = decodeSingleTable(b)
 	}
-	if err := dec.Decode(&data); err != nil {
-		return nil, false, corruptf("decode single-table section of %q: %v", d.Name, err)
+	if err != nil {
+		return nil, false, corruptf("single-table section of %q: %v", d.Name, err)
 	}
 	return data, true, nil
 }
@@ -383,22 +360,17 @@ func (s *ExampleSet) Example(i int) (*workload.LabeledQuery, error) {
 	if i < 0 || i >= len(s.d.ExampleOffs) {
 		return nil, fmt.Errorf("corpus: example %d outside [0, %d) of %q", i, len(s.d.ExampleOffs), s.d.Name)
 	}
-	off := s.d.ExampleOffs[i]
 	end := s.d.End
 	if i+1 < len(s.d.ExampleOffs) {
 		end = s.d.ExampleOffs[i+1]
 	}
-	var crc uint32
-	if i < len(s.d.ExampleCRCs) {
-		crc = s.d.ExampleCRCs[i]
+	lq := new(workload.LabeledQuery)
+	b, err := readSection(s.r.ra, s.d.ExampleOffs[i], end, s.d.ExampleCRCs[i])
+	if err == nil {
+		err = decodeExample(b, lq)
 	}
-	dec, err := s.r.verifiedSection(off, end, crc, fmt.Sprintf("example %d of %q", i, s.d.Name))
 	if err != nil {
-		return nil, err
+		return nil, corruptf("example %d of %q: %v", i, s.d.Name, err)
 	}
-	var lq workload.LabeledQuery
-	if err := dec.Decode(&lq); err != nil {
-		return nil, corruptf("decode example %d of %q: %v", i, s.d.Name, err)
-	}
-	return &lq, nil
+	return lq, nil
 }

@@ -3,131 +3,102 @@ package corpus
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
 	"mtmlf/internal/ckptio"
-	"mtmlf/internal/nn"
 	"mtmlf/internal/sqldb"
 	"mtmlf/internal/workload"
 )
-
-// countWriter counts bytes written so the writer can record section
-// offsets without seeking (the format is append-only). When crc is
-// non-nil every byte also feeds the running section checksum (v3).
-type countWriter struct {
-	w   io.Writer
-	n   int64
-	crc ckptio.Hash32
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	if c.crc != nil && n > 0 {
-		c.crc.Write(p[:n])
-	}
-	return n, err
-}
 
 // Writer streams a corpus to an io.Writer: header, then for each
 // database a schema section followed by any number of example
 // sections, then the index footer and trailer on Close. Appending is
 // sequential (one goroutine); generation can still be parallel —
 // produce shards concurrently, append them in order.
+//
+// The first failed write sticks: that call and every later one,
+// Close included, return its error, and no footer is written.
 type Writer struct {
-	cw      *countWriter
-	flush   *bufio.Writer
-	dbs     []dbIndex
-	version int
-	open    bool
-	closed  bool
+	bw     *bufio.Writer
+	n      int64  // bytes written: the offset of the next section
+	buf    []byte // the section being encoded, reused
+	dbs    []dbIndex
+	open   bool
+	closed bool
+	err    error
 
-	// headerEnd/headerCRC delimit and checksum the header stream (v3).
+	// headerEnd/headerCRC delimit and checksum the header section.
 	headerEnd int64
 	headerCRC uint32
 }
 
-// resetCRC starts a new section checksum (no-op below v3).
-func (w *Writer) resetCRC() {
-	if w.cw.crc != nil {
-		w.cw.crc.Reset()
-	}
-}
-
-// sumCRC finishes the current section checksum (0 below v3).
-func (w *Writer) sumCRC() uint32 {
-	if w.cw.crc == nil {
-		return 0
-	}
-	return w.cw.crc.Sum32()
-}
-
-// NewWriter writes the header and returns a corpus writer for the
-// current format version. The caller owns the underlying writer
-// (Close does not close it).
+// NewWriter writes the header and returns a corpus writer. The caller
+// owns the underlying writer (Close does not close it).
 func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
-	return NewWriterVersion(w, meta, Version)
+	out := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
+	out.buf = appendHeader(out.buf, &meta)
+	crc, err := out.put()
+	if err != nil {
+		return nil, err
+	}
+	out.headerEnd, out.headerCRC = out.n, crc
+	return out, nil
 }
 
-// NewWriterVersion writes a corpus at an explicit format version in
-// [1, Version] — the escape hatch for producing files older readers
-// (and the backward-compatibility tests) can consume. A v1 writer
-// rejects WriteSingleTable, since v1 has no such section.
-func NewWriterVersion(w io.Writer, meta Meta, version int) (*Writer, error) {
-	if version < 1 || version > Version {
-		return nil, fmt.Errorf("corpus: cannot write version %d (supported 1..%d)", version, Version)
+// put appends the section encoded in w.buf and returns its CRC32C.
+func (w *Writer) put() (uint32, error) {
+	if _, err := w.bw.Write(w.buf); err != nil {
+		w.err = fmt.Errorf("corpus: write: %w", err)
+		return 0, w.err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &countWriter{w: bw}
-	if version >= 3 {
-		cw.crc = ckptio.NewChecksum()
+	w.n += int64(len(w.buf))
+	return ckptio.Checksum(w.buf), nil
+}
+
+// usable returns the sticky write error, or an error when the writer
+// is closed.
+func (w *Writer) usable() error {
+	if w.err != nil {
+		return w.err
 	}
-	enc := gob.NewEncoder(cw)
-	if err := nn.WriteHeader(enc, Magic, version); err != nil {
-		return nil, fmt.Errorf("corpus: write header: %w", err)
+	if w.closed {
+		return errors.New("corpus: writer closed")
 	}
-	if err := enc.Encode(meta); err != nil {
-		return nil, fmt.Errorf("corpus: write meta: %w", err)
-	}
-	out := &Writer{cw: cw, flush: bw, version: version}
-	out.headerEnd = cw.n
-	out.headerCRC = out.sumCRC()
-	return out, nil
+	return nil
 }
 
 // BeginDB starts a new database section, writing its schema and
 // columnar data. Examples appended afterwards belong to it.
 func (w *Writer) BeginDB(db *sqldb.DB) error {
-	if w.closed {
-		return fmt.Errorf("corpus: writer closed")
+	if err := w.usable(); err != nil {
+		return err
 	}
 	w.endDB()
-	w.dbs = append(w.dbs, dbIndex{Name: db.Name, Off: w.cw.n})
-	w.open = true
-	w.resetCRC()
-	if err := encodeSection(w.cw, toRecord(db)); err != nil {
-		return fmt.Errorf("corpus: write database %q: %w", db.Name, err)
+	rec := toRecord(db)
+	w.buf = appendSchema(w.buf[:0], &rec)
+	off := w.n
+	crc, err := w.put()
+	if err != nil {
+		return err
 	}
-	w.dbs[len(w.dbs)-1].SchemaCRC = w.sumCRC()
+	w.dbs = append(w.dbs, dbIndex{Name: db.Name, Off: off, SchemaCRC: crc})
+	w.open = true
 	return nil
 }
 
 // WriteSingleTable writes the current database's single-table
-// pre-training section (v2): the per-table encoder workloads that let
+// pre-training section: the per-table encoder workloads that let
 // mtmlf-train -corpus skip the live (F) pre-training pass. It must be
 // called after BeginDB and before the database's first AppendExample,
 // at most once per database.
 func (w *Writer) WriteSingleTable(data []workload.TableWorkload) error {
-	if w.closed {
-		return fmt.Errorf("corpus: writer closed")
+	if err := w.usable(); err != nil {
+		return err
 	}
 	if !w.open {
-		return fmt.Errorf("corpus: WriteSingleTable before BeginDB")
-	}
-	if w.version < 2 {
-		return fmt.Errorf("corpus: version %d has no single-table section (need v2)", w.version)
+		return errors.New("corpus: WriteSingleTable before BeginDB")
 	}
 	d := &w.dbs[len(w.dbs)-1]
 	if len(d.ExampleOffs) > 0 {
@@ -136,39 +107,40 @@ func (w *Writer) WriteSingleTable(data []workload.TableWorkload) error {
 	if d.SingleOff > 0 {
 		return fmt.Errorf("corpus: duplicate single-table section for %q", d.Name)
 	}
-	d.SingleOff = w.cw.n
-	w.resetCRC()
-	if err := encodeSection(w.cw, data); err != nil {
-		return fmt.Errorf("corpus: write single-table section of %q: %w", d.Name, err)
+	w.buf = appendSingleTable(w.buf[:0], data)
+	off := w.n
+	crc, err := w.put()
+	if err != nil {
+		return err
 	}
-	d.SingleCRC = w.sumCRC()
+	d.SingleOff, d.SingleCRC = off, crc
 	return nil
 }
 
 // AppendExample appends one labeled example to the current database.
 func (w *Writer) AppendExample(lq *workload.LabeledQuery) error {
-	if w.closed {
-		return fmt.Errorf("corpus: writer closed")
+	if err := w.usable(); err != nil {
+		return err
 	}
 	if !w.open {
-		return fmt.Errorf("corpus: AppendExample before BeginDB")
+		return errors.New("corpus: AppendExample before BeginDB")
+	}
+	w.buf = appendExample(w.buf[:0], lq)
+	off := w.n
+	crc, err := w.put()
+	if err != nil {
+		return err
 	}
 	d := &w.dbs[len(w.dbs)-1]
-	d.ExampleOffs = append(d.ExampleOffs, w.cw.n)
-	w.resetCRC()
-	if err := encodeSection(w.cw, lq); err != nil {
-		return fmt.Errorf("corpus: write example %d of %q: %w", len(d.ExampleOffs)-1, d.Name, err)
-	}
-	if w.version >= 3 {
-		d.ExampleCRCs = append(d.ExampleCRCs, w.sumCRC())
-	}
+	d.ExampleOffs = append(d.ExampleOffs, off)
+	d.ExampleCRCs = append(d.ExampleCRCs, crc)
 	return nil
 }
 
 // endDB seals the in-progress database index entry.
 func (w *Writer) endDB() {
 	if w.open {
-		w.dbs[len(w.dbs)-1].End = w.cw.n
+		w.dbs[len(w.dbs)-1].End = w.n
 		w.open = false
 	}
 }
@@ -176,43 +148,39 @@ func (w *Writer) endDB() {
 // Close writes the footer index and trailer and flushes. It does not
 // close the underlying writer.
 func (w *Writer) Close() error {
-	if w.closed {
-		return nil
+	if w.closed || w.err != nil {
+		w.closed = true
+		return w.err
 	}
 	w.closed = true
 	w.endDB()
-	footerOff := w.cw.n
-	w.resetCRC()
-	if err := encodeSection(w.cw, footer{DBs: w.dbs, HeaderEnd: w.headerEnd, HeaderCRC: w.headerCRC}); err != nil {
-		return fmt.Errorf("corpus: write footer: %w", err)
+	footerOff := w.n
+	w.buf = appendFooter(w.buf[:0], &footer{DBs: w.dbs, HeaderEnd: w.headerEnd, HeaderCRC: w.headerCRC})
+	footerCRC, err := w.put()
+	if err != nil {
+		return err
 	}
-	footerCRC := w.sumCRC()
-	if w.version >= 3 {
-		var trailer [trailerSizeV3]byte
-		binary.BigEndian.PutUint64(trailer[:8], uint64(footerOff))
-		binary.BigEndian.PutUint32(trailer[8:12], footerCRC)
-		copy(trailer[16:], trailerMagicV3)
-		if _, err := w.cw.Write(trailer[:]); err != nil {
-			return fmt.Errorf("corpus: write trailer: %w", err)
-		}
-	} else {
-		var trailer [trailerSize]byte
-		binary.BigEndian.PutUint64(trailer[:8], uint64(footerOff))
-		copy(trailer[8:], trailerMagic)
-		if _, err := w.cw.Write(trailer[:]); err != nil {
-			return fmt.Errorf("corpus: write trailer: %w", err)
-		}
+	var trailer [trailerSize]byte
+	binary.BigEndian.PutUint64(trailer[:8], uint64(footerOff))
+	binary.BigEndian.PutUint32(trailer[8:12], footerCRC)
+	copy(trailer[16:], trailerMagic)
+	w.buf = append(w.buf[:0], trailer[:]...)
+	if _, err := w.put(); err != nil {
+		return err
 	}
-	return w.flush.Flush()
+	if err := w.bw.Flush(); err != nil {
+		w.err = fmt.Errorf("corpus: write: %w", err)
+	}
+	return w.err
 }
 
 // Database pairs one database with its labeled workload (and,
-// optionally, its v2 single-table pre-training section), for the
+// optionally, its single-table pre-training section), for the
 // convenience writer.
 type Database struct {
 	DB       *sqldb.DB
 	Examples []*workload.LabeledQuery
-	// SingleTable, when non-nil, is written as the database's v2
+	// SingleTable, when non-nil, is written as the database's
 	// single-table section.
 	SingleTable []workload.TableWorkload
 }
@@ -221,26 +189,29 @@ type Database struct {
 // atomic (temp file + fsync + rename): a crash mid-write leaves the
 // previous corpus, or nothing — never a torn file.
 func WriteFile(path string, meta Meta, dbs []*Database) error {
-	return ckptio.WriteFileAtomic(path, func(f io.Writer) error {
-		w, err := NewWriter(f, meta)
-		if err != nil {
+	return ckptio.WriteFileAtomic(path, func(f io.Writer) error { return write(f, meta, dbs) })
+}
+
+// write streams a whole corpus to f.
+func write(f io.Writer, meta Meta, dbs []*Database) error {
+	w, err := NewWriter(f, meta)
+	if err != nil {
+		return err
+	}
+	for _, d := range dbs {
+		if err := w.BeginDB(d.DB); err != nil {
 			return err
 		}
-		for _, d := range dbs {
-			if err := w.BeginDB(d.DB); err != nil {
+		if d.SingleTable != nil {
+			if err := w.WriteSingleTable(d.SingleTable); err != nil {
 				return err
 			}
-			if d.SingleTable != nil {
-				if err := w.WriteSingleTable(d.SingleTable); err != nil {
-					return err
-				}
-			}
-			for _, lq := range d.Examples {
-				if err := w.AppendExample(lq); err != nil {
-					return err
-				}
+		}
+		for _, lq := range d.Examples {
+			if err := w.AppendExample(lq); err != nil {
+				return err
 			}
 		}
-		return w.Close()
-	})
+	}
+	return w.Close()
 }

@@ -41,18 +41,17 @@ func mlaFleet() []*sqldb.DB {
 }
 
 // writeMLACorpus writes the fleet's Algorithm 1 training data to a
-// corpus file at the given format version: GenMLAData output per
-// database, with the v2 single-table section included only when the
-// version supports it. This is exactly what mtmlf-datagen
-// -single-table produces (modulo version).
-func writeMLACorpus(t *testing.T, dbs []*sqldb.DB, opts MLAOptions, version int) string {
+// corpus file: GenMLAData output per database, with the single-table
+// sections when single is set. With them it is exactly what
+// mtmlf-datagen -single-table produces.
+func writeMLACorpus(t *testing.T, dbs []*sqldb.DB, opts MLAOptions, single bool) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fleet.mtc")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := corpus.NewWriterVersion(f, corpus.Meta{Seed: opts.Seed}, version)
+	w, err := corpus.NewWriter(f, corpus.Meta{Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func writeMLACorpus(t *testing.T, dbs []*sqldb.DB, opts MLAOptions, version int)
 		if err := w.BeginDB(db); err != nil {
 			t.Fatal(err)
 		}
-		if version >= 2 {
+		if single {
 			if err := w.WriteSingleTable(st); err != nil {
 				t.Fatal(err)
 			}
@@ -146,8 +145,8 @@ func assertMLAEqual(t *testing.T, label string,
 }
 
 // TestTrainMLAStreamMatchesInMemory is the eps=0 equivalence contract
-// of corpus-backed fleet pretraining: Algorithm 1 run from a v2
-// corpus artifact — cached single-table sections, streamed pooled
+// of corpus-backed fleet pretraining: Algorithm 1 run from a corpus
+// artifact — cached single-table sections, streamed pooled
 // examples — reproduces the live in-memory TrainMLA bitwise (loss
 // trajectory, shared parameters, every featurizer) at workers 1 and
 // 4, without ever materializing the pooled workload.
@@ -163,7 +162,7 @@ func TestTrainMLAStreamMatchesInMemory(t *testing.T) {
 		t.Fatalf("reference ran %d steps, want 24", refStats.Steps)
 	}
 
-	r, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, corpus.Version))
+	r, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, true))
 	if r.Version() != corpus.Version {
 		t.Fatalf("fixture version %d", r.Version())
 	}
@@ -181,15 +180,16 @@ func TestTrainMLAStreamMatchesInMemory(t *testing.T) {
 					workers, ti, len(task.Queries))
 			}
 		}
-		assertMLAEqual(t, "v2 stream", refShared, shared, refTasks, tasks, refStats, st)
+		assertMLAEqual(t, "stream", refShared, shared, refTasks, tasks, refStats, st)
 	}
 }
 
-// TestTrainMLAStreamV1Fallback: a v1 corpus (no single-table
-// sections) still opens and trains — the featurizers fall back to
-// live (F) pre-training from the task seed, which draws the exact
-// prefix of the rng stream the corpus queries were generated from, so
-// the run STILL matches the in-memory reference bitwise.
+// TestTrainMLAStreamV1Fallback: a corpus without single-table
+// sections (the shape of a format-v1 file, hence the name) still
+// trains — the featurizers fall back to live (F) pre-training from the
+// task seed, which draws the exact prefix of the rng stream the corpus
+// queries were generated from, so the run STILL matches the in-memory
+// reference bitwise.
 func TestTrainMLAStreamV1Fallback(t *testing.T) {
 	dbs := mlaFleet()
 	opts := mlaFixtureOpts()
@@ -199,19 +199,16 @@ func TestTrainMLAStreamV1Fallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, 1))
-	if r.Version() != 1 {
-		t.Fatalf("fixture version %d, want 1", r.Version())
-	}
+	_, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, false))
 	if _, ok, err := cats[0].(*corpus.DBCatalog).SingleTable(); ok || err != nil {
-		t.Fatalf("v1 fixture has a single-table section: ok=%v err=%v", ok, err)
+		t.Fatalf("fixture has a single-table section: ok=%v err=%v", ok, err)
 	}
 	shared := NewShared(tinyConfig(), 20)
 	tasks, st, err := TrainMLAStream(shared, cats, srcs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMLAEqual(t, "v1 fallback", refShared, shared, refTasks, tasks, refStats, st)
+	assertMLAEqual(t, "live (F) fallback", refShared, shared, refTasks, tasks, refStats, st)
 }
 
 // TestTrainMLAStreamPropagatesSourceErrors: an I/O failure in any

@@ -11,7 +11,6 @@ import (
 
 	"mtmlf/internal/catalog"
 	"mtmlf/internal/ckptio"
-	"mtmlf/internal/corpus"
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
 )
@@ -283,7 +282,7 @@ func TestTrainMLAResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, corpus.Version))
+	_, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, true))
 	for _, workers := range []int{1, 4} {
 		for _, after := range []int{1, 3} {
 			path := filepath.Join(t.TempDir(), "mla.snap")

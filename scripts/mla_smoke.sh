@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # mla-smoke: end-to-end check of corpus-backed fleet pretraining
 # (Algorithm 1 from one artifact). Builds a tiny 3-database fleet
-# corpus with v2 single-table sections (mtmlf-datagen -single-table),
+# corpus with single-table sections (mtmlf-datagen -single-table),
 # runs `mtmlf-train -mla -corpus` twice — streaming the pooled
 # examples from disk and materializing them in memory — and asserts
 # the loss trajectories AND the saved shared-only checkpoints are
