@@ -2,7 +2,7 @@
 # targets locally before pushing.
 
 GO ?= go
-RACE_PKGS := ./internal/parallel ./internal/tensor ./internal/ag ./internal/nn ./internal/mtmlf ./internal/experiments ./internal/datagen ./internal/serve ./internal/workload ./internal/corpus ./internal/loadgen ./internal/dist
+RACE_PKGS := ./internal/parallel ./internal/tensor ./internal/ag ./internal/nn ./internal/featurize ./internal/mtmlf ./internal/experiments ./internal/datagen ./internal/serve ./internal/workload ./internal/corpus ./internal/loadgen ./internal/dist
 
 # Pinned linter versions: CI installs exactly these; bump them here
 # and in no other place.
@@ -71,8 +71,10 @@ test:
 	$(GO) test ./...
 
 # Race-detect the concurrent packages: kernels, autodiff gradient
-# sinks, data-parallel training, experiment fan-out. GOMAXPROCS is
-# pinned above 1 so the worker pool actually fans out (on a 1-CPU
+# sinks, the featurizer's no-grad Enc_i path (every data-parallel
+# training worker runs it through Represent), data-parallel training,
+# experiment fan-out. GOMAXPROCS is pinned above 1 so the worker pool
+# actually fans out (on a 1-CPU
 # machine the pool defaults to size 1 and every path runs inline,
 # which would make this job vacuous). The dist suite runs five more
 # times: its coordinator is one goroutine per rank, and an interleaving

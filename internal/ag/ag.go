@@ -7,6 +7,19 @@
 // parents. Calling Backward on a scalar root runs the closures in
 // reverse topological order.
 //
+// Gradient ownership: a backward rule that computes a fresh tensor
+// (MatMul's products, Mul, Scale, the nonlinearities, softmaxes,
+// LayerNormRows, the concat/slice/gather copies, the reductions) hands
+// it over, and the first contribution a node or a sink buffer receives
+// becomes that buffer; later contributions are added into it. The
+// three rules that pass their own out.Grad straight through — Add
+// (both operands), Sub's left operand and AddBias's input — copy it
+// first, so no two buffers ever share storage. Adopting g instead of
+// adding it to zeros differs only when an element is −0, and a
+// gradient is only multiplied and added on its way to a parameter, so
+// a signed zero cannot change a nonzero result; DESIGN.md §10 says why
+// it cannot change a parameter either.
+//
 // All matrices are rank-2; vectors are 1xN.
 package ag
 
@@ -55,19 +68,6 @@ func newNode(op string, t *tensor.Tensor, parents ...*Value) *Value {
 	return n
 }
 
-// accumGrad adds g into v.Grad, allocating on first use. It is a no-op
-// for nodes that do not require gradients, which prunes constant
-// subgraphs from the backward pass.
-func (v *Value) accumGrad(g *tensor.Tensor) {
-	if !v.needGrad {
-		return
-	}
-	if v.Grad == nil {
-		v.Grad = tensor.New(v.T.Shape...)
-	}
-	v.Grad.AddInPlace(g)
-}
-
 // backCtx threads the gradient destination through one backward pass.
 // With a nil sink every gradient lands on the node's own Grad field
 // (the classic behavior). With a sink, gradients for LEAF parameters
@@ -77,35 +77,51 @@ func (v *Value) accumGrad(g *tensor.Tensor) {
 // private buffer. Interior nodes always use their own Grad field:
 // they belong to exactly one graph, so they are private to the worker
 // that built them.
+//
+// Nodes that do not require gradients are skipped, which prunes
+// constant subgraphs from the backward pass.
 type backCtx struct {
 	sink Grads
 }
 
-// accum routes gradient g for node n according to the context.
-func (c *backCtx) accum(n *Value, g *tensor.Tensor) {
+// accum routes gradient g for node n according to the context. g must
+// be a fresh tensor the caller gives up: if it is n's first gradient,
+// it becomes n's buffer (adopted, not copied).
+func (c *backCtx) accum(n *Value, g *tensor.Tensor) { c.route(n, g, true) }
+
+// pass is accum for a gradient the caller keeps — its own out.Grad,
+// passed straight through: a first contribution is copied.
+func (c *backCtx) pass(n *Value, g *tensor.Tensor) { c.route(n, g, false) }
+
+func (c *backCtx) route(n *Value, g *tensor.Tensor, owned bool) {
 	if !n.needGrad {
 		return
 	}
 	if c.sink != nil && n.backward == nil {
-		c.sink.add(n, g)
+		c.sink[n] = addGrad(c.sink[n], g, owned)
 		return
 	}
-	n.accumGrad(g)
+	n.Grad = addGrad(n.Grad, g, owned)
+}
+
+// addGrad returns buf with g added, or — for a first contribution —
+// g itself when owned and a copy of g otherwise.
+func addGrad(buf, g *tensor.Tensor, owned bool) *tensor.Tensor {
+	switch {
+	case buf != nil:
+		buf.AddInPlace(g)
+		return buf
+	case owned:
+		return g
+	default:
+		return g.Clone()
+	}
 }
 
 // Grads is a per-worker gradient buffer: parameter node → accumulated
 // gradient. Buffers from concurrent backward passes are combined with
 // ReduceGrads.
 type Grads map[*Value]*tensor.Tensor
-
-func (gr Grads) add(p *Value, g *tensor.Tensor) {
-	buf := gr[p]
-	if buf == nil {
-		buf = tensor.New(p.T.Shape...)
-		gr[p] = buf
-	}
-	buf.AddInPlace(g)
-}
 
 // Backward computes gradients of v (which must be a 1x1 scalar) with
 // respect to every upstream Param, accumulating them on the Params'
@@ -199,8 +215,8 @@ func topoSort(root *Value) []*Value {
 func Add(a, b *Value) *Value {
 	out := newNode("add", tensor.Add(a.T, b.T), a, b)
 	out.backward = func(ctx *backCtx) {
-		ctx.accum(a, out.Grad)
-		ctx.accum(b, out.Grad)
+		ctx.pass(a, out.Grad)
+		ctx.pass(b, out.Grad)
 	}
 	return out
 }
@@ -209,7 +225,7 @@ func Add(a, b *Value) *Value {
 func Sub(a, b *Value) *Value {
 	out := newNode("sub", tensor.Sub(a.T, b.T), a, b)
 	out.backward = func(ctx *backCtx) {
-		ctx.accum(a, out.Grad)
+		ctx.pass(a, out.Grad)
 		if b.needGrad {
 			ctx.accum(b, tensor.Scale(out.Grad, -1))
 		}
@@ -256,7 +272,7 @@ func AddBias(a, bias *Value) *Value {
 	}
 	out := newNode("addbias", t, a, bias)
 	out.backward = func(ctx *backCtx) {
-		ctx.accum(a, out.Grad)
+		ctx.pass(a, out.Grad)
 		if bias.needGrad {
 			ctx.accum(bias, tensor.SumRows(out.Grad))
 		}

@@ -83,6 +83,71 @@ func TestConcurrentBackwardInto(t *testing.T) {
 	}
 }
 
+// TestPassThroughGradientsAreCopied: Add, Sub and AddBias hand their
+// own out.Grad to their operands, so those must copy it — two buffers
+// sharing storage would add one parameter's gradient into another's.
+// For each op, with a sink and without, every parameter's gradient must
+// be its own tensor (by pointer, and by writing to it and re-reading
+// the others) and none may be out.Grad.
+func TestPassThroughGradientsAreCopied(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p, q := randParam(rng, 3, 4), randParam(rng, 3, 4)
+	bias := randParam(rng, 1, 4)
+	w := Const(tensor.Rand(rng, 3, 4, 1))
+	for _, tc := range []struct {
+		name   string
+		params []*Value
+		op     func() *Value
+	}{
+		{"add(p,p)", []*Value{p}, func() *Value { return Add(p, p) }},
+		{"add(p,q)", []*Value{p, q}, func() *Value { return Add(p, q) }},
+		{"sub(p,q)", []*Value{p, q}, func() *Value { return Sub(p, q) }},
+		{"addbias(p,bias)", []*Value{p, bias}, func() *Value { return AddBias(p, bias) }},
+	} {
+		for _, sinked := range []bool{false, true} {
+			out := tc.op()
+			loss := SumAll(Mul(out, w))
+			sink := Grads{}
+			if sinked {
+				loss.BackwardInto(sink)
+			} else {
+				loss.Backward()
+			}
+			bufs := []*tensor.Tensor{out.Grad}
+			for _, v := range tc.params {
+				g := v.Grad
+				if sinked {
+					g = sink[v]
+				}
+				if g == nil {
+					t.Fatalf("%s sinked=%v: a parameter got no gradient", tc.name, sinked)
+				}
+				bufs = append(bufs, g)
+				v.Grad = nil
+			}
+			for i, a := range bufs {
+				for _, b := range bufs[i+1:] {
+					if a == b {
+						t.Fatalf("%s sinked=%v: two gradients are one tensor", tc.name, sinked)
+					}
+				}
+			}
+			for i, a := range bufs {
+				snap := make([]*tensor.Tensor, len(bufs))
+				for j, b := range bufs {
+					snap[j] = b.Clone()
+				}
+				a.Data[0] += 1
+				for j, b := range bufs {
+					if j != i && !tensor.Equal(b, snap[j], 0) {
+						t.Fatalf("%s sinked=%v: writing gradient %d changed gradient %d", tc.name, sinked, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulBatchGradcheck verifies the batched ops' values and
 // gradients against the unbatched ops.
 func TestMatMulBatchGradcheck(t *testing.T) {

@@ -293,6 +293,9 @@ func (f *Featurizer) PretrainEncoder(table string, data []workload.SingleTableQu
 			steps++
 		}
 	}
+	// Enc_i is frozen from here on ((S)+(T) training reads it as a
+	// constant), so its last gradient would only be held, never read.
+	opt.ZeroGrad()
 	return PretrainResult{Table: table, FinalLoss: running, Steps: steps}
 }
 

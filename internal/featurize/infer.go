@@ -107,8 +107,9 @@ func (l *Lowered[T]) Bytes() int {
 func (f *Featurizer) Reference() *Lowered[float64] { return f.f64 }
 
 // EncodeTableInfer is Lowered.EncodeTableInfer on the float64 view of
-// f. It stays on *Featurizer because the frozen benchmark
-// (bench/servetrace.go) calls it by this name.
+// f: how the grad-mode mtmlf.Model.Represent reads Enc_i, which
+// (S)+(T) training holds fixed, and a name the frozen benchmark
+// (bench/servetrace.go) calls.
 func (f *Featurizer) EncodeTableInfer(e *ag.Eval, table string, filters []sqldb.Filter) *tensor.Tensor {
 	return f.f64.EncodeTableInfer(e, table, filters)
 }

@@ -147,38 +147,65 @@ func TestRepresentInferMatchesGrad(t *testing.T) {
 }
 
 // TestBareModelIsUncached: only a serve bundle memoizes table encodings
-// (featurize/memo.go). A bare Model that takes one more Adam step —
-// encoder weights included — after answering must answer with the new
-// weights, through Reference() and through a replica lowered afterwards,
-// and so stays an independent check on every memoized answer.
+// (featurize/memo.go). A bare Model whose weights move after it answered
+// must answer with the new weights, through Reference() and through a
+// replica lowered afterwards, and so stays an independent check on
+// every memoized answer. Both kinds of step are taken: a pre-training
+// step on one table's Enc_i (the only thing that moves (F), which
+// (S)+(T) training reads as a constant), then an Adam step on the
+// shared modules through Represent.
 func TestBareModelIsUncached(t *testing.T) {
 	m, qs := tinySetup(t, 45, 3)
-	opt := nn.NewAdam(m.Params(), 1e-2)
-	for _, lq := range qs {
-		before := m.EstimateNodeCards(lq)
-		before32 := m.Lower(nn.PrecisionF32).EstimateNodeCards(lq)
-
-		opt.ZeroGrad()
-		m.CardLoss(m.Represent(lq.Q, lq.Plan), lq).Backward()
-		opt.Step()
-
-		want := ExpClamp(m.PredictLogCards(m.Represent(lq.Q, lq.Plan)).T.Data)
-		after := m.EstimateNodeCards(lq)
-		for i := range want {
-			if after[i] != want[i] {
-				t.Fatalf("node %d after the step: %v, grad path %v (a stale encoding?)", i, after[i], want[i])
+	opt := nn.NewAdam(m.Shared.Params(), 1e-2)
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if a[i] != b[i] {
+				return false
 			}
 		}
-		same := func(a, b []float64) bool {
-			for i := range a {
-				if a[i] != b[i] {
-					return false
+		return true
+	}
+	for _, lq := range qs {
+		table := lq.Q.Tables[0]
+		steps := []struct {
+			name string
+			take func()
+		}{
+			{"Enc_" + table + " pre-training step", func() {
+				m.Feat.PretrainEncoder(table, []workload.SingleTableQuery{
+					{Table: table, Filters: lq.Q.FiltersFor(table), Card: 1e3},
+				}, 1)
+			}},
+			{"shared Adam step", func() {
+				opt.ZeroGrad()
+				m.CardLoss(m.Represent(lq.Q, lq.Plan), lq).Backward()
+				opt.Step()
+			}},
+		}
+		for _, step := range steps {
+			before := m.EstimateNodeCards(lq)
+			before32 := m.Lower(nn.PrecisionF32).EstimateNodeCards(lq)
+			step.take()
+
+			// The grad-tracked forward reads Enc_i through the same
+			// float64 view, so pin that view to Enc_i's own grad forward.
+			e := ag.AcquireEval()
+			enc := m.Feat.Reference().EncodeTableInfer(e, table, lq.Q.FiltersFor(table))
+			if !tensor.Equal(enc, m.Feat.EncodeTable(table, lq.Q.FiltersFor(table)).T, 0) {
+				t.Fatalf("%s: Reference() encodes %s with stale weights", step.name, table)
+			}
+			ag.ReleaseEval(e)
+
+			want := ExpClamp(m.PredictLogCards(m.Represent(lq.Q, lq.Plan)).T.Data)
+			after := m.EstimateNodeCards(lq)
+			for i := range want {
+				if after[i] != want[i] {
+					t.Fatalf("%s: node %d after the step: %v, grad path %v (a stale encoding?)", step.name, i, after[i], want[i])
 				}
 			}
-			return true
-		}
-		if same(after, before) || same(m.Lower(nn.PrecisionF32).EstimateNodeCards(lq), before32) {
-			t.Fatal("an Adam step over every parameter left the estimates unchanged")
+			if same(after, before) || same(m.Lower(nn.PrecisionF32).EstimateNodeCards(lq), before32) {
+				t.Fatalf("%s left the estimates unchanged", step.name)
+			}
 		}
 	}
 }

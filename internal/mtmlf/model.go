@@ -191,6 +191,12 @@ type Representation struct {
 
 // Represent runs featurization, serialization and Trans_Share over a
 // query's plan — the I→F→S dataflow of Figure 2.
+//
+// The (F) encoders are constants here: (S)+(T) training never steps
+// them (they are pre-trained on their own, Algorithm 1 line 4), so
+// each leaf's E(f(T_i)) comes from the float64 no-grad path — bitwise
+// the grad forward's value — and the gradient tape ends at NodeProj's
+// input instead of running back through every Enc_i.
 func (m *Model) Represent(q *sqldb.Query, p *plan.Node) *Representation {
 	cfg := m.Shared.Cfg
 	db := m.Feat.DB
@@ -199,35 +205,41 @@ func (m *Model) Represent(q *sqldb.Query, p *plan.Node) *Representation {
 	}
 	nodes := p.Nodes()
 	paths := p.Paths()
+	e := ag.AcquireEval()
+	defer ag.ReleaseEval(e)
 
 	// Build each node's raw feature row: fixed one-hots + the ANALYZE
-	// log-card hint, concatenated with the learned Dim-wide
-	// distribution embedding.
+	// log-card hint, then the Dim-wide distribution embedding — for a
+	// leaf written into the same constant row, for a join the learned
+	// join-operator embedding concatenated to it.
 	fixedW := cfg.MaxTables + plan.NumScanOps + plan.NumJoinOps + 2
 	rows := make([]*ag.Value, len(nodes))
 	leafRow := map[string]int{}
 	for i, n := range nodes {
-		fixed := tensor.New(1, fixedW)
+		w := fixedW
+		if n.IsLeaf() {
+			w += cfg.Dim
+		}
+		row := tensor.New(1, w)
 		for _, t := range n.Tables() {
 			idx := db.TableIndex(t)
 			if idx < 0 {
 				panic(fmt.Sprintf("mtmlf: plan references unknown table %q", t))
 			}
-			fixed.Data[idx] = 1
+			row.Data[idx] = 1
 		}
 		estCard := m.Feat.Stats.EstimateSubplanCard(n.Tables(), q)
-		fixed.Data[fixedW-1] = math.Log(estCard+1) / 20
-		var embPart *ag.Value
+		row.Data[fixedW-1] = math.Log(estCard+1) / 20
 		if n.IsLeaf() {
-			fixed.Data[cfg.MaxTables+int(n.Scan)] = 1
-			embPart = m.Feat.EncodeTable(n.Table, q.FiltersFor(n.Table))
+			row.Data[cfg.MaxTables+int(n.Scan)] = 1
+			copy(row.Data[fixedW:], m.Feat.EncodeTableInfer(e, n.Table, q.FiltersFor(n.Table)).Data)
 			leafRow[n.Table] = i
-		} else {
-			fixed.Data[cfg.MaxTables+plan.NumScanOps+int(n.Join)] = 1
-			fixed.Data[fixedW-2] = 1 // isJoin flag
-			embPart = m.Shared.JoinEmb.Forward([]int{int(n.Join)})
+			rows[i] = ag.Const(row)
+			continue
 		}
-		rows[i] = ag.ConcatCols(ag.Const(fixed), embPart)
+		row.Data[cfg.MaxTables+plan.NumScanOps+int(n.Join)] = 1
+		row.Data[fixedW-2] = 1 // isJoin flag
+		rows[i] = ag.ConcatCols(ag.Const(row), m.Shared.JoinEmb.Forward([]int{int(n.Join)}))
 	}
 	raw := ag.ConcatRows(rows...)
 	x := m.Shared.NodeProj.Forward(raw)
