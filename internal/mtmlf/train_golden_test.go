@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"mtmlf/internal/catalog"
+	"mtmlf/internal/nn"
 	"mtmlf/internal/workload"
 )
 
@@ -24,11 +25,14 @@ const trainGoldenPath = "testdata/train_golden.json"
 
 // trainGolden is what one training run leaves behind: FNV-64a over the
 // Float64bits of every example's loss in processing order, and SHA-256
-// of the full-model checkpoint saved at the end.
+// of the trained parameters as tensor records (nn.WriteParams over
+// Model.Params()). The parameters, not the whole checkpoint file: a
+// change to the file's metadata encoding moves no trained bit, and the
+// checkpoint round-trip tests pin the file's bytes.
 type trainGolden struct {
-	Steps            int    `json:"steps"`
-	LossFNV64        string `json:"loss_fnv64"`
-	CheckpointSHA256 string `json:"checkpoint_sha256"`
+	Steps        int    `json:"steps"`
+	LossFNV64    string `json:"loss_fnv64"`
+	ParamsSHA256 string `json:"params_sha256"`
 }
 
 func goldenOf(t *testing.T, m *Model, st TrainStats) trainGolden {
@@ -39,15 +43,15 @@ func goldenOf(t *testing.T, m *Model, st TrainStats) trainGolden {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
-	var ck bytes.Buffer
-	if err := Save(&ck, m); err != nil {
+	var params bytes.Buffer
+	if err := nn.WriteParams(&params, m.Params()); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(ck.Bytes())
+	sum := sha256.Sum256(params.Bytes())
 	return trainGolden{
-		Steps:            st.Steps,
-		LossFNV64:        fmt.Sprintf("%016x", h.Sum64()),
-		CheckpointSHA256: hex.EncodeToString(sum[:]),
+		Steps:        st.Steps,
+		LossFNV64:    fmt.Sprintf("%016x", h.Sum64()),
+		ParamsSHA256: hex.EncodeToString(sum[:]),
 	}
 }
 
@@ -83,7 +87,7 @@ func goldenJoint(t *testing.T, opts TrainOptions) trainGolden {
 
 // TestTrainGolden pins what training produces, bit for bit, against
 // the commit that recorded testdata/train_golden.json — the loss
-// trajectory and the checkpoint bytes of four small runs: Algorithm 1
+// trajectory and the trained parameter bits of four small runs: Algorithm 1
 // at batch 8 on one and two workers, TrainJoint at batch 1 (the direct
 // Backward path, no gradient sinks), and TrainJoint at batch 4 with
 // the sequence-level loss. The drills elsewhere compare topologies
