@@ -9,7 +9,7 @@ RACE_PKGS := ./internal/parallel ./internal/tensor ./internal/ag ./internal/nn .
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build vet purego cross-arm64 vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import ci
+.PHONY: all build vet purego cross-arm64 vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import ci
 
 all: build
 
@@ -35,8 +35,8 @@ cross-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 
-# The contract gate: five custom analyzers (mapiter, globalrand,
-# atomicwrite, gobregister, poolrelease) enforcing the determinism,
+# The contract gate: four custom analyzers (mapiter, globalrand,
+# atomicwrite, poolrelease) enforcing the determinism,
 # durability, and session-ownership invariants — DESIGN.md §8. Fails
 # on any unjustified violation.
 vet-custom:
@@ -60,7 +60,7 @@ vulncheck:
 	fi
 
 # The full contributor gate in one command.
-lint: vet fmt-check docs-lint no-testing-import vet-custom staticcheck vulncheck
+lint: vet fmt-check docs-lint no-testing-import no-gob-import vet-custom staticcheck vulncheck
 
 # Fails if any file is not gofmt-clean.
 fmt-check:
@@ -157,7 +157,7 @@ mla-smoke:
 # End-to-end load check: train a tiny checkpoint, boot mtmlf-serve,
 # drive it with mtmlf-loadgen at two concurrency levels with a hot
 # reload mid-run, assert zero failed requests and a well-formed
-# BENCH_PR6.json (left for CI to upload).
+# load-smoke.json (git-ignored, left for CI to upload).
 load-smoke:
 	./scripts/load_smoke.sh
 
@@ -182,8 +182,9 @@ dist-smoke:
 # Short fuzz pass over the artifact and wire decoders: arbitrary bytes
 # must error, never panic (and, on the wire and in the corpus record
 # decoders, never allocate more than a small multiple of what arrived,
-# plus — for a checkpoint — the one destination a load builds). Seeds
-# cover both checkpoint flavors and the two refused older versions, a
+# plus — for a checkpoint or a snapshot — the one destination a load
+# fills). Seeds cover both checkpoint flavors and the three refused
+# older versions, a snapshot and a refused v2 one, a
 # corpus with and without single-table sections, the
 # torn-write/bit-flip/lying-length corruption shapes, and one valid
 # exchange message of every kind. FuzzCorpusRecord feeds the corpus
@@ -194,6 +195,7 @@ dist-smoke:
 # be one request served another's table encoding.
 fuzz-smoke:
 	$(GO) test ./internal/mtmlf -run=NONE -fuzz=FuzzLoadModel -fuzztime=10s
+	$(GO) test ./internal/mtmlf -run=NONE -fuzz=FuzzSnapshot -fuzztime=10s
 	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusOpen -fuzztime=10s
 	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusRecord -fuzztime=10s
 	$(GO) test ./internal/dist -run=NONE -fuzz=FuzzWireFrame -fuzztime=10s
@@ -219,4 +221,14 @@ no-testing-import:
 	if [ -n "$$bad" ]; then echo "no-testing-import: non-test packages import testing:"; \
 		echo "$$bad" | cut -d' ' -f1; exit 1; fi
 
-ci: build vet purego cross-arm64 vet-custom fmt-check test race bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import
+# No package, test files included, may import encoding/gob. Every
+# artifact is written in ckptio's record codec, whose bytes are a
+# function of content alone; gob's process-global type IDs made the
+# bytes depend on what a process had encoded first.
+no-gob-import:
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{.Imports}} {{.TestImports}} {{.XTestImports}}' ./... | \
+		grep -E '[[ ]encoding/gob[] ]'); \
+	if [ -n "$$bad" ]; then echo "no-gob-import: packages import encoding/gob:"; \
+		echo "$$bad" | cut -d' ' -f1; exit 1; fi
+
+ci: build vet purego cross-arm64 vet-custom fmt-check test race bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import

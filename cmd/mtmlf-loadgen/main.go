@@ -4,8 +4,7 @@
 // popularity, in closed-loop (fixed concurrency) or open-loop (fixed
 // arrival rate) mode, for a fixed duration per level, and reports
 // HDR-style latency histograms both as a human table and as load
-// entries in a JSON report (loadgen.Report; BENCH_PR6.json by
-// convention).
+// entries in a JSON report (loadgen.Report, written to the -json path).
 //
 // The query pool is either synthesized against the same schema flags
 // the server was booted with (-seed/-scale, the default) or replayed
@@ -30,7 +29,7 @@
 //
 //	mtmlf-serve -checkpoint model.ckpt -addr 127.0.0.1:8080 &
 //	mtmlf-loadgen -target http://127.0.0.1:8080 -duration 10s -levels 8,32 \
-//	    -mix card=50,cost=30,joinorder=20 -zipf 1.2 -json BENCH_PR6.json
+//	    -mix card=50,cost=30,joinorder=20 -zipf 1.2 -json load.json
 package main
 
 import (

@@ -1,5 +1,5 @@
 // Command mtmlf-vet is the repo's contract gate: a multichecker that
-// runs the five custom analyzers in internal/analysis over the whole
+// runs the four custom analyzers in internal/analysis over the whole
 // module and exits nonzero on any violation. CI runs it as `make
 // vet-custom`; run it locally the same way, or directly:
 //
@@ -10,8 +10,7 @@
 // The analyzers encode repo law (see DESIGN.md §8): mapiter and
 // globalrand guard bitwise-reproducible training in the
 // determinism-critical packages, atomicwrite guards the
-// torn-artifact-free durability contract, gobregister guards the
-// pinned gob wire type-ID order, and poolrelease guards
+// torn-artifact-free durability contract, and poolrelease guards
 // session ownership on the no-grad serving path. Justified
 // exceptions carry //mtmlf:unordered-ok or //mtmlf:allow:<analyzer>
 // comments in the source, so the suppression count is always

@@ -1,4 +1,4 @@
-// Package analysis is the repo's static-analysis gate: five custom
+// Package analysis is the repo's static-analysis gate: four custom
 // analyzers that turn the codebase's load-bearing contracts —
 // bitwise-reproducible training, atomic CRC-framed artifact IO, and
 // pooled-session ownership on the no-grad serving path — into
@@ -41,9 +41,6 @@ type Analyzer struct {
 	// addition to the generic "allow:<name>") that silence this
 	// analyzer, e.g. "unordered-ok" for mapiter.
 	SuppressAliases []string
-	// NoSuppress makes the analyzer a hard law: justification
-	// comments are ignored and every violation is reported.
-	NoSuppress bool
 }
 
 // Diagnostic is one reported violation.
@@ -89,9 +86,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // lineSuppressed reports whether a suppression comment for this
 // analyzer sits on the diagnostic's line or the line directly above.
 func (p *Pass) lineSuppressed(pos token.Position) bool {
-	if p.Analyzer.NoSuppress {
-		return false
-	}
 	lines := p.suppressed[pos.Filename]
 	return lines[pos.Line] || lines[pos.Line-1]
 }
@@ -143,9 +137,9 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return pass.diags, nil
 }
 
-// All returns the five analyzers in their canonical report order.
+// All returns the four analyzers in their canonical report order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter, GlobalRand, AtomicWrite, GobRegister, PoolRelease}
+	return []*Analyzer{MapIter, GlobalRand, AtomicWrite, PoolRelease}
 }
 
 // calleeExpr returns the expression naming the function call calls,

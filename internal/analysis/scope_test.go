@@ -24,8 +24,8 @@ func TestInScope(t *testing.T) {
 		{analysis.AtomicWrite, "mtmlf/internal/loadgen", true},
 		{analysis.AtomicWrite, "mtmlf/cmd/mtmlf-train", true},
 		{analysis.AtomicWrite, "mtmlf/internal/ckptio", false},
-		// Ownership and gob laws are module-wide.
-		{analysis.GobRegister, "mtmlf/internal/serve", true},
+		// The ownership law is module-wide.
+		{analysis.PoolRelease, "mtmlf/internal/serve", true},
 		{analysis.PoolRelease, "mtmlf/internal/ag", true},
 	}
 	for _, c := range cases {

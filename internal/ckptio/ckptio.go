@@ -1,8 +1,9 @@
 // Package ckptio is the durability layer under every on-disk training
 // artifact: checkpoints, corpora, and training snapshots. It supplies
+// the record codec their structured data is written in (record.go) and
 // the two properties the artifacts themselves cannot express:
 //
-//   - integrity: a section frame wraps each gob payload in an explicit
+//   - integrity: a section frame wraps each payload in an explicit
 //     length and a CRC32C (Castagnoli) checksum, so truncation and bit
 //     rot fail the load with a typed *CorruptError instead of decoding
 //     into garbage weights;
@@ -53,18 +54,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC32C of p.
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
-
-// NewChecksum returns a running CRC32C hash (for writers that
-// checksum sections as bytes stream through).
-func NewChecksum() Hash32 { return crc32.New(castagnoli) }
-
-// Hash32 is the running-checksum interface writers thread through
-// (satisfied by hash/crc32's digest).
-type Hash32 interface {
-	io.Writer
-	Sum32() uint32
-	Reset()
-}
 
 // The two ends of a section frame, both big-endian: the payload's
 // length in front of it, its CRC32C behind.

@@ -179,7 +179,7 @@ func TestRecordsCarryEveryField(t *testing.T) {
 	}
 }
 
-// TestDenseRecordsDecode: the decoder's allocation budget (maxDensity
+// TestDenseRecordsDecode: the record codec's allocation budget (20
 // bytes per record byte) must never refuse a record the writer wrote.
 // The densest records are long runs of empty elements; one of each
 // list type decodes.

@@ -56,9 +56,10 @@ func FuzzCorpusOpen(f *testing.F) {
 // hostile bytes; here every input does. A decoder must return an error,
 // never panic, and never allocate more than a fixed multiple of the
 // input: every length prefix is checked against the bytes left, and
-// every allocation is charged against maxDensity bytes per input byte,
-// before it is made. The limit adds size-class rounding, the example's
-// one string copy, and 64 KiB for fixed-size values and error text.
+// every allocation is charged, before it is made, against the record
+// codec's budget of 20 bytes per input byte. The limit adds size-class
+// rounding, the example's one string copy, and 64 KiB for fixed-size
+// values and error text.
 //
 //	go test ./internal/corpus -run=NONE -fuzz=FuzzCorpusRecord -fuzztime=5m
 func FuzzCorpusRecord(f *testing.F) {
@@ -84,8 +85,9 @@ func FuzzCorpusRecord(f *testing.F) {
 		func(b []byte) { _, _ = decodeHeader(b) },
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// maxDensity is 20; size classes round a charged allocation up
-		// by at most half, and the example decoder copies its record once.
+		// The budget is 20 bytes a byte; size classes round a charged
+		// allocation up by at most half, and the example decoder copies
+		// its record once.
 		limit := 32*uint64(len(b)) + 64<<10
 		for i, decode := range decoders {
 			var before, after runtime.MemStats

@@ -11,8 +11,8 @@
 //
 // Every request's latency lands in an HDR-style histogram
 // (Histogram); results aggregate per endpoint and export as LoadEntry
-// records, which a Report writes as JSON (BENCH_PR6.json by
-// convention).
+// records, which a Report writes as JSON (`mtmlf-loadgen -json <path>`;
+// `make load-smoke` writes load-smoke.json).
 // Overload shedding (429) and deadline misses (504) are counted
 // separately from errors: for a server under deliberate overload they
 // are correct behavior, and the split is what lets the smoke test

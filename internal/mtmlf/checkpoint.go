@@ -7,13 +7,13 @@
 // would serve from randomly initialized table encoders. The checkpoint
 // format here persists everything a serving process needs.
 //
-// Format v3, the only one this build reads or writes, is a preamble
+// Format v4, the only one this build reads or writes, is a preamble
 // followed by ckptio section frames ([8B length][payload][CRC32C]):
 //
 //	preamble — 10-byte magic "MTMLF-CKPT" + 2-byte big-endian version
-//	meta     — one frame, a gob checkpointMeta: the Config echo, the
-//	           database identity (name, table list, per-table row
-//	           counts), and whether the file is shared-only
+//	meta     — one frame, a checkpointMeta in ckptio's record codec: the
+//	           Config echo, the database identity (name, table list,
+//	           per-table row counts), and whether the file is shared-only
 //	count    — one frame: the number of tensors that follow (uvarint)
 //	tensors  — one frame per parameter tensor (nn.WriteParams): rank
 //	           and extents as uvarints, then the raw little-endian
@@ -27,9 +27,10 @@
 // Every byte after the preamble is covered by a frame checksum, and
 // the preamble itself only has one valid value, so ANY single-bit
 // flip or truncation fails the load with a typed *ckptio.CorruptError.
-// Files of format v1 (one gob stream) and v2 (one gob parameter
-// section) are refused with that same error type: re-save them with
-// this build's trainer.
+// Files of format v1 (one gob stream), v2 (one gob parameter section)
+// and v3 (a gob meta frame) are refused with that same error type,
+// naming their version: re-save them with this build's trainer. A
+// file's bytes are a function of its content alone.
 //
 // Loads are strict: wrong magic, another version, a different Config,
 // a mismatched table list or tensor count all fail with a descriptive
@@ -48,9 +49,7 @@
 package mtmlf
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"time"
@@ -70,7 +69,7 @@ const (
 	// CheckpointVersion is the one format version this build reads and
 	// writes: a raw preamble, then CRC32C-framed meta, tensor count and
 	// one frame per tensor.
-	CheckpointVersion = 3
+	CheckpointVersion = 4
 	// ckptPreambleSize is the raw preamble: 10 bytes of magic plus a
 	// 2-byte big-endian version.
 	ckptPreambleSize = 12
@@ -121,6 +120,41 @@ type checkpointMeta struct {
 	SharedOnly bool
 }
 
+// configFields lists c's fields in record order, the integers and then
+// the floats, so the encoder and the decoder walk one list.
+func configFields(c *Config) ([]*int, []*float64) {
+	f := &c.Feat
+	return []*int{&c.Dim, &c.Heads, &c.Blocks, &c.DecBlocks, &c.MaxTables, &c.MaxDepth, &c.BeamWidth,
+			&f.Dim, &f.Heads, &f.Blocks, &f.MaxCols, &f.CharDims},
+		[]*float64{&c.WCard, &c.WCost, &c.WJo, &c.LR, &c.Lambda, &f.LR}
+}
+
+func appendCheckpointMeta(b []byte, m *checkpointMeta) []byte {
+	ints, floats := configFields(&m.Config)
+	for _, p := range ints {
+		b = ckptio.AppendInt(b, *p)
+	}
+	for _, p := range floats {
+		b = ckptio.AppendF64(b, *p)
+	}
+	b = ckptio.AppendStrs(ckptio.AppendStr(b, m.DBName), m.Tables)
+	return ckptio.AppendBool(ckptio.AppendInts(b, m.TableRows), m.SharedOnly)
+}
+
+func decodeCheckpointMeta(b []byte) (checkpointMeta, error) {
+	var m checkpointMeta
+	d := ckptio.NewDec(b)
+	ints, floats := configFields(&m.Config)
+	for _, p := range ints {
+		*p = int(d.Int())
+	}
+	for _, p := range floats {
+		*p = d.F64()
+	}
+	m.DBName, m.Tables, m.TableRows, m.SharedOnly = d.Str(), d.Strs(), ckptio.Ints[int](&d), d.Bool()
+	return m, d.End()
+}
+
 // Save writes a full-model checkpoint: Shared (S)+(T) parameters plus
 // the per-database Featurizer (F) parameters.
 func Save(w io.Writer, m *Model) error {
@@ -162,11 +196,7 @@ func save(w io.Writer, m *Model, sharedOnly bool) error {
 		TableRows:  tableRows(db),
 		SharedOnly: sharedOnly,
 	}
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(meta); err != nil {
-		return fmt.Errorf("mtmlf: encode checkpoint meta: %w", err)
-	}
-	if err := ckptio.WriteSection(w, mbuf.Bytes()); err != nil {
+	if err := ckptio.WriteSection(w, appendCheckpointMeta(nil, &meta)); err != nil {
 		return fmt.Errorf("mtmlf: write checkpoint meta: %w", err)
 	}
 	// The full Model.Params() order (Shared then Featurizer), or just
@@ -360,8 +390,8 @@ func openCheckpoint(r io.Reader) (*ckptStream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mtmlf: checkpoint meta: %w", err)
 	}
-	var meta checkpointMeta
-	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
+	meta, err := decodeCheckpointMeta(metaPayload)
+	if err != nil {
 		return nil, ckptio.Corruptf("checkpoint", "meta section passed its checksum but does not decode: %v", err)
 	}
 	ck.info = CheckpointInfo{

@@ -3,7 +3,6 @@ package mtmlf
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -25,51 +24,37 @@ func loadFileInto(path string, m *Model) error {
 	return err
 }
 
-// oldCheckpoints are the two superseded layouts as this repo's own
-// trainers wrote them, as far as a loader gets before refusing: v1 was
-// one gob stream (nn header, then meta), v2 the framed preamble with
-// version 2 in front of a gob parameter section.
-func oldCheckpoints(t testing.TB, m *Model) (v1, v2 []byte) {
-	t.Helper()
-	db := m.Feat.DB
-	meta := checkpointMeta{Config: m.Shared.Cfg, DBName: db.Name, Tables: db.TableNames(), TableRows: tableRows(db)}
-	var g1 bytes.Buffer
-	enc := gob.NewEncoder(&g1)
-	if err := nn.WriteHeader(enc, CheckpointMagic, 1); err != nil {
-		t.Fatal(err)
+// oldCheckpoints are the three superseded layouts, built by hand from a
+// current file as far as a loader reads before refusing: v1 was one gob
+// stream with no preamble (here the gob header it opened with, naming
+// the magic and version 1), v2 and v3 the framed preamble with their
+// version in front of the sections (a gob meta frame, then one gob
+// parameter section in v2 and tensor records in v3).
+func oldCheckpoints(v4 []byte) (v1, v2, v3 []byte) {
+	v1 = append([]byte("\x29\x7f\x03\x01\x01\x06header\x01\x0a"+CheckpointMagic+"\x01\x02\x00"), v4[ckptPreambleSize:]...)
+	framed := func(version uint16) []byte {
+		return append(binary.BigEndian.AppendUint16([]byte(CheckpointMagic), version), v4[ckptPreambleSize:]...)
 	}
-	if err := enc.Encode(meta); err != nil {
-		t.Fatal(err)
-	}
-	var mbuf, g2 bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(meta); err != nil {
-		t.Fatal(err)
-	}
-	g2.Write(binary.BigEndian.AppendUint16([]byte(CheckpointMagic), 2))
-	if err := ckptio.WriteSection(&g2, mbuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ckptio.WriteSection(&g2, []byte("what was one gob section of every tensor")); err != nil {
-		t.Fatal(err)
-	}
-	return g1.Bytes(), g2.Bytes()
+	return v1, framed(2), framed(3)
 }
 
-// TestOldCheckpointVersionsRejected: v1 and v2 files — which exist only
+// TestOldCheckpointVersionsRejected: v1–v3 files — which exist only
 // where this repo's tests made them — are refused by every loader with
 // the typed error, naming the version, and re-saving is the remedy.
 func TestOldCheckpointVersionsRejected(t *testing.T) {
 	m, _ := tinySetup(t, 71, 1)
-	v1, v2 := oldCheckpoints(t, m)
+	var v4 bytes.Buffer
+	if err := Save(&v4, m); err != nil {
+		t.Fatal(err)
+	}
+	v1, v2, v3 := oldCheckpoints(v4.Bytes())
 	dst := NewModel(m.Shared.Cfg, m.Feat.DB, 3)
-	for _, tc := range []struct {
-		data []byte
-		want string
-	}{{v1, "unsupported checkpoint version 1"}, {v2, "unsupported checkpoint version 2"}} {
-		for name, err := range loadAny(m, dst, tc.data) {
+	for i, data := range [][]byte{v1, v2, v3} {
+		want := fmt.Sprintf("unsupported checkpoint version %d", i+1)
+		for name, err := range loadAny(m, dst, data) {
 			var ce *ckptio.CorruptError
-			if !errors.As(err, &ce) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s: got %v, want a *ckptio.CorruptError saying %q", name, err, tc.want)
+			if !errors.As(err, &ce) || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "re-save") {
+				t.Fatalf("%s: got %v, want a *ckptio.CorruptError saying %q and to re-save", name, err, want)
 			}
 		}
 	}
@@ -99,7 +84,7 @@ func requireCorrupt(t *testing.T, what string, m, dst *Model, data []byte) {
 	}
 }
 
-// structuralEnd returns the offset just past everything in a v3
+// structuralEnd returns the offset just past everything in a v4
 // checkpoint that is not tensor data of the second tensor onward:
 // preamble, meta frame, count frame, and the first tensor frame's
 // header, shape prefix and first elements.
@@ -126,8 +111,8 @@ func sweep(ckpt []byte, visit func(k, i int)) {
 	}
 }
 
-// TestCheckpointDetectsBitFlips: single-bit flips anywhere in a v3
-// checkpoint — preamble, frame headers, gob meta, tensor count, shape
+// TestCheckpointDetectsBitFlips: single-bit flips anywhere in a v4
+// checkpoint — preamble, frame headers, meta record, tensor count, shape
 // prefixes, element bits, checksums — must fail every loader with
 // *ckptio.CorruptError, never load, never panic: every bit of the
 // structural part, and one rotating bit at each of the sampled offsets
@@ -154,7 +139,7 @@ func TestCheckpointDetectsBitFlips(t *testing.T) {
 	})
 }
 
-// TestCheckpointDetectsTruncation: truncated prefixes of a v3
+// TestCheckpointDetectsTruncation: truncated prefixes of a v4
 // checkpoint fail typed — the torn-write shape a crash mid-save (or a
 // FailingWriter, below) produces. A cut between two tensor frames is
 // the one a format of many frames adds: the file ends cleanly on a

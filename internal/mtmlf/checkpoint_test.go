@@ -50,6 +50,14 @@ func TestFullCheckpointRoundTripBitwise(t *testing.T) {
 	if info.Version != CheckpointVersion || info.SharedOnly {
 		t.Fatalf("info = %+v", info)
 	}
+	// And a loaded model saves the file it was loaded from.
+	again.Reset()
+	if err := Save(&again, restored); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("a loaded model saves different bytes")
+	}
 	if want := len(m.Params()); info.Tensors != want || info.Bytes != int64(buf.Len()) || info.ParamBytes != m.ParamBytes() {
 		t.Fatalf("info counts %d tensors, %d bytes, %d parameter bytes; the file has %d, %d, %d",
 			info.Tensors, info.Bytes, info.ParamBytes, want, buf.Len(), m.ParamBytes())

@@ -15,7 +15,7 @@ import (
 // by zero on a hostile Config, and never allocate more than a constant,
 // a small multiple of the bytes supplied, and the one destination a
 // load that gets past the metadata builds. The seed corpus covers both
-// save flavors, the two refused older versions, and the torn-write /
+// save flavors, the three refused older versions, and the torn-write /
 // bit-flip / lying-length shapes the deterministic durability tests
 // sweep; the fuzzer explores the cross-product from there.
 //
@@ -32,16 +32,16 @@ func FuzzLoadModel(f *testing.F) {
 	if err := SaveShared(&shared, m); err != nil {
 		f.Fatal(err)
 	}
-	v3 := full.Bytes()
-	v1, v2 := oldCheckpoints(f, m)
-	end := structuralEnd(v3)
-	flipMeta := bytes.Clone(v3)
+	v4 := full.Bytes()
+	v1, v2, v3 := oldCheckpoints(v4)
+	end := structuralEnd(v4)
+	flipMeta := bytes.Clone(v4)
 	flipMeta[20] ^= 1
-	flipTensor := bytes.Clone(v3)
+	flipTensor := bytes.Clone(v4)
 	flipTensor[len(flipTensor)/2] ^= 0x10
 	// The first tensor frame claims a gigabyte: refused from its header,
 	// against the destination's shape, without reading or allocating it.
-	hugeFrame := bytes.Clone(v3)
+	hugeFrame := bytes.Clone(v4)
 	binary.BigEndian.PutUint64(hugeFrame[end-27:], 1<<30-1)
 	// Well-formed and CRC-valid, but one weight is NaN: must be
 	// rejected (nn.ErrNonFinite), not loaded.
@@ -52,19 +52,20 @@ func FuzzLoadModel(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, seed := range [][]byte{
-		v3,
+		v4,
 		shared.Bytes(),
 		v1,             // refused: predates the preamble
 		v2,             // refused: framed, version 2
-		v3[:len(v3)/2], // torn write, mid tensor
-		v3[:end-27],    // torn write, on a frame boundary
-		v3[:11],        // truncated preamble
+		v4[:len(v4)/2], // torn write, mid tensor
+		v4[:end-27],    // torn write, on a frame boundary
+		v4[:11],        // truncated preamble
 		flipMeta,       // bit rot under the meta checksum
 		flipTensor,     // bit rot under a tensor checksum
 		hugeFrame,      // a lying frame length
 		nan.Bytes(),    // non-finite weight under a valid checksum
 		[]byte(CheckpointMagic),
 		{},
+		v3, // refused: framed, version 3 (a gob meta frame)
 	} {
 		f.Add(seed)
 	}

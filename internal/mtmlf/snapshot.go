@@ -3,7 +3,6 @@ package mtmlf
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -34,9 +33,10 @@ import (
 const (
 	// SnapshotMagic opens every training-state snapshot file.
 	SnapshotMagic = "MTMLF-SNAP"
-	// SnapshotVersion is the snapshot format version (2: the parameter
-	// section became tensor records, the checkpoint's codec).
-	SnapshotVersion = 2
+	// SnapshotVersion is the one snapshot format version this build
+	// reads and writes (3: the meta is a record in ckptio's codec and
+	// Adam's moments are tensor records, like the parameters).
+	SnapshotVersion = 3
 	// snapPreambleSize is the raw preamble: magic + big-endian version.
 	snapPreambleSize = len(SnapshotMagic) + 2
 )
@@ -99,6 +99,30 @@ type snapshotMeta struct {
 	Offset int
 	// Stats is the running TrainStats at the boundary.
 	Stats TrainStats
+	// AdamSteps is the optimizer's step count (nn.Adam.Steps).
+	AdamSteps int
+}
+
+func appendSnapshotMeta(b []byte, m *snapshotMeta) []byte {
+	b = ckptio.AppendStr(ckptio.AppendStr(b, m.Kind), m.Config)
+	for _, v := range []int{m.N, m.Epochs, m.BatchSize} {
+		b = ckptio.AppendInt(b, v)
+	}
+	b = ckptio.AppendInt(b, m.Seed)
+	for _, v := range []int{m.Epoch, m.Offset, m.Stats.Steps} {
+		b = ckptio.AppendInt(b, v)
+	}
+	b = ckptio.AppendF64s(ckptio.AppendF64(b, m.Stats.FinalLoss), m.Stats.Trajectory)
+	return ckptio.AppendInt(b, m.AdamSteps)
+}
+
+func decodeSnapshotMeta(b []byte) (snapshotMeta, error) {
+	d := ckptio.NewDec(b)
+	m := snapshotMeta{Kind: d.Str(), Config: d.Str(), N: int(d.Int()), Epochs: int(d.Int()), BatchSize: int(d.Int()),
+		Seed: d.Int(), Epoch: int(d.Int()), Offset: int(d.Int()),
+		Stats:     TrainStats{Steps: int(d.Int()), FinalLoss: d.F64(), Trajectory: d.F64s()},
+		AdamSteps: int(d.Int())}
+	return m, d.End()
 }
 
 // matchMeta verifies that a snapshot belongs to the requested run.
@@ -110,77 +134,45 @@ func matchMeta(want, got snapshotMeta) error {
 			got.Kind, got.Config, got.N, got.Epochs, got.BatchSize, got.Seed,
 			want.Kind, want.Config, want.N, want.Epochs, want.BatchSize, want.Seed)
 	}
-	if got.Epoch < 0 || got.Offset < 0 || got.Offset >= max(got.N, 1) ||
+	if got.Epoch < 0 || got.Offset < 0 || got.Offset >= max(got.N, 1) || got.AdamSteps < 0 ||
 		(want.BatchSize > 0 && got.Offset%want.BatchSize != 0) {
 		return &ckptio.CorruptError{Artifact: "snapshot",
-			Reason: fmt.Sprintf("progress {epoch %d, offset %d} is not a minibatch boundary of n=%d bs=%d",
-				got.Epoch, got.Offset, got.N, got.BatchSize)}
+			Reason: fmt.Sprintf("progress {epoch %d, offset %d, Adam step %d} is not a minibatch boundary of n=%d bs=%d",
+				got.Epoch, got.Offset, got.AdamSteps, got.N, got.BatchSize)}
 	}
 	return nil
 }
 
 // writeSnapshot persists the full training state atomically: a
-// preamble, then CRC32C-framed sections — meta (gob), optimizer state
-// (gob), and the parameters as tensor records (nn.WriteParams, the
-// checkpoint's codec) — so a torn or rotted snapshot fails to load with
-// a typed *ckptio.CorruptError instead of resuming from garbage.
+// preamble, then CRC32C-framed sections — the meta record (the step
+// count included), then Adam's moments and the parameters, each list as
+// tensor records (nn.WriteParams, the checkpoint's codec) — so a torn or
+// rotted snapshot fails to load with a typed *ckptio.CorruptError
+// instead of resuming from garbage.
 func writeSnapshot(path string, meta snapshotMeta, opt *nn.Adam, params []*ag.Value) error {
 	return ckptio.WriteFileAtomic(path, func(w io.Writer) error {
-		var pre [snapPreambleSize]byte
-		copy(pre[:], SnapshotMagic)
-		binary.BigEndian.PutUint16(pre[len(SnapshotMagic):], SnapshotVersion)
-		if _, err := w.Write(pre[:]); err != nil {
+		pre := binary.BigEndian.AppendUint16([]byte(SnapshotMagic), SnapshotVersion)
+		if _, err := w.Write(pre); err != nil {
 			return err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(meta); err != nil {
-			return fmt.Errorf("mtmlf: encode snapshot meta: %w", err)
-		}
-		if err := ckptio.WriteSection(w, buf.Bytes()); err != nil {
+		if err := ckptio.WriteSection(w, appendSnapshotMeta(nil, &meta)); err != nil {
 			return err
 		}
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(opt.State()); err != nil {
-			return fmt.Errorf("mtmlf: encode optimizer state: %w", err)
-		}
-		if err := ckptio.WriteSection(w, buf.Bytes()); err != nil {
+		if err := nn.WriteParams(w, opt.Moments()); err != nil {
 			return err
 		}
 		return nn.WriteParams(w, params)
 	})
 }
 
-// readSnapshotBody opens a snapshot, checks its preamble and returns
-// the sections after it, not yet verified (restoreSnapshot does that).
-// A missing file returns an error satisfying errors.Is(err,
-// os.ErrNotExist); a damaged preamble a *ckptio.CorruptError.
-func readSnapshotBody(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var pre [snapPreambleSize]byte
-	if _, err := io.ReadFull(f, pre[:]); err != nil {
-		return nil, ckptio.Corruptf("snapshot", "truncated preamble: %v", err)
-	}
-	if string(pre[:len(SnapshotMagic)]) != SnapshotMagic {
-		return nil, ckptio.Corruptf("snapshot", "bad magic %q, want %q", pre[:len(SnapshotMagic)], SnapshotMagic)
-	}
-	if v := binary.BigEndian.Uint16(pre[len(SnapshotMagic):]); v != SnapshotVersion {
-		return nil, ckptio.Corruptf("snapshot", "unsupported version %d (supported %d; damaged version field or future file)", v, SnapshotVersion)
-	}
-	return io.ReadAll(f)
-}
-
-// restoreSnapshot applies a snapshot body — from the file, or from rank
-// 0's broadcast of it — to opt and params, and returns its meta. Nothing
-// is touched until everything has been verified: the meta frame and
-// that it describes the run want does, the optimizer frame, and every
-// tensor record against the parameter it restores (frame length,
+// restoreSnapshot applies a snapshot file — read from disk, or rank 0's
+// broadcast of it — to opt and params, and returns its meta. Nothing is
+// touched until everything has been verified: the preamble, the meta
+// record and that it describes the run want does, and every tensor
+// record against the moment or parameter it restores (frame length,
 // checksum, shape, finite values). Any failure past the meta match is a
 // *ckptio.CorruptError naming artifact.
-func restoreSnapshot(body []byte, artifact string, want snapshotMeta, opt *nn.Adam, params []*ag.Value) (snapshotMeta, error) {
+func restoreSnapshot(data []byte, artifact string, want snapshotMeta, opt *nn.Adam, params []*ag.Value) (snapshotMeta, error) {
 	var meta snapshotMeta
 	corrupt := func(what string, err error) (snapshotMeta, error) {
 		var ce *ckptio.CorruptError
@@ -189,44 +181,46 @@ func restoreSnapshot(body []byte, artifact string, want snapshotMeta, opt *nn.Ad
 		}
 		return meta, ckptio.Corruptf(artifact, "%s: %v", what, err)
 	}
-	r := bytes.NewReader(body)
+	if len(data) < snapPreambleSize || string(data[:len(SnapshotMagic)]) != SnapshotMagic {
+		return meta, ckptio.Corruptf(artifact, "no %q preamble", SnapshotMagic)
+	}
+	if v := binary.BigEndian.Uint16(data[len(SnapshotMagic):]); v != SnapshotVersion {
+		return meta, ckptio.Corruptf(artifact, "unsupported snapshot version %d (this build reads version %d only; finish that run with the build that wrote it, or start it over)", v, SnapshotVersion)
+	}
+	r := bytes.NewReader(data[snapPreambleSize:])
 	metaPayload, err := ckptio.ReadSection(r, artifact)
 	if err != nil {
 		return meta, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(metaPayload)).Decode(&meta); err != nil {
+	if meta, err = decodeSnapshotMeta(metaPayload); err != nil {
 		return corrupt("decode meta", err)
 	}
 	if err := matchMeta(want, meta); err != nil {
 		return meta, err
 	}
-	adamPayload, err := ckptio.ReadSection(r, artifact)
-	if err != nil {
-		return meta, err
-	}
-	var st nn.AdamState
-	if err := gob.NewDecoder(bytes.NewReader(adamPayload)).Decode(&st); err != nil {
-		return corrupt("decode optimizer state", err)
-	}
-	records := body[len(body)-r.Len():]
-	pr, err := nn.NewParamReader(r, artifact, len(params))
-	if err != nil {
-		return corrupt("restore parameters", err)
-	}
-	for _, p := range params {
-		if _, err := pr.Next(p.T.Shape); err != nil {
-			return corrupt("restore parameters", err)
+	// Two passes over the same records: the first verifies every one, the
+	// second, which cannot fail, reads them into place.
+	lists := [][]*ag.Value{opt.Moments(), params}
+	records := data[len(data)-r.Len():]
+	for _, list := range lists {
+		pr, err := nn.NewParamReader(r, artifact, len(list))
+		for i := 0; err == nil && i < len(list); i++ {
+			_, err = pr.Next(list[i].T.Shape)
+		}
+		if err != nil {
+			return corrupt("restore training state", err)
 		}
 	}
-	if err := opt.SetState(st); err != nil {
-		return corrupt("restore optimizer state", err)
-	}
-	// The second pass over the records just verified: it cannot fail.
-	if pr, err = nn.NewParamReader(bytes.NewReader(records), artifact, len(params)); err == nil {
-		err = pr.ReadInto(params)
-	}
-	if err != nil {
-		return corrupt("restore parameters", err)
+	opt.Steps = meta.AdamSteps
+	r = bytes.NewReader(records)
+	for _, list := range lists {
+		pr, err := nn.NewParamReader(r, artifact, len(list))
+		if err == nil {
+			err = pr.ReadInto(list)
+		}
+		if err != nil {
+			return corrupt("restore training state", err)
+		}
 	}
 	return meta, nil
 }
@@ -286,24 +280,23 @@ func prepareSnapshots(ex dist.Exchanger, snap SnapshotOptions, meta snapshotMeta
 		ctl.snap = func(epoch, offset int) error {
 			m := meta
 			m.Epoch, m.Offset = epoch, offset
-			m.Stats = *st
+			m.Stats, m.AdamSteps = *st, opt.Steps
 			return writeSnapshot(snap.Path, m, opt, params)
 		}
 	}
 	if !snap.Resume || snap.Path == "" {
 		return ctl, nil
 	}
-	// body is the snapshot after its preamble; nil means a fresh start.
-	// In a distributed run rank 0 owns the file and everyone else
-	// receives its contents over the exchange plane — and a missing
-	// file is a fleet-wide fresh start, so that decision is broadcast
-	// too, or half the fleet could resume while the other half starts
-	// over.
+	// body is the snapshot file; nil means a fresh start. In a
+	// distributed run rank 0 owns the file and everyone else receives
+	// its contents over the exchange plane — and a missing file is a
+	// fleet-wide fresh start, so that decision is broadcast too, or half
+	// the fleet could resume while the other half starts over.
 	var body []byte
 	artifact := "snapshot"
 	if rank == 0 {
 		var err error
-		if body, err = readSnapshotBody(snap.Path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if body, err = os.ReadFile(snap.Path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
 	}

@@ -5,8 +5,8 @@
 // plan serializer), the Adam optimizer, and parameter serialization.
 //
 // Every layer satisfies Module, which exposes its trainable parameters
-// in a deterministic order so optimizers and the gob serializer can
-// walk them.
+// in a deterministic order so optimizers and the tensor-record
+// serializer can walk them.
 package nn
 
 import (

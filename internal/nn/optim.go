@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"mtmlf/internal/ag"
@@ -19,10 +18,17 @@ type Adam struct {
 	// this value before each step, which keeps small-batch transformer
 	// training stable.
 	ClipNorm float64
+	// Steps counts the updates taken; bias correction reads it. With
+	// Moments it is all of the optimizer's mutable state, which a
+	// training snapshot must persist: resuming without it restarts the
+	// bias correction and the moment history, and the trajectory leaves
+	// the uninterrupted run's on the very first step.
+	Steps int
 
 	params []*ag.Value
-	m, v   []*tensor.Tensor
-	t      int
+	// moments holds every parameter's first-moment estimate, then every
+	// second-moment estimate, each of its parameter's shape.
+	moments []*ag.Value
 }
 
 // NewAdam creates an optimizer over params with standard betas.
@@ -34,13 +40,19 @@ func NewAdam(params []*ag.Value, lr float64) *Adam {
 		Eps:      1e-8,
 		ClipNorm: 1.0,
 		params:   params,
+		moments:  make([]*ag.Value, 2*len(params)),
 	}
-	for _, p := range params {
-		a.m = append(a.m, tensor.New(p.T.Shape...))
-		a.v = append(a.v, tensor.New(p.T.Shape...))
+	for i, p := range params {
+		a.moments[i] = ag.Const(tensor.New(p.T.Shape...))
+		a.moments[len(params)+i] = ag.Const(tensor.New(p.T.Shape...))
 	}
 	return a
 }
+
+// Moments returns the moment tensors themselves, not copies: every
+// parameter's first-moment estimate, then every second-moment estimate.
+// A snapshot writes them out and a restore reads into them.
+func (a *Adam) Moments() []*ag.Value { return a.moments }
 
 // ZeroGrad clears accumulated gradients; call before each backward pass.
 func (a *Adam) ZeroGrad() {
@@ -66,20 +78,20 @@ func (a *Adam) GradNorm() float64 {
 // Step applies one Adam update using the gradients accumulated on the
 // parameters. Parameters with nil gradients are skipped.
 func (a *Adam) Step() {
-	a.t++
+	a.Steps++
 	scale := 1.0
 	if a.ClipNorm > 0 {
 		if n := a.GradNorm(); n > a.ClipNorm {
 			scale = a.ClipNorm / (n + 1e-12)
 		}
 	}
-	b1c := 1 - math.Pow(a.Beta1, float64(a.t))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1c := 1 - math.Pow(a.Beta1, float64(a.Steps))
+	b2c := 1 - math.Pow(a.Beta2, float64(a.Steps))
 	for i, p := range a.params {
 		if p.Grad == nil {
 			continue
 		}
-		m, v := a.m[i], a.v[i]
+		m, v := a.moments[i].T, a.moments[len(a.params)+i].T
 		for j := range p.T.Data {
 			g := p.Grad.Data[j] * scale
 			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
@@ -89,50 +101,6 @@ func (a *Adam) Step() {
 			p.T.Data[j] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
 		}
 	}
-}
-
-// AdamState is the optimizer's complete mutable state — the step
-// count and both moment accumulators — in parameter order. Training
-// snapshots persist it alongside the parameters: resuming Adam
-// without m/v/t restarts the bias correction and moment history, so
-// the post-resume trajectory would diverge from the uninterrupted run
-// on the very first step.
-type AdamState struct {
-	T    int
-	M, V [][]float64
-}
-
-// State deep-copies the optimizer state (the snapshot must not alias
-// tensors the next Step mutates).
-func (a *Adam) State() AdamState {
-	s := AdamState{T: a.t, M: make([][]float64, len(a.m)), V: make([][]float64, len(a.v))}
-	for i := range a.m {
-		s.M[i] = append([]float64(nil), a.m[i].Data...)
-		s.V[i] = append([]float64(nil), a.v[i].Data...)
-	}
-	return s
-}
-
-// SetState restores a snapshot taken by State into an optimizer built
-// over the same parameter list, validating every moment buffer's size
-// against its parameter first.
-func (a *Adam) SetState(s AdamState) error {
-	if len(s.M) != len(a.params) || len(s.V) != len(a.params) {
-		return fmt.Errorf("nn: Adam state has %d/%d moment buffers, optimizer has %d parameters",
-			len(s.M), len(s.V), len(a.params))
-	}
-	for i, p := range a.params {
-		if len(s.M[i]) != p.T.Size() || len(s.V[i]) != p.T.Size() {
-			return fmt.Errorf("nn: Adam state buffer %d has %d/%d elements, parameter has %d",
-				i, len(s.M[i]), len(s.V[i]), p.T.Size())
-		}
-	}
-	a.t = s.T
-	for i := range a.params {
-		copy(a.m[i].Data, s.M[i])
-		copy(a.v[i].Data, s.V[i])
-	}
-	return nil
 }
 
 // SGD is a plain stochastic-gradient-descent optimizer, used by tests

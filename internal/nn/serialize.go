@@ -3,7 +3,6 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -19,38 +18,6 @@ import (
 // JSON cannot even carry; refusing it at load is the only place the
 // failure is still attributable to the checkpoint.
 var ErrNonFinite = errors.New("nn: non-finite parameter")
-
-// header is the on-wire checkpoint preamble. Magic identifies the
-// artifact kind (so a truncated or foreign file fails loudly instead
-// of gob-decoding into garbage), Version gates format evolution.
-type header struct {
-	Magic   string
-	Version int
-}
-
-// WriteHeader writes a magic/version preamble to a gob stream; the
-// corpus header starts with it, so its loader can reject foreign files
-// and future versions with a descriptive error.
-func WriteHeader(enc *gob.Encoder, magic string, version int) error {
-	return enc.Encode(header{Magic: magic, Version: version})
-}
-
-// ReadHeader reads a preamble written by WriteHeader, validates the
-// magic and that the file's version is in [1, maxVersion], and
-// returns the file's version.
-func ReadHeader(dec *gob.Decoder, magic string, maxVersion int) (int, error) {
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return 0, fmt.Errorf("nn: decode checkpoint header: %w", err)
-	}
-	if h.Magic != magic {
-		return 0, fmt.Errorf("nn: bad checkpoint magic %q, want %q", h.Magic, magic)
-	}
-	if h.Version < 1 || h.Version > maxVersion {
-		return 0, fmt.Errorf("nn: unsupported checkpoint version %d (supported 1..%d)", h.Version, maxVersion)
-	}
-	return h.Version, nil
-}
 
 // Tensor records are the one on-disk form of a parameter list, shared
 // by checkpoints and training snapshots (layout and rationale: DESIGN.md

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -228,28 +227,5 @@ func TestNilRngDrawsNothing(t *testing.T) {
 				t.Fatalf("param %d of a nil-rng encoder holds %v", i, v)
 			}
 		}
-	}
-}
-
-// TestHeaderRoundTripAndRejection exercises the magic/version
-// preamble the full-model checkpoint format is built on.
-func TestHeaderRoundTripAndRejection(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := WriteHeader(enc, "TESTMAGIC", 2); err != nil {
-		t.Fatal(err)
-	}
-	v, err := ReadHeader(gob.NewDecoder(bytes.NewReader(buf.Bytes())), "TESTMAGIC", 3)
-	if err != nil || v != 2 {
-		t.Fatalf("round trip: version %d, err %v", v, err)
-	}
-	if _, err := ReadHeader(gob.NewDecoder(bytes.NewReader(buf.Bytes())), "OTHER", 3); err == nil {
-		t.Fatal("accepted wrong magic")
-	}
-	if _, err := ReadHeader(gob.NewDecoder(bytes.NewReader(buf.Bytes())), "TESTMAGIC", 1); err == nil {
-		t.Fatal("accepted future version")
-	}
-	if _, err := ReadHeader(gob.NewDecoder(bytes.NewReader([]byte("junk"))), "TESTMAGIC", 1); err == nil {
-		t.Fatal("accepted junk preamble")
 	}
 }

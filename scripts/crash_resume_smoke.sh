@@ -5,9 +5,10 @@
 # `mtmlf-train -resume -snapshot-every 1` run at a random moment and
 # reruns it with the same flags until it exits 0. The final checkpoint
 # and hex-float loss trajectory must be BYTE-IDENTICAL to the
-# reference (gob encodes exact float64 bit patterns, so cmp is a
-# bitwise assertion): crashing and resuming, any number of times, at
-# any worker count, must not change the trained model by a single bit.
+# reference (checkpoints hold exact float64 bit patterns and their
+# bytes are a function of content alone, so cmp is a bitwise
+# assertion): crashing and resuming, any number of times, at any worker
+# count, must not change the trained model by a single bit.
 # Run via `make resume-smoke`; CI runs it on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."

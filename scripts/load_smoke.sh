@@ -6,8 +6,8 @@
 # asserts: nonzero successes on every endpoint at every level, zero
 # failed requests (shed 429s and deadline 504s are allowed — they are
 # correct overload behavior), a successful mid-run reload, and a
-# well-formed BENCH_PR6.json. Run via `make load-smoke`; CI runs it on
-# every push and uploads the report.
+# well-formed report in load-smoke.json (git-ignored). Run via `make
+# load-smoke`; CI runs it on every push and uploads the report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,7 +21,7 @@ trap cleanup EXIT
 
 SEED=7
 SCALE=0.04
-REPORT=BENCH_PR6.json
+REPORT=load-smoke.json
 
 echo "== building binaries"
 go build -o "$TMP/mtmlf-train" ./cmd/mtmlf-train

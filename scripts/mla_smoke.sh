@@ -5,8 +5,8 @@
 # runs `mtmlf-train -mla -corpus` twice — streaming the pooled
 # examples from disk and materializing them in memory — and asserts
 # the loss trajectories AND the saved shared-only checkpoints are
-# BYTE-IDENTICAL (trajectories are hex float64s and checkpoints are
-# gob-encoded exact bit patterns, so cmp is a bitwise assertion).
+# BYTE-IDENTICAL (trajectories are hex float64s and checkpoints hold
+# exact bit patterns, so cmp is a bitwise assertion).
 # Run via `make mla-smoke`; CI runs it on every push and uploads the
 # fleet corpus artifact.
 set -euo pipefail

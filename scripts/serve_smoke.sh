@@ -74,7 +74,7 @@ curl -fsS -d @"$TMP/req.json" "$BASE/estimate/cost" | check estimate/cost '"root
 curl -fsS -d @"$TMP/req.json" "$BASE/joinorder"     | check joinorder '"order"'
 curl -fsS "$BASE/statsz" | check statsz '"qps"'
 curl -fsS "$BASE/statsz" | check statsz-feat-memo '"feat_memo":{"hits":'
-curl -fsS "$BASE/statsz" | check statsz-checkpoint '"checkpoint":{"version":3,"tensors":'
+curl -fsS "$BASE/statsz" | check statsz-checkpoint '"checkpoint":{"version":4,"tensors":'
 # Typed-error path: an unknown table must 400 with a JSON error, not
 # crash the server.
 code=$(curl -s -o "$TMP/err.json" -w '%{http_code}' \
