@@ -25,9 +25,12 @@ vet:
 # oracle the assembly is tested against. The purego tag exists for this
 # check only: on an amd64 runner the fallback must compile, be the one
 # selected, and reproduce the same goldens (fleet_golden.json, calib
-# budgets, serial == sharded) as the assembly path `make test` runs.
+# budgets, serial == sharded) as the assembly path `make test` runs —
+# and the training golden, so the fallback's products, gradient sums
+# and Adam steps are checked against the trained bits end to end.
 purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/calib
+	$(GO) test -tags purego -run TestTrainGolden ./internal/mtmlf
 
 # Every non-amd64 build takes the same fallback; arm64 stands for them.
 # Cross-compiling needs no network and no toolchain beyond go's own.
@@ -94,9 +97,10 @@ bench:
 # Quick kernel benchmark: serial vs parallel matmul at 64/256/512
 # (with the paper's Figure 2 pipeline, Figure 4 decoding and beam-width
 # benches, run once so they keep compiling and running), and the three serving kernels at the wide model's feed-forward shape
-# (MatMulM8: GFLOP/s at f64 / f32 / int8 — one cold pass reads 10 or
-# more per tier with AVX2 and 20 / 40 / 45 warm; low single digits mean
-# the pure-Go fallback is what ran) — then the engine-overhead guard: the same card requests through a
+# (MatMulM8: GFLOP/s at f64 / f32 / int8, plus backward's f64 a @ bᵀ
+# as transb-f64 — one cold pass reads 10 or more per row with AVX2 and
+# 20 / 40 / 45 / 20 warm; low single digits mean the pure-Go fallback
+# is what ran) — then the engine-overhead guard: the same card requests through a
 # default engine (EngineSolo) and through the model alone
 # (EngineModelOnly), one pass of 6 requests each. Solo minus ModelOnly
 # is the scheduler's cost and must read tens of µs per request, not a

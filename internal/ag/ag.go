@@ -537,18 +537,18 @@ func LayerNormRows(a, gamma, beta *Value, eps float64) *Value {
 			for i := 0; i < m; i++ {
 				gr := out.Grad.Row(i)
 				xr := xhat.Row(i)
-				// dxhat_j = grad_j * gamma_j
+				// dxhat_j = grad_j * gamma_j, held in the gradient row
+				// until the row's sums are known, then overwritten by dx_j.
 				var sumDx, sumDxX float64
-				dx := make([]float64, n)
-				for j := 0; j < n; j++ {
+				dx := g.Row(i)
+				for j := range dx {
 					dx[j] = gr[j] * gamma.T.Data[j]
 					sumDx += dx[j]
 					sumDxX += dx[j] * xr[j]
 				}
-				orow := g.Row(i)
 				fn := float64(n)
-				for j := 0; j < n; j++ {
-					orow[j] = invstd[i] / fn * (fn*dx[j] - sumDx - xr[j]*sumDxX)
+				for j := range dx {
+					dx[j] = invstd[i] / fn * (fn*dx[j] - sumDx - xr[j]*sumDxX)
 				}
 			}
 			ctx.accum(a, g)

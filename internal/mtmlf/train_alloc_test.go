@@ -25,11 +25,12 @@ import (
 // Measured when the test was written (go1.24, amd64): 13,891
 // allocations and 2.14 MB, down from 30,445 and 5.52 MB while the tape
 // still ran back through every Enc_i and copied each first gradient.
-// The ceilings are those counts plus 3 %.
+// LayerNorm's backward then stopped making a scratch row per input row:
+// 13,765 and 2.13 MB. The ceilings are those counts plus 3 %.
 func TestTrainStepAllocCeiling(t *testing.T) {
 	const (
-		allocCeiling = 14_300    // allocations summed over the 8 queries below
-		byteCeiling  = 2_210_000 // bytes summed over the same
+		allocCeiling = 14_180    // allocations summed over the 8 queries below
+		byteCeiling  = 2_190_000 // bytes summed over the same
 	)
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	m, qs := tinySetup(t, 80, 8)

@@ -85,21 +85,18 @@ func (a *Adam) Step() {
 			scale = a.ClipNorm / (n + 1e-12)
 		}
 	}
-	b1c := 1 - math.Pow(a.Beta1, float64(a.Steps))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.Steps))
+	c := tensor.AdamCoeffs{
+		Scale: scale, LR: a.LR, Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps,
+		B1C: 1 - math.Pow(a.Beta1, float64(a.Steps)),
+		B2C: 1 - math.Pow(a.Beta2, float64(a.Steps)),
+	}
+	n := len(a.params)
 	for i, p := range a.params {
 		if p.Grad == nil {
 			continue
 		}
-		m, v := a.moments[i].T, a.moments[len(a.params)+i].T
-		for j := range p.T.Data {
-			g := p.Grad.Data[j] * scale
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
-			mhat := m.Data[j] / b1c
-			vhat := v.Data[j] / b2c
-			p.T.Data[j] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
+		m, v := a.moments[i].T, a.moments[n+i].T
+		tensor.AdamUpdate(p.T.Data, p.Grad.Data, m.Data, v.Data, c)
 	}
 }
 

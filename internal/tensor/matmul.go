@@ -20,25 +20,25 @@
 // than the arithmetic it saves.
 //
 // Element types: the dispatchers are written once over T. The only
-// type-specialised code in the package is the pair of inner row
+// type-specialised product code in the package is the pair of inner row
 // kernels they pick between by looking at the element type
 // (matMulRowsOf, matMulTransBRowsOf): matMulRows/matMulTransBRows for
-// float64, whose zero-skip and one-term-at-a-time accumulation order
-// the training bitwise contracts rest on, and the 4x4-unrolled
-// matMulF32Rows/matMulTransBF32Rows of matmul_f32.go for float32.
+// float64, whose one-term-at-a-time accumulation order (and, in a @ b,
+// zero skip) the training bitwise contracts rest on, and the
+// 4x4-unrolled matMulF32Rows/matMulTransBF32Rows of matmul_f32.go for
+// float32.
 //
 // These pure-Go kernels are the definition of every product. On amd64
-// with AVX2 the a @ b, a^T @ b and int8 products run instead on the
-// row loops of simd_amd64.go, whose innermost j loop is assembly
-// (simd_amd64.s): output columns in the vector lanes, a separate
-// multiply and add per term in the same ascending-l order, never an
-// FMA — so every element is rounded exactly as here and no golden
-// moves (TestSIMDMatchesPureGo, eps = 0 down to the sign of zero). The
+// with AVX2 the a @ b, a^T @ b, float64 a @ b^T and int8 products run
+// instead on the row loops of simd_amd64.go, whose inner loops are
+// assembly (simd_amd64.s): output columns in the vector lanes — for
+// a @ b^T four B rows transposed in registers — a separate multiply
+// and add per term in the same ascending-l order, never an FMA — so
+// every element is rounded exactly as here and no golden moves
+// (TestSIMDMatchesPureGo, eps = 0 down to the sign of zero). The
 // choice is one CPUID check at init; the kernels in this file are the
 // fallback everywhere else and the oracle the assembly is tested
-// against. a @ b^T (attention's small QK^T) stays pure Go: a dot
-// product vectorises across several j rows at once or not at all, and
-// it is about 1 % of a served pass. DESIGN.md §9 has the numbers.
+// against. DESIGN.md §9 has the numbers.
 //
 // Cache blocking: the B operand is walked in kcBlock-row slabs
 // (MatMul) or jcBlock-row slabs (MatMulTransB) sized to stay resident
@@ -138,8 +138,8 @@ func matMulTransBInto[T Float](a, b, out []T, m, k, n int) {
 }
 
 // matMulRowsOf runs the a @ b row kernel specialised for the element
-// type. This and matMulTransBRowsOf are the only places the package
-// branches on it. (The boxed slices must not reach the panic: that
+// type. This, matMulTransBRowsOf and addInPlaceOf are the only places
+// the package branches on it. (The boxed slices must not reach the panic: that
 // would make them escape and cost every call an allocation.)
 func matMulRowsOf[T Float](a, b, out []T, k, n, i0, i1 int) {
 	switch a := any(a).(type) {
@@ -157,7 +157,7 @@ func matMulRowsOf[T Float](a, b, out []T, k, n, i0, i1 int) {
 func matMulTransBRowsOf[T Float](a, b, out []T, k, n, i0, i1 int) {
 	switch a := any(a).(type) {
 	case []float64:
-		matMulTransBRows(a, any(b).([]float64), any(out).([]float64), k, n, i0, i1)
+		matMulTransBRowsF64(a, any(b).([]float64), any(out).([]float64), k, n, i0, i1)
 	case []float32:
 		matMulTransBF32Rows(a, any(b).([]float32), any(out).([]float32), k, n, i0, i1)
 	default:

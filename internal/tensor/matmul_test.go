@@ -222,15 +222,18 @@ func TestMatMulConcurrentCallers(t *testing.T) {
 // BenchmarkMatMulM8 is the per-package guard on the three serving
 // kernels at the wide model's feed-forward shape, [8,128] x [128,512],
 // serial — the shape the repository benchmark reports as
-// tensor.matmul_gflops.*.m8. Warm, with AVX2, f64 / f32 / int8 read
-// roughly 20 / 40 / 45 GFLOP/s; the pure-Go kernels (-tags purego)
-// 3.5 / 6.5 / 2.5.
+// tensor.matmul_gflops.*.m8 — and on the float64 a @ bᵀ that backward's
+// dOut @ Wᵀ runs, at [8,128] x [512,128]ᵀ (tensor.transb_gflops.f64.m8).
+// Warm, with AVX2, f64 / f32 / int8 / transb-f64 read roughly
+// 20 / 40 / 45 / 20 GFLOP/s; the pure-Go kernels (-tags purego)
+// 3.5 / 6.5 / 2.5 / 3.
 func BenchmarkMatMulM8(b *testing.B) {
 	const m, k, n = 8, 128, 512
 	defer SetParallelism(SetParallelism(1))
 	rng := rand.New(rand.NewSource(1))
 	a64, b64 := randPair(rng, m, k, n)
 	a32, b32 := Convert[float32](a64), Convert[float32](b64)
+	bt64 := Transpose(b64)
 	o64, o32 := New(m, n), NewF32(m, n)
 	w8, bias, qbuf := QuantizeLinear(b64), NewF32(1, n), make([]int8, m*k)
 	for _, bc := range []struct {
@@ -240,6 +243,7 @@ func BenchmarkMatMulM8(b *testing.B) {
 		{"f64", func() { clear(o64.Data); MatMulInto(a64, b64, o64) }},
 		{"f32", func() { clear(o32.Data); MatMulInto(a32, b32, o32) }},
 		{"int8", func() { MatMulInt8Into(a32, w8, bias, o32, qbuf) }},
+		{"transb-f64", func() { MatMulTransBInto(a64, bt64, o64) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

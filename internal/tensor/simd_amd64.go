@@ -5,9 +5,12 @@ package tensor
 // The amd64 row loops: the same kcBlock blocking, row order and zero
 // skip as the pure-Go kernels they stand in for (matMulRows,
 // matMulF32Rows, matMulTransARows, matMulInt8Rows), with the innermost
-// j loop handed to the AVX2 primitives of simd_amd64.s. Go keeps the
-// blocking, the row sharding and the dispatch; see DESIGN.md §9 for
-// why the lanes are output columns and why nothing here fuses.
+// j loop handed to the AVX2 primitives of simd_amd64.s; a @ bᵀ
+// (matMulTransBRows) hands over four output columns at a time. The
+// training-side elementwise kernels (addInPlace, adamUpdate) go whole
+// rows to assembly. Go keeps the blocking, the row sharding and the
+// dispatch; see DESIGN.md §9 for why the lanes are output columns or
+// elements and why nothing here fuses.
 
 // useAVX2 is decided once, at init: the CPU has AVX2 and the OS saves
 // the YMM state. No flag, environment variable or build tag selects it
@@ -45,6 +48,15 @@ func axpy4F32(o, b *float32, n int, a0, a1, a2, a3 float32)
 
 //go:noescape
 func axpyF32(o, b *float32, n int, a float32)
+
+//go:noescape
+func dotT4F64(a, b, out *float64, k, n, m int)
+
+//go:noescape
+func addToF64(dst, src *float64, n int)
+
+//go:noescape
+func adamF64(p, grad, m, v *float64, n int, s, b1, c1, b2, c2, lr, b1c, b2c, eps float64)
 
 //go:noescape
 func dotInt8(q, w *int8, k16, stride, nch int, acc *int32)
@@ -85,6 +97,24 @@ func matMulInt8RowsOf[T Float](a []T, w *Int8Matrix, bias, out []T, qbuf []int8,
 		return
 	}
 	matMulInt8Rows(a, w, bias, out, qbuf, k, n, i0, i1)
+}
+
+func addInPlaceF64(dst, src []float64) {
+	if useAVX2 && len(src) > 0 {
+		addToF64(&dst[:len(src)][0], &src[0], len(src))
+		return
+	}
+	addInPlace(dst, src)
+}
+
+func adamUpdateF64(p, g, m, v []float64, c AdamCoeffs) {
+	if useAVX2 && len(p) > 0 {
+		n := len(p)
+		g, m, v = g[:n], m[:n], v[:n] // the assembly trusts n
+		adamF64(&p[0], &g[0], &m[0], &v[0], n, c.Scale, c.Beta1, 1-c.Beta1, c.Beta2, 1-c.Beta2, c.LR, c.B1C, c.B2C, c.Eps)
+		return
+	}
+	adamUpdate(p, g, m, v, c)
 }
 
 // axpy4SkipF64 adds the terms of four consecutive l's to one output
@@ -175,6 +205,23 @@ func matMulTransARowsAVX2(a, b, out []float64, k, m, n, i0, i1 int) {
 				axpyF64(&out[i*n], &b[l*n], n, av)
 			}
 		}
+	}
+}
+
+// matMulTransBRowsF64 is matMulTransBRows with four output columns at
+// a time in assembly (dotT4F64, every row of the range per call). When
+// n%4 != 0 the last group of four overlaps the one before it and writes
+// its shared columns again, with the same bits. Each element is one
+// chain from +0 in ascending l with nothing skipped.
+func matMulTransBRowsF64(a, b, out []float64, k, n, i0, i1 int) {
+	if !useAVX2 || k == 0 || n < 4 || i0 >= i1 {
+		matMulTransBRows(a, b, out, k, n, i0, i1)
+		return
+	}
+	a, b, out = a[i0*k:i1*k], b[:n*k], out[i0*n:i1*n]
+	for j := 0; j < n; j += 4 {
+		j = min(j, n-4)
+		dotT4F64(&a[0], &b[j*k], &out[j], k, n, i1-i0)
 	}
 }
 

@@ -6,6 +6,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,7 +57,8 @@ func checkCanary[T Float](t *testing.T, whole []T, n int) {
 // what a vector kernel could get wrong: in A, rows with a zero at each
 // position of every 4-group, a row of mixed ±0, a denormal and a huge
 // entry; with inf set, B's rows opposite an all-zero column of A hold
-// ±Inf and NaN, which the zero skip must keep out of the f64 result.
+// ±Inf and NaN, which a zero skip must keep out of the result and which
+// a kernel without one must turn into NaN.
 func simdOperands[T Float](rng *rand.Rand, m, k, n int, inf bool) (a, b []T) {
 	_, a = offset[T](m * k)
 	_, b = offset[T](k * n)
@@ -108,12 +110,16 @@ func simdOperands[T Float](rng *rand.Rand, m, k, n int, inf bool) (a, b []T) {
 
 // simdShapes is shapes plus every n in 1…35 crossed with every k in
 // 1…9: each vector width of both element types, the edge of the 4-l
-// group, and every length of tail.
+// group, and every length of tail. Each runs at 2, 5, 9 and 14 rows,
+// which testRowsMatch splits into calls of 1, 2 and 3, 4 and 5, and 7
+// and 7 rows: every way a row range can end.
 func simdShapes() []struct{ m, k, n int } {
 	all := append([]struct{ m, k, n int }{}, shapes...)
 	for n := 1; n <= 35; n++ {
 		for k := 1; k <= 9; k++ {
-			all = append(all, struct{ m, k, n int }{3, k, n})
+			for _, m := range []int{2, 5, 9, 14} {
+				all = append(all, struct{ m, k, n int }{m, k, n})
+			}
 		}
 	}
 	return all
@@ -121,8 +127,10 @@ func simdShapes() []struct{ m, k, n int } {
 
 // testRowsMatch runs one a @ b product through the pure-Go kernel and
 // through the assembly-backed one (in two row ranges) and compares
-// every output bit.
-func testRowsMatch[T Float](t *testing.T, name string, pure, simd func(a, b, out []T, k, n, i0, i1 int)) {
+// every output bit. skips says whether the kernel skips zero entries of
+// A: then the ±Inf/NaN opposite an all-zero column of A must not reach
+// the result; otherwise 0·Inf must make every element NaN.
+func testRowsMatch[T Float](t *testing.T, name string, skips bool, pure, simd func(a, b, out []T, k, n, i0, i1 int)) {
 	rng := rand.New(rand.NewSource(24))
 	for _, sh := range simdShapes() {
 		for _, inf := range []bool{false, true} {
@@ -138,8 +146,11 @@ func testRowsMatch[T Float](t *testing.T, name string, pure, simd func(a, b, out
 					t.Fatalf("%s [%dx%d @ %dx%d] inf=%v: element (%d,%d) = %v (%#x), pure Go %v (%#x)", name,
 						sh.m, sh.k, sh.k, sh.n, inf, i/sh.n, i%sh.n, got[i], math.Float64bits(float64(got[i])), want[i], math.Float64bits(float64(want[i])))
 				}
-				if inf && isF64[T]() && got[i] != got[i] {
-					t.Fatalf("%s [%dx%d @ %dx%d]: NaN at (%d,%d): a skipped term was added", name, sh.m, sh.k, sh.k, sh.n, i/sh.n, i%sh.n)
+				if isNaN := got[i] != got[i]; inf && sh.k > 1 && isNaN == skips {
+					if skips {
+						t.Fatalf("%s [%dx%d @ %dx%d]: NaN at (%d,%d): a skipped term was added", name, sh.m, sh.k, sh.k, sh.n, i/sh.n, i%sh.n)
+					}
+					t.Fatalf("%s [%dx%d @ %dx%d]: (%d,%d) = %v, not NaN: 0·Inf was skipped", name, sh.m, sh.k, sh.k, sh.n, i/sh.n, i%sh.n, got[i])
 				}
 			}
 		}
@@ -170,9 +181,124 @@ func TestSIMDMatchesPureGo(t *testing.T) {
 			rows(at, b, out, k, m, n, i0, i1)
 		}
 	}
-	testRowsMatch(t, "matMulRows", matMulRows, matMulRowsAVX2)
-	testRowsMatch(t, "matMulF32Rows", matMulF32Rows, matMulF32RowsAVX2)
-	testRowsMatch(t, "matMulTransARows", transA(matMulTransARows), transA(matMulTransARowsAVX2))
+	// a @ b^T takes B as [n,k]; likewise transposed, so B's ±Inf/NaN row
+	// becomes a column opposite A's zero column.
+	transB := func(rows func(a, b, out []float64, k, n, i0, i1 int)) func(a, b, out []float64, k, n, i0, i1 int) {
+		return func(a, b, out []float64, k, n, i0, i1 int) {
+			_, bt := offset[float64](n * k)
+			for l := 0; l < k; l++ {
+				for j := 0; j < n; j++ {
+					bt[j*k+l] = b[l*n+j]
+				}
+			}
+			rows(a, bt, out, k, n, i0, i1)
+		}
+	}
+	testRowsMatch(t, "matMulRows", true, matMulRows, matMulRowsAVX2)
+	testRowsMatch(t, "matMulF32Rows", false, matMulF32Rows, matMulF32RowsAVX2)
+	testRowsMatch(t, "matMulTransARows", true, transA(matMulTransARows), transA(matMulTransARowsAVX2))
+	testRowsMatch(t, "matMulTransBRows", false, transB(matMulTransBRows), transB(matMulTransBRowsF64))
+}
+
+// elementwiseLengths are the row lengths the elementwise kernels are
+// checked at: every length of vector trip and tail, and one long row.
+func elementwiseLengths() []int {
+	ns := []int{4099}
+	for n := 0; n <= 35; n++ {
+		ns = append(ns, n)
+	}
+	return ns
+}
+
+// specialOr returns, one time in four, one of ±0, a subnormal of either
+// sign, ±Inf or NaN, and x otherwise.
+func specialOr(rng *rand.Rand, x float64) float64 {
+	specials := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -3e-310, math.Inf(1), math.Inf(-1), math.NaN()}
+	if rng.Intn(4) == 0 {
+		return specials[rng.Intn(len(specials))]
+	}
+	return x
+}
+
+// filled returns an unaligned, canary-guarded row of length n (see
+// offset) holding gen's values, and a plain copy of them.
+func filled(n int, gen func() float64) (whole, s, plain []float64) {
+	whole, s = offset[float64](n)
+	for i := range s {
+		s[i] = gen()
+	}
+	return whole, s, append([]float64(nil), s...)
+}
+
+func checkRow(t *testing.T, what string, n int, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s, length %d: element %d = %v (%#x), pure Go %v (%#x)", what, n, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestSIMDAddInPlaceMatchesPureGo: the AVX2 float64 accumulation is
+// addInPlace bit for bit, specials in both operands included.
+func TestSIMDAddInPlaceMatchesPureGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: the pure-Go kernels are the ones running")
+	}
+	rng := rand.New(rand.NewSource(30))
+	gen := func() float64 { return specialOr(rng, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(12)-6))) }
+	for _, n := range elementwiseLengths() {
+		wholeDst, dst, want := filled(n, gen)
+		wholeSrc, src, srcCopy := filled(n, gen)
+		addInPlace(want, srcCopy)
+		addInPlaceF64(dst, src)
+		checkCanary(t, wholeDst, n)
+		checkCanary(t, wholeSrc, n)
+		checkRow(t, "dst", n, dst, want)
+		checkRow(t, "src", n, src, srcCopy)
+	}
+}
+
+// TestSIMDAdamMatchesPureGo: the AVX2 Adam step is adamUpdate bit for
+// bit — parameter and both moments — at the first step and far past
+// bias correction, clipped and unclipped, with ±0, subnormals, ±Inf and
+// NaN in the gradient and the moments (a negative second moment
+// included, whose square root is NaN on both sides). An FMA anywhere in
+// the chain rounds once where Go rounds twice and fails it.
+func TestSIMDAdamMatchesPureGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: the pure-Go kernels are the ones running")
+	}
+	rng := rand.New(rand.NewSource(31))
+	decade := func() float64 { return math.Pow(10, float64(rng.Intn(8)-6)) }
+	for _, steps := range []float64{1, 1e6} {
+		for _, scale := range []float64{1, 0.37} {
+			c := AdamCoeffs{
+				Scale: scale, LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
+				B1C: 1 - math.Pow(0.9, steps), B2C: 1 - math.Pow(0.999, steps),
+			}
+			for _, n := range elementwiseLengths() {
+				wp, p, wantP := filled(n, func() float64 { return rng.NormFloat64() * 0.1 })
+				wg, g, wantG := filled(n, func() float64 { return specialOr(rng, rng.NormFloat64()*decade()) })
+				wm, m, wantM := filled(n, func() float64 { return specialOr(rng, rng.NormFloat64()*decade()) })
+				wv, v, wantV := filled(n, func() float64 { return specialOr(rng, rng.ExpFloat64()*decade()*decade()) })
+				if n > 0 {
+					v[n/2], wantV[n/2] = -1e-9, -1e-9
+				}
+				adamUpdate(wantP, wantG, wantM, wantV, c)
+				adamUpdateF64(p, g, m, v, c)
+				for _, w := range [][]float64{wp, wg, wm, wv} {
+					checkCanary(t, w, n)
+				}
+				what := func(s string) string { return fmt.Sprintf("%s (steps %g, scale %g)", s, steps, scale) }
+				checkRow(t, what("p"), n, p, wantP)
+				checkRow(t, what("m"), n, m, wantM)
+				checkRow(t, what("v"), n, v, wantV)
+				checkRow(t, what("g"), n, g, wantG)
+			}
+		}
+	}
 }
 
 // TestSIMDInt8MatchesScalar checks the int8 path against the scalar

@@ -243,8 +243,24 @@ func (t *Dense[T]) AddInPlace(o *Dense[T]) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %v vs %v", t.Shape, o.Shape))
 	}
-	for i, v := range o.Data {
-		t.Data[i] += v
+	addInPlaceOf(t.Data, o.Data)
+}
+
+// addInPlaceOf picks the kernel for the element type, as matMulRowsOf
+// does: the AVX2 one (where available) for float64.
+func addInPlaceOf[T Float](dst, src []T) {
+	switch d := any(dst).(type) {
+	case []float64:
+		addInPlaceF64(d, any(src).([]float64))
+	default:
+		addInPlace(dst, src)
+	}
+}
+
+// addInPlace is AddInPlace's definition: dst[i] += src[i].
+func addInPlace[T Float](dst, src []T) {
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 
