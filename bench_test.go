@@ -337,7 +337,7 @@ func BenchmarkEncoderForward(b *testing.B) {
 	x := ag.Const(tensor.Rand(rng, 12, 32, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = enc.Forward(x, nil)
+		_ = enc.Forward(ag.Tape{}, x, nil)
 	}
 }
 
@@ -352,7 +352,7 @@ func BenchmarkEncoderTrainStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.ZeroGrad()
-		out := head.Forward(enc.Forward(x, nil))
+		out := head.Forward(ag.Tape{}, enc.Forward(ag.Tape{}, x, nil))
 		loss := ag.MeanAll(ag.Mul(out, out))
 		loss.Backward()
 		opt.Step()

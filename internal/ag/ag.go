@@ -57,6 +57,9 @@ func Const(t *tensor.Tensor) *Value {
 func (v *Value) Rows() int { return v.T.Rows() }
 func (v *Value) Cols() int { return v.T.Cols() }
 
+// Bytes returns the bytes of the forward result.
+func (v *Value) Bytes() int { return v.T.Bytes() }
+
 func newNode(op string, t *tensor.Tensor, parents ...*Value) *Value {
 	n := &Value{T: t, op: op, parents: parents}
 	for _, p := range parents {
@@ -304,15 +307,6 @@ func MatMulTransB(a, b *Value) *Value {
 		if b.needGrad {
 			ctx.accum(b, tensor.MatMulTransA(out.Grad, a.T))
 		}
-	}
-	return out
-}
-
-// Transpose returns a^T.
-func Transpose(a *Value) *Value {
-	out := newNode("transpose", tensor.Transpose(a.T), a)
-	out.backward = func(ctx *backCtx) {
-		ctx.accum(a, tensor.Transpose(out.Grad))
 	}
 	return out
 }
@@ -708,30 +702,6 @@ func Gather(w *Value, idx []int) *Value {
 	return out
 }
 
-// MeanRows returns the 1xN mean of the rows of a.
-func MeanRows(a *Value) *Value {
-	m := a.T.Rows()
-	s := tensor.SumRows(a.T)
-	s.ScaleInPlace(1 / float64(m))
-	out := newNode("meanrows", s, a)
-	out.backward = func(ctx *backCtx) {
-		if !a.needGrad {
-			return
-		}
-		g := tensor.New(a.T.Shape...)
-		inv := 1 / float64(m)
-		n := a.T.Cols()
-		for i := 0; i < m; i++ {
-			row := g.Row(i)
-			for j := 0; j < n; j++ {
-				row[j] = out.Grad.Data[j] * inv
-			}
-		}
-		ctx.accum(a, g)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Reductions and losses
 // ---------------------------------------------------------------------------
@@ -785,12 +755,6 @@ func CrossEntropyRows(logits *Value, targets []int) *Value {
 		sel.Set(i, t, -1/float64(m))
 	}
 	return SumAll(Mul(ls, Const(sel)))
-}
-
-// MSE computes mean squared error between a and b (same shape).
-func MSE(a, b *Value) *Value {
-	d := Sub(a, b)
-	return MeanAll(Mul(d, d))
 }
 
 // ---------------------------------------------------------------------------

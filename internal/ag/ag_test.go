@@ -58,12 +58,6 @@ func TestGradAddBias(t *testing.T) {
 	checkOp(t, "addbias", []*Value{a, b}, func() *Value { return SumAll(Mul(AddBias(a, b), AddBias(a, b))) })
 }
 
-func TestGradTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randParam(rng, 2, 5)
-	checkOp(t, "transpose", []*Value{a}, func() *Value { return SumAll(Mul(Transpose(a), Transpose(a))) })
-}
-
 func TestGradNonlinearities(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, tc := range []struct {
@@ -148,15 +142,6 @@ func TestGradConcatSliceGather(t *testing.T) {
 	})
 }
 
-func TestGradMeanRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	a := randParam(rng, 4, 3)
-	checkOp(t, "meanrows", []*Value{a}, func() *Value {
-		m := MeanRows(a)
-		return SumAll(Mul(m, m))
-	})
-}
-
 func TestGradCrossEntropy(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	logits := randParam(rng, 4, 5)
@@ -164,13 +149,6 @@ func TestGradCrossEntropy(t *testing.T) {
 	checkOp(t, "crossentropy", []*Value{logits}, func() *Value {
 		return CrossEntropyRows(logits, targets)
 	})
-}
-
-func TestGradMSE(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	a := randParam(rng, 3, 2)
-	b := Const(tensor.Rand(rng, 3, 2, 1))
-	checkOp(t, "mse", []*Value{a}, func() *Value { return MSE(a, b) })
 }
 
 func TestGradTwoLayerMLPComposite(t *testing.T) {

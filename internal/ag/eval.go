@@ -3,7 +3,7 @@
 // Training builds an autodiff graph — every op allocates a *Value
 // node, a fresh result tensor, parent links and a backward closure,
 // and Backward topo-sorts the lot. None of that is needed to *serve* a
-// model. Session is the no-grad twin of the op set: it computes the
+// model. Session is the op set (Ops) without the tape: it computes the
 // same forward arithmetic directly on raw tensors drawn from a
 // tensor.Pool, so a steady-state forward pass performs no node
 // construction, no parent tracking, no topo-sort bookkeeping, and
@@ -53,7 +53,15 @@ type Session[T tensor.Float] struct {
 	// into; grown on demand, retained across Resets so the steady
 	// state allocates nothing.
 	qscratch []int8
+	// in is where a float32 session draws Input's float64 scratch; a
+	// float64 session draws it from pool.
+	in *tensor.Pool[float64]
 }
+
+var (
+	_ Ops[*tensor.Tensor] = (*Eval)(nil)
+	_ Ops[*tensor.F32]    = (*EvalF32)(nil)
+)
 
 // Eval is the float64 session: the reference serving tier, and the
 // evaluator every training-side no-grad path uses.
@@ -73,6 +81,9 @@ func NewEval() *Eval { return NewSession[float64]() }
 // Reset reclaims every tensor and view handed out by this evaluator.
 func (e *Session[T]) Reset() {
 	e.pool.Reset()
+	if e.in != nil {
+		e.in.Reset()
+	}
 	e.vnext = 0
 }
 
@@ -265,13 +276,6 @@ func (e *Session[T]) Tanh(a *tensor.Dense[T]) *tensor.Dense[T] {
 	return out
 }
 
-// Sigmoid applies the logistic function elementwise.
-func (e *Session[T]) Sigmoid(a *tensor.Dense[T]) *tensor.Dense[T] {
-	out := e.pool.GetUninit(a.Shape...)
-	tensor.SigmoidInto(a, out)
-	return out
-}
-
 // SoftmaxRows applies softmax to each row.
 func (e *Session[T]) SoftmaxRows(a *tensor.Dense[T]) *tensor.Dense[T] {
 	out := e.pool.GetUninit(a.Shape...)
@@ -340,6 +344,12 @@ func (e *Session[T]) ConcatCols(vs ...*tensor.Dense[T]) *tensor.Dense[T] {
 	return out
 }
 
+// SliceRows is RowsView: ops never write their operands, so a row
+// slice need not be copied.
+func (e *Session[T]) SliceRows(a *tensor.Dense[T], from, to int) *tensor.Dense[T] {
+	return e.RowsView(a, from, to)
+}
+
 // SliceCols returns a copy of columns [from, to) of a (copied because
 // column slices are not contiguous).
 func (e *Session[T]) SliceCols(a *tensor.Dense[T], from, to int) *tensor.Dense[T] {
@@ -360,6 +370,30 @@ func (e *Session[T]) Gather(w *tensor.Dense[T], idx []int) *tensor.Dense[T] {
 	out := e.pool.GetUninit(len(idx), n)
 	for i, ix := range idx {
 		copy(out.Row(i), w.Row(ix))
+	}
+	return out
+}
+
+// Input returns a zeroed pooled float64 tensor; it dies at Reset.
+func (e *Session[T]) Input(rows, cols int) *tensor.Tensor {
+	if p, ok := any(e.pool).(*tensor.Pool[float64]); ok {
+		return p.Get(rows, cols)
+	}
+	if e.in == nil {
+		e.in = tensor.NewPool[float64]()
+	}
+	return e.in.Get(rows, cols)
+}
+
+// Const returns t itself at float64 and a pooled copy rounded to T
+// otherwise.
+func (e *Session[T]) Const(t *tensor.Tensor) *tensor.Dense[T] {
+	if d, ok := any(t).(*tensor.Dense[T]); ok {
+		return d
+	}
+	out := e.pool.GetUninit(t.Shape...)
+	for i, v := range t.Data {
+		out.Data[i] = T(v)
 	}
 	return out
 }

@@ -39,7 +39,6 @@ func TestEvalOpsBitwiseMatchGradOps(t *testing.T) {
 	check("ReLU", e.ReLU(a), ReLU(av))
 	check("GELU", e.GELU(a), GELU(av))
 	check("Tanh", e.Tanh(a), Tanh(av))
-	check("Sigmoid", e.Sigmoid(a), Sigmoid(av))
 	check("SoftmaxRows", e.SoftmaxRows(a), SoftmaxRows(av))
 	check("LogSoftmaxRows", e.LogSoftmaxRows(a), LogSoftmaxRows(av))
 	check("LayerNormRows", e.LayerNormRows(a, gamma, beta, 1e-5),
@@ -107,7 +106,6 @@ func testSessionOpsMatchKernels[T tensor.Float](t *testing.T) {
 	check("ReLU", e.ReLU(a), like(func(o *tensor.Dense[T]) { tensor.ReLUInto(a, o) }))
 	check("GELU", e.GELU(a), like(func(o *tensor.Dense[T]) { tensor.GELUInto(a, o) }))
 	check("Tanh", e.Tanh(a), like(func(o *tensor.Dense[T]) { tensor.TanhInto(a, o) }))
-	check("Sigmoid", e.Sigmoid(a), like(func(o *tensor.Dense[T]) { tensor.SigmoidInto(a, o) }))
 	check("SoftmaxRows", e.SoftmaxRows(a), like(func(o *tensor.Dense[T]) { tensor.SoftmaxRowsInto(a, o) }))
 	check("LogSoftmaxRows", e.LogSoftmaxRows(a), like(func(o *tensor.Dense[T]) { tensor.LogSoftmaxRowsInto(a, o) }))
 	check("LayerNormRows", e.LayerNormRows(a, gamma, beta, 1e-5),

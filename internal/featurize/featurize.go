@@ -54,16 +54,20 @@ func (c Config) TokenWidth() int { return c.MaxCols + 7 + 2 + c.CharDims + 3 + 2
 // TableEncoder is one Enc_i: a learned CLS token, a projection from
 // raw filter tokens into model space, a transformer encoder, and a
 // log-cardinality head used for its single-table pre-training task.
-type TableEncoder struct {
-	Proj *nn.Linear
-	CLS  *ag.Value
-	Enc  *nn.Encoder
-	Head *nn.MLP
+// Like the nn layers it is generic over its value type: the trained
+// encoder is the *ag.Value instantiation, a serving replica the
+// *tensor.Dense[T] one (LowerTableEncoder), which drops the Head —
+// pre-training is the only thing that runs it.
+type TableEncoder[V nn.Tensor] struct {
+	Proj *nn.Linear[V]
+	CLS  V
+	Enc  *nn.Encoder[V]
+	Head *nn.MLP[V]
 }
 
 // Params implements nn.Module.
-func (e *TableEncoder) Params() []*ag.Value {
-	out := []*ag.Value{e.CLS}
+func (e *TableEncoder[V]) Params() []V {
+	out := []V{e.CLS}
 	out = append(out, e.Proj.Params()...)
 	out = append(out, e.Enc.Params()...)
 	out = append(out, e.Head.Params()...)
@@ -83,7 +87,7 @@ type Tokenizer struct {
 // Featurizer is the per-database (F) module.
 type Featurizer struct {
 	Tokenizer
-	Encs map[string]*TableEncoder
+	Encs map[string]*TableEncoder[*ag.Value]
 	// f64 is the float64 inference view of Encs (see Lower): it
 	// aliases the encoders' weights, so it is built once, here.
 	f64 *Lowered[float64]
@@ -114,7 +118,7 @@ func NewForLoad(cat catalog.Catalog, cfg Config) *Featurizer {
 func newFrom(cat catalog.Catalog, cfg Config, rng *rand.Rand) *Featurizer {
 	f := &Featurizer{
 		Tokenizer: Tokenizer{DB: cat.DB(), Stats: cat.Stats(), Cfg: cfg},
-		Encs:      map[string]*TableEncoder{},
+		Encs:      map[string]*TableEncoder[*ag.Value]{},
 	}
 	for _, t := range f.DB.Tables {
 		f.Encs[t.Name] = NewTableEncoder(rng, cfg)
@@ -125,8 +129,8 @@ func newFrom(cat catalog.Catalog, cfg Config, rng *rand.Rand) *Featurizer {
 
 // NewTableEncoder builds one Enc_i; a nil rng leaves its weights zero
 // (tensor.Rand), for a load to overwrite.
-func NewTableEncoder(rng *rand.Rand, cfg Config) *TableEncoder {
-	return &TableEncoder{
+func NewTableEncoder(rng *rand.Rand, cfg Config) *TableEncoder[*ag.Value] {
+	return &TableEncoder[*ag.Value]{
 		Proj: nn.NewLinear(rng, cfg.TokenWidth(), cfg.Dim),
 		CLS:  ag.Param(tensor.RandNorm(rng, 1, cfg.Dim, 0.02)),
 		Enc:  nn.NewEncoder(rng, cfg.Dim, cfg.Heads, cfg.Blocks),
@@ -145,11 +149,9 @@ func (k *Tokenizer) FilterToken(flt sqldb.Filter) []float64 {
 }
 
 // writeFilterToken fills w — a zeroed row of TokenWidth elements — with
-// flt's token. Every feature is computed in float64 and rounded to T
-// once, as it is stored (trigram counts are small integers, exact in
-// either type), so a float32 row holds exactly the rounded float64
-// token.
-func writeFilterToken[T tensor.Float](k *Tokenizer, w []T, flt sqldb.Filter) {
+// flt's token, in float64; a float32 replica rounds it once, at
+// ag.Ops.Const.
+func writeFilterToken(k *Tokenizer, w []float64, flt sqldb.Filter) {
 	cfg := k.Cfg
 	w[hashString(flt.Col)%uint32(cfg.MaxCols)] = 1
 	off := cfg.MaxCols
@@ -157,7 +159,7 @@ func writeFilterToken[T tensor.Float](k *Tokenizer, w []T, flt sqldb.Filter) {
 	off += 7
 	// Normalized numeric value.
 	if flt.Val.Kind != sqldb.KindString {
-		w[off] = T(k.normalizeValue(flt))
+		w[off] = k.normalizeValue(flt)
 		w[off+1] = 1
 	}
 	off += 2
@@ -174,12 +176,12 @@ func writeFilterToken[T tensor.Float](k *Tokenizer, w []T, flt sqldb.Filter) {
 		// L2-normalize the bag.
 		var norm float64
 		for _, c := range w[off : off+cfg.CharDims] {
-			norm += float64(c) * float64(c)
+			norm += c * c
 		}
 		if norm > 0 {
 			norm = math.Sqrt(norm)
 			for i, c := range w[off : off+cfg.CharDims] {
-				w[off+i] = T(float64(c) / norm)
+				w[off+i] = c / norm
 			}
 		}
 	}
@@ -199,13 +201,13 @@ func writeFilterToken[T tensor.Float](k *Tokenizer, w []T, flt sqldb.Filter) {
 				wc++
 			}
 		}
-		w[off+2] = T(float64(wc) / 4)
+		w[off+2] = float64(wc) / 4
 	}
 	off += 3
 	// Statistic hints: ANALYZE-estimated selectivity and log table size.
-	w[off] = T(k.Stats.Selectivity(flt))
+	w[off] = k.Stats.Selectivity(flt)
 	if ts, ok := k.Stats.Tables[flt.Table]; ok {
-		w[off+1] = T(math.Log(float64(ts.RowCount)+1) / 20)
+		w[off+1] = math.Log(float64(ts.RowCount)+1) / 20
 	}
 }
 
@@ -238,24 +240,31 @@ func (k *Tokenizer) normalizeValue(flt sqldb.Filter) float64 {
 
 // EncodeTable runs Enc_i over the filters applying to one table and
 // returns E(f(T_i)) — a [1, Dim] representation of the table's
-// filtered distribution (F.ii). With no filters it encodes the
-// unfiltered distribution (the CLS token alone).
+// filtered distribution (F.ii) — on the tape: Enc_i's pre-training
+// path.
 func (f *Featurizer) EncodeTable(table string, filters []sqldb.Filter) *ag.Value {
 	enc, ok := f.Encs[table]
 	if !ok {
 		panic(fmt.Sprintf("featurize: unknown table %q", table))
 	}
-	rows := []*ag.Value{enc.CLS}
+	return enc.encode(ag.Tape{}, &f.Tokenizer, filters)
+}
+
+// encode is Enc_i's forward: the CLS token followed by the projected
+// raw token of every filter, through the transformer; the CLS row is
+// the result. With no filters it encodes the unfiltered distribution
+// (the CLS token alone). In a session the row is a view of the
+// encoder's output.
+func (enc *TableEncoder[V]) encode(o ag.Ops[V], k *Tokenizer, filters []sqldb.Filter) V {
+	seq := enc.CLS
 	if len(filters) > 0 {
-		raw := tensor.New(len(filters), f.Cfg.TokenWidth())
+		raw := o.Input(len(filters), k.Cfg.TokenWidth())
 		for i, flt := range filters {
-			writeFilterToken(&f.Tokenizer, raw.Row(i), flt)
+			writeFilterToken(k, raw.Row(i), flt)
 		}
-		rows = append(rows, enc.Proj.Forward(ag.Const(raw)))
+		seq = o.ConcatRows(enc.CLS, enc.Proj.Forward(o, o.Const(raw)))
 	}
-	seq := ag.ConcatRows(rows...)
-	out := enc.Enc.Forward(seq, nil)
-	return ag.SliceRows(out, 0, 1)
+	return o.SliceRows(enc.Enc.Forward(o, seq, nil), 0, 1)
 }
 
 // PredictLogCard runs the single-table CardEst head of Enc_i — its
@@ -263,7 +272,7 @@ func (f *Featurizer) EncodeTable(table string, filters []sqldb.Filter) *ag.Value
 // predicting the cardinality of filter predicate f(T_i)").
 func (f *Featurizer) PredictLogCard(table string, filters []sqldb.Filter) *ag.Value {
 	e := f.EncodeTable(table, filters)
-	return f.Encs[table].Head.Forward(e)
+	return f.Encs[table].Head.Forward(ag.Tape{}, e)
 }
 
 // PretrainResult reports one encoder's pre-training outcome.
@@ -371,4 +380,85 @@ func hashString(s string) uint32 {
 		h = (h ^ uint32(s[i])) * 16777619
 	}
 	return h
+}
+
+// Lowered pairs the weight-free half of a featurizer (the raw
+// FilterToken pipeline and the statistics) with the inference form of
+// its per-table encoders at element type T.
+type Lowered[T tensor.Float] struct {
+	Src  *Tokenizer
+	Encs map[string]*TableEncoder[*tensor.Dense[T]]
+	// memo is nil except on the copy Memoized makes for a serve bundle
+	// (memo.go).
+	memo *memo[T]
+}
+
+// Lower builds the inference form of f at element type T and tier p.
+// At float64 it aliases f's weights (nn/lower.go); NewFrom builds that
+// view once and Featurizer.EncodeTableInfer serves from it.
+func Lower[T tensor.Float](f *Featurizer, p nn.Precision) *Lowered[T] {
+	l := &Lowered[T]{Src: &f.Tokenizer, Encs: make(map[string]*TableEncoder[*tensor.Dense[T]], len(f.Encs))}
+	for _, t := range f.DB.Tables {
+		l.Encs[t.Name] = LowerTableEncoder[T](f.Encs[t.Name], p)
+	}
+	return l
+}
+
+// LowerTableEncoder lowers one Enc_i, without its pre-training Head.
+// Exported for the checkpoint loader that builds a reduced-tier
+// replica one table at a time (mtmlf.LoadLowered), where the
+// Featurizer Lower wants never exists.
+func LowerTableEncoder[T tensor.Float](enc *TableEncoder[*ag.Value], p nn.Precision) *TableEncoder[*tensor.Dense[T]] {
+	return &TableEncoder[*tensor.Dense[T]]{
+		Proj: nn.LowerLinear[T](enc.Proj, p),
+		CLS:  tensor.Convert[T](enc.CLS.T),
+		Enc:  nn.LowerEncoder[T](enc.Enc, p),
+	}
+}
+
+// EncodeTableInfer is EncodeTable in a session: the same Enc_i body,
+// no graph, pooled intermediates, behind the memo when l has one. It
+// returns a read-only [1, Dim] row, bitwise identical at float64 to
+// EncodeTable's forward result. The row is owned by e — or, on a
+// memoized l, possibly by the memo, which outlives e.
+func (l *Lowered[T]) EncodeTableInfer(e *ag.Session[T], table string, filters []sqldb.Filter) *tensor.Dense[T] {
+	enc, ok := l.Encs[table]
+	if !ok {
+		panic(fmt.Sprintf("featurize: unknown table %q", table))
+	}
+	var keyBuf [memoMaxKey]byte
+	var key []byte
+	if l.memo != nil {
+		var row *tensor.Dense[T]
+		if row, key = l.memo.lookup(keyBuf[:0], table, filters); row != nil {
+			return row
+		}
+	}
+	row := enc.encode(e, l.Src, filters)
+	if key != nil {
+		l.memo.store(key, row)
+	}
+	return row
+}
+
+// Bytes returns the resident weight bytes of all lowered encoders.
+func (l *Lowered[T]) Bytes() int {
+	n := 0
+	for _, t := range l.Src.DB.Tables {
+		enc := l.Encs[t.Name]
+		n += enc.Proj.Bytes() + enc.CLS.Bytes() + enc.Enc.Bytes()
+	}
+	return n
+}
+
+// Reference returns the float64 inference view of f — the reference
+// serving tier's featurizer.
+func (f *Featurizer) Reference() *Lowered[float64] { return f.f64 }
+
+// EncodeTableInfer is Lowered.EncodeTableInfer on the float64 view of
+// f: how the grad-mode mtmlf.Model.Represent reads Enc_i, which
+// (S)+(T) training holds fixed, and a name the frozen benchmark
+// (bench/servetrace.go) calls.
+func (f *Featurizer) EncodeTableInfer(e *ag.Eval, table string, filters []sqldb.Filter) *tensor.Tensor {
+	return f.f64.EncodeTableInfer(e, table, filters)
 }

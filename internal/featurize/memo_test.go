@@ -421,16 +421,17 @@ func TestHashStringIsFNV1a(t *testing.T) {
 	}
 }
 
-// TestFilterTokenRoundsOnce: a float32 row written in place holds the
-// float64 token rounded element by element — what the per-filter
-// []float64 and a converting copy used to produce.
+// TestFilterTokenRoundsOnce: the float32 row a float32 session feeds
+// Enc_i holds the float64 token rounded element by element.
 func TestFilterTokenRoundsOnce(t *testing.T) {
 	f := New(smallDB(), smallConfig(), 1)
+	e := ag.NewSession[float32]()
 	for _, fl := range memoFilters() {
 		for _, flt := range fl {
 			want := f.FilterToken(flt)
-			got := make([]float32, len(want))
-			writeFilterToken(&f.Tokenizer, got, flt)
+			raw := e.Input(1, len(want))
+			writeFilterToken(&f.Tokenizer, raw.Row(0), flt)
+			got := e.Const(raw).Data
 			for i := range want {
 				if got[i] != float32(want[i]) {
 					t.Fatalf("%v slot %d: %v, want %v", flt, i, got[i], float32(want[i]))

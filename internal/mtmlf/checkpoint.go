@@ -61,6 +61,7 @@ import (
 	"mtmlf/internal/nn"
 	"mtmlf/internal/sqldb"
 	"mtmlf/internal/stats"
+	"mtmlf/internal/tensor"
 )
 
 const (
@@ -311,8 +312,8 @@ func LoadLowered(r io.Reader, db *sqldb.DB, p nn.Precision, now func() time.Time
 	tok := &featurize.Tokenizer{DB: db, Stats: stats.Analyze(db), Cfg: cfg.Feat}
 	t0 := now()
 	lm := &LoweredModel{
-		LoweredShared: lowerShared[float32](shared, p),
-		Feat:          &featurize.Lowered[float32]{Src: tok, Encs: make(map[string]*featurize.LoweredTableEncoder[float32], len(db.Tables))},
+		SharedOf: lowerShared[float32](shared, p),
+		Feat:     &featurize.Lowered[float32]{Src: tok, Encs: make(map[string]*featurize.TableEncoder[*tensor.F32], len(db.Tables))},
 	}
 	lowering := now().Sub(t0)
 	for _, t := range db.Tables {

@@ -1,11 +1,13 @@
-// The serving fast path of the model, written once over the element
-// type: the no-grad twins of Represent and the card/cost heads, and
-// the one-call join-order inference entry point.
+// The serving form of the model, written once over the element type:
+// Represent and the card/cost heads run in a session, and the one-call
+// join-order inference entry point.
 //
-// Lowered[T] is the inference form of a Model. At float64 it aliases
-// the trained weights (nn/lower.go) and every function here produces
-// bitwise identical numbers to the grad-tracked pipeline (eps = 0
-// tests in infer_test.go) while building no autodiff graph and drawing
+// Lowered[T] is the inference form of a Model: the *tensor.Dense[T]
+// instantiation of Shared's modules and of the featurizer's encoders,
+// running the same forward bodies the trained model runs on the tape.
+// At float64 it aliases the trained weights (nn/lower.go) and produces
+// bitwise identical numbers to the tape (eps = 0 tests in
+// infer_test.go) while building no autodiff graph and drawing
 // intermediates from pooled buffers; Model's own *Infer and Estimate*
 // methods are this code at T = float64. At float32 (LoweredModel) the
 // same code runs f32 or int8-weight kernels for the featurizer,
@@ -23,7 +25,6 @@
 package mtmlf
 
 import (
-	"fmt"
 	"math"
 
 	"mtmlf/internal/ag"
@@ -35,24 +36,10 @@ import (
 	"mtmlf/internal/workload"
 )
 
-// LoweredShared is the inference form of a Shared: the (F.iii)
-// serializer, the (S) module and the card/cost (T) heads at element
-// type T, next to the two things every tier reads as they are — the
-// architecture and the float64 Trans_JO decoder.
-type LoweredShared[T tensor.Float] struct {
-	Cfg Config
-	JO  *JoinOrder
-
-	NodeProj *nn.LoweredLinear[T]
-	TreePos  *nn.LoweredTreePos[T]
-	JoinEmb  *nn.LoweredEmbedding[T]
-	Share    *nn.LoweredEncoder[T]
-	CardHead *nn.LoweredMLP[T]
-	CostHead *nn.LoweredMLP[T]
-}
-
-func lowerShared[T tensor.Float](s *Shared, p nn.Precision) *LoweredShared[T] {
-	return &LoweredShared[T]{
+// lowerShared lowers s's modules to element type T at tier p; the
+// architecture and the float64 Trans_JO decoder are shared as they are.
+func lowerShared[T tensor.Float](s *Shared, p nn.Precision) *SharedOf[*tensor.Dense[T]] {
+	return &SharedOf[*tensor.Dense[T]]{
 		Cfg:      s.Cfg,
 		JO:       s.JO,
 		NodeProj: nn.LowerLinear[T](s.NodeProj, p),
@@ -66,12 +53,12 @@ func lowerShared[T tensor.Float](s *Shared, p nn.Precision) *LoweredShared[T] {
 
 // Lowered is the inference form of a Model at element type T: the
 // lowered weights plus what inference reads unlowered — the
-// architecture and the f64 decoder (in LoweredShared), the database,
+// architecture and the f64 decoder (in SharedOf), the database,
 // its statistics and the raw token pipeline (Feat.Src). It does not
 // reference a Model, so a replica streamed from a checkpoint
 // (LoadLowered) needs none to exist. Two words, passed by value.
 type Lowered[T tensor.Float] struct {
-	*LoweredShared[T]
+	*SharedOf[*tensor.Dense[T]]
 	// Feat holds the lowered per-table featurizer encoders.
 	Feat *featurize.Lowered[T]
 }
@@ -91,8 +78,8 @@ func (m *Model) Lower(p nn.Precision) *LoweredModel {
 		panic("mtmlf: Lower(PrecisionF64) — serve the source model directly")
 	}
 	return &LoweredModel{
-		LoweredShared: lowerShared[float32](m.Shared, p),
-		Feat:          featurize.Lower[float32](m.Feat, p),
+		SharedOf: lowerShared[float32](m.Shared, p),
+		Feat:     featurize.Lower[float32](m.Feat, p),
 	}
 }
 
@@ -101,7 +88,7 @@ func (m *Model) Lower(p nn.Precision) *LoweredModel {
 // the featurizer built once over their own weights, because a Model is
 // a free pairing of the two that callers re-pair at will.
 func (m *Model) Reference() Lowered[float64] {
-	return Lowered[float64]{LoweredShared: m.Shared.f64, Feat: m.Feat.Reference()}
+	return Lowered[float64]{SharedOf: m.Shared.f64, Feat: m.Feat.Reference()}
 }
 
 // Memoized returns a copy of lm whose featurizer keeps the table
@@ -114,95 +101,23 @@ func (lm Lowered[T]) Memoized(c *featurize.MemoCounters) *Lowered[T] {
 	return &lm
 }
 
-// Rep is the no-grad counterpart of Representation: raw tensors owned
-// by the session that produced them (valid until its Reset).
-type Rep[T tensor.Float] struct {
-	// S holds the shared representation, one row per plan node in
-	// post-order.
-	S *tensor.Dense[T]
-	// Memory holds the leaf rows of S in q.Tables order.
-	Memory *tensor.Dense[T]
-	// Tables is the memory row order (== q.Tables).
-	Tables []string
-}
-
-// InferRep and InferRepF32 are Rep at the two element types in use.
-type (
-	InferRep    = Rep[float64]
-	InferRepF32 = Rep[float32]
-)
-
-// RepresentInfer runs the I→F→S dataflow on the session fast path,
-// mirroring Model.Represent op for op. The returned tensors live in
-// e's pool: they are valid until e.Reset() (or Release) and must be
-// cloned to outlive it.
-func (lm Lowered[T]) RepresentInfer(e *ag.Session[T], q *sqldb.Query, p *plan.Node) *Rep[T] {
-	cfg := lm.Cfg
-	db := lm.DB()
-	if len(db.Tables) > cfg.MaxTables {
-		panic(fmt.Sprintf("mtmlf: database has %d tables, model supports %d", len(db.Tables), cfg.MaxTables))
-	}
-	nodes := p.Nodes()
-	paths := p.Paths()
-
-	fixedW := cfg.MaxTables + plan.NumScanOps + plan.NumJoinOps + 2
-	rows := make([]*tensor.Dense[T], len(nodes))
-	leafRow := map[string]int{}
-	for i, n := range nodes {
-		fixed := e.Get(1, fixedW)
-		for _, t := range n.Tables() {
-			idx := db.TableIndex(t)
-			if idx < 0 {
-				panic(fmt.Sprintf("mtmlf: plan references unknown table %q", t))
-			}
-			fixed.Data[idx] = 1
-		}
-		estCard := lm.Feat.Src.Stats.EstimateSubplanCard(n.Tables(), q)
-		fixed.Data[fixedW-1] = T(math.Log(estCard+1) / 20)
-		var embPart *tensor.Dense[T]
-		if n.IsLeaf() {
-			fixed.Data[cfg.MaxTables+int(n.Scan)] = 1
-			embPart = lm.Feat.EncodeTableInfer(e, n.Table, q.FiltersFor(n.Table))
-			leafRow[n.Table] = i
-		} else {
-			fixed.Data[cfg.MaxTables+plan.NumScanOps+int(n.Join)] = 1
-			fixed.Data[fixedW-2] = 1 // isJoin flag
-			embPart = lm.JoinEmb.Infer(e, []int{int(n.Join)})
-		}
-		rows[i] = e.ConcatCols(fixed, embPart)
-	}
-	raw := e.ConcatRows(rows...)
-	x := lm.NodeProj.Infer(e, raw)
-
-	tp := make([]nn.TreePath, len(paths))
-	for i, p := range paths {
-		tp[i] = nn.TreePath(p)
-	}
-	x = e.Add(x, lm.TreePos.Infer(e, tp))
-
-	S := lm.Share.Infer(e, x, nil)
-
-	mem := e.Get(len(q.Tables), cfg.Dim)
-	for i, t := range q.Tables {
-		ri, ok := leafRow[t]
-		if !ok {
-			panic(fmt.Sprintf("mtmlf: query table %q missing from plan", t))
-		}
-		copy(mem.Row(i), S.Row(ri))
-	}
-	return &Rep[T]{S: S, Memory: mem, Tables: append([]string{}, q.Tables...)}
+// RepresentInfer runs Represent's body in the session e. The returned
+// tensors live in e's pool: they are valid until e.Reset() (or
+// Release) and must be cloned to outlive it.
+func (lm Lowered[T]) RepresentInfer(e *ag.Session[T], q *sqldb.Query, p *plan.Node) *Rep[*tensor.Dense[T]] {
+	return represent(lm.SharedOf, e, e, lm.Feat, q, p)
 }
 
 // PredictLogCardsInfer returns the per-node log-cardinality
 // predictions on the fast path.
-func (lm Lowered[T]) PredictLogCardsInfer(e *ag.Session[T], rep *Rep[T]) *tensor.Dense[T] {
-	return lm.CardHead.Infer(e, rep.S)
+func (lm Lowered[T]) PredictLogCardsInfer(e *ag.Session[T], rep *Rep[*tensor.Dense[T]]) *tensor.Dense[T] {
+	return lm.CardHead.Forward(e, rep.S)
 }
 
 // PredictLogCostsInfer returns the per-node log-cost predictions on
 // the fast path.
-func (lm Lowered[T]) PredictLogCostsInfer(e *ag.Session[T], rep *Rep[T]) *tensor.Dense[T] {
-	return lm.CostHead.Infer(e, rep.S)
+func (lm Lowered[T]) PredictLogCostsInfer(e *ag.Session[T], rep *Rep[*tensor.Dense[T]]) *tensor.Dense[T] {
+	return lm.CostHead.Forward(e, rep.S)
 }
 
 // ExpClamp maps log-space head outputs to estimates: exponentiated

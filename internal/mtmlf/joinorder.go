@@ -23,21 +23,21 @@ import (
 // paper's fixed n-way softmax is recovered by mapping memory positions
 // back to table ids.
 type JoinOrder struct {
-	Dec *nn.Decoder
+	Dec *nn.Decoder[*ag.Value]
 	// Start is the learned begin-of-sequence token.
 	Start *ag.Value
 	// PrevProj embeds the previously selected table's memory row as
 	// the next decoder input (the paper's "output of Trans_JO from the
 	// previous timestamp" input).
-	PrevProj *nn.Linear
+	PrevProj *nn.Linear[*ag.Value]
 	dim      int
 	// dec and prevProj are the float64 inference views of Dec and
 	// PrevProj (nn/lower.go: they alias the trained weights, so they
 	// are built once, here). Trans_JO decodes at float64 in every
 	// serving tier, which is what keeps join orders identical across
 	// tiers rather than merely close.
-	dec      *nn.LoweredDecoder[float64]
-	prevProj *nn.LoweredLinear[float64]
+	dec      *nn.Decoder[*tensor.Tensor]
+	prevProj *nn.Linear[*tensor.Tensor]
 }
 
 // NewJoinOrder builds the decoder.
@@ -69,10 +69,10 @@ func (j *JoinOrder) Logits(memory *ag.Value, prev []int) *ag.Value {
 	tokens := []*ag.Value{j.Start}
 	for _, p := range prev {
 		row := ag.SliceRows(memory, p, p+1)
-		tokens = append(tokens, j.PrevProj.Forward(row))
+		tokens = append(tokens, j.PrevProj.Forward(ag.Tape{}, row))
 	}
 	x := ag.ConcatRows(tokens...)
-	out := j.Dec.Forward(x, memory, nn.CausalMask(len(tokens)))
+	out := j.Dec.Forward(ag.Tape{}, x, memory, nn.CausalMask(len(tokens)))
 	scale := 1 / math.Sqrt(float64(j.dim))
 	return ag.Scale(ag.MatMulTransB(out, memory), scale)
 }
@@ -225,7 +225,7 @@ func (j *JoinOrder) BeamSearchTensor(mem *tensor.Tensor, q *sqldb.Query, k int, 
 	defer ag.ReleaseEval(e)
 	scale := 1 / math.Sqrt(float64(j.dim))
 
-	beams := []cachedBeam{{cache: j.dec.NewCache(e, mem, mTabs)}}
+	beams := []cachedBeam{{cache: nn.NewCache(e, j.dec, mem, mTabs)}}
 	type candidate struct {
 		parent int
 		pos    int
@@ -246,13 +246,13 @@ func (j *JoinOrder) BeamSearchTensor(mem *tensor.Tensor, q *sqldb.Query, k int, 
 			for _, b := range beams {
 				lastPicks = append(lastPicks, b.seq[len(b.seq)-1])
 			}
-			x = j.prevProj.Infer(e, e.Gather(mem, lastPicks))
+			x = j.prevProj.Forward(e, e.Gather(mem, lastPicks))
 		}
 		caches := make([]*nn.DecCache[float64], len(beams))
 		for i := range beams {
 			caches[i] = beams[i].cache
 		}
-		out := j.dec.StepBeams(e, x, caches)
+		out := nn.StepBeams(e, j.dec, x, caches)
 		logits := e.Scale(e.MatMulTransB(out, mem), scale)
 
 		cands = cands[:0]

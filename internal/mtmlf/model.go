@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/catalog"
@@ -87,23 +88,32 @@ func (c Config) nodeRawWidth() int {
 	return c.MaxTables + plan.NumScanOps + plan.NumJoinOps + 2 + c.Dim
 }
 
-// Shared holds the database-agnostic (S) and (T) parameters — the part
-// of MTMLF that the cloud provider pre-trains and ships (Section 2.3).
-type Shared struct {
+// SharedOf holds the database-agnostic (S) and (T) modules — the part
+// of MTMLF that the cloud provider pre-trains and ships (Section 2.3) —
+// at value type V, next to the architecture and the Trans_JO decoder.
+// Shared is the trained *ag.Value instantiation; a serving replica
+// holds the *tensor.Dense[T] one (lowerShared), whose JO is its
+// source's: Trans_JO decodes at float64 in every tier (infer.go).
+type SharedOf[V nn.Tensor] struct {
 	Cfg Config
 	// Serializer (F.iii is DB-agnostic machinery, so it transfers).
-	NodeProj *nn.Linear
-	TreePos  *nn.TreePositionalEncoder
-	JoinEmb  *nn.Embedding // learned embedding per join operator
+	NodeProj *nn.Linear[V]
+	TreePos  *nn.TreePositionalEncoder[V]
+	JoinEmb  *nn.Embedding[V] // learned embedding per join operator
 	// (S) shared representation.
-	Share *nn.Encoder
+	Share *nn.Encoder[V]
 	// (T) task-specific modules.
-	CardHead *nn.MLP
-	CostHead *nn.MLP
+	CardHead *nn.MLP[V]
+	CostHead *nn.MLP[V]
 	JO       *JoinOrder
+}
+
+// Shared is the trained SharedOf.
+type Shared struct {
+	SharedOf[*ag.Value]
 	// f64 is the float64 inference view of the modules above (see
 	// infer.go): it aliases their weights, so it is built once, here.
-	f64 *LoweredShared[float64]
+	f64 *SharedOf[*tensor.Tensor]
 }
 
 // NewShared initializes the transferable modules.
@@ -115,7 +125,7 @@ func NewShared(cfg Config, seed int64) *Shared {
 // a nil rng — with zero weights and no draws: the destination of a
 // checkpoint load (tensor.Rand).
 func newShared(cfg Config, rng *rand.Rand) *Shared {
-	s := &Shared{
+	s := &Shared{SharedOf: SharedOf[*ag.Value]{
 		Cfg:      cfg,
 		NodeProj: nn.NewLinear(rng, cfg.nodeRawWidth(), cfg.Dim),
 		TreePos:  nn.NewTreePositionalEncoder(rng, cfg.MaxDepth, cfg.Dim),
@@ -124,7 +134,7 @@ func newShared(cfg Config, rng *rand.Rand) *Shared {
 		CardHead: nn.NewMLP(rng, nn.ActGELU, cfg.Dim, cfg.Dim, 1),
 		CostHead: nn.NewMLP(rng, nn.ActGELU, cfg.Dim, cfg.Dim, 1),
 		JO:       NewJoinOrder(rng, cfg),
-	}
+	}}
 	s.f64 = lowerShared[float64](s, nn.PrecisionF64)
 	return s
 }
@@ -175,52 +185,77 @@ func (m *Model) Params() []*ag.Value {
 	return append(out, m.Feat.Params()...)
 }
 
-// Representation is the output of the (F)+(S) pipeline for one query
-// plan: the shared representation of every plan node plus the leaf
-// (single-table) rows Trans_JO consumes as its memory.
-type Representation struct {
+// Rep is the output of the (F)+(S) pipeline for one query plan: the
+// shared representation of every plan node plus the leaf
+// (single-table) rows Trans_JO consumes as its memory. Representation
+// is the trained model's, on the tape; a session's (InferRep,
+// InferRepF32) lives in the session's pool, valid until its Reset.
+type Rep[V any] struct {
 	// S holds the shared representation, one row per plan node in
 	// post-order (aligned with Plan.Nodes()).
-	S *ag.Value
+	S V
 	// Memory holds the leaf rows of S in q.Tables order — the
 	// (S_1..S_m) sequence of Figure 2 T.iii.
-	Memory *ag.Value
+	Memory V
 	// Tables is the memory row order (== q.Tables).
 	Tables []string
 }
 
+// Representation is Rep on the tape, InferRep and InferRepF32 are Rep
+// in a float64 and a float32 session.
+type (
+	Representation = Rep[*ag.Value]
+	InferRep       = Rep[*tensor.Tensor]
+	InferRepF32    = Rep[*tensor.F32]
+)
+
 // Represent runs featurization, serialization and Trans_Share over a
-// query's plan — the I→F→S dataflow of Figure 2.
+// query's plan — the I→F→S dataflow of Figure 2 — on the tape.
 //
 // The (F) encoders are constants here: (S)+(T) training never steps
 // them (they are pre-trained on their own, Algorithm 1 line 4), so
-// each leaf's E(f(T_i)) comes from the float64 no-grad path — bitwise
-// the grad forward's value — and the gradient tape ends at NodeProj's
-// input instead of running back through every Enc_i.
+// each leaf's E(f(T_i)) comes from the float64 session — bitwise the
+// tape's value — and the gradient tape ends at NodeProj's input
+// instead of running back through every Enc_i.
 func (m *Model) Represent(q *sqldb.Query, p *plan.Node) *Representation {
-	cfg := m.Shared.Cfg
-	db := m.Feat.DB
+	e := ag.AcquireEval()
+	defer ag.ReleaseEval(e)
+	return represent(&m.Shared.SharedOf, ag.Tape{}, e, m.Feat.Reference(), q, p)
+}
+
+// joinIDs are the JoinEmb rows, sliced one at a time as Gather indices.
+var joinIDs = func() (ids [plan.NumJoinOps]int) {
+	for i := range ids {
+		ids[i] = i
+	}
+	return
+}()
+
+// represent is the one body of Represent and RepresentInfer: the
+// (S) modules of s run on o, with each leaf's E(f(T_i)) encoded by
+// feat in the session e (the tape's Enc_i are constants, so it reads
+// them through their float64 view).
+func represent[V nn.Tensor, T tensor.Float](s *SharedOf[V], o ag.Ops[V], e *ag.Session[T], feat *featurize.Lowered[T], q *sqldb.Query, p *plan.Node) *Rep[V] {
+	cfg := s.Cfg
+	db := feat.Src.DB
 	if len(db.Tables) > cfg.MaxTables {
 		panic(fmt.Sprintf("mtmlf: database has %d tables, model supports %d", len(db.Tables), cfg.MaxTables))
 	}
 	nodes := p.Nodes()
 	paths := p.Paths()
-	e := ag.AcquireEval()
-	defer ag.ReleaseEval(e)
 
 	// Build each node's raw feature row: fixed one-hots + the ANALYZE
 	// log-card hint, then the Dim-wide distribution embedding — for a
 	// leaf written into the same constant row, for a join the learned
 	// join-operator embedding concatenated to it.
 	fixedW := cfg.MaxTables + plan.NumScanOps + plan.NumJoinOps + 2
-	rows := make([]*ag.Value, len(nodes))
-	leafRow := map[string]int{}
+	rows := make([]V, len(nodes))
 	for i, n := range nodes {
 		w := fixedW
 		if n.IsLeaf() {
 			w += cfg.Dim
 		}
-		row := tensor.New(1, w)
+		row := o.Input(1, w)
 		for _, t := range n.Tables() {
 			idx := db.TableIndex(t)
 			if idx < 0 {
@@ -228,51 +263,51 @@ func (m *Model) Represent(q *sqldb.Query, p *plan.Node) *Representation {
 			}
 			row.Data[idx] = 1
 		}
-		estCard := m.Feat.Stats.EstimateSubplanCard(n.Tables(), q)
+		estCard := feat.Src.Stats.EstimateSubplanCard(n.Tables(), q)
 		row.Data[fixedW-1] = math.Log(estCard+1) / 20
 		if n.IsLeaf() {
 			row.Data[cfg.MaxTables+int(n.Scan)] = 1
-			copy(row.Data[fixedW:], m.Feat.EncodeTableInfer(e, n.Table, q.FiltersFor(n.Table)).Data)
-			leafRow[n.Table] = i
-			rows[i] = ag.Const(row)
+			for j, v := range feat.EncodeTableInfer(e, n.Table, q.FiltersFor(n.Table)).Data {
+				row.Data[fixedW+j] = float64(v)
+			}
+			rows[i] = o.Const(row)
 			continue
 		}
 		row.Data[cfg.MaxTables+plan.NumScanOps+int(n.Join)] = 1
 		row.Data[fixedW-2] = 1 // isJoin flag
-		rows[i] = ag.ConcatCols(ag.Const(row), m.Shared.JoinEmb.Forward([]int{int(n.Join)}))
+		rows[i] = o.ConcatCols(o.Const(row), s.JoinEmb.Forward(o, joinIDs[n.Join:n.Join+1]))
 	}
-	raw := ag.ConcatRows(rows...)
-	x := m.Shared.NodeProj.Forward(raw)
+	x := s.NodeProj.Forward(o, o.ConcatRows(rows...))
 
 	// Tree positional embedding (F.iii serializer).
 	tp := make([]nn.TreePath, len(paths))
 	for i, p := range paths {
 		tp[i] = nn.TreePath(p)
 	}
-	x = ag.Add(x, m.Shared.TreePos.Forward(tp))
+	x = o.Add(x, s.TreePos.Forward(o, tp))
 
 	// (S) shared representation.
-	S := m.Shared.Share.Forward(x, nil)
+	S := s.Share.Forward(o, x, nil)
 
 	// Memory rows for Trans_JO, in q.Tables order.
-	mem := make([]*ag.Value, len(q.Tables))
+	mem := make([]int, len(q.Tables))
 	for i, t := range q.Tables {
-		ri, ok := leafRow[t]
-		if !ok {
+		ri := slices.IndexFunc(nodes, func(n *plan.Node) bool { return n.IsLeaf() && n.Table == t })
+		if ri < 0 {
 			panic(fmt.Sprintf("mtmlf: query table %q missing from plan", t))
 		}
-		mem[i] = ag.SliceRows(S, ri, ri+1)
+		mem[i] = ri
 	}
-	return &Representation{S: S, Memory: ag.ConcatRows(mem...), Tables: append([]string{}, q.Tables...)}
+	return &Rep[V]{S: S, Memory: o.Gather(S, mem), Tables: append([]string{}, q.Tables...)}
 }
 
 // PredictLogCards returns the predicted log-cardinality of the
 // sub-plan rooted at each node (post-order), as a [mNodes, 1] value.
 func (m *Model) PredictLogCards(rep *Representation) *ag.Value {
-	return m.Shared.CardHead.Forward(rep.S)
+	return m.Shared.CardHead.Forward(ag.Tape{}, rep.S)
 }
 
 // PredictLogCosts returns the predicted log-cost per node.
 func (m *Model) PredictLogCosts(rep *Representation) *ag.Value {
-	return m.Shared.CostHead.Forward(rep.S)
+	return m.Shared.CostHead.Forward(ag.Tape{}, rep.S)
 }

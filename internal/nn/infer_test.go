@@ -36,7 +36,6 @@ func TestInferMatchesForwardInEveryTier(t *testing.T) {
 	xv, memv := ag.Const(x), ag.Const(mem)
 	x32, mem32 := tensor.Convert[float32](x), tensor.Convert[float32](mem)
 	causal := CausalMask(seq)
-	causal32 := tensor.Convert[float32](causal)
 	const f64, f32 = PrecisionF64, PrecisionF32
 
 	e := ag.NewEval()
@@ -65,25 +64,25 @@ func TestInferMatchesForwardInEveryTier(t *testing.T) {
 		infer32 *tensor.F32
 		tol     float64
 	}{
-		{"Linear", lin.Forward(xv),
-			LowerLinear[float64](lin, f64).Infer(e, x), LowerLinear[float32](lin, f32).Infer(e32, x32), 1e-4},
-		{"MLP", mlp.Forward(xv),
-			LowerMLP[float64](mlp, f64).Infer(e, x), LowerMLP[float32](mlp, f32).Infer(e32, x32), 1e-3},
-		{"LayerNorm", ln.Forward(xv),
-			LowerLayerNorm[float64](ln).Infer(e, x), LowerLayerNorm[float32](ln).Infer(e32, x32), 1e-3},
-		{"Embedding", emb.Forward(ids),
-			LowerEmbedding[float64](emb).Infer(e, ids), LowerEmbedding[float32](emb).Infer(e32, ids), 1e-6},
-		{"MHA", mha.Forward(xv, xv, causal),
-			LowerMultiHeadAttention[float64](mha, f64).Infer(e, x, x, causal),
-			LowerMultiHeadAttention[float32](mha, f32).Infer(e32, x32, x32, causal32), 1e-3},
-		{"MHA-nomask", mha.Forward(xv, memv, nil),
-			LowerMultiHeadAttention[float64](mha, f64).Infer(e, x, mem, nil),
-			LowerMultiHeadAttention[float32](mha, f32).Infer(e32, x32, mem32, nil), 1e-3},
-		{"Encoder", enc.Forward(xv, nil),
-			LowerEncoder[float64](enc, f64).Infer(e, x, nil), LowerEncoder[float32](enc, f32).Infer(e32, x32, nil), 1e-2},
-		{"TreePos", tp.Forward(paths),
-			LowerTreePositionalEncoder[float64](tp, f64).Infer(e, paths),
-			LowerTreePositionalEncoder[float32](tp, f32).Infer(e32, paths), 1e-4},
+		{"Linear", lin.Forward(ag.Tape{}, xv),
+			LowerLinear[float64](lin, f64).Forward(e, x), LowerLinear[float32](lin, f32).Forward(e32, x32), 1e-4},
+		{"MLP", mlp.Forward(ag.Tape{}, xv),
+			LowerMLP[float64](mlp, f64).Forward(e, x), LowerMLP[float32](mlp, f32).Forward(e32, x32), 1e-3},
+		{"LayerNorm", ln.Forward(ag.Tape{}, xv),
+			LowerLayerNorm[float64](ln).Forward(e, x), LowerLayerNorm[float32](ln).Forward(e32, x32), 1e-3},
+		{"Embedding", emb.Forward(ag.Tape{}, ids),
+			LowerEmbedding[float64](emb).Forward(e, ids), LowerEmbedding[float32](emb).Forward(e32, ids), 1e-6},
+		{"MHA", mha.Forward(ag.Tape{}, xv, xv, causal),
+			LowerMultiHeadAttention[float64](mha, f64).Forward(e, x, x, causal),
+			LowerMultiHeadAttention[float32](mha, f32).Forward(e32, x32, x32, causal), 1e-3},
+		{"MHA-nomask", mha.Forward(ag.Tape{}, xv, memv, nil),
+			LowerMultiHeadAttention[float64](mha, f64).Forward(e, x, mem, nil),
+			LowerMultiHeadAttention[float32](mha, f32).Forward(e32, x32, mem32, nil), 1e-3},
+		{"Encoder", enc.Forward(ag.Tape{}, xv, nil),
+			LowerEncoder[float64](enc, f64).Forward(e, x, nil), LowerEncoder[float32](enc, f32).Forward(e32, x32, nil), 1e-2},
+		{"TreePos", tp.Forward(ag.Tape{}, paths),
+			LowerTreePositionalEncoder[float64](tp, f64).Forward(e, paths),
+			LowerTreePositionalEncoder[float32](tp, f32).Forward(e32, paths), 1e-4},
 	} {
 		if !tensor.Equal(c.forward.T, c.infer, 0) {
 			t.Fatalf("%s: float64 Infer output differs from Forward", c.name)
@@ -102,7 +101,7 @@ func TestInferMatchesForwardInEveryTier(t *testing.T) {
 	// show through a replica lowered before it.
 	view := LowerLinear[float64](lin, f64)
 	lin.W.T.Data[0] += 1
-	if !tensor.Equal(lin.Forward(xv).T, view.Infer(e, x), 0) {
+	if !tensor.Equal(lin.Forward(ag.Tape{}, xv).T, view.Forward(e, x), 0) {
 		t.Fatal("float64 lowered layer went stale after an in-place weight update")
 	}
 }
@@ -118,8 +117,8 @@ func TestLoweredEncoderInt8TracksFloat64(t *testing.T) {
 	defer e32.Reset()
 
 	enc := NewEncoder(rng, 16, 2, 2)
-	got := LowerEncoder[float32](enc, PrecisionInt8).Infer(e32, tensor.Convert[float32](x64), nil)
-	want := LowerEncoder[float64](enc, PrecisionF64).Infer(e64, x64, nil)
+	got := LowerEncoder[float32](enc, PrecisionInt8).Forward(e32, tensor.Convert[float32](x64), nil)
+	want := LowerEncoder[float64](enc, PrecisionF64).Forward(e64, x64, nil)
 	for i := range want.Data {
 		if d := math.Abs(float64(got.Data[i]) - want.Data[i]); d > 0.25 {
 			t.Fatalf("int8 encoder element %d: |%v - %v| = %g", i, got.Data[i], want.Data[i], d)
@@ -223,16 +222,16 @@ func TestDecoderStepMatchesFullForward(t *testing.T) {
 
 	e := ag.NewEval()
 	defer e.Reset()
-	cache := ldec.NewCache(e, mem, steps)
+	cache := NewCache(e, ldec, mem, steps)
 	for step := 0; step < steps; step++ {
 		xNew := e.RowsView(xs, step, step+1)
-		got := ldec.StepBeams(e, xNew, []*DecCache[float64]{cache})
+		got := StepBeams(e, ldec, xNew, []*DecCache[float64]{cache})
 		if cache.Len() != step+1 {
 			t.Fatalf("cache length %d after step %d", cache.Len(), step)
 		}
 		// Full-prefix grad-tracked forward, masked.
 		prefix := ag.Const(tensor.FromSlice(xs.Data[:(step+1)*dim], step+1, dim))
-		full := dec.Forward(prefix, ag.Const(mem), CausalMask(step+1))
+		full := dec.Forward(ag.Tape{}, prefix, ag.Const(mem), CausalMask(step+1))
 		wantRow := full.T.Row(step)
 		gotRow := got.Row(0)
 		for j := range wantRow {
@@ -258,19 +257,19 @@ func TestStepBeamsMatchesPerBeamSteps(t *testing.T) {
 	// Shared first step, then fork into nb hypotheses with distinct
 	// second inputs.
 	x0 := tensor.Rand(rng, 1, dim, 1)
-	base := dec.NewCache(e, mem, 4)
-	_ = dec.StepBeams(e, x0, []*DecCache[float64]{base})
+	base := NewCache(e, dec, mem, 4)
+	_ = StepBeams(e, dec, x0, []*DecCache[float64]{base})
 
 	x2 := tensor.Rand(rng, nb, dim, 1)
 	caches := make([]*DecCache[float64], nb)
 	for i := range caches {
 		caches[i] = base.Clone()
 	}
-	batched := dec.StepBeams(e, x2, caches)
+	batched := StepBeams(e, dec, x2, caches)
 
 	for i := 0; i < nb; i++ {
 		solo := base.Clone()
-		out := dec.StepBeams(e, e.RowsView(x2, i, i+1), []*DecCache[float64]{solo})
+		out := StepBeams(e, dec, e.RowsView(x2, i, i+1), []*DecCache[float64]{solo})
 		brow := batched.Row(i)
 		srow := out.Row(0)
 		for j := range srow {
@@ -296,14 +295,6 @@ func TestMaskAndPositionalCaches(t *testing.T) {
 	if m1.At(0, 5) != -1e9 || m1.At(5, 0) != 0 || m1.At(5, 5) != 0 {
 		t.Fatal("CausalMask contents wrong")
 	}
-	p1, p2 := SinusoidalPositions(12, 8), SinusoidalPositions(12, 8)
-	if p1 != p2 {
-		t.Fatal("SinusoidalPositions not memoized")
-	}
-	if !tensor.Equal(p1, sinusoidalPositions(12, 8), 0) {
-		t.Fatal("memoized positions differ from direct computation")
-	}
-
 	rng := rand.New(rand.NewSource(24))
 	tp := NewTreePositionalEncoder(rng, 6, 8)
 	path := TreePath{0, 1, 1}
@@ -337,11 +328,6 @@ func TestMaskCacheConcurrency(t *testing.T) {
 				m := CausalMask(n)
 				if m.Rows() != n {
 					t.Errorf("CausalMask(%d) has %d rows", n, m.Rows())
-					return
-				}
-				pe := SinusoidalPositions(n, 8)
-				if pe.Rows() != n {
-					t.Errorf("SinusoidalPositions(%d) has %d rows", n, pe.Rows())
 					return
 				}
 				path := make(TreePath, (g+i)%5)

@@ -18,9 +18,11 @@
 // full-prefix recompute — asserted with eps = 0 by the decoder step
 // tests here and the beam-search equivalence tests in mtmlf.
 //
-// The caches and steps are methods of the lowered decoder, so they are
-// generic like the rest of infer.go; only float64 is instantiated
-// today (Trans_JO decodes at float64 in every tier, DESIGN.md §9).
+// The caches and steps have no grad twin: they exist only for the
+// lowered decoder (the *tensor.Dense[T] instantiation), so they are
+// functions of it rather than methods of every instantiation; only
+// float64 is used today (Trans_JO decodes at float64 in every tier,
+// DESIGN.md §9).
 package nn
 
 import (
@@ -92,14 +94,14 @@ type CrossKV[T tensor.Float] struct {
 	K, V []*tensor.Dense[T] // per head, [memRows, dh]
 }
 
-// NewCrossKV projects the memory through the block's WK/WV once, in
+// newCrossKV projects the memory through the block's WK/WV once, in
 // the caller's session, and copies the per-head slices out of it. The
 // projections are the full forward's K = WK(mem), V = WV(mem) (same
 // layer, same kernels), so cached cross-attention is bitwise identical
 // to recomputing them every step.
-func (a *LoweredAttention[T]) NewCrossKV(e *ag.Session[T], mem *tensor.Dense[T]) *CrossKV[T] {
-	K := a.WK.Infer(e, mem)
-	V := a.WV.Infer(e, mem)
+func newCrossKV[T tensor.Float](e *ag.Session[T], a *MultiHeadAttention[*tensor.Dense[T]], mem *tensor.Dense[T]) *CrossKV[T] {
+	K := a.WK.Forward(e, mem)
+	V := a.WV.Forward(e, mem)
 	dh := a.Dim / a.Heads
 	out := &CrossKV[T]{K: make([]*tensor.Dense[T], a.Heads), V: make([]*tensor.Dense[T], a.Heads)}
 	for h := 0; h < a.Heads; h++ {
@@ -126,11 +128,11 @@ type DecCache[T tensor.Float] struct {
 	Cross []*CrossKV[T] // per layer; immutable, shared across clones
 }
 
-// NewCache precomputes the cross-attention K/V of every layer for the
-// given memory and returns an empty decoding cache with room for
-// capTokens tokens. The cache owns its tensors: it stays valid after e
-// is reset.
-func (d *LoweredDecoder[T]) NewCache(e *ag.Session[T], mem *tensor.Dense[T], capTokens int) *DecCache[T] {
+// NewCache precomputes the cross-attention K/V of every layer of the
+// lowered decoder d for the given memory and returns an empty decoding
+// cache with room for capTokens tokens. The cache owns its tensors: it
+// stays valid after e is reset.
+func NewCache[T tensor.Float](e *ag.Session[T], d *Decoder[*tensor.Dense[T]], mem *tensor.Dense[T], capTokens int) *DecCache[T] {
 	c := &DecCache[T]{
 		Self:  make([]*AttnKV[T], len(d.Layers)),
 		Cross: make([]*CrossKV[T], len(d.Layers)),
@@ -138,7 +140,7 @@ func (d *LoweredDecoder[T]) NewCache(e *ag.Session[T], mem *tensor.Dense[T], cap
 	for i, l := range d.Layers {
 		heads := l.SelfAttn.Heads
 		c.Self[i] = NewAttnKV[T](heads, l.SelfAttn.Dim/heads, capTokens)
-		c.Cross[i] = l.CrossAttn.NewCrossKV(e, mem)
+		c.Cross[i] = newCrossKV(e, l.CrossAttn, mem)
 	}
 	return c
 }
@@ -161,21 +163,21 @@ func (c *DecCache[T]) Clone() *DecCache[T] {
 	return out
 }
 
-// stepBeams advances one attention block by one token for a batch of
+// stepAttention advances one attention block by one token for a batch of
 // hypotheses. x is [nb, dim] (row i = beam i's new input); for
 // self-attention (crosses == nil) each beam's K/V rows are appended to
 // its cache first, so the new token attends to itself like the masked
 // full forward does. The nb×heads tiny products run through the
 // batched kernels in single pool dispatches — that is what lets a
 // k-wide beam use more than one core per step.
-func (a *LoweredAttention[T]) stepBeams(e *ag.Session[T], x *tensor.Dense[T], selves []*AttnKV[T], crosses []*CrossKV[T]) *tensor.Dense[T] {
+func stepAttention[T tensor.Float](e *ag.Session[T], a *MultiHeadAttention[*tensor.Dense[T]], x *tensor.Dense[T], selves []*AttnKV[T], crosses []*CrossKV[T]) *tensor.Dense[T] {
 	nb := x.Rows()
 	dh := a.Dim / a.Heads
 	scale := 1 / math.Sqrt(float64(dh))
-	Q := a.WQ.Infer(e, x)
+	Q := a.WQ.Forward(e, x)
 	if crosses == nil {
-		K := a.WK.Infer(e, x)
-		V := a.WV.Infer(e, x)
+		K := a.WK.Forward(e, x)
+		V := a.WV.Forward(e, x)
 		for i, s := range selves {
 			s.Append(K.Row(i), V.Row(i))
 		}
@@ -208,25 +210,18 @@ func (a *LoweredAttention[T]) stepBeams(e *ag.Session[T], x *tensor.Dense[T], se
 			copy(orow[h*dh:(h+1)*dh], ctxs[i*a.Heads+h].Data)
 		}
 	}
-	return a.WO.Infer(e, out)
+	return a.WO.Forward(e, out)
 }
 
-// stepBeams advances the decoder block by one token for a batch of
-// hypotheses; see LoweredDecoder.StepBeams.
-func (l *LoweredDecoderLayer[T]) stepBeams(e *ag.Session[T], x *tensor.Dense[T], selves []*AttnKV[T], crosses []*CrossKV[T]) *tensor.Dense[T] {
-	x = l.LN1.Infer(e, e.Add(x, l.SelfAttn.stepBeams(e, x, selves, nil)))
-	x = l.LN2.Infer(e, e.Add(x, l.CrossAttn.stepBeams(e, x, nil, crosses)))
-	return l.LN3.Infer(e, e.Add(x, l.FF.Infer(e, x)))
-}
-
-// StepBeams advances the decoder stack by one token for a batch of
+// StepBeams advances the lowered decoder d by one token for a batch of
 // hypotheses: x is [nb, dim] with row i the new input of caches[i],
 // and the result row i is the decoder output for that hypothesis's
 // new position — bitwise identical to row (cache.Len()) of a full
-// forward over the whole prefix.
-func (d *LoweredDecoder[T]) StepBeams(e *ag.Session[T], x *tensor.Dense[T], caches []*DecCache[T]) *tensor.Dense[T] {
+// forward over the whole prefix. Each block is DecoderLayer.Forward
+// with its two attentions stepped against the caches.
+func StepBeams[T tensor.Float](e *ag.Session[T], d *Decoder[*tensor.Dense[T]], x *tensor.Dense[T], caches []*DecCache[T]) *tensor.Dense[T] {
 	if x.Rows() != len(caches) {
-		panic("nn: LoweredDecoder.StepBeams row/cache count mismatch")
+		panic("nn: StepBeams row/cache count mismatch")
 	}
 	selves := make([]*AttnKV[T], len(caches))
 	crosses := make([]*CrossKV[T], len(caches))
@@ -235,7 +230,10 @@ func (d *LoweredDecoder[T]) StepBeams(e *ag.Session[T], x *tensor.Dense[T], cach
 			selves[i] = c.Self[li]
 			crosses[i] = c.Cross[li]
 		}
-		x = d.Layers[li].stepBeams(e, x, selves, crosses)
+		l := d.Layers[li]
+		x = l.LN1.Forward(e, e.Add(x, stepAttention(e, l.SelfAttn, x, selves, nil)))
+		x = l.LN2.Forward(e, e.Add(x, stepAttention(e, l.CrossAttn, x, nil, crosses)))
+		x = l.LN3.Forward(e, e.Add(x, l.FF.Forward(e, x)))
 	}
 	return x
 }

@@ -1,5 +1,6 @@
-// Lowering: the one pass that turns trained layers into the inference
-// layers of infer.go, at any element type.
+// Lowering: the one pass that turns a trained layer (the *ag.Value
+// instantiation) into a serving replica (the *tensor.Dense[T] one), at
+// any element type.
 //
 // At float64 lowering ALIASES: tensor.Convert returns the trained
 // tensor itself, so a float64 lowered layer is a view of the layer it
@@ -24,6 +25,7 @@ package nn
 import (
 	"fmt"
 
+	"mtmlf/internal/ag"
 	"mtmlf/internal/tensor"
 )
 
@@ -67,8 +69,8 @@ func ParsePrecision(s string) (Precision, error) {
 
 // LowerLinear lowers a trained linear layer to element type T; at
 // PrecisionInt8 the weight is quantized instead of converted.
-func LowerLinear[T tensor.Float](l *Linear, p Precision) *LoweredLinear[T] {
-	ll := &LoweredLinear[T]{B: tensor.Convert[T](l.B.T)}
+func LowerLinear[T tensor.Float](l *Linear[*ag.Value], p Precision) *Linear[*tensor.Dense[T]] {
+	ll := &Linear[*tensor.Dense[T]]{B: tensor.Convert[T](l.B.T)}
 	if p == PrecisionInt8 {
 		ll.W8 = tensor.QuantizeLinear(l.W.T)
 	} else {
@@ -78,13 +80,13 @@ func LowerLinear[T tensor.Float](l *Linear, p Precision) *LoweredLinear[T] {
 }
 
 // LowerEmbedding lowers an embedding table.
-func LowerEmbedding[T tensor.Float](emb *Embedding) *LoweredEmbedding[T] {
-	return &LoweredEmbedding[T]{W: tensor.Convert[T](emb.W.T)}
+func LowerEmbedding[T tensor.Float](emb *Embedding[*ag.Value]) *Embedding[*tensor.Dense[T]] {
+	return &Embedding[*tensor.Dense[T]]{W: tensor.Convert[T](emb.W.T)}
 }
 
 // LowerLayerNorm lowers a layer norm.
-func LowerLayerNorm[T tensor.Float](l *LayerNorm) *LoweredLayerNorm[T] {
-	return &LoweredLayerNorm[T]{
+func LowerLayerNorm[T tensor.Float](l *LayerNorm[*ag.Value]) *LayerNorm[*tensor.Dense[T]] {
+	return &LayerNorm[*tensor.Dense[T]]{
 		Gamma: tensor.Convert[T](l.Gamma.T),
 		Beta:  tensor.Convert[T](l.Beta.T),
 		Eps:   l.Eps,
@@ -92,8 +94,8 @@ func LowerLayerNorm[T tensor.Float](l *LayerNorm) *LoweredLayerNorm[T] {
 }
 
 // LowerMLP lowers an MLP.
-func LowerMLP[T tensor.Float](m *MLP, p Precision) *LoweredMLP[T] {
-	lm := &LoweredMLP[T]{Act: m.Act}
+func LowerMLP[T tensor.Float](m *MLP[*ag.Value], p Precision) *MLP[*tensor.Dense[T]] {
+	lm := &MLP[*tensor.Dense[T]]{Act: m.Act}
 	for _, l := range m.Layers {
 		lm.Layers = append(lm.Layers, LowerLinear[T](l, p))
 	}
@@ -101,8 +103,8 @@ func LowerMLP[T tensor.Float](m *MLP, p Precision) *LoweredMLP[T] {
 }
 
 // LowerMultiHeadAttention lowers an attention block.
-func LowerMultiHeadAttention[T tensor.Float](a *MultiHeadAttention, p Precision) *LoweredAttention[T] {
-	return &LoweredAttention[T]{
+func LowerMultiHeadAttention[T tensor.Float](a *MultiHeadAttention[*ag.Value], p Precision) *MultiHeadAttention[*tensor.Dense[T]] {
+	return &MultiHeadAttention[*tensor.Dense[T]]{
 		WQ:    LowerLinear[T](a.WQ, p),
 		WK:    LowerLinear[T](a.WK, p),
 		WV:    LowerLinear[T](a.WV, p),
@@ -113,10 +115,10 @@ func LowerMultiHeadAttention[T tensor.Float](a *MultiHeadAttention, p Precision)
 }
 
 // LowerEncoder lowers an encoder stack.
-func LowerEncoder[T tensor.Float](enc *Encoder, p Precision) *LoweredEncoder[T] {
-	out := &LoweredEncoder[T]{}
+func LowerEncoder[T tensor.Float](enc *Encoder[*ag.Value], p Precision) *Encoder[*tensor.Dense[T]] {
+	out := &Encoder[*tensor.Dense[T]]{}
 	for _, l := range enc.Layers {
-		out.Layers = append(out.Layers, &LoweredEncoderLayer[T]{
+		out.Layers = append(out.Layers, &EncoderLayer[*tensor.Dense[T]]{
 			Attn: LowerMultiHeadAttention[T](l.Attn, p),
 			FF:   LowerMLP[T](l.FF, p),
 			LN1:  LowerLayerNorm[T](l.LN1),
@@ -127,10 +129,10 @@ func LowerEncoder[T tensor.Float](enc *Encoder, p Precision) *LoweredEncoder[T] 
 }
 
 // LowerDecoder lowers a decoder stack.
-func LowerDecoder[T tensor.Float](d *Decoder, p Precision) *LoweredDecoder[T] {
-	out := &LoweredDecoder[T]{}
+func LowerDecoder[T tensor.Float](d *Decoder[*ag.Value], p Precision) *Decoder[*tensor.Dense[T]] {
+	out := &Decoder[*tensor.Dense[T]]{}
 	for _, l := range d.Layers {
-		out.Layers = append(out.Layers, &LoweredDecoderLayer[T]{
+		out.Layers = append(out.Layers, &DecoderLayer[*tensor.Dense[T]]{
 			SelfAttn:  LowerMultiHeadAttention[T](l.SelfAttn, p),
 			CrossAttn: LowerMultiHeadAttention[T](l.CrossAttn, p),
 			FF:        LowerMLP[T](l.FF, p),
@@ -142,7 +144,9 @@ func LowerDecoder[T tensor.Float](d *Decoder, p Precision) *LoweredDecoder[T] {
 	return out
 }
 
-// LowerTreePositionalEncoder lowers the tree positional encoder.
-func LowerTreePositionalEncoder[T tensor.Float](t *TreePositionalEncoder, p Precision) *LoweredTreePos[T] {
-	return &LoweredTreePos[T]{MaxDepth: t.MaxDepth, Proj: LowerLinear[T](t.Proj, p), src: t}
+// LowerTreePositionalEncoder lowers the tree positional encoder. The
+// replica shares its source's RawFeature memo: the raw 0/1 features
+// are exact in every tier.
+func LowerTreePositionalEncoder[T tensor.Float](t *TreePositionalEncoder[*ag.Value], p Precision) *TreePositionalEncoder[*tensor.Dense[T]] {
+	return &TreePositionalEncoder[*tensor.Dense[T]]{MaxDepth: t.MaxDepth, Proj: LowerLinear[T](t.Proj, p), raw: t.raw}
 }

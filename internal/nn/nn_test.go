@@ -14,12 +14,12 @@ func TestLinearShapesAndGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, 4, 3)
 	x := ag.Const(tensor.Rand(rng, 5, 4, 1))
-	y := l.Forward(x)
+	y := l.Forward(ag.Tape{}, x)
 	if y.Rows() != 5 || y.Cols() != 3 {
 		t.Fatalf("linear output shape %v", y.T.Shape)
 	}
 	rel := ag.GradCheck(l.Params(), func() *ag.Value {
-		out := l.Forward(x)
+		out := l.Forward(ag.Tape{}, x)
 		return ag.SumAll(ag.Mul(out, out))
 	}, 1e-6)
 	if rel > 1e-5 {
@@ -30,7 +30,7 @@ func TestLinearShapesAndGrad(t *testing.T) {
 func TestEmbeddingLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := NewEmbedding(rng, 10, 6)
-	out := e.Forward([]int{3, 3, 7})
+	out := e.Forward(ag.Tape{}, []int{3, 3, 7})
 	if out.Rows() != 3 || out.Cols() != 6 {
 		t.Fatalf("embedding shape %v", out.T.Shape)
 	}
@@ -48,7 +48,7 @@ func TestMLPDepth(t *testing.T) {
 		t.Fatalf("want 3 layers, got %d", len(m.Layers))
 	}
 	x := ag.Const(tensor.Rand(rng, 2, 4, 1))
-	if y := m.Forward(x); y.Cols() != 2 {
+	if y := m.Forward(ag.Tape{}, x); y.Cols() != 2 {
 		t.Fatalf("mlp out shape %v", y.T.Shape)
 	}
 }
@@ -58,7 +58,7 @@ func TestMultiHeadAttentionGrad(t *testing.T) {
 	a := NewMultiHeadAttention(rng, 8, 2)
 	x := ag.Const(tensor.Rand(rng, 4, 8, 1))
 	rel := ag.GradCheck(a.Params(), func() *ag.Value {
-		out := a.Forward(x, x, nil)
+		out := a.Forward(ag.Tape{}, x, x, nil)
 		return ag.SumAll(ag.Mul(out, out))
 	}, 1e-6)
 	if rel > 2e-5 {
@@ -77,8 +77,8 @@ func TestAttentionMaskBlocks(t *testing.T) {
 		x2.Set(2, j, x2.At(2, j)+5) // perturb the last position only
 	}
 	mask := CausalMask(3)
-	o1 := a.Forward(ag.Const(x1), ag.Const(x1), mask)
-	o2 := a.Forward(ag.Const(x2), ag.Const(x2), mask)
+	o1 := a.Forward(ag.Tape{}, ag.Const(x1), ag.Const(x1), mask)
+	o2 := a.Forward(ag.Tape{}, ag.Const(x2), ag.Const(x2), mask)
 	for j := 0; j < 8; j++ {
 		if math.Abs(o1.T.At(0, j)-o2.T.At(0, j)) > 1e-9 {
 			t.Fatal("causal mask leaked future information into position 0")
@@ -90,7 +90,7 @@ func TestEncoderLayerGradAndShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := NewEncoderLayer(rng, 8, 2)
 	x := ag.Const(tensor.Rand(rng, 3, 8, 1))
-	y := l.Forward(x, nil)
+	y := l.Forward(ag.Tape{}, x, nil)
 	if y.Rows() != 3 || y.Cols() != 8 {
 		t.Fatalf("encoder layer shape %v", y.T.Shape)
 	}
@@ -98,7 +98,7 @@ func TestEncoderLayerGradAndShape(t *testing.T) {
 	// and the FF output layer.
 	sub := []*ag.Value{l.Attn.WQ.W, l.FF.Layers[1].W, l.LN1.Gamma}
 	rel := ag.GradCheck(sub, func() *ag.Value {
-		out := l.Forward(x, nil)
+		out := l.Forward(ag.Tape{}, x, nil)
 		return ag.SumAll(ag.Mul(out, out))
 	}, 1e-6)
 	if rel > 5e-5 {
@@ -111,13 +111,13 @@ func TestDecoderLayerGradAndShape(t *testing.T) {
 	l := NewDecoderLayer(rng, 8, 2)
 	x := ag.Const(tensor.Rand(rng, 3, 8, 1))
 	mem := ag.Const(tensor.Rand(rng, 5, 8, 1))
-	y := l.Forward(x, mem, CausalMask(3))
+	y := l.Forward(ag.Tape{}, x, mem, CausalMask(3))
 	if y.Rows() != 3 || y.Cols() != 8 {
 		t.Fatalf("decoder layer shape %v", y.T.Shape)
 	}
 	sub := []*ag.Value{l.SelfAttn.WQ.W, l.CrossAttn.WK.W, l.FF.Layers[0].W}
 	rel := ag.GradCheck(sub, func() *ag.Value {
-		out := l.Forward(x, mem, CausalMask(3))
+		out := l.Forward(ag.Tape{}, x, mem, CausalMask(3))
 		return ag.SumAll(ag.Mul(out, out))
 	}, 1e-6)
 	if rel > 5e-5 {
@@ -132,7 +132,7 @@ func TestEncoderStack(t *testing.T) {
 		t.Fatal("wrong depth")
 	}
 	x := ag.Const(tensor.Rand(rng, 4, 8, 1))
-	if y := e.Forward(x, nil); y.Rows() != 4 {
+	if y := e.Forward(ag.Tape{}, x, nil); y.Rows() != 4 {
 		t.Fatal("stack changed seq length")
 	}
 }
@@ -152,25 +152,11 @@ func TestCausalMaskPattern(t *testing.T) {
 	}
 }
 
-func TestSinusoidalPositionsDistinct(t *testing.T) {
-	pe := SinusoidalPositions(16, 12)
-	if pe.Rows() != 16 || pe.Cols() != 12 {
-		t.Fatal("shape wrong")
-	}
-	for i := 0; i < 16; i++ {
-		for j := i + 1; j < 16; j++ {
-			if tensor.Equal(tensor.Vector(pe.Row(i)), tensor.Vector(pe.Row(j)), 1e-9) {
-				t.Fatalf("positions %d and %d identical", i, j)
-			}
-		}
-	}
-}
-
 func TestTreePositionalEncoderDistinguishesPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	enc := NewTreePositionalEncoder(rng, 4, 8)
 	paths := []TreePath{{}, {0}, {1}, {0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	out := enc.Forward(paths)
+	out := enc.Forward(ag.Tape{}, paths)
 	if out.Rows() != len(paths) {
 		t.Fatal("wrong row count")
 	}
@@ -194,6 +180,12 @@ func TestTreePositionalEncoderDistinguishesPaths(t *testing.T) {
 	}
 }
 
+// sqErr is the mean squared error between a and b.
+func sqErr(a, b *ag.Value) *ag.Value {
+	d := ag.Sub(a, b)
+	return ag.MeanAll(ag.Mul(d, d))
+}
+
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize ||w - c||^2; Adam should converge near c.
 	rng := rand.New(rand.NewSource(10))
@@ -202,11 +194,11 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	opt := NewAdam([]*ag.Value{w}, 0.05)
 	for i := 0; i < 400; i++ {
 		opt.ZeroGrad()
-		loss := ag.MSE(w, c)
+		loss := sqErr(w, c)
 		loss.Backward()
 		opt.Step()
 	}
-	final := ag.MSE(w, c).Item()
+	final := sqErr(w, c).Item()
 	if final > 1e-3 {
 		t.Fatalf("Adam failed to converge: loss %g", final)
 	}
@@ -252,8 +244,8 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := ag.Const(tensor.Rand(rng, 3, 8, 1))
-	y1 := src.Forward(x, nil)
-	y2 := dst.Forward(x, nil)
+	y1 := src.Forward(ag.Tape{}, x, nil)
+	y2 := dst.Forward(ag.Tape{}, x, nil)
 	if !tensor.Equal(y1.T, y2.T, 1e-12) {
 		t.Fatal("loaded model differs from saved model")
 	}
@@ -284,34 +276,9 @@ func TestCopyParams(t *testing.T) {
 	}
 }
 
-func TestDropoutModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	d := NewDropout(rng, 0.5)
-	x := ag.Const(tensor.Full(1, 10, 10))
-	if y := d.Forward(x); y != x {
-		t.Fatal("eval-mode dropout must be identity")
-	}
-	d.Train = true
-	y := d.Forward(x)
-	zeros := 0
-	for _, v := range y.T.Data {
-		if v == 0 {
-			zeros++
-		} else if math.Abs(v-2) > 1e-12 {
-			t.Fatalf("kept value must be scaled to 2, got %v", v)
-		}
-	}
-	if zeros == 0 || zeros == 100 {
-		t.Fatalf("dropout zeroed %d of 100, implausible", zeros)
-	}
-}
-
-func TestParamCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	l := NewLinear(rng, 4, 3)
-	if ParamCount(l) != 4*3+3 {
-		t.Fatalf("ParamCount = %d", ParamCount(l))
-	}
+// meanRows is the 1xN mean of the rows of h.
+func meanRows(h *ag.Value) *ag.Value {
+	return ag.Scale(ag.MatMul(ag.Const(tensor.Full(1, 1, h.Rows())), h), 1/float64(h.Rows()))
 }
 
 // End-to-end: a tiny encoder + head can fit a simple sequence
@@ -340,8 +307,8 @@ func TestEncoderLearnsToyTask(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		seq, label := sample()
 		opt.ZeroGrad()
-		h := enc.Forward(emb.Forward(seq), nil)
-		logits := head.Forward(ag.MeanRows(h))
+		h := enc.Forward(ag.Tape{}, emb.Forward(ag.Tape{}, seq), nil)
+		logits := head.Forward(ag.Tape{}, meanRows(h))
 		loss := ag.CrossEntropyRows(logits, []int{label})
 		loss.Backward()
 		opt.Step()
@@ -349,8 +316,8 @@ func TestEncoderLearnsToyTask(t *testing.T) {
 	correct := 0
 	for i := 0; i < 100; i++ {
 		seq, label := sample()
-		h := enc.Forward(emb.Forward(seq), nil)
-		logits := head.Forward(ag.MeanRows(h))
+		h := enc.Forward(ag.Tape{}, emb.Forward(ag.Tape{}, seq), nil)
+		logits := head.Forward(ag.Tape{}, meanRows(h))
 		pred := 0
 		if logits.T.At(0, 1) > logits.T.At(0, 0) {
 			pred = 1

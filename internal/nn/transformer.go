@@ -12,19 +12,19 @@ import (
 // MultiHeadAttention implements scaled dot-product attention with h
 // heads over row-major [seq, dim] matrices, as in Vaswani et al.,
 // which the paper uses for Enc_i, Trans_Share and Trans_JO.
-type MultiHeadAttention struct {
-	WQ, WK, WV, WO *Linear
+type MultiHeadAttention[V Tensor] struct {
+	WQ, WK, WV, WO *Linear[V]
 	Heads          int
 	Dim            int
 }
 
 // NewMultiHeadAttention creates an attention block; dim must be
 // divisible by heads.
-func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention {
+func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention[*ag.Value] {
 	if dim%heads != 0 {
 		panic("nn: attention dim must be divisible by heads")
 	}
-	return &MultiHeadAttention{
+	return &MultiHeadAttention[*ag.Value]{
 		WQ:    NewLinear(rng, dim, dim),
 		WK:    NewLinear(rng, dim, dim),
 		WV:    NewLinear(rng, dim, dim),
@@ -42,54 +42,57 @@ func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention {
 // worker-pool dispatch is what lets multi-head attention use more
 // than one core. The math (and gradients) are identical to the
 // head-at-a-time form.
-func (a *MultiHeadAttention) Forward(q, kv *ag.Value, mask *tensor.Tensor) *ag.Value {
-	Q := a.WQ.Forward(q)
-	K := a.WK.Forward(kv)
-	V := a.WV.Forward(kv)
+func (a *MultiHeadAttention[V]) Forward(o ag.Ops[V], q, kv V, mask *tensor.Tensor) V {
+	Q := a.WQ.Forward(o, q)
+	K := a.WK.Forward(o, kv)
+	Val := a.WV.Forward(o, kv)
 	dh := a.Dim / a.Heads
 	scale := 1 / math.Sqrt(float64(dh))
-	var maskV *ag.Value
+	var maskV V
 	if mask != nil {
-		maskV = ag.Const(mask)
+		maskV = o.Const(mask)
 	}
-	qhs := make([]*ag.Value, a.Heads)
-	khs := make([]*ag.Value, a.Heads)
-	vhs := make([]*ag.Value, a.Heads)
+	// One backing array for the per-head operand lists.
+	hs := make([]V, 4*a.Heads)
+	qhs, khs, vhs, attns := hs[:a.Heads], hs[a.Heads:2*a.Heads], hs[2*a.Heads:3*a.Heads], hs[3*a.Heads:]
 	for h := 0; h < a.Heads; h++ {
-		qhs[h] = ag.SliceCols(Q, h*dh, (h+1)*dh)
-		khs[h] = ag.SliceCols(K, h*dh, (h+1)*dh)
-		vhs[h] = ag.SliceCols(V, h*dh, (h+1)*dh)
+		qhs[h] = o.SliceCols(Q, h*dh, (h+1)*dh)
+		khs[h] = o.SliceCols(K, h*dh, (h+1)*dh)
+		vhs[h] = o.SliceCols(Val, h*dh, (h+1)*dh)
 	}
-	scores := ag.MatMulTransBBatch(qhs, khs)
-	attns := make([]*ag.Value, a.Heads)
+	scores := o.MatMulTransBBatch(qhs, khs)
 	for h, s := range scores {
-		s = ag.Scale(s, scale)
-		if maskV != nil {
-			s = ag.Add(s, maskV)
+		s = o.Scale(s, scale)
+		if mask != nil {
+			s = o.Add(s, maskV)
 		}
-		attns[h] = ag.SoftmaxRows(s)
+		attns[h] = o.SoftmaxRows(s)
 	}
-	heads := ag.MatMulBatch(attns, vhs)
-	return a.WO.Forward(ag.ConcatCols(heads...))
+	heads := o.MatMulBatch(attns, vhs)
+	return a.WO.Forward(o, o.ConcatCols(heads...))
 }
 
 // Params implements Module.
-func (a *MultiHeadAttention) Params() []*ag.Value {
-	return CollectParams(a.WQ, a.WK, a.WV, a.WO)
+func (a *MultiHeadAttention[V]) Params() []V {
+	return collect[V](a.WQ, a.WK, a.WV, a.WO)
+}
+
+// Bytes returns the resident bytes of the four projections.
+func (a *MultiHeadAttention[V]) Bytes() int {
+	return a.WQ.Bytes() + a.WK.Bytes() + a.WV.Bytes() + a.WO.Bytes()
 }
 
 // EncoderLayer is one post-norm transformer encoder block:
 // x = LN(x + MHA(x)); x = LN(x + FFN(x)).
-type EncoderLayer struct {
-	Attn *MultiHeadAttention
-	FF   *MLP
-	LN1  *LayerNorm
-	LN2  *LayerNorm
+type EncoderLayer[V Tensor] struct {
+	Attn     *MultiHeadAttention[V]
+	FF       *MLP[V]
+	LN1, LN2 *LayerNorm[V]
 }
 
 // NewEncoderLayer creates an encoder block with a 4x-wide GELU FFN.
-func NewEncoderLayer(rng *rand.Rand, dim, heads int) *EncoderLayer {
-	return &EncoderLayer{
+func NewEncoderLayer(rng *rand.Rand, dim, heads int) *EncoderLayer[*ag.Value] {
+	return &EncoderLayer[*ag.Value]{
 		Attn: NewMultiHeadAttention(rng, dim, heads),
 		FF:   NewMLP(rng, ActGELU, dim, 4*dim, dim),
 		LN1:  NewLayerNorm(dim),
@@ -98,26 +101,31 @@ func NewEncoderLayer(rng *rand.Rand, dim, heads int) *EncoderLayer {
 }
 
 // Forward applies the block; mask is an optional [seq, seq] additive mask.
-func (l *EncoderLayer) Forward(x *ag.Value, mask *tensor.Tensor) *ag.Value {
-	x = l.LN1.Forward(ag.Add(x, l.Attn.Forward(x, x, mask)))
-	return l.LN2.Forward(ag.Add(x, l.FF.Forward(x)))
+func (l *EncoderLayer[V]) Forward(o ag.Ops[V], x V, mask *tensor.Tensor) V {
+	x = l.LN1.Forward(o, o.Add(x, l.Attn.Forward(o, x, x, mask)))
+	return l.LN2.Forward(o, o.Add(x, l.FF.Forward(o, x)))
 }
 
 // Params implements Module.
-func (l *EncoderLayer) Params() []*ag.Value {
-	return CollectParams(l.Attn, l.FF, l.LN1, l.LN2)
+func (l *EncoderLayer[V]) Params() []V {
+	return collect[V](l.Attn, l.FF, l.LN1, l.LN2)
+}
+
+// Bytes returns the resident bytes of the block.
+func (l *EncoderLayer[V]) Bytes() int {
+	return l.Attn.Bytes() + l.FF.Bytes() + l.LN1.Bytes() + l.LN2.Bytes()
 }
 
 // Encoder is a stack of encoder layers. The paper's Enc_i single-table
 // encoders and Trans_Share are both instances of this type (3 blocks,
 // 4 heads in the paper's configuration).
-type Encoder struct {
-	Layers []*EncoderLayer
+type Encoder[V Tensor] struct {
+	Layers []*EncoderLayer[V]
 }
 
 // NewEncoder builds a stack of depth blocks.
-func NewEncoder(rng *rand.Rand, dim, heads, blocks int) *Encoder {
-	e := &Encoder{}
+func NewEncoder(rng *rand.Rand, dim, heads, blocks int) *Encoder[*ag.Value] {
+	e := &Encoder[*ag.Value]{}
 	for i := 0; i < blocks; i++ {
 		e.Layers = append(e.Layers, NewEncoderLayer(rng, dim, heads))
 	}
@@ -125,36 +133,43 @@ func NewEncoder(rng *rand.Rand, dim, heads, blocks int) *Encoder {
 }
 
 // Forward applies the stack.
-func (e *Encoder) Forward(x *ag.Value, mask *tensor.Tensor) *ag.Value {
+func (e *Encoder[V]) Forward(o ag.Ops[V], x V, mask *tensor.Tensor) V {
 	for _, l := range e.Layers {
-		x = l.Forward(x, mask)
+		x = l.Forward(o, x, mask)
 	}
 	return x
 }
 
 // Params implements Module.
-func (e *Encoder) Params() []*ag.Value {
-	var out []*ag.Value
+func (e *Encoder[V]) Params() []V {
+	var out []V
 	for _, l := range e.Layers {
 		out = append(out, l.Params()...)
 	}
 	return out
 }
 
+// Bytes returns the resident bytes of the stack.
+func (e *Encoder[V]) Bytes() int {
+	n := 0
+	for _, l := range e.Layers {
+		n += l.Bytes()
+	}
+	return n
+}
+
 // DecoderLayer is one post-norm transformer decoder block with causal
 // self-attention and cross-attention over the encoder memory:
 // x = LN(x + SelfAttn(x)); x = LN(x + CrossAttn(x, mem)); x = LN(x + FFN(x)).
-type DecoderLayer struct {
-	SelfAttn  *MultiHeadAttention
-	CrossAttn *MultiHeadAttention
-	FF        *MLP
-	LN1, LN2  *LayerNorm
-	LN3       *LayerNorm
+type DecoderLayer[V Tensor] struct {
+	SelfAttn, CrossAttn *MultiHeadAttention[V]
+	FF                  *MLP[V]
+	LN1, LN2, LN3       *LayerNorm[V]
 }
 
 // NewDecoderLayer creates a decoder block.
-func NewDecoderLayer(rng *rand.Rand, dim, heads int) *DecoderLayer {
-	return &DecoderLayer{
+func NewDecoderLayer(rng *rand.Rand, dim, heads int) *DecoderLayer[*ag.Value] {
+	return &DecoderLayer[*ag.Value]{
 		SelfAttn:  NewMultiHeadAttention(rng, dim, heads),
 		CrossAttn: NewMultiHeadAttention(rng, dim, heads),
 		FF:        NewMLP(rng, ActGELU, dim, 4*dim, dim),
@@ -166,25 +181,27 @@ func NewDecoderLayer(rng *rand.Rand, dim, heads int) *DecoderLayer {
 
 // Forward applies the block. causal is a [lq, lq] additive mask for the
 // self-attention (nil for none); mem is the encoder output.
-func (l *DecoderLayer) Forward(x, mem *ag.Value, causal *tensor.Tensor) *ag.Value {
-	x = l.LN1.Forward(ag.Add(x, l.SelfAttn.Forward(x, x, causal)))
-	x = l.LN2.Forward(ag.Add(x, l.CrossAttn.Forward(x, mem, nil)))
-	return l.LN3.Forward(ag.Add(x, l.FF.Forward(x)))
+func (l *DecoderLayer[V]) Forward(o ag.Ops[V], x, mem V, causal *tensor.Tensor) V {
+	x = l.LN1.Forward(o, o.Add(x, l.SelfAttn.Forward(o, x, x, causal)))
+	x = l.LN2.Forward(o, o.Add(x, l.CrossAttn.Forward(o, x, mem, nil)))
+	return l.LN3.Forward(o, o.Add(x, l.FF.Forward(o, x)))
 }
 
 // Params implements Module.
-func (l *DecoderLayer) Params() []*ag.Value {
-	return CollectParams(l.SelfAttn, l.CrossAttn, l.FF, l.LN1, l.LN2, l.LN3)
+func (l *DecoderLayer[V]) Params() []V {
+	return collect[V](l.SelfAttn, l.CrossAttn, l.FF, l.LN1, l.LN2, l.LN3)
 }
 
-// Decoder is a stack of decoder layers; the paper's Trans_JO is one.
-type Decoder struct {
-	Layers []*DecoderLayer
+// Decoder is a stack of decoder layers; the paper's Trans_JO is one. A
+// lowered decoder decodes incrementally, one KV-cached step per token
+// (kvcache.go).
+type Decoder[V Tensor] struct {
+	Layers []*DecoderLayer[V]
 }
 
 // NewDecoder builds a stack of depth blocks.
-func NewDecoder(rng *rand.Rand, dim, heads, blocks int) *Decoder {
-	d := &Decoder{}
+func NewDecoder(rng *rand.Rand, dim, heads, blocks int) *Decoder[*ag.Value] {
+	d := &Decoder[*ag.Value]{}
 	for i := 0; i < blocks; i++ {
 		d.Layers = append(d.Layers, NewDecoderLayer(rng, dim, heads))
 	}
@@ -192,18 +209,27 @@ func NewDecoder(rng *rand.Rand, dim, heads, blocks int) *Decoder {
 }
 
 // Forward applies the stack with a shared causal mask.
-func (d *Decoder) Forward(x, mem *ag.Value, causal *tensor.Tensor) *ag.Value {
+func (d *Decoder[V]) Forward(o ag.Ops[V], x, mem V, causal *tensor.Tensor) V {
 	for _, l := range d.Layers {
-		x = l.Forward(x, mem, causal)
+		x = l.Forward(o, x, mem, causal)
 	}
 	return x
 }
 
 // Params implements Module.
-func (d *Decoder) Params() []*ag.Value {
-	var out []*ag.Value
+func (d *Decoder[V]) Params() []V {
+	var out []V
 	for _, l := range d.Layers {
 		out = append(out, l.Params()...)
+	}
+	return out
+}
+
+// collect concatenates the parameters of several layers.
+func collect[V any](ms ...interface{ Params() []V }) []V {
+	var out []V
+	for _, m := range ms {
+		out = append(out, m.Params()...)
 	}
 	return out
 }

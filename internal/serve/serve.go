@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"mtmlf/internal/ag"
+	"mtmlf/internal/featurize"
 	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/nn"
 	"mtmlf/internal/plan"
@@ -184,8 +185,8 @@ func (r *request) expired(now time.Time) bool {
 }
 
 // served bundles everything one micro-batch needs to be consistent: the
-// inference form at the engine's tier — exactly one of f64 (a view of a
-// model's own weights) and f32 (an f32 or int8-weight replica) — and
+// inference form at the engine's tier — a view of a model's own weights
+// at f64, an f32 or int8-weight replica otherwise — bound into run, and
 // the schema and limit requests are validated against. No *mtmlf.Model:
 // a replica streamed from a checkpoint never had one. A reload builds a
 // fresh bundle and swaps the one pointer, so a batch that snapshotted
@@ -195,38 +196,52 @@ func (r *request) expired(now time.Time) bool {
 type served struct {
 	db        *sqldb.DB
 	maxTables int
-	f64       *mtmlf.Lowered[float64]
-	f32       *mtmlf.LoweredModel
+	// run serves one micro-batch; memoRows reports the table encodings
+	// the memo holds.
+	run      func(e *Engine, batch []*request)
+	memoRows func() int
 	// load is how the bundle came to be, for /statsz.
 	load LoadStats
 }
 
-// describe fills in what the bundle reads off its inference form and
-// applies the one limit a bundle can violate by itself.
-func describe[T tensor.Float](s *served, lm *mtmlf.Lowered[T]) error {
-	s.db, s.maxTables, s.load.ParamBytes = lm.DB(), lm.Cfg.MaxTables, lm.ParamBytes()
-	if n := len(s.db.Tables); n > s.maxTables {
-		return fmt.Errorf("%w: database has %d tables, model supports %d", ErrModelLimit, n, s.maxTables)
+// bundle builds the served bundle of lm at its element type, with a
+// fresh memo counting into c, and applies the one limit a bundle can
+// violate by itself.
+func bundle[T tensor.Float](lm *mtmlf.Lowered[T], c *featurize.MemoCounters) (*served, error) {
+	lm = lm.Memoized(c)
+	s := &served{
+		db:        lm.DB(),
+		maxTables: lm.Cfg.MaxTables,
+		run:       func(e *Engine, batch []*request) { runBatch(e, *lm, batch) },
+		memoRows:  lm.Feat.MemoRows,
+		load:      LoadStats{ParamBytes: lm.ParamBytes()},
 	}
-	return nil
+	if n := len(s.db.Tables); n > s.maxTables {
+		return nil, fmt.Errorf("%w: database has %d tables, model supports %d", ErrModelLimit, n, s.maxTables)
+	}
+	return s, nil
 }
 
 // lower builds the bundle for an in-memory model: its inference form at
-// the engine's tier, with a fresh memo counting into the engine's stats.
+// the engine's tier.
 func (e *Engine) lower(m *mtmlf.Model) (*served, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrBadRequest)
 	}
 	c := &e.stats.featMemo
-	s := &served{}
-	if p := e.opts.Precision; p != nn.PrecisionF64 {
-		t0 := time.Now()
-		s.f32 = m.Lower(p).Memoized(c)
-		s.load.LowerMs = millis(time.Since(t0))
-		return s, describe(s, s.f32)
+	p := e.opts.Precision
+	if p == nn.PrecisionF64 {
+		ref := m.Reference()
+		return bundle(&ref, c)
 	}
-	s.f64 = m.Reference().Memoized(c)
-	return s, describe(s, s.f64)
+	t0 := time.Now()
+	lm := m.Lower(p)
+	lowered := time.Since(t0)
+	s, err := bundle(lm, c)
+	if err == nil {
+		s.load.LowerMs = millis(lowered)
+	}
+	return s, err
 }
 
 // load builds the bundle for a checkpoint stream with the loader the
@@ -235,25 +250,21 @@ func (e *Engine) lower(m *mtmlf.Model) (*served, error) {
 func (e *Engine) load(r io.Reader, db *sqldb.DB) (*served, *mtmlf.CheckpointInfo, error) {
 	var s *served
 	var info *mtmlf.CheckpointInfo
+	var err error
 	t0 := time.Now()
 	if p := e.opts.Precision; p != nn.PrecisionF64 {
-		lm, i, err := mtmlf.LoadLowered(r, db, p, time.Now)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, info = &served{f32: lm.Memoized(&e.stats.featMemo)}, i
-		if err := describe(s, s.f32); err != nil {
-			return nil, nil, err
+		var lm *mtmlf.LoweredModel
+		if lm, info, err = mtmlf.LoadLowered(r, db, p, time.Now); err == nil {
+			s, err = bundle(lm, &e.stats.featMemo)
 		}
 	} else {
-		m, i, err := mtmlf.LoadModel(r, db)
-		if err != nil {
-			return nil, nil, err
+		var m *mtmlf.Model
+		if m, info, err = mtmlf.LoadModel(r, db); err == nil {
+			s, err = e.lower(m)
 		}
-		if s, err = e.lower(m); err != nil {
-			return nil, nil, err
-		}
-		info = i
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	s.load.Version, s.load.Tensors, s.load.Bytes = info.Version, info.Tensors, info.Bytes
 	s.load.LoadMs, s.load.LowerMs = millis(time.Since(t0)-info.LowerTime), millis(info.LowerTime)
@@ -261,14 +272,6 @@ func (e *Engine) load(r io.Reader, db *sqldb.DB) (*served, *mtmlf.CheckpointInfo
 }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// memoRows returns the number of table encodings the bundle holds.
-func (s *served) memoRows() int {
-	if s.f32 != nil {
-		return s.f32.Feat.MemoRows()
-	}
-	return s.f64.Feat.MemoRows()
-}
 
 // Engine is the concurrent serving front end over one hot-swappable
 // model. Safe for concurrent use by any number of goroutines.
@@ -562,16 +565,6 @@ func (e *Engine) fill(first *request) []*request {
 	return batch
 }
 
-// run serves one micro-batch against this bundle, at the element type
-// of its tier.
-func (s *served) run(e *Engine, batch []*request) {
-	if s.f32 != nil {
-		runBatch(e, *s.f32, batch)
-	} else {
-		runBatch(e, *s.f64, batch)
-	}
-}
-
 // runBatch serves one micro-batch inside one inference session. The
 // session (and every pooled tensor of the batch) is released at the
 // end — see DESIGN.md "Session ownership".
@@ -579,7 +572,7 @@ func runBatch[T tensor.Float](e *Engine, lm mtmlf.Lowered[T], batch []*request) 
 	ev := ag.Acquire[T]()
 	defer ag.Release(ev)
 
-	reps := make([]*mtmlf.Rep[T], len(batch))
+	reps := make([]*mtmlf.Rep[*tensor.Dense[T]], len(batch))
 	for i, r := range batch {
 		reps[i] = represent(lm, ev, r)
 	}
@@ -596,7 +589,7 @@ func runBatch[T tensor.Float](e *Engine, lm mtmlf.Lowered[T], batch []*request) 
 // represent computes one request's shared representation in the
 // session, converting any surviving model panic into ErrInternal
 // (validation should have caught everything typed).
-func represent[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], r *request) (rep *mtmlf.Rep[T]) {
+func represent[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], r *request) (rep *mtmlf.Rep[*tensor.Dense[T]]) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = nil
@@ -610,7 +603,7 @@ func represent[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], r *reques
 // a single MLP dispatch over the row-concatenated node
 // representations. Each request's rows are computed independently by
 // the kernels, so its slice is bitwise identical to a solo forward.
-func runHeads[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], ep Endpoint, batch []*request, reps []*mtmlf.Rep[T]) {
+func runHeads[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], ep Endpoint, batch []*request, reps []*mtmlf.Rep[*tensor.Dense[T]]) {
 	var idx []int
 	var ss []*tensor.Dense[T]
 	for i, r := range batch {
@@ -643,7 +636,7 @@ func runHeads[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], ep Endpoin
 	if ep == EndpointCost {
 		head = lm.CostHead
 	}
-	out := head.Infer(ev, fused) // [total nodes, 1]
+	out := head.Forward(ev, fused) // [total nodes, 1]
 	row := 0
 	for _, i := range idx {
 		nRows := reps[i].S.Rows()
@@ -661,7 +654,7 @@ func runHeads[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], ep Endpoin
 // representation's [m, Dim] memory is up-converted once first, so join
 // orders are identical across tiers by construction of the decoder,
 // not merely close.
-func runJoinOrder[T tensor.Float](lm mtmlf.Lowered[T], r *request, rep *mtmlf.Rep[T]) {
+func runJoinOrder[T tensor.Float](lm mtmlf.Lowered[T], r *request, rep *mtmlf.Rep[*tensor.Dense[T]]) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}

@@ -47,13 +47,13 @@ type Model struct {
 	Stats *stats.DBStats
 
 	// Child-sum LSTM cell parameters: gate(x, h) = Wx·x + Uh·h.
-	wi, ui *nn.Linear
-	wf, uf *nn.Linear
-	wo, uo *nn.Linear
-	wu, uu *nn.Linear
+	wi, ui *nn.Linear[*ag.Value]
+	wf, uf *nn.Linear[*ag.Value]
+	wo, uo *nn.Linear[*ag.Value]
+	wu, uu *nn.Linear[*ag.Value]
 
-	cardHead *nn.MLP
-	costHead *nn.MLP
+	cardHead *nn.MLP[*ag.Value]
+	costHead *nn.MLP[*ag.Value]
 }
 
 // New builds a model with ANALYZE statistics for featurization.
@@ -128,12 +128,12 @@ func (m *Model) cell(x *ag.Value, children []state) state {
 			hsum = ag.Add(hsum, ch.h)
 		}
 	}
-	i := ag.Sigmoid(ag.Add(m.wi.Forward(x), m.ui.Forward(hsum)))
-	o := ag.Sigmoid(ag.Add(m.wo.Forward(x), m.uo.Forward(hsum)))
-	u := ag.Tanh(ag.Add(m.wu.Forward(x), m.uu.Forward(hsum)))
+	i := ag.Sigmoid(ag.Add(m.wi.Forward(ag.Tape{}, x), m.ui.Forward(ag.Tape{}, hsum)))
+	o := ag.Sigmoid(ag.Add(m.wo.Forward(ag.Tape{}, x), m.uo.Forward(ag.Tape{}, hsum)))
+	u := ag.Tanh(ag.Add(m.wu.Forward(ag.Tape{}, x), m.uu.Forward(ag.Tape{}, hsum)))
 	c := ag.Mul(i, u)
 	for _, ch := range children {
-		fk := ag.Sigmoid(ag.Add(m.wf.Forward(x), m.uf.Forward(ch.h)))
+		fk := ag.Sigmoid(ag.Add(m.wf.Forward(ag.Tape{}, x), m.uf.Forward(ag.Tape{}, ch.h)))
 		c = ag.Add(c, ag.Mul(fk, ch.c))
 	}
 	return state{h: ag.Mul(o, ag.Tanh(c)), c: c}
@@ -160,7 +160,7 @@ func (m *Model) encode(q *sqldb.Query, root *plan.Node) []*ag.Value {
 func (m *Model) forward(q *sqldb.Query, root *plan.Node) (cards, costs *ag.Value) {
 	hs := m.encode(q, root)
 	h := ag.ConcatRows(hs...)
-	return m.cardHead.Forward(h), m.costHead.Forward(h)
+	return m.cardHead.Forward(ag.Tape{}, h), m.costHead.Forward(ag.Tape{}, h)
 }
 
 // Predict returns per-node cardinality and cost estimates (post-order,
