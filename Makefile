@@ -26,10 +26,11 @@ vet:
 # check only: on an amd64 runner the fallback must compile, be the one
 # selected, and reproduce the same goldens (fleet_golden.json, calib
 # budgets, serial == sharded) as the assembly path `make test` runs —
-# and the training golden, so the fallback's products, gradient sums
-# and Adam steps are checked against the trained bits end to end.
+# and the training golden and the Tables 1–3 golden, so the fallback's
+# products, gradient sums and Adam steps are checked against the
+# trained bits and the paper's tables end to end.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/calib
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/calib ./internal/experiments
 	$(GO) test -tags purego -run TestTrainGolden ./internal/mtmlf
 
 # Every non-amd64 build takes the same fallback; arm64 stands for them.

@@ -1,9 +1,77 @@
 package experiments
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/tables_golden.json from the current code")
+
+const tablesGoldenPath = "testdata/tables_golden.json"
+
+// rowBits maps each row's Method to the Float64bits, in hex, of every
+// float64 field of that row.
+func rowBits(rows any) map[string]map[string]string {
+	out := map[string]map[string]string{}
+	v := reflect.ValueOf(rows)
+	for i := 0; i < v.Len(); i++ {
+		row := v.Index(i)
+		bits := map[string]string{}
+		for f := 0; f < row.NumField(); f++ {
+			if row.Field(f).Kind() == reflect.Float64 {
+				bits[row.Type().Field(f).Name] = fmt.Sprintf("%016x", math.Float64bits(row.Field(f).Float()))
+			}
+		}
+		out[row.FieldByName("Method").String()] = bits
+	}
+	return out
+}
+
+// checkTableGolden pins every float of one table's rows, bit for bit,
+// against testdata/tables_golden.json: what the model learns at
+// microConfig, not just the table's shape. -update-golden rewrites the
+// table's entry and is only for a change that states why the bits
+// move. amd64 only, like TestTrainGolden: arm64 may fuse a*b+c into
+// FMA.
+func checkTableGolden(t *testing.T, table string, rows any) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	all := map[string]map[string]map[string]string{}
+	b, err := os.ReadFile(tablesGoldenPath)
+	if err == nil {
+		err = json.Unmarshal(b, &all)
+	}
+	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
+		t.Fatal(err)
+	}
+	got := rowBits(rows)
+	if *updateGolden {
+		all[table] = got
+		b, err := json.MarshalIndent(all, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(tablesGoldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if !reflect.DeepEqual(got, all[table]) {
+		t.Errorf("%s: got bits %v, golden %v", table, got, all[table])
+	}
+}
 
 // microConfig is even smaller than QuickConfig so the full pipelines
 // run in a few seconds inside unit tests.
@@ -54,6 +122,7 @@ func TestRunTable1EndToEnd(t *testing.T) {
 	if !strings.Contains(s, "MTMLF-QO") || !strings.Contains(s, "median") {
 		t.Fatalf("rendered table malformed:\n%s", s)
 	}
+	checkTableGolden(t, "table1", res.Rows)
 }
 
 func TestRunTable2EndToEnd(t *testing.T) {
@@ -87,6 +156,7 @@ func TestRunTable2EndToEnd(t *testing.T) {
 	if s := res.String(); !strings.Contains(s, "Improvement") {
 		t.Fatalf("rendered table malformed:\n%s", s)
 	}
+	checkTableGolden(t, "table2", res.Rows)
 }
 
 func TestRunTable3EndToEnd(t *testing.T) {
@@ -111,6 +181,7 @@ func TestRunTable3EndToEnd(t *testing.T) {
 	if s := res.String(); !strings.Contains(s, "MLA") {
 		t.Fatalf("rendered table malformed:\n%s", s)
 	}
+	checkTableGolden(t, "table3", res.Rows)
 }
 
 func TestConfigsSane(t *testing.T) {
