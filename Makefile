@@ -9,7 +9,7 @@ RACE_PKGS := ./internal/parallel ./internal/tensor ./internal/ag ./internal/nn .
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build vet purego cross-arm64 vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import ci
+.PHONY: all build vet purego cross-arm64 vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import loc ci
 
 all: build
 
@@ -256,4 +256,12 @@ no-gob-import:
 	if [ -n "$$bad" ]; then echo "no-gob-import: packages import encoding/gob:"; \
 		echo "$$bad" | cut -d' ' -f1; exit 1; fi
 
-ci: build vet purego cross-arm64 vet-custom fmt-check test race bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import
+# Reports, and gates nothing: the non-test Go + assembly lines of the
+# tracked files outside bench/ and testdata, per package directory and
+# in total — the count ROADMAP item 5's line target reads.
+loc:
+	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+ci: build vet purego cross-arm64 vet-custom fmt-check test race bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import loc

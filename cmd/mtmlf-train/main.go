@@ -6,14 +6,15 @@
 // Data comes from either backend of the pluggable data plane:
 //
 //   - default: the synthetic IMDB database is generated in memory and
-//     a workload is generated and labeled on the fly (the legacy
-//     path);
+//     a workload is generated and labeled on the fly;
 //   - -corpus: a pre-labeled corpus file written by
 //     mtmlf-datagen -out is opened and training examples are
 //     STREAMED from disk, one minibatch at a time, so the corpus may
 //     exceed RAM. -corpus-mode inmem materializes the same examples
 //     into memory first — the trajectory is bitwise identical either
-//     way, which `make corpus-smoke` asserts on every CI run.
+//     way, which `make corpus-smoke` asserts on every CI run. -db
+//     picks the corpus database (default: the first). Both flags need
+//     -corpus and are refused without it.
 //
 // Usage:
 //
@@ -107,52 +108,59 @@ import (
 	"mtmlf/internal/workload"
 )
 
+// The command line, registered in main.
+var queries, epochs, workers, batch, encEpochs, stPerTable, snapEvery, distRank, distWorld int
+var scale float64
+var seed int64
+var savePath, loadPath, corpusPath, dbName, corpusMode, lossOut, resumePath, distCoord, distWorker string
+var sharedOnly, seqLoss, mla bool
+
 func main() {
-	queries := flag.Int("queries", 200, "training workload size (in-memory path)")
-	epochs := flag.Int("epochs", 6, "joint training epochs")
-	scale := flag.Float64("scale", 0.06, "synthetic IMDB scale factor (in-memory path)")
-	seed := flag.Int64("seed", 1, "random seed")
-	savePath := flag.String("save", "", "save a trained model checkpoint to this file")
-	loadPath := flag.String("load", "", "load a checkpoint (full or shared-only) before training")
-	sharedOnly := flag.Bool("shared-only", false, "save only the transferable (S)+(T) modules (cross-DB transfer artifact)")
-	seqLoss := flag.Bool("seqloss", false, "use the Equation 3 sequence-level join-order loss")
-	workers := flag.Int("workers", 0, "worker pool size for kernels and data-parallel training (0 = all cores)")
-	batch := flag.Int("batch", 1, "minibatch size (examples averaged per Adam step)")
-	corpusPath := flag.String("corpus", "", "train from this corpus file (written by mtmlf-datagen -out)")
-	dbName := flag.String("db", "", "corpus database to train on (default: first)")
-	corpusMode := flag.String("corpus-mode", "stream", "corpus example delivery: stream (from disk) or inmem (materialized)")
-	lossOut := flag.String("loss-out", "", "write the per-example loss trajectory (hex float64 per line) to this file")
-	mla := flag.Bool("mla", false, "fleet pretraining: run Algorithm 1 over every database of the -corpus artifact")
-	encEpochs := flag.Int("encoder-epochs", 2, "per-table encoder pre-training epochs (-mla)")
-	stPerTable := flag.Int("st-per-table", 40, "single-table queries per table for the -mla live-pretrain fallback on corpora whose Meta predates the recorded generation parameters")
-	resumePath := flag.String("resume", "", "training-state snapshot file: resumed from when present, written on SIGINT/SIGTERM (then exit 0) and every -snapshot-every steps")
-	snapEvery := flag.Int("snapshot-every", 0, "with -resume: also snapshot after every N optimizer steps (0 = only on interruption)")
-	distCoord := flag.String("dist-coordinator", "", "listen address (host:port): serve as the gradient-exchange coordinator for a -dist-world rank fleet, then exit")
-	distWorker := flag.String("dist-worker", "", "coordinator address (host:port): train as one rank of a distributed fleet")
-	distRank := flag.Int("dist-rank", 0, "this process's rank (0-based) in the -dist-worker fleet")
-	distWorld := flag.Int("dist-world", 1, "number of worker ranks in the distributed fleet")
+	flag.IntVar(&queries, "queries", 200, "training workload size (in-memory path)")
+	flag.IntVar(&epochs, "epochs", 6, "joint training epochs")
+	flag.Float64Var(&scale, "scale", 0.06, "synthetic IMDB scale factor (in-memory path)")
+	flag.Int64Var(&seed, "seed", 1, "random seed")
+	flag.StringVar(&savePath, "save", "", "save a trained model checkpoint to this file")
+	flag.StringVar(&loadPath, "load", "", "load a checkpoint (full or shared-only) before training")
+	flag.BoolVar(&sharedOnly, "shared-only", false, "save only the transferable (S)+(T) modules (cross-DB transfer artifact)")
+	flag.BoolVar(&seqLoss, "seqloss", false, "use the Equation 3 sequence-level join-order loss")
+	flag.IntVar(&workers, "workers", 0, "worker pool size for kernels and data-parallel training (0 = all cores)")
+	flag.IntVar(&batch, "batch", 1, "minibatch size (examples averaged per Adam step)")
+	flag.StringVar(&corpusPath, "corpus", "", "train from this corpus file (written by mtmlf-datagen -out)")
+	flag.StringVar(&dbName, "db", "", "corpus database to train on (default: first)")
+	flag.StringVar(&corpusMode, "corpus-mode", "stream", "corpus example delivery: stream (from disk) or inmem (materialized)")
+	flag.StringVar(&lossOut, "loss-out", "", "write the per-example loss trajectory (hex float64 per line) to this file")
+	flag.BoolVar(&mla, "mla", false, "fleet pretraining: run Algorithm 1 over every database of the -corpus artifact")
+	flag.IntVar(&encEpochs, "encoder-epochs", 2, "per-table encoder pre-training epochs (-mla)")
+	flag.IntVar(&stPerTable, "st-per-table", 40, "single-table queries per table for the -mla live-pretrain fallback on corpora whose Meta predates the recorded generation parameters")
+	flag.StringVar(&resumePath, "resume", "", "training-state snapshot file: resumed from when present, written on SIGINT/SIGTERM (then exit 0) and every -snapshot-every steps")
+	flag.IntVar(&snapEvery, "snapshot-every", 0, "with -resume: also snapshot after every N optimizer steps (0 = only on interruption)")
+	flag.StringVar(&distCoord, "dist-coordinator", "", "listen address (host:port): serve as the gradient-exchange coordinator for a -dist-world rank fleet, then exit")
+	flag.StringVar(&distWorker, "dist-worker", "", "coordinator address (host:port): train as one rank of a distributed fleet")
+	flag.IntVar(&distRank, "dist-rank", 0, "this process's rank (0-based) in the -dist-worker fleet")
+	flag.IntVar(&distWorld, "dist-world", 1, "number of worker ranks in the distributed fleet")
 	flag.Parse()
 
-	tensor.SetParallelism(*workers)
+	tensor.SetParallelism(workers)
 	start := time.Now()
 
-	if *distCoord != "" {
-		if *distWorker != "" {
+	if distCoord != "" {
+		if distWorker != "" {
 			log.Fatal("-dist-coordinator and -dist-worker are different processes; pick one")
 		}
-		runCoordinator(*distCoord, *distWorld)
+		runCoordinator(distCoord, distWorld)
 		fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
 	var ex dist.Exchanger
-	if *distWorker != "" {
+	if distWorker != "" {
 		// The fingerprint is every trajectory-relevant flag: the
 		// coordinator refuses a fleet whose ranks disagree on it, so a
 		// mislaunched rank (wrong seed, wrong corpus, wrong batch) dies
 		// at the handshake instead of poisoning the run.
 		fp := fmt.Sprintf("mla=%v corpus=%s corpus-mode=%s db=%s queries=%d epochs=%d encoder-epochs=%d st-per-table=%d batch=%d seed=%d scale=%v seqloss=%v loss=%v world=%d",
-			*mla, *corpusPath, *corpusMode, *dbName, *queries, *epochs, *encEpochs, *stPerTable, *batch, *seed, *scale, *seqLoss, *lossOut != "", *distWorld)
-		t, err := dist.DialRetry(*distWorker, *distRank, *distWorld, fp, 300, 100*time.Millisecond)
+			mla, corpusPath, corpusMode, dbName, queries, epochs, encEpochs, stPerTable, batch, seed, scale, seqLoss, lossOut != "", distWorld)
+		t, err := dist.DialRetry(distWorker, distRank, distWorld, fp, 300, 100*time.Millisecond)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -160,60 +168,129 @@ func main() {
 		// exchange time went, next to the coordinator's per-rank waits.
 		defer func() {
 			t.Close()
-			fmt.Printf("rank %d exchange: %v\n", *distRank, t.Stats())
+			fmt.Printf("rank %d exchange: %v\n", distRank, t.Stats())
 		}()
 		ex = t
-		fmt.Printf("rank %d/%d joined the fleet at %s\n", *distRank, *distWorld, *distWorker)
+		fmt.Printf("rank %d/%d joined the fleet at %s\n", distRank, distWorld, distWorker)
+	}
+	// Fail loudly on flags a mode does not honor — silently ignoring
+	// -load would hand back a from-scratch model when the user asked to
+	// continue from a checkpoint, and silently ignoring -db or
+	// -corpus-mode would train on a database the user did not pick. A
+	// rank refuses after joining, so the coordinator sees it leave
+	// instead of waiting for it.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case corpusPath == "" && mla:
+		log.Fatal("-mla requires -corpus (a fleet artifact written by mtmlf-datagen -single-table)")
+	case corpusPath == "" && set["db"]:
+		log.Fatal("-db selects a database of a -corpus artifact; without -corpus the database is generated in memory (add -corpus or drop -db)")
+	case corpusPath == "" && set["corpus-mode"]:
+		log.Fatal("-corpus-mode sets how -corpus examples are delivered; without -corpus there is no corpus (add -corpus or drop -corpus-mode)")
+	case corpusMode != "stream" && corpusMode != "inmem":
+		log.Fatalf("unknown -corpus-mode %q (want stream or inmem)", corpusMode)
+	case mla && loadPath != "":
+		log.Fatal("-mla pretrains the shared modules from scratch; it cannot resume from -load")
+	case mla && dbName != "":
+		log.Fatal("-mla pools every database of the corpus; -db selects a single one (drop -mla or -db)")
+	case mla && seqLoss:
+		log.Fatal("-mla uses the Algorithm 1 token-level join-order loss; -seqloss is not supported")
+	case mla && sharedOnly:
+		log.Fatal("-mla checkpoints are always shared-only; drop -shared-only")
 	}
 	// Rank 0 owns every per-job artifact: the checkpoint, the
 	// trajectory file, and the training snapshot. Other ranks compute
 	// the identical state (and record the identical trajectory, which
 	// keeps the run configuration uniform fleet-wide) but write
 	// nothing.
-	isPrimary := *distWorker == "" || *distRank == 0
+	isPrimary := distWorker == "" || distRank == 0
 
 	snap := mtmlf.SnapshotOptions{
-		Path: *resumePath, Every: *snapEvery, Resume: *resumePath != "",
-		Interrupt: interruptOnSignal(*resumePath != ""),
+		Path: resumePath, Every: snapEvery, Resume: resumePath != "",
+		Interrupt: interruptOnSignal(resumePath != ""),
 	}
-
-	if *mla {
-		// Fail loudly on flags the MLA path does not honor — silently
-		// ignoring -load would hand back a from-scratch model when the
-		// user asked to continue from a checkpoint.
-		switch {
-		case *loadPath != "":
-			log.Fatal("-mla pretrains the shared modules from scratch; it cannot resume from -load")
-		case *dbName != "":
-			log.Fatal("-mla pools every database of the corpus; -db selects a single one (drop -mla or -db)")
-		case *seqLoss:
-			log.Fatal("-mla uses the Algorithm 1 token-level join-order loss; -seqloss is not supported")
-		case *sharedOnly:
-			log.Fatal("-mla checkpoints are always shared-only; drop -shared-only")
-		}
-		trainMLA(*corpusPath, *corpusMode, *epochs, *encEpochs, *stPerTable, *batch, *seed, *savePath, *lossOut, snap, ex, isPrimary)
-		fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	// --- data plane: pick a catalog backend and an example source ---
-	var (
-		cat   catalog.Catalog
-		src   workload.Source
-		test  []*workload.LabeledQuery
-		nGen  int
-		genFn func(gen *workload.Generator, wcfg workload.Config)
-	)
-	wcfg := workload.DefaultConfig()
-	if *corpusPath != "" {
-		r, err := corpus.Open(*corpusPath)
-		if err != nil {
+	var r *corpus.Reader
+	if corpusPath != "" {
+		var err error
+		if r, err = corpus.Open(corpusPath); err != nil {
 			log.Fatal(err)
 		}
 		defer r.Close()
+	}
+
+	var (
+		model *mtmlf.Model
+		test  []*workload.LabeledQuery
+		st    mtmlf.TrainStats
+		err   error
+	)
+	if mla {
+		model, st, err = trainMLA(r, snap, ex)
+	} else {
+		model, test, st, err = trainJoint(r, snap, ex)
+	}
+	if errors.Is(err, mtmlf.ErrInterrupted) {
+		fmt.Printf("interrupted: resumable snapshot at %s; rerun with the same flags to finish\n", resumePath)
+		os.Exit(0) // the snapshot holds the progress: "not done yet", not a failure
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if lossOut != "" && isPrimary {
+		if err := writeTrajectory(lossOut, st.Trajectory); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %d-step loss trajectory to %s\n", len(st.Trajectory), lossOut)
+	}
+	if !mla {
+		evaluate(model, test)
+	}
+	if savePath != "" && isPrimary {
+		// Checkpoints commit atomically (temp file + fsync + rename): a
+		// crash mid-save can never leave a torn artifact at -save.
+		save, kind := mtmlf.SaveFile, "full-model"
+		if sharedOnly || mla {
+			save, kind = mtmlf.SaveSharedFile, "shared-only (transfer)"
+		}
+		if err := save(savePath, model); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("saved %s checkpoint to %s\n", kind, savePath)
+	}
+	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// delivered applies -corpus-mode to a corpus source: stream reads its
+// examples from disk one minibatch at a time, inmem materializes them
+// first. The trajectory is bitwise identical either way.
+func delivered(src workload.Source) workload.Source {
+	if corpusMode == "stream" {
+		return src
+	}
+	slice, err := workload.Materialize(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return workload.SliceSource(slice)
+}
+
+// trainJoint is the single-database mode: it trains one model on the
+// synthetic IMDB database generated in memory, or on one database of
+// the -corpus artifact r, and returns it with its held-out test set.
+func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (*mtmlf.Model, []*workload.LabeledQuery, mtmlf.TrainStats, error) {
+	// --- data plane: pick a catalog backend and an example source ---
+	var (
+		cat  catalog.Catalog
+		src  workload.Source
+		test []*workload.LabeledQuery
+	)
+	wcfg := workload.DefaultConfig()
+	if r != nil {
 		var c *corpus.DBCatalog
-		if *dbName != "" {
-			c, err = r.CatalogByName(*dbName)
+		var err error
+		if dbName != "" {
+			c, err = r.CatalogByName(dbName)
 		} else {
 			c, err = r.Catalog(0)
 		}
@@ -221,56 +298,36 @@ func main() {
 			log.Fatal(err)
 		}
 		cat = c
-		ex := c.Examples()
-		n := ex.Len()
+		all := c.Examples()
+		n := all.Len()
 		// The same 85/5/10 split as the in-memory path, expressed as
 		// index ranges over the streamed examples.
 		nTrain := int(float64(n) * 0.85)
 		nVal := int(float64(n) * 0.05)
-		trainSrc, err := workload.SubSource(ex, 0, nTrain)
+		trainSrc, err := workload.SubSource(all, 0, nTrain)
 		if err != nil {
 			log.Fatal(err)
 		}
-		testSrc, err := workload.SubSource(ex, nTrain+nVal, n)
+		testSrc, err := workload.SubSource(all, nTrain+nVal, n)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if test, err = workload.Materialize(testSrc); err != nil {
 			log.Fatal(err)
 		}
-		switch *corpusMode {
-		case "stream":
-			src = trainSrc
-		case "inmem":
-			slice, err := workload.Materialize(trainSrc)
-			if err != nil {
-				log.Fatal(err)
-			}
-			src = workload.SliceSource(slice)
-		default:
-			log.Fatalf("unknown -corpus-mode %q (want stream or inmem)", *corpusMode)
-		}
+		src = delivered(trainSrc)
 		fmt.Printf("corpus %s: db %q, %d examples (%d train, %d test), mode %s\n",
-			*corpusPath, c.Name(), n, src.Len(), len(test), *corpusMode)
+			corpusPath, c.Name(), n, src.Len(), len(test), corpusMode)
 	} else {
-		db := datagen.SyntheticIMDB(*seed, *scale)
-		cat = catalog.NewMemory(db)
-		nGen = *queries
-		genFn = func(gen *workload.Generator, wcfg workload.Config) {
-			fmt.Printf("generating and labeling %d queries...\n", nGen)
-			all := gen.Generate(nGen, wcfg)
-			train, _, testQ := workload.Split(all, 0.85, 0.05)
-			src = workload.SliceSource(train)
-			test = testQ
-		}
+		cat = catalog.NewMemory(datagen.SyntheticIMDB(seed, scale))
 	}
 	db := cat.DB()
 	fmt.Printf("database: %d tables, %d join edges (%d workers)\n", len(db.Tables), len(db.Edges), tensor.Parallelism())
 
-	model := mtmlf.NewModelCat(mtmlf.DefaultConfig(), cat, *seed)
+	model := mtmlf.NewModelCat(mtmlf.DefaultConfig(), cat, seed)
 	loadedFull := false
-	if *loadPath != "" {
-		f, err := os.Open(*loadPath)
+	if loadPath != "" {
+		f, err := os.Open(loadPath)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -285,10 +342,10 @@ func main() {
 			kind = "shared-only"
 		}
 		fmt.Printf("loaded %s checkpoint v%d from %s (trained on db %q)\n",
-			kind, info.Version, *loadPath, info.DBName)
+			kind, info.Version, loadPath, info.DBName)
 	}
 
-	gen := workload.NewGeneratorFrom(cat, *seed+1)
+	gen := workload.NewGeneratorFrom(cat, seed+1)
 	if loadedFull {
 		// The checkpoint already holds trained featurizer weights for
 		// this database; repeating the pre-training would overwrite
@@ -298,30 +355,28 @@ func main() {
 		fmt.Println("pre-training per-table encoders (F module)...")
 		model.Feat.PretrainAll(gen, 40, 2, wcfg)
 	}
-	if genFn != nil {
-		genFn(gen, wcfg)
+	if r == nil {
+		// The in-memory workload draws from the generator after the
+		// encoder pre-training did.
+		fmt.Printf("generating and labeling %d queries...\n", queries)
+		train, _, testQ := workload.Split(gen.Generate(queries, wcfg), 0.85, 0.05)
+		src, test = workload.SliceSource(train), testQ
 	}
 
-	fmt.Printf("joint training (%d epochs, seq-level loss: %v)...\n", *epochs, *seqLoss)
+	fmt.Printf("joint training (%d epochs, seq-level loss: %v)...\n", epochs, seqLoss)
 	st, err := model.TrainJointStream(src, mtmlf.TrainOptions{
-		Epochs: *epochs, Seed: *seed + 2, SeqLevelLoss: *seqLoss, BatchSize: *batch,
-		RecordTrajectory: *lossOut != "", Snapshot: snap, Exchanger: ex,
+		Epochs: epochs, Seed: seed + 2, SeqLevelLoss: seqLoss, BatchSize: batch,
+		RecordTrajectory: lossOut != "", Snapshot: snap, Exchanger: ex,
 	})
-	if errors.Is(err, mtmlf.ErrInterrupted) {
-		exitInterrupted(*resumePath)
+	if err == nil {
+		fmt.Printf("trained %d steps, final running loss %.3f\n", st.Steps, st.FinalLoss)
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("trained %d steps, final running loss %.3f\n", st.Steps, st.FinalLoss)
-	if *lossOut != "" && isPrimary {
-		if err := writeTrajectory(*lossOut, st.Trajectory); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d-step loss trajectory to %s\n", len(st.Trajectory), *lossOut)
-	}
+	return model, test, st, err
+}
 
-	// Evaluate.
+// evaluate prints the model's card and cost q-errors and its
+// join-order quality on the held-out test set.
+func evaluate(model *mtmlf.Model, test []*workload.LabeledQuery) {
 	var cardQ, costQ, joeus []float64
 	for _, lq := range test {
 		cards := model.EstimateNodeCards(lq)
@@ -339,25 +394,6 @@ func main() {
 	fmt.Printf("card q-error:  median %.2f  max %.1f  mean %.2f  (n=%d)\n", cs.Median, cs.Max, cs.Mean, cs.N)
 	fmt.Printf("cost q-error:  median %.2f  max %.1f  mean %.2f\n", os1.Median, os1.Max, os1.Mean)
 	fmt.Printf("join order:    mean JOEU %.2f over %d labeled queries\n", js.Mean, js.N)
-
-	if *savePath != "" && isPrimary {
-		// Checkpoints commit atomically (temp file + fsync + rename): a
-		// crash mid-save can never leave a torn artifact at -save.
-		if *sharedOnly {
-			err = mtmlf.SaveSharedFile(*savePath, model)
-		} else {
-			err = mtmlf.SaveFile(*savePath, model)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *sharedOnly {
-			fmt.Printf("saved shared-only (transfer) checkpoint to %s\n", *savePath)
-		} else {
-			fmt.Printf("saved full-model checkpoint to %s\n", *savePath)
-		}
-	}
-	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 // interruptOnSignal returns a channel closed on the first SIGINT or
@@ -381,36 +417,17 @@ func interruptOnSignal(enabled bool) <-chan struct{} {
 	return stop
 }
 
-// exitInterrupted reports a clean interruption and exits 0: the
-// snapshot holds the run's progress, so to a supervisor this is "not
-// done yet", not a failure.
-func exitInterrupted(resumePath string) {
-	fmt.Printf("interrupted: resumable snapshot at %s; rerun with the same flags to finish\n", resumePath)
-	os.Exit(0)
-}
-
-// trainMLA is the -mla mode: Algorithm 1 fleet pretraining from one
-// corpus artifact. Every database of the corpus joins the pool; the
+// trainMLA is the -mla mode: Algorithm 1 fleet pretraining from the
+// corpus artifact r. Every database of the corpus joins the pool; the
 // featurizers pre-train from the single-table sections when the corpus
 // has them (live fallback otherwise); and the joint loop streams the
-// pooled examples from disk ("stream") or from materialized slices
-// ("inmem") — bitwise-identically either way. With a non-nil ex this
-// process is one rank of a distributed fleet: it prepares every
-// featurizer deterministically like the others, then fetches and
-// backwards only the minibatch slots it owns, exchanging gradients
-// through the coordinator; only the primary rank writes artifacts.
-func trainMLA(corpusPath, corpusMode string, epochs, encEpochs, stPerTable, batch int, seed int64, savePath, lossOut string, snap mtmlf.SnapshotOptions, ex dist.Exchanger, isPrimary bool) {
-	if corpusPath == "" {
-		log.Fatal("-mla requires -corpus (a fleet artifact written by mtmlf-datagen -single-table)")
-	}
-	if corpusMode != "stream" && corpusMode != "inmem" {
-		log.Fatalf("unknown -corpus-mode %q (want stream or inmem)", corpusMode)
-	}
-	r, err := corpus.Open(corpusPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer r.Close()
+// pooled examples as -corpus-mode delivers them, bitwise-identically
+// either way. With a non-nil ex this process is one rank of a
+// distributed fleet: it prepares every featurizer deterministically
+// like the others, then fetches and backwards only the minibatch slots
+// it owns, exchanging gradients through the coordinator. It returns
+// database 0's model, whose shared modules are the transfer artifact.
+func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (*mtmlf.Model, mtmlf.TrainStats, error) {
 	if r.NumDBs() == 0 {
 		log.Fatalf("corpus %s holds no databases; nothing to pretrain on", corpusPath)
 	}
@@ -423,17 +440,8 @@ func trainMLA(corpusPath, corpusMode string, epochs, encEpochs, stPerTable, batc
 			log.Fatal(err)
 		}
 		cats[i] = c
-		ex := c.Examples()
-		if corpusMode == "inmem" {
-			slice, err := workload.Materialize(ex)
-			if err != nil {
-				log.Fatal(err)
-			}
-			srcs[i] = workload.SliceSource(slice)
-		} else {
-			srcs[i] = ex
-		}
-		total += ex.Len()
+		srcs[i] = delivered(c.Examples())
+		total += srcs[i].Len()
 	}
 	// The MLA seed is the corpus's generation seed, so this run
 	// reproduces the in-memory TrainMLA over the same fleet bitwise;
@@ -444,48 +452,30 @@ func trainMLA(corpusPath, corpusMode string, epochs, encEpochs, stPerTable, batc
 	// exact draws of generation time; -st-per-table and the default
 	// workload config only apply to corpora not generated for MLA.
 	meta := r.Meta()
-	mlaSeed := meta.Seed
-	wcfg := workload.DefaultConfig()
+	wcfg, perTable := workload.DefaultConfig(), stPerTable
 	if meta.SingleTablePerTable > 0 {
-		wcfg = meta.MLAWorkload
-		stPerTable = meta.SingleTablePerTable
+		wcfg, perTable = meta.MLAWorkload, meta.SingleTablePerTable
 	}
 	fmt.Printf("corpus %s (v%d): %d databases, %d pooled examples, mla seed %d, mode %s\n",
-		corpusPath, r.Version(), r.NumDBs(), total, mlaSeed, corpusMode)
+		corpusPath, r.Version(), r.NumDBs(), total, meta.Seed, corpusMode)
 
-	shared := mtmlf.NewShared(mtmlf.DefaultConfig(), seed)
-	opts := mtmlf.MLAOptions{
-		SingleTablePerTable: stPerTable,
+	fmt.Printf("fleet pretraining: (F) per DB, then joint (S)+(T) over the pooled stream (%d epochs)...\n", epochs)
+	tasks, st, err := mtmlf.TrainMLAStream(mtmlf.NewShared(mtmlf.DefaultConfig(), seed), cats, srcs, mtmlf.MLAOptions{
+		SingleTablePerTable: perTable,
 		EncoderEpochs:       encEpochs,
 		JointEpochs:         epochs,
 		Workload:            wcfg,
-		Seed:                mlaSeed,
+		Seed:                meta.Seed,
 		BatchSize:           batch,
 		RecordTrajectory:    lossOut != "",
 		Snapshot:            snap,
 		Exchanger:           ex,
-	}
-	fmt.Printf("fleet pretraining: (F) per DB, then joint (S)+(T) over the pooled stream (%d epochs)...\n", epochs)
-	tasks, st, err := mtmlf.TrainMLAStream(shared, cats, srcs, opts)
-	if errors.Is(err, mtmlf.ErrInterrupted) {
-		exitInterrupted(snap.Path)
-	}
+	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, st, err
 	}
 	fmt.Printf("pretrained on %d databases: %d steps, final running loss %.3f\n", len(tasks), st.Steps, st.FinalLoss)
-	if lossOut != "" && isPrimary {
-		if err := writeTrajectory(lossOut, st.Trajectory); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d-step loss trajectory to %s\n", len(st.Trajectory), lossOut)
-	}
-	if savePath != "" && isPrimary {
-		if err := mtmlf.SaveSharedFile(savePath, tasks[0].Model); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("saved shared-only (transfer) checkpoint to %s\n", savePath)
-	}
+	return tasks[0].Model, st, nil
 }
 
 // runCoordinator is the -dist-coordinator mode: a model-free hub that

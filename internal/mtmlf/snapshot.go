@@ -260,7 +260,8 @@ func (c *epochCtl) stopRequested(batches int) bool {
 // a run described by meta (progress fields ignored on input). When
 // resuming, it restores params, opt, and *st from the snapshot at
 // snap.Path and positions the controller mid-run; a missing file is a
-// fresh start. Returns nil when the options are disabled.
+// fresh start. With the options disabled it returns the zero
+// controller: start at the beginning, never snapshot, never stop.
 //
 // Snapshots are topology-aware but topology-free: in a distributed
 // run only rank 0 persists (one snapshot file per job, not one per
@@ -272,7 +273,7 @@ func (c *epochCtl) stopRequested(batches int) bool {
 // snapshot taken at one worker count resumes at another.
 func prepareSnapshots(ex dist.Exchanger, snap SnapshotOptions, meta snapshotMeta, opt *nn.Adam, params []*ag.Value, st *TrainStats) (*epochCtl, error) {
 	if !snap.enabled() {
-		return nil, nil
+		return &epochCtl{}, nil
 	}
 	world, rank := ex.World()
 	ctl := &epochCtl{every: snap.Every, interrupt: snap.Interrupt, interruptAfter: snap.InterruptAfter}

@@ -19,7 +19,7 @@ import (
 // Streaming epoch iterator
 // ---------------------------------------------------------------------------
 
-// runEpochs is the streaming epoch iterator every training loop runs
+// runEpochs is the streaming epoch iterator the training loop runs
 // on: a seeded shuffle over n example indices per epoch, cut into
 // minibatches. For each minibatch it first calls prefetch (which may
 // pull the examples from any workload.Source — in-memory slice or
@@ -31,18 +31,10 @@ import (
 // reduction on slot order (never on worker count, process count, or
 // goroutine scheduling), the trajectory is bitwise identical for every
 // worker count, every fleet size, and every source backend.
-func runEpochs(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, epochs, bs, nWorkers int, seed int64,
-	prefetch func(batch []int) error,
-	build func(slot, example int) *ag.Value,
-	after func(loss float64)) error {
-	return runEpochsCtl(ex, opt, params, n, epochs, bs, nWorkers, seed, prefetch, build, after, nil)
-}
-
-// runEpochsCtl is runEpochs with a durability controller: ctl (may be
-// nil) positions the loop mid-run on resume, snapshots the training
+//
+// ctl positions the loop mid-run on resume, snapshots the training
 // state at minibatch boundaries, and stops cooperatively on
 // interruption (returning ErrInterrupted after a final snapshot).
-//
 // Resume replays the shuffle deterministically: the rng's only draws
 // are one Perm per epoch, so skipping ctl.startEpoch epochs re-derives
 // the exact stream position, and starting the current epoch at
@@ -59,49 +51,34 @@ func runEpochs(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, epochs, b
 // identical reduced gradient and loss vector — so ctl's snapshot
 // cadence and interrupt decisions land on the same minibatch boundary
 // fleet-wide.
-func runEpochsCtl(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, epochs, bs, nWorkers int, seed int64,
+func runEpochs(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, epochs, bs, nWorkers int, seed int64, ctl *epochCtl,
 	prefetch func(batch []int) error,
-	build func(slot, example int) *ag.Value,
-	after func(loss float64),
-	ctl *epochCtl) error {
+	build func(slot int) *ag.Value,
+	after func(loss float64)) error {
 	rng := rand.New(rand.NewSource(seed))
 	slots := make([]ag.Grads, bs)
 	losses := make([]float64, bs)
 	batches := 0
 	for ep := 0; ep < epochs; ep++ {
 		order := rng.Perm(n)
+		if ep < ctl.startEpoch {
+			continue // consumed only to advance the rng stream
+		}
 		first := 0
-		if ctl != nil {
-			if ep < ctl.startEpoch {
-				continue // consumed only to advance the rng stream
-			}
-			if ep == ctl.startEpoch {
-				first = ctl.startOffset
-			}
+		if ep == ctl.startEpoch {
+			first = ctl.startOffset
 		}
 		for start := first; start < len(order); start += bs {
-			end := start + bs
-			if end > len(order) {
-				end = len(order)
-			}
+			end := min(start+bs, len(order))
 			batch := order[start:end]
-			if prefetch != nil {
-				if err := prefetch(batch); err != nil {
-					return err
-				}
-			}
-			if err := runMinibatch(ex, opt, params, len(batch), nWorkers, slots, losses, func(i int) *ag.Value {
-				return build(i, batch[i])
-			}); err != nil {
+			if err := prefetch(batch); err != nil {
 				return err
 			}
-			if after != nil {
-				for i := range batch {
-					after(losses[i])
-				}
+			if err := runMinibatch(ex, opt, params, len(batch), nWorkers, slots, losses, build); err != nil {
+				return err
 			}
-			if ctl == nil {
-				continue
+			for i := range batch {
+				after(losses[i])
 			}
 			batches++
 			// Normalize a finished epoch to {ep+1, 0} so the resume
@@ -123,34 +100,6 @@ func runEpochsCtl(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, epochs
 		}
 	}
 	return nil
-}
-
-// fetchInto pulls one minibatch's examples into dst, worker-parallel
-// for storage-backed sources (decode is real work there); the
-// in-memory slice source is just indexed. A distributed rank fetches
-// only the slots it owns — for a corpus-backed source that means each
-// rank reads and decodes only its slice of the stream, which is what
-// makes fleet pretraining scale I/O as well as compute.
-func fetchInto(src workload.Source, batch []int, dst []*workload.LabeledQuery, world, rank int) error {
-	if ss, ok := src.(workload.SliceSource); ok {
-		for j, gi := range batch {
-			if !dist.Owns(world, rank, j) {
-				dst[j] = nil
-				continue
-			}
-			dst[j] = ss[gi]
-		}
-		return nil
-	}
-	return parallel.ForErr(len(batch), 1, func(j int) error {
-		if !dist.Owns(world, rank, j) {
-			dst[j] = nil
-			return nil
-		}
-		var err error
-		dst[j], err = src.Example(batch[j])
-		return err
-	})
 }
 
 // TrainOptions controls joint training.
@@ -227,11 +176,9 @@ type TrainStats struct {
 	Trajectory []float64
 }
 
-// recordInto returns the per-example stats hook every streaming
-// trainer passes to runEpochs — the 0.95/0.05 EMA running loss, the
-// step count, and the optional bitwise trajectory. One definition, so
-// the eps=0 cross-path equivalence probes always compare identically
-// computed stats.
+// recordInto returns the per-example stats hook the training loop
+// passes to runEpochs — the 0.95/0.05 EMA running loss, the step
+// count, and the optional bitwise trajectory.
 func recordInto(st *TrainStats, trajectory bool) func(float64) {
 	return func(loss float64) {
 		st.FinalLoss = 0.95*st.FinalLoss + 0.05*loss
@@ -242,54 +189,20 @@ func recordInto(st *TrainStats, trajectory bool) func(float64) {
 	}
 }
 
-// batchBackward computes per-example losses and gradients for one
-// minibatch of n examples using up to nWorkers concurrent workers
-// drawn from the shared bounded pool (so -workers stays a global
-// concurrency bound even when training nests inside other parallel
-// work). build(i) must construct the i-th example's loss graph;
-// workers share the model parameters read-only and accumulate
-// gradients into private per-example buffers (slots[i]). Examples
-// are strided to workers by index and reduced by the caller in index
-// order, so the result is independent of both nWorkers and goroutine
-// scheduling.
-func batchBackward(n, nWorkers int, slots []ag.Grads, losses []float64, build func(i int) *ag.Value) {
-	run := func(i int) {
-		sink := ag.Grads{}
-		loss := build(i)
-		loss.BackwardInto(sink)
-		slots[i] = sink
-		losses[i] = loss.Item()
-	}
-	if nWorkers > n {
-		nWorkers = n
-	}
-	if nWorkers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	fs := make([]func(), nWorkers)
-	for w := 0; w < nWorkers; w++ {
-		w := w
-		fs[w] = func() {
-			for i := w; i < n; i += nWorkers {
-				run(i)
-			}
-		}
-	}
-	parallel.Do(fs...)
-}
-
-// ownedBackward is batchBackward for one rank of a distributed fleet:
-// it computes only the slots this rank owns (slot i belongs to rank
-// i mod world — examples stride across ranks exactly like they stride
-// across in-process workers), leaving every other slot nil for
-// AllReduce to fill in from the other ranks. Owned slots still fan out
-// over nWorkers in-process workers, so a rank parallelizes its share
-// of the minibatch the same way a single-process run parallelizes the
-// whole one.
-func ownedBackward(world, rank, n, nWorkers int, slots []ag.Grads, losses []float64, build func(i int) *ag.Value) {
+// backward computes per-example losses and gradients for the slots of
+// an n-example minibatch that rank owns (slot i belongs to rank i mod
+// world — examples stride across ranks exactly like they stride across
+// in-process workers), leaving every other slot nil for AllReduce to
+// fill in from the other ranks; at world 1 the rank owns every slot.
+// The owned slots fan out over up to nWorkers concurrent workers drawn
+// from the shared bounded pool (so -workers stays a global concurrency
+// bound even when training nests inside other parallel work).
+// build(i) must construct the i-th example's loss graph; workers share
+// the model parameters read-only and accumulate gradients into private
+// per-example buffers (slots[i]). Examples are strided to workers by
+// index and reduced by the caller in index order, so the result is
+// independent of both nWorkers and goroutine scheduling.
+func backward(world, rank, n, nWorkers int, slots []ag.Grads, losses []float64, build func(i int) *ag.Value) {
 	owned := make([]int, 0, n/world+1)
 	for i := 0; i < n; i++ {
 		slots[i] = nil
@@ -347,11 +260,7 @@ func runMinibatch(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, nWorke
 		losses[0] = loss.Item()
 		return nil
 	}
-	if world <= 1 {
-		batchBackward(n, nWorkers, slots, losses, build)
-	} else {
-		ownedBackward(world, rank, n, nWorkers, slots, losses, build)
-	}
+	backward(world, rank, n, nWorkers, slots, losses, build)
 	opt.ZeroGrad()
 	if err := ex.AllReduce(params, slots[:n], losses[:n], 1/float64(n)); err != nil {
 		return err
@@ -360,16 +269,21 @@ func runMinibatch(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, nWorke
 	return nil
 }
 
-// jointLoss builds the Equation 1 loss graph for one labeled query.
-func (m *Model) jointLoss(lq *workload.LabeledQuery, seqLevel bool) *ag.Value {
+// exampleLoss builds the Equation 1 loss graph for one labeled query:
+// the weighted card, cost and join-order terms, each left out when its
+// weight is zero (the single-task ablations) and the join-order term
+// also when the query has no order to learn. seqLevel switches that
+// term from the token-level cross-entropy to the Equation 3
+// sequence-level loss (Section 5).
+func (m *Model) exampleLoss(lq *workload.LabeledQuery, seqLevel bool) *ag.Value {
 	cfg := m.Shared.Cfg
 	rep := m.Represent(lq.Q, lq.Plan)
-	loss := ag.Scalar(0)
+	terms := make([]*ag.Value, 0, 3)
 	if cfg.WCard > 0 {
-		loss = ag.Add(loss, ag.Scale(m.CardLoss(rep, lq), cfg.WCard))
+		terms = append(terms, ag.Scale(m.CardLoss(rep, lq), cfg.WCard))
 	}
 	if cfg.WCost > 0 {
-		loss = ag.Add(loss, ag.Scale(m.CostLoss(rep, lq), cfg.WCost))
+		terms = append(terms, ag.Scale(m.CostLoss(rep, lq), cfg.WCost))
 	}
 	if cfg.WJo > 0 && len(lq.OptimalOrder) >= 2 {
 		var jo *ag.Value
@@ -378,9 +292,68 @@ func (m *Model) jointLoss(lq *workload.LabeledQuery, seqLevel bool) *ag.Value {
 		} else {
 			jo = m.JoinOrderTokenLoss(rep, lq.OptimalOrder)
 		}
-		loss = ag.Add(loss, ag.Scale(jo, cfg.WJo))
+		terms = append(terms, ag.Scale(jo, cfg.WJo))
+	}
+	if len(terms) == 0 {
+		return ag.Scalar(0)
+	}
+	loss := terms[0]
+	for _, t := range terms[1:] {
+		loss = ag.Add(loss, t)
 	}
 	return loss
+}
+
+// trainLoop is the one training loop: Equation 1 over a pool of
+// (model, source) pairs — Algorithm 1 lines 7–8 over a fleet, or one
+// database's joint training as a pool of one. models[i] and srcs[i]
+// describe the same database, and every model shares shared's (S)+(T)
+// modules, the only parameters the loop updates. The sources are
+// pooled under one deterministic global index order (all of srcs[0],
+// then srcs[1], …), shuffled by opts.Seed and streamed through
+// runEpochs: each minibatch's examples that this rank owns are fetched
+// worker-parallel just before use and dropped after, so the pooled
+// workload is never materialized. kind and config name the run in its
+// snapshots, which resume only into a run that names them the same.
+func trainLoop(shared *Shared, models []*Model, srcs []workload.Source, opts TrainOptions, lr float64, kind, config string) (TrainStats, error) {
+	pool := workload.Concat(srcs...)
+	params := shared.Params()
+	opt := nn.NewAdam(params, lr)
+	bs := opts.batchSize()
+	ex := opts.exchanger()
+	world, rank := ex.World()
+	var st TrainStats
+	ctl, err := prepareSnapshots(ex, opts.Snapshot, snapshotMeta{
+		Kind: kind, Config: config,
+		N: pool.Len(), Epochs: opts.Epochs, BatchSize: bs, Seed: opts.Seed,
+	}, opt, params, &st)
+	if err != nil {
+		return st, err
+	}
+	type sample struct {
+		m  *Model
+		lq *workload.LabeledQuery
+	}
+	cur := make([]sample, bs)
+	err = runEpochs(ex, opt, params, pool.Len(), opts.Epochs, bs, opts.workers(), opts.Seed, ctl,
+		func(batch []int) error {
+			return parallel.ForErr(len(batch), 1, func(j int) error {
+				if !dist.Owns(world, rank, j) {
+					cur[j] = sample{}
+					return nil
+				}
+				d, local, err := pool.Locate(batch[j])
+				if err != nil {
+					return err
+				}
+				lq, err := srcs[d].Example(local)
+				cur[j] = sample{models[d], lq}
+				return err
+			})
+		},
+		func(slot int) *ag.Value { return cur[slot].m.exampleLoss(cur[slot].lq, opts.SeqLevelLoss) },
+		recordInto(&st, opts.RecordTrajectory))
+	return st, err
 }
 
 // TrainJoint trains the (S) and (T) modules jointly on all three tasks
@@ -405,38 +378,17 @@ func (m *Model) TrainJoint(train []*workload.LabeledQuery, opts TrainOptions) Tr
 
 // TrainJointStream is TrainJoint over any workload.Source: the
 // in-memory slice backend, an on-disk corpus (corpus.Reader.Examples)
-// or any future example producer. Each minibatch's examples are
-// fetched worker-parallel just before use and dropped after, so the
-// corpus may exceed RAM. The trajectory is bitwise identical to the
+// or any future example producer. It is the training loop over a pool
+// of one database, so the trajectory is bitwise identical to the
 // in-memory path on the same example set — the source only changes
 // where bytes come from, never what the optimizer sees.
 func (m *Model) TrainJointStream(src workload.Source, opts TrainOptions) (TrainStats, error) {
-	cfg := m.Shared.Cfg
-	lr := cfg.LR
+	lr := m.Shared.Cfg.LR
 	if opts.LR > 0 {
 		lr = opts.LR
 	}
-	bs := opts.batchSize()
-	params := m.Shared.Params()
-	opt := nn.NewAdam(params, lr)
-	ex := opts.exchanger()
-	world, rank := ex.World()
-	var st TrainStats
-	after := recordInto(&st, opts.RecordTrajectory)
-	ctl, err := prepareSnapshots(ex, opts.Snapshot, snapshotMeta{
-		Kind:   "joint",
-		Config: fmt.Sprintf("seqlevel=%v lr=%v trajectory=%v", opts.SeqLevelLoss, lr, opts.RecordTrajectory),
-		N:      src.Len(), Epochs: opts.Epochs, BatchSize: bs, Seed: opts.Seed,
-	}, opt, params, &st)
-	if err != nil {
-		return st, err
-	}
-	cur := make([]*workload.LabeledQuery, bs)
-	err = runEpochsCtl(ex, opt, params, src.Len(), opts.Epochs, bs, opts.workers(), opts.Seed,
-		func(batch []int) error { return fetchInto(src, batch, cur, world, rank) },
-		func(slot, _ int) *ag.Value { return m.jointLoss(cur[slot], opts.SeqLevelLoss) },
-		after, ctl)
-	return st, err
+	return trainLoop(m.Shared, []*Model{m}, []workload.Source{src}, opts, lr,
+		"joint", fmt.Sprintf("seqlevel=%v lr=%v trajectory=%v", opts.SeqLevelLoss, lr, opts.RecordTrajectory))
 }
 
 // ---------------------------------------------------------------------------
@@ -492,46 +444,30 @@ type MLAOptions struct {
 	Exchanger dist.Exchanger
 }
 
-func (o MLAOptions) exchanger() dist.Exchanger {
-	if o.Exchanger == nil {
-		return dist.Local()
-	}
-	return o.Exchanger
-}
-
 // taskSeed derives database i's task seed from the MLA master seed —
 // the one seed scheme NewDBTask, TrainMLAStream's live-pretrain
 // fallback, and GenMLAData all share, so a corpus written from
 // GenMLAData trains bitwise-identically to the live in-memory run.
 func (o MLAOptions) taskSeed(i int) int64 { return o.Seed + int64(i)*101 }
 
-// TrainMLA runs Algorithm 1: for each database it trains the
-// single-table encoders and builds a labeled workload (lines 3–6),
-// then trains the shared (S) and (T) modules on the pooled, shuffled
-// examples (lines 7–8). It returns the per-DB tasks so callers can
-// evaluate the shared modules on each database or attach a new one,
-// plus the joint loop's TrainStats (final running loss, steps, and —
-// with MLAOptions.RecordTrajectory — every pooled example's loss).
-// The error is the epoch iterator's: in-memory slice sources never
-// fail, but the shared joint loop is the same one the corpus-backed
-// path streams I/O through, and a half-trained model must never be
-// mistaken for a trained one.
-//
-// Per-DB preparation (encoder pre-training, workload labeling) is
-// independent across databases and fans out over the worker pool;
-// the joint loop is minibatch data-parallel like TrainJoint, with
-// the same worker-count-independent gradient reduction.
+// TrainMLA runs Algorithm 1 over in-memory databases: for each
+// database it trains the single-table encoders and builds a labeled
+// workload (lines 3–6, NewDBTask), then trains the shared (S) and (T)
+// modules on the pooled, shuffled examples (lines 7–8). It returns the
+// per-DB tasks so callers can evaluate the shared modules on each
+// database or attach a new one, plus the joint loop's TrainStats
+// (final running loss, steps, and — with MLAOptions.RecordTrajectory —
+// every pooled example's loss). Per-DB preparation is independent
+// across databases and fans out over the worker pool.
 func TrainMLA(shared *Shared, dbs []*sqldb.DB, opts MLAOptions) ([]*DBTask, TrainStats, error) {
 	tasks := make([]*DBTask, len(dbs))
+	srcs := make([]workload.Source, len(dbs))
 	parallel.For(len(dbs), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			tasks[i] = NewDBTask(shared, dbs[i], opts, opts.taskSeed(i))
+			srcs[i] = workload.SliceSource(tasks[i].Queries)
 		}
 	})
-	srcs := make([]workload.Source, len(tasks))
-	for i, t := range tasks {
-		srcs[i] = workload.SliceSource(t.Queries)
-	}
 	st, err := trainMLAJoint(shared, tasks, srcs, opts)
 	return tasks, st, err
 }
@@ -548,12 +484,11 @@ func TrainMLA(shared *Shared, dbs []*sqldb.DB, opts MLAOptions) ([]*DBTask, Trai
 // data comes from the catalog's cached corpus v2 section when present
 // (SingleTable) and is otherwise regenerated live from the task seed
 // — both bitwise-identical to the in-memory path. The joint loop then
-// pools the sources under one deterministic global index order
-// (workload.Concat: all of srcs[0], then srcs[1], …) and streams
-// minibatches through the shared epoch iterator, so the pooled fleet
-// workload is NEVER materialized and the trajectory and final shared
+// streams the pooled sources one minibatch at a time, so the fleet
+// workload is never materialized, and the trajectory and final shared
 // parameters are bitwise identical to TrainMLA on the same data at
-// any worker count.
+// any worker count. The error is the epoch iterator's or a source's:
+// a half-trained model must never be mistaken for a trained one.
 func TrainMLAStream(shared *Shared, cats []catalog.Catalog, srcs []workload.Source, opts MLAOptions) ([]*DBTask, TrainStats, error) {
 	if len(cats) != len(srcs) {
 		return nil, TrainStats{}, fmt.Errorf("mtmlf: %d catalogs but %d example sources", len(cats), len(srcs))
@@ -573,6 +508,21 @@ func TrainMLAStream(shared *Shared, cats []catalog.Catalog, srcs []workload.Sour
 	return tasks, st, err
 }
 
+// trainMLAJoint is Algorithm 1 lines 7–8: the training loop over the
+// tasks' pooled sources, with the token-level join-order loss and the
+// config's learning rate.
+func trainMLAJoint(shared *Shared, tasks []*DBTask, srcs []workload.Source, opts MLAOptions) (TrainStats, error) {
+	models := make([]*Model, len(tasks))
+	for i, t := range tasks {
+		models[i] = t.Model
+	}
+	lr := shared.Cfg.LR
+	return trainLoop(shared, models, srcs, TrainOptions{
+		Epochs: opts.JointEpochs, Seed: opts.Seed, BatchSize: opts.BatchSize, Workers: opts.Workers,
+		RecordTrajectory: opts.RecordTrajectory, Snapshot: opts.Snapshot, Exchanger: opts.Exchanger,
+	}, lr, "mla", fmt.Sprintf("lr=%v trajectory=%v", lr, opts.RecordTrajectory))
+}
+
 // singleTabler is implemented by catalog backends that carry cached
 // encoder pre-training data (corpus v2's per-DB single-table
 // section). ok=false means "generate it live instead".
@@ -580,11 +530,19 @@ type singleTabler interface {
 	SingleTable() (data []workload.TableWorkload, ok bool, err error)
 }
 
-// newDBTaskFrom prepares one database for the streaming MLA path: the
-// featurizer is initialized and pre-trained exactly like NewDBTask's,
-// but the multi-table workload is left to the caller's Source (the
-// task's Queries stay nil) and the single-table data is loaded from
-// the catalog's corpus section when it has one.
+// newDBTaskFrom prepares one database's featurizer: initialized from
+// the fleet-wide seed and pre-trained on the catalog's cached
+// single-table section when it has one, or on a live draw from the
+// task's generator otherwise. The multi-table workload is left to the
+// caller (the task's Queries stay nil).
+//
+// Every database's featurizer is initialized from the SAME seed
+// (derived from opts.Seed, not the per-DB seed): the provider ships a
+// canonical encoder initialization alongside the pre-trained (S)+(T)
+// modules, so that independently pre-trained per-table encoders live
+// in roughly aligned embedding spaces. Without this, each DB's Enc_i
+// would occupy an arbitrary rotation of feature space and the shared
+// modules could not extrapolate across DBs.
 func newDBTaskFrom(shared *Shared, cat catalog.Catalog, opts MLAOptions, seed int64) (*DBTask, error) {
 	model := &Model{Shared: shared, Feat: featurize.NewFrom(cat, shared.Cfg.Feat, opts.Seed+7)}
 	gen := workload.NewGeneratorFrom(cat, seed)
@@ -600,81 +558,15 @@ func newDBTaskFrom(shared *Shared, cat catalog.Catalog, opts MLAOptions, seed in
 	}
 	if data == nil {
 		// No cached section (v1 corpus, or a backend that never stores
-		// one): regenerate live. The draws are the prefix of the same
-		// rng stream NewDBTask consumes, so the encoders come out
-		// bitwise identical either way.
+		// one): draw it live — the prefix of the same rng stream the
+		// generator then labels the workload from, so the encoders come
+		// out bitwise identical either way.
 		data = gen.GenPretrainSet(opts.SingleTablePerTable, opts.Workload)
 	}
 	if _, err := model.Feat.PretrainAllFrom(data, opts.EncoderEpochs); err != nil {
 		return nil, err
 	}
 	return &DBTask{DB: cat.DB(), Gen: gen, Model: model}, nil
-}
-
-// mlaLoss is the Algorithm 1 per-example loss: Equation 1 with the
-// token-level join-order term, built against the example's own
-// database task (its featurizer) and the shared modules.
-func mlaLoss(t *DBTask, lq *workload.LabeledQuery) *ag.Value {
-	m := t.Model
-	cfg := m.Shared.Cfg
-	rep := m.Represent(lq.Q, lq.Plan)
-	loss := ag.Scale(m.CardLoss(rep, lq), cfg.WCard)
-	loss = ag.Add(loss, ag.Scale(m.CostLoss(rep, lq), cfg.WCost))
-	if cfg.WJo > 0 && len(lq.OptimalOrder) >= 2 {
-		loss = ag.Add(loss, ag.Scale(m.JoinOrderTokenLoss(rep, lq.OptimalOrder), cfg.WJo))
-	}
-	return loss
-}
-
-// trainMLAJoint is Algorithm 1 lines 7–8 over any source backend: the
-// per-DB sources are pooled under one deterministic global index
-// order (task order, each task's example order — exactly how the
-// in-memory path appended its pool), shuffled by seed, and streamed
-// through the shared epoch iterator. Each minibatch's (db, example)
-// pairs are fetched worker-parallel just before use and dropped
-// after, so only minibatch-sized state is ever live.
-func trainMLAJoint(shared *Shared, tasks []*DBTask, srcs []workload.Source, opts MLAOptions) (TrainStats, error) {
-	pool := workload.Concat(srcs...)
-	topts := TrainOptions{BatchSize: opts.BatchSize, Workers: opts.Workers}
-	params := shared.Params()
-	opt := nn.NewAdam(params, shared.Cfg.LR)
-	bs := topts.batchSize()
-	type sample struct {
-		task *DBTask
-		lq   *workload.LabeledQuery
-	}
-	cur := make([]sample, bs)
-	ex := opts.exchanger()
-	world, rank := ex.World()
-	var st TrainStats
-	after := recordInto(&st, opts.RecordTrajectory)
-	ctl, err := prepareSnapshots(ex, opts.Snapshot, snapshotMeta{
-		Kind:   "mla",
-		Config: fmt.Sprintf("lr=%v trajectory=%v", shared.Cfg.LR, opts.RecordTrajectory),
-		N:      pool.Len(), Epochs: opts.JointEpochs, BatchSize: bs, Seed: opts.Seed,
-	}, opt, params, &st)
-	if err != nil {
-		return st, err
-	}
-	err = runEpochsCtl(ex, opt, params, pool.Len(), opts.JointEpochs, bs, topts.workers(), opts.Seed,
-		func(batch []int) error {
-			return parallel.ForErr(len(batch), 1, func(j int) error {
-				if !dist.Owns(world, rank, j) {
-					cur[j] = sample{}
-					return nil
-				}
-				d, local, err := pool.Locate(batch[j])
-				if err != nil {
-					return err
-				}
-				lq, err := srcs[d].Example(local)
-				cur[j] = sample{tasks[d], lq}
-				return err
-			})
-		},
-		func(slot, _ int) *ag.Value { return mlaLoss(cur[slot].task, cur[slot].lq) },
-		after, ctl)
-	return st, err
 }
 
 // GenMLAData generates one database's Algorithm 1 training data in
@@ -692,29 +584,19 @@ func GenMLAData(cat catalog.Catalog, opts MLAOptions, dbIndex int) ([]workload.T
 	return st, gen.Generate(opts.QueriesPerDB, opts.Workload)
 }
 
-// NewDBTask prepares one database for MLA or transfer: analyzing it,
-// pre-training its (F) encoders, and labeling a workload.
-//
-// Every database's featurizer is initialized from the SAME seed
-// (derived from opts.Seed, not the per-DB seed): the provider ships a
-// canonical encoder initialization alongside the pre-trained (S)+(T)
-// modules, so that independently pre-trained per-table encoders live
-// in roughly aligned embedding spaces. Without this, each DB's Enc_i
-// would occupy an arbitrary rotation of feature space and the shared
-// modules could not extrapolate across DBs.
+// NewDBTask prepares one in-memory database for MLA or transfer:
+// analyzing it (one catalog, so the generator and the featurizer share
+// a single ANALYZE pass), pre-training its (F) encoders as
+// newDBTaskFrom does, and labeling a workload from the same generator.
 func NewDBTask(shared *Shared, db *sqldb.DB, opts MLAOptions, seed int64) *DBTask {
-	// One catalog per task: the generator and the featurizer share a
-	// single ANALYZE pass over the database.
-	cat := catalog.NewMemory(db)
-	gen := workload.NewGeneratorFrom(cat, seed)
-	model := &Model{Shared: shared, Feat: featurize.NewFrom(cat, shared.Cfg.Feat, opts.Seed+7)}
-	model.Feat.PretrainAll(gen, opts.SingleTablePerTable, opts.EncoderEpochs, opts.Workload)
-	return &DBTask{
-		DB:      db,
-		Gen:     gen,
-		Model:   model,
-		Queries: gen.Generate(opts.QueriesPerDB, opts.Workload),
+	t, err := newDBTaskFrom(shared, catalog.NewMemory(db), opts, seed)
+	if err != nil {
+		// Unreachable: the pre-training set was drawn from this
+		// database's own table list.
+		panic(err)
 	}
+	t.Queries = t.Gen.Generate(opts.QueriesPerDB, opts.Workload)
+	return t
 }
 
 // FineTune adapts a pre-trained Shared to a new database's workload

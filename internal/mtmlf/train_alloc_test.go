@@ -13,7 +13,7 @@ import (
 )
 
 // TestTrainStepAllocCeiling pins what one warm training example costs
-// the allocator: Algorithm 1's per-example loss graph (mlaLoss) and its
+// the allocator: Algorithm 1's per-example loss graph (exampleLoss) and its
 // backward pass into a private sink, the work every data-parallel
 // worker does per slot, summed over 8 queries. Every op still allocates
 // its *Value, result tensor and backward closure, and every gradient
@@ -34,16 +34,15 @@ func TestTrainStepAllocCeiling(t *testing.T) {
 	)
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	m, qs := tinySetup(t, 80, 8)
-	task := &DBTask{Model: m}
 	var allocs, bytes float64
 	for _, lq := range qs {
-		pass := func() { mlaLoss(task, lq).BackwardInto(ag.Grads{}) }
+		pass := func() { m.exampleLoss(lq, false).BackwardInto(ag.Grads{}) }
 		pass() // warm the eval session Represent draws from
 		a, b := allocsPerRun(20, pass)
 		allocs += a
 		bytes += b
 	}
-	t.Logf("8 warm mlaLoss + BackwardInto passes: %.0f allocations, %.0f bytes (ceilings %d, %d)",
+	t.Logf("8 warm exampleLoss + BackwardInto passes: %.0f allocations, %.0f bytes (ceilings %d, %d)",
 		allocs, bytes, allocCeiling, byteCeiling)
 	if allocs > allocCeiling {
 		t.Errorf("8 warm training examples allocate %.0f times, ceiling %d", allocs, allocCeiling)

@@ -4,7 +4,8 @@
 # — streaming examples from disk and fully materialized in memory,
 # plus a 4-worker streaming run — and asserts all three loss
 # trajectories are BYTE-IDENTICAL (the trajectories are written as hex
-# float64s, so cmp is a bitwise assertion). Run via `make
+# float64s, so cmp is a bitwise assertion). First it checks that
+# mtmlf-train refuses -db and -corpus-mode without -corpus. Run via `make
 # corpus-smoke`; CI runs it on every push and uploads the corpus
 # artifact.
 set -euo pipefail
@@ -20,6 +21,15 @@ SEED=5
 echo "== building binaries"
 go build -o "$TMP/mtmlf-datagen" ./cmd/mtmlf-datagen
 go build -o "$TMP/mtmlf-train" ./cmd/mtmlf-train
+
+echo "== refusing corpus flags without -corpus"
+for flags in "-db imdb" "-corpus-mode inmem"; do
+    # shellcheck disable=SC2086 # $flags is a flag and its value
+    if "$TMP/mtmlf-train" $flags -queries 4 -epochs 1 -scale 0.02 >"$TMP/refuse.out" 2>&1; then
+        echo "FAIL: mtmlf-train $flags without -corpus trained instead of refusing"; exit 1
+    fi
+    grep -q -- "without -corpus" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
+done
 
 echo "== generating a tiny labeled corpus"
 "$TMP/mtmlf-datagen" -n 2 -seed "$SEED" -minrows 60 -maxrows 120 \
