@@ -24,8 +24,9 @@ import (
 // minibatches. For each minibatch it first calls prefetch (which may
 // pull the examples from any workload.Source — in-memory slice or
 // on-disk corpus — worker-parallel), then computes the minibatch
-// data-parallel and applies one Adam step through the gradient-exchange
-// plane ex. Only minibatch-sized state is ever live, so the example
+// data-parallel (build(slot) is a slot's loss graph), applies one Adam
+// step through the gradient-exchange plane ex, and hands each slot's
+// loss to after in slot order. Only minibatch-sized state is ever live, so the example
 // universe can exceed RAM; and because the shuffle depends only on
 // seed, the per-example math only on the example bits, and the
 // reduction on slot order (never on worker count, process count, or
