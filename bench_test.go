@@ -251,9 +251,11 @@ func BenchmarkMatMul64(b *testing.B) {
 	rng := randpkg.New(randpkg.NewSource(1))
 	x := tensor.Rand(rng, 64, 64, 1)
 	y := tensor.Rand(rng, 64, 64, 1)
+	out := tensor.New(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(x, y)
+		clear(out.Data)
+		tensor.MatMulInto(x, y, out)
 	}
 }
 
@@ -264,16 +266,19 @@ func benchMatMulN(b *testing.B, n int) {
 	rng := randpkg.New(randpkg.NewSource(1))
 	x := tensor.Rand(rng, n, n, 1)
 	y := tensor.Rand(rng, n, n, 1)
+	out := tensor.New(n, n)
 	b.Run("serial", func(b *testing.B) {
 		defer tensor.SetParallelism(tensor.SetParallelism(1))
 		for i := 0; i < b.N; i++ {
-			_ = tensor.MatMul(x, y)
+			clear(out.Data)
+			tensor.MatMulInto(x, y, out)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		defer tensor.SetParallelism(tensor.SetParallelism(0))
 		for i := 0; i < b.N; i++ {
-			_ = tensor.MatMul(x, y)
+			clear(out.Data)
+			tensor.MatMulInto(x, y, out)
 		}
 	})
 }
@@ -290,14 +295,18 @@ func BenchmarkMatMul512(b *testing.B) { benchMatMulN(b, 512) }
 func BenchmarkMatMulBatchHeads(b *testing.B) {
 	rng := randpkg.New(randpkg.NewSource(1))
 	const heads = 8
-	var as, bs []*tensor.Tensor
+	var as, bs, outs []*tensor.Tensor
 	for h := 0; h < heads; h++ {
 		as = append(as, tensor.Rand(rng, 64, 32, 1))
 		bs = append(bs, tensor.Rand(rng, 32, 64, 1))
+		outs = append(outs, tensor.New(64, 64))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMulBatch(as, bs)
+		for _, o := range outs {
+			clear(o.Data)
+		}
+		tensor.MatMulBatchInto(as, bs, outs)
 	}
 }
 

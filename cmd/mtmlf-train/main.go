@@ -93,6 +93,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"syscall"
 	"time"
@@ -149,7 +150,7 @@ func main() {
 			log.Fatal("-dist-coordinator and -dist-worker are different processes; pick one")
 		}
 		runCoordinator(distCoord, distWorld)
-		fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
+		printDone(start)
 		return
 	}
 	var ex dist.Exchanger
@@ -258,7 +259,23 @@ func main() {
 		}
 		fmt.Printf("saved %s checkpoint to %s\n", kind, savePath)
 	}
-	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
+	printDone(start)
+}
+
+// printDone prints the closing line: the job's wall time and what it
+// cost the heap — allocations, bytes allocated and GC cycles, read from
+// runtime/metrics — so a run that suddenly allocates more (say, a graph
+// falling off its arena) shows without a profiler.
+func printDone(start time.Time) {
+	ms := []rtmetrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	rtmetrics.Read(ms)
+	fmt.Printf("done in %v (heap: %d allocations, %.1f MB allocated, %d GC cycles)\n",
+		time.Since(start).Round(time.Millisecond), ms[0].Value.Uint64(),
+		float64(ms[1].Value.Uint64())/(1<<20), ms[2].Value.Uint64())
 }
 
 // delivered applies -corpus-mode to a corpus source: stream reads its

@@ -3,9 +3,17 @@
 // models are built on (the PyTorch substitute; see DESIGN.md).
 //
 // A computation is built eagerly: each op returns a *Value holding the
-// forward result plus a closure that propagates gradients to its
-// parents. Calling Backward on a scalar root runs the closures in
-// reverse topological order.
+// forward result, its parents and the rule that propagates gradients
+// to them. Calling Backward on a scalar root runs the rules in reverse
+// topological order.
+//
+// Memory: a node takes its Value, its result and the gradients its
+// rule computes from the Arena of its first parent that has one (a
+// Tape's Input and Const start a graph on the tape's arena), and from
+// the heap when none has. The forward results are the Into kernels'
+// (the same calls a serving Session makes), so where the memory comes
+// from never changes a bit. DESIGN.md §3 "Tape ownership (training)"
+// gives the lifetimes.
 //
 // Gradient ownership: a backward rule that computes a fresh tensor
 // (MatMul's products, Mul, Scale, the nonlinearities, softmaxes,
@@ -37,10 +45,23 @@ type Value struct {
 	// Grad accumulates dLoss/dT; nil until Backward reaches this node.
 	Grad *tensor.Tensor
 
+	// op names the operation, for whoever inspects a graph.
 	op       string
 	parents  []*Value
-	backward func(*backCtx)
+	backward func(c *backCtx, out *Value)
 	needGrad bool
+	// seen marks an interior node topoSort has ordered.
+	seen bool
+	// ar is the arena the node's memory came from; nil is the heap.
+	ar *Arena
+
+	// What the backward rule reads besides the parents and the result.
+	ps     [3]*Value                  // backing array of parents, up to three
+	aux    [2]*tensor.Tensor          // LayerNormRows's x̂ and 1/σ
+	s      float64                    // Scale's factor
+	lo, hi int                        // SliceRows' and SliceCols' bounds
+	idx    []int                      // Gather's rows
+	df     func(x, y float64) float64 // a unary op's derivative
 }
 
 // Param wraps a tensor as a trainable parameter (gradients flow into it).
@@ -60,15 +81,42 @@ func (v *Value) Cols() int { return v.T.Cols() }
 // Bytes returns the bytes of the forward result.
 func (v *Value) Bytes() int { return v.T.Bytes() }
 
-func newNode(op string, t *tensor.Tensor, parents ...*Value) *Value {
-	n := &Value{T: t, op: op, parents: parents}
-	for _, p := range parents {
-		if p.needGrad {
-			n.needGrad = true
-			break
+// newNode returns an op node over at most three parents.
+func newNode(op string, ps ...*Value) *Value {
+	n := arenaOf(ps).value()
+	n.op = op
+	n.parents = n.ps[:copy(n.ps[:], ps)]
+	n.setNeedGrad()
+	return n
+}
+
+// newNodeN is newNode over any number of parents; vs becomes the
+// node's parent list.
+func newNodeN(op string, vs []*Value) *Value {
+	n := arenaOf(vs).value()
+	n.op = op
+	n.parents = vs
+	n.setNeedGrad()
+	return n
+}
+
+// arenaOf returns the arena of the first of vs that has one.
+func arenaOf(vs []*Value) *Arena {
+	for _, v := range vs {
+		if v.ar != nil {
+			return v.ar
 		}
 	}
-	return n
+	return nil
+}
+
+func (n *Value) setNeedGrad() {
+	for _, p := range n.parents {
+		if p.needGrad {
+			n.needGrad = true
+			return
+		}
+	}
 }
 
 // backCtx threads the gradient destination through one backward pass.
@@ -81,43 +129,67 @@ func newNode(op string, t *tensor.Tensor, parents ...*Value) *Value {
 // they belong to exactly one graph, so they are private to the worker
 // that built them.
 //
+// A sink outlives the graph, so the first gradient a sink entry
+// receives comes from slot, the arena the caller resets only after it
+// has read the sink. Every other gradient comes from the arena of the
+// node whose rule computes it.
+//
 // Nodes that do not require gradients are skipped, which prunes
 // constant subgraphs from the backward pass.
 type backCtx struct {
 	sink Grads
+	slot *Arena
+}
+
+// arena returns where out's rule takes a gradient for its parent n.
+func (c *backCtx) arena(out, n *Value) *Arena {
+	if c.sink != nil && n.backward == nil && c.sink[n] == nil {
+		return c.slot
+	}
+	return out.ar
 }
 
 // accum routes gradient g for node n according to the context. g must
-// be a fresh tensor the caller gives up: if it is n's first gradient,
-// it becomes n's buffer (adopted, not copied).
-func (c *backCtx) accum(n *Value, g *tensor.Tensor) { c.route(n, g, true) }
-
-// pass is accum for a gradient the caller keeps — its own out.Grad,
-// passed straight through: a first contribution is copied.
-func (c *backCtx) pass(n *Value, g *tensor.Tensor) { c.route(n, g, false) }
-
-func (c *backCtx) route(n *Value, g *tensor.Tensor, owned bool) {
+// be a fresh tensor from c.arena the caller gives up: if it is n's
+// first gradient, it becomes n's buffer (adopted, not copied).
+func (c *backCtx) accum(n *Value, g *tensor.Tensor) {
 	if !n.needGrad {
 		return
 	}
 	if c.sink != nil && n.backward == nil {
-		c.sink[n] = addGrad(c.sink[n], g, owned)
+		if buf := c.sink[n]; buf != nil {
+			buf.AddInPlace(g)
+		} else {
+			c.sink[n] = g
+		}
 		return
 	}
-	n.Grad = addGrad(n.Grad, g, owned)
+	if n.Grad != nil {
+		n.Grad.AddInPlace(g)
+	} else {
+		n.Grad = g
+	}
 }
 
-// addGrad returns buf with g added, or — for a first contribution —
-// g itself when owned and a copy of g otherwise.
-func addGrad(buf, g *tensor.Tensor, owned bool) *tensor.Tensor {
-	switch {
-	case buf != nil:
-		buf.AddInPlace(g)
-		return buf
-	case owned:
-		return g
-	default:
-		return g.Clone()
+// pass is accum for out's own gradient, passed straight through to
+// its parent n: a first contribution is copied.
+func (c *backCtx) pass(out, n *Value) {
+	if !n.needGrad {
+		return
+	}
+	g := out.Grad
+	if c.sink != nil && n.backward == nil {
+		if buf := c.sink[n]; buf != nil {
+			buf.AddInPlace(g)
+		} else {
+			c.sink[n] = c.slot.clone(g)
+		}
+		return
+	}
+	if n.Grad != nil {
+		n.Grad.AddInPlace(g)
+	} else {
+		n.Grad = out.ar.clone(g)
 	}
 }
 
@@ -128,7 +200,8 @@ type Grads map[*Value]*tensor.Tensor
 
 // Backward computes gradients of v (which must be a 1x1 scalar) with
 // respect to every upstream Param, accumulating them on the Params'
-// Grad fields.
+// Grad fields. On an arena graph those gradients are the arena's: they
+// are valid until its next Reset.
 func (v *Value) Backward() {
 	v.backwardCtx(&backCtx{})
 }
@@ -137,26 +210,37 @@ func (v *Value) Backward() {
 // gradient accumulated into sink instead of the parameters' shared
 // Grad fields. Concurrent BackwardInto calls over graphs that share
 // parameters are race-free as long as each call gets its own sink;
-// combine the sinks afterwards with ReduceGrads.
+// combine the sinks afterwards with ReduceGrads. The sink's buffers
+// are heap tensors.
 func (v *Value) BackwardInto(sink Grads) {
+	v.BackwardIntoArena(sink, nil)
+}
+
+// BackwardIntoArena is BackwardInto with the sink's buffers taken from
+// slot (the heap when nil): they stay valid until slot's next Reset,
+// however soon the graph's own arena is reset.
+func (v *Value) BackwardIntoArena(sink Grads, slot *Arena) {
 	if sink == nil {
 		panic("ag: BackwardInto needs a non-nil sink")
 	}
-	v.backwardCtx(&backCtx{sink: sink})
+	v.backwardCtx(&backCtx{sink: sink, slot: slot})
 }
 
-func (v *Value) backwardCtx(ctx *backCtx) {
+func (v *Value) backwardCtx(c *backCtx) {
 	if v.T.Size() != 1 {
 		panic(fmt.Sprintf("ag: Backward on non-scalar shape %v", v.T.Shape))
 	}
-	order := topoSort(v)
-	v.Grad = tensor.Full(1, v.T.Shape...)
+	order := topoSort(v.ar.orderBuf(), v)
+	v.Grad = v.ar.uninit(v.T.Shape...)
+	v.Grad.Fill(1)
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
-		if n.backward != nil && n.Grad != nil {
-			n.backward(ctx)
+		if n.Grad != nil {
+			n.backward(c, n)
 		}
+		n.seen = false
 	}
+	v.ar.keepOrder(order)
 }
 
 // ReduceGrads combines per-worker (or per-example) gradient buffers
@@ -192,22 +276,18 @@ func ReduceGrads(params []*Value, slots []Grads, scale float64) {
 	}
 }
 
-func topoSort(root *Value) []*Value {
-	var order []*Value
-	seen := map[*Value]bool{}
-	var visit func(*Value)
-	visit = func(n *Value) {
-		if seen[n] || !n.needGrad {
-			return
-		}
-		seen[n] = true
-		for _, p := range n.parents {
-			visit(p)
-		}
-		order = append(order, n)
+// topoSort appends the interior nodes root depends on that need a
+// gradient to order, parents first, marking each seen. Leaves are left
+// out: they have no rule to run.
+func topoSort(order []*Value, n *Value) []*Value {
+	if n.seen || !n.needGrad || n.backward == nil {
+		return order
 	}
-	visit(root)
-	return order
+	n.seen = true
+	for _, p := range n.parents {
+		order = topoSort(order, p)
+	}
+	return append(order, n)
 }
 
 // ---------------------------------------------------------------------------
@@ -216,190 +296,233 @@ func topoSort(root *Value) []*Value {
 
 // Add returns a + b (same shape).
 func Add(a, b *Value) *Value {
-	out := newNode("add", tensor.Add(a.T, b.T), a, b)
-	out.backward = func(ctx *backCtx) {
-		ctx.pass(a, out.Grad)
-		ctx.pass(b, out.Grad)
-	}
+	out := newNode("add", a, b)
+	out.T = out.ar.uninit(a.T.Shape...)
+	tensor.AddInto(a.T, b.T, out.T)
+	out.backward = addBack
 	return out
+}
+
+func addBack(c *backCtx, out *Value) {
+	c.pass(out, out.ps[0])
+	c.pass(out, out.ps[1])
 }
 
 // Sub returns a - b (same shape).
 func Sub(a, b *Value) *Value {
-	out := newNode("sub", tensor.Sub(a.T, b.T), a, b)
-	out.backward = func(ctx *backCtx) {
-		ctx.pass(a, out.Grad)
-		if b.needGrad {
-			ctx.accum(b, tensor.Scale(out.Grad, -1))
-		}
-	}
+	out := newNode("sub", a, b)
+	out.T = out.ar.uninit(a.T.Shape...)
+	tensor.SubInto(a.T, b.T, out.T)
+	out.backward = subBack
 	return out
+}
+
+func subBack(c *backCtx, out *Value) {
+	a, b := out.ps[0], out.ps[1]
+	c.pass(out, a)
+	if b.needGrad {
+		g := c.arena(out, b).uninit(b.T.Shape...)
+		tensor.ScaleInto(out.Grad, -1, g)
+		c.accum(b, g)
+	}
 }
 
 // Mul returns the elementwise product a ⊙ b.
 func Mul(a, b *Value) *Value {
-	out := newNode("mul", tensor.Mul(a.T, b.T), a, b)
-	out.backward = func(ctx *backCtx) {
-		if a.needGrad {
-			ctx.accum(a, tensor.Mul(out.Grad, b.T))
-		}
-		if b.needGrad {
-			ctx.accum(b, tensor.Mul(out.Grad, a.T))
-		}
-	}
+	out := newNode("mul", a, b)
+	out.T = out.ar.uninit(a.T.Shape...)
+	tensor.MulInto(a.T, b.T, out.T)
+	out.backward = mulBack
 	return out
+}
+
+func mulBack(c *backCtx, out *Value) {
+	a, b := out.ps[0], out.ps[1]
+	if a.needGrad {
+		g := c.arena(out, a).uninit(a.T.Shape...)
+		tensor.MulInto(out.Grad, b.T, g)
+		c.accum(a, g)
+	}
+	if b.needGrad {
+		g := c.arena(out, b).uninit(b.T.Shape...)
+		tensor.MulInto(out.Grad, a.T, g)
+		c.accum(b, g)
+	}
 }
 
 // Scale returns s * a for scalar constant s.
 func Scale(a *Value, s float64) *Value {
-	out := newNode("scale", tensor.Scale(a.T, s), a)
-	out.backward = func(ctx *backCtx) {
-		ctx.accum(a, tensor.Scale(out.Grad, s))
-	}
+	out := newNode("scale", a)
+	out.T = out.ar.uninit(a.T.Shape...)
+	tensor.ScaleInto(a.T, s, out.T)
+	out.s = s
+	out.backward = scaleBack
 	return out
+}
+
+func scaleBack(c *backCtx, out *Value) {
+	a := out.ps[0]
+	g := c.arena(out, a).uninit(a.T.Shape...)
+	tensor.ScaleInto(out.Grad, out.s, g)
+	c.accum(a, g)
 }
 
 // AddBias broadcasts a 1xN bias row across every row of a [M,N] matrix.
 func AddBias(a, bias *Value) *Value {
-	m, n := a.T.Rows(), a.T.Cols()
-	if bias.T.Rows() != 1 || bias.T.Cols() != n {
+	if bias.T.Rows() != 1 || bias.T.Cols() != a.T.Cols() {
 		panic(fmt.Sprintf("ag: AddBias shape %v + %v", a.T.Shape, bias.T.Shape))
 	}
-	t := tensor.New(m, n)
-	for i := 0; i < m; i++ {
-		row := a.T.Row(i)
-		orow := t.Row(i)
-		for j := range row {
-			orow[j] = row[j] + bias.T.Data[j]
-		}
-	}
-	out := newNode("addbias", t, a, bias)
-	out.backward = func(ctx *backCtx) {
-		ctx.pass(a, out.Grad)
-		if bias.needGrad {
-			ctx.accum(bias, tensor.SumRows(out.Grad))
-		}
-	}
+	out := newNode("addbias", a, bias)
+	out.T = out.ar.uninit(a.T.Shape...)
+	tensor.AddBiasInto(a.T, bias.T, out.T)
+	out.backward = addBiasBack
 	return out
+}
+
+func addBiasBack(c *backCtx, out *Value) {
+	a, bias := out.ps[0], out.ps[1]
+	c.pass(out, a)
+	if bias.needGrad {
+		g := c.arena(out, bias).zeros(bias.T.Shape...)
+		tensor.SumRowsInto(out.Grad, g)
+		c.accum(bias, g)
+	}
 }
 
 // MatMul returns a @ b.
 func MatMul(a, b *Value) *Value {
-	out := newNode("matmul", tensor.MatMul(a.T, b.T), a, b)
-	out.backward = func(ctx *backCtx) {
-		if a.needGrad {
-			ctx.accum(a, tensor.MatMulTransB(out.Grad, b.T))
-		}
-		if b.needGrad {
-			ctx.accum(b, tensor.MatMulTransA(a.T, out.Grad))
-		}
-	}
+	out := newNode("matmul", a, b)
+	out.T = out.ar.zeros(a.T.Rows(), b.T.Cols())
+	tensor.MatMulInto(a.T, b.T, out.T)
+	out.backward = matMulBack
 	return out
+}
+
+func matMulBack(c *backCtx, out *Value) {
+	a, b := out.ps[0], out.ps[1]
+	if a.needGrad {
+		g := c.arena(out, a).uninit(a.T.Shape...)
+		tensor.MatMulTransBInto(out.Grad, b.T, g)
+		c.accum(a, g)
+	}
+	if b.needGrad {
+		g := c.arena(out, b).zeros(b.T.Shape...)
+		tensor.MatMulTransAInto(a.T, out.Grad, g)
+		c.accum(b, g)
+	}
 }
 
 // MatMulTransB returns a @ b^T without materializing the transpose.
 func MatMulTransB(a, b *Value) *Value {
-	out := newNode("matmulTB", tensor.MatMulTransB(a.T, b.T), a, b)
-	out.backward = func(ctx *backCtx) {
-		if a.needGrad {
-			ctx.accum(a, tensor.MatMul(out.Grad, b.T))
-		}
-		if b.needGrad {
-			ctx.accum(b, tensor.MatMulTransA(out.Grad, a.T))
-		}
-	}
+	out := newNode("matmulTB", a, b)
+	out.T = out.ar.uninit(a.T.Rows(), b.T.Rows())
+	tensor.MatMulTransBInto(a.T, b.T, out.T)
+	out.backward = matMulTransBBack
 	return out
+}
+
+func matMulTransBBack(c *backCtx, out *Value) {
+	a, b := out.ps[0], out.ps[1]
+	if a.needGrad {
+		g := c.arena(out, a).zeros(a.T.Shape...)
+		tensor.MatMulInto(out.Grad, b.T, g)
+		c.accum(a, g)
+	}
+	if b.needGrad {
+		g := c.arena(out, b).zeros(b.T.Shape...)
+		tensor.MatMulTransAInto(out.Grad, a.T, g)
+		c.accum(b, g)
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Nonlinearities
 // ---------------------------------------------------------------------------
 
-func unary(op string, a *Value, f func(float64) float64, df func(x, y float64) float64) *Value {
-	t := tensor.New(a.T.Shape...)
-	for i, x := range a.T.Data {
-		t.Data[i] = f(x)
-	}
-	out := newNode(op, t, a)
-	out.backward = func(ctx *backCtx) {
-		if !a.needGrad {
-			return
-		}
-		g := tensor.New(a.T.Shape...)
-		for i := range g.Data {
-			g.Data[i] = out.Grad.Data[i] * df(a.T.Data[i], t.Data[i])
-		}
-		ctx.accum(a, g)
-	}
+// unary applies the elementwise kernel f; df(x, y) is its derivative
+// at input x and output y.
+func unary(op string, a *Value, f func(a, out *tensor.Tensor), df func(x, y float64) float64) *Value {
+	out := newNode(op, a)
+	out.T = out.ar.uninit(a.T.Shape...)
+	f(a.T, out.T)
+	out.df = df
+	out.backward = unaryBack
 	return out
 }
 
-// ReLU applies max(0, x) elementwise.
-func ReLU(a *Value) *Value {
-	return unary("relu", a,
-		func(x float64) float64 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		},
-		func(x, _ float64) float64 {
-			if x > 0 {
-				return 1
-			}
-			return 0
-		})
+func unaryBack(c *backCtx, out *Value) {
+	a := out.ps[0]
+	g := c.arena(out, a).uninit(a.T.Shape...)
+	for i := range g.Data {
+		g.Data[i] = out.Grad.Data[i] * out.df(a.T.Data[i], out.T.Data[i])
+	}
+	c.accum(a, g)
 }
+
+// ReLU applies max(0, x) elementwise.
+func ReLU(a *Value) *Value { return unary("relu", a, tensor.ReLUInto[float64], reluDeriv) }
 
 // GELU applies the tanh-approximation Gaussian error linear unit.
-func GELU(a *Value) *Value {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	f := func(x float64) float64 {
-		return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
-	}
-	df := func(x, _ float64) float64 {
-		inner := c * (x + 0.044715*x*x*x)
-		th := math.Tanh(inner)
-		sech2 := 1 - th*th
-		return 0.5*(1+th) + 0.5*x*sech2*c*(1+3*0.044715*x*x)
-	}
-	return unary("gelu", a, f, df)
-}
+func GELU(a *Value) *Value { return unary("gelu", a, tensor.GELUInto[float64], geluDeriv) }
 
 // Tanh applies tanh elementwise.
-func Tanh(a *Value) *Value {
-	return unary("tanh", a, math.Tanh, func(_, y float64) float64 { return 1 - y*y })
-}
+func Tanh(a *Value) *Value { return unary("tanh", a, tensor.TanhInto[float64], tanhDeriv) }
 
 // Sigmoid applies the logistic function elementwise.
-func Sigmoid(a *Value) *Value {
-	return unary("sigmoid", a,
-		func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
-		func(_, y float64) float64 { return y * (1 - y) })
-}
+func Sigmoid(a *Value) *Value { return unary("sigmoid", a, tensor.SigmoidInto[float64], sigmoidDeriv) }
 
 // Exp applies e^x elementwise.
-func Exp(a *Value) *Value {
-	return unary("exp", a, math.Exp, func(_, y float64) float64 { return y })
-}
+func Exp(a *Value) *Value { return unary("exp", a, scalar(math.Exp).into, expDeriv) }
 
 // Log applies the natural logarithm elementwise (inputs must be > 0).
-func Log(a *Value) *Value {
-	return unary("log", a, math.Log, func(x, _ float64) float64 { return 1 / x })
-}
+func Log(a *Value) *Value { return unary("log", a, scalar(math.Log).into, logDeriv) }
 
 // Abs applies |x| elementwise (subgradient 0 at x=0).
-func Abs(a *Value) *Value {
-	return unary("abs", a, math.Abs, func(x, _ float64) float64 {
-		switch {
-		case x > 0:
-			return 1
-		case x < 0:
-			return -1
-		default:
-			return 0
-		}
-	})
+func Abs(a *Value) *Value { return unary("abs", a, scalar(math.Abs).into, absDeriv) }
+
+// The derivatives, at input x and output y. Named functions, not
+// literals at the call: an op that inlines into its Tape method would
+// otherwise compile its derivative twice.
+
+func reluDeriv(x, _ float64) float64 {
+	if x > 0 {
+		return 1
+	}
+	return 0
+}
+
+func geluDeriv(x, _ float64) float64 {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	inner := c * (x + 0.044715*x*x*x)
+	th := math.Tanh(inner)
+	sech2 := 1 - th*th
+	return 0.5*(1+th) + 0.5*x*sech2*c*(1+3*0.044715*x*x)
+}
+
+func tanhDeriv(_, y float64) float64    { return 1 - y*y }
+func sigmoidDeriv(_, y float64) float64 { return y * (1 - y) }
+func expDeriv(_, y float64) float64     { return y }
+func logDeriv(x, _ float64) float64     { return 1 / x }
+
+func absDeriv(x, _ float64) float64 {
+	switch {
+	case x > 0:
+		return 1
+	case x < 0:
+		return -1
+	default:
+		return 0
+	}
+}
+
+// scalar is an elementwise function without an Into kernel of its own;
+// its into method is one.
+type scalar func(float64) float64
+
+func (f scalar) into(a, out *tensor.Tensor) {
+	for i, x := range a.Data {
+		out.Data[i] = f(x)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -408,74 +531,58 @@ func Abs(a *Value) *Value {
 
 // SoftmaxRows applies softmax to each row.
 func SoftmaxRows(a *Value) *Value {
-	y := tensor.SoftmaxRows(a.T)
-	out := newNode("softmax", y, a)
-	out.backward = func(ctx *backCtx) {
-		if !a.needGrad {
-			return
-		}
-		m, n := y.Rows(), y.Cols()
-		g := tensor.New(m, n)
-		for i := 0; i < m; i++ {
-			yr := y.Row(i)
-			gr := out.Grad.Row(i)
-			var dot float64
-			for j := 0; j < n; j++ {
-				dot += yr[j] * gr[j]
-			}
-			orow := g.Row(i)
-			for j := 0; j < n; j++ {
-				orow[j] = yr[j] * (gr[j] - dot)
-			}
-		}
-		ctx.accum(a, g)
-	}
+	out := newNode("softmax", a)
+	out.T = out.ar.uninit(a.T.Shape...)
+	tensor.SoftmaxRowsInto(a.T, out.T)
+	out.backward = softmaxBack
 	return out
+}
+
+func softmaxBack(c *backCtx, out *Value) {
+	a, y := out.ps[0], out.T
+	m, n := y.Rows(), y.Cols()
+	g := c.arena(out, a).uninit(m, n)
+	for i := 0; i < m; i++ {
+		yr := y.Row(i)
+		gr := out.Grad.Row(i)
+		var dot float64
+		for j := 0; j < n; j++ {
+			dot += yr[j] * gr[j]
+		}
+		orow := g.Row(i)
+		for j := 0; j < n; j++ {
+			orow[j] = yr[j] * (gr[j] - dot)
+		}
+	}
+	c.accum(a, g)
 }
 
 // LogSoftmaxRows applies log-softmax to each row (numerically stable).
 func LogSoftmaxRows(a *Value) *Value {
-	m, n := a.T.Rows(), a.T.Cols()
-	y := tensor.New(m, n)
-	for i := 0; i < m; i++ {
-		row := a.T.Row(i)
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var z float64
-		for _, v := range row {
-			z += math.Exp(v - mx)
-		}
-		lz := math.Log(z) + mx
-		orow := y.Row(i)
-		for j, v := range row {
-			orow[j] = v - lz
-		}
-	}
-	out := newNode("logsoftmax", y, a)
-	out.backward = func(ctx *backCtx) {
-		if !a.needGrad {
-			return
-		}
-		g := tensor.New(m, n)
-		for i := 0; i < m; i++ {
-			gr := out.Grad.Row(i)
-			yr := y.Row(i)
-			var sum float64
-			for _, v := range gr {
-				sum += v
-			}
-			orow := g.Row(i)
-			for j := 0; j < n; j++ {
-				orow[j] = gr[j] - math.Exp(yr[j])*sum
-			}
-		}
-		ctx.accum(a, g)
-	}
+	out := newNode("logsoftmax", a)
+	out.T = out.ar.uninit(a.T.Shape...)
+	tensor.LogSoftmaxRowsInto(a.T, out.T)
+	out.backward = logSoftmaxBack
 	return out
+}
+
+func logSoftmaxBack(c *backCtx, out *Value) {
+	a, y := out.ps[0], out.T
+	m, n := y.Rows(), y.Cols()
+	g := c.arena(out, a).uninit(m, n)
+	for i := 0; i < m; i++ {
+		gr := out.Grad.Row(i)
+		yr := y.Row(i)
+		var sum float64
+		for _, v := range gr {
+			sum += v
+		}
+		orow := g.Row(i)
+		for j := 0; j < n; j++ {
+			orow[j] = gr[j] - math.Exp(yr[j])*sum
+		}
+	}
+	c.accum(a, g)
 }
 
 // LayerNormRows normalizes each row to zero mean / unit variance and
@@ -485,9 +592,10 @@ func LayerNormRows(a, gamma, beta *Value, eps float64) *Value {
 	if gamma.T.Cols() != n || beta.T.Cols() != n {
 		panic("ag: LayerNormRows gain/bias width mismatch")
 	}
-	y := tensor.New(m, n)
-	xhat := tensor.New(m, n)
-	invstd := make([]float64, m)
+	out := newNode("layernorm", a, gamma, beta)
+	y := out.ar.uninit(m, n)
+	xhat := out.ar.uninit(m, n)
+	invstd := out.ar.uninit(1, m)
 	for i := 0; i < m; i++ {
 		row := a.T.Row(i)
 		var mean float64
@@ -502,7 +610,7 @@ func LayerNormRows(a, gamma, beta *Value, eps float64) *Value {
 		}
 		va /= float64(n)
 		is := 1 / math.Sqrt(va+eps)
-		invstd[i] = is
+		invstd.Data[i] = is
 		xr := xhat.Row(i)
 		yr := y.Row(i)
 		for j, v := range row {
@@ -510,45 +618,53 @@ func LayerNormRows(a, gamma, beta *Value, eps float64) *Value {
 			yr[j] = xr[j]*gamma.T.Data[j] + beta.T.Data[j]
 		}
 	}
-	out := newNode("layernorm", y, a, gamma, beta)
-	out.backward = func(ctx *backCtx) {
-		if gamma.needGrad {
-			gg := tensor.New(1, n)
-			for i := 0; i < m; i++ {
-				gr := out.Grad.Row(i)
-				xr := xhat.Row(i)
-				for j := 0; j < n; j++ {
-					gg.Data[j] += gr[j] * xr[j]
-				}
-			}
-			ctx.accum(gamma, gg)
-		}
-		if beta.needGrad {
-			ctx.accum(beta, tensor.SumRows(out.Grad))
-		}
-		if a.needGrad {
-			g := tensor.New(m, n)
-			for i := 0; i < m; i++ {
-				gr := out.Grad.Row(i)
-				xr := xhat.Row(i)
-				// dxhat_j = grad_j * gamma_j, held in the gradient row
-				// until the row's sums are known, then overwritten by dx_j.
-				var sumDx, sumDxX float64
-				dx := g.Row(i)
-				for j := range dx {
-					dx[j] = gr[j] * gamma.T.Data[j]
-					sumDx += dx[j]
-					sumDxX += dx[j] * xr[j]
-				}
-				fn := float64(n)
-				for j := range dx {
-					dx[j] = invstd[i] / fn * (fn*dx[j] - sumDx - xr[j]*sumDxX)
-				}
-			}
-			ctx.accum(a, g)
-		}
-	}
+	out.T = y
+	out.aux = [2]*tensor.Tensor{xhat, invstd}
+	out.backward = layerNormBack
 	return out
+}
+
+func layerNormBack(c *backCtx, out *Value) {
+	a, gamma, beta := out.ps[0], out.ps[1], out.ps[2]
+	xhat, invstd := out.aux[0], out.aux[1]
+	m, n := xhat.Rows(), xhat.Cols()
+	if gamma.needGrad {
+		gg := c.arena(out, gamma).zeros(1, n)
+		for i := 0; i < m; i++ {
+			gr := out.Grad.Row(i)
+			xr := xhat.Row(i)
+			for j := 0; j < n; j++ {
+				gg.Data[j] += gr[j] * xr[j]
+			}
+		}
+		c.accum(gamma, gg)
+	}
+	if beta.needGrad {
+		gb := c.arena(out, beta).zeros(1, n)
+		tensor.SumRowsInto(out.Grad, gb)
+		c.accum(beta, gb)
+	}
+	if a.needGrad {
+		g := c.arena(out, a).uninit(m, n)
+		for i := 0; i < m; i++ {
+			gr := out.Grad.Row(i)
+			xr := xhat.Row(i)
+			// dxhat_j = grad_j * gamma_j, held in the gradient row
+			// until the row's sums are known, then overwritten by dx_j.
+			var sumDx, sumDxX float64
+			dx := g.Row(i)
+			for j := range dx {
+				dx[j] = gr[j] * gamma.T.Data[j]
+				sumDx += dx[j]
+				sumDxX += dx[j] * xr[j]
+			}
+			fn := float64(n)
+			for j := range dx {
+				dx[j] = invstd.Data[i] / fn * (fn*dx[j] - sumDx - xr[j]*sumDxX)
+			}
+		}
+		c.accum(a, g)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -568,26 +684,29 @@ func ConcatRows(vs ...*Value) *Value {
 		}
 		total += v.T.Rows()
 	}
-	t := tensor.New(total, n)
+	out := newNodeN("concatrows", vs)
+	out.T = out.ar.uninit(total, n)
 	r := 0
 	for _, v := range vs {
-		copy(t.Data[r*n:], v.T.Data)
+		copy(out.T.Data[r*n:], v.T.Data)
 		r += v.T.Rows()
 	}
-	out := newNode("concatrows", t, vs...)
-	out.backward = func(ctx *backCtx) {
-		r := 0
-		for _, v := range vs {
-			h := v.T.Rows()
-			if v.needGrad {
-				g := tensor.New(h, n)
-				copy(g.Data, out.Grad.Data[r*n:(r+h)*n])
-				ctx.accum(v, g)
-			}
-			r += h
-		}
-	}
+	out.backward = concatRowsBack
 	return out
+}
+
+func concatRowsBack(c *backCtx, out *Value) {
+	n := out.T.Cols()
+	r := 0
+	for _, v := range out.parents {
+		h := v.T.Rows()
+		if v.needGrad {
+			g := c.arena(out, v).uninit(h, n)
+			copy(g.Data, out.Grad.Data[r*n:(r+h)*n])
+			c.accum(v, g)
+		}
+		r += h
+	}
 }
 
 // ConcatCols stacks matrices with equal row counts horizontally.
@@ -603,31 +722,34 @@ func ConcatCols(vs ...*Value) *Value {
 		}
 		total += v.T.Cols()
 	}
-	t := tensor.New(m, total)
+	out := newNodeN("concatcols", vs)
+	out.T = out.ar.uninit(m, total)
 	off := 0
 	for _, v := range vs {
-		c := v.T.Cols()
+		w := v.T.Cols()
 		for i := 0; i < m; i++ {
-			copy(t.Row(i)[off:off+c], v.T.Row(i))
+			copy(out.T.Row(i)[off:off+w], v.T.Row(i))
 		}
-		off += c
+		off += w
 	}
-	out := newNode("concatcols", t, vs...)
-	out.backward = func(ctx *backCtx) {
-		off := 0
-		for _, v := range vs {
-			c := v.T.Cols()
-			if v.needGrad {
-				g := tensor.New(m, c)
-				for i := 0; i < m; i++ {
-					copy(g.Row(i), out.Grad.Row(i)[off:off+c])
-				}
-				ctx.accum(v, g)
-			}
-			off += c
-		}
-	}
+	out.backward = concatColsBack
 	return out
+}
+
+func concatColsBack(c *backCtx, out *Value) {
+	m := out.T.Rows()
+	off := 0
+	for _, v := range out.parents {
+		w := v.T.Cols()
+		if v.needGrad {
+			g := c.arena(out, v).uninit(m, w)
+			for i := 0; i < m; i++ {
+				copy(g.Row(i), out.Grad.Row(i)[off:off+w])
+			}
+			c.accum(v, g)
+		}
+		off += w
+	}
 }
 
 // SliceRows returns rows [from, to) of a.
@@ -636,18 +758,20 @@ func SliceRows(a *Value, from, to int) *Value {
 	if from < 0 || to > m || from > to {
 		panic(fmt.Sprintf("ag: SliceRows [%d,%d) of %d rows", from, to, m))
 	}
-	t := tensor.New(to-from, n)
-	copy(t.Data, a.T.Data[from*n:to*n])
-	out := newNode("slicerows", t, a)
-	out.backward = func(ctx *backCtx) {
-		if !a.needGrad {
-			return
-		}
-		g := tensor.New(m, n)
-		copy(g.Data[from*n:to*n], out.Grad.Data)
-		ctx.accum(a, g)
-	}
+	out := newNode("slicerows", a)
+	out.T = out.ar.uninit(to-from, n)
+	copy(out.T.Data, a.T.Data[from*n:to*n])
+	out.lo, out.hi = from, to
+	out.backward = sliceRowsBack
 	return out
+}
+
+func sliceRowsBack(c *backCtx, out *Value) {
+	a := out.ps[0]
+	n := a.T.Cols()
+	g := c.arena(out, a).zeros(a.T.Shape...)
+	copy(g.Data[out.lo*n:out.hi*n], out.Grad.Data)
+	c.accum(a, g)
 }
 
 // SliceCols returns columns [from, to) of a.
@@ -656,50 +780,50 @@ func SliceCols(a *Value, from, to int) *Value {
 	if from < 0 || to > n || from > to {
 		panic(fmt.Sprintf("ag: SliceCols [%d,%d) of %d cols", from, to, n))
 	}
-	w := to - from
-	t := tensor.New(m, w)
+	out := newNode("slicecols", a)
+	out.T = out.ar.uninit(m, to-from)
 	for i := 0; i < m; i++ {
-		copy(t.Row(i), a.T.Row(i)[from:to])
+		copy(out.T.Row(i), a.T.Row(i)[from:to])
 	}
-	out := newNode("slicecols", t, a)
-	out.backward = func(ctx *backCtx) {
-		if !a.needGrad {
-			return
-		}
-		g := tensor.New(m, n)
-		for i := 0; i < m; i++ {
-			copy(g.Row(i)[from:to], out.Grad.Row(i))
-		}
-		ctx.accum(a, g)
-	}
+	out.lo, out.hi = from, to
+	out.backward = sliceColsBack
 	return out
+}
+
+func sliceColsBack(c *backCtx, out *Value) {
+	a := out.ps[0]
+	g := c.arena(out, a).zeros(a.T.Shape...)
+	for i := range a.T.Rows() {
+		copy(g.Row(i)[out.lo:out.hi], out.Grad.Row(i))
+	}
+	c.accum(a, g)
 }
 
 // Gather returns the rows of the weight matrix w selected by idx, in
 // order. It is the embedding-lookup primitive: backward scatter-adds.
 func Gather(w *Value, idx []int) *Value {
+	out := newNode("gather", w)
 	n := w.T.Cols()
-	t := tensor.New(len(idx), n)
+	out.T = out.ar.uninit(len(idx), n)
 	for i, ix := range idx {
-		copy(t.Row(i), w.T.Row(ix))
+		copy(out.T.Row(i), w.T.Row(ix))
 	}
-	ids := append([]int(nil), idx...)
-	out := newNode("gather", t, w)
-	out.backward = func(ctx *backCtx) {
-		if !w.needGrad {
-			return
-		}
-		g := tensor.New(w.T.Rows(), n)
-		for i, ix := range ids {
-			grow := g.Row(ix)
-			orow := out.Grad.Row(i)
-			for j := range grow {
-				grow[j] += orow[j]
-			}
-		}
-		ctx.accum(w, g)
-	}
+	out.idx = out.ar.ints(idx)
+	out.backward = gatherBack
 	return out
+}
+
+func gatherBack(c *backCtx, out *Value) {
+	w := out.ps[0]
+	g := c.arena(out, w).zeros(w.T.Shape...)
+	for i, ix := range out.idx {
+		grow := g.Row(ix)
+		orow := out.Grad.Row(i)
+		for j := range grow {
+			grow[j] += orow[j]
+		}
+	}
+	c.accum(w, g)
 }
 
 // ---------------------------------------------------------------------------
@@ -708,15 +832,18 @@ func Gather(w *Value, idx []int) *Value {
 
 // SumAll reduces a to a 1x1 scalar.
 func SumAll(a *Value) *Value {
-	t := tensor.FromSlice([]float64{tensor.SumAll(a.T)}, 1, 1)
-	out := newNode("sumall", t, a)
-	out.backward = func(ctx *backCtx) {
-		if !a.needGrad {
-			return
-		}
-		ctx.accum(a, tensor.Full(out.Grad.Data[0], a.T.Shape...))
-	}
+	out := newNode("sumall", a)
+	out.T = out.ar.uninit(1, 1)
+	out.T.Data[0] = tensor.SumAll(a.T)
+	out.backward = sumAllBack
 	return out
+}
+
+func sumAllBack(c *backCtx, out *Value) {
+	a := out.ps[0]
+	g := c.arena(out, a).uninit(a.T.Shape...)
+	g.Fill(out.Grad.Data[0])
+	c.accum(a, g)
 }
 
 // MeanAll reduces a to its scalar mean.
@@ -747,14 +874,14 @@ func CrossEntropyRows(logits *Value, targets []int) *Value {
 	ls := LogSoftmaxRows(logits)
 	// Pick out -logp[target] per row via a constant selection matrix.
 	n := logits.T.Cols()
-	sel := tensor.New(m, n)
+	sel := ls.ar.zeros(m, n)
 	for i, t := range targets {
 		if t < 0 || t >= n {
 			panic(fmt.Sprintf("ag: CrossEntropyRows target %d out of %d classes", t, n))
 		}
 		sel.Set(i, t, -1/float64(m))
 	}
-	return SumAll(Mul(ls, Const(sel)))
+	return SumAll(Mul(ls, ls.ar.constant(sel)))
 }
 
 // ---------------------------------------------------------------------------

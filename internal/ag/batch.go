@@ -15,57 +15,43 @@ import (
 // backward rule as MatMul, so gradients are identical to the unbatched
 // form.
 func MatMulBatch(as, bs []*Value) []*Value {
-	if len(as) != len(bs) {
-		panic(fmt.Sprintf("ag: MatMulBatch length mismatch %d vs %d", len(as), len(bs)))
-	}
-	at := make([]*tensor.Tensor, len(as))
-	bt := make([]*tensor.Tensor, len(bs))
-	for i := range as {
-		at[i], bt[i] = as[i].T, bs[i].T
-	}
-	outs := tensor.MatMulBatch(at, bt)
-	nodes := make([]*Value, len(as))
-	for i := range as {
-		a, b := as[i], bs[i]
-		out := newNode("matmul", outs[i], a, b)
-		out.backward = func(ctx *backCtx) {
-			if a.needGrad {
-				ctx.accum(a, tensor.MatMulTransB(out.Grad, b.T))
-			}
-			if b.needGrad {
-				ctx.accum(b, tensor.MatMulTransA(a.T, out.Grad))
-			}
-		}
-		nodes[i] = out
-	}
-	return nodes
+	return batch(as, bs, false)
 }
 
 // MatMulTransBBatch returns nodes for as[i] @ bs[i]^T computed in one
 // parallel batch; gradients match MatMulTransB.
 func MatMulTransBBatch(as, bs []*Value) []*Value {
+	return batch(as, bs, true)
+}
+
+// batch makes every node — its Value and result from its arena, which
+// is single-goroutine — before the products fan out.
+func batch(as, bs []*Value, transB bool) []*Value {
 	if len(as) != len(bs) {
-		panic(fmt.Sprintf("ag: MatMulTransBBatch length mismatch %d vs %d", len(as), len(bs)))
+		panic(fmt.Sprintf("ag: batched matmul length mismatch %d vs %d", len(as), len(bs)))
 	}
-	at := make([]*tensor.Tensor, len(as))
-	bt := make([]*tensor.Tensor, len(bs))
-	for i := range as {
-		at[i], bt[i] = as[i].T, bs[i].T
-	}
-	outs := tensor.MatMulTransBBatch(at, bt)
-	nodes := make([]*Value, len(as))
+	n := len(as)
+	nodes := make([]*Value, n)
+	ts := make([]*tensor.Tensor, 3*n)
 	for i := range as {
 		a, b := as[i], bs[i]
-		out := newNode("matmulTB", outs[i], a, b)
-		out.backward = func(ctx *backCtx) {
-			if a.needGrad {
-				ctx.accum(a, tensor.MatMul(out.Grad, b.T))
-			}
-			if b.needGrad {
-				ctx.accum(b, tensor.MatMulTransA(out.Grad, a.T))
-			}
+		var out *Value
+		if transB {
+			out = newNode("matmulTB", a, b)
+			out.T = out.ar.uninit(a.T.Rows(), b.T.Rows())
+			out.backward = matMulTransBBack
+		} else {
+			out = newNode("matmul", a, b)
+			out.T = out.ar.zeros(a.T.Rows(), b.T.Cols())
+			out.backward = matMulBack
 		}
 		nodes[i] = out
+		ts[i], ts[n+i], ts[2*n+i] = a.T, b.T, out.T
+	}
+	if transB {
+		tensor.MatMulTransBBatchInto(ts[:n], ts[n:2*n], ts[2*n:])
+	} else {
+		tensor.MatMulBatchInto(ts[:n], ts[n:2*n], ts[2*n:])
 	}
 	return nodes
 }

@@ -1,9 +1,8 @@
 // Inference fast path: a forward-only evaluator.
 //
-// Training builds an autodiff graph — every op allocates a *Value
-// node, a fresh result tensor, parent links and a backward closure,
-// and Backward topo-sorts the lot. None of that is needed to *serve* a
-// model. Session is the op set (Ops) without the tape: it computes the
+// Training builds an autodiff graph — every op makes a *Value node
+// with its parents, its result and its backward rule, and Backward
+// topo-sorts the lot. None of that is needed to *serve* a model. Session is the op set (Ops) without the tape: it computes the
 // same forward arithmetic directly on raw tensors drawn from a
 // tensor.Pool, so a steady-state forward pass performs no node
 // construction, no parent tracking, no topo-sort bookkeeping, and
@@ -280,13 +279,6 @@ func (e *Session[T]) Tanh(a *tensor.Dense[T]) *tensor.Dense[T] {
 func (e *Session[T]) SoftmaxRows(a *tensor.Dense[T]) *tensor.Dense[T] {
 	out := e.pool.GetUninit(a.Shape...)
 	tensor.SoftmaxRowsInto(a, out)
-	return out
-}
-
-// LogSoftmaxRows applies log-softmax to each row.
-func (e *Session[T]) LogSoftmaxRows(a *tensor.Dense[T]) *tensor.Dense[T] {
-	out := e.pool.GetUninit(a.Shape...)
-	tensor.LogSoftmaxRowsInto(a, out)
 	return out
 }
 

@@ -40,7 +40,6 @@ func TestEvalOpsBitwiseMatchGradOps(t *testing.T) {
 	check("GELU", e.GELU(a), GELU(av))
 	check("Tanh", e.Tanh(a), Tanh(av))
 	check("SoftmaxRows", e.SoftmaxRows(a), SoftmaxRows(av))
-	check("LogSoftmaxRows", e.LogSoftmaxRows(a), LogSoftmaxRows(av))
 	check("LayerNormRows", e.LayerNormRows(a, gamma, beta, 1e-5),
 		LayerNormRows(av, Const(gamma), Const(beta), 1e-5))
 	check("ConcatRows", e.ConcatRows(a, b), ConcatRows(av, bv))
@@ -107,7 +106,6 @@ func testSessionOpsMatchKernels[T tensor.Float](t *testing.T) {
 	check("GELU", e.GELU(a), like(func(o *tensor.Dense[T]) { tensor.GELUInto(a, o) }))
 	check("Tanh", e.Tanh(a), like(func(o *tensor.Dense[T]) { tensor.TanhInto(a, o) }))
 	check("SoftmaxRows", e.SoftmaxRows(a), like(func(o *tensor.Dense[T]) { tensor.SoftmaxRowsInto(a, o) }))
-	check("LogSoftmaxRows", e.LogSoftmaxRows(a), like(func(o *tensor.Dense[T]) { tensor.LogSoftmaxRowsInto(a, o) }))
 	check("LayerNormRows", e.LayerNormRows(a, gamma, beta, 1e-5),
 		like(func(o *tensor.Dense[T]) { tensor.LayerNormRowsInto(a, gamma, beta, 1e-5, o) }))
 

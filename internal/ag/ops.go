@@ -47,9 +47,13 @@ type Ops[V any] interface {
 }
 
 // Tape is the recording op set: every method is the free op of the
-// same name. It has no state — the graph lives in the Values — so the
-// zero Tape is the only one.
-type Tape struct{}
+// same name. The graph lives in the Values; a Tape only says where a
+// graph starts: Input and Const take their memory from Arena, and
+// every op computed from them follows (each node takes the arena of
+// its first parent that has one). The zero Tape builds on the heap.
+type Tape struct {
+	Arena *Arena
+}
 
 var _ Ops[*Value] = Tape{}
 
@@ -68,8 +72,8 @@ func (Tape) ConcatCols(vs ...*Value) *Value             { return ConcatCols(vs..
 func (Tape) SliceRows(a *Value, from, to int) *Value    { return SliceRows(a, from, to) }
 func (Tape) SliceCols(a *Value, from, to int) *Value    { return SliceCols(a, from, to) }
 func (Tape) Gather(w *Value, idx []int) *Value          { return Gather(w, idx) }
-func (Tape) Input(rows, cols int) *tensor.Tensor        { return tensor.New(rows, cols) }
-func (Tape) Const(t *tensor.Tensor) *Value              { return Const(t) }
+func (t Tape) Input(rows, cols int) *tensor.Tensor      { return t.Arena.zeros(rows, cols) }
+func (t Tape) Const(x *tensor.Tensor) *Value            { return t.Arena.constant(x) }
 
 func (Tape) LayerNormRows(a, gamma, beta *Value, eps float64) *Value {
 	return LayerNormRows(a, gamma, beta, eps)

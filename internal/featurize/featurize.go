@@ -267,12 +267,15 @@ func (enc *TableEncoder[V]) encode(o ag.Ops[V], k *Tokenizer, filters []sqldb.Fi
 	return o.SliceRows(enc.Enc.Forward(o, seq, nil), 0, 1)
 }
 
-// PredictLogCard runs the single-table CardEst head of Enc_i — its
-// pre-training task ("E_i learns the data distribution of T_i through
-// predicting the cardinality of filter predicate f(T_i)").
-func (f *Featurizer) PredictLogCard(table string, filters []sqldb.Filter) *ag.Value {
-	e := f.EncodeTable(table, filters)
-	return f.Encs[table].Head.Forward(ag.Tape{}, e)
+// predictLogCard runs the single-table CardEst head of Enc_i on the
+// tape o — its pre-training task ("E_i learns the data distribution of
+// T_i through predicting the cardinality of filter predicate f(T_i)").
+func (f *Featurizer) predictLogCard(o ag.Tape, table string, filters []sqldb.Filter) *ag.Value {
+	enc, ok := f.Encs[table]
+	if !ok {
+		panic(fmt.Sprintf("featurize: unknown table %q", table))
+	}
+	return enc.Head.Forward(o, enc.encode(o, &f.Tokenizer, filters))
 }
 
 // PretrainResult reports one encoder's pre-training outcome.
@@ -284,16 +287,20 @@ type PretrainResult struct {
 
 // PretrainEncoder trains one Enc_i on labeled single-table queries by
 // minimizing |log ĉ − log c| (log q-error). Returns the final
-// running-average loss.
+// running-average loss. Each example's graph is built on one arena,
+// reset before the next example is built: the gradients the step reads
+// are the arena's until then.
 func (f *Featurizer) PretrainEncoder(table string, data []workload.SingleTableQuery, epochs int) PretrainResult {
 	enc := f.Encs[table]
 	opt := nn.NewAdam(enc.Params(), f.Cfg.LR)
+	tape := ag.Tape{Arena: ag.NewArena()}
 	var running float64
 	steps := 0
 	for ep := 0; ep < epochs; ep++ {
 		for _, q := range data {
 			opt.ZeroGrad()
-			pred := f.PredictLogCard(table, q.Filters)
+			tape.Arena.Reset()
+			pred := f.predictLogCard(tape, table, q.Filters)
 			target := ag.Scalar(math.Log(q.Card))
 			loss := ag.MeanAll(ag.Abs(ag.Sub(pred, target)))
 			loss.Backward()

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mtmlf/internal/ag"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/metrics"
 	"mtmlf/internal/sqldb"
@@ -126,7 +127,7 @@ func TestPretrainEncoderLearns(t *testing.T) {
 	qerr := func() float64 {
 		var qs []float64
 		for _, q := range test {
-			pred := math.Exp(f.PredictLogCard("title", q.Filters).Item())
+			pred := math.Exp(f.predictLogCard(ag.Tape{}, "title", q.Filters).Item())
 			qs = append(qs, metrics.QError(pred, q.Card))
 		}
 		return metrics.Summarize(qs).Median

@@ -57,7 +57,7 @@ func TestFeaturizerFrozenDuringTraining(t *testing.T) {
 		inShared[p] = true
 	}
 	sink := ag.Grads{}
-	m.exampleLoss(qs[0], false).BackwardInto(sink)
+	m.exampleLoss(nil, qs[0], false).BackwardInto(sink)
 	for p := range sink {
 		if !inShared[p] {
 			t.Fatalf("a backward pass filled a sink buffer for a %v parameter outside Shared", p.T.Shape)

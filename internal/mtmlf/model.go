@@ -218,9 +218,14 @@ type (
 // tape's value — and the gradient tape ends at NodeProj's input
 // instead of running back through every Enc_i.
 func (m *Model) Represent(q *sqldb.Query, p *plan.Node) *Representation {
+	return m.representOn(nil, q, p)
+}
+
+// representOn is Represent with the graph on ar (nil: the heap).
+func (m *Model) representOn(ar *ag.Arena, q *sqldb.Query, p *plan.Node) *Representation {
 	e := ag.AcquireEval()
 	defer ag.ReleaseEval(e)
-	return represent(&m.Shared.SharedOf, ag.Tape{}, e, m.Feat.Reference(), q, p)
+	return represent(&m.Shared.SharedOf, ag.Tape{Arena: ar}, e, m.Feat.Reference(), q, p)
 }
 
 // joinIDs are the JoinEmb rows, sliced one at a time as Gather indices.

@@ -54,11 +54,10 @@ import (
 // fleet-wide.
 func runEpochs(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, epochs, bs, nWorkers int, seed int64, ctl *epochCtl,
 	prefetch func(batch []int) error,
-	build func(slot int) *ag.Value,
+	build func(slot int, ar *ag.Arena) *ag.Value,
 	after func(loss float64)) error {
 	rng := rand.New(rand.NewSource(seed))
-	slots := make([]ag.Grads, bs)
-	losses := make([]float64, bs)
+	mb := newMinibatch(bs, nWorkers)
 	batches := 0
 	for ep := 0; ep < epochs; ep++ {
 		order := rng.Perm(n)
@@ -75,11 +74,11 @@ func runEpochs(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, epochs, b
 			if err := prefetch(batch); err != nil {
 				return err
 			}
-			if err := runMinibatch(ex, opt, params, len(batch), nWorkers, slots, losses, build); err != nil {
+			if err := runMinibatch(ex, opt, params, len(batch), mb, build); err != nil {
 				return err
 			}
 			for i := range batch {
-				after(losses[i])
+				after(mb.losses[i])
 			}
 			batches++
 			// Normalize a finished epoch to {ep+1, 0} so the resume
@@ -190,49 +189,94 @@ func recordInto(st *TrainStats, trajectory bool) func(float64) {
 	}
 }
 
+// worker is one data-parallel worker's memory for training graphs
+// (DESIGN.md §3, "Tape ownership (training)"). scratch holds one
+// example's graph — its nodes, results and interior gradients — and
+// is reset as soon as the example's loss has been read. slot holds the
+// gradients the worker's examples leave in their sinks, and is reset
+// when the next minibatch starts, after the exchange and the optimizer
+// step have read them. Resetting once per minibatch instead would hold
+// every graph of the minibatch at once.
+type worker struct{ scratch, slot *ag.Arena }
+
+// example runs one example on w: build(i, …)'s loss graph on the
+// scratch arena, its backward pass into sink with the sink's buffers
+// on the slot arena, and the scratch arena's reset once the loss is
+// read. It is all a data-parallel worker does per slot.
+func (w worker) example(build func(i int, ar *ag.Arena) *ag.Value, i int, sink ag.Grads) float64 {
+	loss := build(i, w.scratch)
+	loss.BackwardIntoArena(sink, w.slot)
+	l := loss.Item()
+	w.scratch.Reset()
+	return l
+}
+
+// minibatch is what runMinibatch reuses from one minibatch to the
+// next: the workers, one gradient sink per slot, and the slot and loss
+// vectors the exchange reads (slots[i] is sinks[i] when this rank
+// owns slot i, nil otherwise).
+type minibatch struct {
+	workers      []worker
+	sinks, slots []ag.Grads
+	losses       []float64
+}
+
+func newMinibatch(bs, nWorkers int) *minibatch {
+	mb := &minibatch{
+		workers: make([]worker, nWorkers),
+		sinks:   make([]ag.Grads, bs),
+		slots:   make([]ag.Grads, bs),
+		losses:  make([]float64, bs),
+	}
+	for w := range mb.workers {
+		mb.workers[w] = worker{ag.NewArena(), ag.NewArena()}
+	}
+	for i := range mb.sinks {
+		mb.sinks[i] = ag.Grads{}
+	}
+	return mb
+}
+
 // backward computes per-example losses and gradients for the slots of
 // an n-example minibatch that rank owns (slot i belongs to rank i mod
 // world — examples stride across ranks exactly like they stride across
 // in-process workers), leaving every other slot nil for AllReduce to
 // fill in from the other ranks; at world 1 the rank owns every slot.
-// The owned slots fan out over up to nWorkers concurrent workers drawn
-// from the shared bounded pool (so -workers stays a global concurrency
-// bound even when training nests inside other parallel work).
-// build(i) must construct the i-th example's loss graph; workers share
-// the model parameters read-only and accumulate gradients into private
-// per-example buffers (slots[i]). Examples are strided to workers by
-// index and reduced by the caller in index order, so the result is
-// independent of both nWorkers and goroutine scheduling.
-func backward(world, rank, n, nWorkers int, slots []ag.Grads, losses []float64, build func(i int) *ag.Value) {
+// The owned slots fan out over up to len(mb.workers) concurrent
+// workers drawn from the shared bounded pool (so -workers stays a
+// global concurrency bound even when training nests inside other
+// parallel work). build(i, ar) must construct the i-th example's loss
+// graph on ar; workers share the model parameters read-only and
+// accumulate gradients into private per-example sinks (mb.slots[i]).
+// Examples are strided to workers by index and reduced by the caller
+// in index order, so the result is independent of both the worker
+// count and goroutine scheduling.
+func backward(world, rank, n int, mb *minibatch, build func(i int, ar *ag.Arena) *ag.Value) {
 	owned := make([]int, 0, n/world+1)
 	for i := 0; i < n; i++ {
-		slots[i] = nil
+		mb.slots[i] = nil
 		if dist.Owns(world, rank, i) {
 			owned = append(owned, i)
 		}
 	}
-	run := func(i int) {
-		sink := ag.Grads{}
-		loss := build(i)
-		loss.BackwardInto(sink)
-		slots[i] = sink
-		losses[i] = loss.Item()
+	run := func(w worker, i int) {
+		sink := mb.sinks[i]
+		clear(sink)
+		mb.losses[i] = w.example(build, i, sink)
+		mb.slots[i] = sink
 	}
-	if nWorkers > len(owned) {
-		nWorkers = len(owned)
-	}
+	nWorkers := min(len(mb.workers), len(owned))
 	if nWorkers <= 1 {
 		for _, i := range owned {
-			run(i)
+			run(mb.workers[0], i)
 		}
 		return
 	}
 	fs := make([]func(), nWorkers)
 	for w := 0; w < nWorkers; w++ {
-		w := w
 		fs[w] = func() {
 			for j := w; j < len(owned); j += nWorkers {
-				run(owned[j])
+				run(mb.workers[w], owned[j])
 			}
 		}
 	}
@@ -245,25 +289,31 @@ func backward(world, rank, n, nWorkers int, slots []ag.Grads, losses []float64, 
 // directly into the parameters' Grad fields — the same trajectory
 // bitwise (identical accumulation order), without the per-example
 // buffer and reduction traffic on the per-example-SGD hot path every
-// default-configured training run takes. Every other case backwards
-// the rank's owned slots into private buffers and exchanges them:
-// ZeroGrad + AllReduce + Step, which with the Local backend is
-// float-op-for-float-op ag.ReduceGrads in slot order followed by
-// Adam.Step, and with the TCP backend the same arithmetic performed
-// once at the coordinator.
-func runMinibatch(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, nWorkers int, slots []ag.Grads, losses []float64, build func(i int) *ag.Value) error {
+// default-configured training run takes. Those Grad fields are the
+// scratch arena's until the Step, so that path resets it before it
+// builds, not after. Every other case backwards the rank's owned slots
+// into private buffers and exchanges them: ZeroGrad + AllReduce +
+// Step, which with the Local backend is float-op-for-float-op
+// ag.ReduceGrads in slot order followed by Adam.Step, and with the
+// TCP backend the same arithmetic performed once at the coordinator.
+func runMinibatch(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n int, mb *minibatch, build func(i int, ar *ag.Arena) *ag.Value) error {
+	for _, w := range mb.workers {
+		w.slot.Reset() // the previous minibatch's Step has read them
+	}
 	world, rank := ex.World()
 	if world <= 1 && n == 1 {
+		ar := mb.workers[0].scratch
 		opt.ZeroGrad()
-		loss := build(0)
+		ar.Reset()
+		loss := build(0, ar)
 		loss.Backward()
 		opt.Step()
-		losses[0] = loss.Item()
+		mb.losses[0] = loss.Item()
 		return nil
 	}
-	backward(world, rank, n, nWorkers, slots, losses, build)
+	backward(world, rank, n, mb, build)
 	opt.ZeroGrad()
-	if err := ex.AllReduce(params, slots[:n], losses[:n], 1/float64(n)); err != nil {
+	if err := ex.AllReduce(params, mb.slots[:n], mb.losses[:n], 1/float64(n)); err != nil {
 		return err
 	}
 	opt.Step()
@@ -275,10 +325,11 @@ func runMinibatch(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, nWorke
 // weight is zero (the single-task ablations) and the join-order term
 // also when the query has no order to learn. seqLevel switches that
 // term from the token-level cross-entropy to the Equation 3
-// sequence-level loss (Section 5).
-func (m *Model) exampleLoss(lq *workload.LabeledQuery, seqLevel bool) *ag.Value {
+// sequence-level loss (Section 5). The graph is built on ar (nil: the
+// heap).
+func (m *Model) exampleLoss(ar *ag.Arena, lq *workload.LabeledQuery, seqLevel bool) *ag.Value {
 	cfg := m.Shared.Cfg
-	rep := m.Represent(lq.Q, lq.Plan)
+	rep := m.representOn(ar, lq.Q, lq.Plan)
 	terms := make([]*ag.Value, 0, 3)
 	if cfg.WCard > 0 {
 		terms = append(terms, ag.Scale(m.CardLoss(rep, lq), cfg.WCard))
@@ -352,7 +403,9 @@ func trainLoop(shared *Shared, models []*Model, srcs []workload.Source, opts Tra
 				return err
 			})
 		},
-		func(slot int) *ag.Value { return cur[slot].m.exampleLoss(cur[slot].lq, opts.SeqLevelLoss) },
+		func(slot int, ar *ag.Arena) *ag.Value {
+			return cur[slot].m.exampleLoss(ar, cur[slot].lq, opts.SeqLevelLoss)
+		},
 		recordInto(&st, opts.RecordTrajectory))
 	return st, err
 }

@@ -13,36 +13,51 @@ import (
 )
 
 // TestTrainStepAllocCeiling pins what one warm training example costs
-// the allocator: Algorithm 1's per-example loss graph (exampleLoss) and its
-// backward pass into a private sink, the work every data-parallel
-// worker does per slot, summed over 8 queries. Every op still allocates
-// its *Value, result tensor and backward closure, and every gradient
-// its own tensor; moving those onto the session's pool is what the
-// ceiling is there to show. Lower it when that lands, never raise it.
+// the allocator: Algorithm 1's per-example loss graph (exampleLoss) and
+// its backward pass into a private sink, through worker.example on a
+// scratch and a slot arena — exactly what every data-parallel worker
+// runs per slot — summed over 8 queries. The slot arena is reset after
+// each example, as the next minibatch would. Lower the ceilings when
+// something moves more of the example off the heap, never raise them.
 // The pool is pinned to one worker so the count does not depend on the
 // machine's core count.
 //
-// Measured when the test was written (go1.24, amd64): 13,891
-// allocations and 2.14 MB, down from 30,445 and 5.52 MB while the tape
-// still ran back through every Enc_i and copied each first gradient.
-// LayerNorm's backward then stopped making a scratch row per input row:
-// 13,765 and 2.13 MB. The ceilings are those counts plus 3 %.
+// History (go1.24, amd64; the ceilings are the last counts plus 3 %):
+// 30,445 allocations and 5.52 MB while the tape still ran back through
+// every Enc_i and copied each first gradient; 13,891 and 2.14 MB after
+// that; 13,765 and 2.13 MB once LayerNorm's backward stopped making a
+// scratch row per input row, every op still allocating its *Value,
+// result tensor and backward closure and every gradient its own
+// tensor (about 13,400 and 2.10 MB by then). With the graph on arenas and
+// each backward rule a plain function instead of a closure: 946 and
+// 48,800 bytes.
 func TestTrainStepAllocCeiling(t *testing.T) {
 	const (
-		allocCeiling = 14_180    // allocations summed over the 8 queries below
-		byteCeiling  = 2_190_000 // bytes summed over the same
+		allocCeiling = 975    // allocations summed over the 8 queries below
+		byteCeiling  = 50_250 // bytes summed over the same
 	)
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	// One P from the warm-up on: the eval session Represent draws from
+	// sits in a per-P sync.Pool, and a warm-up on a P that allocsPerRun
+	// then takes away would leave the measured passes a cold session.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m, qs := tinySetup(t, 80, 8)
+	w := newMinibatch(1, 1).workers[0]
+	sink := ag.Grads{}
 	var allocs, bytes float64
 	for _, lq := range qs {
-		pass := func() { m.exampleLoss(lq, false).BackwardInto(ag.Grads{}) }
-		pass() // warm the eval session Represent draws from
+		build := func(_ int, ar *ag.Arena) *ag.Value { return m.exampleLoss(ar, lq, false) }
+		pass := func() {
+			clear(sink)
+			w.example(build, 0, sink)
+			w.slot.Reset()
+		}
+		pass() // warm the arenas and the eval session Represent draws from
 		a, b := allocsPerRun(20, pass)
 		allocs += a
 		bytes += b
 	}
-	t.Logf("8 warm exampleLoss + BackwardInto passes: %.0f allocations, %.0f bytes (ceilings %d, %d)",
+	t.Logf("8 warm worker.example passes: %.0f allocations, %.0f bytes (ceilings %d, %d)",
 		allocs, bytes, allocCeiling, byteCeiling)
 	if allocs > allocCeiling {
 		t.Errorf("8 warm training examples allocate %.0f times, ceiling %d", allocs, allocCeiling)

@@ -10,7 +10,8 @@ import (
 )
 
 // BenchmarkTrainExample times one warm Algorithm 1 training example:
-// exampleLoss's graph and its backward pass into a private sink, the work a
+// exampleLoss's graph and its backward pass into a private sink,
+// through worker.example on a scratch and a slot arena — the work a
 // data-parallel worker does per minibatch slot. The model is a Dim-32
 // DefaultConfig one over SyntheticIMDB; the examples cycle through 8
 // three-table queries. The pool is pinned to one worker, as in
@@ -22,12 +23,20 @@ func BenchmarkTrainExample(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	cfg.MinTables, cfg.MaxTables = 3, 3
 	qs := workload.NewGenerator(db, 2).Generate(8, cfg)
-	for _, lq := range qs {
-		m.exampleLoss(lq, false).BackwardInto(ag.Grads{}) // warm the eval session
+	w := newMinibatch(1, 1).workers[0]
+	sink := ag.Grads{}
+	build := func(i int, ar *ag.Arena) *ag.Value { return m.exampleLoss(ar, qs[i%len(qs)], false) }
+	pass := func(i int) {
+		clear(sink)
+		w.example(build, i, sink)
+		w.slot.Reset()
+	}
+	for i := range qs {
+		pass(i) // warm the arenas and the eval session
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.exampleLoss(qs[i%len(qs)], false).BackwardInto(ag.Grads{})
+		pass(i)
 	}
 }

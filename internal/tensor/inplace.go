@@ -1,12 +1,10 @@
 // Destination-taking ("Into") variants of the hot forward kernels.
 //
-// These exist for the inference fast path: paired with a Pool they let
-// a forward pass at steady state allocate nothing. Every Into kernel
-// computes its elements with exactly the same expressions, in exactly
-// the same order, as the corresponding allocating kernel (or the
-// forward half of the corresponding ag op), so outputs are bitwise
-// identical — the invariant the no-grad equivalence tests assert with
-// eps = 0.
+// These are the package's kernels: paired with a Pool they let a
+// serving forward pass, and a training graph on an ag.Arena, allocate
+// nothing at steady state. The tape's ops and the serving session call
+// the same kernels, so their outputs are bitwise identical — the
+// invariant the no-grad equivalence tests assert with eps = 0.
 //
 // Every kernel here is written once over the element type. gc has no
 // float32 transcendentals, so exp/log/tanh/sqrt run through the
@@ -39,6 +37,27 @@ func AddInto[T Float](a, b, out *Dense[T]) {
 	}
 }
 
+// SubInto computes out = a - b elementwise. out may alias a or b.
+func SubInto[T Float](a, b, out *Dense[T]) {
+	if !a.SameShape(b) || !a.SameShape(out) {
+		panic(fmt.Sprintf("tensor: SubInto shape mismatch %v - %v -> %v", a.Shape, b.Shape, out.Shape))
+	}
+	for i := range a.Data {
+		out.Data[i] = a.Data[i] - b.Data[i]
+	}
+}
+
+// MulInto computes the Hadamard product out = a ⊙ b. out may alias a
+// or b.
+func MulInto[T Float](a, b, out *Dense[T]) {
+	if !a.SameShape(b) || !a.SameShape(out) {
+		panic(fmt.Sprintf("tensor: MulInto shape mismatch %v * %v -> %v", a.Shape, b.Shape, out.Shape))
+	}
+	for i := range a.Data {
+		out.Data[i] = a.Data[i] * b.Data[i]
+	}
+}
+
 // ScaleInto computes out = s * a. out may alias a.
 func ScaleInto[T Float](a *Dense[T], s T, out *Dense[T]) {
 	if !a.SameShape(out) {
@@ -50,8 +69,7 @@ func ScaleInto[T Float](a *Dense[T], s T, out *Dense[T]) {
 }
 
 // AddBiasInto broadcasts the 1xN bias row across every row of a [M,N]
-// matrix: out = a + 1·bias. out may alias a. The row-major loop is the
-// same as ag.AddBias's forward.
+// matrix: out = a + 1·bias. out may alias a.
 func AddBiasInto[T Float](a, bias, out *Dense[T]) {
 	m, n := a.Rows(), a.Cols()
 	if bias.Rows() != 1 || bias.Cols() != n || !a.SameShape(out) {
@@ -66,8 +84,22 @@ func AddBiasInto[T Float](a, bias, out *Dense[T]) {
 	}
 }
 
-// SoftmaxRowsInto applies the row-wise softmax of SoftmaxRows into
-// out. out may alias a.
+// SumRowsInto accumulates the column sums of a into the 1xN row out,
+// one row of a after another. out must be zeroed (Pool.Get).
+func SumRowsInto[T Float](a, out *Dense[T]) {
+	m, n := a.Rows(), a.Cols()
+	if out.Rows() != 1 || out.Cols() != n {
+		panic(fmt.Sprintf("tensor: SumRowsInto shape %v -> %v", a.Shape, out.Shape))
+	}
+	for i := 0; i < m; i++ {
+		for j, v := range a.Data[i*n : (i+1)*n] {
+			out.Data[j] += v
+		}
+	}
+}
+
+// SoftmaxRowsInto applies a numerically stable softmax independently
+// to each row of a, into out. out may alias a.
 func SoftmaxRowsInto[T Float](a, out *Dense[T]) {
 	a.mustMatrix()
 	if !a.SameShape(out) {
@@ -99,8 +131,7 @@ func SoftmaxRowsInto[T Float](a, out *Dense[T]) {
 }
 
 // LogSoftmaxRowsInto applies the numerically stable row-wise
-// log-softmax (same arithmetic as ag.LogSoftmaxRows's forward). out
-// may alias a.
+// log-softmax. out may alias a.
 func LogSoftmaxRowsInto[T Float](a, out *Dense[T]) {
 	a.mustMatrix()
 	if !a.SameShape(out) {
@@ -171,8 +202,8 @@ func ReLUInto[T Float](a, out *Dense[T]) {
 	}
 }
 
-// GELUInto computes the tanh-approximation GELU elementwise with the
-// same expression as ag.GELU. out may alias a.
+// GELUInto computes the tanh-approximation GELU elementwise. out may
+// alias a.
 func GELUInto[T Float](a, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic("tensor: GELUInto shape mismatch")
@@ -236,8 +267,8 @@ func viaFloat64[T Float](src, dst []T, f func(x []float64)) {
 	}
 }
 
-// SigmoidInto computes the logistic function elementwise (same
-// expression as ag.Sigmoid). out may alias a.
+// SigmoidInto computes the logistic function elementwise. out may
+// alias a.
 func SigmoidInto[T Float](a, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic("tensor: SigmoidInto shape mismatch")
@@ -275,9 +306,31 @@ func MatMulTransBInto[T Float](a, b, out *Dense[T]) {
 	matMulTransBInto(a.Data, b.Data, out.Data, m, k, n)
 }
 
+// MatMulTransAInto computes out = a^T @ b for a [k,m], b [k,n]: the
+// weight gradient of a @ w. out must be [m,n] and zeroed (the kernel
+// accumulates) and must not alias the inputs.
+func MatMulTransAInto(a, b, out *Tensor) {
+	a.mustMatrix()
+	b.mustMatrix()
+	k, m := a.Shape[0], a.Shape[1]
+	k2, n := b.Shape[0], b.Shape[1]
+	if k != k2 || out.Shape[0] != m || out.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulTransAInto %v^T @ %v: inner or output dims mismatch", a.Shape, b.Shape))
+	}
+	if m*k*n < serialFlops {
+		matMulTransARowsF64(a.Data, b.Data, out.Data, k, m, n, 0, m)
+		return
+	}
+	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
+		matMulTransARowsF64(a.Data, b.Data, out.Data, k, m, n, i0, i1)
+	})
+}
+
 // MatMulBatchInto computes outs[i] = as[i] @ bs[i] for every triple on
-// the worker pool; the pooled-destination twin of MatMulBatch. Each
-// outs[i] must be zeroed (the kernel accumulates).
+// the worker pool, so callers with many small independent products —
+// per-head attention — use the pool even when each product is below
+// the parallel threshold. Each outs[i] must be zeroed (the kernel
+// accumulates).
 func MatMulBatchInto[T Float](as, bs, outs []*Dense[T]) {
 	if len(as) != len(bs) || len(as) != len(outs) {
 		panic(fmt.Sprintf("tensor: MatMulBatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))

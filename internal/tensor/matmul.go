@@ -2,8 +2,8 @@
 //
 // # DESIGN — parallelism model
 //
-// All three kernels (MatMul, MatMulTransA, MatMulTransB) share one
-// structure: a cache-blocked inner kernel that computes a contiguous
+// All three kernels (MatMulInto, MatMulTransAInto, MatMulTransBInto)
+// share one structure: a cache-blocked inner kernel that computes a contiguous
 // range of OUTPUT rows, and a dispatcher that either calls it once
 // (serial fast path, for small problems) or shards the output rows
 // across the package worker pool (internal/parallel). Output rows are
@@ -100,20 +100,6 @@ func rowGrain(flopsPerRow int) int {
 	return g
 }
 
-// MatMul returns a @ b for matrices a [m,k] and b [k,n].
-func MatMul(a, b *Tensor) *Tensor {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %v @ %v", a.Shape, b.Shape))
-	}
-	out := New(m, n)
-	matMulInto(a.Data, b.Data, out.Data, m, k, n)
-	return out
-}
-
 // matMulInto accumulates a @ b into out (which must be zeroed),
 // serially below serialFlops and sharded by output row above it.
 func matMulInto[T Float](a, b, out []T, m, k, n int) {
@@ -194,21 +180,6 @@ func matMulRows(a, b, out []float64, k, n, i0, i1 int) {
 	}
 }
 
-// MatMulTransB returns a @ b^T for a [m,k], b [n,k]. It avoids
-// materializing the transpose, which the attention kernels rely on.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dim mismatch %v @ %v^T", a.Shape, b.Shape))
-	}
-	out := New(m, n)
-	matMulTransBInto(a.Data, b.Data, out.Data, m, k, n)
-	return out
-}
-
 // matMulTransBRows computes output rows [i0, i1) of a @ b^T as dot
 // products, visiting B in jcBlock-row slabs so each slab is reused
 // across all rows of the shard while hot.
@@ -233,26 +204,6 @@ func matMulTransBRows(a, b, out []float64, k, n, i0, i1 int) {
 	}
 }
 
-// MatMulTransA returns a^T @ b for a [k,m], b [k,n].
-func MatMulTransA(a, b *Tensor) *Tensor {
-	a.mustMatrix()
-	b.mustMatrix()
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dim mismatch %v^T @ %v", a.Shape, b.Shape))
-	}
-	out := New(m, n)
-	if m*k*n < serialFlops {
-		matMulTransARowsF64(a.Data, b.Data, out.Data, k, m, n, 0, m)
-		return out
-	}
-	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulTransARowsF64(a.Data, b.Data, out.Data, k, m, n, i0, i1)
-	})
-	return out
-}
-
 // matMulTransARows computes output rows [i0, i1) of a^T @ b, i.e. the
 // rows indexed by columns i of a. The l (row of a and b) loop stays
 // outermost so both inputs stream sequentially; out rows for the shard
@@ -273,38 +224,4 @@ func matMulTransARows(a, b, out []float64, k, m, n, i0, i1 int) {
 			}
 		}
 	}
-}
-
-// MatMulBatch computes as[i] @ bs[i] for every pair, fanning the batch
-// out over the worker pool. It exists so callers with many small
-// independent products — per-head attention, per-token projections —
-// can use the pool even when each single product is below the
-// parallel threshold. Results are identical to calling MatMul in a
-// loop.
-func MatMulBatch(as, bs []*Tensor) []*Tensor {
-	if len(as) != len(bs) {
-		panic(fmt.Sprintf("tensor: MatMulBatch length mismatch %d vs %d", len(as), len(bs)))
-	}
-	out := make([]*Tensor, len(as))
-	parallel.For(len(as), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			out[i] = MatMul(as[i], bs[i])
-		}
-	})
-	return out
-}
-
-// MatMulTransBBatch computes as[i] @ bs[i]^T for every pair on the
-// worker pool; see MatMulBatch.
-func MatMulTransBBatch(as, bs []*Tensor) []*Tensor {
-	if len(as) != len(bs) {
-		panic(fmt.Sprintf("tensor: MatMulTransBBatch length mismatch %d vs %d", len(as), len(bs)))
-	}
-	out := make([]*Tensor, len(as))
-	parallel.For(len(as), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			out[i] = MatMulTransB(as[i], bs[i])
-		}
-	})
-	return out
 }

@@ -25,6 +25,26 @@ func refMatMul[T Float](a, b *Dense[T]) *Dense[T] {
 	return out
 }
 
+// mm, mmTB and mmTA run the destination-taking float64 products into
+// fresh tensors.
+func mm(a, b *Tensor) *Tensor {
+	out := New(a.Rows(), b.Cols())
+	MatMulInto(a, b, out)
+	return out
+}
+
+func mmTB(a, b *Tensor) *Tensor {
+	out := New(a.Rows(), b.Rows())
+	MatMulTransBInto(a, b, out)
+	return out
+}
+
+func mmTA(a, b *Tensor) *Tensor {
+	out := New(a.Cols(), b.Cols())
+	MatMulTransAInto(a, b, out)
+	return out
+}
+
 func refMatMulTransB(a, b *Tensor) *Tensor {
 	return refMatMul(a, Transpose(b))
 }
@@ -63,9 +83,9 @@ func TestMatMulParallelMatchesSerialBitwise(t *testing.T) {
 	for _, sh := range shapes {
 		a, b := randPair(rng, sh.m, sh.k, sh.n)
 		SetParallelism(1)
-		serial := MatMul(a, b)
+		serial := mm(a, b)
 		SetParallelism(8)
-		par := MatMul(a, b)
+		par := mm(a, b)
 		SetParallelism(0)
 		if !Equal(serial, par, 0) {
 			t.Fatalf("[%dx%d @ %dx%d] parallel result differs from serial", sh.m, sh.k, sh.k, sh.n)
@@ -116,7 +136,7 @@ func TestMatMulIntoWithinTierBitwise(t *testing.T) {
 func TestMatMulF32NearFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a64, b64 := randPair(rng, 64, 96, 48)
-	out64 := MatMul(a64, b64)
+	out64 := mm(a64, b64)
 	out32 := NewF32(64, 48)
 	MatMulInto(Convert[float32](a64), Convert[float32](b64), out32)
 	for i := range out64.Data {
@@ -134,9 +154,9 @@ func TestMatMulTransBParallelMatchesSerialBitwise(t *testing.T) {
 		a := RandNorm(rng, sh.m, sh.k, 1)
 		b := RandNorm(rng, sh.n, sh.k, 1)
 		SetParallelism(1)
-		serial := MatMulTransB(a, b)
+		serial := mmTB(a, b)
 		SetParallelism(8)
-		par := MatMulTransB(a, b)
+		par := mmTB(a, b)
 		SetParallelism(0)
 		if !Equal(serial, par, 0) {
 			t.Fatalf("[%dx%d @ (%dx%d)^T] parallel result differs from serial", sh.m, sh.k, sh.n, sh.k)
@@ -155,9 +175,9 @@ func TestMatMulTransAParallelMatchesSerialBitwise(t *testing.T) {
 		a := RandNorm(rng, sh.k, sh.m, 1)
 		b := RandNorm(rng, sh.k, sh.n, 1)
 		SetParallelism(1)
-		serial := MatMulTransA(a, b)
+		serial := mmTA(a, b)
 		SetParallelism(8)
-		par := MatMulTransA(a, b)
+		par := mmTA(a, b)
 		SetParallelism(0)
 		if !Equal(serial, par, 0) {
 			t.Fatalf("[(%dx%d)^T @ %dx%d] parallel result differs from serial", sh.k, sh.m, sh.k, sh.n)
@@ -177,19 +197,21 @@ func TestMatMulBatchMatchesLoop(t *testing.T) {
 		as = append(as, a)
 		bs = append(bs, b)
 	}
-	got := MatMulBatch(as, bs)
-	for i := range as {
-		if !Equal(got[i], MatMul(as[i], bs[i]), 0) {
-			t.Fatalf("batch element %d differs", i)
-		}
-	}
+	got := make([]*Tensor, len(as))
+	gotTB := make([]*Tensor, len(as))
 	bts := make([]*Tensor, len(bs))
 	for i, b := range bs {
+		got[i] = New(as[i].Rows(), b.Cols())
+		gotTB[i] = New(as[i].Rows(), b.Cols())
 		bts[i] = Transpose(b)
 	}
-	gotTB := MatMulTransBBatch(as, bts)
+	MatMulBatchInto(as, bs, got)
+	MatMulTransBBatchInto(as, bts, gotTB)
 	for i := range as {
-		if !Equal(gotTB[i], MatMulTransB(as[i], bts[i]), 0) {
+		if !Equal(got[i], mm(as[i], bs[i]), 0) {
+			t.Fatalf("batch element %d differs", i)
+		}
+		if !Equal(gotTB[i], mmTB(as[i], bts[i]), 0) {
 			t.Fatalf("transB batch element %d differs", i)
 		}
 	}
@@ -202,14 +224,14 @@ func TestMatMulConcurrentCallers(t *testing.T) {
 	defer SetParallelism(SetParallelism(4))
 	rng := rand.New(rand.NewSource(5))
 	a, b := randPair(rng, 130, 140, 150)
-	want := MatMul(a, b)
+	want := mm(a, b)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if !Equal(MatMul(a, b), want, 0) {
+				if !Equal(mm(a, b), want, 0) {
 					t.Error("concurrent MatMul result differs")
 					return
 				}

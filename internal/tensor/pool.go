@@ -1,4 +1,5 @@
-// Buffer pooling for the inference fast path.
+// Buffer pooling for the inference fast path and for training graphs
+// (ag.Arena).
 //
 // A Pool is an arena of reusable tensors of one element type, indexed
 // by element count:
@@ -14,7 +15,8 @@
 //     the pool that produced it. Nothing that must outlive the Reset
 //     may point into a pooled tensor — copy it out (Clone) first.
 //   - Pools are NOT safe for concurrent use. Each inference session
-//     (one ag.Session) owns one Pool; concurrent sessions get their own.
+//     (one ag.Session) and each training arena (one ag.Arena) owns one
+//     Pool; concurrent sessions and workers get their own.
 //     DESIGN.md "Session ownership" records the full lifetime rules
 //     the serving layer builds on.
 package tensor
@@ -131,3 +133,13 @@ func (p *Pool[T]) Reset() {
 
 // Live reports how many tensors are currently handed out.
 func (p *Pool[T]) Live() int { return p.live }
+
+// Fill sets every element of every tensor handed out since the last
+// Reset to v: how a race build's ag.Arena poisons what it releases.
+func (p *Pool[T]) Fill(v T) {
+	for _, c := range p.classes {
+		for _, t := range c.bufs[:c.next] {
+			t.Fill(v)
+		}
+	}
+}

@@ -62,9 +62,11 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestIntoKernelsMatchAllocating asserts every Into kernel is bitwise
-// identical (eps = 0) to its allocating twin on random inputs.
-func TestIntoKernelsMatchAllocating(t *testing.T) {
+// TestIntoKernelsMatchReference asserts the elementwise, softmax and
+// batched Into kernels are bitwise identical (eps = 0) to their
+// definitions on random inputs; the products' own references are in
+// matmul_test.go.
+func TestIntoKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Rand(rng, 9, 13, 1)
 	b := Rand(rng, 9, 13, 1)
@@ -75,52 +77,76 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	check := func(name string, want, got *Tensor) {
 		t.Helper()
 		if !Equal(want, got, 0) {
-			t.Fatalf("%s: Into kernel diverges from allocating kernel", name)
+			t.Fatalf("%s: Into kernel diverges from its definition", name)
 		}
+	}
+	each := func(f func(i int) float64) *Tensor {
+		want := New(9, 13)
+		for i := range want.Data {
+			want.Data[i] = f(i)
+		}
+		return want
 	}
 
 	out := New(9, 13)
 	AddInto(a, b, out)
-	check("AddInto", Add(a, b), out)
+	check("AddInto", each(func(i int) float64 { return a.Data[i] + b.Data[i] }), out)
+
+	SubInto(a, b, out)
+	check("SubInto", each(func(i int) float64 { return a.Data[i] - b.Data[i] }), out)
+
+	MulInto(a, b, out)
+	check("MulInto", each(func(i int) float64 { return a.Data[i] * b.Data[i] }), out)
 
 	ScaleInto(a, -1.75, out)
-	check("ScaleInto", Scale(a, -1.75), out)
+	check("ScaleInto", each(func(i int) float64 { return a.Data[i] * -1.75 }), out)
 
 	AddBiasInto(a, bias, out)
-	want := New(9, 13)
+	check("AddBiasInto", each(func(i int) float64 { return a.Data[i] + bias.Data[i%13] }), out)
+
+	sums := New(1, 13)
+	SumRowsInto(a, sums)
+	want := New(1, 13)
 	for i := 0; i < 9; i++ {
 		for j := 0; j < 13; j++ {
-			want.Set(i, j, a.At(i, j)+bias.Data[j])
+			want.Data[j] += a.At(i, j)
 		}
 	}
-	check("AddBiasInto", want, out)
+	check("SumRowsInto", want, sums)
 
+	soft := New(9, 13)
+	for i := 0; i < 9; i++ {
+		row := soft.Row(i)
+		mx := math.Inf(-1)
+		for _, v := range a.Row(i) {
+			mx = math.Max(mx, v)
+		}
+		var z float64
+		for j, v := range a.Row(i) {
+			row[j] = math.Exp(v - mx)
+			z += row[j]
+		}
+		for j := range row {
+			row[j] /= z
+		}
+	}
 	SoftmaxRowsInto(a, out)
-	check("SoftmaxRowsInto", SoftmaxRows(a), out)
+	check("SoftmaxRowsInto", soft, out)
 
 	// Aliased destination.
 	aCopy := a.Clone()
 	SoftmaxRowsInto(aCopy, aCopy)
-	check("SoftmaxRowsInto aliased", SoftmaxRows(a), aCopy)
-
-	mm := New(9, 5)
-	MatMulInto(a, w, mm)
-	check("MatMulInto", MatMul(a, w), mm)
-
-	mtb := New(9, 4)
-	MatMulTransBInto(a, bt, mtb)
-	check("MatMulTransBInto", MatMulTransB(a, bt), mtb)
+	check("SoftmaxRowsInto aliased", soft, aCopy)
 
 	outs := []*Tensor{New(9, 5), New(9, 5)}
 	MatMulBatchInto([]*Tensor{a, b}, []*Tensor{w, w}, outs)
-	check("MatMulBatchInto[0]", MatMul(a, w), outs[0])
-	check("MatMulBatchInto[1]", MatMul(b, w), outs[1])
+	check("MatMulBatchInto[0]", refMatMul(a, w), outs[0])
+	check("MatMulBatchInto[1]", refMatMul(b, w), outs[1])
 
 	touts := []*Tensor{New(9, 4), New(9, 4)}
 	MatMulTransBBatchInto([]*Tensor{a, b}, []*Tensor{bt, bt}, touts)
-	check("MatMulTransBBatchInto[0]", MatMulTransB(a, bt), touts[0])
-	check("MatMulTransBBatchInto[1]", MatMulTransB(b, bt), touts[1])
-
+	check("MatMulTransBBatchInto[0]", refMatMulTransB(a, bt), touts[0])
+	check("MatMulTransBBatchInto[1]", refMatMulTransB(b, bt), touts[1])
 }
 
 // TestLayerNormAndActIntoKernels covers the normalization and

@@ -90,7 +90,7 @@ func TestMatMulInt8NearFloat64(t *testing.T) {
 	w64 := Xavier(rng, k, n)
 	bias64 := RandNorm(rng, 1, n, 0.5)
 
-	ref := MatMul(a64, w64)
+	ref := mm(a64, w64)
 	AddBiasInto(ref, bias64, ref)
 
 	out := NewF32(m, n)

@@ -10,8 +10,8 @@
 // (float64) is what training, checkpoints and the reference serving
 // tier use; F32 (float32) is the storage of the reduced-precision
 // serving tiers (DESIGN.md §9). The pool and every destination-taking
-// ("Into") kernel are written once over T; the allocating functions in
-// this file are the float64 training surface.
+// ("Into") kernel are written once over T; the constructors in this
+// file build float64 tensors.
 //
 // The matrix-multiply kernels live in matmul.go: they are
 // cache-blocked and shard large products by output row across the
@@ -271,51 +271,6 @@ func (t *Dense[T]) ScaleInPlace(s T) {
 	}
 }
 
-// Add returns t + o elementwise.
-func Add(a, b *Tensor) *Tensor {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: Add shape mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: Sub shape mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Mul returns the Hadamard (elementwise) product.
-func Mul(a, b *Tensor) *Tensor {
-	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor: Mul shape mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s * a.
-func Scale(a *Tensor, s float64) *Tensor {
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * s
-	}
-	return out
-}
-
 // Transpose returns the matrix transpose.
 func Transpose(a *Tensor) *Tensor {
 	a.mustMatrix()
@@ -347,51 +302,6 @@ func MaxAll(a *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// SumRows returns a 1xN row containing the column sums of a matrix.
-func SumRows(a *Tensor) *Tensor {
-	a.mustMatrix()
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(1, n)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	return out
-}
-
-// SoftmaxRows applies a numerically stable softmax independently to
-// each row of a matrix.
-func SoftmaxRows(a *Tensor) *Tensor {
-	a.mustMatrix()
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*n : (i+1)*n]
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var z float64
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			orow[j] = e
-			z += e
-		}
-		if z == 0 {
-			z = 1
-		}
-		for j := range orow {
-			orow[j] /= z
-		}
-	}
-	return out
 }
 
 // Equal reports whether two tensors have identical shape and all

@@ -62,24 +62,25 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 func TestAddSubMulScale(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	if got := Add(a, b).Data; got[3] != 12 {
-		t.Fatalf("Add wrong: %v", got)
+	out := New(2, 2)
+	if AddInto(a, b, out); out.Data[3] != 12 {
+		t.Fatalf("AddInto wrong: %v", out.Data)
 	}
-	if got := Sub(b, a).Data; got[0] != 4 {
-		t.Fatalf("Sub wrong: %v", got)
+	if SubInto(b, a, out); out.Data[0] != 4 {
+		t.Fatalf("SubInto wrong: %v", out.Data)
 	}
-	if got := Mul(a, b).Data; got[1] != 12 {
-		t.Fatalf("Mul wrong: %v", got)
+	if MulInto(a, b, out); out.Data[1] != 12 {
+		t.Fatalf("MulInto wrong: %v", out.Data)
 	}
-	if got := Scale(a, 2).Data; got[2] != 6 {
-		t.Fatalf("Scale wrong: %v", got)
+	if ScaleInto(a, 2, out); out.Data[2] != 6 {
+		t.Fatalf("ScaleInto wrong: %v", out.Data)
 	}
 }
 
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := mm(a, b)
 	want := FromSlice([]float64{58, 64, 139, 154}, 2, 2)
 	if !Equal(c, want, 1e-12) {
 		t.Fatalf("MatMul got %v want %v", c, want)
@@ -92,26 +93,25 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	mm(New(2, 3), New(2, 3))
 }
 
-// Property: MatMulTransB(a, b) == MatMul(a, Transpose(b)) and
-// MatMulTransA(a, b) == MatMul(Transpose(a), b).
+// Property: a @ bᵀ == a @ Transpose(b) and aᵀ @ b == Transpose(a) @ b.
 func TestMatMulTransposeVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 50; iter++ {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
 		a := Rand(rng, m, k, 1)
 		b := Rand(rng, n, k, 1)
-		got := MatMulTransB(a, b)
-		want := MatMul(a, Transpose(b))
+		got := mmTB(a, b)
+		want := mm(a, Transpose(b))
 		if !Equal(got, want, 1e-10) {
 			t.Fatalf("MatMulTransB mismatch at %dx%dx%d", m, k, n)
 		}
 		c := Rand(rng, k, m, 1)
 		d := Rand(rng, k, n, 1)
-		got2 := MatMulTransA(c, d)
-		want2 := MatMul(Transpose(c), d)
+		got2 := mmTA(c, d)
+		want2 := mm(Transpose(c), d)
 		if !Equal(got2, want2, 1e-10) {
 			t.Fatalf("MatMulTransA mismatch at %dx%dx%d", m, k, n)
 		}
@@ -132,9 +132,10 @@ func TestTransposeInvolution(t *testing.T) {
 
 func TestSumRowsAndSumAll(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	s := SumRows(a)
+	s := New(1, 3)
+	SumRowsInto(a, s)
 	if s.Rows() != 1 || s.Data[0] != 5 || s.Data[1] != 7 || s.Data[2] != 9 {
-		t.Fatalf("SumRows wrong: %v", s.Data)
+		t.Fatalf("SumRowsInto wrong: %v", s.Data)
 	}
 	if SumAll(a) != 21 {
 		t.Fatal("SumAll wrong")
@@ -148,7 +149,7 @@ func TestSoftmaxRowsProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m, n := 1+rng.Intn(5), 1+rng.Intn(7)
 		a := Rand(rng, m, n, 5)
-		s := SoftmaxRows(a)
+		s := softmax(a)
 		shifted := a.Clone()
 		for i := 0; i < m; i++ {
 			c := rng.Float64() * 10
@@ -157,7 +158,7 @@ func TestSoftmaxRowsProperties(t *testing.T) {
 				row[j] += c
 			}
 		}
-		s2 := SoftmaxRows(shifted)
+		s2 := softmax(shifted)
 		for i := 0; i < m; i++ {
 			var sum float64
 			for _, v := range s.Row(i) {
@@ -177,9 +178,16 @@ func TestSoftmaxRowsProperties(t *testing.T) {
 	}
 }
 
+// softmax runs SoftmaxRowsInto into a fresh tensor.
+func softmax(a *Tensor) *Tensor {
+	out := New(a.Shape...)
+	SoftmaxRowsInto(a, out)
+	return out
+}
+
 func TestSoftmaxStability(t *testing.T) {
 	a := FromSlice([]float64{1000, 1001, 999}, 1, 3)
-	s := SoftmaxRows(a)
+	s := softmax(a)
 	if s.HasNaN() {
 		t.Fatal("softmax overflowed on large logits")
 	}

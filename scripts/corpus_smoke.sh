@@ -8,19 +8,11 @@
 # mtmlf-train refuses -db and -corpus-mode without -corpus. Run via `make
 # corpus-smoke`; CI runs it on every push and uploads the corpus
 # artifact.
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+source "$(dirname "$0")/lib.sh" mtmlf-datagen mtmlf-train
 
 # The corpus is left at $CORPUS_OUT for CI to upload.
 OUT=${CORPUS_OUT:-corpus-smoke.mtc}
 SEED=5
-
-echo "== building binaries"
-go build -o "$TMP/mtmlf-datagen" ./cmd/mtmlf-datagen
-go build -o "$TMP/mtmlf-train" ./cmd/mtmlf-train
 
 echo "== refusing corpus flags without -corpus"
 for flags in "-db imdb" "-corpus-mode inmem"; do

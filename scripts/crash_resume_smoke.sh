@@ -10,20 +10,12 @@
 # assertion): crashing and resuming, any number of times, at any worker
 # count, must not change the trained model by a single bit.
 # Run via `make resume-smoke`; CI runs it on every push.
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+source "$(dirname "$0")/lib.sh" mtmlf-datagen mtmlf-train
 
 SEED=7
 KILLS=${RESUME_SMOKE_KILLS:-2}
 CORPUS="$TMP/fleet.mtc"
 TRAIN_ARGS=(-corpus "$CORPUS" -epochs 6 -batch 4 -seed "$SEED")
-
-echo "== building binaries"
-go build -o "$TMP/mtmlf-datagen" ./cmd/mtmlf-datagen
-go build -o "$TMP/mtmlf-train" ./cmd/mtmlf-train
 
 echo "== generating a tiny corpus"
 "$TMP/mtmlf-datagen" -n 1 -seed "$SEED" -minrows 60 -maxrows 120 \

@@ -10,27 +10,19 @@
 # the single-process reference: distributing the run across processes,
 # killing it, and resuming it must not change the trained model by a
 # single bit. Run via `make dist-smoke`; CI runs it on every push.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+source "$(dirname "$0")/lib.sh" mtmlf-datagen mtmlf-train
 
-TMP=$(mktemp -d)
-cleanup() {
+smoke_cleanup() {
     local pids
     pids=$(jobs -p)
     [ -n "$pids" ] && kill $pids 2>/dev/null
-    rm -rf "$TMP"
 }
-trap cleanup EXIT
 
 SEED=11
 WORLD=2
 CORPUS="$TMP/fleet.mtc"
 SNAP="$TMP/dist.snap"
 TRAIN_ARGS=(-mla -corpus "$CORPUS" -epochs 2 -encoder-epochs 1 -st-per-table 5 -batch 4)
-
-echo "== building binaries"
-go build -o "$TMP/mtmlf-datagen" ./cmd/mtmlf-datagen
-go build -o "$TMP/mtmlf-train" ./cmd/mtmlf-train
 
 echo "== generating a tiny 3-DB fleet corpus"
 "$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -minrows 60 -maxrows 120 \

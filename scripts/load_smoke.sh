@@ -8,25 +8,16 @@
 # correct overload behavior), a successful mid-run reload, and a
 # well-formed report in load-smoke.json (git-ignored). Run via `make
 # load-smoke`; CI runs it on every push and uploads the report.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+source "$(dirname "$0")/lib.sh" mtmlf-train mtmlf-serve mtmlf-loadgen
 
-TMP=$(mktemp -d)
 SERVER_PID=""
-cleanup() {
+smoke_cleanup() {
     [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
-    rm -rf "$TMP"
 }
-trap cleanup EXIT
 
 SEED=7
 SCALE=0.04
 REPORT=load-smoke.json
-
-echo "== building binaries"
-go build -o "$TMP/mtmlf-train" ./cmd/mtmlf-train
-go build -o "$TMP/mtmlf-serve" ./cmd/mtmlf-serve
-go build -o "$TMP/mtmlf-loadgen" ./cmd/mtmlf-loadgen
 
 echo "== training a tiny checkpoint"
 "$TMP/mtmlf-train" -queries 24 -epochs 1 -seed "$SEED" -scale "$SCALE" \

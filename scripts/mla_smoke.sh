@@ -9,19 +9,11 @@
 # exact bit patterns, so cmp is a bitwise assertion).
 # Run via `make mla-smoke`; CI runs it on every push and uploads the
 # fleet corpus artifact.
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+source "$(dirname "$0")/lib.sh" mtmlf-datagen mtmlf-train
 
 # The corpus is left at $MLA_CORPUS_OUT for CI to upload.
 OUT=${MLA_CORPUS_OUT:-mla-smoke.mtc}
 SEED=11
-
-echo "== building binaries"
-go build -o "$TMP/mtmlf-datagen" ./cmd/mtmlf-datagen
-go build -o "$TMP/mtmlf-train" ./cmd/mtmlf-train
 
 echo "== generating a tiny 3-DB fleet corpus with single-table sections"
 "$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -minrows 60 -maxrows 120 \

@@ -8,24 +8,16 @@
 # one (peak resident set, VmHWM): the reduced tiers build their replica
 # from the checkpoint stream and never hold the f64 model. Run via
 # `make serve-smoke`; CI runs it on every push.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+source "$(dirname "$0")/lib.sh" mtmlf-train mtmlf-serve
 
-TMP=$(mktemp -d)
 SERVER_PID=""
 INT8_PID=""
-cleanup() {
+smoke_cleanup() {
     for pid in $SERVER_PID $INT8_PID; do kill "$pid" 2>/dev/null || true; done
-    rm -rf "$TMP"
 }
-trap cleanup EXIT
 
 SEED=7
 SCALE=0.04
-
-echo "== building binaries"
-go build -o "$TMP/mtmlf-train" ./cmd/mtmlf-train
-go build -o "$TMP/mtmlf-serve" ./cmd/mtmlf-serve
 
 echo "== training a tiny checkpoint"
 "$TMP/mtmlf-train" -queries 24 -epochs 1 -seed "$SEED" -scale "$SCALE" \
