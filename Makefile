@@ -42,7 +42,7 @@ purego:
 # adds one fails with every site's file:line. Lower the bound as sites
 # are rounded explicitly (ROADMAP item 3), never raise it.
 FUSION_PKGS := ./internal/tensor ./internal/ag ./internal/nn ./internal/mtmlf ./internal/featurize ./internal/treelstm ./internal/datagen ./internal/cost ./internal/stats ./internal/metrics ./internal/calib
-FUSED_MAX := 125
+FUSED_MAX := 124
 cross-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
@@ -161,18 +161,20 @@ calib-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# End-to-end data-plane check: generate a tiny labeled corpus, retrain
-# from it streaming / in-memory / 4-worker, assert the loss
-# trajectories are bitwise identical. Leaves corpus-smoke.mtc for CI
-# to upload.
+# End-to-end data-plane check: generate a tiny labeled corpus at 1 and
+# 4 workers and assert the files are bitwise identical, check that
+# mtmlf-datagen and mtmlf-train refuse flags their mode would ignore,
+# retrain from the corpus at 1 and 4 workers, and assert the loss
+# trajectories are bitwise identical. Leaves corpus-smoke.mtc for CI to
+# upload.
 corpus-smoke:
 	./scripts/corpus_smoke.sh
 
 # End-to-end fleet pretraining check: generate a tiny 3-DB fleet
-# corpus with single-table sections, run Algorithm 1 from the artifact
-# twice (streaming vs materialized), assert the loss trajectories and
-# the saved shared checkpoints are bitwise identical. Leaves
-# mla-smoke.mtc for CI to upload.
+# corpus (schemas, single-table sections, labeled examples), run
+# Algorithm 1 from the artifact twice (1 and 4 workers), assert the
+# loss trajectories and the saved shared checkpoints are bitwise
+# identical. Leaves mla-smoke.mtc for CI to upload.
 mla-smoke:
 	./scripts/mla_smoke.sh
 
@@ -206,8 +208,9 @@ dist-smoke:
 # decoders, never allocate more than a small multiple of what arrived,
 # plus — for a checkpoint or a snapshot — the one destination a load
 # fills). Seeds cover both checkpoint flavors and the three refused
-# older versions, a snapshot and a refused v2 one, a
-# corpus with and without single-table sections, the
+# older versions, a snapshot and a refused v2 one, a v5
+# corpus with and without a single-table section (optional in the
+# format, though mtmlf-datagen always writes it), the
 # torn-write/bit-flip/lying-length corruption shapes, and one valid
 # exchange message of every kind. FuzzCorpusRecord feeds the corpus
 # record decoders directly, since behind the section checksums almost

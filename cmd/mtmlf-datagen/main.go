@@ -2,36 +2,34 @@
 // pipeline. By default it prints a summary of each generated database:
 // tables, row counts, fact/dimension roles, and the join schema. With
 // -out it becomes the corpus builder of the data plane: each database
-// is written to a versioned on-disk corpus (internal/corpus) together
-// with a pre-labeled workload (true cardinalities, costs, and optimal
-// join orders), produced in deterministic shards on the worker pool —
-// the artifact mtmlf-train -corpus trains from without regenerating
-// or relabeling anything.
+// is written to a versioned on-disk corpus (internal/corpus) as the
+// three things Algorithm 1 takes from it — its schema, the
+// single-table queries that pretrain its encoders (lines 3–4), and a
+// labeled workload with true cardinalities, costs, and optimal join
+// orders (lines 5–8). That is the artifact mtmlf-train -corpus trains
+// from without regenerating or relabeling anything.
 //
 // Usage:
 //
 //	mtmlf-datagen [-n 11] [-seed 1] [-minrows 200] [-maxrows 1500]
 //	              [-workers 0]
-//	              [-out corpus.mtc] [-queries 48] [-shard 16]
+//	              [-out corpus.mtc] [-queries 48] [-single-table 40]
 //	              [-maxtables 6] [-imdb] [-scale 0.06]
-//	              [-single-table 0]
 //
-// -workers sizes the worker pool that generates databases and
-// workload shards concurrently (0 = all cores); the fleet AND the
-// labeled corpus are identical at any size. -imdb replaces the
+// -workers sizes the worker pool that generates and labels databases
+// concurrently (0 = all cores); the fleet AND the labeled corpus are
+// identical at any size. Labeling fans out across databases only, so a
+// one-database corpus (-imdb) labels on one core. -imdb replaces the
 // synthetic fleet with the single 21-table synthetic IMDB database.
 //
-// -single-table N switches corpus generation into fleet-MLA mode: for
-// each database the corpus additionally stores a single-table section
-// of N labeled encoder pre-training queries per table, and
-// the multi-table workload is generated with the Algorithm 1 seed
-// scheme (mtmlf.GenMLAData: per-DB task seed, single-table draws
-// first, then -queries multi-table examples from the same rng
-// stream). A corpus written this way is the complete fleet
-// pretraining artifact: `mtmlf-train -mla -corpus` trains the shared
-// (S)+(T) modules from it bitwise-identically to a live in-memory
-// TrainMLA run, skipping both workload labeling and the live (F)
-// pre-training pass.
+// Every database is generated with the Algorithm 1 seed scheme
+// (mtmlf.GenMLAData): a per-database task seed, -single-table labeled
+// queries per table first, then -queries multi-table examples from
+// the same rng stream. -single-table must be at least 1 with -out. The
+// corpus records both counts and the workload config in its Meta, so
+// `mtmlf-train -mla -corpus` trains the shared (S)+(T) modules from it
+// bitwise-identically to a live in-memory TrainMLA run, skipping both
+// workload labeling and the live (F) pre-training pass.
 package main
 
 import (
@@ -61,12 +59,14 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0 = all cores)")
 	out := flag.String("out", "", "write a labeled corpus to this file")
 	queries := flag.Int("queries", 48, "labeled queries per database (with -out)")
-	shard := flag.Int("shard", workload.DefaultShardSize, "workload generation shard size (with -out)")
 	maxTables := flag.Int("maxtables", 0, "override max tables joined per query (with -out)")
 	imdb := flag.Bool("imdb", false, "generate the synthetic IMDB database instead of a fleet")
 	scale := flag.Float64("scale", 0.06, "synthetic IMDB scale factor (with -imdb)")
-	singleTable := flag.Int("single-table", 0, "with -out: store N single-table queries per table (fleet-MLA mode)")
+	singleTable := flag.Int("single-table", 40, "single-table encoder pre-training queries per table (with -out; at least 1)")
 	flag.Parse()
+	if *out != "" && *singleTable < 1 {
+		log.Fatalf("-single-table %d: a corpus stores at least one single-table query per table", *singleTable)
+	}
 	tensor.SetParallelism(*workers)
 
 	cfg := datagen.DefaultConfig()
@@ -111,23 +111,12 @@ func main() {
 	if *maxTables > 0 {
 		wcfg.MaxTables = *maxTables
 	}
-	shardSize := *shard
-	if *singleTable > 0 {
-		// Fleet-MLA generation is one rng stream per DB, not sharded.
-		shardSize = 0
-		fmt.Printf("fleet-MLA mode: per-DB single-stream generation (-shard not used), %d single-table queries/table\n", *singleTable)
-	}
 	meta := corpus.Meta{
-		Seed:      *seed,
-		ShardSize: shardSize,
+		Seed: *seed,
 		Note: fmt.Sprintf("mtmlf-datagen: %d dbs, %d queries/db, %d single-table/table, datagen %+v, workload %+v",
 			len(fleet), *queries, *singleTable, cfg, wcfg),
-	}
-	if *singleTable > 0 {
-		// Echo the MLA generation parameters so training runs can
-		// reproduce the live fallback generation exactly.
-		meta.SingleTablePerTable = *singleTable
-		meta.MLAWorkload = wcfg
+		SingleTablePerTable: *singleTable,
+		MLAWorkload:         wcfg,
 	}
 	start := time.Now()
 	// The corpus is committed atomically (temp file + fsync + rename):
@@ -137,7 +126,12 @@ func main() {
 		if err != nil {
 			return err
 		}
-		return fillCorpus(w, fleet, wcfg, *seed, *queries, *shard, *singleTable)
+		return fillCorpus(w, fleet, mtmlf.MLAOptions{
+			QueriesPerDB:        *queries,
+			SingleTablePerTable: *singleTable,
+			Workload:            wcfg,
+			Seed:                *seed,
+		})
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -150,61 +144,34 @@ func main() {
 		*out, len(fleet), *queries, fi.Size(), time.Since(start).Round(time.Millisecond))
 }
 
-// fillCorpus streams the fleet's schemas and labeled workloads into w
-// and closes it.
-func fillCorpus(w *corpus.Writer, fleet []*sqldb.DB, wcfg workload.Config, seed int64, queries, shard, singleTable int) error {
-	if singleTable > 0 {
-		// Fleet-MLA mode: per-DB single-table sections + the Algorithm 1
-		// workload, generated DB-parallel on the pool, written in order.
-		mlaOpts := mtmlf.MLAOptions{
-			QueriesPerDB:        queries,
-			SingleTablePerTable: singleTable,
-			Workload:            wcfg,
-			Seed:                seed,
+// fillCorpus labels every database of the fleet with GenMLAData,
+// database-parallel on the pool, writes each one's schema,
+// single-table section and examples in fleet order, and closes w.
+func fillCorpus(w *corpus.Writer, fleet []*sqldb.DB, opts mtmlf.MLAOptions) error {
+	sts := make([][]workload.TableWorkload, len(fleet))
+	exs := make([][]*workload.LabeledQuery, len(fleet))
+	parallel.For(len(fleet), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sts[i], exs[i] = mtmlf.GenMLAData(catalog.NewMemory(fleet[i]), opts, i)
 		}
-		sts := make([][]workload.TableWorkload, len(fleet))
-		exs := make([][]*workload.LabeledQuery, len(fleet))
-		parallel.For(len(fleet), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sts[i], exs[i] = mtmlf.GenMLAData(catalog.NewMemory(fleet[i]), mlaOpts, i)
-			}
-		})
-		for i, db := range fleet {
-			if err := w.BeginDB(db); err != nil {
-				return err
-			}
-			if err := w.WriteSingleTable(sts[i]); err != nil {
-				return err
-			}
-			for _, lq := range exs[i] {
-				if err := w.AppendExample(lq); err != nil {
-					return err
-				}
-			}
-			nst := 0
-			for _, tw := range sts[i] {
-				nst += len(tw.Queries)
-			}
-			fmt.Printf("labeled %s: %d examples + %d single-table queries\n", db.Name, len(exs[i]), nst)
-		}
-		return w.Close()
-	}
+	})
 	for i, db := range fleet {
-		t0 := time.Now()
 		if err := w.BeginDB(db); err != nil {
 			return err
 		}
-		// The per-DB workload seed is offset the same way GenerateFleet
-		// offsets database seeds, so every (database, workload) pair is
-		// reproducible from the master seed alone.
-		qseed := seed + 1000 + int64(i)*7919
-		examples := workload.GenerateSharded(catalog.NewMemory(db), qseed, queries, shard, wcfg)
-		for _, lq := range examples {
+		if err := w.WriteSingleTable(sts[i]); err != nil {
+			return err
+		}
+		for _, lq := range exs[i] {
 			if err := w.AppendExample(lq); err != nil {
 				return err
 			}
 		}
-		fmt.Printf("labeled %s: %d examples in %v\n", db.Name, len(examples), time.Since(t0).Round(time.Millisecond))
+		nst := 0
+		for _, tw := range sts[i] {
+			nst += len(tw.Queries)
+		}
+		fmt.Printf("labeled %s: %d examples + %d single-table queries\n", db.Name, len(exs[i]), nst)
 	}
 	return w.Close()
 }

@@ -10,20 +10,19 @@
 //   - -corpus: a pre-labeled corpus file written by
 //     mtmlf-datagen -out is opened and training examples are
 //     STREAMED from disk, one minibatch at a time, so the corpus may
-//     exceed RAM. -corpus-mode inmem materializes the same examples
-//     into memory first — the trajectory is bitwise identical either
-//     way, which `make corpus-smoke` asserts on every CI run. -db
-//     picks the corpus database (default: the first). Both flags need
-//     -corpus and are refused without it.
+//     exceed RAM. -db picks the corpus database (default: the first)
+//     and is refused without -corpus. The database's (F) encoders
+//     pre-train from its single-table section for -encoder-epochs; a
+//     database without one is refused.
 //
 // Usage:
 //
 //	mtmlf-train [-queries 200] [-epochs 6] [-scale 0.06] [-seed 1]
 //	            [-save model.ckpt] [-load model.ckpt] [-shared-only]
 //	            [-seqloss] [-workers 0] [-batch 1]
-//	            [-corpus corpus.mtc] [-db name] [-corpus-mode stream]
+//	            [-corpus corpus.mtc] [-db name]
 //	            [-loss-out losses.txt]
-//	            [-mla] [-encoder-epochs 2] [-st-per-table 40]
+//	            [-mla] [-encoder-epochs 2]
 //	            [-resume state.snap] [-snapshot-every 0]
 //	            [-dist-coordinator :0 | -dist-worker addr]
 //	            [-dist-rank 0] [-dist-world 1]
@@ -41,15 +40,14 @@
 //
 // -mla switches to fleet pretraining (Algorithm 1) over EVERY
 // database of a -corpus artifact: per-DB featurizers pre-train from
-// the corpus's cached single-table sections (databases written without
-// one fall back to live generation), then the shared (S)+(T) modules
-// train on the pooled example stream (mtmlf.TrainMLAStream) without
-// ever materializing the fleet workload. The MLA seed comes from the
-// corpus Meta record, so the run reproduces the in-memory
-// TrainMLA(seed) bitwise; -corpus-mode inmem materializes the per-DB
-// workloads first and must produce the identical trajectory and
-// checkpoint, which `make mla-smoke` asserts. -save then writes the
-// shared-only transfer checkpoint — the paper's cloud artifact.
+// the corpus's cached single-table sections, then the shared (S)+(T)
+// modules train on the pooled example stream (mtmlf.TrainMLAStream)
+// without ever materializing the fleet workload. The MLA seed, the
+// single-table count and the workload config come from the corpus
+// Meta record, so the run reproduces the in-memory TrainMLA(seed)
+// bitwise at any -workers, which `make mla-smoke` asserts. -save then
+// writes the shared-only transfer checkpoint — the paper's cloud
+// artifact.
 //
 // -save writes a versioned FULL-model checkpoint: the shared stack,
 // both task heads, the join-order decoder, and the per-database
@@ -110,10 +108,10 @@ import (
 )
 
 // The command line, registered in main.
-var queries, epochs, workers, batch, encEpochs, stPerTable, snapEvery, distRank, distWorld int
+var queries, epochs, workers, batch, encEpochs, snapEvery, distRank, distWorld int
 var scale float64
 var seed int64
-var savePath, loadPath, corpusPath, dbName, corpusMode, lossOut, resumePath, distCoord, distWorker string
+var savePath, loadPath, corpusPath, dbName, lossOut, resumePath, distCoord, distWorker string
 var sharedOnly, seqLoss, mla bool
 
 func main() {
@@ -129,11 +127,9 @@ func main() {
 	flag.IntVar(&batch, "batch", 1, "minibatch size (examples averaged per Adam step)")
 	flag.StringVar(&corpusPath, "corpus", "", "train from this corpus file (written by mtmlf-datagen -out)")
 	flag.StringVar(&dbName, "db", "", "corpus database to train on (default: first)")
-	flag.StringVar(&corpusMode, "corpus-mode", "stream", "corpus example delivery: stream (from disk) or inmem (materialized)")
 	flag.StringVar(&lossOut, "loss-out", "", "write the per-example loss trajectory (hex float64 per line) to this file")
 	flag.BoolVar(&mla, "mla", false, "fleet pretraining: run Algorithm 1 over every database of the -corpus artifact")
-	flag.IntVar(&encEpochs, "encoder-epochs", 2, "per-table encoder pre-training epochs (-mla)")
-	flag.IntVar(&stPerTable, "st-per-table", 40, "single-table queries per table for the -mla live-pretrain fallback on corpora whose Meta predates the recorded generation parameters")
+	flag.IntVar(&encEpochs, "encoder-epochs", 2, "per-table encoder pre-training epochs")
 	flag.StringVar(&resumePath, "resume", "", "training-state snapshot file: resumed from when present, written on SIGINT/SIGTERM (then exit 0) and every -snapshot-every steps")
 	flag.IntVar(&snapEvery, "snapshot-every", 0, "with -resume: also snapshot after every N optimizer steps (0 = only on interruption)")
 	flag.StringVar(&distCoord, "dist-coordinator", "", "listen address (host:port): serve as the gradient-exchange coordinator for a -dist-world rank fleet, then exit")
@@ -159,8 +155,8 @@ func main() {
 		// coordinator refuses a fleet whose ranks disagree on it, so a
 		// mislaunched rank (wrong seed, wrong corpus, wrong batch) dies
 		// at the handshake instead of poisoning the run.
-		fp := fmt.Sprintf("mla=%v corpus=%s corpus-mode=%s db=%s queries=%d epochs=%d encoder-epochs=%d st-per-table=%d batch=%d seed=%d scale=%v seqloss=%v loss=%v world=%d",
-			mla, corpusPath, corpusMode, dbName, queries, epochs, encEpochs, stPerTable, batch, seed, scale, seqLoss, lossOut != "", distWorld)
+		fp := fmt.Sprintf("mla=%v corpus=%s db=%s queries=%d epochs=%d encoder-epochs=%d batch=%d seed=%d scale=%v seqloss=%v loss=%v world=%d",
+			mla, corpusPath, dbName, queries, epochs, encEpochs, batch, seed, scale, seqLoss, lossOut != "", distWorld)
 		t, err := dist.DialRetry(distWorker, distRank, distWorld, fp, 300, 100*time.Millisecond)
 		if err != nil {
 			log.Fatal(err)
@@ -176,21 +172,21 @@ func main() {
 	}
 	// Fail loudly on flags a mode does not honor — silently ignoring
 	// -load would hand back a from-scratch model when the user asked to
-	// continue from a checkpoint, and silently ignoring -db or
-	// -corpus-mode would train on a database the user did not pick. A
-	// rank refuses after joining, so the coordinator sees it leave
-	// instead of waiting for it.
+	// continue from a checkpoint, and silently ignoring -db would train
+	// on a database the user did not pick. A rank refuses after
+	// joining, so the coordinator sees it leave instead of waiting for
+	// it.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case corpusPath == "" && mla:
-		log.Fatal("-mla requires -corpus (a fleet artifact written by mtmlf-datagen -single-table)")
+		log.Fatal("-mla requires -corpus (a fleet artifact written by mtmlf-datagen -out)")
 	case corpusPath == "" && set["db"]:
 		log.Fatal("-db selects a database of a -corpus artifact; without -corpus the database is generated in memory (add -corpus or drop -db)")
-	case corpusPath == "" && set["corpus-mode"]:
-		log.Fatal("-corpus-mode sets how -corpus examples are delivered; without -corpus there is no corpus (add -corpus or drop -corpus-mode)")
-	case corpusMode != "stream" && corpusMode != "inmem":
-		log.Fatalf("unknown -corpus-mode %q (want stream or inmem)", corpusMode)
+	case corpusPath != "" && (set["queries"] || set["scale"]):
+		log.Fatal("-queries and -scale size the in-memory database and workload; a -corpus artifact brings its own (drop them)")
+	case resumePath == "" && set["snapshot-every"]:
+		log.Fatal("-snapshot-every sets how often -resume's file is written; without -resume there is no snapshot (add -resume or drop -snapshot-every)")
 	case mla && loadPath != "":
 		log.Fatal("-mla pretrains the shared modules from scratch; it cannot resume from -load")
 	case mla && dbName != "":
@@ -278,29 +274,16 @@ func printDone(start time.Time) {
 		float64(ms[1].Value.Uint64())/(1<<20), ms[2].Value.Uint64())
 }
 
-// delivered applies -corpus-mode to a corpus source: stream reads its
-// examples from disk one minibatch at a time, inmem materializes them
-// first. The trajectory is bitwise identical either way.
-func delivered(src workload.Source) workload.Source {
-	if corpusMode == "stream" {
-		return src
-	}
-	slice, err := workload.Materialize(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return workload.SliceSource(slice)
-}
-
 // trainJoint is the single-database mode: it trains one model on the
 // synthetic IMDB database generated in memory, or on one database of
 // the -corpus artifact r, and returns it with its held-out test set.
 func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (*mtmlf.Model, []*workload.LabeledQuery, mtmlf.TrainStats, error) {
 	// --- data plane: pick a catalog backend and an example source ---
 	var (
-		cat  catalog.Catalog
-		src  workload.Source
-		test []*workload.LabeledQuery
+		cat    catalog.Catalog
+		src    workload.Source
+		test   []*workload.LabeledQuery
+		single []workload.TableWorkload // a corpus database's (F) pre-training set
 	)
 	wcfg := workload.DefaultConfig()
 	if r != nil {
@@ -315,14 +298,20 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 			log.Fatal(err)
 		}
 		cat = c
+		var ok bool
+		if single, ok, err = c.SingleTable(); err != nil {
+			log.Fatal(err)
+		}
+		if !ok {
+			log.Fatalf("corpus %s: database %q has no single-table section to pre-train its encoders from — regenerate with mtmlf-datagen", corpusPath, c.Name())
+		}
 		all := c.Examples()
 		n := all.Len()
 		// The same 85/5/10 split as the in-memory path, expressed as
 		// index ranges over the streamed examples.
 		nTrain := int(float64(n) * 0.85)
 		nVal := int(float64(n) * 0.05)
-		trainSrc, err := workload.SubSource(all, 0, nTrain)
-		if err != nil {
+		if src, err = workload.SubSource(all, 0, nTrain); err != nil {
 			log.Fatal(err)
 		}
 		testSrc, err := workload.SubSource(all, nTrain+nVal, n)
@@ -332,9 +321,8 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 		if test, err = workload.Materialize(testSrc); err != nil {
 			log.Fatal(err)
 		}
-		src = delivered(trainSrc)
-		fmt.Printf("corpus %s: db %q, %d examples (%d train, %d test), mode %s\n",
-			corpusPath, c.Name(), n, src.Len(), len(test), corpusMode)
+		fmt.Printf("corpus %s: db %q, %d examples (%d train, %d test)\n",
+			corpusPath, c.Name(), n, src.Len(), len(test))
 	} else {
 		cat = catalog.NewMemory(datagen.SyntheticIMDB(seed, scale))
 	}
@@ -363,14 +351,20 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 	}
 
 	gen := workload.NewGeneratorFrom(cat, seed+1)
-	if loadedFull {
+	switch {
+	case loadedFull:
 		// The checkpoint already holds trained featurizer weights for
 		// this database; repeating the pre-training would overwrite
 		// them.
 		fmt.Println("skipping featurizer pre-training (full checkpoint loaded)")
-	} else {
+	case r != nil:
+		fmt.Println("pre-training per-table encoders (F module) from the corpus's single-table section...")
+		if _, err := model.Feat.PretrainAllFrom(single, encEpochs); err != nil {
+			log.Fatal(err)
+		}
+	default:
 		fmt.Println("pre-training per-table encoders (F module)...")
-		model.Feat.PretrainAll(gen, 40, 2, wcfg)
+		model.Feat.PretrainAll(gen, 40, encEpochs, wcfg)
 	}
 	if r == nil {
 		// The in-memory workload draws from the generator after the
@@ -436,17 +430,20 @@ func interruptOnSignal(enabled bool) <-chan struct{} {
 
 // trainMLA is the -mla mode: Algorithm 1 fleet pretraining from the
 // corpus artifact r. Every database of the corpus joins the pool; the
-// featurizers pre-train from the single-table sections when the corpus
-// has them (live fallback otherwise); and the joint loop streams the
-// pooled examples as -corpus-mode delivers them, bitwise-identically
-// either way. With a non-nil ex this process is one rank of a
+// featurizers pre-train from the single-table sections; and the joint
+// loop streams the pooled examples from disk. With a non-nil ex this
+// process is one rank of a
 // distributed fleet: it prepares every featurizer deterministically
 // like the others, then fetches and backwards only the minibatch slots
 // it owns, exchanging gradients through the coordinator. It returns
 // database 0's model, whose shared modules are the transfer artifact.
 func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (*mtmlf.Model, mtmlf.TrainStats, error) {
-	if r.NumDBs() == 0 {
+	meta := r.Meta()
+	switch {
+	case r.NumDBs() == 0:
 		log.Fatalf("corpus %s holds no databases; nothing to pretrain on", corpusPath)
+	case meta.SingleTablePerTable == 0:
+		log.Fatalf("corpus %s records no single-table count in its Meta; -mla trains from a corpus written by mtmlf-datagen -out", corpusPath)
 	}
 	cats := make([]catalog.Catalog, r.NumDBs())
 	srcs := make([]workload.Source, r.NumDBs())
@@ -457,31 +454,22 @@ func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (
 			log.Fatal(err)
 		}
 		cats[i] = c
-		srcs[i] = delivered(c.Examples())
+		srcs[i] = c.Examples()
 		total += srcs[i].Len()
 	}
-	// The MLA seed is the corpus's generation seed, so this run
-	// reproduces the in-memory TrainMLA over the same fleet bitwise;
-	// -seed only varies the shared-module initialization. Fleet-MLA
-	// corpora (datagen -single-table) also echo their workload config
-	// and per-table count into Meta, so the live (F)-pretrain fallback
-	// on a database without a single-table section regenerates the
-	// exact draws of generation time; -st-per-table and the default
-	// workload config only apply to corpora not generated for MLA.
-	meta := r.Meta()
-	wcfg, perTable := workload.DefaultConfig(), stPerTable
-	if meta.SingleTablePerTable > 0 {
-		wcfg, perTable = meta.MLAWorkload, meta.SingleTablePerTable
-	}
-	fmt.Printf("corpus %s (v%d): %d databases, %d pooled examples, mla seed %d, mode %s\n",
-		corpusPath, r.Version(), r.NumDBs(), total, meta.Seed, corpusMode)
+	// The MLA seed, single-table count and workload config are the
+	// corpus's generation parameters, so this run reproduces the
+	// in-memory TrainMLA over the same fleet bitwise; -seed only varies
+	// the shared-module initialization.
+	fmt.Printf("corpus %s (v%d): %d databases, %d pooled examples, mla seed %d\n",
+		corpusPath, r.Version(), r.NumDBs(), total, meta.Seed)
 
 	fmt.Printf("fleet pretraining: (F) per DB, then joint (S)+(T) over the pooled stream (%d epochs)...\n", epochs)
 	tasks, st, err := mtmlf.TrainMLAStream(mtmlf.NewShared(mtmlf.DefaultConfig(), seed), cats, srcs, mtmlf.MLAOptions{
-		SingleTablePerTable: perTable,
+		SingleTablePerTable: meta.SingleTablePerTable,
 		EncoderEpochs:       encEpochs,
 		JointEpochs:         epochs,
-		Workload:            wcfg,
+		Workload:            meta.MLAWorkload,
 		Seed:                meta.Seed,
 		BatchSize:           batch,
 		RecordTrajectory:    lossOut != "",

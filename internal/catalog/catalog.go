@@ -53,14 +53,6 @@ func NewMemory(db *sqldb.DB) *Memory {
 	return &Memory{db: db}
 }
 
-// NewMemoryWithStats wraps a database whose statistics the caller has
-// already computed (avoiding a second ANALYZE pass).
-func NewMemoryWithStats(db *sqldb.DB, st *stats.DBStats) *Memory {
-	m := &Memory{db: db, st: st}
-	m.once.Do(func() {})
-	return m
-}
-
 // Name implements Catalog.
 func (m *Memory) Name() string { return m.db.Name }
 

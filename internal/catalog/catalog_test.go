@@ -49,14 +49,3 @@ func TestMemoryStatsMatchAnalyze(t *testing.T) {
 		}
 	}
 }
-
-// TestMemoryWithStats: caller-supplied statistics are adopted, not
-// recomputed.
-func TestMemoryWithStats(t *testing.T) {
-	db := testDB()
-	st := stats.Analyze(db)
-	cat := NewMemoryWithStats(db, st)
-	if cat.Stats() != st {
-		t.Fatal("supplied stats were not adopted")
-	}
-}

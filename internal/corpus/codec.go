@@ -37,7 +37,6 @@ const (
 func appendHeader(b []byte, m *Meta) []byte {
 	b = binary.BigEndian.AppendUint16(append(b, Magic...), Version)
 	b = ckptio.AppendInt(b, m.Seed)
-	b = ckptio.AppendInt(b, m.ShardSize)
 	b = ckptio.AppendStr(b, m.Note)
 	b = ckptio.AppendInt(b, m.SingleTablePerTable)
 	c := &m.MLAWorkload
@@ -63,7 +62,6 @@ func decodeHeader(b []byte) (Meta, error) {
 	}
 	d := ckptio.NewDec(b[preambleSize:])
 	m.Seed = d.Int()
-	m.ShardSize = int(d.Int())
 	m.Note = d.Str()
 	m.SingleTablePerTable = int(d.Int())
 	c := &m.MLAWorkload

@@ -28,13 +28,16 @@
 //
 // # Versions
 //
-// This build reads and writes version 4 only. Versions 1–3 stored
-// every section as its own gob stream; Open refuses them with a
-// *VersionError naming the version, and the remedy is to regenerate
-// the corpus with mtmlf-datagen. A database written without a
-// single-table section reports none, so consumers fall back to
-// generating that data live (featurize.PretrainAll instead of
-// PretrainAllFrom).
+// This build reads and writes version 5 only. Versions 1–3 stored
+// every section as its own gob stream; version 4 had this layout plus
+// a workload shard size in Meta, from a second, sharded generation
+// scheme. Open refuses all of them with a *VersionError naming the
+// version, and the remedy is to regenerate the corpus with
+// mtmlf-datagen. v4 and v5 share the trailer magic, which marks the
+// record-codec family; the checksum-verified header version tells
+// them apart. The single-table section is optional in the format:
+// mtmlf-datagen always writes it, and a database written without one
+// reports none.
 //
 // Opening validates the trailer, the footer checksum, the header
 // checksum, and the whole index before any section is decoded: every
@@ -52,7 +55,7 @@
 // that record, so an epoch over a corpus far larger than RAM touches
 // one minibatch of examples at a time. The writer is append-only
 // (offsets are counted, never seeked), so generation can stream
-// examples straight to disk shard by shard.
+// examples straight to disk.
 //
 // Floats are stored as their IEEE-754 bits, which the data plane's
 // determinism contract relies on: a write → read round trip
@@ -71,11 +74,12 @@ const (
 	// Magic opens a corpus file.
 	Magic = "MTMLF-CORPUS"
 	// Version is the one format version this build reads and writes.
-	Version = 4
+	Version = 5
 	// preambleSize is the magic plus the uint16 version.
 	preambleSize = len(Magic) + 2
-	// trailerMagic closes a file; a torn or truncated write fails
-	// loudly at open instead of decoding garbage.
+	// trailerMagic closes a file of the record-codec family (v4 and
+	// v5); a torn or truncated write fails loudly at open instead of
+	// decoding garbage.
 	trailerMagic = "MTCORPV4"
 	// trailerSize is the fixed byte size of the trailer:
 	// [8B footer offset][4B footer CRC32C][4B reserved][8B magic].
@@ -93,19 +97,13 @@ const (
 type Meta struct {
 	// Seed is the master seed the corpus was generated from.
 	Seed int64
-	// ShardSize is the workload generation shard size (the unit of the
-	// deterministic seed scheme; see workload.ShardSeed). 0 for
-	// fleet-MLA corpora, whose generation is per-DB single-stream.
-	ShardSize int
 	// Note is free-form provenance (generator settings echo).
 	Note string
 	// SingleTablePerTable and MLAWorkload record the Algorithm 1
-	// generation parameters of a fleet-MLA corpus (mtmlf-datagen
-	// -single-table): SingleTablePerTable > 0 marks the corpus as one
-	// and MLAWorkload is the workload config every draw used — what a
-	// training run needs to reproduce the live (F)-pretrain fallback
-	// bitwise when the single-table sections are absent. Zero on
-	// corpora not generated for MLA.
+	// generation parameters (mtmlf-datagen -single-table): the
+	// single-table queries stored per table and the workload config
+	// every draw used. mtmlf-train -mla trains with them and refuses a
+	// corpus whose SingleTablePerTable is 0.
 	SingleTablePerTable int
 	MLAWorkload         workload.Config
 }

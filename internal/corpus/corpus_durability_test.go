@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +30,7 @@ func durableDatabases(t testing.TB) []*Database {
 	return []*Database{{
 		DB:          db,
 		SingleTable: singleTableSet(db, 38, 2),
-		Examples:    workload.GenerateSharded(catalog.NewMemory(db), 39, 3, 2, wcfg),
+		Examples:    workload.NewGeneratorFrom(catalog.NewMemory(db), 39).Generate(3, wcfg),
 	}}
 }
 
@@ -200,18 +201,30 @@ func TestCorpusWriteThroughFailingWriter(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesOldVersions: a file of a gob-based format (v1–v3)
-// fails Open with a *VersionError naming its version, whose message
-// says to regenerate the corpus. No writer for them remains, so the
-// files are built by hand: the trailer names the format, and v1 and v2,
-// which share a trailer, differ in the version their gob header
-// carries after the magic string.
+// TestOpenRefusesOldVersions: a file of an older format (the gob-based
+// v1–v3, or v4 with its shard size) fails Open with a *VersionError
+// naming its version, whose message says to regenerate the corpus. No
+// writer for them remains, so the files are built by hand: the trailer
+// names the gob formats, and v1 and v2, which share a trailer, differ
+// in the version their gob header carries after the magic string. A v4
+// file shares v5's trailer and is otherwise valid, so only its
+// checksummed header version refuses it.
 func TestOpenRefusesOldVersions(t *testing.T) {
 	legacy := func(head string, trailer []byte) []byte {
 		return append(append([]byte("\x29\x7f\x03\x01\x01\x06header"), head...), trailer...)
 	}
 	v1Trailer := append(make([]byte, 8), legacyTrailerV1...)
 	v3Trailer := append(make([]byte, 16), legacyTrailerV3...)
+	// v4's header is v5's with version 4 and a shard size after the seed.
+	cur := appendHeader(nil, &durableMeta)
+	seedEnd := preambleSize + len(ckptio.AppendInt(nil, durableMeta.Seed))
+	v4 := binary.BigEndian.AppendUint16([]byte(Magic), 4)
+	v4 = append(ckptio.AppendInt(append(v4, cur[preambleSize:seedEnd]...), 16), cur[seedEnd:]...)
+	footerOff := len(v4)
+	v4 = appendFooter(v4, &footer{HeaderEnd: int64(footerOff), HeaderCRC: ckptio.Checksum(v4)})
+	footerCRC := ckptio.Checksum(v4[footerOff:])
+	v4 = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(v4, uint64(footerOff)), footerCRC)
+	v4 = append(append(v4, 0, 0, 0, 0), trailerMagic...)
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -221,6 +234,7 @@ func TestOpenRefusesOldVersions(t *testing.T) {
 		{"v2", legacy("\x01\x0c"+Magic+"\x01\x04\x00", v1Trailer), 2},
 		{"v1 trailer, no header", v1Trailer, 1},
 		{"v3", legacy("\x01\x0c"+Magic+"\x01\x06\x00", v3Trailer), 3},
+		{"v4", v4, 4},
 	} {
 		_, err := NewReader(bytes.NewReader(tc.data), int64(len(tc.data)))
 		var ve *VersionError

@@ -16,7 +16,7 @@ import (
 	"mtmlf/internal/workload"
 )
 
-// testCorpus generates a small fleet with sharded labeled workloads
+// testCorpus generates a small fleet with labeled workloads
 // and writes it to a temp file, returning the path and the in-memory
 // originals.
 func testCorpus(t *testing.T, seed int64, nDBs, nExamples int) (string, []*Database) {
@@ -28,11 +28,11 @@ func testCorpus(t *testing.T, seed int64, nDBs, nExamples int) (string, []*Datab
 	wcfg.MaxTables = 3
 	var dbs []*Database
 	for i, db := range datagen.GenerateFleet(seed, nDBs, cfg) {
-		ex := workload.GenerateSharded(catalog.NewMemory(db), seed+int64(i)*7919, nExamples, 4, wcfg)
+		ex := workload.NewGeneratorFrom(catalog.NewMemory(db), seed+int64(i)*7919).Generate(nExamples, wcfg)
 		dbs = append(dbs, &Database{DB: db, Examples: ex})
 	}
 	path := filepath.Join(t.TempDir(), "corpus.mtc")
-	if err := WriteFile(path, Meta{Seed: seed, ShardSize: 4, Note: "test"}, dbs); err != nil {
+	if err := WriteFile(path, Meta{Seed: seed, Note: "test"}, dbs); err != nil {
 		t.Fatal(err)
 	}
 	return path, dbs
@@ -152,7 +152,7 @@ func TestRoundTripExact(t *testing.T) {
 	if r.NumDBs() != len(want) {
 		t.Fatalf("NumDBs %d, want %d", r.NumDBs(), len(want))
 	}
-	if m := r.Meta(); m.Seed != 31 || m.ShardSize != 4 {
+	if m := r.Meta(); m.Seed != 31 || m.Note != "test" {
 		t.Fatalf("meta round trip: %+v", m)
 	}
 	for i, w := range want {
@@ -359,9 +359,9 @@ func TestSingleTableRoundTrip(t *testing.T) {
 	want := singleTableSet(fleet[0], 18, 4)
 	dbs := []*Database{
 		{DB: fleet[0], SingleTable: want,
-			Examples: workload.GenerateSharded(catalog.NewMemory(fleet[0]), 19, 3, 2, wcfg)},
+			Examples: workload.NewGeneratorFrom(catalog.NewMemory(fleet[0]), 19).Generate(3, wcfg)},
 		{DB: fleet[1], // no single-table section
-			Examples: workload.GenerateSharded(catalog.NewMemory(fleet[1]), 20, 3, 2, wcfg)},
+			Examples: workload.NewGeneratorFrom(catalog.NewMemory(fleet[1]), 20).Generate(3, wcfg)},
 	}
 	path := filepath.Join(t.TempDir(), "single.mtc")
 	if err := WriteFile(path, Meta{Seed: 17}, dbs); err != nil {
@@ -461,7 +461,7 @@ func writeCorrupted(t *testing.T, corrupt func(dbs []dbIndex)) string {
 	if err := w.WriteSingleTable(singleTableSet(db, 30, 2)); err != nil {
 		t.Fatal(err)
 	}
-	for _, lq := range workload.GenerateSharded(catalog.NewMemory(db), 31, 3, 2, wcfg) {
+	for _, lq := range workload.NewGeneratorFrom(catalog.NewMemory(db), 31).Generate(3, wcfg) {
 		if err := w.AppendExample(lq); err != nil {
 			t.Fatal(err)
 		}

@@ -24,9 +24,9 @@ import (
 // training workers can stream from one Reader.
 type Reader struct {
 	ra    io.ReaderAt
-	meta  Meta
 	index []dbIndex
 	cats  []*DBCatalog
+	meta  Meta
 
 	closer io.Closer // set when Open owns the file
 }

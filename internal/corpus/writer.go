@@ -16,7 +16,7 @@ import (
 // database a schema section followed by any number of example
 // sections, then the index footer and trailer on Close. Appending is
 // sequential (one goroutine); generation can still be parallel —
-// produce shards concurrently, append them in order.
+// produce databases concurrently, append them in order.
 //
 // The first failed write sticks: that call and every later one,
 // Close included, return its error, and no footer is written.

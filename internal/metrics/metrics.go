@@ -114,16 +114,3 @@ func JOEUInt(generated, optimal []int) float64 {
 	}
 	return float64(shared) / float64(n)
 }
-
-// GeoMean returns the geometric mean of a positive sample, a common
-// secondary aggregate for q-errors.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range xs {
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(xs)))
-}

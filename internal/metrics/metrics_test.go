@@ -124,12 +124,3 @@ func TestJOEUBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean %g", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean wrong")
-	}
-}

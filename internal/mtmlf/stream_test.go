@@ -11,7 +11,7 @@ import (
 	"mtmlf/internal/workload"
 )
 
-// streamFixture builds one generated database with a sharded labeled
+// streamFixture builds one generated database with a labeled
 // workload, writes it to a corpus file, and returns the in-memory
 // catalog + examples and an opened reader over the round-tripped
 // copy.
@@ -21,9 +21,9 @@ func streamFixture(t *testing.T) (catalog.Catalog, []*workload.LabeledQuery, *co
 	cat := catalog.NewMemory(db)
 	wcfg := workload.DefaultConfig()
 	wcfg.MaxTables = 3
-	examples := workload.GenerateSharded(cat, 33, 12, 4, wcfg)
+	examples := workload.NewGeneratorFrom(cat, 33).Generate(12, wcfg)
 	path := filepath.Join(t.TempDir(), "corpus.mtc")
-	if err := corpus.WriteFile(path, corpus.Meta{Seed: 33, ShardSize: 4}, []*corpus.Database{{DB: db, Examples: examples}}); err != nil {
+	if err := corpus.WriteFile(path, corpus.Meta{Seed: 33}, []*corpus.Database{{DB: db, Examples: examples}}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := corpus.Open(path)

@@ -221,17 +221,6 @@ func TestAdamGradClipping(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	w := ag.Param(tensor.FromSlice([]float64{2}, 1, 1))
-	opt := NewSGD([]*ag.Value{w}, 0.5)
-	opt.ZeroGrad()
-	ag.SumAll(ag.Mul(w, w)).Backward() // d/dw w^2 = 2w = 4
-	opt.Step()
-	if math.Abs(w.T.Data[0]-0) > 1e-12 {
-		t.Fatalf("sgd step wrong: %v", w.T.Data[0])
-	}
-}
-
 func TestSaveLoadRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	src := NewEncoder(rng, 8, 2, 2)

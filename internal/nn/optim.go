@@ -99,34 +99,3 @@ func (a *Adam) Step() {
 		tensor.AdamUpdate(p.T.Data, p.Grad.Data, m.Data, v.Data, c)
 	}
 }
-
-// SGD is a plain stochastic-gradient-descent optimizer, used by tests
-// and ablations as a reference point.
-type SGD struct {
-	LR     float64
-	params []*ag.Value
-}
-
-// NewSGD creates the optimizer.
-func NewSGD(params []*ag.Value, lr float64) *SGD {
-	return &SGD{LR: lr, params: params}
-}
-
-// ZeroGrad clears accumulated gradients.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.Grad = nil
-	}
-}
-
-// Step applies one descent update.
-func (s *SGD) Step() {
-	for _, p := range s.params {
-		if p.Grad == nil {
-			continue
-		}
-		for j := range p.T.Data {
-			p.T.Data[j] -= s.LR * p.Grad.Data[j]
-		}
-	}
-}

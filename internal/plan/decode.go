@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math/bits"
 )
 
 // This file implements the paper's Section 4.1: converting a plan
@@ -154,18 +153,3 @@ func TreeFromEmbeddings(emb map[string][]float64) (*Node, error) {
 	}
 	return build(0, span)
 }
-
-// PositionsOf returns the slot indices set in one embedding; useful
-// for diagnostics and tests.
-func PositionsOf(v []float64) []int {
-	var out []int
-	for i, x := range v {
-		if x != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// IsPowerOfTwo reports whether x is a positive power of two.
-func IsPowerOfTwo(x int) bool { return x > 0 && bits.OnesCount(uint(x)) == 1 }

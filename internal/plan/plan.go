@@ -7,7 +7,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -211,11 +210,4 @@ func (n *Node) Shape() string {
 		return n.Table
 	}
 	return "(" + n.Left.Shape() + "," + n.Right.Shape() + ")"
-}
-
-// SortedTables returns the distinct leaf tables sorted.
-func (n *Node) SortedTables() []string {
-	ts := n.Tables()
-	sort.Strings(ts)
-	return ts
 }

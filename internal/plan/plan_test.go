@@ -285,20 +285,3 @@ func TestStringAndPretty(t *testing.T) {
 		t.Fatalf("leaf string %q", got)
 	}
 }
-
-func TestPositionsOfAndPow2(t *testing.T) {
-	if got := PositionsOf([]float64{0, 1, 0, 1}); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("PositionsOf wrong: %v", got)
-	}
-	if !IsPowerOfTwo(8) || IsPowerOfTwo(6) || IsPowerOfTwo(0) {
-		t.Fatal("IsPowerOfTwo wrong")
-	}
-}
-
-func TestSortedTables(t *testing.T) {
-	n := NewJoin(HashJoin, Leaf("b", SeqScan), Leaf("a", SeqScan))
-	got := n.SortedTables()
-	if got[0] != "a" || got[1] != "b" {
-		t.Fatalf("SortedTables wrong: %v", got)
-	}
-}

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
 )
 
 // JoinEdge is an equality join predicate between two table columns,
@@ -123,49 +122,6 @@ func (db *DB) MustAddEdge(e JoinEdge) {
 	if err := db.AddEdge(e); err != nil {
 		panic(err)
 	}
-}
-
-// AdjacentTables returns the sorted set of tables sharing a join edge
-// with t.
-func (db *DB) AdjacentTables(t string) []string {
-	seen := map[string]bool{}
-	for _, e := range db.Edges {
-		if o := e.Other(t); o != "" {
-			seen[o] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AdjacencyMatrix returns the boolean join-graph adjacency over
-// db.Tables order, restricted to the given table subset (others have
-// all-false rows). The beam-search legality pruning of Section 4.3
-// consumes this matrix.
-func (db *DB) AdjacencyMatrix(subset []string) [][]bool {
-	n := len(db.Tables)
-	in := make([]bool, n)
-	for _, t := range subset {
-		if i := db.TableIndex(t); i >= 0 {
-			in[i] = true
-		}
-	}
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	for _, e := range db.Edges {
-		i, j := db.TableIndex(e.T1), db.TableIndex(e.T2)
-		if i >= 0 && j >= 0 && in[i] && in[j] {
-			adj[i][j] = true
-			adj[j][i] = true
-		}
-	}
-	return adj
 }
 
 // Query is a conjunctive select-project-join query: a set of touched

@@ -53,9 +53,6 @@ func TestDBTableAndEdgeRegistration(t *testing.T) {
 	if err := db.AddEdge(JoinEdge{T1: "a", C1: "id", T2: "zz", C2: "a_id"}); err == nil {
 		t.Fatal("unknown table must error")
 	}
-	if got := db.AdjacentTables("a"); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("adjacency wrong: %v", got)
-	}
 	if db.TableIndex("b") != 1 || db.TableIndex("zz") != -1 {
 		t.Fatal("TableIndex wrong")
 	}
@@ -360,19 +357,6 @@ func TestQueryConnectivityAndHelpers(t *testing.T) {
 	q2 := &Query{Tables: []string{"a", "b"}} // no joins
 	if q2.IsConnected() {
 		t.Fatal("disconnected query must report false")
-	}
-}
-
-func TestAdjacencyMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	db := buildTestDB(rng, 5, 5, 5)
-	adj := db.AdjacencyMatrix([]string{"a", "f"})
-	ia, ib, fi := db.TableIndex("a"), db.TableIndex("b"), db.TableIndex("f")
-	if !adj[ia][fi] || !adj[fi][ia] {
-		t.Fatal("a-f must be adjacent")
-	}
-	if adj[ib][fi] {
-		t.Fatal("b excluded from subset must not be adjacent")
 	}
 }
 

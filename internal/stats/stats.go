@@ -356,11 +356,6 @@ func (s *DBStats) EstimateSubplanCard(tables []string, q *sqldb.Query) float64 {
 	return card
 }
 
-// EstimateQueryCard estimates the full query cardinality.
-func (s *DBStats) EstimateQueryCard(q *sqldb.Query) float64 {
-	return s.EstimateSubplanCard(q.Tables, q)
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -164,7 +164,7 @@ func TestJoinEstimateExactOnCleanPKFK(t *testing.T) {
 		Tables: []string{"dim", "fact"},
 		Joins:  []sqldb.JoinEdge{{T1: "dim", C1: "id", T2: "fact", C2: "dim_id"}},
 	}
-	est := s.EstimateQueryCard(q)
+	est := s.EstimateSubplanCard(q.Tables, q)
 	truth := float64(sqldb.NewExecutor(db, q).Cardinality())
 	// Clean PK-FK: estimate 100*2000/100 = 2000 = truth.
 	if math.Abs(est-truth)/truth > 0.01 {

@@ -293,17 +293,6 @@ func SumAll(a *Tensor) float64 {
 	return s
 }
 
-// MaxAll returns the maximum element (−Inf for empty tensors).
-func MaxAll(a *Tensor) float64 {
-	m := math.Inf(-1)
-	for _, v := range a.Data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Equal reports whether two tensors have identical shape and all
 // elements within eps of each other (eps = 0 asserts bitwise equality
 // up to the sign of zero).

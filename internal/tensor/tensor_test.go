@@ -234,13 +234,6 @@ func TestHasNaN(t *testing.T) {
 	}
 }
 
-func TestMaxAll(t *testing.T) {
-	a := FromSlice([]float64{-5, 3, 2}, 1, 3)
-	if MaxAll(a) != 3 {
-		t.Fatal("MaxAll wrong")
-	}
-}
-
 func TestFullAndFillZero(t *testing.T) {
 	a := Full(2.5, 2, 2)
 	if a.At(1, 1) != 2.5 {

@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"mtmlf/internal/catalog"
+	"mtmlf/internal/datagen"
 )
 
 // TestSliceSourceBounds: the Source contract says a bad index is an
@@ -65,5 +69,72 @@ func TestConcatSourceOrderAndLocate(t *testing.T) {
 	}
 	if _, err := pool.Example(-1); err == nil {
 		t.Fatal("Example(-1) should fail")
+	}
+}
+
+func equalWorkloads(t *testing.T, a, b []*LabeledQuery) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("workload sizes differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Q.String() != y.Q.String() {
+			t.Fatalf("example %d: queries differ:\n%v\n%v", i, x.Q, y.Q)
+		}
+		if x.Plan.String() != y.Plan.String() {
+			t.Fatalf("example %d: plans differ", i)
+		}
+		if len(x.NodeCards) != len(y.NodeCards) {
+			t.Fatalf("example %d: label lengths differ", i)
+		}
+		for j := range x.NodeCards {
+			if math.Float64bits(x.NodeCards[j]) != math.Float64bits(y.NodeCards[j]) ||
+				math.Float64bits(x.NodeCosts[j]) != math.Float64bits(y.NodeCosts[j]) {
+				t.Fatalf("example %d node %d: labels differ", i, j)
+			}
+		}
+		if math.Float64bits(x.RawCard) != math.Float64bits(y.RawCard) {
+			t.Fatalf("example %d: raw card differs", i)
+		}
+		if len(x.OptimalOrder) != len(y.OptimalOrder) {
+			t.Fatalf("example %d: optimal order lengths differ", i)
+		}
+		for j := range x.OptimalOrder {
+			if x.OptimalOrder[j] != y.OptimalOrder[j] {
+				t.Fatalf("example %d: optimal orders differ", i)
+			}
+		}
+	}
+}
+
+// TestSubSourceAndMaterialize: a SubSource is the window it names of
+// its parent, Materialize returns that window, and bad indices error.
+func TestSubSourceAndMaterialize(t *testing.T) {
+	dcfg := datagen.DefaultConfig()
+	dcfg.MinTables, dcfg.MaxTables = 4, 5
+	dcfg.MinRows, dcfg.MaxRows = 60, 120
+	cat := catalog.NewMemory(datagen.GenerateFleet(17, 1, dcfg)[0])
+	cfg := DefaultConfig()
+	cfg.MaxTables = 3
+	all := NewGeneratorFrom(cat, 3).Generate(9, cfg)
+	src := SliceSource(all)
+	sub, err := SubSource(src, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Len() != 4 {
+		t.Fatalf("sub len %d, want 4", sub.Len())
+	}
+	got, err := Materialize(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalWorkloads(t, all[3:7], got)
+	if _, err := sub.Example(4); err == nil {
+		t.Fatal("expected out-of-range error")
+	}
+	if _, err := SubSource(src, 5, 99); err == nil {
+		t.Fatal("expected invalid-range error")
 	}
 }

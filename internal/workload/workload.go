@@ -5,13 +5,12 @@
 // (the paper's ECQO-labeled JoinSel targets, with the same 8-table
 // affordability limit).
 //
-// Generation is deterministic and shardable: GenerateSharded labels
-// example i under a seed derived only from (seed, i/shardSize), so
-// the same (seed, n, shardSize, config) produce the same labeled
-// workload at any worker count — the property the corpus format and
-// the bitwise training contracts (DESIGN.md §5) build on. Labeled
-// examples flow to trainers through the Source interface (in-memory
-// slices or a streaming corpus reader interchangeably).
+// Generation is deterministic: a Generator is one rng stream, so the
+// same (catalog, seed, config) produce the same labeled workload — the
+// property the corpus format and the bitwise training contracts
+// (DESIGN.md §5) build on. Labeled examples flow to trainers through
+// the Source interface (in-memory slices or a streaming corpus reader
+// interchangeably).
 //
 // The same Generator also feeds the serving side: mtmlf-serve's
 // /example endpoint and the load generator's query pool
@@ -118,12 +117,9 @@ func NewGeneratorFrom(cat catalog.Catalog, seed int64) *Generator {
 		DB:    cat.DB(),
 		Stats: cat.Stats(),
 		Cost:  cost.Default(),
-		rng:   newRNG(seed),
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
-
-// newRNG is the one seed-to-rng mapping every generator path uses.
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // GenQuery builds one random connected join query with filters.
 func (g *Generator) GenQuery(cfg Config) *sqldb.Query {

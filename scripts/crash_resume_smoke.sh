@@ -19,7 +19,7 @@ TRAIN_ARGS=(-corpus "$CORPUS" -epochs 6 -batch 4 -seed "$SEED")
 
 echo "== generating a tiny corpus"
 "$TMP/mtmlf-datagen" -n 1 -seed "$SEED" -minrows 60 -maxrows 120 \
-    -queries 40 -maxtables 4 -out "$CORPUS" | tail -1
+    -queries 40 -maxtables 4 -single-table 5 -out "$CORPUS" | tail -1
 
 echo "== uninterrupted reference run"
 "$TMP/mtmlf-train" "${TRAIN_ARGS[@]}" -workers 1 \

@@ -22,7 +22,7 @@ SEED=11
 WORLD=2
 CORPUS="$TMP/fleet.mtc"
 SNAP="$TMP/dist.snap"
-TRAIN_ARGS=(-mla -corpus "$CORPUS" -epochs 2 -encoder-epochs 1 -st-per-table 5 -batch 4)
+TRAIN_ARGS=(-mla -corpus "$CORPUS" -epochs 2 -encoder-epochs 1 -batch 4)
 
 echo "== generating a tiny 3-DB fleet corpus"
 "$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -minrows 60 -maxrows 120 \
