@@ -122,9 +122,9 @@ bench:
 # default engine (EngineSolo) and through the model alone
 # (EngineModelOnly), one pass of 6 requests each. Solo minus ModelOnly
 # is the scheduler's cost and must read tens of µs per request, not a
-# millisecond. Last, the exchange guard: one gradient round of a 2-rank
-# loopback fleet (AllReduceTCP) next to the same minibatch through
-# Local(); the TCP round must report a few ms, not tens, and a handful
+# millisecond. Last, the exchange guard: one gradient round of a 2- and
+# a 3-rank loopback fleet (AllReduceTCP) next to the same minibatch
+# through Local(); the TCP round must report a few ms, not tens, and a handful
 # of allocs/op (at 1x those are the harness's own; TestTCPRoundAllocatesNothing
 # holds the exact count), not thousands. And the memo guard: a warm
 # table-encoding lookup from 1, 2 and 4 parallel sessions (EncodeTableHit:
@@ -193,12 +193,15 @@ resume-smoke:
 	./scripts/crash_resume_smoke.sh >resume-smoke.log 2>&1 || { cat resume-smoke.log; exit 1; }
 	@tail -n 3 resume-smoke.log
 
-# Distributed-fleet drill: coordinator + 2 workers train `-mla` over
-# the gradient-exchange plane, one worker dies by kill -9 mid-epoch
-# (the fleet fail-stops), a supervisor relaunches everything with
-# -resume, and the final checkpoint + loss trajectory must be bitwise
-# identical to an uninterrupted single-process run. Leaves
-# dist-smoke.log for CI to upload.
+# Distributed-fleet drill, at 2 workers and again at 3 (the smallest
+# fleet with a middle rank, which both receives and forwards a gradient
+# prefix): a coordinator + the workers train `-mla` over the
+# gradient-exchange plane, one worker dies by kill -9 mid-epoch (the
+# fleet fail-stops), a supervisor relaunches everything with -resume,
+# and the final checkpoint + loss trajectory must be bitwise identical
+# to an uninterrupted single-process run. Then a fleet with -load, and
+# one with -resume, on rank 0 only must die at the handshake with "job
+# mismatch". Leaves dist-smoke.log for CI to upload.
 dist-smoke:
 	./scripts/dist_smoke.sh >dist-smoke.log 2>&1 || { cat dist-smoke.log; exit 1; }
 	@tail -n 3 dist-smoke.log

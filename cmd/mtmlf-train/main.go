@@ -62,15 +62,15 @@
 // (internal/dist): one coordinator process plus -dist-world worker
 // ranks, every worker launched with identical training flags plus its
 // own -dist-rank. Each rank fetches and backwards only the minibatch
-// slots it owns (slot i belongs to rank i mod world) — for a corpus
-// job that means each rank reads only its slice of the stream — and
-// the coordinator performs the example-ordered reduction centrally,
-// so the trajectory and every artifact are bitwise identical to the
-// single-process run at the same seed, batch, and example set, for
-// any fleet size. Rank 0 owns all artifacts (-save, -loss-out,
-// -resume); with -resume, rank 0's snapshot is broadcast at startup
-// so a supervisor can kill -9 any process and restart the whole
-// fleet, which `make dist-smoke` drills.
+// slots it owns (a contiguous block per rank) — for a corpus job that
+// means each rank reads only its slice of the stream — and the ranks
+// fold the example-ordered sum from rank to rank through the
+// coordinator, which only relays, so the trajectory and every artifact
+// are bitwise identical to the single-process run at the same seed,
+// batch, and example set, for any fleet size. Rank 0 owns all
+// artifacts (-save, -loss-out, -resume); with -resume, rank 0's
+// snapshot is broadcast at startup so a supervisor can kill -9 any
+// process and restart the whole fleet, which `make dist-smoke` drills.
 //
 // -workers sizes the shared worker pool (0 = all cores) used by the
 // tensor kernels, the data-parallel training loop, and corpus example
@@ -153,10 +153,11 @@ func main() {
 	if distWorker != "" {
 		// The fingerprint is every trajectory-relevant flag: the
 		// coordinator refuses a fleet whose ranks disagree on it, so a
-		// mislaunched rank (wrong seed, wrong corpus, wrong batch) dies
-		// at the handshake instead of poisoning the run.
-		fp := fmt.Sprintf("mla=%v corpus=%s db=%s queries=%d epochs=%d encoder-epochs=%d batch=%d seed=%d scale=%v seqloss=%v loss=%v world=%d",
-			mla, corpusPath, dbName, queries, epochs, encEpochs, batch, seed, scale, seqLoss, lossOut != "", distWorld)
+		// mislaunched rank (wrong seed, wrong corpus, wrong batch, a
+		// different -load, -resume on some ranks only) dies at the
+		// handshake instead of poisoning the run.
+		fp := fmt.Sprintf("mla=%v corpus=%s db=%s queries=%d epochs=%d encoder-epochs=%d batch=%d seed=%d scale=%v seqloss=%v loss=%v load=%s resume=%v world=%d",
+			mla, corpusPath, dbName, queries, epochs, encEpochs, batch, seed, scale, seqLoss, lossOut != "", loadPath, resumePath != "", distWorld)
 		t, err := dist.DialRetry(distWorker, distRank, distWorld, fp, 300, 100*time.Millisecond)
 		if err != nil {
 			log.Fatal(err)
@@ -483,8 +484,8 @@ func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (
 	return tasks[0].Model, st, nil
 }
 
-// runCoordinator is the -dist-coordinator mode: a model-free hub that
-// admits exactly world ranks, serves lockstep gradient-exchange
+// runCoordinator is the -dist-coordinator mode: a model-free relay
+// that admits exactly world ranks, serves lockstep gradient-exchange
 // rounds, and exits 0 on a clean fleet shutdown. Any rank failure,
 // drift, or frame corruption aborts the whole fleet (exit 1) — the
 // supervisor then restarts coordinator and workers with -resume, and
@@ -504,7 +505,7 @@ func runCoordinator(addr string, world int) {
 	}
 	fmt.Printf("fleet of %d ranks completed cleanly\n", world)
 	for rank, wait := range c.Waits() {
-		fmt.Printf("rank %d waited %v in total for the last gradient frame of its rounds\n", rank, wait.Round(time.Millisecond))
+		fmt.Printf("relay waited %v in total for rank %d's gradient hops\n", wait.Round(time.Millisecond), rank)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 
 	"mtmlf/internal/ag"
@@ -8,23 +9,28 @@ import (
 )
 
 // BenchmarkAllReduceTCP is one gradient round of the benchmark's
-// fleet shape: 2 ranks over loopback, 4 owned slots each, a model-sized
-// parameter list. Bytes are what the round puts on the wire, allocs
-// are both workers' and the coordinator's.
+// fleet shape — 8 slots, a model-sized parameter list, over loopback —
+// at 2 ranks, and at 3, the smallest fleet with a middle rank that both
+// receives and forwards a prefix. Bytes are what the round puts on the
+// wire, allocs are every worker's and the coordinator's.
 func BenchmarkAllReduceTCP(b *testing.B) {
-	f := newLoopFleet(b, modelShapes, 8)
-	defer f.close(b)
-	// The first round allocates what every later one reuses.
-	if err := f.round(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(f.wireBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.round(); err != nil {
-			b.Fatal(err)
-		}
+	for _, world := range []int{2, 3} {
+		b.Run(fmt.Sprintf("world%d", world), func(b *testing.B) {
+			f := newLoopFleetOf(b, world, modelShapes, 8)
+			defer f.close(b)
+			// The first round allocates what every later one reuses.
+			if err := f.round(); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(f.wireBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.round(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,8 +4,8 @@
 //
 // The contract it extracts from the trainer is example-ordered
 // gradient reduction. A minibatch of n examples is cut into slots
-// 0..n-1; slot i is owned by rank i mod world; each rank runs
-// forward/backward only for its owned slots, into private per-slot
+// 0..n-1; rank r owns one contiguous block of them (Owns); each rank
+// runs forward/backward only for its owned slots, into private per-slot
 // gradient buffers. AllReduce then combines the buffers exactly the
 // way ag.ReduceGrads does in one process — per parameter, summed in
 // slot order, scaled once — so the reduced gradient (and therefore
@@ -21,10 +21,12 @@
 //     existed (the bitwise trajectory tests prove it).
 //   - TCP: a coordinator process plus world worker ranks over
 //     length-prefixed, CRC32C-framed messages (internal/ckptio
-//     section framing). The coordinator performs the slot-ordered
-//     reduction centrally and sends every rank the identical reduced
-//     gradient and the full per-slot loss vector, so every rank's
-//     optimizer and statistics advance in lockstep.
+//     section framing). Because the blocks are contiguous, the
+//     slot-ordered sum is a fold from rank to rank (TCP.AllReduce):
+//     each rank ships one gradient per round, the coordinator only
+//     relays frames, and every rank ends the round with the same sum
+//     and every slot's loss, so optimizers and statistics advance in
+//     lockstep.
 //
 // Failure model: fail-stop. Any broken connection, rank drift
 // (mismatched step or batch shape), or frame corruption aborts the
@@ -73,15 +75,19 @@ type Exchanger interface {
 	Close() error
 }
 
-// Owns reports whether rank owns slot i of a minibatch in a
-// world-rank fleet: slots stride across ranks exactly like examples
-// stride across in-process workers, so the slot→rank map depends only
-// on (world, rank, i).
-func Owns(world, rank, i int) bool {
-	if world <= 1 {
-		return true
-	}
-	return i%world == rank
+// Owns reports whether rank owns slot i of an n-slot minibatch in a
+// world-rank fleet: rank r owns the contiguous block
+// [r·n/world, (r+1)·n/world), so the blocks tile the slots in rank
+// order, their sizes differ by at most one, and with n < world some
+// ranks own none. The map depends only on (n, world, rank, i).
+func Owns(n, world, rank, i int) bool {
+	lo, hi := block(n, world, rank)
+	return lo <= i && i < hi
+}
+
+// block returns the slots [lo, hi) rank owns; see Owns.
+func block(n, world, rank int) (lo, hi int) {
+	return rank * n / world, (rank + 1) * n / world
 }
 
 // Local is the in-process backend: world 1, AllReduce is

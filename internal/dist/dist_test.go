@@ -157,15 +157,16 @@ func waitCoordinator(t *testing.T, errc chan error) {
 }
 
 // TestTCPAllReduceMatchesLocal is the plane's core contract: at world
-// 2 and 3, every rank's reduced gradients and loss vectors must be
+// 1 to 4, every rank's reduced gradients and loss vectors must be
 // bitwise identical to the single-process ag.ReduceGrads reduction —
-// across several steps, including a short final batch and slots that
-// touch different parameter subsets.
+// across several steps, including a short final batch, a batch smaller
+// than the fleet (ranks owning no slot) and slots that touch different
+// parameter subsets.
 func TestTCPAllReduceMatchesLocal(t *testing.T) {
-	for _, world := range []int{2, 3} {
+	for _, world := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("world%d", world), func(t *testing.T) {
 			addr, coordErr := startCoordinator(t, world)
-			batches := []int{4, 5, 1, 2} // n per step; 5 and 1 exercise uneven ownership
+			batches := []int{4, 5, 1, 2} // n per step; 5 and 1 exercise uneven and empty blocks
 			var wg sync.WaitGroup
 			rankErr := make(chan error, world)
 			for rank := 0; rank < world; rank++ {
@@ -184,7 +185,7 @@ func TestTCPAllReduceMatchesLocal(t *testing.T) {
 						slots := make([]ag.Grads, n)
 						losses := make([]float64, n)
 						for i := 0; i < n; i++ {
-							if !Owns(world, rank, i) {
+							if !Owns(n, world, rank, i) {
 								continue
 							}
 							slots[i] = fillSlot(step, i, params)
@@ -343,7 +344,7 @@ func TestTCPRankDriftAborts(t *testing.T) {
 			slots := make([]ag.Grads, n)
 			losses := make([]float64, n)
 			for i := 0; i < n; i++ {
-				if Owns(world, rank, i) {
+				if Owns(n, world, rank, i) {
 					slots[i] = fillSlot(0, i, params)
 				}
 			}
@@ -363,6 +364,109 @@ func TestTCPRankDriftAborts(t *testing.T) {
 		if err == nil {
 			t.Fatalf("rank %d AllReduce succeeded in a drifted fleet", rank)
 		}
+	}
+}
+
+// TestTCPRoundKindDriftAborts: a rank in a gradient round while another
+// is at a barrier is drift, whichever rank is where. Ranks after the
+// first wait for a prefix without sending a gradient, so the join they
+// open the round with is what lets the coordinator see it instead of
+// waiting for ever.
+func TestTCPRoundKindDriftAborts(t *testing.T) {
+	const world = 2
+	for reducer := 0; reducer < world; reducer++ {
+		addr, coordErr := startCoordinator(t, world)
+		var wg sync.WaitGroup
+		results := make([]error, world)
+		for rank := 0; rank < world; rank++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ex, err := DialRetry(addr, rank, world, "kind-drift", 50, 20*time.Millisecond)
+				if err != nil {
+					results[rank] = err
+					return
+				}
+				defer ex.Close()
+				if rank != reducer {
+					results[rank] = ex.Barrier()
+					return
+				}
+				params := makeParams()
+				slots := []ag.Grads{fillSlot(0, 0, params), fillSlot(0, 1, params)}
+				results[rank] = ex.AllReduce(params, slots, make([]float64, 2), 0.5)
+			}()
+		}
+		wg.Wait()
+		select {
+		case err := <-coordErr:
+			if err == nil || !strings.Contains(err.Error(), "rank drift") {
+				t.Fatalf("rank %d reducing: coordinator error = %v, want rank drift", reducer, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("rank %d reducing: coordinator did not exit", reducer)
+		}
+		for rank, err := range results {
+			if err == nil {
+				t.Fatalf("rank %d reducing: rank %d succeeded in a drifted fleet", reducer, rank)
+			}
+		}
+	}
+}
+
+// TestTCPHopOutOfTurnAborts: mid-chain, a hop from any rank but the
+// one whose turn it is aborts the fleet — here the last rank sends a
+// total before the middle rank has forwarded its prefix.
+func TestTCPHopOutOfTurnAborts(t *testing.T) {
+	const world = 3
+	addr, coordErr := startCoordinator(t, world)
+	ranks := make([]*TCP, world)
+	var wg sync.WaitGroup
+	for rank := range ranks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if ranks[rank], err = DialRetry(addr, rank, world, "out-of-turn", 50, 20*time.Millisecond); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	defer func() {
+		for _, ex := range ranks {
+			ex.Close()
+		}
+	}()
+	send := func(rank int, msg []byte) {
+		t.Helper()
+		if err := sendMsg(ranks[rank].conn, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	params := makeParams()
+	var f fold
+	f.start(params)
+	send(1, appendU64(newMsg(nil, msgJoin, 8), 1))
+	send(2, appendU64(newMsg(nil, msgJoin, 8), 1))
+	send(2, f.appendHop(nil, msgReduced, 1, 3, 1, make([]float64, 3)))
+	rank0 := make(chan error, 1)
+	go func() {
+		rank0 <- ranks[0].AllReduce(params, []ag.Grads{fillSlot(1, 0, params), nil, nil}, make([]float64, 3), 1)
+	}()
+	select {
+	case err := <-coordErr:
+		if err == nil || !strings.Contains(err.Error(), "rank 2 sent reduced (step 1) while rank 1's hop of step 1 was due") {
+			t.Fatalf("coordinator error = %v, want rank 2's total out of turn", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("coordinator did not exit")
+	}
+	if err := <-rank0; err == nil {
+		t.Fatal("rank 0's AllReduce succeeded in an aborted fleet")
 	}
 }
 
@@ -399,36 +503,46 @@ func TestTCPDuplicateRank(t *testing.T) {
 	}
 }
 
-// loopFleet is an in-process 2-rank fleet over loopback TCP for
-// measuring a round: rank 0's AllReduce runs on the caller's goroutine,
-// rank 1's on its own, one round per token, every round exchanging the
+// loopFleet is an in-process fleet over loopback TCP for measuring a
+// round: rank 0's AllReduce runs on the caller's goroutine, every other
+// rank's on its own, one round per token, every round exchanging the
 // same pre-built slots.
 type loopFleet struct {
-	ranks   [2]*TCP
-	params  [2][]*ag.Value
-	slots   [2][]ag.Grads
-	losses  [2][]float64
-	start   chan struct{}
-	rank1   chan error
+	ranks   []*TCP
+	params  [][]*ag.Value
+	slots   [][]ag.Grads
+	losses  [][]float64
+	start   []chan struct{} // per rank above 0: run one round
+	done    chan error
 	coordCh chan error
 }
 
-// newLoopFleet connects the fleet and fills slot i of an n-slot
-// minibatch on its owner with a gradient for every parameter.
+// newLoopFleet is a 2-rank loopFleet.
 func newLoopFleet(tb testing.TB, shapes [][]int, n int) *loopFleet {
+	tb.Helper()
+	return newLoopFleetOf(tb, 2, shapes, n)
+}
+
+// newLoopFleetOf connects a world-rank fleet and fills slot i of an
+// n-slot minibatch on its owner with a gradient for every parameter.
+func newLoopFleetOf(tb testing.TB, world int, shapes [][]int, n int) *loopFleet {
 	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	coord := NewCoordinator(ln, 2)
-	f := &loopFleet{start: make(chan struct{}), rank1: make(chan error), coordCh: make(chan error, 1)}
+	coord := NewCoordinator(ln, world)
+	f := &loopFleet{
+		ranks: make([]*TCP, world), params: make([][]*ag.Value, world),
+		slots: make([][]ag.Grads, world), losses: make([][]float64, world),
+		start: make([]chan struct{}, world), done: make(chan error), coordCh: make(chan error, 1),
+	}
 	go func() { f.coordCh <- coord.Run() }()
-	dialed := make(chan error, 2)
+	dialed := make(chan error, world)
 	for rank := range f.ranks {
 		go func() {
 			var err error
-			f.ranks[rank], err = DialRetry(coord.Addr(), rank, 2, "loop", 50, 20*time.Millisecond)
+			f.ranks[rank], err = DialRetry(coord.Addr(), rank, world, "loop", 50, 20*time.Millisecond)
 			dialed <- err
 		}()
 	}
@@ -444,7 +558,7 @@ func newLoopFleet(tb testing.TB, shapes [][]int, n int) *loopFleet {
 		}
 		f.slots[rank], f.losses[rank] = make([]ag.Grads, n), make([]float64, n)
 		for i := 0; i < n; i++ {
-			if !Owns(2, rank, i) {
+			if !Owns(n, world, rank, i) {
 				continue
 			}
 			f.slots[rank][i] = ag.Grads{}
@@ -453,11 +567,14 @@ func newLoopFleet(tb testing.TB, shapes [][]int, n int) *loopFleet {
 			}
 		}
 	}
-	go func() {
-		for range f.start {
-			f.rank1 <- f.allReduce(1)
-		}
-	}()
+	for rank := 1; rank < world; rank++ {
+		f.start[rank] = make(chan struct{})
+		go func() {
+			for range f.start[rank] {
+				f.done <- f.allReduce(rank)
+			}
+		}()
+	}
 	return f
 }
 
@@ -468,18 +585,22 @@ func (f *loopFleet) allReduce(rank int) error {
 	return f.ranks[rank].AllReduce(f.params[rank], f.slots[rank], f.losses[rank], 1/float64(len(f.slots[rank])))
 }
 
-// round runs one AllReduce on both ranks.
+// round runs one AllReduce on every rank.
 func (f *loopFleet) round() error {
-	f.start <- struct{}{}
-	err0 := f.allReduce(0)
-	if err1 := <-f.rank1; err1 != nil {
-		return err1
+	for _, start := range f.start[1:] {
+		start <- struct{}{}
 	}
-	return err0
+	err := f.allReduce(0)
+	for range f.start[1:] {
+		if e := <-f.done; e != nil {
+			err = e
+		}
+	}
+	return err
 }
 
-// wireBytes is what a round moves: both grads frames up, the reduced
-// frame down to both ranks.
+// wireBytes is what a round moves: every frame each rank sends up and
+// receives down.
 func (f *loopFleet) wireBytes() int64 {
 	var total int64
 	for _, ex := range f.ranks {
@@ -491,7 +612,9 @@ func (f *loopFleet) wireBytes() int64 {
 
 func (f *loopFleet) close(tb testing.TB) {
 	tb.Helper()
-	close(f.start)
+	for _, start := range f.start[1:] {
+		close(start)
+	}
 	for _, ex := range f.ranks {
 		ex.Close()
 	}
@@ -569,9 +692,9 @@ func TestTCPRankDiesMidFrame(t *testing.T) {
 	}
 	defer ranks[0].Close()
 	// Rank 0 is still computing: it has sent nothing. Rank 1 gets half
-	// of its grads frame out and dies.
+	// of its join out and dies.
 	params := makeParams()
-	frame := ckptio.SealSection(appendGrads(nil, 1, params, []ag.Grads{nil, fillSlot(1, 1, params)}, make([]float64, 2), 0.5))
+	frame := ckptio.SealSection(appendU64(newMsg(nil, msgJoin, 8), 1))
 	if _, err := ranks[1].conn.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -591,36 +714,54 @@ func TestTCPRankDiesMidFrame(t *testing.T) {
 	}
 }
 
-// TestAddWaits: a rank's wait is measured to the round's latest stamp,
-// in whatever order the frames were handed over, so it is never
-// negative and the last rank to arrive waited for nobody.
+// TestAddWaits: the relay's wait for rank 0's hop runs from the round's
+// earliest opener, whichever rank sent it and in whatever order the
+// openers were handed over; every later rank's from the hop before it.
 func TestAddWaits(t *testing.T) {
 	t0 := time.Unix(100, 0)
 	waits := []time.Duration{time.Second, 0, 0}
-	addWaits(waits, []time.Time{t0.Add(2 * time.Millisecond), t0, t0.Add(time.Millisecond)})
-	want := []time.Duration{time.Second, 2 * time.Millisecond, time.Millisecond}
+	opened := []time.Time{t0.Add(3 * time.Millisecond), t0.Add(time.Millisecond), t0.Add(5 * time.Millisecond)}
+	hops := []time.Time{t0.Add(3 * time.Millisecond), t0.Add(4 * time.Millisecond), t0.Add(9 * time.Millisecond)}
+	addWaits(waits, opened, hops)
+	want := []time.Duration{time.Second + 2*time.Millisecond, time.Millisecond, 5 * time.Millisecond}
 	if !slices.Equal(waits, want) {
 		t.Fatalf("waits %v, want %v", waits, want)
 	}
 }
 
-// TestOwns pins the slot→rank map to the worker-stride scheme.
+// TestOwns pins the slot→rank map to balanced contiguous blocks: every
+// slot has exactly one owner, the owners ascend with the slots, block
+// sizes differ by at most one, and world 1 owns every slot.
 func TestOwns(t *testing.T) {
-	if !Owns(1, 0, 5) {
+	if !Owns(6, 1, 0, 5) {
 		t.Fatal("world 1 must own every slot")
 	}
-	for i := 0; i < 12; i++ {
-		owners := 0
-		for rank := 0; rank < 3; rank++ {
-			if Owns(3, rank, i) {
-				owners++
-				if i%3 != rank {
-					t.Fatalf("Owns(3,%d,%d) true but %d%%3 != %d", rank, i, i, rank)
+	for world := 2; world <= 5; world++ {
+		for n := 0; n <= 13; n++ {
+			sizes := make([]int, world)
+			prev := 0
+			for i := 0; i < n; i++ {
+				owner := -1
+				for rank := 0; rank < world; rank++ {
+					if Owns(n, world, rank, i) {
+						if owner >= 0 {
+							t.Fatalf("n=%d world=%d: slot %d owned by ranks %d and %d", n, world, i, owner, rank)
+						}
+						owner = rank
+					}
 				}
+				if owner < 0 {
+					t.Fatalf("n=%d world=%d: slot %d has no owner", n, world, i)
+				}
+				if owner < prev {
+					t.Fatalf("n=%d world=%d: slot %d owned by rank %d after a slot of rank %d (blocks not contiguous)", n, world, i, owner, prev)
+				}
+				prev = owner
+				sizes[owner]++
 			}
-		}
-		if owners != 1 {
-			t.Fatalf("slot %d has %d owners at world 3", i, owners)
+			if slices.Max(sizes)-slices.Min(sizes) > 1 {
+				t.Fatalf("n=%d world=%d: block sizes %v differ by more than one", n, world, sizes)
+			}
 		}
 	}
 }

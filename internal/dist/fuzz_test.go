@@ -8,14 +8,13 @@ import (
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/ckptio"
-	"mtmlf/internal/tensor"
 )
 
 // FuzzWireFrame: arbitrary bytes handed to everything that decodes
 // what a peer sent — the frame reader, the hello and payload decoders,
-// the streaming reducer (as a whole round, and as rank 1's half of a
-// round whose rank 0 is honest) and the reduced-frame installer — must
-// come back as an error or a result, never a panic, and must never
+// and a rank's two fold decoders (the prefix it absorbs as rank 1 of a
+// 2-rank round whose rank 0 is honest, and the total it installs) —
+// must come back as an error or a result, never a panic, and must never
 // make a decoder allocate more than a small multiple of the input: no
 // count, index or length off the wire sizes anything the bytes behind
 // it could not fill. The seeds are one valid message of each kind,
@@ -31,18 +30,23 @@ func FuzzWireFrame(f *testing.F) {
 	slots := []ag.Grads{fillSlot(1, 0, params), fillSlot(1, 1, params)}
 	slots[1][params[0]].Data[0] = math.Copysign(0, -1)
 	losses := []float64{0.5, math.Copysign(0, -1)}
-	halves := rankBodies(2, 1, params, slots, losses, 0.5)
-	reduced, err := new(reducer).reduce(halves)
-	if err != nil {
+	var rank0, rank1 fold
+	rank0.start(params)
+	rank0.add(params, slots, 0, 1)
+	prefix := rank0.appendHop(nil, msgGrads, 1, 2, 0.5, losses[:1])
+	rank1.start(params)
+	if err := rank1.absorb(msgBody(prefix), 1, 0.5, 1, params, losses); err != nil {
 		f.Fatal(err)
 	}
+	rank1.add(params, slots, 1, 2)
+	rank1.scale(0.5)
 	for _, msg := range [][]byte{
 		encodeHello(hello{rank: 1, world: 2, fingerprint: "seed=1 batch=8"}),
 		encodePayload(msgBcast, []byte("resume point")),
 		encodePayload(msgError, []byte("rank drift")),
-		appendGrads(nil, 1, params, slots, losses, 0.5),
-		appendGrads(nil, 1, params, []ag.Grads{nil, slots[1]}, losses, 0.5),
-		bytes.Clone(reduced),
+		prefix,
+		rank1.appendHop(nil, msgReduced, 1, 2, 0.5, losses),
+		appendU64(newMsg(nil, msgJoin, 8), 1),
 		newMsg(nil, msgBarrier, 0),
 	} {
 		f.Add(msgBody(msg))
@@ -60,15 +64,11 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		_, _ = decodeHello(data)
 		_, _ = decodePayload(data)
-		_, _ = relayBroadcast(data)
-		_, _ = new(reducer).reduce([][]byte{data})
-		out, err := new(reducer).reduce([][]byte{halves[0], data})
+		_ = absorbAsRank1(data)
+		var fd fold
 		into := makeParams()
-		kept := make([]*tensor.Tensor, len(into))
-		if err == nil {
-			_ = installReduced(msgBody(out), 1, into, kept, make([]float64, 2))
-		}
-		_ = installReduced(data, 1, into, kept, make([]float64, 2))
+		fd.start(into)
+		_ = fd.install(data, 1, 0.5, into, make([]float64, 2))
 
 		runtime.ReadMemStats(&after)
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)); grew > limit {

@@ -1,14 +1,15 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/ckptio"
-	"mtmlf/internal/tensor"
 )
 
 // ---------------------------------------------------------------------------
@@ -16,13 +17,13 @@ import (
 // ---------------------------------------------------------------------------
 
 // TCP is the distributed Exchanger: one rank's connection to the
-// coordinator. Create it with Dial or DialRetry.
+// coordinator. Create it with DialRetry.
 //
-// It owns the three things a gradient round needs and keeps them for
-// the life of the connection, so a round in steady state allocates
-// nothing: out, the grads frame this rank encodes; in, the reduced
-// frame it receives; grads, one Grad tensor per parameter, re-attached
-// to the parameters the reduced frame names.
+// It owns what a gradient round needs and keeps it for the life of the
+// connection, so a round in steady state allocates nothing: out, the
+// frame this rank sends; in, the frame it receives; fold, one
+// accumulator per parameter, which also ends the round as the
+// parameter's Grad.
 type TCP struct {
 	conn  net.Conn
 	world int
@@ -31,26 +32,32 @@ type TCP struct {
 	once  sync.Once
 
 	out, in []byte
-	grads   []*tensor.Tensor
+	fold    fold
 	stats   ExchangeStats
 }
 
 // ExchangeStats is what a rank's AllReduce calls did and where their
-// time went: Encode is building and checksumming the grads frame, Wait
-// runs from its first byte written to the reduced frame's last byte
-// read and verified (the other ranks' compute and the coordinator's
-// reduction are in it), Install is decoding onto the parameters.
+// time went, stage by stage along the chain: WaitPrefix runs from the
+// join's first byte written to the prefix's last byte read and verified
+// (the ranks before this one are in it; rank 0 has none), Fold is
+// decoding the prefix and adding this rank's slots (and, on the last
+// rank, scaling), Encode is building and checksumming the outgoing
+// frame, WaitTotal runs from its first byte written to the total's last
+// byte read (the ranks after this one; on the last rank, only the
+// write), and Install is putting the total on the parameters.
 type ExchangeStats struct {
-	Rounds                int
-	BytesUp, BytesDown    int64
-	Encode, Wait, Install time.Duration
+	Rounds             int
+	BytesUp, BytesDown int64
+
+	WaitPrefix, Fold, Encode, WaitTotal, Install time.Duration
 }
 
 func (s ExchangeStats) String() string {
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f ms", float64(d)/float64(time.Millisecond)) }
-	return fmt.Sprintf("%d rounds, %.2f MB up, %.2f MB down, allreduce %s = encode %s + wait %s + install %s",
+	return fmt.Sprintf("%d rounds, %.2f MB up, %.2f MB down, allreduce %s = wait prefix %s + fold %s + encode %s + wait total %s + install %s",
 		s.Rounds, float64(s.BytesUp)/1e6, float64(s.BytesDown)/1e6,
-		ms(s.Encode+s.Wait+s.Install), ms(s.Encode), ms(s.Wait), ms(s.Install))
+		ms(s.WaitPrefix+s.Fold+s.Encode+s.WaitTotal+s.Install),
+		ms(s.WaitPrefix), ms(s.Fold), ms(s.Encode), ms(s.WaitTotal), ms(s.Install))
 }
 
 // now is this package's one wall-clock read. It feeds ExchangeStats and
@@ -63,98 +70,121 @@ func now() time.Time {
 // Stats returns the totals over this exchanger's AllReduce calls so far.
 func (t *TCP) Stats() ExchangeStats { return t.stats }
 
-// Dial connects rank (of world) to the coordinator at addr and
-// completes the handshake. The handshake doubles as the startup
-// barrier: the coordinator acknowledges only once every rank has
-// connected, so a successful Dial means the whole fleet exists.
-// fingerprint is an operator-readable description of the training job
-// (flags, corpus, seed); the coordinator rejects a fleet whose ranks
-// disagree on it, catching misconfigured launches before any
-// gradient flows.
-func Dial(addr string, rank, world int, fingerprint string) (*TCP, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return handshake(conn, rank, world, fingerprint)
-}
-
-// DialRetry is Dial with a bounded connection-retry loop (attempts
-// tries, delay apart) so workers may be launched before, after, or
-// concurrently with the coordinator. Only the connection itself is
-// retried; a handshake rejection is a configuration error and fails
-// immediately.
+// DialRetry connects rank (of world) to the coordinator at addr and
+// completes the handshake, retrying the connection itself up to
+// attempts times, delay apart, so workers may be launched before,
+// after, or concurrently with the coordinator. The handshake doubles as
+// the startup barrier: the coordinator acknowledges only once every
+// rank has connected, so a successful dial means the whole fleet
+// exists. fingerprint is an operator-readable description of the
+// training job (flags, corpus, seed); the coordinator rejects a fleet
+// whose ranks disagree on it, catching misconfigured launches before
+// any gradient flows — a configuration error that is not retried.
 func DialRetry(addr string, rank, world int, fingerprint string, attempts int, delay time.Duration) (*TCP, error) {
-	if attempts < 1 {
-		attempts = 1
+	if world < 1 || rank < 0 || rank >= world {
+		return nil, fmt.Errorf("dist: rank %d out of range for world %d", rank, world)
 	}
 	var conn net.Conn
 	var err error
-	for try := 0; try < attempts; try++ {
-		conn, err = net.Dial("tcp", addr)
-		if err == nil {
-			return handshake(conn, rank, world, fingerprint)
+	for try := 0; try < max(attempts, 1); try++ {
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
 		}
 		time.Sleep(delay)
 	}
-	return nil, fmt.Errorf("dist: no coordinator at %s after %d attempts: %w", addr, attempts, err)
-}
-
-func handshake(conn net.Conn, rank, world int, fingerprint string) (*TCP, error) {
-	if world < 1 || rank < 0 || rank >= world {
-		conn.Close()
-		return nil, fmt.Errorf("dist: rank %d out of range for world %d", rank, world)
+	if err != nil {
+		return nil, fmt.Errorf("dist: no coordinator at %s after %d attempts: %w", addr, max(attempts, 1), err)
 	}
-	t := &TCP{conn: conn, world: world, rank: rank}
-	if err := sendMsg(conn, encodeHello(hello{rank: rank, world: world, fingerprint: fingerprint})); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dist: handshake send: %w", err)
+	if err = sendMsg(conn, encodeHello(hello{rank: rank, world: world, fingerprint: fingerprint})); err == nil {
+		_, err = readMsg(conn, nil, msgHelloAck)
 	}
-	if _, err := readMsg(conn, nil, msgHelloAck); err != nil {
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: handshake: %w", err)
 	}
-	return t, nil
+	return &TCP{conn: conn, world: world, rank: rank}, nil
 }
 
 // World returns the fleet shape.
 func (t *TCP) World() (int, int) { return t.world, t.rank }
 
-// AllReduce ships this rank's owned slots to the coordinator and
-// installs the slot-ordered reduced gradient and the full loss vector
-// it sends back. See Exchanger.
+// AllReduce is this rank's hop of the fold: rank 0 sums its block of
+// slots; every later rank joins the round, adds its block to the prefix
+// the rank before it sends, and passes the result on; the last rank
+// scales the total and sends it, with every slot's loss, to all the
+// others, which install it. Each rank sends one gradient. See Exchanger.
 func (t *TCP) AllReduce(params []*ag.Value, slots []ag.Grads, losses []float64, scale float64) error {
 	t.step++
+	n, last := len(slots), t.rank == t.world-1
+	lo, hi := block(n, t.world, t.rank)
 	start := now()
-	t.out = appendGrads(t.out, t.step, params, slots, losses, scale)
-	frame := ckptio.SealSection(t.out)
+	prefixed, up, down := start, 0, 0
+	t.fold.start(params)
+	if t.rank > 0 {
+		join := ckptio.SealSection(appendU64(newMsg(t.out, msgJoin, 8), t.step))
+		if _, err := t.conn.Write(join); err != nil {
+			return fmt.Errorf("dist: join step %d: %w", t.step, err)
+		}
+		p, err := t.receive(msgGrads, "prefix")
+		if err != nil {
+			return err
+		}
+		prefixed, up, down = now(), len(join), ckptio.SectionLen(len(p))
+		if err := t.fold.absorb(p[1:], t.step, scale, lo, params, losses); err != nil {
+			return err
+		}
+	}
+	t.fold.add(params, slots, lo, hi)
+	kind := hopKind(t.rank, t.world)
+	if last {
+		t.fold.scale(scale)
+	}
+	folded := now()
+	frame := ckptio.SealSection(t.fold.appendHop(t.out, kind, t.step, n, scale, losses[:hi]))
+	t.out = frame
 	encoded := now()
 	if _, err := t.conn.Write(frame); err != nil {
-		return fmt.Errorf("dist: send gradients (step %d): %w", t.step, err)
+		return fmt.Errorf("dist: send %s (step %d): %w", kindName(kind), t.step, err)
 	}
-	p, err := readMsg(t.conn, t.in, msgReduced)
-	if err != nil {
-		return fmt.Errorf("dist: receive reduced gradient (step %d): %w", t.step, err)
+	up += len(frame)
+	var total []byte
+	if !last {
+		p, err := t.receive(msgReduced, "total")
+		if err != nil {
+			return err
+		}
+		down, total = down+ckptio.SectionLen(len(p)), p[1:]
 	}
-	t.in = p
 	received := now()
-	if len(t.grads) != len(params) {
-		t.grads = make([]*tensor.Tensor, len(params))
-	}
-	if err := installReduced(p[1:], t.step, params, t.grads, losses); err != nil {
+	if last {
+		t.fold.attach(params)
+	} else if err := t.fold.install(total, t.step, scale, params, losses); err != nil {
 		return err
 	}
 	t.stats.Rounds++
-	t.stats.BytesUp += int64(len(frame))
-	t.stats.BytesDown += int64(ckptio.SectionLen(len(p)))
-	t.stats.Encode += encoded.Sub(start)
-	t.stats.Wait += received.Sub(encoded)
+	t.stats.BytesUp += int64(up)
+	t.stats.BytesDown += int64(down)
+	t.stats.WaitPrefix += prefixed.Sub(start)
+	t.stats.Fold += folded.Sub(prefixed)
+	t.stats.Encode += encoded.Sub(folded)
+	t.stats.WaitTotal += received.Sub(encoded)
 	t.stats.Install += now().Sub(received)
 	return nil
 }
 
+// receive reads the round's next frame, of kind, into the kept buffer.
+func (t *TCP) receive(kind byte, what string) ([]byte, error) {
+	p, err := readMsg(t.conn, t.in, kind)
+	if err != nil {
+		return nil, fmt.Errorf("dist: receive %s (step %d): %w", what, t.step, err)
+	}
+	t.in = p
+	return p, nil
+}
+
 // BroadcastBytes relays rank 0's payload through the coordinator to
-// every rank. See Exchanger.
+// every rank, rank 0 included: each receives rank 0's bcast frame as it
+// was sent. See Exchanger.
 func (t *TCP) BroadcastBytes(payload []byte) ([]byte, error) {
 	if t.rank != 0 {
 		payload = nil
@@ -162,19 +192,20 @@ func (t *TCP) BroadcastBytes(payload []byte) ([]byte, error) {
 	if err := sendMsg(t.conn, encodePayload(msgBcast, payload)); err != nil {
 		return nil, fmt.Errorf("dist: send broadcast: %w", err)
 	}
-	p, err := readMsg(t.conn, nil, msgBcastOut)
+	p, err := readMsg(t.conn, nil, msgBcast)
 	if err != nil {
 		return nil, fmt.Errorf("dist: receive broadcast: %w", err)
 	}
 	return decodePayload(p[1:])
 }
 
-// Barrier blocks until every rank has sent its barrier message.
+// Barrier blocks until every rank has sent its barrier message; the
+// coordinator answers with rank 0's.
 func (t *TCP) Barrier() error {
 	if err := sendMsg(t.conn, newMsg(nil, msgBarrier, 0)); err != nil {
 		return fmt.Errorf("dist: send barrier: %w", err)
 	}
-	if _, err := readMsg(t.conn, nil, msgBarrierAck); err != nil {
+	if _, err := readMsg(t.conn, nil, msgBarrier); err != nil {
 		return fmt.Errorf("dist: barrier: %w", err)
 	}
 	return nil
@@ -197,17 +228,16 @@ func (t *TCP) Close() error {
 // ---------------------------------------------------------------------------
 
 // Coordinator is the hub of one distributed training job: it accepts
-// exactly world ranks, then serves lockstep exchange rounds (gradient
-// reduction, broadcast, barrier) until every rank closes. It holds no
-// model state — the slot-ordered reduction is pure arithmetic over
-// the frames — so the ranks' parameters stay bitwise identical to
-// each other and to the single-process run by construction.
+// exactly world ranks, then serves lockstep rounds (gradient, broadcast,
+// barrier) until every rank closes. It holds no model and does no
+// arithmetic: in a gradient round it checks each hop's kind and step
+// and forwards the frame as it arrived — rank r's prefix to rank r+1,
+// the last rank's total to every other rank.
 //
-// The coordinator is fail-stop: any connection error, rank drift, or
-// frame corruption aborts the whole fleet (a best-effort error
-// message is sent to every surviving rank) and Run returns the
-// error. A supervisor restarts the job; rank 0's training snapshot
-// re-synchronizes everyone.
+// It is fail-stop: any connection error, rank drift, or frame
+// corruption aborts the whole fleet (a best-effort error message goes
+// to every surviving rank) and Run returns the error. A supervisor
+// restarts the job; rank 0's training snapshot re-synchronizes everyone.
 type Coordinator struct {
 	ln    net.Listener
 	world int
@@ -224,60 +254,89 @@ func NewCoordinator(ln net.Listener, world int) *Coordinator {
 // Addr returns the listen address workers should dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Waits returns, per rank, how long in total that rank's gradient
-// frames sat at the coordinator before the last frame of their round
-// arrived: time the rank idled for slower ranks. The rank whose wait
-// stays near zero is the straggler. Read it after Run has returned.
+// Waits returns, per rank, how long in total the relay waited for that
+// rank's hops (see addWaits); the largest names the straggler. Read it
+// after Run has returned.
 func (c *Coordinator) Waits() []time.Duration { return c.waits }
 
-// rankConn is one admitted rank. After the handshake its connection
-// belongs to a serve goroutine, which alternates reading one message
-// and writing the reply Run hands it; in is that goroutine's receive
-// buffer, kept across rounds, and the payload it delivers aliases it
-// until the reply is handed over.
+// rankConn is one admitted rank. After the handshake its connection is
+// read by a serve goroutine and written by Run alone. in is the
+// goroutine's receive buffer, kept across rounds; the message it
+// delivers aliases it until Run sends on next.
 type rankConn struct {
-	conn  net.Conn
-	in    []byte
-	reply chan []byte // one sealed frame per round; closed by Run to stop the goroutine
+	conn net.Conn
+	in   []byte
+	next chan struct{} // Run is done with the last message; closed to stop the goroutine
 }
 
-// arrival is one message from a rank, or the error that ended its
-// serve goroutine.
+// arrival is one message from a rank — its payload, and the whole frame
+// it came in — or the error that ended its serve goroutine.
 type arrival struct {
-	rank int
-	msg  []byte
-	at   time.Time
-	err  error
+	rank       int
+	msg, frame []byte
+	at         time.Time
+	err        error
 }
 
-// serve is a rank's goroutine: every rank is read, and written to,
-// concurrently, so a frame never queues behind another rank's and a
-// rank that dies is noticed whichever rank the round is waiting for.
-// It sends exactly one arrival per message read and one for the error
-// it exits on, never more than one ahead of Run.
+// headerLen is the length header in front of a frame's payload.
+const headerLen = 8
+
+// serve is a rank's goroutine: every rank is read concurrently, so a
+// rank that dies is noticed whichever rank the round waits for. It sends
+// one arrival per message and one for the error it exits on, and reads
+// the next message only once Run lets go of the last.
+//
+// A message is read behind headerLen spare bytes of in, where its length
+// header is rebuilt, so the frame can be relayed as it arrived —
+// checksum included, with one write and no copy.
 func (rc *rankConn) serve(rank int, arrivals chan<- arrival) {
 	for {
-		p, err := readMsg(rc.conn, rc.in, msgAny)
+		p, err := readMsg(rc.conn, rc.in[headerLen:], msgAny)
 		if err != nil {
 			arrivals <- arrival{rank: rank, err: fmt.Errorf("dist: read from rank %d: %w", rank, err)}
 			return
 		}
-		rc.in = p
-		arrivals <- arrival{rank: rank, msg: p, at: now()}
-		frame, ok := <-rc.reply
-		if !ok {
-			return
+		frame := ckptio.SectionLen(len(p))
+		if cap(p) != cap(rc.in)-headerLen { // the read outgrew in
+			rc.in = make([]byte, headerLen+cap(p))
+			copy(rc.in[headerLen:frame], p[:frame-headerLen])
+			p = rc.in[headerLen : headerLen+len(p)]
 		}
-		if _, err := rc.conn.Write(frame); err != nil {
-			arrivals <- arrival{rank: rank, err: fmt.Errorf("dist: send to rank %d: %w", rank, err)}
+		binary.BigEndian.PutUint64(rc.in, uint64(len(p)))
+		arrivals <- arrival{rank: rank, msg: p, frame: rc.in[:frame], at: now()}
+		if _, ok := <-rc.next; !ok {
 			return
 		}
 	}
 }
 
+// hopKind is what rank's hop of a world-rank gradient round is: a
+// prefix, or from the last rank the total.
+func hopKind(rank, world int) byte {
+	if rank == world-1 {
+		return msgReduced
+	}
+	return msgGrads
+}
+
+// opens names the round a rank's first message of it opens. A gradient
+// round (msgJoin) is opened by rank 0's hop and every other rank's join.
+func (c *Coordinator) opens(rank int, kind byte) byte {
+	if rank == 0 && kind == hopKind(0, c.world) {
+		return msgJoin
+	}
+	return kind
+}
+
+// stepOf reads the step a join, grads or reduced message opens with.
+func stepOf(msg []byte) uint64 {
+	cur := cursor{b: msg[1:]}
+	return cur.u64()
+}
+
 // Run serves one training job to completion: handshake with every
-// rank, lockstep exchange rounds, clean exit once all ranks are done.
-// It returns nil only for a clean fleet shutdown.
+// rank, lockstep rounds, clean exit once all ranks are done. It returns
+// nil only for a clean fleet shutdown.
 func (c *Coordinator) Run() error {
 	conns := make([]*rankConn, c.world)
 	var serving sync.WaitGroup
@@ -285,7 +344,7 @@ func (c *Coordinator) Run() error {
 		c.ln.Close()
 		for _, rc := range conns {
 			if rc != nil {
-				close(rc.reply)
+				close(rc.next)
 				rc.conn.Close()
 			}
 		}
@@ -311,83 +370,109 @@ func (c *Coordinator) Run() error {
 			rc.serve(rank, arrivals)
 		}()
 	}
-	var rd reducer
-	msgs := make([][]byte, c.world)
-	at := make([]time.Time, c.world)
+	msgs, frames := make([][]byte, c.world), make([][]byte, c.world)
+	opened, hops := make([]time.Time, c.world), make([]time.Time, c.world)
 	for {
-		// One lockstep round: every rank sends exactly one message and
-		// every message must agree on the kind — a rank asking for a
-		// gradient reduction while another says it is done means the
-		// fleet has drifted, and fail-stop beats silent divergence.
+		// A lockstep round opens with one message from every rank, and
+		// they must agree on what it is — a rank asking for a barrier
+		// while another says it is done means the fleet has drifted,
+		// and fail-stop beats silent divergence. Rank 0's hop is relayed
+		// the moment it arrives, ahead of the other ranks' joins.
 		for range conns {
 			a := <-arrivals
 			if a.err != nil {
 				return c.abort(conns, a.err)
 			}
-			msgs[a.rank], at[a.rank] = a.msg, a.at
+			msgs[a.rank], frames[a.rank], opened[a.rank] = a.msg, a.frame, a.at
+			if a.rank == 0 && a.msg[0] == hopKind(0, c.world) {
+				hops[0] = a.at
+				if err := c.relay(conns, 0, a); err != nil {
+					return c.abort(conns, err)
+				}
+			}
 		}
-		kind := msgs[0][0]
+		kind, step := c.opens(0, msgs[0][0]), stepOf(msgs[0])
 		for rank, p := range msgs {
-			if p[0] != kind {
+			if c.opens(rank, p[0]) != kind || (kind == msgJoin && stepOf(p) != step) {
 				return c.abort(conns, fmt.Errorf("dist: rank drift: rank 0 sent %s, rank %d sent %s",
-					kindName(kind), rank, kindName(p[0])))
+					kindName(msgs[0][0]), rank, kindName(p[0])))
 			}
 		}
 		var reply []byte
-		var err error
 		switch kind {
 		case msgDone:
 			return nil
-		case msgBarrier:
-			reply = newMsg(nil, msgBarrierAck, 0)
-		case msgBcast:
-			reply, err = relayBroadcast(msgs[0][1:])
-		case msgGrads:
-			addWaits(c.waits, at)
-			for rank, p := range msgs {
-				msgs[rank] = p[1:]
+		case msgBarrier, msgBcast:
+			reply = frames[0]
+		case msgJoin:
+			if err := c.fold(conns, arrivals, step, opened, hops); err != nil {
+				return c.abort(conns, err)
 			}
-			reply, err = rd.reduce(msgs)
+			continue
 		default:
-			err = fmt.Errorf("dist: unexpected %s message mid-run", kindName(kind))
+			return c.abort(conns, fmt.Errorf("dist: unexpected %s message mid-run", kindName(kind)))
 		}
-		if err != nil {
-			return c.abort(conns, err)
+		for rank, rc := range conns {
+			if _, err := rc.conn.Write(reply); err != nil {
+				return c.abort(conns, fmt.Errorf("dist: answer rank %d's %s: %w", rank, kindName(kind), err))
+			}
 		}
-		// Sealed once; every rank's goroutine writes the same bytes. All
-		// of them have written before the next round's last arrival, so
-		// the reducer's buffer is free again by the time it is reused.
-		reply = ckptio.SealSection(reply)
 		for _, rc := range conns {
-			rc.reply <- reply
+			rc.next <- struct{}{} // after the writes: the reply is rank 0's frame
 		}
 	}
 }
 
-// addWaits adds to each rank's total how long its frame of one round,
-// stamped at[rank], sat until the round's latest frame. The stamps are
-// taken before the hand-over to Run, so the latest need not be the one
-// Run received last.
-func addWaits(waits []time.Duration, at []time.Time) {
-	last := at[0]
-	for _, t := range at {
-		if t.After(last) {
-			last = t
+// fold relays a gradient round's hops after rank 0's, each from the
+// rank it is due from, and adds up the round's waits.
+func (c *Coordinator) fold(conns []*rankConn, arrivals <-chan arrival, step uint64, opened, hops []time.Time) error {
+	for _, rc := range conns {
+		rc.next <- struct{}{} // rank 0's hop is relayed, the joins need nothing back
+	}
+	for hop := 1; hop < c.world; hop++ {
+		a := <-arrivals
+		switch {
+		case a.err != nil:
+			return a.err
+		case a.rank != hop || a.msg[0] != hopKind(hop, c.world) || stepOf(a.msg) != step:
+			return fmt.Errorf("dist: rank drift: rank %d sent %s (step %d) while rank %d's hop of step %d was due",
+				a.rank, kindName(a.msg[0]), stepOf(a.msg), hop, step)
 		}
+		hops[hop] = a.at
+		if err := c.relay(conns, hop, a); err != nil {
+			return err
+		}
+		conns[hop].next <- struct{}{}
 	}
-	for rank, t := range at {
-		waits[rank] += last.Sub(t)
-	}
+	addWaits(c.waits, opened, hops)
+	return nil
 }
 
-// relayBroadcast turns rank 0's bcast body into the message every rank
-// receives.
-func relayBroadcast(body []byte) ([]byte, error) {
-	payload, err := decodePayload(body)
-	if err != nil {
-		return nil, fmt.Errorf("dist: rank 0 broadcast frame: %w", err)
+// relay forwards rank's hop as it arrived: a prefix to the next rank,
+// the total to every rank before the last.
+func (c *Coordinator) relay(conns []*rankConn, rank int, a arrival) error {
+	to := conns[rank+1 : min(rank+2, c.world)]
+	if rank == c.world-1 {
+		to = conns[:rank]
 	}
-	return encodePayload(msgBcastOut, payload), nil
+	for _, rc := range to {
+		if _, err := rc.conn.Write(a.frame); err != nil {
+			return fmt.Errorf("dist: relay rank %d's %s of step %d: %w", rank, kindName(a.msg[0]), stepOf(a.msg), err)
+		}
+	}
+	return nil
+}
+
+// addWaits adds to each rank's total how long the relay waited for its
+// hop of one gradient round: rank 0's from the round's first opener,
+// every later rank's (its fold included) from the hop before it, which
+// it needed.
+func addWaits(waits []time.Duration, opened, hops []time.Time) {
+	since := slices.MinFunc(opened, time.Time.Compare)
+	for rank, at := range hops {
+		waits[rank] += at.Sub(since)
+		since = at
+	}
 }
 
 // accept admits exactly world ranks, validating each handshake and
@@ -418,7 +503,7 @@ func (c *Coordinator) accept(conns []*rankConn) error {
 			conn.Close()
 			return c.abort(conns, err)
 		}
-		conns[h.rank] = &rankConn{conn: conn, reply: make(chan []byte, 1)}
+		conns[h.rank] = &rankConn{conn: conn, in: make([]byte, headerLen), next: make(chan struct{}, 1)}
 		fingerprints[h.rank] = h.fingerprint
 		admitted++
 	}

@@ -20,29 +20,35 @@ import (
 // integers are big-endian, all floats are IEEE-754 bit patterns
 // (math.Float64bits), so a gradient survives the round trip bitwise.
 //
-// The two frames of a gradient round are never decoded into values of
-// their own: the worker encodes its slots' tensors straight into a
-// kept buffer (appendGrads), the coordinator sums from the received
-// bytes into kept accumulators and encodes the answer into another
-// (reducer), and the worker decodes that into kept Grad tensors
-// (installReduced). Their layouts:
+// A gradient round is a fold along the ranks (see Owns and TCP.AllReduce),
+// and its frames are never decoded into values of their own: a rank
+// encodes its accumulators straight into a kept buffer (fold.appendHop),
+// the coordinator forwards the bytes it received, and the next rank
+// decodes them into its kept accumulators (fold.absorb) or onto its
+// parameters (fold.install). Its messages:
 //
-//	grads:   step u64, n u32, scale f64, slots u32, then per owned slot
-//	         (ascending): slot u32, loss f64, entries u32, then per
-//	         touched parameter (ascending): param u32, len u32, len × f64
-//	reduced: step u64, n u32, n × loss f64, entries u32, then per
-//	         touched parameter (ascending): param u32, len u32, len × f64
+//	join:    step u64 — ranks 1.. open the round with it, then wait
+//	grads:   the prefix, rank r → rank r+1: the slots [0, covered)
+//	         summed in slot order
+//	reduced: the total, last rank → every other rank: all n slots
+//	         summed and scaled
+//
+// grads and reduced share one layout: step u64, n u32, scale f64,
+// covered u32, covered × loss f64, entries u32, then per touched
+// parameter (ascending): param u32, len u32, len × f64.
 
 const (
 	// protoMagic opens every handshake.
 	protoMagic = "MTMLF-DIST"
-	// protoVersion is the exchange protocol version.
-	protoVersion = 1
+	// protoVersion is the exchange protocol version: 2 since a gradient
+	// round became a fold relayed rank to rank.
+	protoVersion = 2
 )
 
-// Message kinds. Workers send hello/grads/bcast/barrier/done; the
-// coordinator answers helloAck/reduced/bcastOut/barrierAck and may
-// send errMsg to abort the fleet with a reason.
+// Message kinds. Workers send hello/join/grads/reduced/bcast/barrier/
+// done; the coordinator answers hello with helloAck, relays every other
+// kind but done (of bcast and barrier, rank 0's answers every rank) and
+// may send msgError to abort the fleet with a reason.
 const (
 	msgAny byte = iota // readMsg only: whatever kind the peer sent
 	msgHello
@@ -50,11 +56,10 @@ const (
 	msgGrads
 	msgReduced
 	msgBcast
-	msgBcastOut
 	msgBarrier
-	msgBarrierAck
 	msgDone
 	msgError
+	msgJoin
 )
 
 // kindName names a message kind for error text.
@@ -70,16 +75,14 @@ func kindName(k byte) string {
 		return "reduced"
 	case msgBcast:
 		return "bcast"
-	case msgBcastOut:
-		return "bcast-out"
 	case msgBarrier:
 		return "barrier"
-	case msgBarrierAck:
-		return "barrier-ack"
 	case msgDone:
 		return "done"
 	case msgError:
 		return "error"
+	case msgJoin:
+		return "join"
 	}
 	return fmt.Sprintf("kind-%d", k)
 }
@@ -112,7 +115,7 @@ func readMsg(r io.Reader, buf []byte, kind byte) ([]byte, error) {
 	}
 	if p[0] == msgError {
 		c := cursor{b: p[1:]}
-		reason := string(c.bytes(int(c.u32()))) // best effort; may be truncated
+		reason := string(c.take(int(c.u32()))) // best effort; may be truncated
 		return nil, fmt.Errorf("dist: coordinator aborted the fleet: %s", reason)
 	}
 	if kind != msgAny && p[0] != kind {
@@ -147,19 +150,11 @@ func appendF64s(b []byte, v []float64) []byte {
 }
 
 // getF64s decodes the bulk-encoded run src, which holds len(dst)
-// floats, into dst; addF64s adds it into dst element by element.
-// Walking src by reslicing instead of by index is worth a third of
-// either loop.
+// floats, into dst. Walking src by reslicing instead of by index is
+// worth a third of the loop.
 func getF64s(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src))
-		src = src[8:]
-	}
-}
-
-func addF64s(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] += math.Float64frombits(binary.BigEndian.Uint64(src))
 		src = src[8:]
 	}
 }
@@ -210,8 +205,6 @@ func (c *cursor) u64() uint64 {
 	return binary.BigEndian.Uint64(p)
 }
 
-func (c *cursor) bytes(n int) []byte { return c.take(n) }
-
 // f64s returns the bytes of a run of n floats, still encoded: the
 // gradient paths add or copy out of them with no []float64 between. n
 // comes off the wire, so it is checked before it is multiplied.
@@ -256,10 +249,10 @@ func encodeHello(h hello) []byte {
 
 func decodeHello(body []byte) (hello, error) {
 	c := cursor{b: body}
-	magic := c.bytes(len(protoMagic))
+	magic := c.take(len(protoMagic))
 	version := c.u16()
 	h := hello{rank: int(c.u32()), world: int(c.u32())}
-	h.fingerprint = string(c.bytes(int(c.u32())))
+	h.fingerprint = string(c.take(int(c.u32())))
 	if err := c.done(); err != nil {
 		return h, err
 	}
@@ -273,277 +266,192 @@ func decodeHello(body []byte) (hello, error) {
 }
 
 // encodePayload builds a message of kind around one opaque payload
-// (bcast/bcast-out/error frames all carry one length-prefixed byte
-// string).
+// (bcast and error frames carry one length-prefixed byte string).
 func encodePayload(kind byte, payload []byte) []byte {
 	return appendBytes(newMsg(nil, kind, 4+len(payload)), payload)
 }
 
 func decodePayload(body []byte) ([]byte, error) {
 	c := cursor{b: body}
-	p := c.bytes(int(c.u32()))
+	p := c.take(int(c.u32()))
 	if err := c.done(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// appendGrads encodes one rank's half of an AllReduce round — its
-// owned slots' losses and per-parameter gradients — into buf's backing
-// array, sized exactly before the first byte is written. Parameters a
-// slot never touched are simply absent, preserving ag.ReduceGrads's
-// nil-Grad semantics across the wire.
-func appendGrads(buf []byte, step uint64, params []*ag.Value, slots []ag.Grads, losses []float64, scale float64) []byte {
-	size, owned := 8+4+8+4, 0
-	for _, slot := range slots {
-		if slot == nil {
-			continue
-		}
-		owned++
-		size += 4 + 8 + 4
-		for _, p := range params {
-			if g := slot[p]; g != nil {
-				size += 4 + 4 + 8*len(g.Data)
-			}
+// ---------------------------------------------------------------------------
+// The fold
+// ---------------------------------------------------------------------------
+
+// fold is one rank's part of the slot-ordered sum and what it keeps from
+// round to round: one accumulator per parameter, allocated the first time
+// a slot or a frame names the parameter and sized by this rank's own
+// model, never by a length read off the wire. During a round the
+// accumulators hold the running sum; at its end the last rank's become
+// the parameters' Grad tensors (attach) and every other rank's receive
+// the total (install).
+type fold struct {
+	acc     []*tensor.Tensor
+	touched []bool // per parameter: the sum so far has a term for it
+}
+
+// start readies f for a round over params. An accumulator still
+// attached as its parameter's Grad (a caller that did not ZeroGrad) is
+// let go rather than summed into.
+func (f *fold) start(params []*ag.Value) {
+	if len(f.acc) != len(params) {
+		f.acc, f.touched = make([]*tensor.Tensor, len(params)), make([]bool, len(params))
+	}
+	clear(f.touched)
+	for k, p := range params {
+		if p.Grad != nil && p.Grad == f.acc[k] {
+			f.acc[k] = nil
 		}
 	}
-	b := newMsg(buf, msgGrads, size)
-	b = appendU64(b, step)
-	b = appendU32(b, uint32(len(slots)))
-	b = appendF64(b, scale)
-	b = appendU32(b, uint32(owned))
-	for i, slot := range slots {
-		if slot == nil {
-			continue
-		}
-		b = appendU32(b, uint32(i))
-		b = appendF64(b, losses[i])
-		countAt, entries := len(b), 0
-		b = appendU32(b, 0)
+}
+
+// accFor returns parameter k's accumulator, allocated to p's shape.
+func (f *fold) accFor(k int, p *ag.Value) *tensor.Tensor {
+	if a := f.acc[k]; a != nil && a.SameShape(p.T) {
+		return a
+	}
+	f.acc[k] = tensor.New(p.T.Shape...)
+	return f.acc[k]
+}
+
+// add sums the rank's own slots [lo, hi) into the accumulators in
+// ascending slot order. A parameter's first term is added to zero, as in
+// ag.ReduceGrads: 0 + (−0.0) is +0.0, where a copy would keep the sign.
+func (f *fold) add(params []*ag.Value, slots []ag.Grads, lo, hi int) {
+	for _, slot := range slots[lo:hi] {
 		for k, p := range params {
 			g := slot[p]
 			if g == nil {
 				continue
 			}
-			entries++
-			b = appendU32(b, uint32(k))
-			b = appendU32(b, uint32(len(g.Data)))
-			b = appendF64s(b, g.Data)
+			a := f.accFor(k, p)
+			if !f.touched[k] {
+				clear(a.Data)
+				f.touched[k] = true
+			}
+			a.AddInPlace(g)
 		}
-		binary.BigEndian.PutUint32(b[countAt:], uint32(entries))
+	}
+}
+
+// scale multiplies the finished sum by s, once and last, and not at all
+// when s is 1 — ag.ReduceGrads's last step.
+func (f *fold) scale(s float64) {
+	if s == 1 {
+		return
+	}
+	for k, a := range f.acc {
+		if f.touched[k] {
+			a.ScaleInPlace(s)
+		}
+	}
+}
+
+// appendHop encodes the sum so far — of the slots [0, len(losses)) — as
+// a message of kind (grads for a prefix, reduced for the total) into
+// buf's backing array, sized exactly before the first byte is written.
+// Untouched parameters are absent, which keeps ag.ReduceGrads's nil
+// Grad across the wire.
+func (f *fold) appendHop(buf []byte, kind byte, step uint64, n int, scale float64, losses []float64) []byte {
+	size, entries := 8+4+8+4+8*len(losses)+4, 0
+	for k, a := range f.acc {
+		if f.touched[k] {
+			size += 4 + 4 + 8*len(a.Data)
+			entries++
+		}
+	}
+	b := newMsg(buf, kind, size)
+	b = appendU64(b, step)
+	b = appendU32(b, uint32(n))
+	b = appendF64(b, scale)
+	b = appendU32(b, uint32(len(losses)))
+	b = appendF64s(b, losses)
+	b = appendU32(b, uint32(entries))
+	for k, a := range f.acc {
+		if !f.touched[k] {
+			continue
+		}
+		b = appendU32(b, uint32(k))
+		b = appendU32(b, uint32(len(a.Data)))
+		b = appendF64s(b, a.Data)
 	}
 	return b
 }
 
-// installReduced decodes the coordinator's answer to round step onto
-// this rank: every slot's loss into losses, every reduced gradient onto
-// its parameter's Grad. A parameter whose Grad is nil — every one, after
-// the trainer's ZeroGrad — gets its tensor from kept (allocated on first
-// use, then re-attached round after round) overwritten from the frame;
-// one that already holds a gradient accumulates, as ag.ReduceGrads
-// does. Parameters the frame does not name keep a nil Grad, which is
-// how Adam knows to skip them.
-func installReduced(body []byte, step uint64, params []*ag.Value, kept []*tensor.Tensor, losses []float64) error {
+// attach puts the last rank's total on the parameters: an accumulator
+// becomes its parameter's Grad, or is added into a Grad the parameter
+// already holds, as ag.ReduceGrads does. Parameters no slot touched keep
+// a nil Grad, which is how Adam knows to skip them.
+func (f *fold) attach(params []*ag.Value) {
+	for k, p := range params {
+		switch {
+		case !f.touched[k]:
+		case p.Grad == nil:
+			p.Grad = f.acc[k]
+		default:
+			p.Grad.AddInPlace(f.acc[k])
+		}
+	}
+}
+
+// install takes the total on a rank before the last: into the
+// accumulators, then onto the parameters (attach).
+func (f *fold) install(body []byte, step uint64, scale float64, params []*ag.Value, losses []float64) error {
+	clear(f.touched)
+	if err := f.absorb(body, step, scale, len(losses), params, losses); err != nil {
+		return err
+	}
+	f.attach(params)
+	return nil
+}
+
+// absorb decodes a frame of the chain — a prefix, or the total — into
+// the accumulators and its losses into losses[:covered]. It checks the
+// frame against the receiving rank: the same step, n (len(losses)) and
+// scale as its own round, exactly the slots [0, covered) summed (the
+// ones before its block, or all n), and entries in ascending parameter
+// order, each naming one of its parameters with that parameter's
+// length. Any error is terminal: the fleet aborts, so the accumulators
+// are left as they are.
+func (f *fold) absorb(body []byte, step uint64, scale float64, covered int, params []*ag.Value, losses []float64) error {
 	c := cursor{b: body}
-	if got := c.u64(); c.err == nil && got != step {
-		return fmt.Errorf("dist: reduced frame for step %d, this rank is at step %d", got, step)
+	gotStep, n, gotScale, gotCovered := c.u64(), c.u32(), c.u64(), c.u32()
+	switch {
+	case c.err != nil:
+		return c.err
+	case gotStep != step || int(n) != len(losses) || gotScale != math.Float64bits(scale):
+		return fmt.Errorf("dist: rank drift: a frame of step %d (n=%d scale=%v) reached a rank at step %d (n=%d scale=%v) — fleet aborted, restart every rank with -resume",
+			gotStep, n, math.Float64frombits(gotScale), step, len(losses), scale)
+	case int(gotCovered) != covered:
+		return fmt.Errorf("dist: step %d: a frame summing slots [0, %d) reached a rank that needs [0, %d)", step, gotCovered, covered)
 	}
-	if n := c.u32(); c.err == nil && int(n) != len(losses) {
-		return fmt.Errorf("dist: reduced frame has %d losses for an n=%d minibatch", n, len(losses))
-	}
-	lossBytes := c.f64s(uint32(len(losses)))
+	lossBytes := c.f64s(gotCovered)
 	entries := c.u32()
 	if c.err != nil {
 		return c.err
 	}
-	getF64s(losses, lossBytes)
-	for ; entries > 0; entries-- {
-		k := c.u32()
-		data := c.f64s(c.u32())
-		if c.err != nil {
-			return c.err
-		}
-		if int(k) >= len(params) {
-			return fmt.Errorf("dist: reduced gradient for parameter %d, model has %d", k, len(params))
-		}
-		p := params[k]
-		if len(data) != 8*p.T.Size() {
-			return fmt.Errorf("dist: reduced gradient for parameter %d has %d elements, parameter has %d",
-				k, len(data)/8, p.T.Size())
-		}
-		if p.Grad != nil {
-			addF64s(p.Grad.Data, data)
-			continue
-		}
-		g := kept[k]
-		if g == nil || !g.SameShape(p.T) {
-			g = tensor.New(p.T.Shape...)
-			kept[k] = g
-		}
-		getF64s(g.Data, data)
-		p.Grad = g
-	}
-	return c.done()
-}
-
-// ---------------------------------------------------------------------------
-// Reduction
-// ---------------------------------------------------------------------------
-
-// paramAcc is one parameter's running sum at the coordinator.
-type paramAcc struct {
-	param   uint32
-	sum     []float64 // every element +0.0 between rounds
-	touched bool      // a slot of the current round added into sum
-}
-
-// reducer performs the example-ordered reduction over one round's
-// grads frames, straight from their bytes: per parameter, slot
-// contributions are summed in ascending slot order — whichever rank
-// sent them, in whatever order the frames arrived — and scaled once,
-// last; float-op-for-float-op what ag.ReduceGrads does with the full
-// slot set in one process. That includes the first operation on a
-// parameter being 0 + g, not a copy: 0 + (−0.0) is +0.0, and the
-// checkpoints of differently shaped fleets are compared byte for byte.
-//
-// Everything it holds is kept across rounds. An accumulator is
-// allocated the first time a slot names its parameter, from a run of
-// floats physically present in the frame, so no length or index read
-// off the wire sizes an allocation larger than the frame that carried
-// it; after that the parameter's length is fixed and a frame that
-// disagrees aborts the fleet.
-type reducer struct {
-	accs  []paramAcc // ascending param
-	slots [][]byte   // the current round's slots, each from its loss on
-	out   []byte     // the reduced message
-}
-
-// reduce verifies that the round is coherent (same step, same batch
-// shape, same scale on every rank; each slot owned exactly once;
-// consistent parameter sizes) and returns the reduced message every
-// rank receives, unsealed, valid until the next call. bodies[r] is rank
-// r's grads body. Any error is terminal: the accumulators are left
-// mid-round.
-func (rd *reducer) reduce(bodies [][]byte) ([]byte, error) {
-	step, scale, err := rd.index(bodies)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range rd.slots {
-		if s == nil {
-			return nil, fmt.Errorf("dist: no rank owns slot %d of step %d (missing rank?)", i, step)
-		}
-		c := cursor{b: s[8:]} // past the loss; index walked these bytes: no read can fail
-		at, last := 0, -1
-		for entries := c.u32(); entries > 0; entries-- {
-			param := c.u32()
-			data := c.f64s(c.u32())
-			if int(param) <= last {
-				return nil, fmt.Errorf("dist: slot %d names parameter %d after parameter %d (want ascending)", i, param, last)
-			}
-			last = int(param)
-			for at < len(rd.accs) && rd.accs[at].param < param {
-				at++
-			}
-			if at == len(rd.accs) || rd.accs[at].param != param {
-				rd.accs = slices.Insert(rd.accs, at, paramAcc{param: param, sum: make([]float64, len(data)/8)})
-			}
-			a := &rd.accs[at]
-			if 8*len(a.sum) != len(data) {
-				return nil, fmt.Errorf("dist: parameter %d gradient size %d from slot %d, %d from an earlier slot or round",
-					param, len(data)/8, i, len(a.sum))
-			}
-			a.touched = true
-			addF64s(a.sum, data)
-		}
-	}
-	size, touched := 8+4+8*len(rd.slots)+4, 0
-	for i := range rd.accs {
-		if rd.accs[i].touched {
-			touched++
-			size += 4 + 4 + 8*len(rd.accs[i].sum)
-		}
-	}
-	out := newMsg(rd.out, msgReduced, size)
-	out = appendU64(out, step)
-	out = appendU32(out, uint32(len(rd.slots)))
-	for _, s := range rd.slots {
-		out = append(out, s[:8]...) // the loss, bit for bit
-	}
-	out = appendU32(out, uint32(touched))
-	for i := range rd.accs {
-		a := &rd.accs[i]
-		if !a.touched {
-			continue
-		}
-		a.touched = false
-		out = appendU32(out, a.param)
-		out = appendU32(out, uint32(len(a.sum)))
-		at := out[len(out) : len(out)+8*len(a.sum)]
-		out = out[:len(out)+len(at)]
-		for j, v := range a.sum {
-			if scale != 1 {
-				v *= scale
-			}
-			binary.BigEndian.PutUint64(at, math.Float64bits(v))
-			at, a.sum[j] = at[8:], 0
-		}
-	}
-	rd.out = out
-	return out, nil
-}
-
-// index walks every rank's grads body once without touching a float:
-// it checks the ranks agree on the round, that each body is well formed
-// to its last byte, and files each slot's bytes under its index in
-// rd.slots so reduce can visit them in slot order.
-func (rd *reducer) index(bodies [][]byte) (step uint64, scale float64, err error) {
-	var n uint32
-	var scaleBits uint64
-	for r, body := range bodies {
-		c := cursor{b: body}
-		rStep, rN, rScale, owned := c.u64(), c.u32(), c.u64(), c.u32()
+	getF64s(losses[:covered], lossBytes)
+	for last := -1; entries > 0; entries-- {
+		k, data := int(c.u32()), c.f64s(c.u32())
 		switch {
 		case c.err != nil:
-			owned = 0 // reported by done below
-		case r == 0:
-			step, n, scaleBits = rStep, rN, rScale
-			// Every slot costs its owner 16 bytes at least, so n is
-			// bounded by the bytes received before it sizes anything.
-			total := 0
-			for _, b := range bodies {
-				total += len(b)
-			}
-			if int(n) > total/16 {
-				return 0, 0, fmt.Errorf("dist: step %d: %d frame bytes cannot hold an n=%d minibatch (missing rank?)", step, total, n)
-			}
-			rd.slots = slices.Grow(rd.slots[:0], int(n))[:n]
-			clear(rd.slots)
-		case rStep != step || rN != n || rScale != scaleBits:
-			return 0, 0, fmt.Errorf("dist: rank drift: rank %d is at step %d (n=%d scale=%v), rank 0 at step %d (n=%d scale=%v) — fleet aborted, restart every rank with -resume",
-				r, rStep, rN, math.Float64frombits(rScale), step, n, math.Float64frombits(scaleBits))
+			return c.err
+		case k <= last:
+			return fmt.Errorf("dist: step %d: a frame names parameter %d after parameter %d (want ascending)", step, k, last)
+		case k >= len(params):
+			return fmt.Errorf("dist: step %d: a frame names parameter %d, the model has %d", step, k, len(params))
+		case len(data) != 8*params[k].T.Size():
+			return fmt.Errorf("dist: step %d: a frame has %d floats for parameter %d, which has %d", step, len(data)/8, k, params[k].T.Size())
 		}
-		for ; owned > 0 && c.err == nil; owned-- {
-			slot, from := c.u32(), c.off
-			c.u64() // loss
-			for entries := c.u32(); entries > 0 && c.err == nil; entries-- {
-				c.u32() // param
-				c.f64s(c.u32())
-			}
-			if c.err != nil {
-				break
-			}
-			if slot >= n {
-				return 0, 0, fmt.Errorf("dist: rank %d sent slot %d of an n=%d minibatch", r, slot, n)
-			}
-			if rd.slots[slot] != nil {
-				return 0, 0, fmt.Errorf("dist: slot %d of step %d owned by two ranks (overlapping shards?)", slot, step)
-			}
-			rd.slots[slot] = body[from:c.off]
-		}
-		if err := c.done(); err != nil {
-			return 0, 0, fmt.Errorf("dist: rank %d gradient frame: %w", r, err)
-		}
+		last = k
+		getF64s(f.accFor(k, params[k]).Data, data)
+		f.touched[k] = true
 	}
-	return step, math.Float64frombits(scaleBits), nil
+	return c.done()
 }

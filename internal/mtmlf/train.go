@@ -238,10 +238,9 @@ func newMinibatch(bs, nWorkers int) *minibatch {
 }
 
 // backward computes per-example losses and gradients for the slots of
-// an n-example minibatch that rank owns (slot i belongs to rank i mod
-// world — examples stride across ranks exactly like they stride across
-// in-process workers), leaving every other slot nil for AllReduce to
-// fill in from the other ranks; at world 1 the rank owns every slot.
+// an n-example minibatch that rank owns (a contiguous block of them,
+// dist.Owns), leaving every other slot nil for AllReduce to fill in
+// from the other ranks; at world 1 the rank owns every slot.
 // The owned slots fan out over up to len(mb.workers) concurrent
 // workers drawn from the shared bounded pool (so -workers stays a
 // global concurrency bound even when training nests inside other
@@ -255,7 +254,7 @@ func backward(world, rank, n int, mb *minibatch, build func(i int, ar *ag.Arena)
 	owned := make([]int, 0, n/world+1)
 	for i := 0; i < n; i++ {
 		mb.slots[i] = nil
-		if dist.Owns(world, rank, i) {
+		if dist.Owns(n, world, rank, i) {
 			owned = append(owned, i)
 		}
 	}
@@ -295,7 +294,7 @@ func backward(world, rank, n int, mb *minibatch, build func(i int, ar *ag.Arena)
 // into private buffers and exchanges them: ZeroGrad + AllReduce +
 // Step, which with the Local backend is float-op-for-float-op
 // ag.ReduceGrads in slot order followed by Adam.Step, and with the
-// TCP backend the same arithmetic performed once at the coordinator.
+// TCP backend the same arithmetic folded from rank to rank.
 func runMinibatch(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n int, mb *minibatch, build func(i int, ar *ag.Arena) *ag.Value) error {
 	for _, w := range mb.workers {
 		w.slot.Reset() // the previous minibatch's Step has read them
@@ -390,7 +389,7 @@ func trainLoop(shared *Shared, models []*Model, srcs []workload.Source, opts Tra
 	err = runEpochs(ex, opt, params, pool.Len(), opts.Epochs, bs, opts.workers(), opts.Seed, ctl,
 		func(batch []int) error {
 			return parallel.ForErr(len(batch), 1, func(j int) error {
-				if !dist.Owns(world, rank, j) {
+				if !dist.Owns(len(batch), world, rank, j) {
 					cur[j] = sample{}
 					return nil
 				}
