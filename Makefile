@@ -42,7 +42,7 @@ purego:
 # adds one fails with every site's file:line. Lower the bound as sites
 # are rounded explicitly (ROADMAP item 3), never raise it.
 FUSION_PKGS := ./internal/tensor ./internal/ag ./internal/nn ./internal/mtmlf ./internal/featurize ./internal/treelstm ./internal/datagen ./internal/cost ./internal/stats ./internal/metrics ./internal/calib
-FUSED_MAX := 124
+FUSED_MAX := 123
 cross-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
@@ -262,12 +262,17 @@ no-gob-import:
 	if [ -n "$$bad" ]; then echo "no-gob-import: packages import encoding/gob:"; \
 		echo "$$bad" | cut -d' ' -f1; exit 1; fi
 
-# Reports, and gates nothing: the non-test Go + assembly lines of the
-# tracked files outside bench/ and testdata, per package directory and
-# in total — the count ROADMAP item 5's line target reads.
+# The non-test Go + assembly lines of the tracked files outside bench/
+# and testdata, per package directory and in total — the count ROADMAP
+# item 5's line target reads. A ratchet, like FUSED_MAX: the total may
+# not exceed LOC_MAX. Lower the bound when code goes; a change that has
+# to grow the count raises LOC_MAX in its own diff, next to what the
+# lines buy.
+LOC_MAX := 21066
 loc:
 	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs wc -l | \
-		awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total (bound %d)\n", t, max; \
+			if (t > max) { printf "loc: %d lines, bound LOC_MAX %d\n", t, max; exit 1 } }'
 
 ci: build vet purego cross-arm64 vet-custom fmt-check test race bench-smoke bench-build calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import loc

@@ -161,17 +161,3 @@ func SimulatedTimeOrder(ex *sqldb.Executor, order []string) float64 {
 	}
 	return t
 }
-
-// SimulatedTimePlan "executes" an arbitrary (possibly bushy) plan tree
-// and returns its C_out time: every join node contributes its exact
-// output size.
-func SimulatedTimePlan(ex *sqldb.Executor, root *plan.Node) float64 {
-	var t float64
-	for _, n := range root.Nodes() {
-		if n.IsLeaf() {
-			continue
-		}
-		t += float64(ex.CardOf(n.Tables()))
-	}
-	return t
-}

@@ -9,8 +9,9 @@
 //	S1: generate a valid join schema (6–11 tables, 2–3 fact tables;
 //	    every dimension table PK–FK joins one or two fact tables).
 //	S2: generate attribute columns with varied skew (Zipf), varied
-//	    cross-column correlation, and varied domain sizes; optionally
-//	    bootstrapped from an existing table.
+//	    cross-column correlation, and varied domain sizes (the paper's
+//	    other option, bootstrapping from an existing table, is not
+//	    implemented).
 //	S3: generate join keys, with FK values correlated with the
 //	    table's attribute columns.
 //
@@ -315,39 +316,6 @@ func generateCorrelatedFK(rng *rand.Rand, rows, pkDomain int, anchor []int64) []
 		fk[i] = int64(v)
 	}
 	return fk
-}
-
-// BootstrapTable implements S2's second approach: resample rows and
-// columns of an existing table to create a new table with the same
-// domains but different skew/correlation structure.
-func BootstrapTable(rng *rand.Rand, src *sqldb.Table, name string, rows int) *sqldb.Table {
-	cols := make([]*sqldb.Column, 0, len(src.Columns))
-	for _, c := range src.Columns {
-		// Sample row indices with replacement, biased by a random Zipf
-		// to change the distribution while keeping the domain.
-		z := rand.NewZipf(rng, 1.1+rng.Float64(), 1, uint64(src.NumRows()-1))
-		switch c.Kind {
-		case sqldb.KindInt:
-			vals := make([]int64, rows)
-			for i := range vals {
-				vals[i] = c.Ints[int(z.Uint64())]
-			}
-			cols = append(cols, sqldb.IntColumn(c.Name, vals))
-		case sqldb.KindFloat:
-			vals := make([]float64, rows)
-			for i := range vals {
-				vals[i] = c.Flts[int(z.Uint64())]
-			}
-			cols = append(cols, sqldb.FloatColumn(c.Name, vals))
-		default:
-			vals := make([]string, rows)
-			for i := range vals {
-				vals[i] = c.Strs[int(z.Uint64())]
-			}
-			cols = append(cols, sqldb.StringColumn(c.Name, vals))
-		}
-	}
-	return sqldb.MustNewTable(name, cols...)
 }
 
 // GenerateFleet produces n databases with distinct seeds, the input of

@@ -119,24 +119,6 @@ func TestCorrelatedColumnTracksBase(t *testing.T) {
 	}
 }
 
-func TestBootstrapTablePreservesDomain(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	src := sqldb.MustNewTable("src",
-		sqldb.IntColumn("a", []int64{1, 2, 3, 4, 5}),
-		sqldb.StringColumn("s", []string{"x", "y", "z", "x", "y"}),
-	)
-	boot := BootstrapTable(rng, src, "boot", 100)
-	if boot.NumRows() != 100 {
-		t.Fatal("bootstrap row count wrong")
-	}
-	domain := map[int64]bool{1: true, 2: true, 3: true, 4: true, 5: true}
-	for _, v := range boot.Column("a").Ints {
-		if !domain[v] {
-			t.Fatalf("bootstrap introduced out-of-domain value %d", v)
-		}
-	}
-}
-
 func TestGenerateFleetDistinct(t *testing.T) {
 	fleet := GenerateFleet(1, 3, DefaultConfig())
 	if len(fleet) != 3 {

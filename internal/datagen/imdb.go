@@ -234,15 +234,6 @@ func fkIntoRev(rng *rand.Rand, n, domain int, s float64) []int64 {
 	return out
 }
 
-// zipfShifted draws n skewed values from [base, base+width).
-func zipfShifted(rng *rand.Rand, n, base, width int, s float64) []int64 {
-	vals := zipfColumn(rng, n, width, s)
-	for i := range vals {
-		vals[i] += int64(base)
-	}
-	return vals
-}
-
 func movieTitles(rng *rand.Rand, n int) []string {
 	adjectives := []string{"Dark", "Lost", "Silent", "Golden", "Broken", "Final", "Hidden", "Eternal"}
 	nouns := []string{"Empire", "River", "Night", "Crown", "Garden", "Signal", "Harbor", "Mirror"}

@@ -7,18 +7,16 @@
 // 0..n-1; rank r owns one contiguous block of them (Owns); each rank
 // runs forward/backward only for its owned slots, into private per-slot
 // gradient buffers. AllReduce then combines the buffers exactly the
-// way ag.ReduceGrads does in one process — per parameter, summed in
-// slot order, scaled once — so the reduced gradient (and therefore
-// the Adam step, the loss trajectory, and the final checkpoint) is
-// bitwise identical for every process count at a fixed topology
-// (seed, batch size, example set). This is the same contract PR 1
-// established for worker count, lifted across process boundaries.
+// way ag.ReduceGrads does — per parameter, summed in slot order, scaled
+// once — so the reduced gradient (and therefore the Adam step, the loss
+// trajectory, and the final checkpoint) is bitwise identical for every
+// process count at a fixed topology (seed, batch size, example set),
+// as it is for every worker count.
 //
-// Two backends implement the plane:
+// Two backends implement the plane, both with one fold (wire.go) whose
+// accumulators are kept from round to round:
 //
-//   - Local: world 1, in-process. AllReduce is ag.ReduceGrads,
-//     byte-for-byte the behavior the trainer had before the plane
-//     existed (the bitwise trajectory tests prove it).
+//   - Local: world 1, in-process: the fold over every slot.
 //   - TCP: a coordinator process plus world worker ranks over
 //     length-prefixed, CRC32C-framed messages (internal/ckptio
 //     section framing). Because the blocks are contiguous, the
@@ -90,22 +88,24 @@ func block(n, world, rank int) (lo, hi int) {
 	return rank * n / world, (rank + 1) * n / world
 }
 
-// Local is the in-process backend: world 1, AllReduce is
-// ag.ReduceGrads. It is byte-for-byte the pre-plane trainer behavior
-// and the reference every distributed backend is tested against.
-func Local() Exchanger { return localExchanger{} }
+// Local is the in-process backend: world 1, its AllReduce the fold a TCP
+// round runs, with this process as both the first and the last rank.
+func Local() Exchanger { return &localExchanger{} }
 
-type localExchanger struct{}
+type localExchanger struct{ fold fold }
 
-func (localExchanger) World() (int, int) { return 1, 0 }
+func (*localExchanger) World() (int, int) { return 1, 0 }
 
-func (localExchanger) AllReduce(params []*ag.Value, slots []ag.Grads, losses []float64, scale float64) error {
-	ag.ReduceGrads(params, slots, scale)
+func (l *localExchanger) AllReduce(params []*ag.Value, slots []ag.Grads, losses []float64, scale float64) error {
+	l.fold.start(params)
+	l.fold.add(params, slots, 0, len(slots))
+	l.fold.scale(scale)
+	l.fold.attach(params)
 	return nil
 }
 
-func (localExchanger) BroadcastBytes(payload []byte) ([]byte, error) { return payload, nil }
+func (*localExchanger) BroadcastBytes(payload []byte) ([]byte, error) { return payload, nil }
 
-func (localExchanger) Barrier() error { return nil }
+func (*localExchanger) Barrier() error { return nil }
 
-func (localExchanger) Close() error { return nil }
+func (*localExchanger) Close() error { return nil }

@@ -95,8 +95,9 @@ func checkGradsBitwise(t *testing.T, tag string, params []*ag.Value, want []*ten
 	}
 }
 
-// TestLocalAllReduceMatchesReduceGrads pins the Local backend to the
-// pre-plane trainer behavior: AllReduce must be ag.ReduceGrads.
+// TestLocalAllReduceMatchesReduceGrads pins the Local backend's shape
+// (world 1, rank 0), its reduction to ag.ReduceGrads's bits, and its
+// losses, which at world 1 are all the rank's own and stay as they are.
 func TestLocalAllReduceMatchesReduceGrads(t *testing.T) {
 	ex := Local()
 	if w, r := ex.World(); w != 1 || r != 0 {
@@ -664,6 +665,17 @@ func TestTCPRoundAllocatesNothing(t *testing.T) {
 	t.Logf("allocations per round, both workers and the coordinator: %v (100 floats), %v (65k floats)", small, large)
 	if small > 4 || large > 4 {
 		t.Fatalf("a warm round allocates %v (100 floats) / %v (65k floats) times, want a handful at most", small, large)
+	}
+}
+
+// TestLocalRoundAllocatesNothing: a warm Local() round allocates
+// nothing. Its fold's accumulators end every round as the Grad tensors
+// and are summed into again once the caller has let go of them.
+func TestLocalRoundAllocatesNothing(t *testing.T) {
+	round := localRound(t)
+	round()
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("a warm Local round allocates %v times, want 0", allocs)
 	}
 }
 

@@ -181,28 +181,17 @@ func (c *cursor) take(n int) []byte {
 	return p
 }
 
-func (c *cursor) u16() uint16 {
-	p := c.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(p)
-}
+func (c *cursor) u16() uint16 { return binary.BigEndian.Uint16(c.fixed(2)) }
+func (c *cursor) u32() uint32 { return binary.BigEndian.Uint32(c.fixed(4)) }
+func (c *cursor) u64() uint64 { return binary.BigEndian.Uint64(c.fixed(8)) }
 
-func (c *cursor) u32() uint32 {
-	p := c.take(4)
-	if p == nil {
-		return 0
+// fixed is take for the fixed-width reads above: past the end it
+// returns n zero bytes, which decode as 0.
+func (c *cursor) fixed(n int) []byte {
+	if p := c.take(n); p != nil {
+		return p
 	}
-	return binary.BigEndian.Uint32(p)
-}
-
-func (c *cursor) u64() uint64 {
-	p := c.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(p)
+	return make([]byte, n)
 }
 
 // f64s returns the bytes of a run of n floats, still encoded: the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -165,7 +166,8 @@ func TestWireRoundTrip(t *testing.T) {
 // sign), a parameter no slot ever touches, one first touched in a later
 // round, blocks of different sizes and ranks that own no slot (n below
 // world), and rounds whose parameters still hold the last round's
-// gradient, into which the new one accumulates.
+// gradient, into which the new one accumulates. Local() reduces the same
+// slots at world 1 beside every chain, through its own kept fold.
 func TestReducerMatchesReduceGrads(t *testing.T) {
 	shapes := [][]int{{3, 4}, {1, 4}, {2, 2}, {5, 1}, {1, 1}}
 	const never, late = 2, 3 // never touched; first touched in round 3
@@ -196,6 +198,7 @@ func TestReducerMatchesReduceGrads(t *testing.T) {
 			for r := range params {
 				params[r] = newParams()
 			}
+			local, localParams := Local(), newParams()
 			var want []*tensor.Tensor
 			for round := 1; round <= 5; round++ {
 				keep := round == 4 // this round accumulates into the last one's gradient
@@ -205,7 +208,12 @@ func TestReducerMatchesReduceGrads(t *testing.T) {
 						p.Grad = want[k].Clone()
 					}
 				}
-				refSlots := make([]ag.Grads, tc.n)
+				refSlots, localSlots := make([]ag.Grads, tc.n), make([]ag.Grads, tc.n)
+				if !keep {
+					for _, p := range localParams {
+						p.Grad = nil
+					}
+				}
 				slots, losses := make([][]ag.Grads, tc.world), make([][]float64, tc.world)
 				for r := range slots {
 					slots[r], losses[r] = make([]ag.Grads, tc.n), make([]float64, tc.n)
@@ -225,7 +233,7 @@ func TestReducerMatchesReduceGrads(t *testing.T) {
 					for !Owns(tc.n, tc.world, owner, i) {
 						owner++
 					}
-					refSlots[i], slots[owner][i] = ag.Grads{}, ag.Grads{}
+					refSlots[i], slots[owner][i], localSlots[i] = ag.Grads{}, ag.Grads{}, ag.Grads{}
 					wantLosses[i] = rng.NormFloat64()
 					losses[owner][i] = wantLosses[i]
 					for k := range shapes {
@@ -240,7 +248,7 @@ func TestReducerMatchesReduceGrads(t *testing.T) {
 							g.Data[0] = math.Copysign(0, -1)
 							touched[k] = true
 						}
-						refSlots[i][ref[k]], slots[owner][i][params[owner][k]] = g, g
+						refSlots[i][ref[k]], slots[owner][i][params[owner][k]], localSlots[i][localParams[k]] = g, g, g
 					}
 				}
 				scale := 1 / float64(tc.n)
@@ -255,6 +263,10 @@ func TestReducerMatchesReduceGrads(t *testing.T) {
 				if _, err := c.round(uint64(round), scale, params, slots, losses); err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
+				if err := local.AllReduce(localParams, localSlots, slices.Clone(wantLosses), scale); err != nil {
+					t.Fatalf("round %d: Local: %v", round, err)
+				}
+				checkGradsBitwise(t, fmt.Sprintf("round %d Local", round), localParams, want)
 				for r := range params {
 					checkGradsBitwise(t, fmt.Sprintf("round %d rank %d", round, r), params[r], want)
 					for i, l := range losses[r] {

@@ -333,7 +333,7 @@ func (f *Featurizer) PretrainAll(gen *workload.Generator, perTable, epochs int, 
 }
 
 // PretrainAllFrom trains the table encoders on pre-generated
-// single-table workloads — the corpus v2 path, where the data was
+// single-table workloads — the corpus path, where the data was
 // produced once at datagen time (workload.Generator.GenPretrainSet)
 // and shipped in the artifact, so a training run skips the live (F)
 // generation pass entirely. Training from a stored set is bitwise

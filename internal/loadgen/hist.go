@@ -12,8 +12,8 @@ import (
 // few integer ops — no allocation, no sorting — so the generator's
 // hot loop can record every request; percentiles are computed on
 // demand by walking the buckets. The zero value is ready to use. Not
-// safe for concurrent use; each worker records into its own and the
-// results are Merged.
+// safe for concurrent use: the workers share one recorder, which holds
+// a mutex around every Record.
 type Histogram struct {
 	counts [histBuckets]uint64
 	count  uint64
@@ -56,18 +56,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.sum += d
 	if d > h.max {
 		h.max = d
-	}
-}
-
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
 	}
 }
 

@@ -78,31 +78,6 @@ func TestHistogramPercentiles(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: merging shards is equivalent to recording
-// everything into one histogram.
-func TestHistogramMerge(t *testing.T) {
-	var all, a, b Histogram
-	for us := 1; us <= 2000; us++ {
-		d := time.Duration(us) * time.Microsecond
-		all.Record(d)
-		if us%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() || a.Max() != all.Max() || a.Mean() != all.Mean() {
-		t.Fatalf("merge count/max/mean diverge: %d/%v/%v vs %d/%v/%v",
-			a.Count(), a.Max(), a.Mean(), all.Count(), all.Max(), all.Mean())
-	}
-	for _, p := range []float64{0.5, 0.9, 0.99, 1.0} {
-		if a.Percentile(p) != all.Percentile(p) {
-			t.Fatalf("p%v diverges after merge: %v vs %v", p*100, a.Percentile(p), all.Percentile(p))
-		}
-	}
-}
-
 // TestHistogramEmpty: the zero value reports zeros, not panics.
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram

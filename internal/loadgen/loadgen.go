@@ -294,18 +294,6 @@ type Result struct {
 	Reload    *ReloadResult
 }
 
-// Totals sums requests and failures across endpoints.
-func (r *Result) Totals() (requests, ok, shed, deadline, errors uint64) {
-	for _, ep := range r.Endpoints {
-		requests += ep.Requests
-		ok += ep.OK
-		shed += ep.Shed
-		deadline += ep.DeadlineMisses
-		errors += ep.Errors
-	}
-	return
-}
-
 // LoadEntry is one endpoint driven at one concurrency level (or
 // open-loop arrival rate) for a fixed duration. Latency percentiles
 // come from the endpoint's Histogram over every successful request.

@@ -230,7 +230,7 @@ func TestRunClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requests, ok, shed, deadline, errs := res.Totals()
+	requests, ok, shed, deadline, errs := totals(res)
 	if requests == 0 {
 		t.Fatal("no requests issued")
 	}
@@ -285,7 +285,7 @@ func TestRunOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requests, ok, _, _, errs := res.Totals()
+	requests, ok, _, _, errs := totals(res)
 	if requests == 0 || errs != 0 || ok != requests {
 		t.Fatalf("open loop: requests=%d ok=%d errors=%d", requests, ok, errs)
 	}
@@ -395,4 +395,16 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	if _, err := Run(Options{}, &Pool{Items: [][]byte{{1}}}); err == nil {
 		t.Fatal("zero duration accepted")
 	}
+}
+
+// totals sums requests and failures across a run's endpoints.
+func totals(r *Result) (requests, ok, shed, deadline, errors uint64) {
+	for _, ep := range r.Endpoints {
+		requests += ep.Requests
+		ok += ep.OK
+		shed += ep.Shed
+		deadline += ep.DeadlineMisses
+		errors += ep.Errors
+	}
+	return
 }

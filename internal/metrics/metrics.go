@@ -4,10 +4,7 @@
 // understudy of Section 5.
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // QError returns max(pred/truth, truth/pred) after clamping both to a
 // minimum of 1 (the conventional definition; perfect estimate = 1).
@@ -47,28 +44,25 @@ func Summarize(xs []float64) Summary {
 		sum += v
 	}
 	return Summary{
-		Median: percentile(s, 0.5),
+		Median: Percentile(s, 0.5),
 		Max:    s[len(s)-1],
 		Mean:   sum / float64(len(s)),
-		P90:    percentile(s, 0.9),
-		P99:    percentile(s, 0.99),
+		P90:    Percentile(s, 0.9),
+		P99:    Percentile(s, 0.99),
 		N:      len(s),
 	}
 }
 
-// percentile interpolates the p-quantile of a sorted sample.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
+// Percentile interpolates the p-quantile (0 ≤ p ≤ 1) of a sorted,
+// non-empty sample linearly between its two nearest ranks.
+func Percentile(sorted []float64, p float64) float64 {
 	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if frac == 0 {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // ImprovementRatio returns (baseline - value) / baseline — the paper's

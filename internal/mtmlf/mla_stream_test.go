@@ -184,13 +184,12 @@ func TestTrainMLAStreamMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestTrainMLAStreamV1Fallback: a corpus without single-table
-// sections (the shape of a format-v1 file, hence the name) still
-// trains — the featurizers fall back to live (F) pre-training from the
+// TestTrainMLAStreamWithoutSingleTableSection: a corpus written
+// without single-table sections still trains — the featurizers fall back to live (F) pre-training from the
 // task seed, which draws the exact prefix of the rng stream the corpus
 // queries were generated from, so the run STILL matches the in-memory
 // reference bitwise.
-func TestTrainMLAStreamV1Fallback(t *testing.T) {
+func TestTrainMLAStreamWithoutSingleTableSection(t *testing.T) {
 	dbs := mlaFleet()
 	opts := mlaFixtureOpts()
 	refShared := NewShared(tinyConfig(), 20)

@@ -265,14 +265,8 @@ func backward(world, rank, n int, mb *minibatch, build func(i int, ar *ag.Arena)
 		mb.slots[i] = sink
 	}
 	nWorkers := min(len(mb.workers), len(owned))
-	if nWorkers <= 1 {
-		for _, i := range owned {
-			run(mb.workers[0], i)
-		}
-		return
-	}
 	fs := make([]func(), nWorkers)
-	for w := 0; w < nWorkers; w++ {
+	for w := range fs {
 		fs[w] = func() {
 			for j := w; j < len(owned); j += nWorkers {
 				run(mb.workers[w], owned[j])
@@ -283,33 +277,17 @@ func backward(world, rank, n int, mb *minibatch, build func(i int, ar *ag.Arena)
 }
 
 // runMinibatch computes gradients for one minibatch and applies one
-// Adam step through the gradient-exchange plane. The single-process
-// single-example case bypasses the sink machinery and accumulates
-// directly into the parameters' Grad fields — the same trajectory
-// bitwise (identical accumulation order), without the per-example
-// buffer and reduction traffic on the per-example-SGD hot path every
-// default-configured training run takes. Those Grad fields are the
-// scratch arena's until the Step, so that path resets it before it
-// builds, not after. Every other case backwards the rank's owned slots
-// into private buffers and exchanges them: ZeroGrad + AllReduce +
-// Step, which with the Local backend is float-op-for-float-op
-// ag.ReduceGrads in slot order followed by Adam.Step, and with the
-// TCP backend the same arithmetic folded from rank to rank.
+// Adam step through the gradient-exchange plane: the rank's owned slots
+// go backward into private buffers (backward), then ZeroGrad +
+// AllReduce + Step. Every minibatch takes this path, one example or
+// many, one process or a fleet: AllReduce folds the slots in slot order
+// onto the parameters (dist.Local's fold in one process, the same fold
+// passed from rank to rank over TCP).
 func runMinibatch(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n int, mb *minibatch, build func(i int, ar *ag.Arena) *ag.Value) error {
 	for _, w := range mb.workers {
 		w.slot.Reset() // the previous minibatch's Step has read them
 	}
 	world, rank := ex.World()
-	if world <= 1 && n == 1 {
-		ar := mb.workers[0].scratch
-		opt.ZeroGrad()
-		ar.Reset()
-		loss := build(0, ar)
-		loss.Backward()
-		opt.Step()
-		mb.losses[0] = loss.Item()
-		return nil
-	}
 	backward(world, rank, n, mb, build)
 	opt.ZeroGrad()
 	if err := ex.AllReduce(params, mb.slots[:n], mb.losses[:n], 1/float64(n)); err != nil {
@@ -452,7 +430,6 @@ func (m *Model) TrainJointStream(src workload.Source, opts TrainOptions) (TrainS
 // workload for MLA.
 type DBTask struct {
 	DB    *sqldb.DB
-	Gen   *workload.Generator
 	Model *Model // shares Shared with every other task
 	// Queries is the materialized multi-table workload on the
 	// in-memory path (NewDBTask). Corpus-backed tasks (TrainMLAStream)
@@ -534,7 +511,7 @@ func TrainMLA(shared *Shared, dbs []*sqldb.DB, opts MLAOptions) ([]*DBTask, Trai
 //
 // Per-DB preparation builds each featurizer exactly as NewDBTask does
 // (same init seed, same table order); the single-table pre-training
-// data comes from the catalog's cached corpus v2 section when present
+// data comes from the catalog's single-table section when present
 // (SingleTable) and is otherwise regenerated live from the task seed
 // — both bitwise-identical to the in-memory path. The joint loop then
 // streams the pooled sources one minibatch at a time, so the fleet
@@ -549,7 +526,7 @@ func TrainMLAStream(shared *Shared, cats []catalog.Catalog, srcs []workload.Sour
 	tasks := make([]*DBTask, len(cats))
 	if err := parallel.ForErr(len(cats), 1, func(i int) error {
 		var err error
-		tasks[i], err = newDBTaskFrom(shared, cats[i], opts, opts.taskSeed(i))
+		tasks[i], _, err = newDBTaskFrom(shared, cats[i], opts, opts.taskSeed(i))
 		if err != nil {
 			return fmt.Errorf("mtmlf: prepare database %q: %w", cats[i].Name(), err)
 		}
@@ -577,8 +554,8 @@ func trainMLAJoint(shared *Shared, tasks []*DBTask, srcs []workload.Source, opts
 }
 
 // singleTabler is implemented by catalog backends that carry cached
-// encoder pre-training data (corpus v2's per-DB single-table
-// section). ok=false means "generate it live instead".
+// encoder pre-training data (a corpus's per-DB single-table section).
+// ok=false means "generate it live instead".
 type singleTabler interface {
 	SingleTable() (data []workload.TableWorkload, ok bool, err error)
 }
@@ -587,7 +564,8 @@ type singleTabler interface {
 // the fleet-wide seed and pre-trained on the catalog's cached
 // single-table section when it has one, or on a live draw from the
 // task's generator otherwise. The multi-table workload is left to the
-// caller (the task's Queries stay nil).
+// caller (the task's Queries stay nil), which labels it from the
+// returned generator's stream (NewDBTask) or streams it from a corpus.
 //
 // Every database's featurizer is initialized from the SAME seed
 // (derived from opts.Seed, not the per-DB seed): the provider ships a
@@ -596,38 +574,38 @@ type singleTabler interface {
 // in roughly aligned embedding spaces. Without this, each DB's Enc_i
 // would occupy an arbitrary rotation of feature space and the shared
 // modules could not extrapolate across DBs.
-func newDBTaskFrom(shared *Shared, cat catalog.Catalog, opts MLAOptions, seed int64) (*DBTask, error) {
+func newDBTaskFrom(shared *Shared, cat catalog.Catalog, opts MLAOptions, seed int64) (*DBTask, *workload.Generator, error) {
 	model := &Model{Shared: shared, Feat: featurize.NewFrom(cat, shared.Cfg.Feat, opts.Seed+7)}
 	gen := workload.NewGeneratorFrom(cat, seed)
 	var data []workload.TableWorkload
 	if st, ok := cat.(singleTabler); ok {
 		d, present, err := st.SingleTable()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if present {
 			data = d
 		}
 	}
 	if data == nil {
-		// No cached section (v1 corpus, or a backend that never stores
-		// one): draw it live — the prefix of the same rng stream the
-		// generator then labels the workload from, so the encoders come
-		// out bitwise identical either way.
+		// No cached section (a corpus written without one, or a backend
+		// that never stores one): draw it live — the prefix of the same
+		// rng stream the generator then labels the workload from, so the
+		// encoders come out bitwise identical either way.
 		data = gen.GenPretrainSet(opts.SingleTablePerTable, opts.Workload)
 	}
 	if _, err := model.Feat.PretrainAllFrom(data, opts.EncoderEpochs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &DBTask{DB: cat.DB(), Gen: gen, Model: model}, nil
+	return &DBTask{DB: cat.DB(), Model: model}, gen, nil
 }
 
 // GenMLAData generates one database's Algorithm 1 training data in
 // the exact order NewDBTask consumes it: the per-table single-table
 // workloads first (table order), then the multi-table labeled
 // workload, all drawn from one rng stream seeded with the task seed
-// of database dbIndex. Writing its output into a corpus v2 file
-// (single-table section + examples) therefore yields an artifact that
+// of database dbIndex. Writing its output into a corpus (the
+// single-table section + examples) therefore yields an artifact that
 // TrainMLAStream trains from bitwise-identically to a live TrainMLA
 // run with the same options — the contract mtmlf-datagen
 // -single-table and `make mla-smoke` build on.
@@ -642,13 +620,13 @@ func GenMLAData(cat catalog.Catalog, opts MLAOptions, dbIndex int) ([]workload.T
 // a single ANALYZE pass), pre-training its (F) encoders as
 // newDBTaskFrom does, and labeling a workload from the same generator.
 func NewDBTask(shared *Shared, db *sqldb.DB, opts MLAOptions, seed int64) *DBTask {
-	t, err := newDBTaskFrom(shared, catalog.NewMemory(db), opts, seed)
+	t, gen, err := newDBTaskFrom(shared, catalog.NewMemory(db), opts, seed)
 	if err != nil {
 		// Unreachable: the pre-training set was drawn from this
 		// database's own table list.
 		panic(err)
 	}
-	t.Queries = t.Gen.Generate(opts.QueriesPerDB, opts.Workload)
+	t.Queries = gen.Generate(opts.QueriesPerDB, opts.Workload)
 	return t
 }
 

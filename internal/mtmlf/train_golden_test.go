@@ -88,8 +88,8 @@ func goldenJoint(t *testing.T, opts TrainOptions) trainGolden {
 // TestTrainGolden pins what training produces, bit for bit, against
 // the commit that recorded testdata/train_golden.json — the loss
 // trajectory and the trained parameter bits of four small runs: Algorithm 1
-// at batch 8 on one and two workers, TrainJoint at batch 1 (the direct
-// Backward path, no gradient sinks), and TrainJoint at batch 4 with
+// at batch 8 on one and two workers, TrainJoint at batch 1 (one slot
+// through dist.Local's fold), and TrainJoint at batch 4 with
 // the sequence-level loss. The drills elsewhere compare topologies
 // within one tree; this is what says a change to the backward pass or
 // the training loop moved no number. amd64 only, like calib's

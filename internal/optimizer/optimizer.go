@@ -1,7 +1,7 @@
 // Package optimizer implements join-order optimization over a
 // pluggable cardinality source:
 //
-//   - BestLeftDeep / BestBushy: exact dynamic-programming enumeration
+//   - BestLeftDeep: exact dynamic-programming enumeration
 //     minimizing the C_out objective. Driven by TrueCards it computes
 //     the cost-optimal join order and thereby substitutes for the ECQO
 //     program [Trummer 2019] the paper uses to label its JoinSel
@@ -136,23 +136,6 @@ func (c *dpContext) neighbors(mask uint32) uint32 {
 	return nb &^ mask
 }
 
-// connected reports whether the set is connected in the join graph.
-func (c *dpContext) connected(mask uint32) bool {
-	if mask == 0 {
-		return false
-	}
-	start := uint32(1) << uint(bits.TrailingZeros32(mask))
-	seen := start
-	for {
-		grow := c.neighbors(seen) & mask
-		if grow == 0 {
-			break
-		}
-		seen |= grow
-	}
-	return seen == mask
-}
-
 // BestLeftDeep finds the C_out-optimal left-deep join order by DP over
 // connected subsets.
 func BestLeftDeep(q *sqldb.Query, cards CardSource) (*Result, error) {
@@ -223,60 +206,6 @@ func BestLeftDeep(q *sqldb.Query, cards CardSource) (*Result, error) {
 		Tree:  plan.LeftDeepFromOrder(order, plan.SeqScan, plan.HashJoin),
 		Cost:  bestCost[full],
 	}, nil
-}
-
-// BestBushy finds the C_out-optimal bushy plan by DPsize over
-// connected subset pairs.
-func BestBushy(q *sqldb.Query, cards CardSource) (*Result, error) {
-	ctx, err := newDPContext(q, cards)
-	if err != nil {
-		return nil, err
-	}
-	n := len(ctx.names)
-	full := uint32(1)<<n - 1
-	type entry struct {
-		cost float64
-		tree *plan.Node
-	}
-	best := make(map[uint32]entry, full)
-	for i := 0; i < n; i++ {
-		best[1<<i] = entry{cost: 0, tree: plan.Leaf(ctx.names[i], plan.SeqScan)}
-	}
-	for m := uint32(1); m <= full; m++ {
-		if bits.OnesCount32(m) < 2 || !ctx.connected(m) {
-			continue
-		}
-		cur := entry{cost: math.Inf(1)}
-		// Enumerate proper subsets s of m with s containing the lowest
-		// bit (canonical split to halve the work).
-		low := uint32(1) << uint(bits.TrailingZeros32(m))
-		rest := m &^ low
-		for s := rest; ; s = (s - 1) & rest {
-			left := s | low
-			right := m &^ left
-			if right != 0 {
-				le, lok := best[left]
-				re, rok := best[right]
-				if lok && rok && ctx.neighbors(left)&right != 0 {
-					c := le.cost + re.cost + ctx.card(m)
-					if c < cur.cost {
-						cur = entry{cost: c, tree: plan.NewJoin(plan.HashJoin, le.tree, re.tree)}
-					}
-				}
-			}
-			if s == 0 {
-				break
-			}
-		}
-		if !math.IsInf(cur.cost, 1) {
-			best[m] = cur
-		}
-	}
-	top, ok := best[full]
-	if !ok {
-		return nil, fmt.Errorf("optimizer: no legal bushy plan")
-	}
-	return &Result{Order: top.tree.Tables(), Tree: top.tree, Cost: top.cost}, nil
 }
 
 // GreedyLeftDeep builds a left-deep order by repeatedly joining the

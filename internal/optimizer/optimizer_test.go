@@ -130,29 +130,6 @@ func TestBestLeftDeepMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestBestBushyNeverWorseThanLeftDeep(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for iter := 0; iter < 5; iter++ {
-		db, q := chainDB(rng, []int{30, 40, 40, 30, 20})
-		ex := sqldb.NewExecutor(db, q)
-		cards := TrueCards{Ex: ex}
-		ld, err := BestLeftDeep(q, cards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bushy, err := BestBushy(q, cards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bushy.Cost > ld.Cost+1e-9 {
-			t.Fatalf("bushy %g worse than left-deep %g", bushy.Cost, ld.Cost)
-		}
-		if got := len(bushy.Tree.Tables()); got != len(q.Tables) {
-			t.Fatalf("bushy tree covers %d tables", got)
-		}
-	}
-}
-
 func TestGreedyLeftDeepLegalAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db, q := chainDB(rng, []int{30, 40, 50, 30})

@@ -22,16 +22,6 @@ import (
 //	bushy (T1 ⋈ T2) ⋈ (T3 ⋈ T4):
 //	  T1=[1 0 ...] T2=[0 1 ...] T3=[0 0 1 0 ...] T4=[0 0 0 1 ...]
 
-// EmbeddingWidth returns the paper's embedding width for queries of up
-// to m tables: the maximum possible number of complete-tree leaves,
-// 2^(m-1) (8 for the 4-table example).
-func EmbeddingWidth(m int) int {
-	if m < 1 {
-		return 1
-	}
-	return 1 << (m - 1)
-}
-
 // DecodingEmbeddings computes the per-table decoding embedding of the
 // tree, as width-wide 0/1 vectors. Each table may appear at most once
 // as a leaf. width must be at least 2^Depth.

@@ -185,7 +185,7 @@ func TestEmbeddingRoundtripRandomTrees(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		m := 2 + rng.Intn(6)
 		tree := randomTree(rng, names[:m])
-		width := EmbeddingWidth(8) // generously wide
+		width := 1 << 7 // generously wide: a complete tree of 8 leaves
 		emb, err := DecodingEmbeddings(tree, width)
 		if err != nil {
 			t.Fatalf("iter %d encode: %v", iter, err)
@@ -264,15 +264,6 @@ func TestTreeFromEmbeddingsErrors(t *testing.T) {
 		"B": {0, 1, 0, 0},
 	}); err == nil {
 		t.Fatal("expected width error")
-	}
-}
-
-func TestEmbeddingWidth(t *testing.T) {
-	if EmbeddingWidth(4) != 8 {
-		t.Fatalf("EmbeddingWidth(4) = %d, want 8 (paper)", EmbeddingWidth(4))
-	}
-	if EmbeddingWidth(1) != 1 || EmbeddingWidth(0) != 1 {
-		t.Fatal("small widths wrong")
 	}
 }
 

@@ -390,12 +390,6 @@ func sameTables(old, new *sqldb.DB) error {
 // Precision returns the serving tier the engine was built with.
 func (e *Engine) Precision() nn.Precision { return e.opts.Precision }
 
-// LoweredParamBytes returns the resident parameter bytes of whatever
-// is actually answering requests: the lowered replica at reduced
-// precision, the float64 inference view (and the Trans_JO decoder every
-// tier shares) otherwise.
-func (e *Engine) LoweredParamBytes() int { return e.cur.Load().load.ParamBytes }
-
 // DB returns the served database schema (read-only; stable across
 // reloads by the Reload contract).
 func (e *Engine) DB() *sqldb.DB { return e.cur.Load().db }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mtmlf/internal/featurize"
+	"mtmlf/internal/metrics"
 	"mtmlf/internal/tensor"
 )
 
@@ -290,20 +291,5 @@ func ringPercentiles(ring []time.Duration) (p50, p95, p99 float64) {
 		ms[i] = float64(d) / float64(time.Millisecond)
 	}
 	sort.Float64s(ms)
-	return percentileSorted(ms, 0.50), percentileSorted(ms, 0.95), percentileSorted(ms, 0.99)
-}
-
-// percentileSorted is nearest-rank interpolation over a sorted slice.
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(pos)
-	hi := lo + 1
-	if hi >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return metrics.Percentile(ms, 0.50), metrics.Percentile(ms, 0.95), metrics.Percentile(ms, 0.99)
 }

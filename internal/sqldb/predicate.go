@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Op enumerates filter comparison operators.
 type Op int
@@ -104,17 +101,6 @@ func MatchLike(s, pattern string) bool {
 		pi++
 	}
 	return pi == len(pattern)
-}
-
-// LikePrefix returns the literal prefix of a LIKE pattern (text before
-// the first wildcard). Estimators use it for prefix-range estimation,
-// mirroring PostgreSQL's pattern-selectivity logic.
-func LikePrefix(pattern string) string {
-	i := strings.IndexAny(pattern, "%_")
-	if i < 0 {
-		return pattern
-	}
-	return pattern[:i]
 }
 
 // FilterRows returns the row ids of t matching all filters (which must

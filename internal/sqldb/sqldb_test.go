@@ -142,12 +142,6 @@ func TestMatchLikeProperties(t *testing.T) {
 	}
 }
 
-func TestLikePrefix(t *testing.T) {
-	if LikePrefix("abc%def") != "abc" || LikePrefix("%x") != "" || LikePrefix("plain") != "plain" {
-		t.Fatal("LikePrefix wrong")
-	}
-}
-
 func TestFilterRows(t *testing.T) {
 	tab := MustNewTable("t",
 		IntColumn("a", []int64{1, 2, 3, 4, 5}),

@@ -44,9 +44,6 @@ func PoolCounters() (gets, allocs uint64) {
 // construct with NewPool.
 type Pool[T Float] struct {
 	classes map[int]*poolClass[T]
-	// live counts Gets since the last Reset (exported via Live for
-	// tests and leak diagnostics).
-	live int
 }
 
 // poolClass is the arena for one element count: bufs[:next] are handed
@@ -92,7 +89,6 @@ func (p *Pool[T]) get(shape []int) (t *Dense[T], reused bool) {
 		}
 		n *= s
 	}
-	p.live++
 	poolGets.Add(1)
 	c := p.classes[n]
 	if c == nil {
@@ -128,11 +124,7 @@ func (p *Pool[T]) Reset() {
 	for _, c := range p.classes {
 		c.next = 0
 	}
-	p.live = 0
 }
-
-// Live reports how many tensors are currently handed out.
-func (p *Pool[T]) Live() int { return p.live }
 
 // Fill sets every element of every tensor handed out since the last
 // Reset to v: how a race build's ag.Arena poisons what it releases.

@@ -235,9 +235,6 @@ func (t *Dense[T]) Fill(v T) {
 	}
 }
 
-// Zero sets every element to 0.
-func (t *Dense[T]) Zero() { t.Fill(0) }
-
 // AddInPlace accumulates o into t elementwise.
 func (t *Dense[T]) AddInPlace(o *Dense[T]) {
 	if !t.SameShape(o) {

@@ -239,8 +239,8 @@ func TestFullAndFillZero(t *testing.T) {
 	if a.At(1, 1) != 2.5 {
 		t.Fatal("Full wrong")
 	}
-	a.Zero()
+	a.Fill(0)
 	if SumAll(a) != 0 {
-		t.Fatal("Zero wrong")
+		t.Fatal("Fill(0) wrong")
 	}
 }

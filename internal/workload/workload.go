@@ -372,7 +372,7 @@ type SingleTableQuery struct {
 
 // TableWorkload pairs one table with its labeled single-table
 // workload — the unit of the encoder pre-training data set, and the
-// record the corpus v2 single-table section stores so training runs
+// record a corpus's single-table section stores so training runs
 // can skip regenerating it.
 type TableWorkload struct {
 	Table   string
