@@ -43,10 +43,14 @@ func Default() *Model {
 }
 
 // ScanCost prices scanning a table of tableRows producing outRows.
+//
+// Every product a sum adds is rounded explicitly, float64(a*b): the
+// conversion keeps a port from fusing it into one FMA, so the cost
+// labels are the same bits on every CPU.
 func (m *Model) ScanCost(op plan.ScanOp, tableRows, outRows float64) float64 {
 	switch op {
 	case plan.IndexScan:
-		return m.RandomPage*outRows + math.Log2(tableRows+2)
+		return float64(m.RandomPage*outRows) + math.Log2(tableRows+2)
 	default:
 		return m.CPUTuple * tableRows
 	}
@@ -57,15 +61,15 @@ func (m *Model) JoinCost(op plan.JoinOp, leftRows, rightRows, outRows float64) f
 	switch op {
 	case plan.MergeJoin:
 		sort := func(n float64) float64 { return m.SortFactor * n * math.Log2(n+2) }
-		return sort(leftRows) + sort(rightRows) + m.CPUTuple*(leftRows+rightRows) + m.OutputTuple*outRows
+		return float64(sort(leftRows)) + float64(sort(rightRows)) + float64(m.CPUTuple*(leftRows+rightRows)) + float64(m.OutputTuple*outRows)
 	case plan.NestLoopJoin:
-		return m.CPUTuple*leftRows + m.NestedInner*leftRows*rightRows + m.OutputTuple*outRows
+		return float64(m.CPUTuple*leftRows) + float64(m.NestedInner*leftRows*rightRows) + float64(m.OutputTuple*outRows)
 	default: // HashJoin
 		build, probe := leftRows, rightRows
 		if probe < build {
 			build, probe = probe, build
 		}
-		return m.HashBuild*build + m.CPUTuple*probe + m.OutputTuple*outRows
+		return float64(m.HashBuild*build) + float64(m.CPUTuple*probe) + float64(m.OutputTuple*outRows)
 	}
 }
 

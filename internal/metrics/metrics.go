@@ -54,15 +54,16 @@ func Summarize(xs []float64) Summary {
 }
 
 // Percentile interpolates the p-quantile (0 ≤ p ≤ 1) of a sorted,
-// non-empty sample linearly between its two nearest ranks.
+// non-empty sample linearly between its two nearest ranks. The products
+// are rounded explicitly, float64(a*b), so no port fuses them.
 func Percentile(sorted []float64, p float64) float64 {
-	pos := p * float64(len(sorted)-1)
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if frac == 0 {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // ImprovementRatio returns (baseline - value) / baseline — the paper's

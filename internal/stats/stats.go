@@ -231,7 +231,8 @@ func (c *ColumnStats) rangeSel(op sqldb.Op, v sqldb.Value) float64 {
 	}
 	// ...and among histogram (non-MCV) values.
 	histBelow := histFractionBelow(c.Bounds, x)
-	below := mcvBelow + histBelow*(1-mcvMass)
+	// float64(a*b) rounds the product, so no port fuses it into an FMA.
+	below := mcvBelow + float64(histBelow*(1-mcvMass))
 	eq := c.eqSel(v)
 	switch op {
 	case sqldb.OpLt:
@@ -298,7 +299,7 @@ func (c *ColumnStats) likeSel(pattern string) float64 {
 			matched += c.MCVFreqs[i]
 		}
 	}
-	return matched + (1-c.mcvMass())*defaultLikeSel
+	return matched + float64((1-c.mcvMass())*defaultLikeSel)
 }
 
 // ---------------------------------------------------------------------------
