@@ -164,6 +164,7 @@ serve-smoke:
 # End-to-end data-plane check: generate a tiny labeled corpus at 1 and
 # 4 workers and assert the files are bitwise identical, check that
 # mtmlf-datagen and mtmlf-train refuse flags their mode would ignore,
+# check that a labelling run killed by SIGTERM leaves no temp file,
 # retrain from the corpus at 1 and 4 workers, and assert the loss
 # trajectories are bitwise identical. Leaves corpus-smoke.mtc for CI to
 # upload.
@@ -210,8 +211,10 @@ dist-smoke:
 # must error, never panic (and, on the wire and in the corpus record
 # decoders, never allocate more than a small multiple of what arrived,
 # plus — for a checkpoint or a snapshot — the one destination a load
-# fills). Seeds cover both checkpoint flavors and the three refused
-# older versions, a snapshot and a refused v2 one, a v5
+# fills). FuzzLoadModel feeds every input to the three checkpoint
+# loaders and to the snapshot restore, since a snapshot is a
+# checkpoint too. Seeds cover both checkpoint flavors and the three
+# refused older versions, a snapshot and an older build's one, a v5
 # corpus with and without a single-table section (optional in the
 # format, though mtmlf-datagen always writes it), the
 # torn-write/bit-flip/lying-length corruption shapes, and one valid
@@ -225,7 +228,6 @@ dist-smoke:
 # Validate: a malformed request must come back as a typed 4xx.
 fuzz-smoke:
 	$(GO) test ./internal/mtmlf -run=NONE -fuzz=FuzzLoadModel -fuzztime=10s
-	$(GO) test ./internal/mtmlf -run=NONE -fuzz=FuzzSnapshot -fuzztime=10s
 	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusOpen -fuzztime=10s
 	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusRecord -fuzztime=10s
 	$(GO) test ./internal/dist -run=NONE -fuzz=FuzzWireFrame -fuzztime=10s
@@ -268,7 +270,7 @@ no-gob-import:
 # not exceed LOC_MAX. Lower the bound when code goes; a change that has
 # to grow the count raises LOC_MAX in its own diff, next to what the
 # lines buy.
-LOC_MAX := 21066
+LOC_MAX := 21004
 loc:
 	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \

@@ -35,13 +35,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"time"
 
 	"mtmlf/internal/catalog"
-	"mtmlf/internal/ckptio"
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/mtmlf"
@@ -119,21 +117,17 @@ func main() {
 		MLAWorkload:         wcfg,
 	}
 	start := time.Now()
-	// The corpus is committed atomically (temp file + fsync + rename):
-	// a crash or failure mid-generation leaves no torn artifact at -out.
-	err := ckptio.WriteFileAtomic(*out, func(f io.Writer) error {
-		w, err := corpus.NewWriter(f, meta)
-		if err != nil {
-			return err
-		}
-		return fillCorpus(w, fleet, mtmlf.MLAOptions{
-			QueriesPerDB:        *queries,
-			SingleTablePerTable: *singleTable,
-			Workload:            wcfg,
-			Seed:                *seed,
-		})
+	dbs := label(fleet, mtmlf.MLAOptions{
+		QueriesPerDB:        *queries,
+		SingleTablePerTable: *singleTable,
+		Workload:            wcfg,
+		Seed:                *seed,
 	})
-	if err != nil {
+	// Labelling is where the time goes, so the file is opened only once
+	// everything is labelled, and committed atomically (temp file + fsync
+	// + rename): a kill while labelling leaves nothing behind, and a
+	// failure mid-write no torn artifact at -out.
+	if err := corpus.WriteFile(*out, meta, dbs); err != nil {
 		log.Fatal(err)
 	}
 	fi, err := os.Stat(*out)
@@ -144,34 +138,22 @@ func main() {
 		*out, len(fleet), *queries, fi.Size(), time.Since(start).Round(time.Millisecond))
 }
 
-// fillCorpus labels every database of the fleet with GenMLAData,
-// database-parallel on the pool, writes each one's schema,
-// single-table section and examples in fleet order, and closes w.
-func fillCorpus(w *corpus.Writer, fleet []*sqldb.DB, opts mtmlf.MLAOptions) error {
-	sts := make([][]workload.TableWorkload, len(fleet))
-	exs := make([][]*workload.LabeledQuery, len(fleet))
+// label labels every database of the fleet with GenMLAData,
+// database-parallel on the pool, and returns them in fleet order.
+func label(fleet []*sqldb.DB, opts mtmlf.MLAOptions) []*corpus.Database {
+	dbs := make([]*corpus.Database, len(fleet))
 	parallel.For(len(fleet), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			sts[i], exs[i] = mtmlf.GenMLAData(catalog.NewMemory(fleet[i]), opts, i)
+			st, ex := mtmlf.GenMLAData(catalog.NewMemory(fleet[i]), opts, i)
+			dbs[i] = &corpus.Database{DB: fleet[i], Examples: ex, SingleTable: st}
 		}
 	})
-	for i, db := range fleet {
-		if err := w.BeginDB(db); err != nil {
-			return err
-		}
-		if err := w.WriteSingleTable(sts[i]); err != nil {
-			return err
-		}
-		for _, lq := range exs[i] {
-			if err := w.AppendExample(lq); err != nil {
-				return err
-			}
-		}
+	for _, d := range dbs {
 		nst := 0
-		for _, tw := range sts[i] {
+		for _, tw := range d.SingleTable {
 			nst += len(tw.Queries)
 		}
-		fmt.Printf("labeled %s: %d examples + %d single-table queries\n", db.Name, len(exs[i]), nst)
+		fmt.Printf("labeled %s: %d examples + %d single-table queries\n", d.DB.Name, len(d.Examples), nst)
 	}
-	return w.Close()
+	return dbs
 }

@@ -463,7 +463,7 @@ func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (
 	// in-memory TrainMLA over the same fleet bitwise; -seed only varies
 	// the shared-module initialization.
 	fmt.Printf("corpus %s (v%d): %d databases, %d pooled examples, mla seed %d\n",
-		corpusPath, r.Version(), r.NumDBs(), total, meta.Seed)
+		corpusPath, corpus.Version, r.NumDBs(), total, meta.Seed)
 
 	fmt.Printf("fleet pretraining: (F) per DB, then joint (S)+(T) over the pooled stream (%d epochs)...\n", epochs)
 	tasks, st, err := mtmlf.TrainMLAStream(mtmlf.NewShared(mtmlf.DefaultConfig(), seed), cats, srcs, mtmlf.MLAOptions{

@@ -26,10 +26,11 @@ import (
 	"slices"
 )
 
-// CorruptError reports an artifact whose bytes fail an integrity
-// check — truncation, bit rot, a torn write, or hostile input. It
-// exists so callers can distinguish "this file is damaged" (errors.As)
-// from I/O errors and honest version/config mismatches.
+// CorruptError reports an artifact this build cannot read: one whose
+// bytes fail an integrity check — truncation, bit rot, a torn write, or
+// hostile input — or one in a format version this build does not read.
+// It exists so callers can distinguish "this file is unusable"
+// (errors.As) from I/O errors and honest config mismatches.
 type CorruptError struct {
 	// Artifact names the file kind ("checkpoint", "corpus",
 	// "snapshot").

@@ -50,15 +50,15 @@ func appendHeader(b []byte, m *Meta) []byte {
 	return ckptio.AppendInt(b, c.MinResultRows)
 }
 
-// decodeHeader checks the preamble and decodes Meta. A file of another
-// version fails with a *VersionError.
+// decodeHeader checks the preamble and decodes Meta, refusing a file of
+// another version.
 func decodeHeader(b []byte) (Meta, error) {
 	var m Meta
 	if len(b) < preambleSize || string(b[:len(Magic)]) != Magic {
 		return m, fmt.Errorf("no %q preamble", Magic)
 	}
 	if v := binary.BigEndian.Uint16(b[len(Magic):]); v != Version {
-		return m, &VersionError{Version: int(v)}
+		return m, fmt.Errorf("unsupported corpus version %d — regenerate with mtmlf-datagen", v)
 	}
 	d := ckptio.NewDec(b[preambleSize:])
 	m.Seed = d.Int()

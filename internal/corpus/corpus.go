@@ -28,14 +28,15 @@
 //
 // # Versions
 //
-// This build reads and writes version 5 only. Versions 1–3 stored
-// every section as its own gob stream; version 4 had this layout plus
-// a workload shard size in Meta, from a second, sharded generation
-// scheme. Open refuses all of them with a *VersionError naming the
-// version, and the remedy is to regenerate the corpus with
-// mtmlf-datagen. v4 and v5 share the trailer magic, which marks the
-// record-codec family; the checksum-verified header version tells
-// them apart. The single-table section is optional in the format:
+// This build reads and writes version 5 only. A file it cannot read
+// fails Open with a *ckptio.CorruptError, like a damaged one, and the
+// remedy is to regenerate the corpus with mtmlf-datagen. The gob-based
+// versions 1–3 end in trailer magics of their own and fail at the
+// trailer. Version 4 shares v5's trailer magic, which marks the
+// record-codec family; it had a workload shard size in Meta, from a
+// second, sharded generation scheme, and its checksum-verified header
+// version refuses it with a message that names the version and says to
+// regenerate. The single-table section is optional in the format:
 // mtmlf-datagen always writes it, and a database written without one
 // reports none.
 //
@@ -44,8 +45,8 @@
 // database range must lie inside the file, example offsets must be
 // strictly increasing inside their database's range, and section
 // order must be schema < single-table < examples. A corrupt index
-// fails at Open with a *CorruptError instead of panicking later in
-// the serving or training process. Schema, single-table, and example
+// fails at Open with a *ckptio.CorruptError instead of panicking later
+// in the serving or training process. Schema, single-table, and example
 // sections are checksum-verified lazily, when first decoded, and every
 // length inside a record is checked against the bytes left before
 // anything is allocated.
@@ -84,10 +85,6 @@ const (
 	// trailerSize is the fixed byte size of the trailer:
 	// [8B footer offset][4B footer CRC32C][4B reserved][8B magic].
 	trailerSize = 24
-	// The trailer magics of the gob-based formats: v1 and v2 files end
-	// with the first, v3 files with the second.
-	legacyTrailerV1 = "MTCORPV1"
-	legacyTrailerV3 = "MTCORPV3"
 )
 
 // Meta describes a corpus's provenance, echoed into the file at write
@@ -171,32 +168,6 @@ func (d *dbIndex) singleEnd() int64 {
 		return d.ExampleOffs[0]
 	}
 	return d.End
-}
-
-// CorruptError reports a damaged corpus: a failed checksum, a
-// structurally invalid index, or a record that does not decode. It
-// exists so callers can distinguish "this file is damaged" (errors.As)
-// from I/O errors and version mismatches.
-type CorruptError struct {
-	// Reason describes the failed invariant.
-	Reason string
-}
-
-func (e *CorruptError) Error() string { return "corpus: corrupt corpus: " + e.Reason }
-
-func corruptf(format string, args ...any) error {
-	return &CorruptError{Reason: fmt.Sprintf(format, args...)}
-}
-
-// VersionError reports a corpus written in a format this build no
-// longer reads. Nothing converts such a file; it is regenerated.
-type VersionError struct {
-	// Version is the file's format version.
-	Version int
-}
-
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("corpus: unsupported corpus version %d — regenerate with mtmlf-datagen", e.Version)
 }
 
 // footer is the seekable index written at the end of the file.

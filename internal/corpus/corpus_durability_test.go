@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"mtmlf/internal/catalog"
@@ -91,9 +91,9 @@ func TestCorpusDetectsBitFlips(t *testing.T) {
 		mut := bytes.Clone(orig)
 		mut[i] ^= 1 << bit
 		err := openWalk(mut)
-		var ce *CorruptError
+		var ce *ckptio.CorruptError
 		if !errors.As(err, &ce) {
-			t.Fatalf("flip byte %d bit %d: got %v, want *CorruptError", i, bit, err)
+			t.Fatalf("flip byte %d bit %d: got %v, want *ckptio.CorruptError", i, bit, err)
 		}
 	}
 	for i := 0; i < 64 && i < len(orig); i++ {
@@ -130,9 +130,9 @@ func TestCorpusDetectsTruncation(t *testing.T) {
 			continue
 		}
 		err := openWalk(orig[:n])
-		var ce *CorruptError
+		var ce *ckptio.CorruptError
 		if !errors.As(err, &ce) {
-			t.Fatalf("truncate to %d bytes: got %v, want *CorruptError", n, err)
+			t.Fatalf("truncate to %d bytes: got %v, want *ckptio.CorruptError", n, err)
 		}
 	}
 }
@@ -202,19 +202,18 @@ func TestCorpusWriteThroughFailingWriter(t *testing.T) {
 }
 
 // TestOpenRefusesOldVersions: a file of an older format (the gob-based
-// v1–v3, or v4 with its shard size) fails Open with a *VersionError
-// naming its version, whose message says to regenerate the corpus. No
-// writer for them remains, so the files are built by hand: the trailer
-// names the gob formats, and v1 and v2, which share a trailer, differ
-// in the version their gob header carries after the magic string. A v4
-// file shares v5's trailer and is otherwise valid, so only its
-// checksummed header version refuses it.
+// v1–v3, or v4 with its shard size) fails Open with a
+// *ckptio.CorruptError, as any file this build cannot read does. No
+// writer for them remains, so the files are built by hand. v1–v3 end in
+// trailer magics of their own and fail at the trailer. A v4 file shares
+// v5's trailer and is otherwise valid, so only its checksummed header
+// version refuses it, and the message names the version and the remedy.
 func TestOpenRefusesOldVersions(t *testing.T) {
 	legacy := func(head string, trailer []byte) []byte {
 		return append(append([]byte("\x29\x7f\x03\x01\x01\x06header"), head...), trailer...)
 	}
-	v1Trailer := append(make([]byte, 8), legacyTrailerV1...)
-	v3Trailer := append(make([]byte, 16), legacyTrailerV3...)
+	v1Trailer := append(make([]byte, 8), "MTCORPV1"...)
+	v3Trailer := append(make([]byte, 16), "MTCORPV3"...)
 	// v4's header is v5's with version 4 and a shard size after the seed.
 	cur := appendHeader(nil, &durableMeta)
 	seedEnd := preambleSize + len(ckptio.AppendInt(nil, durableMeta.Seed))
@@ -228,22 +227,18 @@ func TestOpenRefusesOldVersions(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		data []byte
-		want int
+		want string
 	}{
-		{"v1", legacy("\x01\x0c"+Magic+"\x01\x02\x00", v1Trailer), 1},
-		{"v2", legacy("\x01\x0c"+Magic+"\x01\x04\x00", v1Trailer), 2},
-		{"v1 trailer, no header", v1Trailer, 1},
-		{"v3", legacy("\x01\x0c"+Magic+"\x01\x06\x00", v3Trailer), 3},
-		{"v4", v4, 4},
+		{"v1", legacy("\x01\x0c"+Magic+"\x01\x02\x00", v1Trailer), `bad trailer magic "MTCORPV1"`},
+		{"v2", legacy("\x01\x0c"+Magic+"\x01\x04\x00", v1Trailer), `bad trailer magic "MTCORPV1"`},
+		{"v1 trailer, no header", v1Trailer, `bad trailer magic "MTCORPV1"`},
+		{"v3", legacy("\x01\x0c"+Magic+"\x01\x06\x00", v3Trailer), `bad trailer magic "MTCORPV3"`},
+		{"v4", v4, "unsupported corpus version 4 — regenerate with mtmlf-datagen"},
 	} {
 		_, err := NewReader(bytes.NewReader(tc.data), int64(len(tc.data)))
-		var ve *VersionError
-		if !errors.As(err, &ve) || ve.Version != tc.want {
-			t.Fatalf("%s: got %v, want a *VersionError for version %d", tc.name, err, tc.want)
-		}
-		want := fmt.Sprintf("corpus: unsupported corpus version %d — regenerate with mtmlf-datagen", tc.want)
-		if err.Error() != want {
-			t.Fatalf("%s: message %q, want %q", tc.name, err, want)
+		var ce *ckptio.CorruptError
+		if !errors.As(err, &ce) || ce.Artifact != "corpus" || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v, want a corpus *ckptio.CorruptError saying %q", tc.name, err, tc.want)
 		}
 	}
 }

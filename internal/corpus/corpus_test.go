@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mtmlf/internal/catalog"
+	"mtmlf/internal/ckptio"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/plan"
 	"mtmlf/internal/sqldb"
@@ -372,9 +373,6 @@ func TestSingleTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Version() != Version {
-		t.Fatalf("version %d, want %d", r.Version(), Version)
-	}
 	c0, err := r.Catalog(0)
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +478,7 @@ func writeCorrupted(t *testing.T, corrupt func(dbs []dbIndex)) string {
 }
 
 // TestOpenRejectsCorruptIndex: every index invariant is validated at
-// Open, which must fail with a *CorruptError — never hand out a
+// Open, which must fail with a *ckptio.CorruptError — never hand out a
 // Reader that panics later.
 func TestOpenRejectsCorruptIndex(t *testing.T) {
 	cases := []struct {
@@ -517,9 +515,9 @@ func TestOpenRejectsCorruptIndex(t *testing.T) {
 				r.Close()
 				t.Fatal("expected corrupt index to fail at Open")
 			}
-			var ce *CorruptError
+			var ce *ckptio.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("error %v (%T) is not a *CorruptError", err, err)
+				t.Fatalf("error %v (%T) is not a *ckptio.CorruptError", err, err)
 			}
 		})
 	}

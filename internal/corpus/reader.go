@@ -1,9 +1,7 @@
 package corpus
 
 import (
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -18,8 +16,8 @@ import (
 
 // Reader is seekable read access to a corpus file. Opening validates
 // the header, trailer, and the whole index (see validateIndex), so a
-// structurally corrupt file fails at Open with a *CorruptError; table
-// data and examples are decoded on demand. All methods are safe for
+// structurally corrupt file fails at Open with a *ckptio.CorruptError;
+// table data and examples are decoded on demand. All methods are safe for
 // concurrent use — example reads go through ReadAt, so any number of
 // training workers can stream from one Reader.
 type Reader struct {
@@ -52,28 +50,22 @@ func Open(path string) (*Reader, error) {
 }
 
 // NewReader opens a corpus from any io.ReaderAt of known size (an
-// os.File, a bytes.Reader, an mmap). A file of an older format fails
-// with a *VersionError, a damaged one with a *CorruptError.
+// os.File, a bytes.Reader, an mmap). A damaged file, or one of a format
+// this build does not read, fails with a *ckptio.CorruptError.
 func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	// The last 8 bytes name the format.
 	if size < 8 {
-		return nil, corruptf("file too small (%d bytes)", size)
+		return nil, ckptio.Corruptf("corpus", "file too small (%d bytes)", size)
 	}
 	var tmagic [8]byte
 	if _, err := ra.ReadAt(tmagic[:], size-8); err != nil {
 		return nil, fmt.Errorf("corpus: read trailer: %w", err)
 	}
-	switch string(tmagic[:]) {
-	case trailerMagic:
-	case legacyTrailerV1:
-		return nil, &VersionError{Version: legacyVersion(ra)}
-	case legacyTrailerV3:
-		return nil, &VersionError{Version: 3}
-	default:
-		return nil, corruptf("bad trailer magic %q (truncated, foreign, or newer file?)", tmagic[:])
+	if string(tmagic[:]) != trailerMagic {
+		return nil, ckptio.Corruptf("corpus", "bad trailer magic %q (truncated, foreign, or of another version?)", tmagic[:])
 	}
 	if size < trailerSize {
-		return nil, corruptf("file too small for a trailer (%d bytes)", size)
+		return nil, ckptio.Corruptf("corpus", "file too small for a trailer (%d bytes)", size)
 	}
 	var trailer [trailerSize]byte
 	if _, err := ra.ReadAt(trailer[:], size-trailerSize); err != nil {
@@ -81,13 +73,13 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	}
 	for _, b := range trailer[12:16] {
 		if b != 0 {
-			return nil, corruptf("reserved trailer bytes are not zero")
+			return nil, ckptio.Corruptf("corpus", "reserved trailer bytes are not zero")
 		}
 	}
 	footerOff := int64(binary.BigEndian.Uint64(trailer[:8]))
 	dataEnd := size - trailerSize
 	if footerOff < 0 || footerOff >= dataEnd {
-		return nil, corruptf("footer offset %d outside file of %d bytes", footerOff, size)
+		return nil, ckptio.Corruptf("corpus", "footer offset %d outside file of %d bytes", footerOff, size)
 	}
 	// Verify the footer checksum before trusting any offset in it.
 	var ft footer
@@ -96,25 +88,21 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		err = decodeFooter(fb, &ft)
 	}
 	if err != nil {
-		return nil, corruptf("footer: %v", err)
+		return nil, ckptio.Corruptf("corpus", "footer: %v", err)
 	}
 	// The header is checksum-verified before it is decoded, so a flip in
 	// (say) the version field reads as corruption, not as another
 	// version.
 	if ft.HeaderEnd <= 0 || ft.HeaderEnd > footerOff {
-		return nil, corruptf("header end %d outside data region (0, %d]", ft.HeaderEnd, footerOff)
+		return nil, ckptio.Corruptf("corpus", "header end %d outside data region (0, %d]", ft.HeaderEnd, footerOff)
 	}
 	var meta Meta
 	hb, err := readSection(ra, 0, ft.HeaderEnd, ft.HeaderCRC)
 	if err == nil {
 		meta, err = decodeHeader(hb)
 	}
-	var verr *VersionError
-	if errors.As(err, &verr) {
-		return nil, err
-	}
 	if err != nil {
-		return nil, corruptf("header: %v", err)
+		return nil, ckptio.Corruptf("corpus", "header: %v", err)
 	}
 	if err := validateIndex(ft.DBs, footerOff); err != nil {
 		return nil, err
@@ -126,45 +114,29 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	return r, nil
 }
 
-// legacyVersion tells v1 from v2 in a file closed by the trailer they
-// share. Their gob header holds the magic string followed by the
-// version field: a field delta of 1, then the version doubled (gob's
-// encoding of a small int).
-func legacyVersion(ra io.ReaderAt) int {
-	head := make([]byte, 128)
-	n, _ := ra.ReadAt(head, 0)
-	head = head[:n]
-	if i := bytes.Index(head, []byte(Magic+"\x01")); i >= 0 && i+len(Magic)+1 < n {
-		if v := head[i+len(Magic)+1]; v == 2 || v == 4 {
-			return int(v / 2)
-		}
-	}
-	return 1
-}
-
 // validateIndex checks every structural invariant of the footer index
 // before any section is decoded: database ranges are in file order and
 // inside the data region (before the footer), section order inside a
 // database is schema < single-table < examples, and example offsets
 // are strictly increasing inside [Off, End). A violated invariant
 // means the file is corrupt (torn write, bit rot, hostile input); it
-// fails here with a *CorruptError instead of panicking later when
-// DBCatalog.DB or ExampleSet.Example slices a bogus byte range.
+// fails here with a *ckptio.CorruptError instead of panicking later
+// when DBCatalog.DB or ExampleSet.Example slices a bogus byte range.
 func validateIndex(dbs []dbIndex, footerOff int64) error {
 	prevEnd := int64(0)
 	for i := range dbs {
 		d := &dbs[i]
 		if d.Off <= 0 || d.End <= d.Off || d.End > footerOff {
-			return corruptf("database %d (%q): range [%d, %d) outside data region (0, %d]",
+			return ckptio.Corruptf("corpus", "database %d (%q): range [%d, %d) outside data region (0, %d]",
 				i, d.Name, d.Off, d.End, footerOff)
 		}
 		if d.Off < prevEnd {
-			return corruptf("database %d (%q): offset %d overlaps previous database ending at %d",
+			return ckptio.Corruptf("corpus", "database %d (%q): offset %d overlaps previous database ending at %d",
 				i, d.Name, d.Off, prevEnd)
 		}
 		prevEnd = d.End
 		if d.SingleOff != 0 && (d.SingleOff <= d.Off || d.SingleOff >= d.singleEnd()) {
-			return corruptf("database %d (%q): single-table offset %d outside (%d, %d)",
+			return ckptio.Corruptf("corpus", "database %d (%q): single-table offset %d outside (%d, %d)",
 				i, d.Name, d.SingleOff, d.Off, d.singleEnd())
 		}
 		lo := d.Off
@@ -173,7 +145,7 @@ func validateIndex(dbs []dbIndex, footerOff int64) error {
 		}
 		for j, off := range d.ExampleOffs {
 			if off <= lo || off >= d.End {
-				return corruptf("database %d (%q): example %d offset %d outside (%d, %d)",
+				return ckptio.Corruptf("corpus", "database %d (%q): example %d offset %d outside (%d, %d)",
 					i, d.Name, j, off, lo, d.End)
 			}
 			lo = off
@@ -192,10 +164,6 @@ func (r *Reader) Close() error {
 
 // Meta returns the corpus provenance record.
 func (r *Reader) Meta() Meta { return r.meta }
-
-// Version returns the file's format version, which is Version: Open
-// refuses every other.
-func (r *Reader) Version() int { return Version }
 
 // NumDBs returns the number of databases in the corpus.
 func (r *Reader) NumDBs() int { return len(r.index) }
@@ -284,7 +252,7 @@ func (c *DBCatalog) load() error {
 			err = decodeSchema(b, &rec)
 		}
 		if err != nil {
-			c.dbErr = corruptf("schema of %q: %v", d.Name, err)
+			c.dbErr = ckptio.Corruptf("corpus", "schema of %q: %v", d.Name, err)
 			return
 		}
 		c.db, c.dbErr = fromRecord(rec)
@@ -335,7 +303,7 @@ func (c *DBCatalog) SingleTable() (data []workload.TableWorkload, ok bool, err e
 		data, err = decodeSingleTable(b)
 	}
 	if err != nil {
-		return nil, false, corruptf("single-table section of %q: %v", d.Name, err)
+		return nil, false, ckptio.Corruptf("corpus", "single-table section of %q: %v", d.Name, err)
 	}
 	return data, true, nil
 }
@@ -370,7 +338,7 @@ func (s *ExampleSet) Example(i int) (*workload.LabeledQuery, error) {
 		err = decodeExample(b, lq)
 	}
 	if err != nil {
-		return nil, corruptf("example %d of %q: %v", i, s.d.Name, err)
+		return nil, ckptio.Corruptf("corpus", "example %d of %q: %v", i, s.d.Name, err)
 	}
 	return lq, nil
 }

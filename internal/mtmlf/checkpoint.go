@@ -45,7 +45,9 @@
 // featurizer then pretrains locally, Algorithm 1 line 4). SaveFile
 // and SaveSharedFile are the same artifacts written atomically (temp
 // file + fsync + rename), so a crash mid-save never tears a
-// checkpoint a server might reload.
+// checkpoint a server might reload. A training snapshot (snapshot.go)
+// is a shared-only checkpoint with a training section after it, which
+// the loaders here never read: to them it is that checkpoint.
 package mtmlf
 
 import (

@@ -10,14 +10,16 @@ import (
 	"mtmlf/internal/nn"
 )
 
-// FuzzLoadModel: arbitrary bytes fed to every checkpoint entry point
-// must return an error (or a valid model) — never panic, never divide
-// by zero on a hostile Config, and never allocate more than a constant,
-// a small multiple of the bytes supplied, and the one destination a
-// load that gets past the metadata builds. The seed corpus covers both
-// save flavors, the three refused older versions, and the torn-write /
-// bit-flip / lying-length shapes the deterministic durability tests
-// sweep; the fuzzer explores the cross-product from there.
+// FuzzLoadModel: arbitrary bytes fed to every checkpoint entry point —
+// Load, LoadModel, LoadLowered, and restoreSnapshot, since a snapshot is
+// a checkpoint too — must return an error (or a valid model) — never
+// panic, never divide by zero on a hostile Config, and never allocate
+// more than a constant, a small multiple of the bytes supplied, and the
+// one destination a load that gets past the metadata builds. The seed
+// corpus covers both save flavors, the three refused older versions, a
+// snapshot and an older build's one, and the torn-write / bit-flip /
+// lying-length shapes the deterministic durability tests sweep; the
+// fuzzer explores the cross-product from there.
 //
 // Run longer than the CI smoke with:
 //
@@ -69,6 +71,24 @@ func FuzzLoadModel(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	meta, opt, sm := snapFixture(1)
+	snap, train, moments := snapshotBytes(f, meta, opt, sm)
+	mutate := func(edit func([]byte)) []byte {
+		b := bytes.Clone(snap)
+		edit(b)
+		return b
+	}
+	for _, seed := range [][]byte{
+		snap,
+		snap[:len(snap)/2],
+		snap[:moments],
+		mutate(func(b []byte) { b[train+9] ^= 1 }),       // snapshot meta record
+		mutate(func(b []byte) { b[moments+12] ^= 0x10 }), // a moment's bits
+		parentSnapshot(f, meta, opt, sm),                 // refused: an older build's format
+		mutate(func(b []byte) { binary.BigEndian.PutUint64(b[moments:], 1<<30-1) }),
+	} {
+		f.Add(seed)
+	}
 	// dst is a sink: a load that fails part way leaves it partially
 	// overwritten, which no later execution minds.
 	dst := NewModel(tinyConfig(), db, 3)
@@ -78,6 +98,14 @@ func FuzzLoadModel(f *testing.F) {
 	// the valid seed, with room; a declared length that sized an
 	// allocation would be a gigabyte.
 	perLoad := uint64(m.ParamBytes()) + 4<<20
+	// A restore may allocate the destination optimizer and parameters,
+	// 4 MiB, and 8 bytes per input byte.
+	_, dstOpt, dstSnap := snapFixture(2)
+	want := identity(meta)
+	perRestore := uint64(4 << 20)
+	for _, p := range dstSnap.Shared.Params() {
+		perRestore += 3 * 8 * uint64(p.T.Size()) // the parameter and its two moments
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -100,6 +128,19 @@ func FuzzLoadModel(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, 3*perLoad+8*uint64(len(data)); grew > limit {
 			t.Fatalf("loading %d bytes three ways allocated %d, limit %d", len(data), grew, limit)
+		}
+		runtime.ReadMemStats(&before)
+		_, err := restoreSnapshot(data, "snapshot", want, dstOpt, dstSnap.Shared)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, perRestore+8*uint64(len(data)); grew > limit {
+			t.Fatalf("restoring %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		if err == nil {
+			for i, p := range dstSnap.Shared.Params() {
+				if p.T.HasNaN() {
+					t.Fatalf("restored a snapshot whose parameter %d is not finite", i)
+				}
+			}
 		}
 	})
 }

@@ -2,7 +2,6 @@ package mtmlf
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -29,17 +28,13 @@ import (
 // final model byte-for-byte identical to the uninterrupted run — the
 // property the interruption-invariance tests and the kill-9 drill in
 // scripts/crash_resume_smoke.sh assert.
-
-const (
-	// SnapshotMagic opens every training-state snapshot file.
-	SnapshotMagic = "MTMLF-SNAP"
-	// SnapshotVersion is the one snapshot format version this build
-	// reads and writes (3: the meta is a record in ckptio's codec and
-	// Adam's moments are tensor records, like the parameters).
-	SnapshotVersion = 3
-	// snapPreambleSize is the raw preamble: magic + big-endian version.
-	snapPreambleSize = len(SnapshotMagic) + 2
-)
+//
+// A snapshot is a checkpoint. It begins with the bytes SaveShared
+// writes for the loop's first model at that step — the (S)+(T)
+// parameters are all the loop trains — and goes on with a training
+// section: the snapshotMeta record in one frame, then Adam's moments as
+// tensor records. So Load, and mtmlf-train -load, read a snapshot as
+// the shared-only checkpoint it begins with.
 
 // ErrInterrupted is returned by a training loop stopped through
 // SnapshotOptions.Interrupt (or the InterruptAfter test hook) after it
@@ -143,83 +138,87 @@ func matchMeta(want, got snapshotMeta) error {
 	return nil
 }
 
-// writeSnapshot persists the full training state atomically: a
-// preamble, then CRC32C-framed sections — the meta record (the step
-// count included), then Adam's moments and the parameters, each list as
-// tensor records (nn.WriteParams, the checkpoint's codec) — so a torn or
-// rotted snapshot fails to load with a typed *ckptio.CorruptError
-// instead of resuming from garbage.
-func writeSnapshot(path string, meta snapshotMeta, opt *nn.Adam, params []*ag.Value) error {
+// writeSnapshot persists the full training state atomically: m's
+// shared-only checkpoint, then the training section. Every byte past the
+// checkpoint preamble is in a CRC32C frame, so a torn or rotted snapshot
+// fails to load with a typed *ckptio.CorruptError instead of resuming
+// from garbage.
+func writeSnapshot(path string, m *Model, meta snapshotMeta, opt *nn.Adam) error {
 	return ckptio.WriteFileAtomic(path, func(w io.Writer) error {
-		pre := binary.BigEndian.AppendUint16([]byte(SnapshotMagic), SnapshotVersion)
-		if _, err := w.Write(pre); err != nil {
+		if err := SaveShared(w, m); err != nil {
 			return err
 		}
 		if err := ckptio.WriteSection(w, appendSnapshotMeta(nil, &meta)); err != nil {
 			return err
 		}
-		if err := nn.WriteParams(w, opt.Moments()); err != nil {
-			return err
-		}
-		return nn.WriteParams(w, params)
+		return nn.WriteParams(w, opt.Moments())
 	})
 }
 
 // restoreSnapshot applies a snapshot file — read from disk, or rank 0's
-// broadcast of it — to opt and params, and returns its meta. Nothing is
-// touched until everything has been verified: the preamble, the meta
-// record and that it describes the run want does, and every tensor
-// record against the moment or parameter it restores (frame length,
-// checksum, shape, finite values). Any failure past the meta match is a
-// *ckptio.CorruptError naming artifact.
-func restoreSnapshot(data []byte, artifact string, want snapshotMeta, opt *nn.Adam, params []*ag.Value) (snapshotMeta, error) {
+// broadcast of it — to opt and shared, and returns its meta. Nothing is
+// touched until everything has been verified: that the file is a
+// shared-only checkpoint of shared's Config, the meta record and that it
+// describes the run want does, and every tensor record against the
+// parameter or moment it restores (frame length, checksum, shape, finite
+// values). Damage is a *ckptio.CorruptError naming artifact.
+func restoreSnapshot(data []byte, artifact string, want snapshotMeta, opt *nn.Adam, shared *Shared) (snapshotMeta, error) {
 	var meta snapshotMeta
-	corrupt := func(what string, err error) (snapshotMeta, error) {
+	fail := func(what string, err error) (snapshotMeta, error) {
 		var ce *ckptio.CorruptError
 		if errors.As(err, &ce) {
-			return meta, err
+			err = errors.New(ce.Reason)
 		}
 		return meta, ckptio.Corruptf(artifact, "%s: %v", what, err)
 	}
-	if len(data) < snapPreambleSize || string(data[:len(SnapshotMagic)]) != SnapshotMagic {
-		return meta, ckptio.Corruptf(artifact, "no %q preamble", SnapshotMagic)
+	r := bytes.NewReader(data)
+	ck, err := openCheckpoint(r)
+	if err != nil { // an older build's snapshot (magic "MTMLF-SNAP") fails here
+		return fail("not a snapshot this build reads (finish that run with the build that wrote it, or start it over)", err)
 	}
-	if v := binary.BigEndian.Uint16(data[len(SnapshotMagic):]); v != SnapshotVersion {
-		return meta, ckptio.Corruptf(artifact, "unsupported snapshot version %d (this build reads version %d only; finish that run with the build that wrote it, or start it over)", v, SnapshotVersion)
-	}
-	r := bytes.NewReader(data[snapPreambleSize:])
-	metaPayload, err := ckptio.ReadSection(r, artifact)
-	if err != nil {
-		return meta, err
-	}
-	if meta, err = decodeSnapshotMeta(metaPayload); err != nil {
-		return corrupt("decode meta", err)
-	}
-	if err := matchMeta(want, meta); err != nil {
-		return meta, err
+	if !ck.info.SharedOnly || ck.info.Config != shared.Cfg {
+		return meta, fmt.Errorf("mtmlf: snapshot does not match this run: its checkpoint (shared-only %v) has config %+v, the run trains %+v",
+			ck.info.SharedOnly, ck.info.Config, shared.Cfg)
 	}
 	// Two passes over the same records: the first verifies every one, the
 	// second, which cannot fail, reads them into place.
-	lists := [][]*ag.Value{opt.Moments(), params}
-	records := data[len(data)-r.Len():]
-	for _, list := range lists {
+	params, moments := shared.Params(), opt.Moments()
+	verify := func(list []*ag.Value) error {
 		pr, err := nn.NewParamReader(r, artifact, len(list))
 		for i := 0; err == nil && i < len(list); i++ {
 			_, err = pr.Next(list[i].T.Shape)
 		}
-		if err != nil {
-			return corrupt("restore training state", err)
-		}
+		return err
+	}
+	paramsAt := len(data) - r.Len()
+	if err := verify(params); err != nil {
+		return fail("parameters", err)
+	}
+	payload, err := ckptio.ReadSection(r, artifact)
+	if err == nil {
+		meta, err = decodeSnapshotMeta(payload)
+	}
+	if err != nil {
+		return fail("meta", err)
+	}
+	if err := matchMeta(want, meta); err != nil {
+		return meta, err
+	}
+	momentsAt := len(data) - r.Len()
+	if err := verify(moments); err != nil {
+		return fail("optimizer state", err)
 	}
 	opt.Steps = meta.AdamSteps
-	r = bytes.NewReader(records)
-	for _, list := range lists {
-		pr, err := nn.NewParamReader(r, artifact, len(list))
+	for _, sec := range []struct {
+		at   int
+		list []*ag.Value
+	}{{paramsAt, params}, {momentsAt, moments}} {
+		pr, err := nn.NewParamReader(bytes.NewReader(data[sec.at:]), artifact, len(sec.list))
 		if err == nil {
-			err = pr.ReadInto(list)
+			err = pr.ReadInto(sec.list)
 		}
 		if err != nil {
-			return corrupt("restore training state", err)
+			return fail("restore training state", err)
 		}
 	}
 	return meta, nil
@@ -257,10 +256,11 @@ func (c *epochCtl) stopRequested(batches int) bool {
 }
 
 // prepareSnapshots wires SnapshotOptions into an epoch controller for
-// a run described by meta (progress fields ignored on input). When
-// resuming, it restores params, opt, and *st from the snapshot at
-// snap.Path and positions the controller mid-run; a missing file is a
-// fresh start. With the options disabled it returns the zero
+// a run described by meta (progress fields ignored on input); m is the
+// loop's first model, whose shared-only checkpoint every snapshot
+// begins with. When resuming, it restores m.Shared, opt, and *st from
+// the snapshot at snap.Path and positions the controller mid-run; a
+// missing file is a fresh start. With the options disabled it returns the zero
 // controller: start at the beginning, never snapshot, never stop.
 //
 // Snapshots are topology-aware but topology-free: in a distributed
@@ -271,7 +271,7 @@ func (c *epochCtl) stopRequested(batches int) bool {
 // identical state. The file itself never records a world size: a run
 // snapshotted at one fleet size resumes at any other, exactly as a
 // snapshot taken at one worker count resumes at another.
-func prepareSnapshots(ex dist.Exchanger, snap SnapshotOptions, meta snapshotMeta, opt *nn.Adam, params []*ag.Value, st *TrainStats) (*epochCtl, error) {
+func prepareSnapshots(ex dist.Exchanger, snap SnapshotOptions, meta snapshotMeta, opt *nn.Adam, m *Model, st *TrainStats) (*epochCtl, error) {
 	if !snap.enabled() {
 		return &epochCtl{}, nil
 	}
@@ -279,10 +279,10 @@ func prepareSnapshots(ex dist.Exchanger, snap SnapshotOptions, meta snapshotMeta
 	ctl := &epochCtl{every: snap.Every, interrupt: snap.Interrupt, interruptAfter: snap.InterruptAfter}
 	if snap.Path != "" && rank == 0 {
 		ctl.snap = func(epoch, offset int) error {
-			m := meta
-			m.Epoch, m.Offset = epoch, offset
-			m.Stats, m.AdamSteps = *st, opt.Steps
-			return writeSnapshot(snap.Path, m, opt, params)
+			at := meta
+			at.Epoch, at.Offset = epoch, offset
+			at.Stats, at.AdamSteps = *st, opt.Steps
+			return writeSnapshot(snap.Path, m, at, opt)
 		}
 	}
 	if !snap.Resume || snap.Path == "" {
@@ -323,7 +323,7 @@ func prepareSnapshots(ex dist.Exchanger, snap SnapshotOptions, meta snapshotMeta
 	if body == nil {
 		return ctl, nil
 	}
-	got, err := restoreSnapshot(body, artifact, meta, opt, params)
+	got, err := restoreSnapshot(body, artifact, meta, opt, m.Shared)
 	if err != nil {
 		return nil, err
 	}

@@ -10,11 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
-	"mtmlf/internal/ag"
 	"mtmlf/internal/ckptio"
 	"mtmlf/internal/featurize"
 	"mtmlf/internal/nn"
@@ -126,19 +124,13 @@ func TestMetaRecordsCarryEveryField(t *testing.T) {
 	}
 }
 
-// snapFixture is a small training state: three parameters, an
-// optimizer that has stepped twice, and the meta of a run part way
-// through its second epoch.
-func snapFixture(seed int64) (snapshotMeta, *nn.Adam, []*ag.Value) {
+// snapFixture is a small training state: a tiny model whose shared
+// modules an optimizer has stepped twice, and the meta of a run part
+// way through its second epoch.
+func snapFixture(seed int64) (snapshotMeta, *nn.Adam, *Model) {
 	rng := rand.New(rand.NewSource(seed))
-	var params []*ag.Value
-	for _, shape := range [][]int{{3, 4}, {4}, {2, 2}} {
-		p := ag.Param(tensor.New(shape...))
-		for i := range p.T.Data {
-			p.T.Data[i] = rng.NormFloat64()
-		}
-		params = append(params, p)
-	}
+	m := NewModel(tinyConfig(), tinyDB(), seed)
+	params := m.Shared.Params()
 	opt := nn.NewAdam(params, 0.1)
 	for range 2 {
 		for _, p := range params {
@@ -151,26 +143,50 @@ func snapFixture(seed int64) (snapshotMeta, *nn.Adam, []*ag.Value) {
 	}
 	meta := snapshotMeta{Kind: "joint", Config: "fixture", N: 10, Epochs: 3, BatchSize: 2, Seed: seed,
 		Epoch: 1, Offset: 4, Stats: TrainStats{Steps: 14, FinalLoss: 0.25, Trajectory: []float64{1, 0.5}}, AdamSteps: opt.Steps}
-	return meta, opt, params
+	return meta, opt, m
 }
 
 // snapshotBytes writes a snapshot of the fixture and returns the file,
-// and the offset of the first moment tensor's frame in it.
-func snapshotBytes(t testing.TB, meta snapshotMeta, opt *nn.Adam, params []*ag.Value) ([]byte, int) {
+// and the offsets in it of the training section (the meta frame) and of
+// the first moment tensor's frame.
+func snapshotBytes(t testing.TB, meta snapshotMeta, opt *nn.Adam, m *Model) (data []byte, train, moments int) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "train.snap")
-	if err := writeSnapshot(path, meta, opt, params); err != nil {
+	if err := writeSnapshot(path, m, meta, opt); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := snapPreambleSize
-	for range 2 { // meta, moment count
-		off += ckptio.SectionLen(int(binary.BigEndian.Uint64(data[off:])))
+	var shared bytes.Buffer
+	if err := SaveShared(&shared, m); err != nil {
+		t.Fatal(err)
 	}
-	return data, off
+	train = shared.Len()
+	moments = train
+	for range 2 { // meta, moment count
+		moments += ckptio.SectionLen(int(binary.BigEndian.Uint64(data[moments:])))
+	}
+	return data, train, moments
+}
+
+// parentSnapshot is the fixture in the format an older build wrote: its
+// own "MTMLF-SNAP" preamble (version 3), the meta frame, the moments,
+// then the parameters.
+func parentSnapshot(t testing.TB, meta snapshotMeta, opt *nn.Adam, m *Model) []byte {
+	t.Helper()
+	b := bytes.NewBufferString("MTMLF-SNAP\x00\x03")
+	if err := ckptio.WriteSection(b, appendSnapshotMeta(nil, &meta)); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.WriteParams(b, opt.Moments()); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.WriteParams(b, m.Shared.Params()); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // identity is meta as a resuming run describes itself: no progress.
@@ -179,92 +195,72 @@ func identity(meta snapshotMeta) snapshotMeta {
 }
 
 // TestSnapshotRoundTripBytes: a snapshot restored into a freshly built
-// optimizer and parameters restores every moment, parameter and the
-// step count, so writing it again gives the same file, byte for byte.
+// optimizer and model restores every moment, parameter and the step
+// count, so writing it again gives the same file, byte for byte.
 func TestSnapshotRoundTripBytes(t *testing.T) {
-	meta, opt, params := snapFixture(1)
-	data, _ := snapshotBytes(t, meta, opt, params)
-	_, opt2, params2 := snapFixture(2)
+	meta, opt, m := snapFixture(1)
+	data, _, _ := snapshotBytes(t, meta, opt, m)
+	_, opt2, m2 := snapFixture(2)
 	opt2.Steps = 0
-	got, err := restoreSnapshot(data, "snapshot", identity(meta), opt2, params2)
+	got, err := restoreSnapshot(data, "snapshot", identity(meta), opt2, m2.Shared)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opt2.Steps != opt.Steps {
 		t.Fatalf("restored step count %d, want %d", opt2.Steps, opt.Steps)
 	}
-	again, _ := snapshotBytes(t, got, opt2, params2)
+	again, _, _ := snapshotBytes(t, got, opt2, m2)
 	if !bytes.Equal(data, again) {
 		t.Fatal("a restored snapshot writes different bytes")
 	}
 }
 
-// TestSnapshotRefusesOldVersion: a v2 snapshot (gob meta and optimizer
-// frames) is refused with the typed error, naming its version, before
-// anything is restored.
-func TestSnapshotRefusesOldVersion(t *testing.T) {
-	meta, opt, params := snapFixture(1)
-	data, _ := snapshotBytes(t, meta, opt, params)
-	binary.BigEndian.PutUint16(data[len(SnapshotMagic):], 2)
-	_, opt2, params2 := snapFixture(2)
-	before := params2[0].T.Data[0]
-	_, err := restoreSnapshot(data, "snapshot", identity(meta), opt2, params2)
-	var ce *ckptio.CorruptError
-	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "unsupported snapshot version 2") {
-		t.Fatalf("got %v, want a *ckptio.CorruptError naming version 2", err)
+// TestLoadReadsSnapshotAsSharedCheckpoint: a snapshot begins with the
+// bytes SaveShared writes for its model, so Load reads it as that
+// shared-only checkpoint and restores every shared parameter bit for
+// bit.
+func TestLoadReadsSnapshotAsSharedCheckpoint(t *testing.T) {
+	meta, opt, m := snapFixture(1)
+	data, train, _ := snapshotBytes(t, meta, opt, m)
+	var shared bytes.Buffer
+	if err := SaveShared(&shared, m); err != nil {
+		t.Fatal(err)
 	}
-	if params2[0].T.Data[0] != before {
-		t.Fatal("a refused snapshot touched the parameters")
+	if !bytes.Equal(data[:train], shared.Bytes()) {
+		t.Fatal("a snapshot does not begin with its model's shared-only checkpoint")
+	}
+	_, _, dst := snapFixture(2)
+	info, err := Load(bytes.NewReader(data), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.SharedOnly {
+		t.Fatal("a snapshot loaded as a full checkpoint")
+	}
+	want, got := m.Shared.Params(), dst.Shared.Params()
+	for i := range want {
+		for j, v := range want[i].T.Data {
+			if math.Float64bits(got[i].T.Data[j]) != math.Float64bits(v) {
+				t.Fatalf("shared parameter %d element %d: loaded %v, snapshot holds %v", i, j, got[i].T.Data[j], v)
+			}
+		}
 	}
 }
 
-// FuzzSnapshot: arbitrary bytes resumed from must end in an error or a
-// restore — never a panic — and never allocate more than the
-// destination optimizer and parameters, 4 MiB, and 8 bytes per input
-// byte. The seeds are a valid snapshot, torn and bit-flipped ones, a v2
-// preamble, and a moment record whose frame claims a gigabyte.
-//
-//	go test ./internal/mtmlf -run=NONE -fuzz=FuzzSnapshot -fuzztime=5m
-func FuzzSnapshot(f *testing.F) {
-	meta, opt, params := snapFixture(1)
-	valid, moments := snapshotBytes(f, meta, opt, params)
-	mutate := func(edit func([]byte)) []byte {
-		b := bytes.Clone(valid)
-		edit(b)
-		return b
+// TestSnapshotRefusesOldVersion: a snapshot in an older build's format
+// (its own "MTMLF-SNAP" preamble) is refused with the typed error,
+// saying what to do, before anything is restored.
+func TestSnapshotRefusesOldVersion(t *testing.T) {
+	meta, opt, m := snapFixture(1)
+	data := parentSnapshot(t, meta, opt, m)
+	_, opt2, m2 := snapFixture(2)
+	before := m2.Shared.Params()[0].T.Data[0]
+	_, err := restoreSnapshot(data, "snapshot", identity(meta), opt2, m2.Shared)
+	var ce *ckptio.CorruptError
+	if !errors.As(err, &ce) || ce.Artifact != "snapshot" || !strings.Contains(err.Error(), "finish that run with the build that wrote it, or start it over") {
+		t.Fatalf("got %v, want a snapshot *ckptio.CorruptError giving the remedy", err)
 	}
-	for _, seed := range [][]byte{
-		valid,
-		valid[:len(valid)/2],
-		valid[:moments],
-		mutate(func(b []byte) { b[snapPreambleSize+9] ^= 1 }),  // meta record
-		mutate(func(b []byte) { b[moments+12] ^= 0x10 }),       // a moment's bits
-		mutate(func(b []byte) { b[len(SnapshotMagic)+1] = 2 }), // v2
-		mutate(func(b []byte) { binary.BigEndian.PutUint64(b[moments:], 1<<30-1) }),
-		{},
-	} {
-		f.Add(seed)
+	if m2.Shared.Params()[0].T.Data[0] != before {
+		t.Fatal("a refused snapshot touched the parameters")
 	}
-	_, dstOpt, dstParams := snapFixture(2)
-	want := identity(meta)
-	dest := 0
-	for _, p := range dstParams {
-		dest += 3 * 8 * p.T.Size() // the parameter and its two moments
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := restoreSnapshot(data, "snapshot", want, dstOpt, dstParams)
-		runtime.ReadMemStats(&after)
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(dest)+4<<20+8*uint64(len(data)); grew > limit {
-			t.Fatalf("restoring %d bytes allocated %d, limit %d", len(data), grew, limit)
-		}
-		if err == nil {
-			for i, p := range dstParams {
-				if p.T.HasNaN() {
-					t.Fatalf("restored a snapshot whose parameter %d is not finite", i)
-				}
-			}
-		}
-	})
 }

@@ -355,7 +355,7 @@ func trainLoop(shared *Shared, models []*Model, srcs []workload.Source, opts Tra
 	ctl, err := prepareSnapshots(ex, opts.Snapshot, snapshotMeta{
 		Kind: kind, Config: config,
 		N: pool.Len(), Epochs: opts.Epochs, BatchSize: bs, Seed: opts.Seed,
-	}, opt, params, &st)
+	}, opt, models[0], &st)
 	if err != nil {
 		return st, err
 	}

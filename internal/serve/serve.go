@@ -40,11 +40,11 @@
 // is never spent on an answer nobody can use.
 //
 // Hot reload: Reload atomically swaps in a new model for the same
-// database. Each micro-batch snapshots the model pointer exactly once
-// at pickup, so every response is computed entirely under one set of
-// weights — in-flight batches drain on the old model while new
-// batches run on the new one, with zero dropped requests (asserted by
-// the -race reload test).
+// database. Each micro-batch snapshots the model pointer exactly once,
+// after its last request is dequeued, so every response is computed
+// entirely under one set of weights — in-flight batches drain on the
+// old model while new batches run on the new one, with zero dropped
+// requests (asserted by the -race reload test).
 //
 // Error boundary: the model layer panics on malformed inputs (unknown
 // tables, plans that don't cover the query). Engine validates every
@@ -521,7 +521,13 @@ func (e *Engine) worker() {
 		if !e.admit(first) {
 			continue
 		}
-		e.cur.Load().run(e, e.fill(first))
+		// Form the batch, then load the bundle: a request sent after
+		// Reload returned was sent after Reload's store and received
+		// here before the load, so the new model serves it. Not one
+		// call: Go evaluates operands left to right, so the bundle would
+		// be loaded before fill dequeued the batch's companions.
+		batch := e.fill(first)
+		e.cur.Load().run(e, batch)
 	}
 }
 

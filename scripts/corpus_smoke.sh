@@ -7,7 +7,8 @@
 # is a bitwise assertion). Along the way it checks the refusals:
 # mtmlf-datagen -out with -single-table 0, mtmlf-train -db without
 # -corpus, -queries or -scale with -corpus, and -snapshot-every
-# without -resume. Run via `make corpus-smoke`; CI runs it on every
+# without -resume; and that a labelling run killed by SIGTERM leaves no
+# temp file beside -out. Run via `make corpus-smoke`; CI runs it on every
 # push and uploads the corpus artifact.
 source "$(dirname "$0")/lib.sh" mtmlf-datagen mtmlf-train
 
@@ -21,6 +22,22 @@ if "$TMP/mtmlf-datagen" "${GEN_ARGS[@]}" -single-table 0 -out "$TMP/none.mtc" >"
     echo "FAIL: mtmlf-datagen -single-table 0 -out wrote a corpus instead of refusing"; exit 1
 fi
 grep -q -- "-single-table 0" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
+
+echo "== a labelling run killed by SIGTERM leaves no temp file"
+# Default row counts label for tens of seconds; the signal lands long
+# before the corpus would be written. Exit status 143 (128 + SIGTERM)
+# shows the process was still running when it arrived.
+mkdir "$TMP/killed"
+"$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -out "$TMP/killed/f.mtc" >/dev/null 2>&1 &
+pid=$!
+sleep 0.5
+kill -TERM "$pid"
+status=0
+wait "$pid" || status=$?
+[ "$status" = 143 ] || {
+    echo "FAIL: mtmlf-datagen exited with status $status, not killed while labelling (want 143)"; exit 1; }
+left=$(ls -A "$TMP/killed")
+[ -z "$left" ] || { echo "FAIL: a killed labelling run left files behind: $left"; exit 1; }
 
 echo "== generating a tiny labeled corpus (1 and 4 workers)"
 "$TMP/mtmlf-datagen" "${GEN_ARGS[@]}" -workers 1 -out "$OUT" | tail -3
