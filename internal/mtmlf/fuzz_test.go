@@ -86,6 +86,7 @@ func FuzzLoadModel(f *testing.F) {
 		mutate(func(b []byte) { b[moments+12] ^= 0x10 }), // a moment's bits
 		parentSnapshot(f, meta, opt, sm),                 // refused: an older build's format
 		mutate(func(b []byte) { binary.BigEndian.PutUint64(b[moments:], 1<<30-1) }),
+		{},
 	} {
 		f.Add(seed)
 	}
