@@ -1,18 +1,15 @@
-// Package bench is the benchmark harness that regenerates every table
-// and figure of the paper's evaluation (see DESIGN.md §3 for the
-// experiment index):
+// Package bench times the paper's figures and ablations (see DESIGN.md
+// §4 for the experiment index; Tables 1–3 are regenerated by
+// mtmlf-bench -exp and pinned by internal/experiments' tests):
 //
-//	BenchmarkTable1QErrors        — Table 1 (card/cost q-errors on JOB-like workload)
-//	BenchmarkTable2JoinOrder      — Table 2 (simulated time per join-order source)
-//	BenchmarkTable3Transfer       — Table 3 (cross-DB transfer via MLA)
 //	BenchmarkFigure2Pipeline      — Figure 2 (one I→F→S→T forward pass)
 //	BenchmarkFigure4Decoding      — Figure 4 (tree↔seq decoding embeddings)
 //	BenchmarkSequenceLossAblation — Section 5 (token-level vs Eq. 3 sequence loss)
 //	BenchmarkBeamWidth            — Section 4.3 (beam width sweep)
 //	BenchmarkMLAShuffling         — Section 3.3 ablation (MLA vs per-DB training)
 //
-// plus micro-benchmarks of the substrates. Each table bench prints the
-// paper-style rows once; run with:
+// plus micro-benchmarks of the substrates. Each ablation prints its
+// rows once; run with:
 //
 //	go test -bench=. -benchmem
 package bench
@@ -24,9 +21,9 @@ import (
 
 	randpkg "math/rand"
 	"mtmlf/internal/ag"
+	"mtmlf/internal/corpus"
 	"mtmlf/internal/cost"
 	"mtmlf/internal/datagen"
-	"mtmlf/internal/experiments"
 	"mtmlf/internal/metrics"
 	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/nn"
@@ -37,55 +34,11 @@ import (
 	"mtmlf/internal/workload"
 )
 
-// benchConfig is the experiment scale for the table benches: the same
-// QuickConfig the mtmlf-bench CLI uses, so bench output and CLI output
-// agree (each table takes tens of seconds).
-func benchConfig() experiments.Config {
-	return experiments.QuickConfig()
-}
-
 var printOnce sync.Map
 
 func printTable(b *testing.B, key, s string) {
 	if _, dup := printOnce.LoadOrStore(key, true); !dup {
 		b.Logf("\n%s", s)
-	}
-}
-
-// BenchmarkTable1QErrors regenerates Table 1: q-errors (median/max/
-// mean) of PostgreSQL, Tree-LSTM, MTMLF-QO and single-task ablations.
-func BenchmarkTable1QErrors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(b, "table1", res.String())
-	}
-}
-
-// BenchmarkTable2JoinOrder regenerates Table 2: total simulated
-// execution time under PostgreSQL, optimal, MTMLF-QO and
-// MTMLF-JoinSel join orders.
-func BenchmarkTable2JoinOrder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable2(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(b, "table2", res.String())
-	}
-}
-
-// BenchmarkTable3Transfer regenerates Table 3: MLA pre-training on a
-// generated fleet, transfer to a held-out database.
-func BenchmarkTable3Transfer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable3(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable(b, "table3", res.String())
 	}
 }
 
@@ -190,32 +143,49 @@ func BenchmarkBeamWidth(b *testing.B) {
 
 // BenchmarkMLAShuffling ablates Algorithm 1's cross-DB shuffling
 // (Section 3.3): MLA-shuffled training vs training the same shared
-// modules on each DB sequentially, measured by held-out join time.
+// modules on each DB's same data sequentially, measured by held-out
+// join time.
 func BenchmarkMLAShuffling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dgCfg := datagen.DefaultConfig()
 		dgCfg.MinTables, dgCfg.MaxTables = 4, 5
 		dgCfg.MinRows, dgCfg.MaxRows = 100, 300
 		fleet := datagen.GenerateFleet(31, 3, dgCfg)
-		trainDBs, testDB := fleet[:2], fleet[2]
 		wcfg := workload.DefaultConfig()
 		wcfg.MaxTables = 3
 		opts := mtmlf.MLAOptions{
 			QueriesPerDB: 15, SingleTablePerTable: 10, EncoderEpochs: 1,
 			JointEpochs: 2, Workload: wcfg, Seed: 32,
 		}
+		heldOut := opts
+		heldOut.Seed = 33
+		r, err := corpus.InMemory(corpus.Meta{}, append(mtmlf.Label(opts, fleet[:2]...), mtmlf.Label(heldOut, fleet[2])...))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cats, srcs, err := r.Fleet()
+		if err != nil {
+			b.Fatal(err)
+		}
+		test, err := workload.Materialize(srcs[2])
+		if err != nil {
+			b.Fatal(err)
+		}
 		cfg := mtmlf.DefaultConfig()
 		cfg.Dim, cfg.Blocks, cfg.DecBlocks = 16, 1, 1
 		cfg.Feat.Dim, cfg.Feat.Blocks = 16, 1
 
 		evalOn := func(shared *mtmlf.Shared) float64 {
-			task := mtmlf.NewDBTask(shared, testDB, opts, 33)
+			task, err := mtmlf.Attach(shared, cats[2], opts)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var t float64
-			for _, lq := range task.Queries {
+			for _, lq := range test {
 				if len(lq.OptimalOrder) < 2 {
 					continue
 				}
-				ex := sqldb.NewExecutor(testDB, lq.Q)
+				ex := sqldb.NewExecutor(task.DB, lq.Q)
 				rep := task.Model.Represent(lq.Q, lq.Plan)
 				t += cost.SimulatedTimeOrder(ex, task.Model.JoinOrderFor(lq.Q, rep))
 			}
@@ -224,16 +194,21 @@ func BenchmarkMLAShuffling(b *testing.B) {
 
 		// Shuffled MLA.
 		sharedA := mtmlf.NewShared(cfg, 34)
-		if _, _, err := mtmlf.TrainMLA(sharedA, trainDBs, opts); err != nil {
+		if _, _, err := mtmlf.TrainMLAStream(sharedA, cats[:2], srcs[:2], opts); err != nil {
 			b.Fatal(err)
 		}
 		shuffled := evalOn(sharedA)
 
 		// Sequential per-DB training (no cross-DB shuffling).
 		sharedB := mtmlf.NewShared(cfg, 34)
-		for di, db := range trainDBs {
-			task := mtmlf.NewDBTask(sharedB, db, opts, 35+int64(di))
-			task.Model.TrainJoint(task.Queries, mtmlf.TrainOptions{Epochs: opts.JointEpochs, Seed: 36})
+		for di := range 2 {
+			task, err := mtmlf.Attach(sharedB, cats[di], opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := task.Model.TrainJointStream(srcs[di], mtmlf.TrainOptions{Epochs: opts.JointEpochs, Seed: 36}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		sequential := evalOn(sharedB)
 		printTable(b, "mla-shuffle", fmt.Sprintf(

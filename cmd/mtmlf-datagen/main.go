@@ -22,14 +22,14 @@
 // one-database corpus (-imdb) labels on one core. -imdb replaces the
 // synthetic fleet with the single 21-table synthetic IMDB database.
 //
-// Every database is generated with the Algorithm 1 seed scheme
-// (mtmlf.GenMLAData): a per-database task seed, -single-table labeled
+// Every database is labelled with the Algorithm 1 seed scheme
+// (mtmlf.Label): a per-database task seed, -single-table labeled
 // queries per table first, then -queries multi-table examples from
 // the same rng stream. -single-table must be at least 1 with -out. The
-// corpus records both counts and the workload config in its Meta, so
+// corpus records both counts and the workload config in its Meta, and
 // `mtmlf-train -mla -corpus` trains the shared (S)+(T) modules from it
-// bitwise-identically to a live in-memory TrainMLA run, skipping both
-// workload labeling and the live (F) pre-training pass.
+// without labelling anything. mtmlf-train without -corpus labels its
+// database with the same helper, into a corpus in memory.
 package main
 
 import (
@@ -39,11 +39,9 @@ import (
 	"os"
 	"time"
 
-	"mtmlf/internal/catalog"
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/mtmlf"
-	"mtmlf/internal/parallel"
 	"mtmlf/internal/sqldb"
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
@@ -117,12 +115,19 @@ func main() {
 		MLAWorkload:         wcfg,
 	}
 	start := time.Now()
-	dbs := label(fleet, mtmlf.MLAOptions{
+	dbs := mtmlf.Label(mtmlf.MLAOptions{
 		QueriesPerDB:        *queries,
 		SingleTablePerTable: *singleTable,
 		Workload:            wcfg,
 		Seed:                *seed,
-	})
+	}, fleet...)
+	for _, d := range dbs {
+		nst := 0
+		for _, tw := range d.SingleTable {
+			nst += len(tw.Queries)
+		}
+		fmt.Printf("labeled %s: %d examples + %d single-table queries\n", d.DB.Name, len(d.Examples), nst)
+	}
 	// Labelling is where the time goes, so the file is opened only once
 	// everything is labelled, and committed atomically (temp file + fsync
 	// + rename): a kill while labelling leaves nothing behind, and a
@@ -136,24 +141,4 @@ func main() {
 	}
 	fmt.Printf("wrote corpus %s: %d databases, %d examples each, %d bytes, %v total\n",
 		*out, len(fleet), *queries, fi.Size(), time.Since(start).Round(time.Millisecond))
-}
-
-// label labels every database of the fleet with GenMLAData,
-// database-parallel on the pool, and returns them in fleet order.
-func label(fleet []*sqldb.DB, opts mtmlf.MLAOptions) []*corpus.Database {
-	dbs := make([]*corpus.Database, len(fleet))
-	parallel.For(len(fleet), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			st, ex := mtmlf.GenMLAData(catalog.NewMemory(fleet[i]), opts, i)
-			dbs[i] = &corpus.Database{DB: fleet[i], Examples: ex, SingleTable: st}
-		}
-	})
-	for _, d := range dbs {
-		nst := 0
-		for _, tw := range d.SingleTable {
-			nst += len(tw.Queries)
-		}
-		fmt.Printf("labeled %s: %d examples + %d single-table queries\n", d.DB.Name, len(d.Examples), nst)
-	}
-	return dbs
 }

@@ -3,17 +3,22 @@
 // checkpoints — the artifact the paper's cloud provider would ship to
 // users (Section 2.3).
 //
-// Data comes from either backend of the pluggable data plane:
+// Data always comes from a corpus (internal/corpus):
 //
-//   - default: the synthetic IMDB database is generated in memory and
-//     a workload is generated and labeled on the fly;
+//   - default: the synthetic IMDB database is generated, and its
+//     single-table queries and -queries labeled examples are labelled
+//     (mtmlf.Label) into a one-database corpus in memory;
 //   - -corpus: a pre-labeled corpus file written by
 //     mtmlf-datagen -out is opened and training examples are
 //     STREAMED from disk, one minibatch at a time, so the corpus may
 //     exceed RAM. -db picks the corpus database (default: the first)
-//     and is refused without -corpus. The database's (F) encoders
-//     pre-train from its single-table section for -encoder-epochs; a
-//     database without one is refused.
+//     and is refused without -corpus.
+//
+// From there both take the same path: the database's (F) encoders
+// pre-train from its single-table section for -encoder-epochs (a
+// database without one is refused; a loaded full checkpoint skips
+// this), and the examples split 85/5/10 into train, validation and
+// test.
 //
 // Usage:
 //
@@ -44,10 +49,9 @@
 // modules train on the pooled example stream (mtmlf.TrainMLAStream)
 // without ever materializing the fleet workload. The MLA seed, the
 // single-table count and the workload config come from the corpus
-// Meta record, so the run reproduces the in-memory TrainMLA(seed)
-// bitwise at any -workers, which `make mla-smoke` asserts. -save then
-// writes the shared-only transfer checkpoint — the paper's cloud
-// artifact.
+// Meta record. The run is bitwise identical at any -workers, which
+// `make mla-smoke` asserts at 1 and 4. -save then writes the
+// shared-only transfer checkpoint — the paper's cloud artifact.
 //
 // -save writes a versioned FULL-model checkpoint: the shared stack,
 // both task heads, the join-order decoder, and the per-database
@@ -96,7 +100,6 @@ import (
 	"syscall"
 	"time"
 
-	"mtmlf/internal/catalog"
 	"mtmlf/internal/ckptio"
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
@@ -115,9 +118,9 @@ var savePath, loadPath, corpusPath, dbName, lossOut, resumePath, distCoord, dist
 var sharedOnly, seqLoss, mla bool
 
 func main() {
-	flag.IntVar(&queries, "queries", 200, "training workload size (in-memory path)")
+	flag.IntVar(&queries, "queries", 200, "labelled workload size (without -corpus)")
 	flag.IntVar(&epochs, "epochs", 6, "joint training epochs")
-	flag.Float64Var(&scale, "scale", 0.06, "synthetic IMDB scale factor (in-memory path)")
+	flag.Float64Var(&scale, "scale", 0.06, "synthetic IMDB scale factor (without -corpus)")
 	flag.Int64Var(&seed, "seed", 1, "random seed")
 	flag.StringVar(&savePath, "save", "", "save a trained model checkpoint to this file")
 	flag.StringVar(&loadPath, "load", "", "load a checkpoint (full or shared-only) before training")
@@ -208,21 +211,24 @@ func main() {
 		Path: resumePath, Every: snapEvery, Resume: resumePath != "",
 		Interrupt: interruptOnSignal(resumePath != ""),
 	}
-	var r *corpus.Reader
-	if corpusPath != "" {
-		var err error
-		if r, err = corpus.Open(corpusPath); err != nil {
-			log.Fatal(err)
-		}
-		defer r.Close()
-	}
-
+	// Without -corpus the data is generated and labelled into a corpus
+	// in memory, so both backends train through the same code.
 	var (
+		r     *corpus.Reader
 		model *mtmlf.Model
 		test  []*workload.LabeledQuery
 		st    mtmlf.TrainStats
 		err   error
 	)
+	if corpusPath != "" {
+		r, err = corpus.Open(corpusPath)
+	} else {
+		r, err = memoryCorpus()
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer r.Close()
 	if mla {
 		model, st, err = trainMLA(r, snap, ex)
 	} else {
@@ -275,62 +281,62 @@ func printDone(start time.Time) {
 		float64(ms[1].Value.Uint64())/(1<<20), ms[2].Value.Uint64())
 }
 
-// trainJoint is the single-database mode: it trains one model on the
-// synthetic IMDB database generated in memory, or on one database of
-// the -corpus artifact r, and returns it with its held-out test set.
-func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (*mtmlf.Model, []*workload.LabeledQuery, mtmlf.TrainStats, error) {
-	// --- data plane: pick a catalog backend and an example source ---
-	var (
-		cat    catalog.Catalog
-		src    workload.Source
-		test   []*workload.LabeledQuery
-		single []workload.TableWorkload // a corpus database's (F) pre-training set
-	)
-	wcfg := workload.DefaultConfig()
-	if r != nil {
-		var c *corpus.DBCatalog
-		var err error
-		if dbName != "" {
-			c, err = r.CatalogByName(dbName)
-		} else {
-			c, err = r.Catalog(0)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		cat = c
-		var ok bool
-		if single, ok, err = c.SingleTable(); err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			log.Fatalf("corpus %s: database %q has no single-table section to pre-train its encoders from — regenerate with mtmlf-datagen", corpusPath, c.Name())
-		}
-		all := c.Examples()
-		n := all.Len()
-		// The same 85/5/10 split as the in-memory path, expressed as
-		// index ranges over the streamed examples.
-		nTrain := int(float64(n) * 0.85)
-		nVal := int(float64(n) * 0.05)
-		if src, err = workload.SubSource(all, 0, nTrain); err != nil {
-			log.Fatal(err)
-		}
-		testSrc, err := workload.SubSource(all, nTrain+nVal, n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if test, err = workload.Materialize(testSrc); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("corpus %s: db %q, %d examples (%d train, %d test)\n",
-			corpusPath, c.Name(), n, src.Len(), len(test))
-	} else {
-		cat = catalog.NewMemory(datagen.SyntheticIMDB(seed, scale))
-	}
-	db := cat.DB()
-	fmt.Printf("database: %d tables, %d join edges (%d workers)\n", len(db.Tables), len(db.Edges), tensor.Parallelism())
+// memoryCorpus generates the synthetic IMDB database and labels it into
+// a one-database corpus in memory, laid out as mtmlf-datagen -imdb
+// writes one: 40 single-table queries per table to pretrain its
+// encoders, then the workload, from one rng stream seeded -seed + 1.
+func memoryCorpus() (*corpus.Reader, error) {
+	db := datagen.SyntheticIMDB(seed, scale)
+	fmt.Printf("generating and labeling %d queries...\n", queries)
+	return corpus.InMemory(corpus.Meta{Seed: seed + 1}, mtmlf.Label(mtmlf.MLAOptions{
+		QueriesPerDB: queries, SingleTablePerTable: 40, Workload: workload.DefaultConfig(), Seed: seed + 1,
+	}, db))
+}
 
-	model := mtmlf.NewModelCat(mtmlf.DefaultConfig(), cat, seed)
+// trainJoint is the single-database mode: it trains one model on one
+// database of the corpus r (-db, or the first) and returns it with its
+// held-out test set.
+func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (*mtmlf.Model, []*workload.LabeledQuery, mtmlf.TrainStats, error) {
+	var c *corpus.DBCatalog
+	var err error
+	if dbName != "" {
+		c, err = r.CatalogByName(dbName)
+	} else {
+		c, err = r.Catalog(0)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	single, ok, err := c.SingleTable()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !ok {
+		log.Fatalf("corpus %s: database %q has no single-table section to pre-train its encoders from — regenerate with mtmlf-datagen", corpusPath, c.Name())
+	}
+	// An 85/5/10 train/validation/test split, as index ranges over the
+	// streamed examples.
+	all := c.Examples()
+	n := all.Len()
+	nTrain := int(float64(n) * 0.85)
+	nVal := int(float64(n) * 0.05)
+	src, err := workload.SubSource(all, 0, nTrain)
+	if err != nil {
+		log.Fatal(err)
+	}
+	testSrc, err := workload.SubSource(all, nTrain+nVal, n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	test, err := workload.Materialize(testSrc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	db := c.DB()
+	fmt.Printf("db %q: %d tables, %d join edges, %d examples (%d train, %d test) (%d workers)\n",
+		c.Name(), len(db.Tables), len(db.Edges), n, src.Len(), len(test), tensor.Parallelism())
+
+	model := mtmlf.NewModelCat(mtmlf.DefaultConfig(), c, seed)
 	loadedFull := false
 	if loadPath != "" {
 		f, err := os.Open(loadPath)
@@ -350,29 +356,16 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 		fmt.Printf("loaded %s checkpoint v%d from %s (trained on db %q)\n",
 			kind, info.Version, loadPath, info.DBName)
 	}
-
-	gen := workload.NewGeneratorFrom(cat, seed+1)
-	switch {
-	case loadedFull:
+	if loadedFull {
 		// The checkpoint already holds trained featurizer weights for
 		// this database; repeating the pre-training would overwrite
 		// them.
 		fmt.Println("skipping featurizer pre-training (full checkpoint loaded)")
-	case r != nil:
-		fmt.Println("pre-training per-table encoders (F module) from the corpus's single-table section...")
+	} else {
+		fmt.Println("pre-training per-table encoders (F module) from the single-table section...")
 		if _, err := model.Feat.PretrainAllFrom(single, encEpochs); err != nil {
 			log.Fatal(err)
 		}
-	default:
-		fmt.Println("pre-training per-table encoders (F module)...")
-		model.Feat.PretrainAll(gen, 40, encEpochs, wcfg)
-	}
-	if r == nil {
-		// The in-memory workload draws from the generator after the
-		// encoder pre-training did.
-		fmt.Printf("generating and labeling %d queries...\n", queries)
-		train, _, testQ := workload.Split(gen.Generate(queries, wcfg), 0.85, 0.05)
-		src, test = workload.SliceSource(train), testQ
 	}
 
 	fmt.Printf("joint training (%d epochs, seq-level loss: %v)...\n", epochs, seqLoss)
@@ -446,22 +439,17 @@ func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (
 	case meta.SingleTablePerTable == 0:
 		log.Fatalf("corpus %s records no single-table count in its Meta; -mla trains from a corpus written by mtmlf-datagen -out", corpusPath)
 	}
-	cats := make([]catalog.Catalog, r.NumDBs())
-	srcs := make([]workload.Source, r.NumDBs())
+	cats, srcs, err := r.Fleet()
+	if err != nil {
+		log.Fatal(err)
+	}
 	total := 0
-	for i := 0; i < r.NumDBs(); i++ {
-		c, err := r.Catalog(i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cats[i] = c
-		srcs[i] = c.Examples()
-		total += srcs[i].Len()
+	for _, src := range srcs {
+		total += src.Len()
 	}
 	// The MLA seed, single-table count and workload config are the
-	// corpus's generation parameters, so this run reproduces the
-	// in-memory TrainMLA over the same fleet bitwise; -seed only varies
-	// the shared-module initialization.
+	// corpus's generation parameters; -seed only varies the
+	// shared-module initialization.
 	fmt.Printf("corpus %s (v%d): %d databases, %d pooled examples, mla seed %d\n",
 		corpusPath, corpus.Version, r.NumDBs(), total, meta.Seed)
 

@@ -28,6 +28,10 @@
 // a signed zero cannot change a nonzero result; DESIGN.md §10 says why
 // it cannot change a parameter either.
 //
+// Every product a sum adds is rounded explicitly, float64(a*b): the
+// conversion keeps a port from fusing it into one FMA, so the
+// gradients are the same bits on every CPU.
+//
 // All matrices are rank-2; vectors are 1xN.
 package ag
 
@@ -493,13 +497,13 @@ func reluDeriv(x, _ float64) float64 {
 
 func geluDeriv(x, _ float64) float64 {
 	const c = 0.7978845608028654 // sqrt(2/pi)
-	inner := c * (x + 0.044715*x*x*x)
+	inner := c * (x + float64(0.044715*x*x*x))
 	th := math.Tanh(inner)
-	sech2 := 1 - th*th
-	return 0.5*(1+th) + 0.5*x*sech2*c*(1+3*0.044715*x*x)
+	sech2 := 1 - float64(th*th)
+	return float64(0.5*(1+th)) + float64(0.5*x*sech2*c*(1+float64(3*0.044715*x*x)))
 }
 
-func tanhDeriv(_, y float64) float64    { return 1 - y*y }
+func tanhDeriv(_, y float64) float64    { return 1 - float64(y*y) }
 func sigmoidDeriv(_, y float64) float64 { return y * (1 - y) }
 func expDeriv(_, y float64) float64     { return y }
 func logDeriv(x, _ float64) float64     { return 1 / x }
@@ -547,7 +551,7 @@ func softmaxBack(c *backCtx, out *Value) {
 		gr := out.Grad.Row(i)
 		var dot float64
 		for j := 0; j < n; j++ {
-			dot += yr[j] * gr[j]
+			dot += float64(yr[j] * gr[j])
 		}
 		orow := g.Row(i)
 		for j := 0; j < n; j++ {
@@ -579,7 +583,7 @@ func logSoftmaxBack(c *backCtx, out *Value) {
 		}
 		orow := g.Row(i)
 		for j := 0; j < n; j++ {
-			orow[j] = gr[j] - math.Exp(yr[j])*sum
+			orow[j] = gr[j] - float64(math.Exp(yr[j])*sum)
 		}
 	}
 	c.accum(a, g)
@@ -606,7 +610,7 @@ func LayerNormRows(a, gamma, beta *Value, eps float64) *Value {
 		var va float64
 		for _, v := range row {
 			d := v - mean
-			va += d * d
+			va += float64(d * d)
 		}
 		va /= float64(n)
 		is := 1 / math.Sqrt(va+eps)
@@ -615,7 +619,7 @@ func LayerNormRows(a, gamma, beta *Value, eps float64) *Value {
 		yr := y.Row(i)
 		for j, v := range row {
 			xr[j] = (v - mean) * is
-			yr[j] = xr[j]*gamma.T.Data[j] + beta.T.Data[j]
+			yr[j] = float64(xr[j]*gamma.T.Data[j]) + beta.T.Data[j]
 		}
 	}
 	out.T = y
@@ -634,7 +638,7 @@ func layerNormBack(c *backCtx, out *Value) {
 			gr := out.Grad.Row(i)
 			xr := xhat.Row(i)
 			for j := 0; j < n; j++ {
-				gg.Data[j] += gr[j] * xr[j]
+				gg.Data[j] += float64(gr[j] * xr[j])
 			}
 		}
 		c.accum(gamma, gg)
@@ -654,13 +658,13 @@ func layerNormBack(c *backCtx, out *Value) {
 			var sumDx, sumDxX float64
 			dx := g.Row(i)
 			for j := range dx {
-				dx[j] = gr[j] * gamma.T.Data[j]
+				dx[j] = float64(gr[j] * gamma.T.Data[j])
 				sumDx += dx[j]
-				sumDxX += dx[j] * xr[j]
+				sumDxX += float64(dx[j] * xr[j])
 			}
 			fn := float64(n)
 			for j := range dx {
-				dx[j] = invstd.Data[i] / fn * (fn*dx[j] - sumDx - xr[j]*sumDxX)
+				dx[j] = invstd.Data[i] / fn * (float64(fn*dx[j]) - sumDx - float64(xr[j]*sumDxX))
 			}
 		}
 		c.accum(a, g)

@@ -1,9 +1,11 @@
-// Package corpus is the on-disk backend of the data plane: a
+// Package corpus is the data plane every training run reads: a
 // versioned container holding, per database, the full columnar table
 // data plus a pre-labeled workload — everything a training run needs,
 // so corpora are generated once (mtmlf-datagen -out), shipped as
 // files, and trained from repeatedly without regenerating or
-// relabeling anything.
+// relabeling anything. A run that labels its data on the fly writes
+// the same bytes into memory (InMemory) and reads them back through
+// the same Reader.
 //
 // # File layout
 //
@@ -37,8 +39,8 @@
 // second, sharded generation scheme, and its checksum-verified header
 // version refuses it with a message that names the version and says to
 // regenerate. The single-table section is optional in the format:
-// mtmlf-datagen always writes it, and a database written without one
-// reports none.
+// mtmlf-datagen always writes it, a database written without one
+// reports none, and training refuses such a database.
 //
 // Opening validates the trailer, the footer checksum, the header
 // checksum, and the whole index before any section is decoded: every

@@ -201,6 +201,21 @@ func (r *Reader) CatalogByName(name string) (*DBCatalog, error) {
 	return nil, fmt.Errorf("corpus: no database %q (have %v)", name, r.Names())
 }
 
+// Fleet returns every database in file order as the catalogs and the
+// example sources mtmlf.TrainMLAStream takes.
+func (r *Reader) Fleet() ([]catalog.Catalog, []workload.Source, error) {
+	cats := make([]catalog.Catalog, len(r.index))
+	srcs := make([]workload.Source, len(r.index))
+	for i := range cats {
+		c, err := r.Catalog(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		cats[i], srcs[i] = c, c.Examples()
+	}
+	return cats, srcs, nil
+}
+
 // Examples returns the i-th database's labeled workload as a
 // streaming workload.Source: each access decodes one example straight
 // from disk, so epochs never materialize the corpus.
@@ -289,10 +304,10 @@ func (c *DBCatalog) Examples() *ExampleSet {
 	return &ExampleSet{r: c.r, d: &c.r.index[c.idx]}
 }
 
-// SingleTable returns this database's cached encoder pre-training
-// workloads (the single-table section). ok is false when the database
-// was written without the section — consumers then fall back to
-// generating the data live (featurize.PretrainAll).
+// SingleTable returns this database's encoder pre-training workloads
+// (the single-table section). ok is false when the database was written
+// without the section; Algorithm 1 (mtmlf.Attach) refuses such a
+// database rather than drawing the data itself.
 func (c *DBCatalog) SingleTable() (data []workload.TableWorkload, ok bool, err error) {
 	d := &c.r.index[c.idx]
 	if d.SingleOff == 0 {

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -89,8 +90,8 @@ func (w *Writer) BeginDB(db *sqldb.DB) error {
 }
 
 // WriteSingleTable writes the current database's single-table
-// pre-training section: the per-table encoder workloads that let
-// mtmlf-train -corpus skip the live (F) pre-training pass. It must be
+// pre-training section: the per-table encoder workloads a training run
+// pre-trains the database's (F) module on (mtmlf.Attach). It must be
 // called after BeginDB and before the database's first AppendExample,
 // at most once per database.
 func (w *Writer) WriteSingleTable(data []workload.TableWorkload) error {
@@ -190,6 +191,18 @@ type Database struct {
 // previous corpus, or nothing — never a torn file.
 func WriteFile(path string, meta Meta, dbs []*Database) error {
 	return ckptio.WriteFileAtomic(path, func(f io.Writer) error { return write(f, meta, dbs) })
+}
+
+// InMemory writes a whole corpus into a byte slice and opens it: the
+// data plane's in-memory backend. A run that generates its data on the
+// fly trains from the returned Reader exactly as a run from the file
+// WriteFile would write, bit for bit.
+func InMemory(meta Meta, dbs []*Database) (*Reader, error) {
+	var b bytes.Buffer
+	if err := write(&b, meta, dbs); err != nil {
+		return nil, err
+	}
+	return NewReader(bytes.NewReader(b.Bytes()), int64(b.Len()))
 }
 
 // write streams a whole corpus to f.

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"mtmlf/internal/catalog"
+	"mtmlf/internal/corpus"
 	"mtmlf/internal/cost"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/metrics"
@@ -425,15 +426,13 @@ type Table3Result struct {
 }
 
 // RunTable3 generates a fleet of databases with the Section 6.2
-// pipeline, meta-trains MTMLF-QO on all but the last via Algorithm 1,
-// attaches the held-out database's (F) module, fine-tunes on a small
-// number of queries, and compares simulated execution time against the
-// PostgreSQL baseline and an MTMLF-QO trained from scratch on the
-// held-out database.
+// pipeline and labels it into one in-memory corpus, meta-trains
+// MTMLF-QO on all but the last via Algorithm 1, attaches the held-out
+// database's (F) module, fine-tunes on a small number of queries, and
+// compares simulated execution time against the PostgreSQL baseline
+// and an MTMLF-QO trained from scratch on the held-out database.
 func RunTable3(cfg Config) (*Table3Result, error) {
 	dbs := datagen.GenerateFleet(cfg.Seed+100, cfg.NumDBs, cfg.Datagen)
-	trainDBs := dbs[:len(dbs)-1]
-	testDB := dbs[len(dbs)-1]
 
 	wcfg := cfg.Workload
 	wcfg.WithOptimal = true
@@ -452,10 +451,23 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 		Workload:            wcfg,
 		Seed:                cfg.Seed + 200,
 	}
+	// The training databases are labelled at their task seeds, the
+	// held-out one from a seed of its own.
+	heldOut := mlaOpts
+	heldOut.Seed = cfg.Seed + 400
+	n := len(dbs) - 1
+	r, err := corpus.InMemory(corpus.Meta{}, append(mtmlf.Label(mlaOpts, dbs[:n]...), mtmlf.Label(heldOut, dbs[n])...))
+	if err != nil {
+		return nil, err
+	}
+	cats, srcs, err := r.Fleet()
+	if err != nil {
+		return nil, err
+	}
 
 	// MLA pre-training on the training fleet (Algorithm 1).
 	shared := mtmlf.NewShared(cfg.Model, cfg.Seed+300)
-	if _, _, err := mtmlf.TrainMLA(shared, trainDBs, mlaOpts); err != nil {
+	if _, _, err := mtmlf.TrainMLAStream(shared, cats[:n], srcs[:n], mlaOpts); err != nil {
 		return nil, err
 	}
 
@@ -463,8 +475,15 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 	// shared modules gently (low learning rate — the pre-trained
 	// modules already transfer, and an aggressive local fit destroys
 	// the meta-knowledge; Table 3 in DESIGN.md §4).
-	testTask := mtmlf.NewDBTask(shared, testDB, mlaOpts, cfg.Seed+400)
-	testQueries := testTask.Queries
+	testCat := cats[n]
+	testTask, err := mtmlf.Attach(shared, testCat, mlaOpts)
+	if err != nil {
+		return nil, err
+	}
+	testQueries, err := workload.Materialize(srcs[n])
+	if err != nil {
+		return nil, err
+	}
 	nft := cfg.FineTuneQueries
 	if nft > len(testQueries)/2 {
 		nft = len(testQueries) / 2
@@ -480,10 +499,9 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 	// sequence inside one closure.
 	var single, fresh *mtmlf.Model
 	var st *stats.DBStats
-	// One catalog for the held-out DB: the from-scratch control and
-	// the baseline optimizer share a single ANALYZE pass (safe to
-	// race on — Stats is behind a sync.Once).
-	testCat := catalog.NewMemory(testDB)
+	// One catalog for the held-out DB: the attach, the from-scratch
+	// control and the baseline optimizer share a single ANALYZE pass
+	// (safe to race on — Stats is behind a sync.Once).
 	parallel.Do(
 		func() {
 			testTask.Model.FineTune(ftSet, cfg.FineTuneEpochs, cfg.Model.LR/10, cfg.Seed+500)
@@ -509,7 +527,7 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 		if len(lq.OptimalOrder) < 2 {
 			continue
 		}
-		ex := sqldb.NewExecutor(testDB, lq.Q)
+		ex := sqldb.NewExecutor(testCat.DB(), lq.Q)
 		pgRes, err := optimizer.BestLeftDeep(lq.Q, optimizer.EstimatedCards{S: st, Q: lq.Q})
 		if err != nil {
 			return nil, err

@@ -176,7 +176,7 @@ func writeFilterToken(k *Tokenizer, w []float64, flt sqldb.Filter) {
 		// L2-normalize the bag.
 		var norm float64
 		for _, c := range w[off : off+cfg.CharDims] {
-			norm += c * c
+			norm += float64(c * c)
 		}
 		if norm > 0 {
 			norm = math.Sqrt(norm)
@@ -305,7 +305,7 @@ func (f *Featurizer) PretrainEncoder(table string, data []workload.SingleTableQu
 			loss := ag.MeanAll(ag.Abs(ag.Sub(pred, target)))
 			loss.Backward()
 			opt.Step()
-			running = 0.95*running + 0.05*loss.Item()
+			running = float64(0.95*running) + float64(0.05*loss.Item())
 			steps++
 		}
 	}
@@ -334,10 +334,10 @@ func (f *Featurizer) PretrainAll(gen *workload.Generator, perTable, epochs int, 
 
 // PretrainAllFrom trains the table encoders on pre-generated
 // single-table workloads — the corpus path, where the data was
-// produced once at datagen time (workload.Generator.GenPretrainSet)
-// and shipped in the artifact, so a training run skips the live (F)
-// generation pass entirely. Training from a stored set is bitwise
-// identical to PretrainAll over the generator that produced it.
+// produced once at labelling time (workload.Generator.GenPretrainSet)
+// and stored in the corpus, so a training run generates nothing.
+// Training from a stored set is bitwise identical to PretrainAll over
+// the generator that produced it.
 //
 // The set must cover every table exactly once: an encoder a partial
 // section silently skipped would serve from its random

@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"mtmlf/internal/ag"
-	"mtmlf/internal/catalog"
-	"mtmlf/internal/featurize"
 	"mtmlf/internal/tensor"
-	"mtmlf/internal/workload"
 )
 
 // assertFeatFrozen fails unless every (F) parameter holds no gradient
@@ -64,28 +61,20 @@ func TestFeaturizerFrozenDuringTraining(t *testing.T) {
 		}
 	}
 
-	dbs := mlaFleet()
 	opts := mlaFixtureOpts()
 	opts.BatchSize = 1
-	cats := make([]catalog.Catalog, len(dbs))
-	srcs := make([]workload.Source, len(dbs))
-	for i, db := range dbs {
-		cats[i] = catalog.NewMemory(db)
-		_, qs := GenMLAData(cats[i], opts, i)
-		srcs[i] = workload.SliceSource(qs)
-	}
+	cats, srcs := mlaCorpus(opts)
 	shared := NewShared(tinyConfig(), 20)
 	tasks, _, err := TrainMLAStream(shared, cats, srcs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, task := range tasks {
-		// The featurizer newDBTaskFrom builds, pre-trained and nothing more.
-		ref := featurize.NewFrom(cats[i], shared.Cfg.Feat, opts.Seed+7)
-		st, _ := GenMLAData(cats[i], opts, i)
-		if _, err := ref.PretrainAllFrom(st, opts.EncoderEpochs); err != nil {
+		// The featurizer Attach builds, pre-trained and nothing more.
+		ref, err := Attach(shared, cats[i], opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		assertFeatFrozen(t, "TrainMLAStream", task.Model.Feat.Params(), ref.Params())
+		assertFeatFrozen(t, "TrainMLAStream", task.Model.Feat.Params(), ref.Model.Feat.Params())
 	}
 }

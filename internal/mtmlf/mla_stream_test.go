@@ -1,9 +1,10 @@
 package mtmlf
 
 import (
+	"fmt"
 	"math"
-	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mtmlf/internal/catalog"
@@ -15,7 +16,7 @@ import (
 )
 
 // mlaFixtureOpts is the one option set every MLA equivalence test
-// uses on both the live and the corpus-backed side.
+// uses on both sides.
 func mlaFixtureOpts() MLAOptions {
 	wcfg := workload.DefaultConfig()
 	wcfg.MaxTables = 3
@@ -40,71 +41,26 @@ func mlaFleet() []*sqldb.DB {
 	return datagen.GenerateFleet(21, 2, dgCfg)
 }
 
-// writeMLACorpus writes the fleet's Algorithm 1 training data to a
-// corpus file: GenMLAData output per database, with the single-table
-// sections when single is set. With them it is exactly what
-// mtmlf-datagen -single-table produces.
-func writeMLACorpus(t *testing.T, dbs []*sqldb.DB, opts MLAOptions, single bool) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "fleet.mtc")
-	f, err := os.Create(path)
+// mlaCorpus labels the test fleet with opts into a corpus in memory
+// and returns its databases as the (catalogs, sources) pair
+// TrainMLAStream takes: the data every MLA test trains from. It panics
+// on an error, which only a broken corpus package can produce. Each
+// call builds private copies, so fleet ranks share nothing.
+func mlaCorpus(opts MLAOptions) ([]catalog.Catalog, []workload.Source) {
+	r, err := corpus.InMemory(corpus.Meta{Seed: opts.Seed}, Label(opts, mlaFleet()...))
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	w, err := corpus.NewWriter(f, corpus.Meta{Seed: opts.Seed})
+	cats, srcs, err := r.Fleet()
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	for i, db := range dbs {
-		st, qs := GenMLAData(catalog.NewMemory(db), opts, i)
-		if err := w.BeginDB(db); err != nil {
-			t.Fatal(err)
-		}
-		if single {
-			if err := w.WriteSingleTable(st); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, lq := range qs {
-			if err := w.AppendExample(lq); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return cats, srcs
 }
 
-// openMLACorpus returns every database of a corpus as the
-// (catalogs, sources) pair TrainMLAStream consumes.
-func openMLACorpus(t *testing.T, path string) (*corpus.Reader, []catalog.Catalog, []workload.Source) {
-	t.Helper()
-	r, err := corpus.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	cats := make([]catalog.Catalog, r.NumDBs())
-	srcs := make([]workload.Source, r.NumDBs())
-	for i := range cats {
-		c, err := r.Catalog(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cats[i] = c
-		srcs[i] = c.Examples()
-	}
-	return r, cats, srcs
-}
-
-// assertMLAEqual compares a streamed MLA run against the in-memory
-// reference: loss trajectory, final loss, step count, shared
-// parameters, and every task's featurizer parameters — all bitwise.
+// assertMLAEqual compares an MLA run against a reference run: loss
+// trajectory, final loss, step count, shared parameters, and every
+// task's featurizer parameters — all bitwise.
 func assertMLAEqual(t *testing.T, label string,
 	refShared, gotShared *Shared, refTasks, gotTasks []*DBTask, ref, got TrainStats) {
 	t.Helper()
@@ -125,7 +81,7 @@ func assertMLAEqual(t *testing.T, label string,
 	pa, pb := refShared.Params(), gotShared.Params()
 	for i := range pa {
 		if !tensor.Equal(pa[i].T, pb[i].T, 0) {
-			t.Fatalf("%s: shared parameter %d differs from in-memory TrainMLA", label, i)
+			t.Fatalf("%s: shared parameter %d differs from the reference", label, i)
 		}
 	}
 	if len(gotTasks) != len(refTasks) {
@@ -145,16 +101,15 @@ func assertMLAEqual(t *testing.T, label string,
 }
 
 // TestTrainMLAStreamMatchesInMemory is the eps=0 equivalence contract
-// of corpus-backed fleet pretraining: Algorithm 1 run from a corpus
-// artifact — cached single-table sections, streamed pooled
-// examples — reproduces the live in-memory TrainMLA bitwise (loss
-// trajectory, shared parameters, every featurizer) at workers 1 and
-// 4, without ever materializing the pooled workload.
+// of the data plane's two backends: Algorithm 1 from a corpus file —
+// the single-table sections and examples read back from disk —
+// reproduces the run from the same corpus in memory bitwise (loss
+// trajectory, shared parameters, every featurizer) at workers 1 and 4.
 func TestTrainMLAStreamMatchesInMemory(t *testing.T) {
-	dbs := mlaFleet()
 	opts := mlaFixtureOpts()
 	refShared := NewShared(tinyConfig(), 20)
-	refTasks, refStats, err := TrainMLA(refShared, dbs, opts)
+	cats, srcs := mlaCorpus(opts)
+	refTasks, refStats, err := TrainMLAStream(refShared, cats, srcs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +117,18 @@ func TestTrainMLAStreamMatchesInMemory(t *testing.T) {
 		t.Fatalf("reference ran %d steps, want 24", refStats.Steps)
 	}
 
-	_, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, true))
+	path := filepath.Join(t.TempDir(), "fleet.mtc")
+	if err := corpus.WriteFile(path, corpus.Meta{Seed: opts.Seed}, Label(opts, mlaFleet()...)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := corpus.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if cats, srcs, err = r.Fleet(); err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
 		shared := NewShared(tinyConfig(), 20)
 		wopts := opts
@@ -171,59 +137,53 @@ func TestTrainMLAStreamMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ti, task := range tasks {
-			if task.Queries != nil {
-				t.Fatalf("workers=%d: task %d materialized %d queries; the stream path must not",
-					workers, ti, len(task.Queries))
-			}
-		}
-		assertMLAEqual(t, "stream", refShared, shared, refTasks, tasks, refStats, st)
+		assertMLAEqual(t, "file corpus", refShared, shared, refTasks, tasks, refStats, st)
 	}
 }
 
-// TestTrainMLAStreamWithoutSingleTableSection: a corpus written
-// without single-table sections still trains — the featurizers fall back to live (F) pre-training from the
-// task seed, which draws the exact prefix of the rng stream the corpus
-// queries were generated from, so the run STILL matches the in-memory
-// reference bitwise.
+// TestTrainMLAStreamWithoutSingleTableSection: a database without a
+// single-table section — a corpus written without one, or a
+// catalog.Memory — is refused with an error that names it, before the
+// shared modules take a step: the library never draws (F) data behind
+// its caller's back.
 func TestTrainMLAStreamWithoutSingleTableSection(t *testing.T) {
-	dbs := mlaFleet()
 	opts := mlaFixtureOpts()
-	refShared := NewShared(tinyConfig(), 20)
-	refTasks, refStats, err := TrainMLA(refShared, dbs, opts)
+	dbs := Label(opts, mlaFleet()...)
+	dbs[1].SingleTable = nil
+	r, err := corpus.InMemory(corpus.Meta{}, dbs)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	_, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, false))
-	if _, ok, err := cats[0].(*corpus.DBCatalog).SingleTable(); ok || err != nil {
-		t.Fatalf("fixture has a single-table section: ok=%v err=%v", ok, err)
-	}
-	shared := NewShared(tinyConfig(), 20)
-	tasks, st, err := TrainMLAStream(shared, cats, srcs, opts)
+	cats, srcs, err := r.Fleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMLAEqual(t, "live (F) fallback", refShared, shared, refTasks, tasks, refStats, st)
+	memory := append([]catalog.Catalog{cats[0]}, catalog.NewMemory(dbs[1].DB))
+	for _, fleet := range [][]catalog.Catalog{cats, memory} {
+		shared := NewShared(tinyConfig(), 20)
+		want := cloneParams(shared.Params())
+		_, st, err := TrainMLAStream(shared, fleet, srcs, opts)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", dbs[1].DB.Name)) {
+			t.Fatalf("%T without a section: got %v, want an error naming %q", fleet[1], err, dbs[1].DB.Name)
+		}
+		if st.Steps != 0 {
+			t.Fatalf("%T without a section: the joint loop ran %d steps", fleet[1], st.Steps)
+		}
+		for i, p := range shared.Params() {
+			if !tensor.Equal(p.T, want[i].T, 0) {
+				t.Fatalf("%T without a section: shared parameter %d moved", fleet[1], i)
+			}
+		}
+	}
 }
 
 // TestTrainMLAStreamPropagatesSourceErrors: an I/O failure in any
 // pooled source must abort the joint loop with the error — a
 // half-trained fleet model must never look like a trained one.
 func TestTrainMLAStreamPropagatesSourceErrors(t *testing.T) {
-	dbs := mlaFleet()
 	opts := mlaFixtureOpts()
-	cats := make([]catalog.Catalog, len(dbs))
-	srcs := make([]workload.Source, len(dbs))
-	for i, db := range dbs {
-		cats[i] = catalog.NewMemory(db)
-		_, qs := GenMLAData(cats[i], opts, i)
-		src := workload.Source(workload.SliceSource(qs))
-		if i == 1 {
-			src = errSource{Source: src, bad: 2}
-		}
-		srcs[i] = src
-	}
+	cats, srcs := mlaCorpus(opts)
+	srcs[1] = errSource{Source: srcs[1], bad: 2}
 	shared := NewShared(tinyConfig(), 20)
 	_, _, err := TrainMLAStream(shared, cats, srcs, opts)
 	if err == nil {
@@ -234,12 +194,8 @@ func TestTrainMLAStreamPropagatesSourceErrors(t *testing.T) {
 // TestTrainMLAStreamRejectsMismatchedInputs: the cats/srcs pairing is
 // positional; a length mismatch is a caller bug surfaced as an error.
 func TestTrainMLAStreamRejectsMismatchedInputs(t *testing.T) {
-	dbs := mlaFleet()
-	shared := NewShared(tinyConfig(), 20)
-	_, _, err := TrainMLAStream(shared,
-		[]catalog.Catalog{catalog.NewMemory(dbs[0])},
-		[]workload.Source{workload.SliceSource{}, workload.SliceSource{}},
-		mlaFixtureOpts())
+	cats, srcs := mlaCorpus(mlaFixtureOpts())
+	_, _, err := TrainMLAStream(NewShared(tinyConfig(), 20), cats[:1], srcs, mlaFixtureOpts())
 	if err == nil {
 		t.Fatal("expected length mismatch error")
 	}

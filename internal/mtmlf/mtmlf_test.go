@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mtmlf/internal/ag"
+	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/metrics"
 	"mtmlf/internal/nn"
@@ -267,22 +268,11 @@ func TestSharedParamsSerializableAndTransferable(t *testing.T) {
 }
 
 func TestMLARunsAndTransfers(t *testing.T) {
-	cfg := tinyConfig()
-	shared := NewShared(cfg, 20)
-	dgCfg := datagen.DefaultConfig()
-	dgCfg.MinTables, dgCfg.MaxTables = 4, 5
-	dgCfg.MinRows, dgCfg.MaxRows = 100, 250
-	dbs := datagen.GenerateFleet(21, 2, dgCfg)
-	wcfg := workload.DefaultConfig()
-	wcfg.MaxTables = 3
-	tasks, st, err := TrainMLA(shared, dbs, MLAOptions{
-		QueriesPerDB:        8,
-		SingleTablePerTable: 5,
-		EncoderEpochs:       1,
-		JointEpochs:         1,
-		Workload:            wcfg,
-		Seed:                22,
-	})
+	opts := mlaFixtureOpts()
+	opts.QueriesPerDB, opts.SingleTablePerTable, opts.JointEpochs, opts.BatchSize = 8, 5, 1, 1
+	cats, srcs := mlaCorpus(opts)
+	shared := NewShared(tinyConfig(), 20)
+	tasks, st, err := TrainMLAStream(shared, cats, srcs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,15 +287,30 @@ func TestMLARunsAndTransfers(t *testing.T) {
 	}
 	// Attach a new DB and fine-tune briefly; must not crash and must
 	// produce estimates.
+	dgCfg := datagen.DefaultConfig()
+	dgCfg.MinTables, dgCfg.MaxTables = 4, 5
+	dgCfg.MinRows, dgCfg.MaxRows = 100, 250
 	newDB := datagen.GenerateDB(rand.New(rand.NewSource(23)), "D-new", dgCfg)
-	task := NewDBTask(shared, newDB, MLAOptions{
-		QueriesPerDB:        4,
-		SingleTablePerTable: 5,
-		EncoderEpochs:       1,
-		Workload:            wcfg,
-	}, 24)
-	task.Model.FineTune(task.Queries, 1, 1e-3, 25)
-	cards := task.Model.EstimateNodeCards(task.Queries[0])
+	newOpts := opts
+	newOpts.QueriesPerDB, newOpts.Seed = 4, 24
+	r, err := corpus.InMemory(corpus.Meta{}, Label(newOpts, newDB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.Catalog(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := Attach(shared, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := workload.Materialize(c.Examples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	task.Model.FineTune(queries, 1, 1e-3, 25)
+	cards := task.Model.EstimateNodeCards(queries[0])
 	if len(cards) == 0 || cards[0] < 1 {
 		t.Fatal("transferred model produced no estimates")
 	}

@@ -50,7 +50,9 @@ type SnapshotOptions struct {
 	// + rename) at every snapshot point. Empty disables persistence.
 	Path string
 	// Every writes a snapshot after every N optimizer steps
-	// (minibatches). 0 snapshots only on interruption.
+	// (minibatches). 0 snapshots only on interruption. A run that
+	// finishes always writes a last snapshot, so the file holds the
+	// trained state and a rerun with Resume is a no-op.
 	Every int
 	// Resume restores training state from Path before the first step.
 	// A missing file is a fresh start, so a supervisor can always pass
@@ -231,7 +233,8 @@ type epochCtl struct {
 	// epoch, a minibatch boundary).
 	startEpoch  int
 	startOffset int
-	// every snapshots after every N minibatches (0 = interrupt-only).
+	// every snapshots after every N minibatches (0 = at interruption and
+	// at the end only).
 	every int
 	// snap persists the state at progress {epoch, offset}; nil skips
 	// persistence (interruption still stops the loop).

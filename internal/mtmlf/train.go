@@ -1,11 +1,13 @@
 package mtmlf
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/catalog"
+	"mtmlf/internal/corpus"
 	"mtmlf/internal/dist"
 	"mtmlf/internal/featurize"
 	"mtmlf/internal/nn"
@@ -87,9 +89,11 @@ func runEpochs(ex dist.Exchanger, opt *nn.Adam, params []*ag.Value, n, epochs, b
 			if end >= len(order) {
 				epNext, offNext = ep+1, 0
 			}
+			// A finished run snapshots too, so the file never lags the
+			// trained model: a rerun resumes at the end, a no-op.
 			done := epNext >= epochs && offNext == 0
 			stop := !done && ctl.stopRequested(batches)
-			if ctl.snap != nil && !done && (stop || (ctl.every > 0 && batches%ctl.every == 0)) {
+			if ctl.snap != nil && (done || stop || (ctl.every > 0 && batches%ctl.every == 0)) {
 				if err := ctl.snap(epNext, offNext); err != nil {
 					return err
 				}
@@ -181,7 +185,7 @@ type TrainStats struct {
 // count, and the optional bitwise trajectory.
 func recordInto(st *TrainStats, trajectory bool) func(float64) {
 	return func(loss float64) {
-		st.FinalLoss = 0.95*st.FinalLoss + 0.05*loss
+		st.FinalLoss = float64(0.95*st.FinalLoss) + float64(0.05*loss)
 		st.Steps++
 		if trajectory {
 			st.Trajectory = append(st.Trajectory, loss)
@@ -426,16 +430,11 @@ func (m *Model) TrainJointStream(src workload.Source, opts TrainOptions) (TrainS
 // Algorithm 1: cross-DB meta-learning (MLA)
 // ---------------------------------------------------------------------------
 
-// DBTask bundles one database's generator, featurizer, and labeled
-// workload for MLA.
+// DBTask is one database of an Algorithm 1 fleet: its data, and a model
+// whose (F) module is its own and whose (S)+(T) modules are shared.
 type DBTask struct {
 	DB    *sqldb.DB
 	Model *Model // shares Shared with every other task
-	// Queries is the materialized multi-table workload on the
-	// in-memory path (NewDBTask). Corpus-backed tasks (TrainMLAStream)
-	// leave it nil — their examples stay on disk and stream through
-	// the epoch iterator one minibatch at a time.
-	Queries []*workload.LabeledQuery
 }
 
 // MLAOptions controls the meta-learning run.
@@ -443,7 +442,8 @@ type MLAOptions struct {
 	// QueriesPerDB is the multi-table workload size per database.
 	QueriesPerDB int
 	// SingleTablePerTable and EncoderEpochs control Enc_i pre-training
-	// (Algorithm 1 line 4).
+	// (Algorithm 1 line 4): the single-table queries GenMLAData labels
+	// per table, and the epochs Attach pre-trains on them.
 	SingleTablePerTable int
 	EncoderEpochs       int
 	// JointEpochs trains (S)+(T) over the shuffled pooled data
@@ -460,7 +460,8 @@ type MLAOptions struct {
 	// RecordTrajectory keeps every pooled example's loss (in
 	// processing order) in TrainStats.Trajectory, with the same
 	// semantics as TrainOptions.RecordTrajectory — the eps=0 probe for
-	// comparing the in-memory and corpus-backed MLA paths.
+	// comparing MLA runs across source backends, worker counts and
+	// fleet sizes.
 	RecordTrajectory bool
 	// Snapshot makes the joint loop (Algorithm 1 lines 7–8) durable,
 	// with the same semantics as TrainOptions.Snapshot. Per-DB
@@ -474,51 +475,24 @@ type MLAOptions struct {
 	Exchanger dist.Exchanger
 }
 
-// taskSeed derives database i's task seed from the MLA master seed —
-// the one seed scheme NewDBTask, TrainMLAStream's live-pretrain
-// fallback, and GenMLAData all share, so a corpus written from
-// GenMLAData trains bitwise-identically to the live in-memory run.
+// taskSeed derives database i's task seed from the MLA master seed:
+// the seed GenMLAData labels database i of a fleet from.
 func (o MLAOptions) taskSeed(i int) int64 { return o.Seed + int64(i)*101 }
 
-// TrainMLA runs Algorithm 1 over in-memory databases: for each
-// database it trains the single-table encoders and builds a labeled
-// workload (lines 3–6, NewDBTask), then trains the shared (S) and (T)
-// modules on the pooled, shuffled examples (lines 7–8). It returns the
-// per-DB tasks so callers can evaluate the shared modules on each
-// database or attach a new one, plus the joint loop's TrainStats
-// (final running loss, steps, and — with MLAOptions.RecordTrajectory —
-// every pooled example's loss). Per-DB preparation is independent
-// across databases and fans out over the worker pool.
-func TrainMLA(shared *Shared, dbs []*sqldb.DB, opts MLAOptions) ([]*DBTask, TrainStats, error) {
-	tasks := make([]*DBTask, len(dbs))
-	srcs := make([]workload.Source, len(dbs))
-	parallel.For(len(dbs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tasks[i] = NewDBTask(shared, dbs[i], opts, opts.taskSeed(i))
-			srcs[i] = workload.SliceSource(tasks[i].Queries)
-		}
-	})
-	st, err := trainMLAJoint(shared, tasks, srcs, opts)
-	return tasks, st, err
-}
-
-// TrainMLAStream is Algorithm 1 over the pluggable data plane: each
-// database arrives as a catalog.Catalog plus a workload.Source of
-// pre-labeled examples — corpus.DBCatalog with corpus.Reader.Examples
-// for fleet pretraining from one on-disk artifact, or in-memory
-// slices for tests and hybrids. cats[i] and srcs[i] describe the same
-// database.
-//
-// Per-DB preparation builds each featurizer exactly as NewDBTask does
-// (same init seed, same table order); the single-table pre-training
-// data comes from the catalog's single-table section when present
-// (SingleTable) and is otherwise regenerated live from the task seed
-// — both bitwise-identical to the in-memory path. The joint loop then
-// streams the pooled sources one minibatch at a time, so the fleet
-// workload is never materialized, and the trajectory and final shared
-// parameters are bitwise identical to TrainMLA on the same data at
-// any worker count. The error is the epoch iterator's or a source's:
-// a half-trained model must never be mistaken for a trained one.
+// TrainMLAStream is Algorithm 1. Each database arrives as a catalog
+// with a single-table section plus a workload.Source of pre-labeled
+// examples, cats[i] and srcs[i] describing the same database:
+// corpus.Reader.Fleet gives both, from a corpus file or from one
+// corpus.InMemory wrote. Every database is attached first (lines 3–4,
+// Attach, database-parallel); then the shared (S)+(T) modules train on
+// the pooled, shuffled examples (lines 7–8), streamed one minibatch at
+// a time so the fleet workload is never materialized. The trajectory
+// and the final shared parameters are bitwise identical at any worker
+// count and fleet size. It returns the per-DB tasks, so callers can
+// evaluate the shared modules on each database, and the joint loop's
+// TrainStats. The error is Attach's, the epoch iterator's or a
+// source's: a half-trained model must never be mistaken for a trained
+// one.
 func TrainMLAStream(shared *Shared, cats []catalog.Catalog, srcs []workload.Source, opts MLAOptions) ([]*DBTask, TrainStats, error) {
 	if len(cats) != len(srcs) {
 		return nil, TrainStats{}, fmt.Errorf("mtmlf: %d catalogs but %d example sources", len(cats), len(srcs))
@@ -526,46 +500,36 @@ func TrainMLAStream(shared *Shared, cats []catalog.Catalog, srcs []workload.Sour
 	tasks := make([]*DBTask, len(cats))
 	if err := parallel.ForErr(len(cats), 1, func(i int) error {
 		var err error
-		tasks[i], _, err = newDBTaskFrom(shared, cats[i], opts, opts.taskSeed(i))
-		if err != nil {
-			return fmt.Errorf("mtmlf: prepare database %q: %w", cats[i].Name(), err)
-		}
-		return nil
+		tasks[i], err = Attach(shared, cats[i], opts)
+		return err
 	}); err != nil {
 		return nil, TrainStats{}, err
 	}
-	st, err := trainMLAJoint(shared, tasks, srcs, opts)
-	return tasks, st, err
-}
-
-// trainMLAJoint is Algorithm 1 lines 7–8: the training loop over the
-// tasks' pooled sources, with the token-level join-order loss and the
-// config's learning rate.
-func trainMLAJoint(shared *Shared, tasks []*DBTask, srcs []workload.Source, opts MLAOptions) (TrainStats, error) {
 	models := make([]*Model, len(tasks))
 	for i, t := range tasks {
 		models[i] = t.Model
 	}
 	lr := shared.Cfg.LR
-	return trainLoop(shared, models, srcs, TrainOptions{
+	st, err := trainLoop(shared, models, srcs, TrainOptions{
 		Epochs: opts.JointEpochs, Seed: opts.Seed, BatchSize: opts.BatchSize, Workers: opts.Workers,
 		RecordTrajectory: opts.RecordTrajectory, Snapshot: opts.Snapshot, Exchanger: opts.Exchanger,
 	}, lr, "mla", fmt.Sprintf("lr=%v trajectory=%v", lr, opts.RecordTrajectory))
+	return tasks, st, err
 }
 
-// singleTabler is implemented by catalog backends that carry cached
-// encoder pre-training data (a corpus's per-DB single-table section).
-// ok=false means "generate it live instead".
+// singleTabler is implemented by catalog backends that carry a
+// database's encoder pre-training data: a corpus's single-table
+// section.
 type singleTabler interface {
 	SingleTable() (data []workload.TableWorkload, ok bool, err error)
 }
 
-// newDBTaskFrom prepares one database's featurizer: initialized from
-// the fleet-wide seed and pre-trained on the catalog's cached
-// single-table section when it has one, or on a live draw from the
-// task's generator otherwise. The multi-table workload is left to the
-// caller (the task's Queries stay nil), which labels it from the
-// returned generator's stream (NewDBTask) or streams it from a corpus.
+// Attach prepares one database for Algorithm 1 or for transfer (lines
+// 3–4): a featurizer over cat whose encoders pre-train for
+// opts.EncoderEpochs on the catalog's single-table section. A catalog
+// without that section (catalog.Memory has none) is refused with an
+// error naming the database: the library never draws training data
+// behind its caller's back.
 //
 // Every database's featurizer is initialized from the SAME seed
 // (derived from opts.Seed, not the per-DB seed): the provider ships a
@@ -574,60 +538,52 @@ type singleTabler interface {
 // in roughly aligned embedding spaces. Without this, each DB's Enc_i
 // would occupy an arbitrary rotation of feature space and the shared
 // modules could not extrapolate across DBs.
-func newDBTaskFrom(shared *Shared, cat catalog.Catalog, opts MLAOptions, seed int64) (*DBTask, *workload.Generator, error) {
-	model := &Model{Shared: shared, Feat: featurize.NewFrom(cat, shared.Cfg.Feat, opts.Seed+7)}
-	gen := workload.NewGeneratorFrom(cat, seed)
+func Attach(shared *Shared, cat catalog.Catalog, opts MLAOptions) (*DBTask, error) {
 	var data []workload.TableWorkload
-	if st, ok := cat.(singleTabler); ok {
-		d, present, err := st.SingleTable()
-		if err != nil {
-			return nil, nil, err
-		}
-		if present {
-			data = d
-		}
+	var err error
+	st, ok := cat.(singleTabler)
+	if ok {
+		data, ok, err = st.SingleTable()
 	}
-	if data == nil {
-		// No cached section (a corpus written without one, or a backend
-		// that never stores one): draw it live — the prefix of the same
-		// rng stream the generator then labels the workload from, so the
-		// encoders come out bitwise identical either way.
-		data = gen.GenPretrainSet(opts.SingleTablePerTable, opts.Workload)
+	if err == nil && !ok {
+		err = errors.New("no single-table section to pre-train its encoders from")
 	}
-	if _, err := model.Feat.PretrainAllFrom(data, opts.EncoderEpochs); err != nil {
-		return nil, nil, err
+	var model *Model
+	if err == nil {
+		model = &Model{Shared: shared, Feat: featurize.NewFrom(cat, shared.Cfg.Feat, opts.Seed+7)}
+		_, err = model.Feat.PretrainAllFrom(data, opts.EncoderEpochs)
 	}
-	return &DBTask{DB: cat.DB(), Model: model}, gen, nil
+	if err != nil {
+		return nil, fmt.Errorf("mtmlf: attach database %q: %w", cat.Name(), err)
+	}
+	return &DBTask{DB: cat.DB(), Model: model}, nil
 }
 
-// GenMLAData generates one database's Algorithm 1 training data in
-// the exact order NewDBTask consumes it: the per-table single-table
-// workloads first (table order), then the multi-table labeled
-// workload, all drawn from one rng stream seeded with the task seed
-// of database dbIndex. Writing its output into a corpus (the
-// single-table section + examples) therefore yields an artifact that
-// TrainMLAStream trains from bitwise-identically to a live TrainMLA
-// run with the same options — the contract mtmlf-datagen
-// -single-table and `make mla-smoke` build on.
+// GenMLAData generates one database's Algorithm 1 training data, all
+// drawn from one rng stream seeded with the task seed of database
+// dbIndex: the per-table single-table workloads first (table order),
+// then the multi-table labeled workload. Written into a corpus (the
+// single-table section + examples), it is what TrainMLAStream and
+// Attach train from.
 func GenMLAData(cat catalog.Catalog, opts MLAOptions, dbIndex int) ([]workload.TableWorkload, []*workload.LabeledQuery) {
 	gen := workload.NewGeneratorFrom(cat, opts.taskSeed(dbIndex))
 	st := gen.GenPretrainSet(opts.SingleTablePerTable, opts.Workload)
 	return st, gen.Generate(opts.QueriesPerDB, opts.Workload)
 }
 
-// NewDBTask prepares one in-memory database for MLA or transfer:
-// analyzing it (one catalog, so the generator and the featurizer share
-// a single ANALYZE pass), pre-training its (F) encoders as
-// newDBTaskFrom does, and labeling a workload from the same generator.
-func NewDBTask(shared *Shared, db *sqldb.DB, opts MLAOptions, seed int64) *DBTask {
-	t, gen, err := newDBTaskFrom(shared, catalog.NewMemory(db), opts, seed)
-	if err != nil {
-		// Unreachable: the pre-training set was drawn from this
-		// database's own table list.
-		panic(err)
-	}
-	t.Queries = gen.Generate(opts.QueriesPerDB, opts.Workload)
-	return t
+// Label labels dbs[i] as database i of a fleet with GenMLAData,
+// database-parallel on the worker pool, and returns them in order as
+// corpus databases: what mtmlf-datagen writes to a file, and what an
+// in-memory run opens with corpus.InMemory.
+func Label(opts MLAOptions, dbs ...*sqldb.DB) []*corpus.Database {
+	out := make([]*corpus.Database, len(dbs))
+	parallel.For(len(dbs), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			st, ex := GenMLAData(catalog.NewMemory(dbs[i]), opts, i)
+			out[i] = &corpus.Database{DB: dbs[i], Examples: ex, SingleTable: st}
+		}
+	})
+	return out
 }
 
 // FineTune adapts a pre-trained Shared to a new database's workload

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"mtmlf/internal/catalog"
 	"mtmlf/internal/ckptio"
 	"mtmlf/internal/dist"
 	"mtmlf/internal/tensor"
@@ -160,22 +159,6 @@ func TestTrainJointDistTopologyGrid(t *testing.T) {
 	}
 }
 
-// mlaStreamFixture builds one rank's private copy of the streaming MLA
-// inputs: the fleet's catalogs and in-memory example sources, derived
-// deterministically so every rank (and the single-process reference)
-// sees identical bits.
-func mlaStreamFixture(opts MLAOptions) ([]catalog.Catalog, []workload.Source) {
-	dbs := mlaFleet()
-	cats := make([]catalog.Catalog, len(dbs))
-	srcs := make([]workload.Source, len(dbs))
-	for i, db := range dbs {
-		cats[i] = catalog.NewMemory(db)
-		_, qs := GenMLAData(cats[i], opts, i)
-		srcs[i] = workload.SliceSource(qs)
-	}
-	return cats, srcs
-}
-
 // TestTrainMLADistTopologyGrid extends the bitwise topology contract
 // to Algorithm 1 fleet pretraining over TrainMLAStream — the run the
 // distributed mode exists for. Single-process at 1 and 4 workers and
@@ -186,7 +169,7 @@ func TestTrainMLADistTopologyGrid(t *testing.T) {
 		opts := mlaFixtureOpts()
 		opts.Workers = workers
 		opts.Exchanger = ex
-		cats, srcs := mlaStreamFixture(opts)
+		cats, srcs := mlaCorpus(opts)
 		shared := NewShared(tinyConfig(), 20)
 		_, st, err := TrainMLAStream(shared, cats, srcs, opts)
 		return shared, st, err

@@ -14,9 +14,7 @@ import (
 	"runtime"
 	"testing"
 
-	"mtmlf/internal/catalog"
 	"mtmlf/internal/nn"
-	"mtmlf/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/train_golden.json from the current code")
@@ -55,21 +53,14 @@ func goldenOf(t *testing.T, m *Model, st TrainStats) trainGolden {
 	}
 }
 
-// goldenMLA runs Algorithm 1 over the two-database test fleet at batch
-// 8 through TrainMLAStream and returns the golden of database 0's
+// goldenMLA runs Algorithm 1 over the two-database test fleet's
+// in-memory corpus at batch 8 and returns the golden of database 0's
 // model (the shared modules plus its featurizer).
 func goldenMLA(t *testing.T, workers int) trainGolden {
 	t.Helper()
-	dbs := mlaFleet()
 	opts := mlaFixtureOpts()
 	opts.BatchSize, opts.Workers = 8, workers
-	cats := make([]catalog.Catalog, len(dbs))
-	srcs := make([]workload.Source, len(dbs))
-	for i, db := range dbs {
-		cats[i] = catalog.NewMemory(db)
-		_, qs := GenMLAData(cats[i], opts, i)
-		srcs[i] = workload.SliceSource(qs)
-	}
+	cats, srcs := mlaCorpus(opts)
 	tasks, st, err := TrainMLAStream(NewShared(tinyConfig(), 20), cats, srcs, opts)
 	if err != nil {
 		t.Fatal(err)

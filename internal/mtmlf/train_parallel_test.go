@@ -3,7 +3,6 @@ package mtmlf
 import (
 	"testing"
 
-	"mtmlf/internal/datagen"
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
 )
@@ -70,23 +69,11 @@ func TestTrainJointBatchOneMatchesSeedSemantics(t *testing.T) {
 // task preparation.
 func TestTrainMLAWorkerCountInvariant(t *testing.T) {
 	run := func(workers int) *Shared {
+		opts := mlaFixtureOpts()
+		opts.JointEpochs, opts.Workers = 1, workers
+		cats, srcs := mlaCorpus(opts)
 		shared := NewShared(tinyConfig(), 20)
-		dgCfg := datagen.DefaultConfig()
-		dgCfg.MinTables, dgCfg.MaxTables = 4, 5
-		dgCfg.MinRows, dgCfg.MaxRows = 100, 250
-		dbs := datagen.GenerateFleet(21, 2, dgCfg)
-		wcfg := workload.DefaultConfig()
-		wcfg.MaxTables = 3
-		if _, _, err := TrainMLA(shared, dbs, MLAOptions{
-			QueriesPerDB:        6,
-			SingleTablePerTable: 4,
-			EncoderEpochs:       1,
-			JointEpochs:         1,
-			Workload:            wcfg,
-			Seed:                22,
-			BatchSize:           4,
-			Workers:             workers,
-		}); err != nil {
+		if _, _, err := TrainMLAStream(shared, cats, srcs, opts); err != nil {
 			t.Fatal(err)
 		}
 		return shared

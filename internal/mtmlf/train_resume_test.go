@@ -129,35 +129,55 @@ func TestTrainJointResumeSurvivesRepeatedCrashes(t *testing.T) {
 	assertJointEqual(t, "chained resume", refModel, m, ref, st)
 }
 
-// TestTrainJointPeriodicSnapshots: Every-N snapshotting neither
-// perturbs the trajectory nor, after the run completes, leaves a
-// snapshot that a redundant supervisor rerun can't pick up — resuming
-// from the last periodic snapshot replays the tail and converges to
-// the same final state.
+// TestTrainJointPeriodicSnapshots: Every-N snapshotting does not
+// perturb the trajectory, and a finished run leaves a snapshot of its
+// final state (not of its last Every-N boundary): the file begins with
+// the trained model's shared-only checkpoint, so a supervisor's rerun
+// with Resume is a no-op that ends on the same model, checkpoint bytes
+// included.
 func TestTrainJointPeriodicSnapshots(t *testing.T) {
 	memCat, examples, _ := streamFixture(t)
 	refModel, ref := trainFrom(t, memCat, workload.SliceSource(examples), 1)
 	src := workload.SliceSource(examples)
 	path := filepath.Join(t.TempDir(), "train.snap")
 
+	// 6 minibatches: the last periodic snapshot falls on the 4th.
 	m := freshJointModel(t, memCat)
-	st, err := m.TrainJointStream(src, jointOpts(1, SnapshotOptions{Path: path, Every: 2}))
+	st, err := m.TrainJointStream(src, jointOpts(1, SnapshotOptions{Path: path, Every: 4}))
 	if err != nil {
 		t.Fatalf("periodic-snapshot run failed: %v", err)
 	}
 	assertJointEqual(t, "periodic", refModel, m, ref, st)
-	if _, err := os.Stat(path); err != nil {
+	snap, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatalf("no snapshot written: %v", err)
 	}
+	var shared bytes.Buffer
+	if err := SaveShared(&shared, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(snap, shared.Bytes()) {
+		t.Fatal("the finished run's snapshot does not begin with the trained model's shared-only checkpoint")
+	}
 
-	// A supervisor that blindly reruns with -resume after success must
-	// still converge: the snapshot replays from its boundary to the end.
+	// A supervisor that blindly reruns with -resume after success runs
+	// no minibatch (InterruptAfter 1 would stop one with ErrInterrupted).
 	m2 := freshJointModel(t, memCat)
-	st2, err := m2.TrainJointStream(src, jointOpts(1, SnapshotOptions{Path: path, Resume: true}))
+	st2, err := m2.TrainJointStream(src, jointOpts(1, SnapshotOptions{Path: path, Resume: true, InterruptAfter: 1}))
 	if err != nil {
-		t.Fatalf("rerun after success failed: %v", err)
+		t.Fatalf("rerun after success: %v, want a no-op", err)
 	}
 	assertJointEqual(t, "rerun", refModel, m2, ref, st2)
+	var want, got bytes.Buffer
+	if err := Save(&want, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(&got, m2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("the rerun's checkpoint differs from the finished run's")
+	}
 }
 
 // TestTrainJointResumeMissingFileIsFreshStart: Resume with no snapshot
@@ -271,18 +291,17 @@ func TestTrainJointResumeDetectsCorruption(t *testing.T) {
 // joint loop mid-run, resume in a fresh process (which re-runs the
 // deterministic per-DB preparation, then restores the shared modules
 // and optimizer from the snapshot), and the final shared parameters,
-// every featurizer, and the loss trajectory match the in-memory
-// TrainMLA run that was never interrupted — at workers 1 and 4.
+// every featurizer, and the loss trajectory match the run that was
+// never interrupted — at workers 1 and 4.
 func TestTrainMLAResumeMatchesUninterrupted(t *testing.T) {
-	dbs := mlaFleet()
 	opts := mlaFixtureOpts()
+	cats, srcs := mlaCorpus(opts)
 	refShared := NewShared(tinyConfig(), 20)
-	refTasks, refStats, err := TrainMLA(refShared, dbs, opts)
+	refTasks, refStats, err := TrainMLAStream(refShared, cats, srcs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, cats, srcs := openMLACorpus(t, writeMLACorpus(t, dbs, opts, true))
 	for _, workers := range []int{1, 4} {
 		for _, after := range []int{1, 3} {
 			path := filepath.Join(t.TempDir(), "mla.snap")

@@ -69,7 +69,7 @@ func (a *Adam) GradNorm() float64 {
 			continue
 		}
 		for _, g := range p.Grad.Data {
-			s += g * g
+			s += float64(g * g)
 		}
 	}
 	return math.Sqrt(s)

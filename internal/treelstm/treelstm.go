@@ -209,7 +209,7 @@ func (m *Model) Train(train []*workload.LabeledQuery, epochs int, seed int64) Tr
 			)
 			loss.Backward()
 			opt.Step()
-			running = 0.95*running + 0.05*loss.Item()
+			running = float64(0.95*running) + float64(0.05*loss.Item())
 			steps++
 		}
 	}
