@@ -29,7 +29,9 @@
 // corpus records both counts and the workload config in its Meta, and
 // `mtmlf-train -mla -corpus` trains the shared (S)+(T) modules from it
 // without labelling anything. mtmlf-train without -corpus labels its
-// database with the same helper, into a corpus in memory.
+// database with the same helper, into a corpus in memory. The closing
+// line splits the wall time into generate, label and write, and gives
+// labelled queries (examples plus single-table queries) per second.
 package main
 
 import (
@@ -39,6 +41,7 @@ import (
 	"os"
 	"time"
 
+	"mtmlf/internal/ckptio"
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/mtmlf"
@@ -63,7 +66,15 @@ func main() {
 	if *out != "" && *singleTable < 1 {
 		log.Fatalf("-single-table %d: a corpus stores at least one single-table query per table", *singleTable)
 	}
+	// An -out that cannot be written is refused before any work; the
+	// file itself is opened only once everything is labelled.
+	if *out != "" {
+		if err := ckptio.Probe(*out); err != nil {
+			log.Fatalf("-out %s: %v", *out, err)
+		}
+	}
 	tensor.SetParallelism(*workers)
+	start := time.Now()
 
 	cfg := datagen.DefaultConfig()
 	if *minRows > 0 {
@@ -78,6 +89,7 @@ func main() {
 	} else {
 		fleet = datagen.GenerateFleet(*seed, *n, cfg)
 	}
+	generated := time.Since(start)
 	for _, db := range fleet {
 		fmt.Printf("=== %s: %d tables (%d fact) ===\n", db.Name, len(db.Tables), len(db.FactTables))
 		facts := map[string]bool{}
@@ -114,20 +126,23 @@ func main() {
 		SingleTablePerTable: *singleTable,
 		MLAWorkload:         wcfg,
 	}
-	start := time.Now()
+	labelStart := time.Now()
 	dbs := mtmlf.Label(mtmlf.MLAOptions{
 		QueriesPerDB:        *queries,
 		SingleTablePerTable: *singleTable,
 		Workload:            wcfg,
 		Seed:                *seed,
 	}, fleet...)
+	labelled, nq := time.Since(labelStart), 0
 	for _, d := range dbs {
 		nst := 0
 		for _, tw := range d.SingleTable {
 			nst += len(tw.Queries)
 		}
+		nq += len(d.Examples) + nst
 		fmt.Printf("labeled %s: %d examples + %d single-table queries\n", d.DB.Name, len(d.Examples), nst)
 	}
+	writeStart := time.Now()
 	// Labelling is where the time goes, so the file is opened only once
 	// everything is labelled, and committed atomically (temp file + fsync
 	// + rename): a kill while labelling leaves nothing behind, and a
@@ -139,6 +154,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote corpus %s: %d databases, %d examples each, %d bytes, %v total\n",
-		*out, len(fleet), *queries, fi.Size(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("wrote corpus %s: %d databases, %d examples each, %d bytes, %v total (generate %v, label %v at %.0f queries/s, write %v)\n",
+		*out, len(fleet), *queries, fi.Size(), time.Since(start).Round(time.Millisecond), generated.Round(time.Millisecond),
+		labelled.Round(time.Millisecond), float64(nq)/labelled.Seconds(), time.Since(writeStart).Round(time.Millisecond))
 }

@@ -206,6 +206,14 @@ func main() {
 	// keeps the run configuration uniform fleet-wide) but write
 	// nothing.
 	isPrimary := distWorker == "" || distRank == 0
+	// Refuse an unwritable output now; it is still written only at the end.
+	for _, out := range [][2]string{{"-save", savePath}, {"-loss-out", lossOut}} {
+		if out[1] != "" && isPrimary {
+			if err := ckptio.Probe(out[1]); err != nil {
+				log.Fatalf("%s %s: %v", out[0], out[1], err)
+			}
+		}
+	}
 
 	snap := mtmlf.SnapshotOptions{
 		Path: resumePath, Every: snapEvery, Resume: resumePath != "",

@@ -59,6 +59,16 @@ func NewAtomicFile(path string) (*AtomicFile, error) {
 	return &AtomicFile{f: f, path: path}, nil
 }
 
+// Probe creates and removes the temp file NewAtomicFile(path) would, so
+// a run can refuse an unwritable output before its work, not after it.
+func Probe(path string) error {
+	a, err := NewAtomicFile(path)
+	if err == nil {
+		a.Abort()
+	}
+	return err
+}
+
 // Write appends to the pending file.
 func (a *AtomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
 

@@ -184,6 +184,22 @@ func TestWriteFileAtomic(t *testing.T) {
 	assertNoTemp(t, path)
 }
 
+// TestProbe: Probe refuses a path in a missing directory, and on a
+// writable one leaves no file behind, the destination included.
+func TestProbe(t *testing.T) {
+	dir := t.TempDir()
+	if err := Probe(filepath.Join(dir, "missing", "artifact")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing directory: got %v, want a not-exist error", err)
+	}
+	path := filepath.Join(dir, "artifact")
+	if err := Probe(path); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("Probe left %v behind", left)
+	}
+}
+
 // A FailingWriter under WriteSection models a full disk / torn stream:
 // whatever prefix lands must fail the read as corrupt.
 func TestFailingWriterTornSection(t *testing.T) {

@@ -112,39 +112,28 @@ type CardFunc func(tables []string) float64
 // modified CardEst/CostEst tasks need ("estimate the cardinality and
 // cost of the sub-plan rooted at each node of P").
 func (m *Model) PlanCost(root *plan.Node, tableRows func(string) float64, card CardFunc) (total float64, nodeCards, nodeCosts []float64) {
-	type res struct {
-		tables []string
-		card   float64
-		cost   float64
-	}
-	memo := map[*plan.Node]res{}
-	var rec func(n *plan.Node) res
-	rec = func(n *plan.Node) res {
+	// rec returns a node's tables, output card and cumulative cost, and
+	// appends the last two in post-order, the order of Node.Nodes.
+	var rec func(n *plan.Node) ([]string, float64, float64)
+	rec = func(n *plan.Node) ([]string, float64, float64) {
+		var tabs []string
+		var out, c float64
 		if n.IsLeaf() {
-			out := card([]string{n.Table})
-			r := res{
-				tables: []string{n.Table},
-				card:   out,
-				cost:   m.ScanCost(n.Scan, tableRows(n.Table), out),
-			}
-			memo[n] = r
-			return r
+			tabs = []string{n.Table}
+			out = card(tabs)
+			c = m.ScanCost(n.Scan, tableRows(n.Table), out)
+		} else {
+			lt, lcard, lcost := rec(n.Left)
+			rt, rcard, rcost := rec(n.Right)
+			tabs = append(append([]string{}, lt...), rt...)
+			out = card(tabs)
+			c = lcost + rcost + m.JoinCost(n.Join, lcard, rcard, out)
 		}
-		l := rec(n.Left)
-		r := rec(n.Right)
-		tabs := append(append([]string{}, l.tables...), r.tables...)
-		out := card(tabs)
-		c := l.cost + r.cost + m.JoinCost(n.Join, l.card, r.card, out)
-		rr := res{tables: tabs, card: out, cost: c}
-		memo[n] = rr
-		return rr
+		nodeCards, nodeCosts = append(nodeCards, out), append(nodeCosts, c)
+		return tabs, out, c
 	}
-	top := rec(root)
-	for _, n := range root.Nodes() {
-		nodeCards = append(nodeCards, memo[n].card)
-		nodeCosts = append(nodeCosts, memo[n].cost)
-	}
-	return top.cost, nodeCards, nodeCosts
+	_, _, total = rec(root)
+	return total, nodeCards, nodeCosts
 }
 
 // ---------------------------------------------------------------------------
@@ -158,10 +147,9 @@ func (m *Model) PlanCost(root *plan.Node, tableRows func(string) float64, card C
 // metric isolates what the join order controls). Lower is better; the
 // optimal join order minimizes it by construction.
 func SimulatedTimeOrder(ex *sqldb.Executor, order []string) float64 {
-	cards := ex.PrefixCards(order)
 	var t float64
-	for i := 1; i < len(cards); i++ {
-		t += float64(cards[i])
+	for i := 2; i <= len(order); i++ {
+		t += float64(ex.CardOf(order[:i]))
 	}
 	return t
 }

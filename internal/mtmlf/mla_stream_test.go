@@ -11,6 +11,7 @@ import (
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/sqldb"
+	"mtmlf/internal/stats"
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
 )
@@ -143,9 +144,12 @@ func TestTrainMLAStreamMatchesInMemory(t *testing.T) {
 
 // TestTrainMLAStreamWithoutSingleTableSection: a database without a
 // single-table section — a corpus written without one, or a
-// catalog.Memory — is refused with an error that names it, before the
-// shared modules take a step: the library never draws (F) data behind
-// its caller's back.
+// catalog.Memory — is refused with an error that names it, before any
+// work: the shared modules take no step, and database 0's section is
+// read once but no encoder of it is even built (its catalog's
+// statistics, which building one reads, are never asked for), so its
+// (F) parameters cannot have moved. The library never draws (F) data
+// behind its caller's back.
 func TestTrainMLAStreamWithoutSingleTableSection(t *testing.T) {
 	opts := mlaFixtureOpts()
 	dbs := Label(opts, mlaFleet()...)
@@ -158,23 +162,44 @@ func TestTrainMLAStreamWithoutSingleTableSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memory := append([]catalog.Catalog{cats[0]}, catalog.NewMemory(dbs[1].DB))
-	for _, fleet := range [][]catalog.Catalog{cats, memory} {
+	for _, second := range []catalog.Catalog{cats[1], catalog.NewMemory(dbs[1].DB)} {
+		first := &watchedCatalog{DBCatalog: cats[0].(*corpus.DBCatalog)}
 		shared := NewShared(tinyConfig(), 20)
 		want := cloneParams(shared.Params())
-		_, st, err := TrainMLAStream(shared, fleet, srcs, opts)
+		_, st, err := TrainMLAStream(shared, []catalog.Catalog{first, second}, srcs, opts)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", dbs[1].DB.Name)) {
-			t.Fatalf("%T without a section: got %v, want an error naming %q", fleet[1], err, dbs[1].DB.Name)
+			t.Fatalf("%T without a section: got %v, want an error naming %q", second, err, dbs[1].DB.Name)
 		}
 		if st.Steps != 0 {
-			t.Fatalf("%T without a section: the joint loop ran %d steps", fleet[1], st.Steps)
+			t.Fatalf("%T without a section: the joint loop ran %d steps", second, st.Steps)
 		}
 		for i, p := range shared.Params() {
 			if !tensor.Equal(p.T, want[i].T, 0) {
-				t.Fatalf("%T without a section: shared parameter %d moved", fleet[1], i)
+				t.Fatalf("%T without a section: shared parameter %d moved", second, i)
 			}
 		}
+		if first.sections != 1 || first.stats != 0 {
+			t.Fatalf("%T without a section: database 0's section read %d times (want 1) and an encoder built for it %d times (want 0)",
+				second, first.sections, first.stats)
+		}
 	}
+}
+
+// watchedCatalog counts the single-table section reads and statistics
+// requests made of a corpus catalog.
+type watchedCatalog struct {
+	*corpus.DBCatalog
+	sections, stats int
+}
+
+func (c *watchedCatalog) SingleTable() ([]workload.TableWorkload, bool, error) {
+	c.sections++
+	return c.DBCatalog.SingleTable()
+}
+
+func (c *watchedCatalog) Stats() *stats.DBStats {
+	c.stats++
+	return c.DBCatalog.Stats()
 }
 
 // TestTrainMLAStreamPropagatesSourceErrors: an I/O failure in any

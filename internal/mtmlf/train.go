@@ -483,9 +483,11 @@ func (o MLAOptions) taskSeed(i int) int64 { return o.Seed + int64(i)*101 }
 // with a single-table section plus a workload.Source of pre-labeled
 // examples, cats[i] and srcs[i] describing the same database:
 // corpus.Reader.Fleet gives both, from a corpus file or from one
-// corpus.InMemory wrote. Every database is attached first (lines 3–4,
-// Attach, database-parallel); then the shared (S)+(T) modules train on
-// the pooled, shuffled examples (lines 7–8), streamed one minibatch at
+// corpus.InMemory wrote. Every database's single-table section is read
+// first, once, so a fleet that lacks one is refused before any encoder
+// trains. Then every database is attached from what was read (lines
+// 3–4, as Attach, database-parallel), and the shared (S)+(T) modules
+// train on the pooled, shuffled examples (lines 7–8), streamed one minibatch at
 // a time so the fleet workload is never materialized. The trajectory
 // and the final shared parameters are bitwise identical at any worker
 // count and fleet size. It returns the per-DB tasks, so callers can
@@ -497,12 +499,18 @@ func TrainMLAStream(shared *Shared, cats []catalog.Catalog, srcs []workload.Sour
 	if len(cats) != len(srcs) {
 		return nil, TrainStats{}, fmt.Errorf("mtmlf: %d catalogs but %d example sources", len(cats), len(srcs))
 	}
-	tasks := make([]*DBTask, len(cats))
-	if err := parallel.ForErr(len(cats), 1, func(i int) error {
-		var err error
-		tasks[i], err = Attach(shared, cats[i], opts)
+	data, tasks := make([][]workload.TableWorkload, len(cats)), make([]*DBTask, len(cats))
+	err := parallel.ForErr(len(cats), 1, func(i int) (err error) {
+		data[i], err = singleTable(cats[i])
 		return err
-	}); err != nil {
+	})
+	if err == nil {
+		err = parallel.ForErr(len(cats), 1, func(i int) (err error) {
+			tasks[i], err = attach(shared, cats[i], data[i], opts)
+			return err
+		})
+	}
+	if err != nil {
 		return nil, TrainStats{}, err
 	}
 	models := make([]*Model, len(tasks))
@@ -539,8 +547,16 @@ type singleTabler interface {
 // would occupy an arbitrary rotation of feature space and the shared
 // modules could not extrapolate across DBs.
 func Attach(shared *Shared, cat catalog.Catalog, opts MLAOptions) (*DBTask, error) {
-	var data []workload.TableWorkload
-	var err error
+	data, err := singleTable(cat)
+	if err != nil {
+		return nil, err
+	}
+	return attach(shared, cat, data, opts)
+}
+
+// singleTable reads cat's single-table section, refusing a catalog
+// without one.
+func singleTable(cat catalog.Catalog) (data []workload.TableWorkload, err error) {
 	st, ok := cat.(singleTabler)
 	if ok {
 		data, ok, err = st.SingleTable()
@@ -548,12 +564,16 @@ func Attach(shared *Shared, cat catalog.Catalog, opts MLAOptions) (*DBTask, erro
 	if err == nil && !ok {
 		err = errors.New("no single-table section to pre-train its encoders from")
 	}
-	var model *Model
-	if err == nil {
-		model = &Model{Shared: shared, Feat: featurize.NewFrom(cat, shared.Cfg.Feat, opts.Seed+7)}
-		_, err = model.Feat.PretrainAllFrom(data, opts.EncoderEpochs)
-	}
 	if err != nil {
+		return nil, fmt.Errorf("mtmlf: attach database %q: %w", cat.Name(), err)
+	}
+	return data, nil
+}
+
+// attach is Attach from a single-table section already read.
+func attach(shared *Shared, cat catalog.Catalog, data []workload.TableWorkload, opts MLAOptions) (*DBTask, error) {
+	model := &Model{Shared: shared, Feat: featurize.NewFrom(cat, shared.Cfg.Feat, opts.Seed+7)}
+	if _, err := model.Feat.PretrainAllFrom(data, opts.EncoderEpochs); err != nil {
 		return nil, fmt.Errorf("mtmlf: attach database %q: %w", cat.Name(), err)
 	}
 	return &DBTask{DB: cat.DB(), Model: model}, nil

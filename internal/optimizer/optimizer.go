@@ -229,17 +229,6 @@ func GreedyLeftDeep(q *sqldb.Query, cards CardSource) (*Result, error) {
 	order := []string{start}
 	used := map[string]bool{start: true}
 	var total float64
-	adj := map[string]map[string]bool{}
-	for _, e := range q.Joins {
-		if adj[e.T1] == nil {
-			adj[e.T1] = map[string]bool{}
-		}
-		if adj[e.T2] == nil {
-			adj[e.T2] = map[string]bool{}
-		}
-		adj[e.T1][e.T2] = true
-		adj[e.T2][e.T1] = true
-	}
 	for len(order) < len(q.Tables) {
 		bestT := ""
 		bestC := math.Inf(1)
@@ -248,8 +237,8 @@ func GreedyLeftDeep(q *sqldb.Query, cards CardSource) (*Result, error) {
 				continue
 			}
 			joinable := false
-			for u := range adj[t] {
-				if used[u] {
+			for _, e := range q.Joins {
+				if e.Touches(t) && used[e.Other(t)] {
 					joinable = true
 					break
 				}

@@ -2,37 +2,45 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
 
-// relation is an intermediate join result: a list of tuples of row ids,
-// one id per attached table.
-type relation struct {
-	tables []string
-	tIdx   map[string]int
-	rows   [][]int32
+// CountError is why an Executor could not count a set of tables: the
+// join edges among them are not a forest (Cycle: a cycle, or two edges
+// on one table pair), or else the count does not fit in an int64.
+type CountError struct {
+	Tables []string
+	Cycle  bool
 }
 
-func singleTableRelation(name string, rows []int32) *relation {
-	r := &relation{tables: []string{name}, tIdx: map[string]int{name: 0}}
-	r.rows = make([][]int32, len(rows))
-	for i, id := range rows {
-		r.rows[i] = []int32{id}
+func (e *CountError) Error() string {
+	why := "count overflows int64"
+	if e.Cycle {
+		why = "join edges are not a tree"
 	}
-	return r
+	return fmt.Sprintf("sqldb: count of {%s}: %s", strings.Join(e.Tables, ", "), why)
 }
 
-// Executor evaluates (sub-)queries of one Query against a DB, caching
+// Executor counts (sub-)queries of one Query against a DB, caching
 // filtered row sets and sub-plan cardinalities. The MTMLF training
 // pipeline uses it to label every node of every plan with its true
 // cardinality, and the exact DP optimizer uses it as its card oracle.
+//
+// It never materializes a join. A generated query is a spanning tree of
+// the schema, so every sub-query is a tree or a forest, counted as a sum
+// of products in time linear in the filtered rows (see weights). A count
+// it cannot give, above math.MaxInt64 or over join edges that are not a
+// forest, sets Err, which stays set; CardOf then returns 0 for it.
 type Executor struct {
 	DB *DB
 	Q  *Query
 
 	filtered map[string][]int32
 	cardMemo map[string]int64
+	err      error
 }
 
 // NewExecutor creates an executor for one query.
@@ -42,6 +50,16 @@ func NewExecutor(db *DB, q *Query) *Executor {
 		Q:        q,
 		filtered: map[string][]int32{},
 		cardMemo: map[string]int64{},
+	}
+}
+
+// Err returns the *CountError of the first count the executor could
+// not give, or nil if every count so far is exact.
+func (e *Executor) Err() error { return e.err }
+
+func (e *Executor) fail(tables []string, cycle bool) {
+	if e.err == nil {
+		e.err = &CountError{Tables: append([]string(nil), tables...), Cycle: cycle}
 	}
 }
 
@@ -60,9 +78,6 @@ func (e *Executor) Filtered(t string) []int32 {
 	return rows
 }
 
-// FilteredCard returns the filtered cardinality of one table.
-func (e *Executor) FilteredCard(t string) int64 { return int64(len(e.Filtered(t))) }
-
 // Cardinality executes the whole query and returns its exact count.
 func (e *Executor) Cardinality() int64 { return e.CardOf(e.Q.Tables) }
 
@@ -75,186 +90,132 @@ func (e *Executor) CardOf(tables []string) int64 {
 	if c, ok := e.cardMemo[key]; ok {
 		return c
 	}
-	card := int64(1)
-	for _, comp := range e.components(tables) {
-		card *= e.componentCard(comp)
-		if card == 0 {
-			break
+	card := uint64(1)
+	for _, t := range tables {
+		if len(e.Filtered(t)) == 0 {
+			card = 0
 		}
 	}
-	e.cardMemo[key] = card
-	return card
-}
-
-// PrefixCards returns, for a join order (left-deep), the cardinality
-// after each step: entry 0 is the filtered card of order[0], entry i
-// the exact card of joining order[0..i].
-func (e *Executor) PrefixCards(order []string) []int64 {
-	out := make([]int64, len(order))
-	for i := range order {
-		out[i] = e.CardOf(order[:i+1])
-	}
-	return out
-}
-
-// components splits a table set into connected components under the
-// query's join edges.
-func (e *Executor) components(tables []string) [][]string {
+	// Count each component as a tree rooted at its first table.
 	joins := e.Q.JoinsAmong(tables)
-	adj := map[string][]string{}
-	for _, j := range joins {
-		adj[j.T1] = append(adj[j.T1], j.T2)
-		adj[j.T2] = append(adj[j.T2], j.T1)
-	}
-	seen := map[string]bool{}
-	var comps [][]string
+	seen := make(map[string]bool, len(tables))
 	for _, t := range tables {
-		if seen[t] {
+		if card == 0 || seen[t] {
 			continue
 		}
-		var comp []string
-		stack := []string{t}
 		seen[t] = true
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, x)
-			for _, o := range adj[x] {
-				if !seen[o] {
-					seen[o] = true
-					stack = append(stack, o)
-				}
+		w, ok := e.weights(t, -1, joins, seen)
+		if !ok {
+			e.fail(tables, true)
+			card = 0
+			break
+		}
+		n := uint64(len(e.Filtered(t)))
+		if w != nil {
+			n = 0
+			for _, x := range w {
+				n = satAdd(n, x)
 			}
 		}
-		comps = append(comps, comp)
+		card = satMul(card, n)
 	}
-	return comps
+	if card > math.MaxInt64 {
+		e.fail(tables, false)
+		card = 0
+	}
+	e.cardMemo[key] = int64(card)
+	return int64(card)
 }
 
-// componentCard executes the joins of one connected component using
-// greedy smallest-first hash joins and returns the exact count.
-func (e *Executor) componentCard(tables []string) int64 {
-	if len(tables) == 1 {
-		return e.FilteredCard(tables[0])
-	}
-	// Start from the smallest filtered table.
-	start := tables[0]
-	for _, t := range tables[1:] {
-		if e.FilteredCard(t) < e.FilteredCard(start) {
-			start = t
+// weights returns, per filtered row of t, the number of rows of the
+// join of t's subtree (the tables reached from t over joins other than
+// joins[up]) that the row takes part in: the product, over t's child
+// subtrees, of the summed weights of the child rows that join it
+// (Yannakakis's acyclic join in its counting form). nil stands for all
+// ones (a leaf). It marks the subtree in seen, and reports false if it
+// meets a table twice: the joins are not a tree.
+func (e *Executor) weights(t string, up int, joins []JoinEdge, seen map[string]bool) ([]uint64, bool) {
+	var w []uint64
+	for i, j := range joins {
+		if i == up || !j.Touches(t) {
+			continue
 		}
-	}
-	rel := singleTableRelation(start, e.Filtered(start))
-	joined := map[string]bool{start: true}
-	remaining := len(tables) - 1
-	joins := e.Q.JoinsAmong(tables)
-	for remaining > 0 {
-		// Pick the joinable table with the smallest filtered card.
-		next := ""
-		for _, t := range tables {
-			if joined[t] {
-				continue
-			}
-			connected := false
-			for _, j := range joins {
-				if j.Touches(t) && joined[j.Other(t)] {
-					connected = true
-					break
-				}
-			}
-			if !connected {
-				continue
-			}
-			if next == "" || e.FilteredCard(t) < e.FilteredCard(next) {
-				next = t
-			}
+		c, tc, cc := j.T2, j.C1, j.C2
+		if j.T2 == t {
+			c, tc, cc = j.T1, j.C2, j.C1
 		}
-		if next == "" {
-			panic("sqldb: component not connected")
+		if seen[c] {
+			return nil, false
 		}
-		var edges []JoinEdge
-		for _, j := range joins {
-			if j.Touches(next) && joined[j.Other(next)] {
-				edges = append(edges, j)
-			}
+		seen[c] = true
+		cw, ok := e.weights(c, i, joins, seen)
+		if !ok {
+			return nil, false
 		}
-		rel = e.hashJoin(rel, next, edges)
-		joined[next] = true
-		remaining--
-		if len(rel.rows) == 0 {
-			return 0
-		}
-	}
-	return int64(len(rel.rows))
-}
-
-// hashJoin extends rel with table next using the given equality edges
-// (all of which touch next and a table already in rel).
-func (e *Executor) hashJoin(rel *relation, next string, edges []JoinEdge) *relation {
-	if len(edges) == 0 {
-		panic("sqldb: hashJoin without edges")
-	}
-	nextTab := e.DB.Table(next)
-	// Build side: hash the new table's filtered rows on the first
-	// edge's key; verify the remaining edges per match.
-	first := edges[0]
-	nextCol := nextTab.Column(first.C2)
-	relSide := first.T1
-	relColName := first.C1
-	if first.T2 != next {
-		nextCol = nextTab.Column(first.C1)
-		relSide = first.T2
-		relColName = first.C2
-	}
-	build := make(map[Value][]int32, len(e.Filtered(next)))
-	for _, id := range e.Filtered(next) {
-		v := nextCol.Value(int(id))
-		build[v] = append(build[v], id)
-	}
-	relCol := e.DB.Table(relSide).Column(relColName)
-	relPos := rel.tIdx[relSide]
-
-	// Pre-resolve the verification edges.
-	type verify struct {
-		relPos  int
-		relCol  *Column
-		nextCol *Column
-	}
-	var verifies []verify
-	for _, ed := range edges[1:] {
-		var vr verify
-		if ed.T2 == next {
-			vr = verify{relPos: rel.tIdx[ed.T1], relCol: e.DB.Table(ed.T1).Column(ed.C1), nextCol: nextTab.Column(ed.C2)}
+		tCol, cCol := e.DB.Table(t).Column(tc), e.DB.Table(c).Column(cc)
+		if tCol.Kind == KindInt && cCol.Kind == KindInt {
+			w = join(w, e.Filtered(t), tCol.Ints, e.Filtered(c), cw, cCol.Ints)
 		} else {
-			vr = verify{relPos: rel.tIdx[ed.T2], relCol: e.DB.Table(ed.T2).Column(ed.C2), nextCol: nextTab.Column(ed.C1)}
+			w = join(w, e.Filtered(t), values(tCol), e.Filtered(c), cw, values(cCol))
 		}
-		verifies = append(verifies, vr)
 	}
+	return w, true
+}
 
-	out := &relation{
-		tables: append(append([]string{}, rel.tables...), next),
-		tIdx:   map[string]int{},
-	}
-	for i, t := range out.tables {
-		out.tIdx[t] = i
-	}
-	for _, row := range rel.rows {
-		key := relCol.Value(int(row[relPos]))
-		matches := build[key]
-	cand:
-		for _, id := range matches {
-			for _, vr := range verifies {
-				if !vr.relCol.Value(int(row[vr.relPos])).Equal(vr.nextCol.Value(int(id))) {
-					continue cand
-				}
-			}
-			nr := make([]int32, len(row)+1)
-			copy(nr, row)
-			nr[len(row)] = id
-			out.rows = append(out.rows, nr)
+// join multiplies each weight w[i] of row rows[i] (nil: all ones) by
+// the summed weights cw of the child rows crows whose key equals the
+// row's: keys and ckeys are the two join columns. Keys are compared as
+// map keys, so a Value key never equals one of another kind.
+func join[K comparable](w []uint64, rows []int32, keys []K, crows []int32, cw []uint64, ckeys []K) []uint64 {
+	sums := make(map[K]uint64, len(crows))
+	for i, r := range crows {
+		x := uint64(1)
+		if cw != nil {
+			x = cw[i]
 		}
+		sums[ckeys[r]] = satAdd(sums[ckeys[r]], x)
+	}
+	if w == nil {
+		w = make([]uint64, len(rows))
+		for i := range w {
+			w[i] = 1
+		}
+	}
+	for i, r := range rows {
+		w[i] = satMul(w[i], sums[keys[r]])
+	}
+	return w
+}
+
+// values boxes every cell of c, the join keys of a non-integer column.
+func values(c *Column) []Value {
+	out := make([]Value, c.Len())
+	for i := range out {
+		out[i] = c.Value(i)
 	}
 	return out
+}
+
+// Counts are saturated: every count above math.MaxInt64 reads as
+// 1<<63, which products with non-zero counts and sums keep. So a
+// saturated partial count that a zero factor drops leaves the total
+// exact, and the total saturates exactly when the true count overflows.
+const saturated = 1 << 63
+
+func satAdd(a, b uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	if carry != 0 || s > math.MaxInt64 {
+		return saturated
+	}
+	return s
+}
+
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 || lo > math.MaxInt64 {
+		return saturated
+	}
+	return lo
 }
 
 func setKey(tables []string) string {

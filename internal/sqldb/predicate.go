@@ -20,24 +20,10 @@ const (
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
-	switch o {
-	case OpEq:
-		return "="
-	case OpNeq:
-		return "<>"
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	case OpLike:
-		return "LIKE"
-	default:
+	if o < OpEq || o > OpLike {
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
+	return [...]string{"=", "<>", "<", "<=", ">", ">=", "LIKE"}[o]
 }
 
 // Filter is a single-column predicate "table.col OP value".
@@ -104,29 +90,57 @@ func MatchLike(s, pattern string) bool {
 }
 
 // FilterRows returns the row ids of t matching all filters (which must
-// all target t). A nil filter list selects every row.
+// all target t). A nil filter list selects every row. Each filter makes
+// one pass over the rows the previous ones kept, reading the typed
+// column; the rows kept are exactly those Filter.Matches accepts.
 func FilterRows(t *Table, filters []Filter) []int32 {
-	n := t.NumRows()
-	out := make([]int32, 0, n)
-	cols := make([]*Column, len(filters))
-	for i, f := range filters {
-		if f.Table != t.Name {
+	rows := make([]int32, t.NumRows())
+	for r := range rows {
+		rows[r] = int32(r)
+	}
+	for _, f := range filters {
+		c := t.Column(f.Col)
+		if f.Table != t.Name || c == nil {
 			panic(fmt.Sprintf("sqldb: filter %v applied to table %q", f, t.Name))
 		}
-		c := t.Column(f.Col)
-		if c == nil {
-			panic(fmt.Sprintf("sqldb: filter %v references missing column", f))
+		switch {
+		case f.Op == OpLike && c.Kind == KindString:
+			rows = keepIf(rows, func(r int32) bool { return MatchLike(c.Strs[r], f.Val.S) })
+		case f.Op < OpEq || f.Op > OpGe || f.Val.Kind != c.Kind:
+			// LIKE on a number matches its empty S field, and a value of
+			// another kind compares field by field; no generated query
+			// has either, so they (and an unknown op) go through Matches.
+			rows = keepIf(rows, func(r int32) bool { return f.Matches(c.Value(int(r))) })
+		case c.Kind == KindInt:
+			rows = keep(rows, c.Ints, f.Op, f.Val.I)
+		case c.Kind == KindFloat:
+			rows = keep(rows, c.Flts, f.Op, f.Val.F)
+		default:
+			rows = keep(rows, c.Strs, f.Op, f.Val.S)
 		}
-		cols[i] = c
 	}
-rows:
-	for r := 0; r < n; r++ {
-		for i, f := range filters {
-			if !f.Matches(cols[i].Value(r)) {
-				continue rows
-			}
+	return rows
+}
+
+// keep filters rows in place to those whose cell in col compares to x
+// under op, one of OpEq through OpGe.
+func keep[T int64 | float64 | string](rows []int32, col []T, op Op, x T) []int32 {
+	out := rows[:0]
+	for _, r := range rows {
+		if v := col[r]; op == OpEq && v == x || op == OpNeq && v != x || op == OpLt && v < x ||
+			op == OpLe && v <= x || op == OpGt && v > x || op == OpGe && v >= x {
+			out = append(out, r)
 		}
-		out = append(out, int32(r))
+	}
+	return out
+}
+
+func keepIf(rows []int32, ok func(r int32) bool) []int32 {
+	out := rows[:0]
+	for _, r := range rows {
+		if ok(r) {
+			out = append(out, r)
+		}
 	}
 	return out
 }

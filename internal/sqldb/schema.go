@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 )
 
 // JoinEdge is an equality join predicate between two table columns,
@@ -204,7 +205,7 @@ func (q *Query) IsConnected() bool {
 
 // String renders the query as pseudo-SQL for debugging and examples.
 func (q *Query) String() string {
-	s := "SELECT COUNT(*) FROM " + joinStrings(q.Tables, ", ") + " WHERE "
+	s := "SELECT COUNT(*) FROM " + strings.Join(q.Tables, ", ") + " WHERE "
 	var preds []string
 	for _, j := range q.Joins {
 		preds = append(preds, j.String())
@@ -215,16 +216,5 @@ func (q *Query) String() string {
 	if len(preds) == 0 {
 		return s + "true"
 	}
-	return s + joinStrings(preds, " AND ")
-}
-
-func joinStrings(xs []string, sep string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += sep
-		}
-		out += x
-	}
-	return out
+	return s + strings.Join(preds, " AND ")
 }

@@ -314,6 +314,9 @@ func (g *Generator) Label(q *sqldb.Query, withOptimal bool) (*LabeledQuery, erro
 		}
 		lq.OptimalOrder = opt.Order
 	}
+	if err := ex.Err(); err != nil {
+		return nil, fmt.Errorf("workload: true cardinality: %w", err)
+	}
 	return lq, nil
 }
 
@@ -329,7 +332,7 @@ func (g *Generator) Generate(n int, cfg Config) []*LabeledQuery {
 		q := g.GenQuery(cfg)
 		lq, err := g.Label(q, cfg.WithOptimal)
 		if err != nil {
-			continue // sparse corner (e.g. stuck greedy); resample
+			continue // sparse corner (stuck greedy, uncountable); resample
 		}
 		if lq.RawCard < float64(minRows) {
 			// Empty/near-empty result: resample, but relax after many

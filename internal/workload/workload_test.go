@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -83,6 +84,21 @@ func TestLabelProducesConsistentGroundTruth(t *testing.T) {
 		if lq.Card != want {
 			t.Fatalf("root card %g != executed %g", lq.Card, want)
 		}
+	}
+}
+
+// TestLabelRefusesUncountableQuery: a count the executor cannot give
+// (here a second edge on one table pair, so the joins are not a tree)
+// is Label's error, which Generate resamples, never a label.
+func TestLabelRefusesUncountableQuery(t *testing.T) {
+	g := NewGenerator(testDB(), 3)
+	cfg := DefaultConfig()
+	cfg.MinTables, cfg.MaxTables = 2, 2
+	q := g.GenQuery(cfg)
+	q.Joins = append(q.Joins, q.Joins[0])
+	var ce *sqldb.CountError
+	if lq, err := g.Label(q, true); !errors.As(err, &ce) || !ce.Cycle {
+		t.Fatalf("Label of %v: %v, %v; want an error wrapping a cycle sqldb.CountError", q, lq, err)
 	}
 }
 

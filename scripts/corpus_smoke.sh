@@ -5,11 +5,15 @@
 # and at 4 workers and asserts the two loss trajectories are
 # BYTE-IDENTICAL (the trajectories are written as hex float64s, so cmp
 # is a bitwise assertion). Along the way it checks the refusals:
-# mtmlf-datagen -out with -single-table 0, mtmlf-train -db without
-# -corpus, -queries or -scale with -corpus, and -snapshot-every
-# without -resume; and that a labelling run killed by SIGTERM leaves no
-# temp file beside -out. Run via `make corpus-smoke`; CI runs it on every
-# push and uploads the corpus artifact.
+# mtmlf-datagen -out with -single-table 0 or in a missing directory
+# (within 100 ms, leaving no file), mtmlf-train -db without -corpus,
+# -queries or -scale with -corpus, -snapshot-every without -resume, and
+# -save or -loss-out in a missing directory; and that a labelling run
+# killed by SIGTERM leaves no temp file beside -out. It also builds the
+# default 11-database corpus under a 2 GB address-space cap at 1 and 2
+# workers and asserts the two are BYTE-IDENTICAL. Run via `make
+# corpus-smoke`; CI runs it on every push and uploads the corpus
+# artifact.
 source "$(dirname "$0")/lib.sh" mtmlf-datagen mtmlf-train
 
 # The corpus is left at $CORPUS_OUT for CI to upload.
@@ -23,12 +27,24 @@ if "$TMP/mtmlf-datagen" "${GEN_ARGS[@]}" -single-table 0 -out "$TMP/none.mtc" >"
 fi
 grep -q -- "-single-table 0" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
 
+echo "== refusing an -out that cannot be written, before any work"
+t0=$(date +%s%N)
+if "$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -out "$TMP/missing/x.mtc" >"$TMP/refuse.out" 2>&1; then
+    echo "FAIL: mtmlf-datagen -out <missing dir>/x.mtc exited 0"; exit 1
+fi
+ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+grep -q -- "-out $TMP/missing/x.mtc" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
+[ "$ms" -lt 100 ] || { echo "FAIL: the refusal took $ms ms, want under 100"; exit 1; }
+[ ! -e "$TMP/missing" ] || { echo "FAIL: the refused run left $TMP/missing behind"; exit 1; }
+
 echo "== a labelling run killed by SIGTERM leaves no temp file"
-# Default row counts label for tens of seconds; the signal lands long
-# before the corpus would be written. Exit status 143 (128 + SIGTERM)
-# shows the process was still running when it arrived.
+# -n 3 at default row counts labels its 48 queries a database in about
+# a third of a second, so the run asks for 2,000: it labels for several
+# seconds, and the signal lands long before the corpus would be written.
+# Exit status 143 (128 + SIGTERM) shows the process was still running
+# when it arrived.
 mkdir "$TMP/killed"
-"$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -out "$TMP/killed/f.mtc" >/dev/null 2>&1 &
+"$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -queries 2000 -out "$TMP/killed/f.mtc" >/dev/null 2>&1 &
 pid=$!
 sleep 0.5
 kill -TERM "$pid"
@@ -45,12 +61,23 @@ echo "== generating a tiny labeled corpus (1 and 4 workers)"
 cmp "$OUT" "$TMP/w4.mtc" || {
     echo "FAIL: the 4-worker corpus differs from the 1-worker one"; exit 1; }
 
+echo "== the default 11-database corpus under a 2 GB address-space cap (1 and 2 workers)"
+# Labelling counts joins instead of materializing them; the
+# materializing executor ran out of memory on this corpus.
+for w in 1 2; do
+    (ulimit -v 2000000; "$TMP/mtmlf-datagen" -workers "$w" -out "$TMP/default-w$w.mtc" | tail -1)
+done
+cmp "$TMP/default-w1.mtc" "$TMP/default-w2.mtc" || {
+    echo "FAIL: the 2-worker default corpus differs from the 1-worker one"; exit 1; }
+
 echo "== refusing flags a mode ignores"
 # Each case: the flags, then the text the refusal must contain.
 for c in "-db imdb|without -corpus" \
     "-corpus $OUT -queries 4|-queries and -scale" \
     "-corpus $OUT -scale 0.02|-queries and -scale" \
-    "-snapshot-every 1|without -resume"; do
+    "-snapshot-every 1|without -resume" \
+    "-corpus $OUT -save $TMP/missing/m.ckpt|-save $TMP/missing" \
+    "-corpus $OUT -loss-out $TMP/missing/l.txt|-loss-out $TMP/missing"; do
     flags=${c%%|*}
     # shellcheck disable=SC2086 # $flags is a list of flags and values
     if "$TMP/mtmlf-train" $flags -epochs 1 >"$TMP/refuse.out" 2>&1; then
