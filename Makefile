@@ -42,7 +42,7 @@ purego:
 # adds one fails with every site's file:line. Lower the bound as sites
 # are rounded explicitly (ROADMAP item 3), never raise it.
 FUSION_PKGS := ./internal/tensor ./internal/ag ./internal/nn ./internal/mtmlf ./internal/featurize ./internal/treelstm ./internal/datagen ./internal/cost ./internal/stats ./internal/metrics ./internal/calib
-FUSED_MAX := 81
+FUSED_MAX := 0
 cross-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
@@ -271,7 +271,7 @@ no-gob-import:
 # not exceed LOC_MAX. Lower the bound when code goes; a change that has
 # to grow the count raises LOC_MAX in its own diff, next to what the
 # lines buy.
-LOC_MAX := 20987
+LOC_MAX := 20973
 loc:
 	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \

@@ -106,8 +106,12 @@ func BenchmarkSequenceLossAblation(b *testing.B) {
 			cfg.Dim, cfg.Blocks, cfg.DecBlocks = 16, 1, 1
 			cfg.Feat.Dim, cfg.Feat.Blocks = 16, 1
 			m := mtmlf.NewModel(cfg, db, 19)
-			m.Feat.PretrainAll(gen, 15, 1, wcfg)
-			m.TrainJoint(train, mtmlf.TrainOptions{Epochs: 4, Seed: 20, SeqLevelLoss: seqLevel})
+			if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(15, wcfg), 1); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := m.TrainJointStream(workload.SliceSource(train), mtmlf.TrainOptions{Epochs: 4, Seed: 20, SeqLevelLoss: seqLevel}); err != nil {
+				b.Fatal(err)
+			}
 			var joeus []float64
 			for _, lq := range test {
 				if len(lq.OptimalOrder) < 2 {
@@ -306,9 +310,11 @@ func BenchmarkTrainJointStep(b *testing.B) {
 			m := mtmlf.NewModel(cfg, db, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.TrainJoint(qs, mtmlf.TrainOptions{
+				if _, err := m.TrainJointStream(workload.SliceSource(qs), mtmlf.TrainOptions{
 					Epochs: 1, Seed: 3, BatchSize: len(qs), Workers: workers,
-				})
+				}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -14,11 +14,14 @@
 //     exceed RAM. -db picks the corpus database (default: the first)
 //     and is refused without -corpus.
 //
-// From there both take the same path: the database's (F) encoders
-// pre-train from its single-table section for -encoder-epochs (a
-// database without one is refused; a loaded full checkpoint skips
-// this), and the examples split 85/5/10 into train, validation and
-// test.
+// From there both take the same path. The database attaches its (F)
+// encoders through mtmlf.Attach, as every database of -mla does: they
+// are initialized from the corpus seed (its Meta record; -seed + 1 for
+// the in-memory corpus) and pre-train from the database's single-table
+// section for -encoder-epochs (a database without one is refused; a
+// loaded full checkpoint skips this). -seed seeds the (S)+(T) modules
+// and the shuffle. The examples split 85/5/10 into train, validation
+// and test.
 //
 // Usage:
 //
@@ -104,6 +107,7 @@ import (
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/dist"
+	"mtmlf/internal/featurize"
 	"mtmlf/internal/metrics"
 	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/tensor"
@@ -206,8 +210,9 @@ func main() {
 	// keeps the run configuration uniform fleet-wide) but write
 	// nothing.
 	isPrimary := distWorker == "" || distRank == 0
-	// Refuse an unwritable output now; it is still written only at the end.
-	for _, out := range [][2]string{{"-save", savePath}, {"-loss-out", lossOut}} {
+	// Refuse an unwritable output now; it is still written only at the
+	// end (an existing -resume snapshot is left as it is).
+	for _, out := range [][2]string{{"-save", savePath}, {"-loss-out", lossOut}, {"-resume", resumePath}} {
 		if out[1] != "" && isPrimary {
 			if err := ckptio.Probe(out[1]); err != nil {
 				log.Fatalf("%s %s: %v", out[0], out[1], err)
@@ -315,13 +320,6 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 	if err != nil {
 		log.Fatal(err)
 	}
-	single, ok, err := c.SingleTable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !ok {
-		log.Fatalf("corpus %s: database %q has no single-table section to pre-train its encoders from — regenerate with mtmlf-datagen", corpusPath, c.Name())
-	}
 	// An 85/5/10 train/validation/test split, as index ranges over the
 	// streamed examples.
 	all := c.Examples()
@@ -344,9 +342,11 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 	fmt.Printf("db %q: %d tables, %d join edges, %d examples (%d train, %d test) (%d workers)\n",
 		c.Name(), len(db.Tables), len(db.Edges), n, src.Len(), len(test), tensor.Parallelism())
 
-	model := mtmlf.NewModelCat(mtmlf.DefaultConfig(), c, seed)
-	loadedFull := false
+	shared := mtmlf.NewShared(mtmlf.DefaultConfig(), seed)
+	var model *mtmlf.Model
 	if loadPath != "" {
+		// Weights land in the featurizer only from a full checkpoint.
+		model = &mtmlf.Model{Shared: shared, Feat: featurize.NewForLoad(c, shared.Cfg.Feat)}
 		f, err := os.Open(loadPath)
 		if err != nil {
 			log.Fatal(err)
@@ -356,24 +356,25 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 		if err != nil {
 			log.Fatal(err)
 		}
-		loadedFull = !info.SharedOnly
 		kind := "full-model"
 		if info.SharedOnly {
-			kind = "shared-only"
+			kind, model = "shared-only", nil
 		}
 		fmt.Printf("loaded %s checkpoint v%d from %s (trained on db %q)\n",
 			kind, info.Version, loadPath, info.DBName)
 	}
-	if loadedFull {
+	if model != nil {
 		// The checkpoint already holds trained featurizer weights for
 		// this database; repeating the pre-training would overwrite
 		// them.
 		fmt.Println("skipping featurizer pre-training (full checkpoint loaded)")
 	} else {
 		fmt.Println("pre-training per-table encoders (F module) from the single-table section...")
-		if _, err := model.Feat.PretrainAllFrom(single, encEpochs); err != nil {
+		task, err := mtmlf.Attach(shared, c, mtmlf.MLAOptions{Seed: r.Meta().Seed, EncoderEpochs: encEpochs})
+		if err != nil {
 			log.Fatal(err)
 		}
+		model = task.Model
 	}
 
 	fmt.Printf("joint training (%d epochs, seq-level loss: %v)...\n", epochs, seqLoss)

@@ -12,6 +12,7 @@ import (
 	"log"
 	"slices"
 
+	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/metrics"
 	"mtmlf/internal/mtmlf"
@@ -29,30 +30,39 @@ func main() {
 	db := datagen.SyntheticIMDB(7, 0.05)
 	fmt.Printf("database %q: %d tables, %d PK-FK edges\n\n", db.Name, len(db.Tables), len(db.Edges))
 
-	// Build the model: per-table encoders (F) + Trans_Share (S) +
-	// M_CardEst / M_CostEst / Trans_JO (T).
+	// (I.ii) Queries with initial plans and ground-truth labels, plus
+	// labelled single-table queries for the (F) module: the database's
+	// corpus (Algorithm 1's artifact), here in memory.
+	wcfg := workload.DefaultConfig()
+	wcfg.MaxTables = 4
+	fmt.Println("labeling the workload and the single-table queries...")
+	r, err := corpus.InMemory(corpus.Meta{Seed: 2}, mtmlf.Label(mtmlf.MLAOptions{
+		QueriesPerDB: 80, SingleTablePerTable: 25, Workload: wcfg, Seed: 2,
+	}, db))
+	check(err)
+	cats, srcs, err := r.Fleet()
+	check(err)
+	qs, err := workload.Materialize(srcs[0])
+	check(err)
+	train, _, test := workload.Split(qs, 0.8, 0.1)
+
+	// Build the model: Trans_Share (S) + M_CardEst / M_CostEst /
+	// Trans_JO (T), attached to the per-table encoders (F). Attaching
+	// pre-trains (F): each Enc_i learns its table's data distribution
+	// from single-table cardinalities (the paper's ANALYZE-like local
+	// step).
 	cfg := mtmlf.DefaultConfig()
 	cfg.Dim, cfg.Blocks, cfg.DecBlocks = 16, 1, 1
 	cfg.Feat.Dim, cfg.Feat.Blocks = 16, 1
-	model := mtmlf.NewModel(cfg, db, 1)
-
-	// Pre-train the (F) module: each Enc_i learns its table's data
-	// distribution from single-table cardinalities (the paper's
-	// ANALYZE-like local step).
-	gen := workload.NewGenerator(db, 2)
-	wcfg := workload.DefaultConfig()
-	wcfg.MaxTables = 4
 	fmt.Println("pre-training single-table encoders (Enc_i)...")
-	model.Feat.PretrainAll(gen, 25, 2, wcfg)
-
-	// (I.ii) Queries with initial plans and ground-truth labels.
-	fmt.Println("generating labeled workload...")
-	qs := gen.Generate(80, wcfg)
-	train, _, test := workload.Split(qs, 0.8, 0.1)
+	task, err := mtmlf.Attach(mtmlf.NewShared(cfg, 1), cats[0], mtmlf.MLAOptions{Seed: 2, EncoderEpochs: 2})
+	check(err)
+	model := task.Model
 
 	// (L) Joint training on all three tasks (Equation 1).
 	fmt.Println("joint training on CardEst + CostEst + JoinSel...")
-	stats := model.TrainJoint(train, mtmlf.TrainOptions{Epochs: 6, Seed: 3})
+	stats, err := model.TrainJointStream(workload.SliceSource(train), mtmlf.TrainOptions{Epochs: 6, Seed: 3})
+	check(err)
 	fmt.Printf("trained %d steps (final loss %.3f)\n\n", stats.Steps, stats.FinalLoss)
 
 	// Inference on one held-out query.
@@ -93,34 +103,30 @@ func main() {
 	// the exact same numbers.
 	fmt.Println("\nsaving full-model checkpoint and serving from the restored copy...")
 	var ckpt bytes.Buffer
-	if err := mtmlf.Save(&ckpt, model); err != nil {
-		log.Fatal(err)
-	}
+	check(mtmlf.Save(&ckpt, model))
 	restored, info, err := mtmlf.LoadModel(bytes.NewReader(ckpt.Bytes()), db)
-	if err != nil {
-		log.Fatal(err)
-	}
+	check(err)
 	fmt.Printf("checkpoint: v%d, %d bytes, db %q\n", info.Version, ckpt.Len(), info.DBName)
 
 	engine, err := serve.NewEngine(restored, serve.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	check(err)
 	defer engine.Close()
 	est, err := engine.EstimateCard(lq.Q, lq.Plan)
-	if err != nil {
-		log.Fatal(err)
-	}
+	check(err)
 	if est.Root != cardHat {
 		log.Fatalf("served estimate %v != in-memory estimate %v", est.Root, cardHat)
 	}
 	served, err := engine.JoinOrder(lq.Q, lq.Plan)
-	if err != nil {
-		log.Fatal(err)
-	}
+	check(err)
 	if !slices.Equal(served.Order, order) {
 		log.Fatalf("served join order %v != in-memory order %v", served.Order, order)
 	}
 	fmt.Printf("served CardEst %.1f and join order %v — bitwise identical to the in-memory model\n",
 		est.Root, served.Order)
+}
+
+func check(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
 }

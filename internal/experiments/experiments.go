@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -113,21 +114,38 @@ func FullConfig() Config {
 	return c
 }
 
-// trainedModel builds, pre-trains and jointly trains one MTMLF model
-// variant on a labeled workload. Each variant draws its encoder
-// pre-training queries from a private generator derived from seed, so
-// independent variants share no mutable state beyond the frozen
-// catalog (its lazily computed statistics are behind a sync.Once) and
-// can train concurrently on the worker pool with deterministic
-// results.
-func trainedModel(cfg Config, cat catalog.Catalog, train []*workload.LabeledQuery, wCard, wCost, wJo float64, seed int64) *mtmlf.Model {
+// attachable puts the database behind cat into an in-memory corpus
+// with its examples and a single-table section of cfg.EncoderQueries
+// queries per table, and returns the database as mtmlf.Attach takes it
+// and the options to attach it with. The section is labelled as
+// database 0 of a corpus at task seed cfg.Seed+7, so its (F) starts
+// from cfg.Seed+14; Tables 1 and 2 use neither seed for anything else.
+func attachable(cfg Config, cat catalog.Catalog, examples []*workload.LabeledQuery) (*corpus.DBCatalog, mtmlf.MLAOptions, error) {
+	at := mtmlf.MLAOptions{Seed: cfg.Seed + 7, EncoderEpochs: cfg.EncoderEpochs}
+	section := workload.NewGeneratorFrom(cat, at.Seed).GenPretrainSet(cfg.EncoderQueries, cfg.Workload)
+	r, err := corpus.InMemory(corpus.Meta{}, []*corpus.Database{{DB: cat.DB(), Examples: examples, SingleTable: section}})
+	if err != nil {
+		return nil, at, err
+	}
+	c, err := r.Catalog(0)
+	return c, at, err
+}
+
+// variant is one MTMLF model of a table: fresh (S)+(T) modules with
+// the Equation 1 task weights w, initialized from seed, attached to
+// cat's (F) and trained jointly on train. Each variant attaches its
+// own copy of the (F) module, so variants can train concurrently: a
+// backward pass writes Grad on every featurizer parameter it reaches.
+func variant(cfg Config, cat catalog.Catalog, attach mtmlf.MLAOptions, train []*workload.LabeledQuery, w [3]float64, seed int64) (*mtmlf.Model, error) {
 	mc := cfg.Model
-	mc.WCard, mc.WCost, mc.WJo = wCard, wCost, wJo
-	m := mtmlf.NewModelCat(mc, cat, seed)
-	gen := workload.NewGeneratorFrom(cat, seed+1000)
-	m.Feat.PretrainAll(gen, cfg.EncoderQueries, cfg.EncoderEpochs, cfg.Workload)
-	m.TrainJoint(train, mtmlf.TrainOptions{Epochs: cfg.Epochs, Seed: seed + 1, SeqLevelLoss: cfg.SeqLevelLoss})
-	return m
+	mc.WCard, mc.WCost, mc.WJo = w[0], w[1], w[2]
+	task, err := mtmlf.Attach(mtmlf.NewShared(mc, seed), cat, attach)
+	if err != nil {
+		return nil, err
+	}
+	_, err = task.Model.TrainJointStream(workload.SliceSource(train),
+		mtmlf.TrainOptions{Epochs: cfg.Epochs, Seed: seed + 1, SeqLevelLoss: cfg.SeqLevelLoss})
+	return task.Model, err
 }
 
 // ---------------------------------------------------------------------------
@@ -160,6 +178,10 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	all := gen.Generate(cfg.TrainQueries+cfg.TestQueries, wcfg)
 	train := all[:cfg.TrainQueries]
 	test := all[cfg.TrainQueries:]
+	dbCat, at, err := attachable(cfg, cat, all)
+	if err != nil {
+		return nil, err
+	}
 
 	st := cat.Stats()
 	cm := cost.Default()
@@ -184,6 +206,7 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	var pgCard, pgCost []float64
 	var tlCard, tlCost []float64
 	var joint, cardOnly, costOnly *mtmlf.Model
+	var errs [3]error
 	parallel.Do(
 		func() {
 			// PostgreSQL baseline: per-node estimated cards via the
@@ -223,10 +246,13 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 			}
 		},
 		// MTMLF-QO (joint) and the single-task ablations.
-		func() { joint = trainedModel(cfg, cat, train, 1, 1, 1, cfg.Seed+10) },
-		func() { cardOnly = trainedModel(cfg, cat, train, 1, 0, 0, cfg.Seed+20) },
-		func() { costOnly = trainedModel(cfg, cat, train, 0, 1, 0, cfg.Seed+30) },
+		func() { joint, errs[0] = variant(cfg, dbCat, at, train, [3]float64{1, 1, 1}, cfg.Seed+10) },
+		func() { cardOnly, errs[1] = variant(cfg, dbCat, at, train, [3]float64{1, 0, 0}, cfg.Seed+20) },
+		func() { costOnly, errs[2] = variant(cfg, dbCat, at, train, [3]float64{0, 1, 0}, cfg.Seed+30) },
 	)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
+	}
 
 	evalModel := func(m *mtmlf.Model) (cq, coq []float64) {
 		for _, lq := range test {
@@ -335,16 +361,24 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	// at our reduced workload size a 5% test split would be a handful
 	// of queries, so we hold out 20% to keep the comparison stable.
 	train, _, test := workload.Split(all, 0.75, 0.05)
+	dbCat, at, err := attachable(cfg, cat, all)
+	if err != nil {
+		return nil, err
+	}
 
 	// The joint model, the JoinSel-only ablation, and the statistics
 	// pass are independent; run them on the worker pool.
 	var joint, joOnly *mtmlf.Model
 	var st *stats.DBStats
+	var errs [2]error
 	parallel.Do(
-		func() { joint = trainedModel(cfg, cat, train, 1, 1, 1, cfg.Seed+40) },
-		func() { joOnly = trainedModel(cfg, cat, train, 0, 0, 1, cfg.Seed+50) },
+		func() { joint, errs[0] = variant(cfg, dbCat, at, train, [3]float64{1, 1, 1}, cfg.Seed+40) },
+		func() { joOnly, errs[1] = variant(cfg, dbCat, at, train, [3]float64{0, 0, 1}, cfg.Seed+50) },
 		func() { st = cat.Stats() },
 	)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
+	}
 
 	var pgTime, optTime, jointTime, joTime float64
 	var jointOpt, joOpt int
@@ -499,29 +533,35 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 	// sequence inside one closure.
 	var single, fresh *mtmlf.Model
 	var st *stats.DBStats
+	var errs [3]error
+	ft := workload.SliceSource(ftSet)
 	// One catalog for the held-out DB: the attach, the from-scratch
 	// control and the baseline optimizer share a single ANALYZE pass
 	// (safe to race on — Stats is behind a sync.Once).
 	parallel.Do(
 		func() {
-			testTask.Model.FineTune(ftSet, cfg.FineTuneEpochs, cfg.Model.LR/10, cfg.Seed+500)
+			_, errs[0] = testTask.Model.TrainJointStream(ft, mtmlf.TrainOptions{Epochs: cfg.FineTuneEpochs, Seed: cfg.Seed + 500, LR: cfg.Model.LR / 10})
 			// Second control: identical fine-tuning applied to a FRESH
 			// (un-pre-trained) shared module, isolating what MLA pre-training
 			// contributes beyond local adaptation.
 			fresh = &mtmlf.Model{Shared: mtmlf.NewShared(cfg.Model, cfg.Seed+300), Feat: testTask.Model.Feat}
-			fresh.FineTune(ftSet, cfg.FineTuneEpochs, cfg.Model.LR, cfg.Seed+700)
+			_, errs[1] = fresh.TrainJointStream(ft, mtmlf.TrainOptions{Epochs: cfg.FineTuneEpochs, Seed: cfg.Seed + 700, LR: cfg.Model.LR})
 		},
 		func() {
 			// Controlled study: MTMLF-QO trained from scratch on the same
 			// local workload (the held-out evaluation queries are excluded
-			// from every model's training data). The paper trains its single
-			// model on the test DB's own 20K-query workload; at our scale the
-			// local workload IS small, which is exactly the cold-start setting
-			// MTMLF targets.
-			single = trainedModel(cfg, testCat, ftSet, 1, 1, 1, cfg.Seed+600)
+			// from every model's training data), over its own copy of the
+			// MLA row's (F), attached the same way. The paper trains its
+			// single model on the test DB's own 20K-query workload; at our
+			// scale the local workload IS small, which is exactly the
+			// cold-start setting MTMLF targets.
+			single, errs[2] = variant(cfg, testCat, mlaOpts, ftSet, [3]float64{1, 1, 1}, cfg.Seed+600)
 		},
 		func() { st = testCat.Stats() },
 	)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
+	}
 	var pgTime, optTime, mlaTime, singleTime, freshTime float64
 	for _, lq := range evalSet {
 		if len(lq.OptimalOrder) < 2 {

@@ -315,29 +315,11 @@ func (f *Featurizer) PretrainEncoder(table string, data []workload.SingleTableQu
 	return PretrainResult{Table: table, FinalLoss: running, Steps: steps}
 }
 
-// PretrainAll trains every table encoder on freshly generated
-// single-table workloads (Algorithm 1 line 4). It is the live twin of
-// PretrainAllFrom: the workloads are drawn from gen (in table order,
-// one rng stream) and consumed immediately instead of being loaded
-// from a corpus. Encoder training consumes no randomness, so
-// generate-then-train here is bitwise identical to the historical
-// interleaved loop.
-func (f *Featurizer) PretrainAll(gen *workload.Generator, perTable, epochs int, cfg workload.Config) []PretrainResult {
-	out, err := f.PretrainAllFrom(gen.GenPretrainSet(perTable, cfg), epochs)
-	if err != nil {
-		// Unreachable: the set was generated from this featurizer's own
-		// table list.
-		panic(err)
-	}
-	return out
-}
-
-// PretrainAllFrom trains the table encoders on pre-generated
-// single-table workloads — the corpus path, where the data was
-// produced once at labelling time (workload.Generator.GenPretrainSet)
-// and stored in the corpus, so a training run generates nothing.
-// Training from a stored set is bitwise identical to PretrainAll over
-// the generator that produced it.
+// PretrainAllFrom trains every table encoder (Algorithm 1 line 4) on
+// pre-generated single-table workloads — a corpus's single-table
+// section, produced once at labelling time
+// (workload.Generator.GenPretrainSet), so a training run generates
+// nothing. Encoder training consumes no randomness.
 //
 // The set must cover every table exactly once: an encoder a partial
 // section silently skipped would serve from its random

@@ -162,43 +162,16 @@ func TestParamsStableOrder(t *testing.T) {
 	}
 }
 
-// TestPretrainAllFromMatchesLive: the cached-pretrain contract of the
-// corpus v2 data plane — training the encoders from a stored
-// single-table set (PretrainAllFrom) is bitwise identical to
-// pre-training live from the generator that produced it
-// (PretrainAll), and rejects data for unknown tables.
-func TestPretrainAllFromMatchesLive(t *testing.T) {
+// TestPretrainAllFromRefusesBadSets: a single-table set must cover
+// every table of the database exactly once, and a bad one is refused
+// before any encoder trains.
+func TestPretrainAllFromRefusesBadSets(t *testing.T) {
 	db := smallDB()
-	cfg := workload.DefaultConfig()
-
-	live := New(db, smallConfig(), 9)
-	liveRes := live.PretrainAll(workload.NewGenerator(db, 10), 6, 2, cfg)
-
 	stored := New(db, smallConfig(), 9)
-	data := workload.NewGenerator(db, 10).GenPretrainSet(6, cfg)
-	storedRes, err := stored.PretrainAllFrom(data, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(liveRes) != len(storedRes) {
-		t.Fatalf("result counts differ: %d vs %d", len(liveRes), len(storedRes))
-	}
-	for i := range liveRes {
-		if liveRes[i].Table != storedRes[i].Table || liveRes[i].Steps != storedRes[i].Steps ||
-			math.Float64bits(liveRes[i].FinalLoss) != math.Float64bits(storedRes[i].FinalLoss) {
-			t.Fatalf("result %d differs: %+v vs %+v", i, liveRes[i], storedRes[i])
-		}
-	}
-	pa, pb := live.Params(), stored.Params()
-	if len(pa) == 0 || len(pa) != len(pb) {
-		t.Fatalf("param counts %d vs %d", len(pa), len(pb))
-	}
-	for i := range pa {
-		for j := range pa[i].T.Data {
-			if math.Float64bits(pa[i].T.Data[j]) != math.Float64bits(pb[i].T.Data[j]) {
-				t.Fatalf("parameter %d differs between live and stored pre-training", i)
-			}
-		}
+	data := workload.NewGenerator(db, 10).GenPretrainSet(6, workload.DefaultConfig())
+	var before [][]float64
+	for _, p := range stored.Params() {
+		before = append(before, append([]float64(nil), p.T.Data...))
 	}
 
 	if _, err := stored.PretrainAllFrom([]workload.TableWorkload{{Table: "no_such_table"}}, 1); err == nil {
@@ -212,5 +185,12 @@ func TestPretrainAllFromMatchesLive(t *testing.T) {
 	dup := append(append([]workload.TableWorkload{}, data...), data[0])
 	if _, err := stored.PretrainAllFrom(dup, 1); err == nil {
 		t.Fatal("expected error for duplicate table")
+	}
+	for i, p := range stored.Params() {
+		for j := range p.T.Data {
+			if math.Float64bits(p.T.Data[j]) != math.Float64bits(before[i][j]) {
+				t.Fatalf("a refused set trained parameter %d", i)
+			}
+		}
 	}
 }

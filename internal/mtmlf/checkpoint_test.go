@@ -14,6 +14,7 @@ import (
 	"mtmlf/internal/ckptio"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/nn"
+	"mtmlf/internal/workload"
 )
 
 // TestFullCheckpointRoundTripBitwise is the regression test for the
@@ -26,7 +27,9 @@ import (
 // downstream) diverge.
 func TestFullCheckpointRoundTripBitwise(t *testing.T) {
 	m, qs := tinySetup(t, 61, 6)
-	m.TrainJoint(qs, TrainOptions{Epochs: 1, Seed: 62})
+	if _, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{Epochs: 1, Seed: 62}); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := Save(&buf, m); err != nil {
@@ -111,7 +114,9 @@ func TestFullCheckpointRoundTripBitwise(t *testing.T) {
 // restores (S)+(T) and leaves the destination featurizer untouched.
 func TestSharedOnlyCheckpointSkipsFeaturizer(t *testing.T) {
 	m, qs := tinySetup(t, 63, 3)
-	m.TrainJoint(qs, TrainOptions{Epochs: 1, Seed: 64})
+	if _, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{Epochs: 1, Seed: 64}); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := SaveShared(&buf, m); err != nil {
@@ -274,7 +279,9 @@ func TestCheckpointRejections(t *testing.T) {
 // benchmark's oracle repeats the second half end to end.)
 func TestLoadLoweredMatchesLower(t *testing.T) {
 	m, qs := tinySetup(t, 67, 6)
-	m.TrainJoint(qs, TrainOptions{Epochs: 1, Seed: 68})
+	if _, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{Epochs: 1, Seed: 68}); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := Save(&buf, m); err != nil {
 		t.Fatal(err)

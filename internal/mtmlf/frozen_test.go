@@ -5,6 +5,7 @@ import (
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/tensor"
+	"mtmlf/internal/workload"
 )
 
 // assertFeatFrozen fails unless every (F) parameter holds no gradient
@@ -34,7 +35,7 @@ func cloneParams(ps []*ag.Value) []*ag.Value {
 }
 
 // TestFeaturizerFrozenDuringTraining is the (F)-is-a-constant contract
-// of (S)+(T) training: TrainJoint (on the direct-Backward path and on
+// of (S)+(T) training: TrainJointStream (on the direct-Backward path and on
 // the sink path) and TrainMLAStream leave every Enc_i weight bitwise
 // where its pre-training put it, with no gradient on it, and a
 // per-example backward pass fills sink buffers for Shared parameters
@@ -44,8 +45,10 @@ func TestFeaturizerFrozenDuringTraining(t *testing.T) {
 		m, qs := tinySetup(t, 70, 8)
 		want := cloneParams(m.Feat.Params())
 		assertFeatFrozen(t, "after pre-training", m.Feat.Params(), want)
-		m.TrainJoint(qs, TrainOptions{Epochs: 1, Seed: 71, BatchSize: batch, Workers: 2})
-		assertFeatFrozen(t, "TrainJoint", m.Feat.Params(), want)
+		if _, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{Epochs: 1, Seed: 71, BatchSize: batch, Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		assertFeatFrozen(t, "TrainJointStream", m.Feat.Params(), want)
 	}
 
 	m, qs := tinySetup(t, 72, 1)

@@ -98,7 +98,9 @@ func TestBeamProbabilitiesNormalized(t *testing.T) {
 // identical predictions — the provider→user flow of Section 2.3.
 func TestSharedRoundtripThroughCheckpoint(t *testing.T) {
 	m, qs := tinySetup(t, 42, 8)
-	m.TrainJoint(qs, TrainOptions{Epochs: 1, Seed: 43})
+	if _, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{Epochs: 1, Seed: 43}); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := SaveShared(&buf, m); err != nil {
@@ -151,9 +153,13 @@ func TestTrainingIsSeedReproducible(t *testing.T) {
 		gen := workload.NewGenerator(db, 8)
 		cfg := workload.DefaultConfig()
 		cfg.MaxTables = 3
-		m.Feat.PretrainAll(gen, 5, 1, cfg)
+		if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, cfg), 1); err != nil {
+			t.Fatal(err)
+		}
 		qs := gen.Generate(5, cfg)
-		m.TrainJoint(qs, TrainOptions{Epochs: 2, Seed: 9})
+		if _, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{Epochs: 2, Seed: 9}); err != nil {
+			t.Fatal(err)
+		}
 		return m
 	}
 	a, b := build(), build()

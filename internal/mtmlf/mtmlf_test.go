@@ -33,7 +33,9 @@ func tinySetup(t *testing.T, seed int64, n int) (*Model, []*workload.LabeledQuer
 	gen := workload.NewGenerator(db, seed+1)
 	cfg := workload.DefaultConfig()
 	cfg.MaxTables = 4
-	m.Feat.PretrainAll(gen, 10, 1, cfg)
+	if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(10, cfg), 1); err != nil {
+		t.Fatal(err)
+	}
 	return m, gen.Generate(n, cfg)
 }
 
@@ -230,7 +232,10 @@ func TestTrainJointImproves(t *testing.T) {
 
 	beforeCard := evalCard()
 	beforeJO := evalJOLoss()
-	st := m.TrainJoint(train, TrainOptions{Epochs: 6, Seed: 9})
+	st, err := m.TrainJointStream(workload.SliceSource(train), TrainOptions{Epochs: 6, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Steps != 6*len(train) {
 		t.Fatalf("steps %d", st.Steps)
 	}
@@ -309,7 +314,9 @@ func TestMLARunsAndTransfers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task.Model.FineTune(queries, 1, 1e-3, 25)
+	if _, err := task.Model.TrainJointStream(workload.SliceSource(queries), TrainOptions{Epochs: 1, Seed: 25, LR: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
 	cards := task.Model.EstimateNodeCards(queries[0])
 	if len(cards) == 0 || cards[0] < 1 {
 		t.Fatal("transferred model produced no estimates")
@@ -321,7 +328,10 @@ func TestSingleTaskAblationConfigs(t *testing.T) {
 	m, qs := tinySetup(t, 30, 6)
 	m.Shared.Cfg.WCost = 0
 	m.Shared.Cfg.WJo = 0
-	st := m.TrainJoint(qs, TrainOptions{Epochs: 1, Seed: 31})
+	st, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{Epochs: 1, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Steps != len(qs) {
 		t.Fatal("training did not run")
 	}

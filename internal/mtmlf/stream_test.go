@@ -43,7 +43,9 @@ func trainFrom(t *testing.T, cat catalog.Catalog, src workload.Source, workers i
 	gen := workload.NewGeneratorFrom(cat, 8)
 	cfg := workload.DefaultConfig()
 	cfg.MaxTables = 3
-	m.Feat.PretrainAll(gen, 5, 1, cfg)
+	if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, cfg), 1); err != nil {
+		t.Fatal(err)
+	}
 	st, err := m.TrainJointStream(src, TrainOptions{
 		Epochs: 2, Seed: 9, BatchSize: 4, Workers: workers, RecordTrajectory: true,
 	})
@@ -55,9 +57,9 @@ func trainFrom(t *testing.T, cat catalog.Catalog, src workload.Source, workers i
 
 // TestTrainJointStreamMatchesInMemory is the eps=0 equivalence
 // contract of the pluggable data plane: with a fixed seed, the
-// TrainJoint loss trajectory and final parameters are bitwise
-// identical between the legacy in-memory path and the streaming
-// corpus path, at any worker count.
+// TrainJointStream loss trajectory and final parameters are bitwise
+// identical between a slice source over the in-memory examples and
+// the streaming corpus path, at any worker count.
 func TestTrainJointStreamMatchesInMemory(t *testing.T) {
 	memCat, examples, r := streamFixture(t)
 	refModel, ref := trainFrom(t, memCat, workload.SliceSource(examples), 1)
@@ -91,30 +93,6 @@ func TestTrainJointStreamMatchesInMemory(t *testing.T) {
 			if !tensor.Equal(pa[i].T, pb[i].T, 0) {
 				t.Fatalf("workers=%d: parameter %d differs between memory and corpus backends", workers, i)
 			}
-		}
-	}
-}
-
-// TestTrainJointSliceMatchesStreamEntryPoint: the legacy TrainJoint
-// entry point is the streaming loop over a slice source — same stats,
-// same parameters.
-func TestTrainJointSliceMatchesStreamEntryPoint(t *testing.T) {
-	memCat, examples, _ := streamFixture(t)
-	a, sa := trainFrom(t, memCat, workload.SliceSource(examples), 2)
-
-	b := NewModelCat(tinyConfig(), memCat, 7)
-	gen := workload.NewGeneratorFrom(memCat, 8)
-	cfg := workload.DefaultConfig()
-	cfg.MaxTables = 3
-	b.Feat.PretrainAll(gen, 5, 1, cfg)
-	sb := b.TrainJoint(examples, TrainOptions{Epochs: 2, Seed: 9, BatchSize: 4, Workers: 2})
-	if sa.Steps != sb.Steps || math.Float64bits(sa.FinalLoss) != math.Float64bits(sb.FinalLoss) {
-		t.Fatalf("stats differ: %+v vs %+v", sa, sb)
-	}
-	pa, pb := a.Params(), b.Params()
-	for i := range pa {
-		if !tensor.Equal(pa[i].T, pb[i].T, 0) {
-			t.Fatalf("parameter %d differs between TrainJoint and TrainJointStream", i)
 		}
 	}
 }

@@ -391,32 +391,24 @@ func trainLoop(shared *Shared, models []*Model, srcs []workload.Source, opts Tra
 	return st, err
 }
 
-// TrainJoint trains the (S) and (T) modules jointly on all three tasks
-// with the Equation 1 loss. Per the paper, the gradient updates (S)
-// and (T) only; the per-table encoders of the (F) module are
-// pre-trained separately (Featurizer.PretrainAll) and stay frozen
-// here. Single-task ablations (MTMLF-CardEst etc.) are obtained by
-// zeroing the other weights in Config.
+// TrainJointStream trains the (S) and (T) modules jointly on all
+// three tasks with the Equation 1 loss, over any workload.Source: a
+// slice (workload.SliceSource), an on-disk corpus
+// (corpus.Reader.Examples) or any future example producer. Per the
+// paper, the gradient updates (S) and (T) only; the per-table encoders
+// of the (F) module are pre-trained separately (Attach) and stay
+// frozen here. Single-task ablations (MTMLF-CardEst etc.) are obtained
+// by zeroing the other weights in Config; fine-tuning a pre-trained
+// Shared on a new database's few queries is this loop at a lower
+// TrainOptions.LR.
 //
 // Training is minibatch data-parallel: each minibatch's examples run
 // forward/backward concurrently on TrainOptions.Workers workers
 // against the shared parameters, each into a private gradient buffer;
 // the buffers are then averaged in example order and applied as one
 // Adam step. The trajectory depends on Seed and BatchSize but never
-// on Workers.
-func (m *Model) TrainJoint(train []*workload.LabeledQuery, opts TrainOptions) TrainStats {
-	// A slice source never errors, so the streaming path's error is
-	// structurally nil here.
-	st, _ := m.TrainJointStream(workload.SliceSource(train), opts)
-	return st
-}
-
-// TrainJointStream is TrainJoint over any workload.Source: the
-// in-memory slice backend, an on-disk corpus (corpus.Reader.Examples)
-// or any future example producer. It is the training loop over a pool
-// of one database, so the trajectory is bitwise identical to the
-// in-memory path on the same example set — the source only changes
-// where bytes come from, never what the optimizer sees.
+// on Workers, and the source only changes where bytes come from,
+// never what the optimizer sees.
 func (m *Model) TrainJointStream(src workload.Source, opts TrainOptions) (TrainStats, error) {
 	lr := m.Shared.Cfg.LR
 	if opts.LR > 0 {
@@ -604,12 +596,4 @@ func Label(opts MLAOptions, dbs ...*sqldb.DB) []*corpus.Database {
 		}
 	})
 	return out
-}
-
-// FineTune adapts a pre-trained Shared to a new database's workload
-// with a small number of examples — the user-side step of the paper's
-// cloud workflow ("execute a small number of representative queries to
-// fine-tune the pre-trained MTMLF").
-func (m *Model) FineTune(examples []*workload.LabeledQuery, epochs int, lr float64, seed int64) TrainStats {
-	return m.TrainJoint(examples, TrainOptions{Epochs: epochs, Seed: seed, LR: lr})
 }

@@ -87,7 +87,9 @@ func trainJointDistSnap(batch, workers int, ex dist.Exchanger, snap SnapshotOpti
 	gen := workload.NewGenerator(db, 8)
 	cfg := workload.DefaultConfig()
 	cfg.MaxTables = 3
-	m.Feat.PretrainAll(gen, 5, 1, cfg)
+	if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, cfg), 1); err != nil {
+		return nil, TrainStats{}, err
+	}
 	qs := gen.Generate(10, cfg)
 	st, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{
 		Epochs: 2, Seed: 9, BatchSize: batch, Workers: workers,
@@ -234,7 +236,9 @@ func TestTrainJointDistResume(t *testing.T) {
 		gen := workload.NewGenerator(db, 8)
 		cfg := workload.DefaultConfig()
 		cfg.MaxTables = 3
-		m.Feat.PretrainAll(gen, 5, 1, cfg)
+		if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, cfg), 1); err != nil {
+			return nil, TrainStats{}, err
+		}
 		qs := gen.Generate(10, cfg)
 		st, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{
 			Epochs: 2, Seed: 9, BatchSize: batch, Workers: 2,
@@ -400,7 +404,9 @@ func TestTrainJointDistReadsOnlyOwnedSlice(t *testing.T) {
 		gen := workload.NewGenerator(db, 8)
 		cfg := workload.DefaultConfig()
 		cfg.MaxTables = 3
-		m.Feat.PretrainAll(gen, 5, 1, cfg)
+		if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, cfg), 1); err != nil {
+			return err
+		}
 		qs := gen.Generate(nq, cfg)
 		cs := &countingSource{src: workload.SliceSource(qs), got: map[int]int{}}
 		counters[rank] = cs

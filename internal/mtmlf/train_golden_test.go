@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"mtmlf/internal/nn"
+	"mtmlf/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/train_golden.json from the current code")
@@ -68,19 +69,24 @@ func goldenMLA(t *testing.T, workers int) trainGolden {
 	return goldenOf(t, tasks[0].Model, st)
 }
 
-// goldenJoint runs TrainJoint on a pretrained single-database model.
+// goldenJoint runs TrainJointStream on a pretrained single-database
+// model.
 func goldenJoint(t *testing.T, opts TrainOptions) trainGolden {
 	t.Helper()
 	m, qs := tinySetup(t, 60, 10)
 	opts.Epochs, opts.Seed, opts.RecordTrajectory = 2, 61, true
-	return goldenOf(t, m, m.TrainJoint(qs, opts))
+	st, err := m.TrainJointStream(workload.SliceSource(qs), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenOf(t, m, st)
 }
 
 // TestTrainGolden pins what training produces, bit for bit, against
 // the commit that recorded testdata/train_golden.json — the loss
 // trajectory and the trained parameter bits of four small runs: Algorithm 1
-// at batch 8 on one and two workers, TrainJoint at batch 1 (one slot
-// through dist.Local's fold), and TrainJoint at batch 4 with
+// at batch 8 on one and two workers, TrainJointStream at batch 1 (one
+// slot through dist.Local's fold), and TrainJointStream at batch 4 with
 // the sequence-level loss. The drills elsewhere compare topologies
 // within one tree; this is what says a change to the backward pass or
 // the training loop moved no number. amd64 only, like calib's

@@ -9,17 +9,23 @@ import (
 
 // trainWithWorkers runs an identically seeded end-to-end training
 // setup with the given data-parallel settings and returns the model.
-func trainWithWorkers(batch, workers int) (*Model, TrainStats) {
+func trainWithWorkers(t *testing.T, batch, workers int) (*Model, TrainStats) {
+	t.Helper()
 	db := tinyDB()
 	m := NewModel(tinyConfig(), db, 7)
 	gen := workload.NewGenerator(db, 8)
 	cfg := workload.DefaultConfig()
 	cfg.MaxTables = 3
-	m.Feat.PretrainAll(gen, 5, 1, cfg)
+	if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, cfg), 1); err != nil {
+		t.Fatal(err)
+	}
 	qs := gen.Generate(10, cfg)
-	st := m.TrainJoint(qs, TrainOptions{
+	st, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{
 		Epochs: 2, Seed: 9, BatchSize: batch, Workers: workers,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return m, st
 }
 
@@ -29,9 +35,9 @@ func trainWithWorkers(batch, workers int) (*Model, TrainStats) {
 // gradient buffers are reduced in example order regardless of which
 // worker filled them.
 func TestTrainJointWorkerCountInvariant(t *testing.T) {
-	ref, refStats := trainWithWorkers(4, 1)
+	ref, refStats := trainWithWorkers(t, 4, 1)
 	for _, workers := range []int{2, 3, 8} {
-		m, st := trainWithWorkers(4, workers)
+		m, st := trainWithWorkers(t, 4, workers)
 		if st.FinalLoss != refStats.FinalLoss {
 			t.Fatalf("workers=%d: final loss %v != 1-worker %v", workers, st.FinalLoss, refStats.FinalLoss)
 		}
@@ -51,8 +57,8 @@ func TestTrainJointWorkerCountInvariant(t *testing.T) {
 // plain per-example SGD — Steps counts every example and identically
 // seeded runs coincide (the original training contract).
 func TestTrainJointBatchOneMatchesSeedSemantics(t *testing.T) {
-	a, sa := trainWithWorkers(1, 1)
-	b, sb := trainWithWorkers(0, 4) // BatchSize 0 normalizes to 1
+	a, sa := trainWithWorkers(t, 1, 1)
+	b, sb := trainWithWorkers(t, 0, 4) // BatchSize 0 normalizes to 1
 	if sa.Steps != sb.Steps || sa.FinalLoss != sb.FinalLoss {
 		t.Fatalf("stats differ: %+v vs %+v", sa, sb)
 	}
@@ -97,11 +103,16 @@ func TestTrainJointSeqLevelLossParallel(t *testing.T) {
 	gen := workload.NewGenerator(db, 12)
 	cfg := workload.DefaultConfig()
 	cfg.MaxTables = 3
-	m.Feat.PretrainAll(gen, 4, 1, cfg)
+	if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(4, cfg), 1); err != nil {
+		t.Fatal(err)
+	}
 	qs := gen.Generate(6, cfg)
-	st := m.TrainJoint(qs, TrainOptions{
+	st, err := m.TrainJointStream(workload.SliceSource(qs), TrainOptions{
 		Epochs: 1, Seed: 13, SeqLevelLoss: true, BatchSize: 3, Workers: 3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Steps != len(qs) {
 		t.Fatalf("steps %d, want %d", st.Steps, len(qs))
 	}

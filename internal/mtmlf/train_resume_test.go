@@ -24,7 +24,9 @@ func freshJointModel(t *testing.T, cat catalog.Catalog) *Model {
 	gen := workload.NewGeneratorFrom(cat, 8)
 	cfg := workload.DefaultConfig()
 	cfg.MaxTables = 3
-	m.Feat.PretrainAll(gen, 5, 1, cfg)
+	if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, cfg), 1); err != nil {
+		t.Fatal(err)
+	}
 	return m
 }
 

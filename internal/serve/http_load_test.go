@@ -91,7 +91,9 @@ func TestHTTPReloadz(t *testing.T) {
 	gen := workload.NewGenerator(db, 22)
 	wcfg := workload.DefaultConfig()
 	wcfg.MaxTables = 4
-	m2.Feat.PretrainAll(gen, 5, 1, wcfg)
+	if _, err := m2.Feat.PretrainAllFrom(gen.GenPretrainSet(5, wcfg), 1); err != nil {
+		t.Fatal(err)
+	}
 	want2 := serialExpected(m2, qs)
 
 	e, err := NewEngine(m1, Options{Sessions: 2})

@@ -126,7 +126,9 @@ func TestMemoReloadMidTraffic(t *testing.T) {
 		m := mtmlf.NewModel(cfg, db, 11)
 		wcfg := workload.DefaultConfig()
 		wcfg.MaxTables = 4
-		m.Feat.PretrainAll(workload.NewGenerator(db, pretrainSeed), 5, 1, wcfg)
+		if _, err := m.Feat.PretrainAllFrom(workload.NewGenerator(db, pretrainSeed).GenPretrainSet(5, wcfg), 1); err != nil {
+			t.Fatal(err)
+		}
 		return m
 	}
 	m1, m2 := build(12), build(22)

@@ -74,7 +74,9 @@ func TestEngineReloadReLowers(t *testing.T) {
 		gen := workload.NewGenerator(db, genSeed)
 		wcfg := workload.DefaultConfig()
 		wcfg.MaxTables = 4
-		m.Feat.PretrainAll(gen, 5, 1, wcfg)
+		if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, wcfg), 1); err != nil {
+			t.Fatal(err)
+		}
 		return m
 	}
 	m1 := build(11, 12)

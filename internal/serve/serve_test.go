@@ -27,7 +27,9 @@ func testModel(t testing.TB) (*mtmlf.Model, []*workload.LabeledQuery) {
 	gen := workload.NewGenerator(db, 12)
 	wcfg := workload.DefaultConfig()
 	wcfg.MaxTables = 4
-	m.Feat.PretrainAll(gen, 5, 1, wcfg)
+	if _, err := m.Feat.PretrainAllFrom(gen.GenPretrainSet(5, wcfg), 1); err != nil {
+		t.Fatal(err)
+	}
 	return m, gen.Generate(6, wcfg)
 }
 

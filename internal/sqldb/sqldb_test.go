@@ -378,17 +378,6 @@ func TestValueOrdering(t *testing.T) {
 	}
 }
 
-func TestDistinctCount(t *testing.T) {
-	c := IntColumn("c", []int64{1, 1, 2, 3, 3, 3})
-	if c.DistinctCount() != 3 {
-		t.Fatal("distinct count wrong")
-	}
-	s := StringColumn("s", []string{"a", "a", "b"})
-	if s.DistinctCount() != 2 {
-		t.Fatal("string distinct wrong")
-	}
-}
-
 // materializedCard is the executor this package had before it counted:
 // it builds each connected component's join as tuples of row ids
 // (greedy smallest-first hash joins) and takes their number. It is the

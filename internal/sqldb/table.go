@@ -137,30 +137,6 @@ func (c *Column) Value(i int) Value {
 	}
 }
 
-// DistinctCount returns the number of distinct values in the column.
-func (c *Column) DistinctCount() int {
-	switch c.Kind {
-	case KindInt:
-		seen := make(map[int64]struct{}, 64)
-		for _, v := range c.Ints {
-			seen[v] = struct{}{}
-		}
-		return len(seen)
-	case KindFloat:
-		seen := make(map[float64]struct{}, 64)
-		for _, v := range c.Flts {
-			seen[v] = struct{}{}
-		}
-		return len(seen)
-	default:
-		seen := make(map[string]struct{}, 64)
-		for _, v := range c.Strs {
-			seen[v] = struct{}{}
-		}
-		return len(seen)
-	}
-}
-
 // Table is a named collection of equal-length columns.
 type Table struct {
 	Name    string

@@ -40,6 +40,23 @@ func TestAnalyzeBasics(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDistinct: Distinct is the exact number of distinct values
+// of an int, a float and a string column with duplicates (the
+// workload generator reads it to pick a filter's operator).
+func TestAnalyzeDistinct(t *testing.T) {
+	db := sqldb.NewDB("d")
+	db.MustAddTable(sqldb.MustNewTable("t",
+		sqldb.IntColumn("i", []int64{1, 1, 2, 3, 3, 3}),
+		sqldb.FloatColumn("f", []float64{0.5, 2, 0.5, 2, 7, 0.5}),
+		sqldb.StringColumn("s", []string{"a", "a", "b", "a", "b", "a"})))
+	cols := Analyze(db).Tables["t"].Cols
+	for col, want := range map[string]int64{"i": 3, "f": 3, "s": 2} {
+		if got := cols[col].Distinct; got != want {
+			t.Errorf("column %s: Distinct %d, want %d", col, got, want)
+		}
+	}
+}
+
 func TestEqSelectivityOnUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := sqldb.NewDB("d")

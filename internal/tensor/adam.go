@@ -22,8 +22,8 @@ func adamUpdate(p, g, m, v []float64, c AdamCoeffs) {
 	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
 	for j := range p {
 		gj := g[j] * c.Scale
-		m[j] = c.Beta1*m[j] + (1-c.Beta1)*gj
-		v[j] = c.Beta2*v[j] + (1-c.Beta2)*gj*gj
+		m[j] = float64(c.Beta1*m[j]) + float64((1-c.Beta1)*gj)
+		v[j] = float64(c.Beta2*v[j]) + float64((1-c.Beta2)*gj*gj)
 		mhat := m[j] / c.B1C
 		vhat := v[j] / c.B2C
 		p[j] -= c.LR * mhat / (math.Sqrt(vhat) + c.Eps)

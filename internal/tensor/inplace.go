@@ -176,14 +176,14 @@ func LayerNormRowsInto[T Float](a, gamma, beta *Dense[T], eps float64, out *Dens
 		var va T
 		for _, v := range row {
 			d := v - mean
-			va += d * d
+			va += T(d * d)
 		}
 		va /= T(n)
 		is := T(1 / math.Sqrt(float64(va)+eps))
 		orow := out.Row(i)
 		for j, v := range row {
 			xh := (v - mean) * is
-			orow[j] = xh*gamma.Data[j] + beta.Data[j]
+			orow[j] = T(xh*gamma.Data[j]) + beta.Data[j]
 		}
 	}
 }
@@ -212,14 +212,14 @@ func GELUInto[T Float](a, out *Dense[T]) {
 	if narrowerThanFloat64[T]() {
 		viaFloat64(a.Data, out.Data, func(x []float64) {
 			for i, v := range x {
-				x[i] = 0.5 * v * (1 + math.Tanh(c*(v+0.044715*v*v*v)))
+				x[i] = 0.5 * v * (1 + math.Tanh(c*(v+float64(0.044715*v*v*v))))
 			}
 		})
 		return
 	}
 	for i, v := range a.Data {
 		x := float64(v)
-		out.Data[i] = T(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
+		out.Data[i] = T(0.5 * x * (1 + math.Tanh(c*(x+float64(0.044715*x*x*x)))))
 	}
 }
 

@@ -173,7 +173,7 @@ func matMulRows(a, b, out []float64, k, n, i0, i1 int) {
 				}
 				brow := b[l*n : (l+1)*n]
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -196,7 +196,7 @@ func matMulTransBRows(a, b, out []float64, k, n, i0, i1 int) {
 				brow := b[j*k : (j+1)*k]
 				var s float64
 				for l, av := range arow {
-					s += av * brow[l]
+					s += float64(av * brow[l])
 				}
 				orow[j] = s
 			}
@@ -220,7 +220,7 @@ func matMulTransARows(a, b, out []float64, k, m, n, i0, i1 int) {
 			}
 			orow := out[i*n : (i+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}

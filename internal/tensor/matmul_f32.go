@@ -66,32 +66,32 @@ func matMulF32Rows(a, b, out []float32, k, n, i0, i1 int) {
 					b2w := b2[j : j+4 : j+4]
 					b3w := b3[j : j+4 : j+4]
 					ow := orow[j : j+4 : j+4]
-					o0 := ow[0] + av0*b0w[0]
-					o1 := ow[1] + av0*b0w[1]
-					o2 := ow[2] + av0*b0w[2]
-					o3 := ow[3] + av0*b0w[3]
-					o0 += av1 * b1w[0]
-					o1 += av1 * b1w[1]
-					o2 += av1 * b1w[2]
-					o3 += av1 * b1w[3]
-					o0 += av2 * b2w[0]
-					o1 += av2 * b2w[1]
-					o2 += av2 * b2w[2]
-					o3 += av2 * b2w[3]
-					o0 += av3 * b3w[0]
-					o1 += av3 * b3w[1]
-					o2 += av3 * b3w[2]
-					o3 += av3 * b3w[3]
+					o0 := ow[0] + float32(av0*b0w[0])
+					o1 := ow[1] + float32(av0*b0w[1])
+					o2 := ow[2] + float32(av0*b0w[2])
+					o3 := ow[3] + float32(av0*b0w[3])
+					o0 += float32(av1 * b1w[0])
+					o1 += float32(av1 * b1w[1])
+					o2 += float32(av1 * b1w[2])
+					o3 += float32(av1 * b1w[3])
+					o0 += float32(av2 * b2w[0])
+					o1 += float32(av2 * b2w[1])
+					o2 += float32(av2 * b2w[2])
+					o3 += float32(av2 * b2w[3])
+					o0 += float32(av3 * b3w[0])
+					o1 += float32(av3 * b3w[1])
+					o2 += float32(av3 * b3w[2])
+					o3 += float32(av3 * b3w[3])
 					ow[0] = o0
 					ow[1] = o1
 					ow[2] = o2
 					ow[3] = o3
 				}
 				for ; j < n; j++ {
-					s := orow[j] + av0*b0[j]
-					s += av1 * b1[j]
-					s += av2 * b2[j]
-					s += av3 * b3[j]
+					s := orow[j] + float32(av0*b0[j])
+					s += float32(av1 * b1[j])
+					s += float32(av2 * b2[j])
+					s += float32(av3 * b3[j])
 					orow[j] = s
 				}
 			}
@@ -102,13 +102,13 @@ func matMulF32Rows(a, b, out []float32, k, n, i0, i1 int) {
 				for ; j+4 <= n; j += 4 {
 					bw := brow[j : j+4 : j+4]
 					ow := orow[j : j+4 : j+4]
-					ow[0] += av * bw[0]
-					ow[1] += av * bw[1]
-					ow[2] += av * bw[2]
-					ow[3] += av * bw[3]
+					ow[0] += float32(av * bw[0])
+					ow[1] += float32(av * bw[1])
+					ow[2] += float32(av * bw[2])
+					ow[3] += float32(av * bw[3])
 				}
 				for ; j < n; j++ {
-					orow[j] += av * brow[j]
+					orow[j] += float32(av * brow[j])
 				}
 			}
 		}
@@ -135,14 +135,14 @@ func matMulTransBF32Rows(a, b, out []float32, k, n, i0, i1 int) {
 				for ; l+4 <= k; l += 4 {
 					aw := arow[l : l+4 : l+4]
 					bw := brow[l : l+4 : l+4]
-					s0 += aw[0] * bw[0]
-					s1 += aw[1] * bw[1]
-					s2 += aw[2] * bw[2]
-					s3 += aw[3] * bw[3]
+					s0 += float32(aw[0] * bw[0])
+					s1 += float32(aw[1] * bw[1])
+					s2 += float32(aw[2] * bw[2])
+					s3 += float32(aw[3] * bw[3])
 				}
 				s := (s0 + s1) + (s2 + s3)
 				for ; l < k; l++ {
-					s += arow[l] * brow[l]
+					s += float32(arow[l] * brow[l])
 				}
 				orow[j] = s
 			}

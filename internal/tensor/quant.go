@@ -117,7 +117,7 @@ func QuantizeRowInt8[T Float](row []T, q []int8) T {
 	// every element within scale/2.
 	inv := 127 / float64(maxAbs)
 	for i, v := range row {
-		x := float64(v) * inv
+		x := float64(float64(v) * inv) // rounded, so x ± 0.5 is not fused into it
 		if x >= 0 {
 			q[i] = int8(x + 0.5)
 		} else {
@@ -181,7 +181,7 @@ func matMulInt8Rows[T Float](a []T, w *Int8Matrix, bias, out []T, qbuf []int8, k
 			for ; l < k; l++ {
 				acc += int32(q[l]) * int32(wrow[l])
 			}
-			orow[j] = T(acc)*as*T(w.Scales[j]) + bias[j]
+			orow[j] = T(T(acc)*as*T(w.Scales[j])) + bias[j]
 		}
 	}
 }

@@ -141,7 +141,7 @@ func Rand(rng *rand.Rand, rows, cols int, scale float64) *Tensor {
 		return t
 	}
 	for i := range t.Data {
-		t.Data[i] = (rng.Float64()*2 - 1) * scale
+		t.Data[i] = (float64(rng.Float64())*2 - 1) * scale // rounds rand.Float64's inlined product before *2 (f+f)
 	}
 	return t
 }

@@ -113,7 +113,7 @@ func (c *ConcatSource) Example(i int) (*LabeledQuery, error) {
 
 // Materialize fetches every example of a source into memory
 // (worker-parallel), for consumers that need slices — evaluation
-// loops, the legacy TrainJoint entry point, round-trip tests.
+// loops, fine-tune sets, round-trip tests.
 func Materialize(src Source) ([]*LabeledQuery, error) {
 	if s, ok := src.(SliceSource); ok {
 		return s, nil

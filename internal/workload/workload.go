@@ -235,14 +235,14 @@ func (g *Generator) randomFilter(table string, col *sqldb.Column, cfg Config) (s
 	case sqldb.KindString:
 		// Equality on a near-unique string column selects ~one row and
 		// empties the join; prefer LIKE there (as JOB does).
-		if g.rng.Float64() < cfg.LikeProb || col.DistinctCount() > 30 {
+		if g.rng.Float64() < cfg.LikeProb || g.Stats.Tables[table].Cols[col.Name].Distinct > 30 {
 			return sqldb.Filter{Table: table, Col: col.Name, Op: sqldb.OpLike, Val: sqldb.StrVal(g.likePattern(sample.S))}, true
 		}
 		return sqldb.Filter{Table: table, Col: col.Name, Op: sqldb.OpEq, Val: sample}, true
 	default:
 		ops := []sqldb.Op{sqldb.OpEq, sqldb.OpLe, sqldb.OpGe, sqldb.OpLt, sqldb.OpGt}
 		op := ops[g.rng.Intn(len(ops))]
-		if op == sqldb.OpEq && col.DistinctCount() > 40 {
+		if op == sqldb.OpEq && g.Stats.Tables[table].Cols[col.Name].Distinct > 40 {
 			// Equality on a wide numeric domain is near-empty; use a
 			// range instead.
 			op = sqldb.OpLe
@@ -383,13 +383,10 @@ type TableWorkload struct {
 }
 
 // GenPretrainSet generates the per-table encoder pre-training
-// workloads for every table of the generator's database, in table
-// order — exactly the sequence of GenSingleTable draws
-// featurize.PretrainAll historically made from one rng stream, so
-// pre-training from this set (featurize.PretrainAllFrom) is bitwise
-// identical to pre-training live from the same generator, and the rng
-// ends in the same state (the queries generated afterwards match
-// too).
+// workloads (a corpus's single-table section, which
+// featurize.PretrainAllFrom trains from) for every table of the
+// generator's database, in table order, as one GenSingleTable draw
+// per table from the generator's rng stream.
 func (g *Generator) GenPretrainSet(perTable int, cfg Config) []TableWorkload {
 	out := make([]TableWorkload, 0, len(g.DB.Tables))
 	for _, t := range g.DB.Tables {

@@ -6,7 +6,8 @@
 # BYTE-IDENTICAL (the trajectories are written as hex float64s, so cmp
 # is a bitwise assertion). Along the way it checks the refusals:
 # mtmlf-datagen -out with -single-table 0 or in a missing directory
-# (within 100 ms, leaving no file), mtmlf-train -db without -corpus,
+# (within 100 ms, leaving no file), mtmlf-train -resume in a missing
+# directory (the same way), mtmlf-train -db without -corpus,
 # -queries or -scale with -corpus, -snapshot-every without -resume, and
 # -save or -loss-out in a missing directory; and that a labelling run
 # killed by SIGTERM leaves no temp file beside -out. It also builds the
@@ -27,15 +28,25 @@ if "$TMP/mtmlf-datagen" "${GEN_ARGS[@]}" -single-table 0 -out "$TMP/none.mtc" >"
 fi
 grep -q -- "-single-table 0" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
 
-echo "== refusing an -out that cannot be written, before any work"
-t0=$(date +%s%N)
-if "$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -out "$TMP/missing/x.mtc" >"$TMP/refuse.out" 2>&1; then
-    echo "FAIL: mtmlf-datagen -out <missing dir>/x.mtc exited 0"; exit 1
-fi
-ms=$(( ($(date +%s%N) - t0) / 1000000 ))
-grep -q -- "-out $TMP/missing/x.mtc" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
-[ "$ms" -lt 100 ] || { echo "FAIL: the refusal took $ms ms, want under 100"; exit 1; }
-[ ! -e "$TMP/missing" ] || { echo "FAIL: the refused run left $TMP/missing behind"; exit 1; }
+# refuse_fast FLAG PATH CMD...: CMD, given FLAG PATH in a missing
+# directory, must exit non-zero within 100 ms with an error naming FLAG
+# PATH, and leave no file.
+refuse_fast() {
+    local flag=$1 path=$2; shift 2
+    local t0 ms
+    t0=$(date +%s%N)
+    if "$@" "$flag" "$path" >"$TMP/refuse.out" 2>&1; then
+        echo "FAIL: $* $flag <missing dir>/$(basename "$path") exited 0"; exit 1
+    fi
+    ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+    grep -q -- "$flag $path" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
+    [ "$ms" -lt 100 ] || { echo "FAIL: the $flag refusal took $ms ms, want under 100"; exit 1; }
+    [ ! -e "$(dirname "$path")" ] || { echo "FAIL: the refused run left $(dirname "$path") behind"; exit 1; }
+}
+
+echo "== refusing an -out or a -resume snapshot that cannot be written, before any work"
+refuse_fast -out "$TMP/missing/x.mtc" "$TMP/mtmlf-datagen" -n 3 -seed "$SEED"
+refuse_fast -resume "$TMP/missing/s.snap" "$TMP/mtmlf-train" -epochs 1
 
 echo "== a labelling run killed by SIGTERM leaves no temp file"
 # -n 3 at default row counts labels its 48 queries a database in about
