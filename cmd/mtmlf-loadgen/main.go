@@ -23,7 +23,9 @@
 // failed requests overall, or a failed mid-run reload. That makes the
 // CLI its own smoke-test assertion (see make load-smoke). A -levels
 // list that names no positive integer level, or a negative -rate, is
-// a usage error (exit 2), never a run that measures nothing.
+// a usage error (exit 2), never a run that measures nothing. A -json
+// path that cannot be written is refused (exit 1) before the query
+// pool is built or a request is sent.
 //
 // Usage:
 //
@@ -40,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"mtmlf/internal/ckptio"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/loadgen"
 )
@@ -84,6 +87,12 @@ func main() {
 	mix, err := loadgen.ParseMix(*mixFlag)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// The report is written only after every level has run.
+	if *jsonOut != "" {
+		if err := ckptio.Probe(*jsonOut); err != nil {
+			log.Fatalf("-json %s: %v", *jsonOut, err)
+		}
 	}
 
 	var pool *loadgen.Pool

@@ -1,9 +1,9 @@
 // Package experiments reproduces every table of the paper's
 // evaluation (Section 6) end to end: workload generation, baseline and
 // MTMLF-QO training, and paper-style result tables. Scales are
-// configurable; QuickConfig finishes on a laptop CPU in tens of
-// seconds per table, FullConfig in minutes. DESIGN.md §4 indexes which
-// table and ablation of the paper each run regenerates.
+// configurable; QuickConfig runs each table in a few seconds on two
+// cores, FullConfig in minutes. DESIGN.md §4 indexes which table and
+// ablation of the paper each run regenerates.
 package experiments
 
 import (
@@ -15,6 +15,7 @@ import (
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/cost"
 	"mtmlf/internal/datagen"
+	"mtmlf/internal/featurize"
 	"mtmlf/internal/metrics"
 	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/optimizer"
@@ -57,9 +58,6 @@ type Config struct {
 	// FineTuneQueries and FineTuneEpochs control the new-DB local
 	// adaptation step.
 	FineTuneQueries, FineTuneEpochs int
-	// SeqLevelLoss enables the Equation 3 sequence-level loss for
-	// Trans_JO training.
-	SeqLevelLoss bool
 }
 
 // QuickConfig is the scale used by tests and the default benches.
@@ -114,38 +112,96 @@ func FullConfig() Config {
 	return c
 }
 
-// attachable puts the database behind cat into an in-memory corpus
+// attachOnce puts the database behind cat into an in-memory corpus
 // with its examples and a single-table section of cfg.EncoderQueries
-// queries per table, and returns the database as mtmlf.Attach takes it
-// and the options to attach it with. The section is labelled as
-// database 0 of a corpus at task seed cfg.Seed+7, so its (F) starts
-// from cfg.Seed+14; Tables 1 and 2 use neither seed for anything else.
-func attachable(cfg Config, cat catalog.Catalog, examples []*workload.LabeledQuery) (*corpus.DBCatalog, mtmlf.MLAOptions, error) {
+// queries per table, and returns the (F) module mtmlf.Attach
+// pre-trains from that section. Attach reads only the Feat config of
+// the Shared it is given, so one call serves every model of a table.
+// The section is labelled as database 0 of a corpus at task seed
+// cfg.Seed+7, so its (F) starts from cfg.Seed+14; Tables 1 and 2 use
+// neither seed for anything else.
+func attachOnce(cfg Config, cat catalog.Catalog, examples []*workload.LabeledQuery) (*featurize.Featurizer, error) {
 	at := mtmlf.MLAOptions{Seed: cfg.Seed + 7, EncoderEpochs: cfg.EncoderEpochs}
 	section := workload.NewGeneratorFrom(cat, at.Seed).GenPretrainSet(cfg.EncoderQueries, cfg.Workload)
 	r, err := corpus.InMemory(corpus.Meta{}, []*corpus.Database{{DB: cat.DB(), Examples: examples, SingleTable: section}})
 	if err != nil {
-		return nil, at, err
+		return nil, err
 	}
 	c, err := r.Catalog(0)
-	return c, at, err
-}
-
-// variant is one MTMLF model of a table: fresh (S)+(T) modules with
-// the Equation 1 task weights w, initialized from seed, attached to
-// cat's (F) and trained jointly on train. Each variant attaches its
-// own copy of the (F) module, so variants can train concurrently: a
-// backward pass writes Grad on every featurizer parameter it reaches.
-func variant(cfg Config, cat catalog.Catalog, attach mtmlf.MLAOptions, train []*workload.LabeledQuery, w [3]float64, seed int64) (*mtmlf.Model, error) {
-	mc := cfg.Model
-	mc.WCard, mc.WCost, mc.WJo = w[0], w[1], w[2]
-	task, err := mtmlf.Attach(mtmlf.NewShared(mc, seed), cat, attach)
 	if err != nil {
 		return nil, err
 	}
-	_, err = task.Model.TrainJointStream(workload.SliceSource(train),
-		mtmlf.TrainOptions{Epochs: cfg.Epochs, Seed: seed + 1, SeqLevelLoss: cfg.SeqLevelLoss})
-	return task.Model, err
+	var cfgOnly mtmlf.Shared
+	cfgOnly.Cfg = cfg.Model
+	task, err := mtmlf.Attach(&cfgOnly, c, at)
+	if err != nil {
+		return nil, err
+	}
+	return task.Model.Feat, nil
+}
+
+// variant is one MTMLF model of a table: fresh (S)+(T) modules with
+// the Equation 1 task weights w, initialized from seed, over the
+// database's pre-trained (F) module feat, and trained jointly on
+// train. (F) is a constant to that training, so any number of variants
+// share one feat and train concurrently.
+func variant(cfg Config, feat *featurize.Featurizer, train []*workload.LabeledQuery, w [3]float64, seed int64) (*mtmlf.Model, error) {
+	mc := cfg.Model
+	mc.WCard, mc.WCost, mc.WJo = w[0], w[1], w[2]
+	m := &mtmlf.Model{Shared: mtmlf.NewShared(mc, seed), Feat: feat}
+	_, err := m.TrainJointStream(workload.SliceSource(train), mtmlf.TrainOptions{Epochs: cfg.Epochs, Seed: seed + 1})
+	return m, err
+}
+
+// joinQErrors is the card and cost q-errors of predict's per-node
+// estimates over the test queries' multi-table sub-plans (join nodes,
+// the root included), in query and node order. Single-table scans are
+// estimated almost exactly by every method at this data scale and
+// would dilute the comparison; the join distributions are where the
+// paper's Table 1 gap comes from.
+func joinQErrors(test []*workload.LabeledQuery, predict func(*workload.LabeledQuery) (cards, costs []float64)) (card, costq []float64) {
+	for _, lq := range test {
+		cards, costs := predict(lq)
+		for i, n := range lq.Plan.Nodes() {
+			if !n.IsLeaf() {
+				card = append(card, metrics.QError(cards[i], lq.NodeCards[i]))
+				costq = append(costq, metrics.QError(costs[i], lq.NodeCosts[i]))
+			}
+		}
+	}
+	return card, costq
+}
+
+// orderTimes is the simulated C_out execution time, summed in query
+// order over the test queries that carry an optimal order, of the
+// PostgreSQL-style order (exact DP over st's estimates), the optimal
+// order and each model's order, in that order. opt counts, per model,
+// the queries it ordered optimally; n is the number of queries summed.
+func orderTimes(db *sqldb.DB, st *stats.DBStats, test []*workload.LabeledQuery, models ...*mtmlf.Model) (times []float64, opt []int, n int, err error) {
+	times, opt = make([]float64, 2+len(models)), make([]int, len(models))
+	for _, lq := range test {
+		if len(lq.OptimalOrder) < 2 {
+			continue
+		}
+		n++
+		ex := sqldb.NewExecutor(db, lq.Q)
+		pg, err := optimizer.BestLeftDeep(lq.Q, optimizer.EstimatedCards{S: st, Q: lq.Q})
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		times[0] += cost.SimulatedTimeOrder(ex, pg.Order)
+		times[1] += cost.SimulatedTimeOrder(ex, lq.OptimalOrder)
+		for i, m := range models {
+			// The no-grad KV-cached fast path: the grad path's order,
+			// bitwise.
+			order := m.InferJoinOrder(lq.Q, lq.Plan)
+			times[2+i] += cost.SimulatedTimeOrder(ex, order)
+			if metrics.JOEU(order, lq.OptimalOrder) == 1 {
+				opt[i]++
+			}
+		}
+	}
+	return times, opt, n, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -169,8 +225,9 @@ type Table1Result struct {
 // reports per-node card/cost q-errors on the held-out test set.
 func RunTable1(cfg Config) (*Table1Result, error) {
 	db := datagen.SyntheticIMDB(cfg.Seed, cfg.IMDBScale)
-	// One catalog for the whole table: the generator, the statistics
-	// baseline, and every model variant share a single ANALYZE pass.
+	// The generator and the statistics baseline share this catalog's
+	// ANALYZE pass; the models read the corpus catalog's, which
+	// attachOnce's corpus runs again over the same rows.
 	cat := catalog.NewMemory(db)
 	gen := workload.NewGeneratorFrom(cat, cfg.Seed+1)
 	wcfg := cfg.Workload
@@ -178,53 +235,37 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	all := gen.Generate(cfg.TrainQueries+cfg.TestQueries, wcfg)
 	train := all[:cfg.TrainQueries]
 	test := all[cfg.TrainQueries:]
-	dbCat, at, err := attachable(cfg, cat, all)
+	feat, err := attachOnce(cfg, cat, all)
 	if err != nil {
 		return nil, err
-	}
-
-	st := cat.Stats()
-	cm := cost.Default()
-
-	// Q-errors are collected over multi-table sub-plans (join nodes,
-	// including the root). Single-table scans are estimated almost
-	// exactly by every method at this data scale and would dilute the
-	// comparison; the join distributions are where the paper's Table 1
-	// gap comes from.
-	isJoinNode := func(lq *workload.LabeledQuery) []bool {
-		nodes := lq.Plan.Nodes()
-		out := make([]bool, len(nodes))
-		for i, n := range nodes {
-			out[i] = !n.IsLeaf()
-		}
-		return out
 	}
 
 	// The five methods are independent trials — separate models,
 	// separate seeds, read-only shared data — so they train (and the
 	// closed-form baselines evaluate) concurrently on the worker pool.
-	var pgCard, pgCost []float64
-	var tlCard, tlCost []float64
-	var joint, cardOnly, costOnly *mtmlf.Model
-	var errs [3]error
+	var card, costq [5][]float64
+	var errs [5]error
+	model := func(i int, w [3]float64, seed int64) func() {
+		return func() {
+			var m *mtmlf.Model
+			if m, errs[i] = variant(cfg, feat, train, w, seed); errs[i] == nil {
+				card[i], costq[i] = joinQErrors(test, func(lq *workload.LabeledQuery) ([]float64, []float64) {
+					return m.EstimateNodeCards(lq), m.EstimateNodeCosts(lq)
+				})
+			}
+		}
+	}
 	parallel.Do(
 		func() {
 			// PostgreSQL baseline: per-node estimated cards via the
 			// histogram model; per-node costs via the cost model over
 			// those estimates.
-			for _, lq := range test {
-				estCard := func(tables []string) float64 { return st.EstimateSubplanCard(tables, lq.Q) }
-				rows := func(name string) float64 { return float64(db.Table(name).NumRows()) }
-				_, nodeCards, nodeCosts := cm.PlanCost(lq.Plan, rows, estCard)
-				joins := isJoinNode(lq)
-				for i := range nodeCards {
-					if !joins[i] {
-						continue
-					}
-					pgCard = append(pgCard, metrics.QError(nodeCards[i], lq.NodeCards[i]))
-					pgCost = append(pgCost, metrics.QError(nodeCosts[i], lq.NodeCosts[i]))
-				}
-			}
+			st, cm := cat.Stats(), cost.Default()
+			rows := func(name string) float64 { return float64(db.Table(name).NumRows()) }
+			card[0], costq[0] = joinQErrors(test, func(lq *workload.LabeledQuery) ([]float64, []float64) {
+				_, cards, costs := cm.PlanCost(lq.Plan, rows, func(tables []string) float64 { return st.EstimateSubplanCard(tables, lq.Q) })
+				return cards, costs
+			})
 		},
 		func() {
 			// Tree-LSTM baseline (same loss, same data).
@@ -233,64 +274,35 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 			tlCfg.MaxTables = cfg.Model.MaxTables
 			tl := treelstm.New(db, tlCfg, cfg.Seed+5)
 			tl.Train(train, cfg.Epochs, cfg.Seed+6)
-			for _, lq := range test {
-				cards, costs := tl.Predict(lq)
-				joins := isJoinNode(lq)
-				for i := range cards {
-					if !joins[i] {
-						continue
-					}
-					tlCard = append(tlCard, metrics.QError(cards[i], lq.NodeCards[i]))
-					tlCost = append(tlCost, metrics.QError(costs[i], lq.NodeCosts[i]))
-				}
-			}
+			card[1], costq[1] = joinQErrors(test, tl.Predict)
 		},
 		// MTMLF-QO (joint) and the single-task ablations.
-		func() { joint, errs[0] = variant(cfg, dbCat, at, train, [3]float64{1, 1, 1}, cfg.Seed+10) },
-		func() { cardOnly, errs[1] = variant(cfg, dbCat, at, train, [3]float64{1, 0, 0}, cfg.Seed+20) },
-		func() { costOnly, errs[2] = variant(cfg, dbCat, at, train, [3]float64{0, 1, 0}, cfg.Seed+30) },
+		model(2, [3]float64{1, 1, 1}, cfg.Seed+10),
+		model(3, [3]float64{1, 0, 0}, cfg.Seed+20),
+		model(4, [3]float64{0, 1, 0}, cfg.Seed+30),
 	)
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
 
-	evalModel := func(m *mtmlf.Model) (cq, coq []float64) {
-		for _, lq := range test {
-			cards := m.EstimateNodeCards(lq)
-			costs := m.EstimateNodeCosts(lq)
-			joins := isJoinNode(lq)
-			for i := range cards {
-				if !joins[i] {
-					continue
-				}
-				cq = append(cq, metrics.QError(cards[i], lq.NodeCards[i]))
-				coq = append(coq, metrics.QError(costs[i], lq.NodeCosts[i]))
-			}
-		}
-		return cq, coq
-	}
-	jCard, jCost := evalModel(joint)
-	aCard, _ := evalModel(cardOnly)
-	_, bCost := evalModel(costOnly)
-
-	row := func(method string, card, costq []float64, hasCard, hasCost bool) Table1Row {
+	row := func(method string, i int, hasCard, hasCost bool) Table1Row {
 		r := Table1Row{Method: method, HasCard: hasCard, HasCost: hasCost}
 		if hasCard {
-			s := metrics.Summarize(card)
+			s := metrics.Summarize(card[i])
 			r.CardMedian, r.CardMax, r.CardMean = s.Median, s.Max, s.Mean
 		}
 		if hasCost {
-			s := metrics.Summarize(costq)
+			s := metrics.Summarize(costq[i])
 			r.CostMedian, r.CostMax, r.CostMean = s.Median, s.Max, s.Mean
 		}
 		return r
 	}
 	return &Table1Result{Rows: []Table1Row{
-		row("PostgreSQL", pgCard, pgCost, true, true),
-		row("Tree-LSTM", tlCard, tlCost, true, true),
-		row("MTMLF-QO", jCard, jCost, true, true),
-		row("MTMLF-CardEst", aCard, nil, true, false),
-		row("MTMLF-CostEst", nil, bCost, false, true),
+		row("PostgreSQL", 0, true, true),
+		row("Tree-LSTM", 1, true, true),
+		row("MTMLF-QO", 2, true, true),
+		row("MTMLF-CardEst", 3, true, false),
+		row("MTMLF-CostEst", 4, false, true),
 	}}, nil
 }
 
@@ -361,71 +373,38 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	// at our reduced workload size a 5% test split would be a handful
 	// of queries, so we hold out 20% to keep the comparison stable.
 	train, _, test := workload.Split(all, 0.75, 0.05)
-	dbCat, at, err := attachable(cfg, cat, all)
+	feat, err := attachOnce(cfg, cat, all)
 	if err != nil {
 		return nil, err
 	}
 
-	// The joint model, the JoinSel-only ablation, and the statistics
-	// pass are independent; run them on the worker pool.
+	// The joint model and the JoinSel-only ablation are independent;
+	// train them on the worker pool.
 	var joint, joOnly *mtmlf.Model
-	var st *stats.DBStats
 	var errs [2]error
 	parallel.Do(
-		func() { joint, errs[0] = variant(cfg, dbCat, at, train, [3]float64{1, 1, 1}, cfg.Seed+40) },
-		func() { joOnly, errs[1] = variant(cfg, dbCat, at, train, [3]float64{0, 0, 1}, cfg.Seed+50) },
-		func() { st = cat.Stats() },
+		func() { joint, errs[0] = variant(cfg, feat, train, [3]float64{1, 1, 1}, cfg.Seed+40) },
+		func() { joOnly, errs[1] = variant(cfg, feat, train, [3]float64{0, 0, 1}, cfg.Seed+50) },
 	)
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
-
-	var pgTime, optTime, jointTime, joTime float64
-	var jointOpt, joOpt int
-	nLabeled := 0
-	for _, lq := range test {
-		if len(lq.OptimalOrder) < 2 {
-			continue
-		}
-		nLabeled++
-		ex := sqldb.NewExecutor(db, lq.Q)
-		// PostgreSQL: exact DP over estimated cards.
-		pgRes, err := optimizer.BestLeftDeep(lq.Q, optimizer.EstimatedCards{S: st, Q: lq.Q})
-		if err != nil {
-			return nil, err
-		}
-		pgTime += cost.SimulatedTimeOrder(ex, pgRes.Order)
-		// Optimal.
-		optTime += cost.SimulatedTimeOrder(ex, lq.OptimalOrder)
-		// MTMLF variants.
-		evalJO := func(m *mtmlf.Model) (float64, bool) {
-			// Serve from the no-grad KV-cached fast path (same order
-			// as the grad path, bitwise).
-			order := m.InferJoinOrder(lq.Q, lq.Plan)
-			t := cost.SimulatedTimeOrder(ex, order)
-			return t, metrics.JOEU(order, lq.OptimalOrder) == 1
-		}
-		tj, isOpt := evalJO(joint)
-		jointTime += tj
-		if isOpt {
-			jointOpt++
-		}
-		to, isOpt2 := evalJO(joOnly)
-		joTime += to
-		if isOpt2 {
-			joOpt++
-		}
+	times, opt, n, err := orderTimes(db, cat.Stats(), test, joint, joOnly)
+	if err != nil {
+		return nil, err
 	}
-	if nLabeled == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("experiments: no labeled test queries")
 	}
-	fr := func(n int) float64 { return float64(n) / float64(nLabeled) }
-	return &Table2Result{Rows: []Table2Row{
-		{Method: "PostgreSQL", TotalTime: pgTime},
-		{Method: "Optimal", TotalTime: optTime, Improvement: metrics.ImprovementRatio(pgTime, optTime), OptimalFrac: 1},
-		{Method: "MTMLF-QO", TotalTime: jointTime, Improvement: metrics.ImprovementRatio(pgTime, jointTime), OptimalFrac: fr(jointOpt)},
-		{Method: "MTMLF-JoinSel", TotalTime: joTime, Improvement: metrics.ImprovementRatio(pgTime, joTime), OptimalFrac: fr(joOpt)},
-	}}, nil
+	res := &Table2Result{}
+	for i, method := range []string{"PostgreSQL", "Optimal", "MTMLF-QO", "MTMLF-JoinSel"} {
+		res.Rows = append(res.Rows, Table2Row{Method: method, TotalTime: times[i], Improvement: metrics.ImprovementRatio(times[0], times[i])})
+	}
+	res.Rows[1].OptimalFrac = 1
+	for i, k := range opt {
+		res.Rows[2+i].OptimalFrac = float64(k) / float64(n)
+	}
+	return res, nil
 }
 
 // String renders the paper-style table.
@@ -525,69 +504,47 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 	ftSet := testQueries[:nft]
 	evalSet := testQueries[nft:]
 
-	// The compared models are independent trials over the same frozen
-	// ftSet and run concurrently on the worker pool — except that the
-	// MLA fine-tune and the `fresh` control share testTask's
-	// featurizer, and a backward pass writes Grad fields on every
-	// parameter it reaches, frozen or not; those two therefore run in
-	// sequence inside one closure.
+	// The compared models are independent trials over the same ftSet,
+	// and each reads the held-out database's one (F) module as a
+	// constant, so they train concurrently on the worker pool.
+	mla := testTask.Model
 	var single, fresh *mtmlf.Model
-	var st *stats.DBStats
 	var errs [3]error
 	ft := workload.SliceSource(ftSet)
-	// One catalog for the held-out DB: the attach, the from-scratch
-	// control and the baseline optimizer share a single ANALYZE pass
-	// (safe to race on — Stats is behind a sync.Once).
 	parallel.Do(
 		func() {
-			_, errs[0] = testTask.Model.TrainJointStream(ft, mtmlf.TrainOptions{Epochs: cfg.FineTuneEpochs, Seed: cfg.Seed + 500, LR: cfg.Model.LR / 10})
+			_, errs[0] = mla.TrainJointStream(ft, mtmlf.TrainOptions{Epochs: cfg.FineTuneEpochs, Seed: cfg.Seed + 500, LR: cfg.Model.LR / 10})
+		},
+		func() {
 			// Second control: identical fine-tuning applied to a FRESH
 			// (un-pre-trained) shared module, isolating what MLA pre-training
 			// contributes beyond local adaptation.
-			fresh = &mtmlf.Model{Shared: mtmlf.NewShared(cfg.Model, cfg.Seed+300), Feat: testTask.Model.Feat}
+			fresh = &mtmlf.Model{Shared: mtmlf.NewShared(cfg.Model, cfg.Seed+300), Feat: mla.Feat}
 			_, errs[1] = fresh.TrainJointStream(ft, mtmlf.TrainOptions{Epochs: cfg.FineTuneEpochs, Seed: cfg.Seed + 700, LR: cfg.Model.LR})
 		},
 		func() {
 			// Controlled study: MTMLF-QO trained from scratch on the same
 			// local workload (the held-out evaluation queries are excluded
-			// from every model's training data), over its own copy of the
-			// MLA row's (F), attached the same way. The paper trains its
-			// single model on the test DB's own 20K-query workload; at our
-			// scale the local workload IS small, which is exactly the
-			// cold-start setting MTMLF targets.
-			single, errs[2] = variant(cfg, testCat, mlaOpts, ftSet, [3]float64{1, 1, 1}, cfg.Seed+600)
+			// from every model's training data), over the MLA row's (F).
+			// The paper trains its single model on the test DB's own
+			// 20K-query workload; at our scale the local workload IS
+			// small, which is exactly the cold-start setting MTMLF
+			// targets.
+			single, errs[2] = variant(cfg, mla.Feat, ftSet, [3]float64{1, 1, 1}, cfg.Seed+600)
 		},
-		func() { st = testCat.Stats() },
 	)
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
-	var pgTime, optTime, mlaTime, singleTime, freshTime float64
-	for _, lq := range evalSet {
-		if len(lq.OptimalOrder) < 2 {
-			continue
-		}
-		ex := sqldb.NewExecutor(testCat.DB(), lq.Q)
-		pgRes, err := optimizer.BestLeftDeep(lq.Q, optimizer.EstimatedCards{S: st, Q: lq.Q})
-		if err != nil {
-			return nil, err
-		}
-		pgTime += cost.SimulatedTimeOrder(ex, pgRes.Order)
-		optTime += cost.SimulatedTimeOrder(ex, lq.OptimalOrder)
-		timeOf := func(m *mtmlf.Model) float64 {
-			return cost.SimulatedTimeOrder(ex, m.InferJoinOrder(lq.Q, lq.Plan))
-		}
-		mlaTime += timeOf(testTask.Model)
-		singleTime += timeOf(single)
-		freshTime += timeOf(fresh)
+	times, _, _, err := orderTimes(testCat.DB(), testCat.Stats(), evalSet, mla, single, fresh)
+	if err != nil {
+		return nil, err
 	}
-	return &Table3Result{Rows: []Table3Row{
-		{Method: "PostgreSQL", TotalTime: pgTime},
-		{Method: "Optimal", TotalTime: optTime, Improvement: metrics.ImprovementRatio(pgTime, optTime)},
-		{Method: "MTMLF-QO (MLA)", TotalTime: mlaTime, Improvement: metrics.ImprovementRatio(pgTime, mlaTime)},
-		{Method: "MTMLF-QO (single)", TotalTime: singleTime, Improvement: metrics.ImprovementRatio(pgTime, singleTime)},
-		{Method: "MTMLF-QO (no pre-train)", TotalTime: freshTime, Improvement: metrics.ImprovementRatio(pgTime, freshTime)},
-	}}, nil
+	res := &Table3Result{}
+	for i, method := range []string{"PostgreSQL", "Optimal", "MTMLF-QO (MLA)", "MTMLF-QO (single)", "MTMLF-QO (no pre-train)"} {
+		res.Rows = append(res.Rows, Table3Row{Method: method, TotalTime: times[i], Improvement: metrics.ImprovementRatio(times[0], times[i])})
+	}
+	return res, nil
 }
 
 // String renders the paper-style table.

@@ -1,6 +1,7 @@
 package mtmlf
 
 import (
+	"sync"
 	"testing"
 
 	"mtmlf/internal/ag"
@@ -39,7 +40,8 @@ func cloneParams(ps []*ag.Value) []*ag.Value {
 // the sink path) and TrainMLAStream leave every Enc_i weight bitwise
 // where its pre-training put it, with no gradient on it, and a
 // per-example backward pass fills sink buffers for Shared parameters
-// only.
+// only. So one (F) serves any number of concurrent models over its
+// database: each trains as it would alone.
 func TestFeaturizerFrozenDuringTraining(t *testing.T) {
 	for _, batch := range []int{1, 4} {
 		m, qs := tinySetup(t, 70, 8)
@@ -80,4 +82,41 @@ func TestFeaturizerFrozenDuringTraining(t *testing.T) {
 		}
 		assertFeatFrozen(t, "TrainMLAStream", task.Model.Feat.Params(), ref.Model.Feat.Params())
 	}
+
+	// Two (S)+(T) modules from different seeds over one featurizer:
+	// trained at once, each loss trajectory is its solo run's, bit for
+	// bit.
+	m, qs = tinySetup(t, 73, 8)
+	want := cloneParams(m.Feat.Params())
+	seeds := [2]int64{80, 90}
+	run := func(seed int64) []float64 {
+		st, err := (&Model{Shared: NewShared(tinyConfig(), seed), Feat: m.Feat}).TrainJointStream(workload.SliceSource(qs),
+			TrainOptions{Epochs: 1, Seed: seed + 1, BatchSize: 2, Workers: 2, RecordTrajectory: true})
+		if err != nil {
+			t.Error(err)
+		}
+		return st.Trajectory
+	}
+	var solo, both [2][]float64
+	for i, seed := range seeds {
+		solo[i] = run(seed)
+	}
+	if len(solo[0]) != len(qs) || sameTrajectory(solo[0], solo[1]) {
+		t.Fatalf("solo trajectories %v and %v: want %d losses each, differing by seed", solo[0], solo[1], len(qs))
+	}
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			both[i] = run(seed)
+		}()
+	}
+	wg.Wait()
+	for i := range seeds {
+		if !sameTrajectory(both[i], solo[i]) {
+			t.Fatalf("seed %d: concurrent trajectory %v, solo %v", seeds[i], both[i], solo[i])
+		}
+	}
+	assertFeatFrozen(t, "concurrent TrainJointStream", m.Feat.Params(), want)
 }

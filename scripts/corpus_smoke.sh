@@ -28,22 +28,6 @@ if "$TMP/mtmlf-datagen" "${GEN_ARGS[@]}" -single-table 0 -out "$TMP/none.mtc" >"
 fi
 grep -q -- "-single-table 0" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
 
-# refuse_fast FLAG PATH CMD...: CMD, given FLAG PATH in a missing
-# directory, must exit non-zero within 100 ms with an error naming FLAG
-# PATH, and leave no file.
-refuse_fast() {
-    local flag=$1 path=$2; shift 2
-    local t0 ms
-    t0=$(date +%s%N)
-    if "$@" "$flag" "$path" >"$TMP/refuse.out" 2>&1; then
-        echo "FAIL: $* $flag <missing dir>/$(basename "$path") exited 0"; exit 1
-    fi
-    ms=$(( ($(date +%s%N) - t0) / 1000000 ))
-    grep -q -- "$flag $path" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
-    [ "$ms" -lt 100 ] || { echo "FAIL: the $flag refusal took $ms ms, want under 100"; exit 1; }
-    [ ! -e "$(dirname "$path")" ] || { echo "FAIL: the refused run left $(dirname "$path") behind"; exit 1; }
-}
-
 echo "== refusing an -out or a -resume snapshot that cannot be written, before any work"
 refuse_fast -out "$TMP/missing/x.mtc" "$TMP/mtmlf-datagen" -n 3 -seed "$SEED"
 refuse_fast -resume "$TMP/missing/s.snap" "$TMP/mtmlf-train" -epochs 1

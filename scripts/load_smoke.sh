@@ -6,7 +6,8 @@
 # asserts: nonzero successes on every endpoint at every level, zero
 # failed requests (shed 429s and deadline 504s are allowed — they are
 # correct overload behavior), a successful mid-run reload, and a
-# well-formed report in load-smoke.json (git-ignored). Run via `make
+# well-formed report in load-smoke.json (git-ignored). First it checks
+# that a -json path in a missing directory is refused before any work. Run via `make
 # load-smoke`; CI runs it on every push and uploads the report.
 source "$(dirname "$0")/lib.sh" mtmlf-train mtmlf-serve mtmlf-loadgen
 
@@ -18,6 +19,9 @@ smoke_cleanup() {
 SEED=7
 SCALE=0.04
 REPORT=load-smoke.json
+
+echo "== refusing a -json report that cannot be written, before any work"
+refuse_fast -json "$TMP/missing/r.json" "$TMP/mtmlf-loadgen" -target http://127.0.0.1:1
 
 echo "== training a tiny checkpoint"
 "$TMP/mtmlf-train" -queries 24 -epochs 1 -seed "$SEED" -scale "$SCALE" \
