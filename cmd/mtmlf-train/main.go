@@ -103,6 +103,7 @@ import (
 	"syscall"
 	"time"
 
+	"mtmlf/internal/catalog"
 	"mtmlf/internal/ckptio"
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
@@ -120,6 +121,43 @@ var scale float64
 var seed int64
 var savePath, loadPath, corpusPath, dbName, lossOut, resumePath, distCoord, distWorker string
 var sharedOnly, seqLoss, mla bool
+
+// job is where a training job's time went, for the closing line: setup
+// (flags, fleet handshake, corpus open) up to the attach, the attach's
+// own (F) phases, the joint loop, and writing the artifacts; and the
+// frozen featurizers' memos, whose hit share is the part of the joint
+// loop's table encodings that ran no Enc_i.
+type job struct {
+	setup, joint, save time.Duration
+	attach             mtmlf.AttachStats
+	memos              []*featurize.MemoCounters
+}
+
+// attached records the attach that began at start and the memos of its
+// tasks' featurizers.
+func (j *job) attached(start time.Time, as mtmlf.AttachStats, tasks []*mtmlf.DBTask) {
+	j.setup, j.attach = start.Sub(begun), as
+	for _, t := range tasks {
+		j.memos = append(j.memos, t.Model.Feat.Memo())
+	}
+}
+
+// String is the phase split of the closing line.
+func (j *job) String() string {
+	var hits, all uint64
+	for _, m := range j.memos {
+		hits += m.Hits.Load()
+		all += m.Hits.Load() + m.Misses.Load() + m.Bypassed.Load()
+	}
+	ms := func(d time.Duration) string { return d.Round(time.Millisecond).String() }
+	return fmt.Sprintf("setup %s, (F) %s on %d of %d pairs + gather %s, joint %s (memo %.1f%% hits of %d encodings), save %s",
+		ms(j.setup), ms(j.attach.Pretrain), j.attach.Own, j.attach.Pairs, ms(j.attach.Gather),
+		ms(j.joint), 100*float64(hits)/float64(max(all, 1)), all, ms(j.save))
+}
+
+// begun is when the process started its work: the origin of job's
+// setup phase and of the closing line's total.
+var begun time.Time
 
 func main() {
 	flag.IntVar(&queries, "queries", 200, "labelled workload size (without -corpus)")
@@ -146,14 +184,14 @@ func main() {
 	flag.Parse()
 
 	tensor.SetParallelism(workers)
-	start := time.Now()
+	begun = time.Now()
 
 	if distCoord != "" {
 		if distWorker != "" {
 			log.Fatal("-dist-coordinator and -dist-worker are different processes; pick one")
 		}
 		runCoordinator(distCoord, distWorld)
-		printDone(start)
+		printDone(nil)
 		return
 	}
 	var ex dist.Exchanger
@@ -231,6 +269,7 @@ func main() {
 		model *mtmlf.Model
 		test  []*workload.LabeledQuery
 		st    mtmlf.TrainStats
+		phase job
 		err   error
 	)
 	if corpusPath != "" {
@@ -243,9 +282,9 @@ func main() {
 	}
 	defer r.Close()
 	if mla {
-		model, st, err = trainMLA(r, snap, ex)
+		model, st, err = trainMLA(r, snap, ex, &phase)
 	} else {
-		model, test, st, err = trainJoint(r, snap, ex)
+		model, test, st, err = trainJoint(r, snap, ex, &phase)
 	}
 	if errors.Is(err, mtmlf.ErrInterrupted) {
 		fmt.Printf("interrupted: resumable snapshot at %s; rerun with the same flags to finish\n", resumePath)
@@ -254,14 +293,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if !mla {
+		evaluate(model, test)
+	}
+	saving := time.Now()
 	if lossOut != "" && isPrimary {
 		if err := writeTrajectory(lossOut, st.Trajectory); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %d-step loss trajectory to %s\n", len(st.Trajectory), lossOut)
-	}
-	if !mla {
-		evaluate(model, test)
 	}
 	if savePath != "" && isPrimary {
 		// Checkpoints commit atomically (temp file + fsync + rename): a
@@ -275,22 +315,28 @@ func main() {
 		}
 		fmt.Printf("saved %s checkpoint to %s\n", kind, savePath)
 	}
-	printDone(start)
+	phase.save = time.Since(saving)
+	printDone(&phase)
 }
 
-// printDone prints the closing line: the job's wall time and what it
-// cost the heap — allocations, bytes allocated and GC cycles, read from
-// runtime/metrics — so a run that suddenly allocates more (say, a graph
-// falling off its arena) shows without a profiler.
-func printDone(start time.Time) {
+// printDone prints the closing line: the job's wall time, a training
+// job's phase split, and what it cost the heap — allocations, bytes
+// allocated and GC cycles, read from runtime/metrics — so a run that
+// suddenly allocates more (say, a graph falling off its arena) shows
+// without a profiler.
+func printDone(phase *job) {
+	split := ""
+	if phase != nil {
+		split = " = " + phase.String()
+	}
 	ms := []rtmetrics.Sample{
 		{Name: "/gc/heap/allocs:objects"},
 		{Name: "/gc/heap/allocs:bytes"},
 		{Name: "/gc/cycles/total:gc-cycles"},
 	}
 	rtmetrics.Read(ms)
-	fmt.Printf("done in %v (heap: %d allocations, %.1f MB allocated, %d GC cycles)\n",
-		time.Since(start).Round(time.Millisecond), ms[0].Value.Uint64(),
+	fmt.Printf("done in %v%s (heap: %d allocations, %.1f MB allocated, %d GC cycles)\n",
+		time.Since(begun).Round(time.Millisecond), split, ms[0].Value.Uint64(),
 		float64(ms[1].Value.Uint64())/(1<<20), ms[2].Value.Uint64())
 }
 
@@ -309,7 +355,7 @@ func memoryCorpus() (*corpus.Reader, error) {
 // trainJoint is the single-database mode: it trains one model on one
 // database of the corpus r (-db, or the first) and returns it with its
 // held-out test set.
-func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (*mtmlf.Model, []*workload.LabeledQuery, mtmlf.TrainStats, error) {
+func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger, phase *job) (*mtmlf.Model, []*workload.LabeledQuery, mtmlf.TrainStats, error) {
 	var c *corpus.DBCatalog
 	var err error
 	if dbName != "" {
@@ -344,6 +390,7 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 
 	shared := mtmlf.NewShared(mtmlf.DefaultConfig(), seed)
 	var model *mtmlf.Model
+	attaching := time.Now()
 	if loadPath != "" {
 		// Weights land in the featurizer only from a full checkpoint.
 		model = &mtmlf.Model{Shared: shared, Feat: featurize.NewForLoad(c, shared.Cfg.Feat)}
@@ -368,20 +415,26 @@ func trainJoint(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger)
 		// this database; repeating the pre-training would overwrite
 		// them.
 		fmt.Println("skipping featurizer pre-training (full checkpoint loaded)")
+		phase.attached(attaching, mtmlf.AttachStats{}, nil)
 	} else {
 		fmt.Println("pre-training per-table encoders (F module) from the single-table section...")
-		task, err := mtmlf.Attach(shared, c, mtmlf.MLAOptions{Seed: r.Meta().Seed, EncoderEpochs: encEpochs})
+		tasks, as, err := mtmlf.AttachFleet(shared, []catalog.Catalog{c}, mtmlf.MLAOptions{
+			Seed: r.Meta().Seed, EncoderEpochs: encEpochs, Exchanger: ex,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		model = task.Model
+		phase.attached(attaching, as, tasks)
+		model = tasks[0].Model
 	}
 
 	fmt.Printf("joint training (%d epochs, seq-level loss: %v)...\n", epochs, seqLoss)
+	joining := time.Now()
 	st, err := model.TrainJointStream(src, mtmlf.TrainOptions{
 		Epochs: epochs, Seed: seed + 2, SeqLevelLoss: seqLoss, BatchSize: batch,
 		RecordTrajectory: lossOut != "", Snapshot: snap, Exchanger: ex,
 	})
+	phase.joint = time.Since(joining)
 	if err == nil {
 		fmt.Printf("trained %d steps, final running loss %.3f\n", st.Steps, st.FinalLoss)
 	}
@@ -440,7 +493,7 @@ func interruptOnSignal(enabled bool) <-chan struct{} {
 // like the others, then fetches and backwards only the minibatch slots
 // it owns, exchanging gradients through the coordinator. It returns
 // database 0's model, whose shared modules are the transfer artifact.
-func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (*mtmlf.Model, mtmlf.TrainStats, error) {
+func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger, phase *job) (*mtmlf.Model, mtmlf.TrainStats, error) {
 	meta := r.Meta()
 	switch {
 	case r.NumDBs() == 0:
@@ -463,7 +516,7 @@ func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (
 		corpusPath, corpus.Version, r.NumDBs(), total, meta.Seed)
 
 	fmt.Printf("fleet pretraining: (F) per DB, then joint (S)+(T) over the pooled stream (%d epochs)...\n", epochs)
-	tasks, st, err := mtmlf.TrainMLAStream(mtmlf.NewShared(mtmlf.DefaultConfig(), seed), cats, srcs, mtmlf.MLAOptions{
+	opts := mtmlf.MLAOptions{
 		SingleTablePerTable: meta.SingleTablePerTable,
 		EncoderEpochs:       encEpochs,
 		JointEpochs:         epochs,
@@ -473,7 +526,16 @@ func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger) (
 		RecordTrajectory:    lossOut != "",
 		Snapshot:            snap,
 		Exchanger:           ex,
-	})
+	}
+	attaching := time.Now()
+	tasks, as, err := mtmlf.AttachFleet(mtmlf.NewShared(mtmlf.DefaultConfig(), seed), cats, opts)
+	if err != nil {
+		return nil, mtmlf.TrainStats{}, err
+	}
+	phase.attached(attaching, as, tasks)
+	joining := time.Now()
+	st, err := mtmlf.TrainFleet(tasks, srcs, opts)
+	phase.joint = time.Since(joining)
 	if err != nil {
 		return nil, st, err
 	}

@@ -46,8 +46,14 @@ type AtomicFile struct {
 	committed bool
 }
 
-// NewAtomicFile starts an atomic write of path.
+// NewAtomicFile starts an atomic write of path. A destination that
+// exists and is not a regular file — a device node, a FIFO, a
+// directory, a symlink — is refused with an error naming it: Commit's
+// rename would put a regular file in its place.
 func NewAtomicFile(path string) (*AtomicFile, error) {
+	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("ckptio: %s is not a regular file (mode %v), and writing it would replace it", path, fi.Mode().Type())
+	}
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."

@@ -72,20 +72,23 @@ func SectionLen(n int) int { return sectionHeaderLen + n + checksumLen }
 const maxSectionBytes = 1 << 30
 
 // WriteSection writes one framed section: [8B length][payload][4B
-// CRC32C of payload].
-func WriteSection(w io.Writer, payload []byte) error {
+// CRC32C of payload], the payload being the concatenation of parts,
+// each written as it is: a large part is never copied into a frame.
+func WriteSection(w io.Writer, parts ...[]byte) error {
 	var hdr [sectionHeaderLen]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
 	var sum [checksumLen]byte
-	binary.BigEndian.PutUint32(sum[:], Checksum(payload))
-	_, err := w.Write(sum[:])
-	return err
+	n, crc := 0, uint32(0)
+	for _, p := range parts {
+		n, crc = n+len(p), crc32.Update(crc, castagnoli, p)
+	}
+	binary.BigEndian.PutUint64(hdr[:], uint64(n))
+	binary.BigEndian.PutUint32(sum[:], crc)
+	for _, p := range append(append([][]byte{hdr[:]}, parts...), sum[:]) {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NewSection starts a frame to be built in place, in buf's backing

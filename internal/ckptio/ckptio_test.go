@@ -2,9 +2,11 @@ package ckptio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -305,6 +307,45 @@ func TestReadSectionSized(t *testing.T) {
 		}
 		if read := len(frame) - r.Len(); read != 8 {
 			t.Fatalf("want %d: refused after reading %d bytes, want the 8-byte header only", want, read)
+		}
+	}
+}
+
+// TestF64RunBulkMatchesLoop: the float-run codec's bulk copy writes and
+// reads exactly the bytes of the element-by-element little-endian loop
+// a big-endian host runs — on −0, NaNs with payload bits, ±Inf,
+// subnormals and an empty run — and decodes them back bit for bit.
+func TestF64RunBulkMatchesLoop(t *testing.T) {
+	runs := [][]float64{
+		nil,
+		{},
+		{math.Copysign(0, -1), 0, 1, -1.5},
+		{math.Float64frombits(0x7FF8_0000_DEAD_BEEF), math.Float64frombits(0xFFF0_0000_0000_0001), math.Inf(1), math.Inf(-1)},
+		{math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000F_FFFF_FFFF_FFFF), math.MaxFloat64},
+	}
+	for i, v := range runs {
+		prefix := []byte("pre")
+		bulk, loop := AppendF64Run(bytes.Clone(prefix), v), appendF64Loop(bytes.Clone(prefix), v)
+		if !bytes.Equal(bulk, loop) || !bytes.HasPrefix(bulk, prefix) || len(bulk) != len(prefix)+8*len(v) {
+			t.Fatalf("run %d: bulk %x, loop %x", i, bulk, loop)
+		}
+		for j, f := range v {
+			if got := binary.LittleEndian.Uint64(bulk[len(prefix)+8*j:]); got != math.Float64bits(f) {
+				t.Fatalf("run %d elem %d: encoded %#x, want %#x little-endian", i, j, got, math.Float64bits(f))
+			}
+		}
+		viaBulk, viaLoop := make([]float64, len(v)), make([]float64, len(v))
+		DecodeF64Run(viaBulk, bulk[len(prefix):])
+		decodeF64Loop(viaLoop, bulk[len(prefix):])
+		for j := range v {
+			if math.Float64bits(viaBulk[j]) != math.Float64bits(v[j]) || math.Float64bits(viaLoop[j]) != math.Float64bits(v[j]) {
+				t.Fatalf("run %d elem %d: decoded %#x (bulk) / %#x (loop), want %#x", i, j,
+					math.Float64bits(viaBulk[j]), math.Float64bits(viaLoop[j]), math.Float64bits(v[j]))
+			}
+		}
+		d := NewDec(AppendF64s(nil, v))
+		if got := d.F64s(); d.End() != nil || len(got) != len(v) || (len(v) > 0 && !bytes.Equal(AppendF64Run(nil, got), AppendF64Run(nil, v))) {
+			t.Fatalf("run %d: record round trip gave %v (err %v)", i, got, d.Err())
 		}
 	}
 }

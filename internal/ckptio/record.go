@@ -61,7 +61,49 @@ func AppendList[T any](b []byte, xs []T, elem func([]byte, T) []byte) []byte {
 func AppendInts[T ~int | ~int64](b []byte, xs []T) []byte { return AppendList(b, xs, AppendInt[T]) }
 
 // AppendF64s appends a slice of float64s.
-func AppendF64s(b []byte, xs []float64) []byte { return AppendList(b, xs, AppendF64) }
+func AppendF64s(b []byte, xs []float64) []byte {
+	return AppendF64Run(binary.AppendUvarint(b, uint64(len(xs))), xs)
+}
+
+// nativeLE reports whether this host keeps a float64's bits
+// little-endian in memory, so that a run's encoding is its memory.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// AppendF64Run appends v as a run of float64 bits, little-endian and
+// without a length: the one float-run encoding of tensor records,
+// records and the gradient wire. On a little-endian host it is one copy.
+func AppendF64Run(b []byte, v []float64) []byte {
+	if !nativeLE {
+		return appendF64Loop(b, v)
+	}
+	return append(b, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))...)
+}
+
+// DecodeF64Run decodes the run src, which AppendF64Run wrote and which
+// holds len(dst) floats, into dst.
+func DecodeF64Run(dst []float64, src []byte) {
+	if !nativeLE {
+		decodeF64Loop(dst, src)
+		return
+	}
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), src[:8*len(dst)])
+}
+
+// appendF64Loop is AppendF64Run one element at a time, for a big-endian
+// host.
+func appendF64Loop(b []byte, v []float64) []byte {
+	for _, f := range v {
+		b = AppendF64(b, f)
+	}
+	return b
+}
+
+// decodeF64Loop is DecodeF64Run one element at a time.
+func decodeF64Loop(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
 
 // AppendStrs appends a slice of strings.
 func AppendStrs(b []byte, xs []string) []byte { return AppendList(b, xs, AppendStr) }
@@ -242,9 +284,7 @@ func (d *Dec) F64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*i:]))
-	}
+	DecodeF64Run(out, d.b)
 	d.b = d.b[8*n:]
 	return out
 }

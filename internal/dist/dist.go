@@ -32,6 +32,12 @@
 // -resume and rank 0's training snapshot re-synchronizes the fleet
 // through BroadcastBytes (see mtmlf's snapshot plumbing). Nothing is
 // retried in place — determinism comes before availability here.
+//
+// Besides the gradient fold there is one lockstep collective,
+// AllGather: every rank contributes a byte payload and receives every
+// other rank's. The ranks pre-train their shares of the fleet's (F)
+// encoders and exchange them through it; BroadcastBytes is its case
+// where only rank 0 has something to say.
 package dist
 
 import (
@@ -56,16 +62,11 @@ type Exchanger interface {
 	// have produced from the full slot set in one process.
 	AllReduce(params []*ag.Value, slots []ag.Grads, losses []float64, scale float64) error
 
-	// BroadcastBytes distributes rank 0's payload to every rank (the
-	// argument is ignored on other ranks) and returns the payload on
-	// all of them. The trainer uses it to ship the resume point,
-	// parameters, and optimizer state from rank 0's training snapshot
-	// so the whole fleet re-enters the run at one consistent minibatch
-	// boundary.
-	BroadcastBytes(payload []byte) ([]byte, error)
-
-	// Barrier blocks until every rank has reached it.
-	Barrier() error
+	// AllGather sends payload to every other rank and returns the
+	// other ranks' payloads, indexed by rank, with this rank's own entry
+	// nil: nothing holds on to payload once it is sent. Every rank calls
+	// it at the same point of the run.
+	AllGather(payload []byte) ([][]byte, error)
 
 	// Close releases the exchanger. For the TCP backend it tells the
 	// coordinator this rank is done; the coordinator exits cleanly
@@ -88,6 +89,24 @@ func block(n, world, rank int) (lo, hi int) {
 	return rank * n / world, (rank + 1) * n / world
 }
 
+// BroadcastBytes distributes rank 0's payload to every rank (the
+// argument is ignored on other ranks) and returns it on all of them: an
+// all-gather in which the other ranks send nothing. The trainer uses it
+// to ship the resume point, parameters, and optimizer state from rank
+// 0's training snapshot so the whole fleet re-enters the run at one
+// consistent minibatch boundary.
+func BroadcastBytes(ex Exchanger, payload []byte) ([]byte, error) {
+	_, rank := ex.World()
+	if rank != 0 {
+		payload = nil
+	}
+	all, err := ex.AllGather(payload)
+	if err != nil || rank == 0 {
+		return payload, err
+	}
+	return all[0], nil
+}
+
 // Local is the in-process backend: world 1, its AllReduce the fold a TCP
 // round runs, with this process as both the first and the last rank.
 func Local() Exchanger { return &localExchanger{} }
@@ -103,8 +122,6 @@ func (l *localExchanger) AllReduce(params []*ag.Value, slots []ag.Grads, losses 
 	return nil
 }
 
-func (*localExchanger) BroadcastBytes(payload []byte) ([]byte, error) { return payload, nil }
-
-func (*localExchanger) Barrier() error { return nil }
+func (*localExchanger) AllGather([]byte) ([][]byte, error) { return make([][]byte, 1), nil }
 
 func (*localExchanger) Close() error { return nil }

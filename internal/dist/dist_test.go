@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -128,11 +129,11 @@ func TestLocalAllReduceMatchesReduceGrads(t *testing.T) {
 			t.Fatalf("local AllReduce touched losses[%d]", i)
 		}
 	}
-	if _, err := ex.BroadcastBytes([]byte("x")); err != nil {
-		t.Fatal(err)
+	if got, err := BroadcastBytes(ex, []byte("x")); err != nil || string(got) != "x" {
+		t.Fatalf("local broadcast = %q, %v", got, err)
 	}
-	if err := ex.Barrier(); err != nil {
-		t.Fatal(err)
+	if all, err := ex.AllGather([]byte("y")); err != nil || len(all) != 1 || all[0] != nil {
+		t.Fatalf("local gather = %q, %v; want one nil entry, the rank's own", all, err)
 	}
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
@@ -232,7 +233,7 @@ func TestTCPAllReduceMatchesLocal(t *testing.T) {
 							}
 						}
 					}
-					if err := ex.Barrier(); err != nil {
+					if _, err := ex.AllGather(nil); err != nil {
 						rankErr <- err
 					}
 				}(rank)
@@ -247,8 +248,8 @@ func TestTCPAllReduceMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestTCPBroadcast: rank 0's payload reaches every rank byte-for-byte
-// (and rank 0 gets its own copy back through the same path).
+// TestTCPBroadcast: rank 0's payload reaches every rank byte-for-byte,
+// and rank 0 gets its own back.
 func TestTCPBroadcast(t *testing.T) {
 	const world = 3
 	addr, coordErr := startCoordinator(t, world)
@@ -269,7 +270,7 @@ func TestTCPBroadcast(t *testing.T) {
 			if rank == 0 {
 				in = payload
 			}
-			got, err := ex.BroadcastBytes(in)
+			got, err := BroadcastBytes(ex, in)
 			if err != nil {
 				rankErr <- err
 				return
@@ -285,6 +286,61 @@ func TestTCPBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCoordinator(t, coordErr)
+}
+
+// TestTCPAllGather: at world 1 to 4, every rank ends a gather with every
+// other rank's payload byte for byte — empty ones, and ones larger than
+// a socket buffer — twice in a row, and nil in its own slot.
+func TestTCPAllGather(t *testing.T) {
+	payload := func(round, rank int) []byte {
+		if rank == 1 {
+			return nil
+		}
+		return bytes.Repeat([]byte{byte(10*round + rank)}, 1+rank*300_000)
+	}
+	for _, world := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("world%d", world), func(t *testing.T) {
+			addr, coordErr := startCoordinator(t, world)
+			var wg sync.WaitGroup
+			rankErr := make(chan error, world)
+			for rank := 0; rank < world; rank++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ex, err := DialRetry(addr, rank, world, "gather", 50, 20*time.Millisecond)
+					if err != nil {
+						rankErr <- err
+						return
+					}
+					defer ex.Close()
+					for round := range 2 {
+						own := payload(round, rank)
+						all, err := ex.AllGather(own)
+						if err != nil {
+							rankErr <- fmt.Errorf("rank %d round %d: %w", rank, round, err)
+							return
+						}
+						if len(all) != world || all[rank] != nil {
+							rankErr <- fmt.Errorf("rank %d round %d: %d payloads, own slot %d bytes", rank, round, len(all), len(all[rank]))
+							return
+						}
+						for q, p := range all {
+							if q != rank && !bytes.Equal(p, payload(round, q)) {
+								rankErr <- fmt.Errorf("rank %d round %d: rank %d's payload is %d bytes, want %d", rank, round, q, len(p), len(payload(round, q)))
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(rankErr)
+			for err := range rankErr {
+				t.Fatal(err)
+			}
+			waitCoordinator(t, coordErr)
+		})
+	}
 }
 
 // TestTCPFingerprintMismatch: a fleet whose ranks disagree on the job
@@ -306,7 +362,7 @@ func TestTCPFingerprintMismatch(t *testing.T) {
 			if err == nil {
 				// The coordinator only validates once all ranks are in;
 				// the first exchange surfaces the abort.
-				err = ex.Barrier()
+				_, err = ex.AllGather(nil)
 				ex.Close()
 			}
 			results[rank] = err
@@ -377,7 +433,7 @@ func TestTCPRankDriftAborts(t *testing.T) {
 }
 
 // TestTCPRoundKindDriftAborts: a rank in a gradient round while another
-// is at a barrier is drift, whichever rank is where. Ranks after the
+// is in a gather is drift, whichever rank is where. Ranks after the
 // first wait for a prefix without sending a gradient, so the join they
 // open the round with is what lets the coordinator see it instead of
 // waiting for ever.
@@ -398,7 +454,7 @@ func TestTCPRoundKindDriftAborts(t *testing.T) {
 				}
 				defer ex.Close()
 				if rank != reducer {
-					results[rank] = ex.Barrier()
+					_, results[rank] = ex.AllGather([]byte("payload"))
 					return
 				}
 				params := makeParams()
@@ -492,7 +548,7 @@ func TestTCPDuplicateRank(t *testing.T) {
 			defer wg.Done()
 			ex, err := DialRetry(addr, 0, world, "dup", 50, 20*time.Millisecond)
 			if err == nil {
-				err = ex.Barrier()
+				_, err = ex.AllGather(nil)
 				ex.Close()
 			}
 			errs[i] = err

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzWireFrame: arbitrary bytes handed to everything that decodes
-// what a peer sent — the frame reader, the hello and payload decoders,
+// what a peer sent — the frame reader, the hello and gather decoders,
 // and a rank's two fold decoders (the prefix it absorbs as rank 1 of a
 // 2-rank round whose rank 0 is honest, and the total it installs) —
 // must come back as an error or a result, never a panic, and must never
@@ -41,12 +41,12 @@ func FuzzWireFrame(f *testing.F) {
 	rank1.add(params, slots, 1, 2, 0.5)
 	for _, msg := range [][]byte{
 		encodeHello(hello{rank: 1, world: 2, fingerprint: "seed=1 batch=8"}),
-		encodePayload(msgBcast, []byte("resume point")),
-		encodePayload(msgError, []byte("rank drift")),
+		gatherMsg(1, []byte("resume point")),
+		gatherMsg(0, nil),
+		encodeError("rank drift"),
 		prefix,
 		rank1.appendHop(nil, msgReduced, 1, 2, 0.5, losses),
 		appendU64(newMsg(nil, msgJoin, 8), 1),
-		newMsg(nil, msgBarrier, 0),
 	} {
 		f.Add(msgBody(msg))
 		f.Add(ckptio.SealSection(msg))
@@ -62,7 +62,7 @@ func FuzzWireFrame(f *testing.F) {
 			t.Fatal("readMsg returned an empty payload without error")
 		}
 		_, _ = decodeHello(data)
-		_, _ = decodePayload(data)
+		_, _ = decodeGather(data, 1)
 		_ = absorbAsRank1(data)
 		var fd fold
 		into := makeParams()
@@ -74,4 +74,10 @@ func FuzzWireFrame(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
 	})
+}
+
+// gatherMsg is rank's gather message around payload, as TCP.AllGather
+// sends it.
+func gatherMsg(rank int, payload []byte) []byte {
+	return append(append(ckptio.NewSection(nil, 5+len(payload)), gatherHead(rank)...), payload...)
 }

@@ -183,33 +183,27 @@ func (t *TCP) receive(kind byte, what string) ([]byte, error) {
 	return p, nil
 }
 
-// BroadcastBytes relays rank 0's payload through the coordinator to
-// every rank, rank 0 included: each receives rank 0's bcast frame as it
-// was sent. See Exchanger.
-func (t *TCP) BroadcastBytes(payload []byte) ([]byte, error) {
-	if t.rank != 0 {
-		payload = nil
+// AllGather sends this rank's gather frame straight from payload, then
+// reads the other ranks' as the coordinator relays them, in rank order.
+// See Exchanger.
+func (t *TCP) AllGather(payload []byte) ([][]byte, error) {
+	if err := ckptio.WriteSection(t.conn, gatherHead(t.rank), payload); err != nil {
+		return nil, fmt.Errorf("dist: send gather: %w", err)
 	}
-	if err := sendMsg(t.conn, encodePayload(msgBcast, payload)); err != nil {
-		return nil, fmt.Errorf("dist: send broadcast: %w", err)
+	all := make([][]byte, t.world)
+	for q := range all {
+		if q == t.rank {
+			continue
+		}
+		p, err := readMsg(t.conn, nil, msgGather)
+		if err == nil {
+			all[q], err = decodeGather(p[1:], q)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dist: receive rank %d's gather: %w", q, err)
+		}
 	}
-	p, err := readMsg(t.conn, nil, msgBcast)
-	if err != nil {
-		return nil, fmt.Errorf("dist: receive broadcast: %w", err)
-	}
-	return decodePayload(p[1:])
-}
-
-// Barrier blocks until every rank has sent its barrier message; the
-// coordinator answers with rank 0's.
-func (t *TCP) Barrier() error {
-	if err := sendMsg(t.conn, newMsg(nil, msgBarrier, 0)); err != nil {
-		return fmt.Errorf("dist: send barrier: %w", err)
-	}
-	if _, err := readMsg(t.conn, nil, msgBarrier); err != nil {
-		return fmt.Errorf("dist: barrier: %w", err)
-	}
-	return nil
+	return all, nil
 }
 
 // Close tells the coordinator this rank is done and closes the
@@ -229,11 +223,12 @@ func (t *TCP) Close() error {
 // ---------------------------------------------------------------------------
 
 // Coordinator is the hub of one distributed training job: it accepts
-// exactly world ranks, then serves lockstep rounds (gradient, broadcast,
-// barrier) until every rank closes. It holds no model and does no
-// arithmetic: in a gradient round it checks each hop's kind and step
-// and forwards the frame as it arrived — rank r's prefix to rank r+1,
-// the last rank's total to every other rank.
+// exactly world ranks, then serves lockstep rounds (gradient, gather)
+// until every rank closes. It holds no model and does no arithmetic: it
+// checks each message's kind (and a hop's step) and forwards the frame
+// as it arrived — in a gradient round rank r's prefix to rank r+1 and
+// the last rank's total to every other rank, in a gather every rank's
+// frame to every other rank.
 //
 // It is fail-stop: any connection error, rank drift, or frame
 // corruption aborts the whole fleet (a best-effort error message goes
@@ -375,8 +370,8 @@ func (c *Coordinator) Run() error {
 	opened, hops := make([]time.Time, c.world), make([]time.Time, c.world)
 	for {
 		// A lockstep round opens with one message from every rank, and
-		// they must agree on what it is — a rank asking for a barrier
-		// while another says it is done means the fleet has drifted,
+		// they must agree on what it is — a rank gathering while another
+		// says it is done means the fleet has drifted,
 		// and fail-stop beats silent divergence. Rank 0's hop is relayed
 		// the moment it arrives, ahead of the other ranks' joins.
 		for range conns {
@@ -399,29 +394,40 @@ func (c *Coordinator) Run() error {
 					kindName(msgs[0][0]), rank, kindName(p[0])))
 			}
 		}
-		var reply []byte
+		var err error
 		switch kind {
 		case msgDone:
 			return nil
-		case msgBarrier, msgBcast:
-			reply = frames[0]
+		case msgGather:
+			err = c.gather(conns, frames)
 		case msgJoin:
-			if err := c.fold(conns, arrivals, step, opened, hops); err != nil {
-				return c.abort(conns, err)
-			}
-			continue
+			err = c.fold(conns, arrivals, step, opened, hops)
 		default:
-			return c.abort(conns, fmt.Errorf("dist: unexpected %s message mid-run", kindName(kind)))
+			err = fmt.Errorf("dist: unexpected %s message mid-run", kindName(kind))
 		}
-		for rank, rc := range conns {
-			if _, err := rc.conn.Write(reply); err != nil {
-				return c.abort(conns, fmt.Errorf("dist: answer rank %d's %s: %w", rank, kindName(kind), err))
-			}
-		}
-		for _, rc := range conns {
-			rc.next <- struct{}{} // after the writes: the reply is rank 0's frame
+		if err != nil {
+			return c.abort(conns, err)
 		}
 	}
+}
+
+// gather relays every rank's gather frame to every other rank, in rank
+// order, then lets the serve goroutines read on: the frames are theirs.
+func (c *Coordinator) gather(conns []*rankConn, frames [][]byte) error {
+	for rank, rc := range conns {
+		for from, frame := range frames {
+			if from == rank {
+				continue
+			}
+			if _, err := rc.conn.Write(frame); err != nil {
+				return fmt.Errorf("dist: relay rank %d's gather to rank %d: %w", from, rank, err)
+			}
+		}
+	}
+	for _, rc := range conns {
+		rc.next <- struct{}{}
+	}
+	return nil
 }
 
 // fold relays a gradient round's hops after rank 0's, each from the
@@ -520,7 +526,7 @@ func (c *Coordinator) accept(conns []*rankConn) error {
 // abort tells every surviving rank why the fleet is going down (best
 // effort) and returns err for Run.
 func (c *Coordinator) abort(conns []*rankConn, err error) error {
-	frame := ckptio.SealSection(encodePayload(msgError, []byte(err.Error())))
+	frame := ckptio.SealSection(encodeError(err.Error()))
 	for _, rc := range conns {
 		if rc != nil {
 			_, _ = rc.conn.Write(frame)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/ckptio"
@@ -18,8 +17,10 @@ import (
 // torn or bit-rotted frame fails with a typed *ckptio.CorruptError
 // exactly like a damaged checkpoint would, instead of being decoded
 // into a garbage gradient. The payload is [1 kind byte][body]; all
-// integers are big-endian, all floats are IEEE-754 bit patterns
-// (math.Float64bits), so a gradient survives the round trip bitwise.
+// integers are big-endian, and a run of floats is its IEEE-754 bit
+// patterns little-endian (ckptio.AppendF64Run: on a little-endian host,
+// one copy of its memory), so a gradient survives the round trip
+// bitwise.
 //
 // A gradient round is a fold along the ranks (see Owns and TCP.AllReduce),
 // and its frames are never decoded into values of their own: a rank
@@ -34,30 +35,33 @@ import (
 //	reduced: the total, last rank → every other rank: all n slots
 //	         summed and scaled
 //
-// grads and reduced share one layout: step u64, n u32, scale f64,
+// grads and reduced share one layout: step u64, n u32, scale bits u64,
 // covered u32, covered × loss f64, entries u32, then per touched
 // parameter (ascending): param u32, len u32, len × f64.
+//
+// The one other lockstep round is the all-gather (TCP.AllGather): every
+// rank sends one gather message — its rank u32, then its payload — and
+// the coordinator relays each to every other rank, in rank order.
 
 const (
 	// protoMagic opens every handshake.
 	protoMagic = "MTMLF-DIST"
-	// protoVersion is the exchange protocol version: 2 since a gradient
-	// round became a fold relayed rank to rank.
-	protoVersion = 2
+	// protoVersion is the exchange protocol version: 3 since float runs
+	// travel little-endian and the all-gather replaced the broadcast
+	// and the barrier.
+	protoVersion = 3
 )
 
-// Message kinds. Workers send hello/join/grads/reduced/bcast/barrier/
-// done; the coordinator answers hello with helloAck, relays every other
-// kind but done (of bcast and barrier, rank 0's answers every rank) and
-// may send msgError to abort the fleet with a reason.
+// Message kinds. Workers send hello/join/grads/reduced/gather/done; the
+// coordinator answers hello with helloAck, relays every other kind but
+// done, and may send msgError to abort the fleet with a reason.
 const (
 	msgAny byte = iota // readMsg only: whatever kind the peer sent
 	msgHello
 	msgHelloAck
 	msgGrads
 	msgReduced
-	msgBcast
-	msgBarrier
+	msgGather
 	msgDone
 	msgError
 	msgJoin
@@ -74,10 +78,8 @@ func kindName(k byte) string {
 		return "grads"
 	case msgReduced:
 		return "reduced"
-	case msgBcast:
-		return "bcast"
-	case msgBarrier:
-		return "barrier"
+	case msgGather:
+		return "gather"
 	case msgDone:
 		return "done"
 	case msgError:
@@ -132,32 +134,9 @@ func readMsg(r io.Reader, buf []byte, kind byte) ([]byte, error) {
 func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func appendF64(b []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
-}
 func appendBytes(b, p []byte) []byte {
 	b = appendU32(b, uint32(len(p)))
 	return append(b, p...)
-}
-
-// appendF64s bulk-encodes v: one capacity check, then stores.
-func appendF64s(b []byte, v []float64) []byte {
-	off := len(b)
-	b = slices.Grow(b, 8*len(v))[:off+8*len(v)]
-	for at := b[off:]; len(v) > 0; at, v = at[8:], v[1:] {
-		binary.BigEndian.PutUint64(at, math.Float64bits(v[0]))
-	}
-	return b
-}
-
-// getF64s decodes the bulk-encoded run src, which holds len(dst)
-// floats, into dst. Walking src by reslicing instead of by index is
-// worth a third of the loop.
-func getF64s(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src))
-		src = src[8:]
-	}
 }
 
 // cursor is a bounds-checked big-endian decoder. Reads past the end
@@ -255,19 +234,27 @@ func decodeHello(body []byte) (hello, error) {
 	return h, nil
 }
 
-// encodePayload builds a message of kind around one opaque payload
-// (bcast and error frames carry one length-prefixed byte string).
-func encodePayload(kind byte, payload []byte) []byte {
-	return appendBytes(newMsg(nil, kind, 4+len(payload)), payload)
+// gatherHead is the front of rank's gather message; the payload
+// follows it.
+func gatherHead(rank int) []byte { return appendU32([]byte{msgGather}, uint32(rank)) }
+
+// decodeGather returns the payload of a gather body, which must be
+// rank from's.
+func decodeGather(body []byte, from int) ([]byte, error) {
+	c := cursor{b: body}
+	rank := c.u32()
+	switch {
+	case c.err != nil:
+		return nil, c.err
+	case int(rank) != from:
+		return nil, fmt.Errorf("dist: rank drift: rank %d's gather arrived where rank %d's was due", rank, from)
+	}
+	return body[4:], nil
 }
 
-func decodePayload(body []byte) ([]byte, error) {
-	c := cursor{b: body}
-	p := c.take(int(c.u32()))
-	if err := c.done(); err != nil {
-		return nil, err
-	}
-	return p, nil
+// encodeError builds the coordinator's abort message around its reason.
+func encodeError(reason string) []byte {
+	return appendBytes(newMsg(nil, msgError, 4+len(reason)), []byte(reason))
 }
 
 // ---------------------------------------------------------------------------
@@ -367,9 +354,9 @@ func (f *fold) appendHop(buf []byte, kind byte, step uint64, n int, scale float6
 	b := newMsg(buf, kind, size)
 	b = appendU64(b, step)
 	b = appendU32(b, uint32(n))
-	b = appendF64(b, scale)
+	b = appendU64(b, math.Float64bits(scale))
 	b = appendU32(b, uint32(len(losses)))
-	b = appendF64s(b, losses)
+	b = ckptio.AppendF64Run(b, losses)
 	b = appendU32(b, uint32(entries))
 	for k, a := range f.acc {
 		if !f.touched[k] {
@@ -377,7 +364,7 @@ func (f *fold) appendHop(buf []byte, kind byte, step uint64, n int, scale float6
 		}
 		b = appendU32(b, uint32(k))
 		b = appendU32(b, uint32(len(a.Data)))
-		b = appendF64s(b, a.Data)
+		b = ckptio.AppendF64Run(b, a.Data)
 	}
 	return b
 }
@@ -434,7 +421,7 @@ func (f *fold) absorb(body []byte, step uint64, scale float64, covered int, para
 	if c.err != nil {
 		return c.err
 	}
-	getF64s(losses[:covered], lossBytes)
+	ckptio.DecodeF64Run(losses[:covered], lossBytes)
 	for last := -1; entries > 0; entries-- {
 		k, data := int(c.u32()), c.f64s(c.u32())
 		switch {
@@ -448,7 +435,7 @@ func (f *fold) absorb(body []byte, step uint64, scale float64, covered int, para
 			return fmt.Errorf("dist: step %d: a frame has %d floats for parameter %d, which has %d", step, len(data)/8, k, params[k].T.Size())
 		}
 		last = k
-		getF64s(f.accFor(k, params[k]).Data, data)
+		ckptio.DecodeF64Run(f.accFor(k, params[k]).Data, data)
 		f.touched[k] = true
 	}
 	return c.done()

@@ -283,16 +283,16 @@ func TestReducerMatchesReduceGrads(t *testing.T) {
 // 0.5 that covers slot 0, with one entry per {param, floats} pair.
 func rawFold(entries ...[2]uint32) []byte {
 	b := newMsg(nil, msgGrads, 0)
-	b = appendU64(b, 1)   // step
-	b = appendU32(b, 2)   // n
-	b = appendF64(b, 0.5) // scale
-	b = appendU32(b, 1)   // covered
-	b = appendF64(b, 0.25)
+	b = appendU64(b, 1)                     // step
+	b = appendU32(b, 2)                     // n
+	b = appendU64(b, math.Float64bits(0.5)) // scale
+	b = appendU32(b, 1)                     // covered
+	b = ckptio.AppendF64(b, 0.25)
 	b = appendU32(b, uint32(len(entries)))
 	for _, e := range entries {
 		b = appendU32(appendU32(b, e[0]), e[1])
 		for j := uint32(0); j < e[1]; j++ {
-			b = appendF64(b, 1)
+			b = ckptio.AppendF64(b, 1)
 		}
 	}
 	return msgBody(b)

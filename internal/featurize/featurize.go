@@ -90,8 +90,11 @@ type Featurizer struct {
 	Tokenizer
 	Encs map[string]*TableEncoder[*ag.Value]
 	// f64 is the float64 inference view of Encs (see Lower): it
-	// aliases the encoders' weights, so it is built once, here.
+	// aliases the encoders' weights, so it is built once, here, and
+	// memoized by Freeze.
 	f64 *Lowered[float64]
+	// memo counts f64's memo; nil until Freeze.
+	memo *MemoCounters
 }
 
 // New builds a featurizer with freshly initialized encoders for every
@@ -292,6 +295,9 @@ type PretrainResult struct {
 // reset before the next example is built: the gradients the step reads
 // are the arena's until then.
 func (f *Featurizer) PretrainEncoder(table string, data []workload.SingleTableQuery, epochs int) PretrainResult {
+	if f.Frozen() {
+		panic(fmt.Sprintf("featurize: database %q: pre-training a frozen encoder (%q)", f.DB.Name, table))
+	}
 	enc := f.Encs[table]
 	opt := nn.NewAdam(enc.Params(), f.Cfg.LR)
 	tape := ag.Tape{Arena: ag.NewArena()}
@@ -320,53 +326,93 @@ func (f *Featurizer) PretrainEncoder(table string, data []workload.SingleTableQu
 // pre-generated single-table workloads — a corpus's single-table
 // section, produced once at labelling time
 // (workload.Generator.GenPretrainSet), so a training run generates
-// nothing. It is Pretrain over this one featurizer.
+// nothing. It is Pretrain over this one featurizer's pairs.
 func (f *Featurizer) PretrainAllFrom(data []workload.TableWorkload, epochs int) ([]PretrainResult, error) {
-	res, err := Pretrain([]*Featurizer{f}, [][]workload.TableWorkload{data}, epochs)
+	pairs, err := Pairs([]*Featurizer{f}, [][]workload.TableWorkload{data})
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	return Pretrain(pairs, epochs), nil
 }
 
-// Pretrain trains every table encoder of every featurizer fs[i] on its
-// single-table set data[i] (Algorithm 1 line 4 over a fleet), and
-// returns each encoder's result in set order. Encoder training consumes
-// no randomness.
+// Pair is one (featurizer, table) pair of encoder pre-training: the
+// table's Enc_i and its single-table set.
+type Pair struct {
+	F   *Featurizer
+	Set workload.TableWorkload
+}
+
+// Params returns the parameters of the pair's Enc_i.
+func (p Pair) Params() []*ag.Value { return p.F.Encs[p.Set.Table].Params() }
+
+// Pairs returns the (featurizer, table) pairs of Algorithm 1 line 4
+// over a fleet — every featurizer fs[i] with its single-table set
+// data[i] — in pre-training order: featurizer by featurizer, each in
+// its set's order.
 //
 // Each set must cover its database's tables exactly once: an encoder a
 // partial section silently skipped would serve from its random
 // initialization, the failure class this module's checkpoint validation
 // exists to prevent — so unknown, duplicate, and missing tables are all
-// errors, and no encoder of any featurizer is touched before every set
-// validates.
-//
-// The (featurizer, table) pairs are then handed out over the worker
-// pool (parallel.Each). Each Enc_i has its own parameters and its own
-// Adam and reads only the weight-free Tokenizer, so an encoder's result
-// depends only on its initialization, its data and epochs: the same bits
-// at any pool size.
-func Pretrain(fs []*Featurizer, data [][]workload.TableWorkload, epochs int) ([][]PretrainResult, error) {
-	out, pairs := make([][]PretrainResult, len(fs)), [][2]int(nil)
+// errors, as is a frozen featurizer, and no pair is returned before
+// every set validates.
+func Pairs(fs []*Featurizer, data [][]workload.TableWorkload) ([]Pair, error) {
+	var pairs []Pair
 	for i, f := range fs {
 		if err := f.checkSet(data[i]); err != nil {
 			return nil, err
 		}
-		out[i] = make([]PretrainResult, len(data[i]))
-		for t := range data[i] {
-			pairs = append(pairs, [2]int{i, t})
+		for _, tw := range data[i] {
+			pairs = append(pairs, Pair{f, tw})
 		}
 	}
-	parallel.Each(len(pairs), func(j int) {
-		i, t := pairs[j][0], pairs[j][1]
-		out[i][t] = fs[i].PretrainEncoder(data[i][t].Table, data[i][t].Queries, epochs)
-	})
-	return out, nil
+	return pairs, nil
 }
 
+// Pretrain trains the encoders of pairs and returns each one's result,
+// in pair order. Encoder training consumes no randomness.
+//
+// The pairs are handed out over the worker pool (parallel.Each). Each
+// Enc_i has its own parameters and its own Adam and reads only the
+// weight-free Tokenizer, so an encoder's result depends only on its
+// initialization, its data and epochs: the same bits at any pool size,
+// and whichever other pairs the call trains.
+func Pretrain(pairs []Pair, epochs int) []PretrainResult {
+	out := make([]PretrainResult, len(pairs))
+	parallel.Each(len(pairs), func(j int) {
+		out[j] = pairs[j].F.PretrainEncoder(pairs[j].Set.Table, pairs[j].Set.Queries, epochs)
+	})
+	return out
+}
+
+// Freeze marks f's encoders final: Attach calls it once they are
+// pre-trained, and from then on (S)+(T) training, evaluation and
+// serving read them as constants. It memoizes f's float64 view, so
+// Reference hands out the row Enc_i computed for a (table, filter list)
+// again instead of recomputing it — the same bits — counting into
+// Memo. A frozen featurizer refuses every later write that goes through
+// this module: Pairs, PretrainAllFrom and PretrainEncoder refuse it, as
+// does a checkpoint load (mtmlf.Load).
+func (f *Featurizer) Freeze() {
+	if f.Frozen() {
+		return
+	}
+	f.memo = &MemoCounters{}
+	f.f64 = f.f64.Memoized(f.memo)
+}
+
+// Frozen reports whether Freeze has run.
+func (f *Featurizer) Frozen() bool { return f.memo != nil }
+
+// Memo returns the counters of the memo Freeze built (nil before).
+func (f *Featurizer) Memo() *MemoCounters { return f.memo }
+
 // checkSet refuses a single-table set that does not cover f's tables
-// exactly once.
+// exactly once, and any set for a frozen f.
 func (f *Featurizer) checkSet(data []workload.TableWorkload) error {
+	if f.Frozen() {
+		return fmt.Errorf("featurize: database %q: its encoders are frozen, and pre-training would rewrite them", f.DB.Name)
+	}
 	seen := make(map[string]bool, len(data))
 	for _, tw := range data {
 		if _, ok := f.Encs[tw.Table]; !ok {
@@ -476,7 +522,7 @@ func (l *Lowered[T]) Bytes() int {
 }
 
 // Reference returns the float64 inference view of f — the reference
-// serving tier's featurizer.
+// serving tier's featurizer, memoized once f is frozen.
 func (f *Featurizer) Reference() *Lowered[float64] { return f.f64 }
 
 // EncodeTableInfer is Lowered.EncodeTableInfer on the float64 view of

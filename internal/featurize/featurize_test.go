@@ -3,13 +3,16 @@ package featurize
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/metrics"
+	"mtmlf/internal/nn"
 	"mtmlf/internal/parallel"
 	"mtmlf/internal/sqldb"
+	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
 )
 
@@ -186,13 +189,8 @@ func TestPretrainAllFromRefusesBadSets(t *testing.T) {
 	if _, err := stored.PretrainAllFrom(dup, 1); err == nil {
 		t.Fatal("expected error for duplicate table")
 	}
-	for _, w := range []int{1, 4} {
-		prev := parallel.SetWorkers(w)
-		_, err := Pretrain([]*Featurizer{good, stored}, [][]workload.TableWorkload{data, data[:1]}, 1)
-		parallel.SetWorkers(prev)
-		if err == nil {
-			t.Fatalf("workers %d: expected error for the second set's partial coverage", w)
-		}
+	if _, err := Pairs([]*Featurizer{good, stored}, [][]workload.TableWorkload{data, data[:1]}); err == nil {
+		t.Fatal("expected error for the second set's partial coverage")
 	}
 	if !slices.Equal(paramBits(stored), before) || !slices.Equal(paramBits(good), goodBefore) {
 		t.Fatal("a refused set trained an encoder")
@@ -219,19 +217,20 @@ func TestPretrainMatchesSerialLoop(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		prev := parallel.SetWorkers(w)
 		fs := []*Featurizer{New(db, smallConfig(), 20), New(db, smallConfig(), 21)}
-		res, err := Pretrain(fs, data, 2)
-		parallel.SetWorkers(prev)
+		pairs, err := Pairs(fs, data)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := Pretrain(pairs, 2)
+		parallel.SetWorkers(prev)
 		for i, f := range fs {
 			if !slices.Equal(paramBits(f), want[i]) {
 				t.Fatalf("workers %d: featurizer %d's encoders differ from the serial loop's", w, i)
 			}
-			for j, r := range res[i] {
-				if r.Table != data[i][j].Table || r.Steps != 2*len(data[i][j].Queries) {
-					t.Fatalf("workers %d: result %d/%d is %+v for table %q", w, i, j, r, data[i][j].Table)
-				}
+		}
+		for j, r := range res {
+			if p := pairs[j]; r.Table != p.Set.Table || r.Steps != 2*len(p.Set.Queries) {
+				t.Fatalf("workers %d: result %d is %+v for table %q", w, j, r, p.Set.Table)
 			}
 		}
 	}
@@ -247,4 +246,57 @@ func paramBits(f *Featurizer) []uint64 {
 		}
 	}
 	return out
+}
+
+// TestFrozenFeaturizerRefusesWrites: once frozen, a featurizer refuses
+// pre-training — as a set (Pairs, PretrainAllFrom) and one encoder at a
+// time (PretrainEncoder panics) — with its weights untouched, and its
+// memoized reference view returns the uncached rows, bit for bit.
+func TestFrozenFeaturizerRefusesWrites(t *testing.T) {
+	db := smallDB()
+	f := New(db, smallConfig(), 9)
+	data := workload.NewGenerator(db, 10).GenPretrainSet(4, workload.DefaultConfig())
+	if _, err := f.PretrainAllFrom(data, 1); err != nil {
+		t.Fatal(err)
+	}
+	uncached := Lower[float64](f, nn.PrecisionF64)
+	f.Freeze()
+	if !f.Frozen() || f.Memo() == nil {
+		t.Fatal("Freeze left the featurizer unfrozen")
+	}
+	before := paramBits(f)
+	if _, err := f.PretrainAllFrom(data, 1); err == nil || !strings.Contains(err.Error(), "frozen") {
+		t.Fatalf("PretrainAllFrom on a frozen featurizer: %v, want a refusal", err)
+	}
+	if _, err := Pairs([]*Featurizer{f}, [][]workload.TableWorkload{data}); err == nil {
+		t.Fatal("Pairs accepted a frozen featurizer")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("PretrainEncoder on a frozen featurizer did not panic")
+			}
+		}()
+		f.PretrainEncoder(data[0].Table, data[0].Queries, 1)
+	}()
+	if !slices.Equal(paramBits(f), before) {
+		t.Fatal("a refused write moved a frozen encoder")
+	}
+	e := ag.AcquireEval()
+	defer ag.ReleaseEval(e)
+	for round := range 2 {
+		for _, tw := range data {
+			for _, q := range tw.Queries {
+				got := f.Reference().EncodeTableInfer(e, tw.Table, q.Filters)
+				want := uncached.EncodeTableInfer(e, tw.Table, q.Filters)
+				if !tensor.Equal(got, want, 0) {
+					t.Fatalf("round %d: the memoized row of %q differs from Enc_i's", round, tw.Table)
+				}
+			}
+		}
+		e.Reset()
+	}
+	if m := f.Memo(); m.Hits.Load() == 0 || m.Misses.Load() == 0 {
+		t.Fatalf("memo hits %d misses %d: want both", m.Hits.Load(), m.Misses.Load())
+	}
 }

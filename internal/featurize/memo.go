@@ -1,13 +1,16 @@
-// The table-encoding memo of a serving bundle.
+// The table-encoding memo of a frozen featurizer and of a serving bundle.
 //
 // E(f(T_i)) is a function of the table, its ordered filter list and the
 // encoder weights — not of the plan, the endpoint or the request — so a
 // Lowered whose weights can no longer change may keep each [1, Dim] row
-// it computes and hand it out again. Only Memoized builds such a copy
-// and only the serve bundle calls it (DESIGN.md §6): a bundle's weights
-// are immutable and a reload builds a new bundle, hence a new memo, so
-// there is no invalidation. Every other Lowered has a nil memo and runs
-// Enc_i every time.
+// it computes and hand it out again. Only Memoized builds such a copy,
+// and it has two callers. Featurizer.Freeze memoizes the float64 view
+// once attach has pre-trained the encoders, which nothing writes again,
+// so (S)+(T) training encodes each distinct leaf once. The serve bundle
+// memoizes its tier (DESIGN.md §6): a bundle's weights are immutable and
+// a reload builds a new bundle, hence a new memo. Neither needs
+// invalidation. Every other Lowered has a nil memo and runs Enc_i every
+// time.
 package featurize
 
 import (
@@ -71,8 +74,8 @@ type memo[T tensor.Float] struct {
 
 // Memoized returns a copy of l that memoizes EncodeTableInfer, counting
 // into c. The caller promises l's weights never change again — at
-// float64 they alias the trainable tensors — which is why the serve
-// bundle is the only caller.
+// float64 they alias the trainable tensors — which is why its callers
+// are a frozen featurizer and the serve bundle.
 func (l *Lowered[T]) Memoized(c *MemoCounters) *Lowered[T] {
 	ml := *l
 	ml.memo = &memo[T]{c: c, rows: map[string]*tensor.Dense[T]{}}

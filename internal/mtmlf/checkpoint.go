@@ -247,6 +247,9 @@ func Load(r io.Reader, m *Model) (*CheckpointInfo, error) {
 		if err := sameDatabase(&ck.info, m.Feat.DB); err != nil {
 			return nil, err
 		}
+		if m.Feat.Frozen() {
+			return nil, fmt.Errorf("mtmlf: database %q: a full checkpoint would rewrite its frozen (F) encoders; load into a model from NewForLoad", m.Feat.DB.Name)
+		}
 		params = m.Params()
 	}
 	return ck.readAll(params)

@@ -1,6 +1,8 @@
 package mtmlf
 
 import (
+	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -119,4 +121,39 @@ func TestFeaturizerFrozenDuringTraining(t *testing.T) {
 		}
 	}
 	assertFeatFrozen(t, "concurrent TrainJointStream", m.Feat.Params(), want)
+}
+
+// TestAttachFreezesFeaturizer: Attach hands back a frozen featurizer.
+// A full checkpoint load into its model and a second pre-training are
+// refused, with every (F) weight left where attach put it, while a
+// shared-only load, which writes no (F) weight, still goes through.
+func TestAttachFreezesFeaturizer(t *testing.T) {
+	opts := mlaFixtureOpts()
+	cats, _ := mlaCorpus(opts)
+	task, err := Attach(NewShared(tinyConfig(), 20), cats[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := task.Model
+	if !m.Feat.Frozen() {
+		t.Fatal("Attach returned an unfrozen featurizer")
+	}
+	want := cloneParams(m.Feat.Params())
+	var full, shared bytes.Buffer
+	if err := Save(&full, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveShared(&shared, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(full.Bytes()), m); err == nil || !strings.Contains(err.Error(), "frozen") {
+		t.Fatalf("full load into an attached model: %v, want a refusal", err)
+	}
+	if _, err := m.Feat.PretrainAllFrom(nil, 1); err == nil {
+		t.Fatal("PretrainAllFrom on an attached featurizer was not refused")
+	}
+	if _, err := Load(bytes.NewReader(shared.Bytes()), m); err != nil {
+		t.Fatalf("shared-only load into an attached model: %v", err)
+	}
+	assertFeatFrozen(t, "after refused writes", m.Feat.Params(), want)
 }

@@ -94,8 +94,8 @@ func (m *Model) Reference() Lowered[float64] {
 // Memoized returns a copy of lm whose featurizer keeps the table
 // encodings it computes (featurize/memo.go), counting into c. Only a
 // holder of weights that never change again may call it — the serve
-// bundle; Reference and Lower themselves stay uncached, so every other
-// caller is an independent check on a memoized answer.
+// bundle. A model whose featurizer is not frozen (a loaded one never is)
+// keeps Reference and Lower uncached: an independent check on a memo.
 func (lm Lowered[T]) Memoized(c *featurize.MemoCounters) *Lowered[T] {
 	lm.Feat = lm.Feat.Memoized(c)
 	return &lm

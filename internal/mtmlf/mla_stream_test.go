@@ -48,7 +48,12 @@ func mlaFleet() []*sqldb.DB {
 // on an error, which only a broken corpus package can produce. Each
 // call builds private copies, so fleet ranks share nothing.
 func mlaCorpus(opts MLAOptions) ([]catalog.Catalog, []workload.Source) {
-	r, err := corpus.InMemory(corpus.Meta{Seed: opts.Seed}, Label(opts, mlaFleet()...))
+	return mlaCorpusOf(opts, mlaFleet())
+}
+
+// mlaCorpusOf is mlaCorpus over the fleet dbs.
+func mlaCorpusOf(opts MLAOptions, dbs []*sqldb.DB) ([]catalog.Catalog, []workload.Source) {
+	r, err := corpus.InMemory(corpus.Meta{Seed: opts.Seed}, Label(opts, dbs...))
 	if err != nil {
 		panic(err)
 	}

@@ -311,7 +311,7 @@ func prepareSnapshots(ex dist.Exchanger, snap SnapshotOptions, meta snapshotMeta
 		if body != nil {
 			blob = append([]byte{1}, body...)
 		}
-		blob, err := ex.BroadcastBytes(blob)
+		blob, err := dist.BroadcastBytes(ex, blob)
 		if err != nil {
 			return nil, fmt.Errorf("mtmlf: broadcast resume state: %w", err)
 		}

@@ -1,13 +1,17 @@
 package mtmlf
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
+	"time"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/catalog"
+	"mtmlf/internal/ckptio"
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/dist"
 	"mtmlf/internal/featurize"
@@ -179,6 +183,15 @@ type TrainStats struct {
 	// Trajectory holds every example's loss in processing order when
 	// TrainOptions.RecordTrajectory is set (nil otherwise).
 	Trajectory []float64
+}
+
+// AttachStats is where AttachFleet's time went: pre-training this
+// rank's Own of the fleet's Pairs (database, table) pairs, and
+// gathering the encoders the other ranks pre-trained (zero in one
+// process).
+type AttachStats struct {
+	Own, Pairs       int
+	Pretrain, Gather time.Duration
 }
 
 // recordInto returns the per-example stats hook the training loop
@@ -457,10 +470,10 @@ type MLAOptions struct {
 	// preparation (encoder pre-training) is deterministic from the
 	// seeds and re-runs on resume.
 	Snapshot SnapshotOptions
-	// Exchanger is the gradient-exchange plane for the joint loop,
-	// with the same semantics as TrainOptions.Exchanger. Per-DB
-	// preparation is deterministic from the seeds and runs identically
-	// on every rank, so only the joint loop exchanges gradients.
+	// Exchanger is the gradient-exchange plane, with the same semantics
+	// as TrainOptions.Exchanger. Per-DB preparation is deterministic from
+	// the seeds, so the ranks split it: each pre-trains its share of the
+	// fleet's encoders, and they all-gather the results (attach).
 	Exchanger dist.Exchanger
 }
 
@@ -484,25 +497,36 @@ func (o MLAOptions) taskSeed(i int) int64 { return o.Seed + int64(i)*101 }
 // evaluate the shared modules on each database, and the joint loop's
 // TrainStats. The error is Attach's, the epoch iterator's or a
 // source's: a half-trained model must never be mistaken for a trained
-// one.
+// one. It is AttachFleet, then TrainFleet.
 func TrainMLAStream(shared *Shared, cats []catalog.Catalog, srcs []workload.Source, opts MLAOptions) ([]*DBTask, TrainStats, error) {
 	if len(cats) != len(srcs) {
 		return nil, TrainStats{}, fmt.Errorf("mtmlf: %d catalogs but %d example sources", len(cats), len(srcs))
 	}
-	tasks, err := attach(shared, cats, opts)
+	tasks, _, err := AttachFleet(shared, cats, opts)
 	if err != nil {
 		return nil, TrainStats{}, err
+	}
+	st, err := TrainFleet(tasks, srcs, opts)
+	return tasks, st, err
+}
+
+// TrainFleet is Algorithm 1 lines 7–8: the shared (S)+(T) modules of
+// the attached tasks train on the pooled, shuffled examples of srcs,
+// srcs[i] being tasks[i]'s database.
+func TrainFleet(tasks []*DBTask, srcs []workload.Source, opts MLAOptions) (TrainStats, error) {
+	if len(tasks) != len(srcs) || len(tasks) == 0 {
+		return TrainStats{}, fmt.Errorf("mtmlf: %d tasks but %d example sources", len(tasks), len(srcs))
 	}
 	models := make([]*Model, len(tasks))
 	for i, t := range tasks {
 		models[i] = t.Model
 	}
+	shared := models[0].Shared
 	lr := shared.Cfg.LR
-	st, err := trainLoop(shared, models, srcs, TrainOptions{
+	return trainLoop(shared, models, srcs, TrainOptions{
 		Epochs: opts.JointEpochs, Seed: opts.Seed, BatchSize: opts.BatchSize, Workers: opts.Workers,
 		RecordTrajectory: opts.RecordTrajectory, Snapshot: opts.Snapshot, Exchanger: opts.Exchanger,
 	}, lr, "mla", fmt.Sprintf("lr=%v trajectory=%v", lr, opts.RecordTrajectory))
-	return tasks, st, err
 }
 
 // singleTabler is implemented by catalog backends that carry a
@@ -514,7 +538,8 @@ type singleTabler interface {
 
 // Attach prepares one database for Algorithm 1 or for transfer (lines
 // 3–4): a featurizer over cat whose encoders pre-train for
-// opts.EncoderEpochs on the catalog's single-table section. A catalog
+// opts.EncoderEpochs on the catalog's single-table section, then
+// freeze (featurize.Featurizer.Freeze). A catalog
 // without that section (catalog.Memory has none) is refused with an
 // error naming the database: the library never draws training data
 // behind its caller's back.
@@ -527,39 +552,154 @@ type singleTabler interface {
 // would occupy an arbitrary rotation of feature space and the shared
 // modules could not extrapolate across DBs.
 func Attach(shared *Shared, cat catalog.Catalog, opts MLAOptions) (*DBTask, error) {
-	tasks, err := attach(shared, []catalog.Catalog{cat}, opts)
+	tasks, _, err := AttachFleet(shared, []catalog.Catalog{cat}, opts)
 	if err != nil {
 		return nil, err
 	}
 	return tasks[0], nil
 }
 
-// attach is Attach over a fleet (Algorithm 1 lines 3–4 for every
-// database at once). Every database's single-table section is read
-// first, so a fleet that lacks one is refused before any featurizer is
-// built; then every featurizer is built, database-parallel; then one
-// featurize.Pretrain call trains every encoder of the fleet, handed out
-// table by table over the worker pool.
-func attach(shared *Shared, cats []catalog.Catalog, opts MLAOptions) ([]*DBTask, error) {
+// AttachFleet is Attach over a fleet (Algorithm 1 lines 3–4 for every
+// database at once), and where its time went. Every database's
+// single-table section is read first, so a fleet that lacks one is
+// refused before any featurizer is built; then every featurizer is
+// built, database-parallel; then one featurize.Pretrain call trains
+// this rank's share of the fleet's (database, table) pairs, handed out
+// over the worker pool — every pair in one process, the pairs
+// j ≡ rank (mod world) in a fleet, whose ranks then gather the rest
+// (gatherEncoders). Last, every featurizer freezes.
+func AttachFleet(shared *Shared, cats []catalog.Catalog, opts MLAOptions) ([]*DBTask, AttachStats, error) {
+	var as AttachStats
 	data, feats := make([][]workload.TableWorkload, len(cats)), make([]*featurize.Featurizer, len(cats))
 	err := parallel.ForErr(len(cats), func(i int) (err error) {
 		data[i], err = singleTable(cats[i])
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, as, err
 	}
 	parallel.Each(len(cats), func(i int) {
 		feats[i] = featurize.NewFrom(cats[i], shared.Cfg.Feat, opts.Seed+7)
 	})
-	if _, err := featurize.Pretrain(feats, data, opts.EncoderEpochs); err != nil {
-		return nil, fmt.Errorf("mtmlf: attach: %w", err)
+	pairs, err := featurize.Pairs(feats, data)
+	if err != nil {
+		return nil, as, fmt.Errorf("mtmlf: attach: %w", err)
+	}
+	ex := TrainOptions{Exchanger: opts.Exchanger}.exchanger()
+	world, rank := ex.World()
+	own := share(pairs, world, rank)
+	start := now()
+	featurize.Pretrain(own, opts.EncoderEpochs)
+	pretrained := now()
+	as.Own, as.Pairs, as.Pretrain = len(own), len(pairs), pretrained.Sub(start)
+	if world > 1 {
+		err = gatherEncoders(ex, pairs)
+		as.Gather = now().Sub(pretrained)
+		if err != nil {
+			return nil, as, err
+		}
 	}
 	tasks := make([]*DBTask, len(cats))
 	for i, c := range cats {
+		feats[i].Freeze()
 		tasks[i] = &DBTask{DB: c.DB(), Model: &Model{Shared: shared, Feat: feats[i]}}
 	}
-	return tasks, nil
+	return tasks, as, nil
+}
+
+// share returns rank's share of a world-rank fleet's pre-training
+// pairs: the pairs j ≡ rank (mod world), in pair order. Dealing them out
+// one at a time, not in blocks, spreads every database's tables over
+// the ranks, so no rank gets one database's many tables.
+func share(pairs []featurize.Pair, world, rank int) []featurize.Pair {
+	var out []featurize.Pair
+	for j := rank; j < len(pairs); j += world {
+		out = append(out, pairs[j])
+	}
+	return out
+}
+
+// shareParams returns the encoder parameters of rank's share, in pair
+// order: what rank sends in gatherEncoders.
+func shareParams(pairs []featurize.Pair, world, rank int) (out []*ag.Value) {
+	for _, p := range share(pairs, world, rank) {
+		out = append(out, p.Params()...)
+	}
+	return out
+}
+
+// GatherError is how a rank-split attach fails when a rank cannot read
+// another rank's encoders back into its own (gatherEncoders). Every
+// rank of the fleet returns the same one, before the first joint step:
+// no rank trains on an (F) that differs from the others'.
+type GatherError struct {
+	Rank   int    // the rank that could not read a payload
+	Reason string // what it could not read, and why
+}
+
+func (e *GatherError) Error() string {
+	return fmt.Sprintf("mtmlf: rank %d could not read the (F) encoders the other ranks pre-trained: %s", e.Rank, e.Reason)
+}
+
+// gatherEncoders completes a rank-split attach. Each rank sends its
+// share's encoders as tensor records (nn.WriteParams: a CRC per tensor)
+// and reads every other rank's share into its own encoders
+// (nn.ParamReader, which checks each record's checksum, shape and
+// finiteness before it writes), dropping each payload once read. A
+// second all-gather then carries every rank's verdict — empty, or why
+// it could not read a payload — so that all ranks fail together, with
+// the same GatherError, or none does.
+func gatherEncoders(ex dist.Exchanger, pairs []featurize.Pair) error {
+	world, rank := ex.World()
+	all, err := ex.AllGather(encodeShare(shareParams(pairs, world, rank)))
+	if err != nil {
+		return fmt.Errorf("mtmlf: gather (F) encoders: %w", err)
+	}
+	var verdict []byte
+	for q, payload := range all {
+		if q == rank {
+			continue
+		}
+		params := shareParams(pairs, world, q)
+		pr, err := nn.NewParamReader(bytes.NewReader(payload), "(F) gather", len(params))
+		if err == nil {
+			err = pr.ReadInto(params)
+		}
+		if err != nil {
+			verdict = fmt.Appendf(nil, "rank %d's encoders: %v", q, err)
+			break
+		}
+		all[q] = nil
+	}
+	verdicts, err := ex.AllGather(verdict)
+	if err != nil {
+		return fmt.Errorf("mtmlf: gather (F) verdicts: %w", err)
+	}
+	verdicts[rank] = verdict
+	for q, v := range verdicts {
+		if len(v) > 0 {
+			return &GatherError{Rank: q, Reason: string(v)}
+		}
+	}
+	return nil
+}
+
+// encodeShare returns params as tensor records, in one buffer sized up
+// front: the share is megabytes, and a rank holds it while it gathers.
+func encodeShare(params []*ag.Value) []byte {
+	size := ckptio.SectionLen(binary.MaxVarintLen64)
+	for _, p := range params {
+		size += ckptio.SectionLen((1+len(p.T.Shape))*binary.MaxVarintLen64 + 8*p.T.Size())
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_ = nn.WriteParams(buf, params) // a bytes.Buffer write never fails
+	return buf.Bytes()
+}
+
+// now is the clock of AttachStats: measurement only, never on the
+// trajectory.
+func now() time.Time {
+	return time.Now() //mtmlf:allow:globalrand measurement only, never on the trajectory
 }
 
 // singleTable reads cat's single-table section, refusing a catalog

@@ -2,16 +2,23 @@ package mtmlf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"mtmlf/internal/ckptio"
+	"mtmlf/internal/datagen"
 	"mtmlf/internal/dist"
+	"mtmlf/internal/featurize"
+	"mtmlf/internal/sqldb"
 	"mtmlf/internal/tensor"
 	"mtmlf/internal/workload"
 )
@@ -164,55 +171,129 @@ func TestTrainJointDistTopologyGrid(t *testing.T) {
 // TestTrainMLADistTopologyGrid extends the bitwise topology contract
 // to Algorithm 1 fleet pretraining over TrainMLAStream — the run the
 // distributed mode exists for. Single-process at 1 and 4 workers and
-// 2- and 3-rank TCP fleets must agree on the trajectory and the final
-// shared parameters bit for bit.
+// 2- and 3-rank TCP fleets, whose ranks split the (F) pre-training,
+// must agree on the trajectory, the final shared parameters and every
+// featurizer's parameters bit for bit.
 func TestTrainMLADistTopologyGrid(t *testing.T) {
-	run := func(workers int, ex dist.Exchanger) (*Shared, TrainStats, error) {
+	type result struct {
+		shared *Shared
+		tasks  []*DBTask
+		st     TrainStats
+	}
+	run := func(workers int, ex dist.Exchanger) (result, error) {
 		opts := mlaFixtureOpts()
 		opts.Workers = workers
 		opts.Exchanger = ex
 		cats, srcs := mlaCorpus(opts)
 		shared := NewShared(tinyConfig(), 20)
-		_, st, err := TrainMLAStream(shared, cats, srcs, opts)
-		return shared, st, err
+		tasks, st, err := TrainMLAStream(shared, cats, srcs, opts)
+		return result{shared, tasks, st}, err
 	}
-	ref, refSt, err := run(1, nil)
+	ref, err := run(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(tag string, shared *Shared, st TrainStats) {
+	check := func(tag string, got result) {
 		t.Helper()
-		if st.Steps != refSt.Steps || st.FinalLoss != refSt.FinalLoss {
-			t.Fatalf("%s: stats {steps %d, loss %v} != reference {steps %d, loss %v}",
-				tag, st.Steps, st.FinalLoss, refSt.Steps, refSt.FinalLoss)
-		}
-		if !sameTrajectory(refSt.Trajectory, st.Trajectory) {
-			t.Fatalf("%s: loss trajectory differs from reference", tag)
-		}
-		pa, pb := ref.Params(), shared.Params()
-		for i := range pa {
-			if !tensor.Equal(pa[i].T, pb[i].T, 0) {
-				t.Fatalf("%s: shared parameter %d differs from reference", tag, i)
-			}
-		}
+		assertMLAEqual(t, tag, ref.shared, got.shared, ref.tasks, got.tasks, ref.st, got.st)
 	}
-	par, parSt, err := run(4, nil)
+	par, err := run(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("workers=4", par, parSt)
+	check("workers=4", par)
 	for _, world := range []int{2, 3} {
-		world := world
 		t.Run(fmt.Sprintf("world%d", world), func(t *testing.T) {
-			shareds := make([]*Shared, world)
-			stats := make([]TrainStats, world)
-			runFleet(t, world, "mla-grid", func(rank int, ex dist.Exchanger) error {
-				s, st, err := run(2, ex)
-				shareds[rank], stats[rank] = s, st
+			got := make([]result, world)
+			runFleet(t, world, "mla-grid", func(rank int, ex dist.Exchanger) (err error) {
+				got[rank], err = run(2, ex)
 				return err
 			})
 			for rank := 0; rank < world; rank++ {
-				check(fmt.Sprintf("world=%d rank=%d", world, rank), shareds[rank], stats[rank])
+				check(fmt.Sprintf("world=%d rank=%d", world, rank), got[rank])
+			}
+		})
+	}
+}
+
+// featBits returns the bits of every featurizer parameter of tasks, in
+// task and parameter order.
+func featBits(tasks []*DBTask) []uint64 {
+	var out []uint64
+	for _, task := range tasks {
+		for _, p := range task.Model.Feat.Params() {
+			for _, x := range p.T.Data {
+				out = append(out, math.Float64bits(x))
+			}
+		}
+	}
+	return out
+}
+
+// fleetOf returns n databases of tables tables each.
+func fleetOf(seed int64, n, tables int) []*sqldb.DB {
+	cfg := datagen.DefaultConfig()
+	cfg.MinTables, cfg.MaxTables = tables, tables
+	cfg.MinRows, cfg.MaxRows = 60, 120
+	return datagen.GenerateFleet(seed, n, cfg)
+}
+
+// TestAttachFleetRankSplit: the ranks of a 2- and a 3-rank fleet each
+// pre-train their share of the (database, table) pairs and gather the
+// rest, and every rank ends with the one-process run's (F) parameters,
+// bit for bit — on an even and an odd pair count, and on a fleet with
+// fewer pairs than ranks, where a rank pre-trains nothing.
+func TestAttachFleetRankSplit(t *testing.T) {
+	for _, fc := range []struct {
+		name  string
+		dbs   func() []*sqldb.DB
+		pairs int
+	}{
+		{"two-dbs", func() []*sqldb.DB { return fleetOf(31, 2, 4) }, 8},
+		{"odd", func() []*sqldb.DB { return fleetOf(32, 1, 5) }, 5},
+		{"fewer-pairs-than-ranks", func() []*sqldb.DB { return fleetOf(33, 1, 2) }, 2},
+	} {
+		t.Run(fc.name, func(t *testing.T) {
+			opts := mlaFixtureOpts()
+			attach := func(ex dist.Exchanger) ([]*DBTask, AttachStats, error) {
+				opts := opts
+				opts.Exchanger = ex
+				cats, _ := mlaCorpusOf(opts, fc.dbs())
+				return AttachFleet(NewShared(tinyConfig(), 20), cats, opts)
+			}
+			ref, as, err := attach(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if as.Pairs != fc.pairs || as.Own != fc.pairs || as.Gather != 0 {
+				t.Fatalf("one process: %+v, want all %d pairs and no gather", as, fc.pairs)
+			}
+			want := featBits(ref)
+			for _, world := range []int{2, 3} {
+				got := make([][]*DBTask, world)
+				stats := make([]AttachStats, world)
+				runFleet(t, world, "attach-split", func(rank int, ex dist.Exchanger) (err error) {
+					got[rank], stats[rank], err = attach(ex)
+					return err
+				})
+				own := 0
+				for rank := range got {
+					if !slices.Equal(featBits(got[rank]), want) {
+						t.Fatalf("world %d rank %d: (F) parameters differ from the one-process run's", world, rank)
+					}
+					for _, task := range got[rank] {
+						if !task.Model.Feat.Frozen() {
+							t.Fatalf("world %d rank %d: a gathered featurizer is not frozen", world, rank)
+						}
+					}
+					if s := stats[rank]; s.Pairs != fc.pairs || s.Own != len(share(make([]featurize.Pair, fc.pairs), world, rank)) {
+						t.Fatalf("world %d rank %d: %+v", world, rank, s)
+					}
+					own += stats[rank].Own
+				}
+				if own != fc.pairs {
+					t.Fatalf("world %d: the ranks pre-trained %d pairs between them, want %d", world, own, fc.pairs)
+				}
 			}
 		})
 	}
@@ -432,4 +513,147 @@ func TestTrainJointDistReadsOnlyOwnedSlice(t *testing.T) {
 			t.Fatalf("example %d fetched %d times fleet-wide, want once per epoch (%d)", i, c, epochs)
 		}
 	}
+}
+
+// tamperGather is an exchanger whose first AllGather — a rank-split
+// attach's encoder gather — sends what tamper makes of the payload, in
+// the style of ckptio.FailingWriter: one rank's (F) bytes damaged
+// before they reach the wire, where no frame checksum can see it.
+type tamperGather struct {
+	dist.Exchanger
+	tamper func([]byte) []byte
+	done   bool
+}
+
+func (e *tamperGather) AllGather(payload []byte) ([][]byte, error) {
+	if !e.done {
+		e.done = true
+		payload = e.tamper(bytes.Clone(payload))
+	}
+	return e.Exchanger.AllGather(payload)
+}
+
+// reseal rewrites the first tensor record of a gather payload with edit
+// applied to its body (shape prefix and elements) and a fresh checksum:
+// damage that only the record's own checks can catch.
+func reseal(t *testing.T, payload []byte, edit func(rec []byte)) []byte {
+	t.Helper()
+	r := bytes.NewReader(payload)
+	var out bytes.Buffer
+	for i := 0; r.Len() > 0; i++ {
+		rec, err := ckptio.ReadSection(r, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 { // frame 0 is the tensor count
+			edit(rec)
+		}
+		if err := ckptio.WriteSection(&out, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
+}
+
+// TestAttachFleetRefusesBadGather: when rank 1's encoders reach rank 0
+// truncated, failing a record's checksum, with a wrong shape or holding
+// a NaN, every rank fails with the same *GatherError naming rank 0, and
+// none takes a joint step: no example is trained and the shared modules
+// keep their initial bits. A frame torn on the wire mid-gather also
+// brings every process down before a step.
+func TestAttachFleetRefusesBadGather(t *testing.T) {
+	const world = 2
+	initial := NewShared(tinyConfig(), 20).Params()
+	train := func(ex dist.Exchanger) (*Shared, TrainStats, error) {
+		opts := mlaFixtureOpts()
+		opts.Exchanger = ex
+		cats, srcs := mlaCorpus(opts)
+		shared := NewShared(tinyConfig(), 20)
+		_, st, err := TrainMLAStream(shared, cats, srcs, opts)
+		return shared, st, err
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func([]byte) []byte
+	}{
+		{"truncated", func(p []byte) []byte { return p[:len(p)/2] }},
+		{"bad-crc", func(p []byte) []byte { p[len(p)/2] ^= 0x10; return p }},
+		{"wrong-shape", func(p []byte) []byte {
+			return reseal(t, p, func(rec []byte) { rec[1], rec[2] = rec[2], rec[1] }) // [1, d] → [d, 1]
+		}},
+		{"non-finite", func(p []byte) []byte {
+			return reseal(t, p, func(rec []byte) {
+				binary.LittleEndian.PutUint64(rec[len(rec)-8:], math.Float64bits(math.NaN()))
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, coordErr := startDistCoordinator(t, world)
+			errs := make([]error, world)
+			shareds := make([]*Shared, world)
+			stats := make([]TrainStats, world)
+			var wg sync.WaitGroup
+			for rank := range world {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ex, err := dist.DialRetry(addr, rank, world, "bad-gather", 100, 20*time.Millisecond)
+					if err != nil {
+						errs[rank] = err
+						return
+					}
+					defer ex.Close()
+					var e dist.Exchanger = ex
+					if rank == 1 {
+						e = &tamperGather{Exchanger: ex, tamper: tc.tamper}
+					}
+					shareds[rank], stats[rank], errs[rank] = train(e)
+				}()
+			}
+			wg.Wait()
+			waitDistCoordinator(t, coordErr)
+			for rank, err := range errs {
+				var ge *GatherError
+				if !errors.As(err, &ge) || ge.Rank != 0 {
+					t.Fatalf("rank %d: %v, want a *GatherError from rank 0", rank, err)
+				}
+				if stats[rank].Steps != 0 {
+					t.Fatalf("rank %d trained %d examples on a diverged (F)", rank, stats[rank].Steps)
+				}
+				for i, p := range shareds[rank].Params() {
+					if p.Grad != nil || !tensor.Equal(p.T, initial[i].T, 0) {
+						t.Fatalf("rank %d: shared parameter %d moved", rank, i)
+					}
+				}
+				t.Logf("rank %d: %v", rank, err)
+			}
+		})
+	}
+	t.Run("torn-on-the-wire", func(t *testing.T) {
+		addr, coordErr := startDistCoordinator(t, world)
+		addrs := []string{addr, cutMidFrame(t, addr, 1)}
+		errs := make(chan error, world)
+		for rank := range world {
+			go func() {
+				ex, err := dist.DialRetry(addrs[rank], rank, world, "torn-gather", 100, 20*time.Millisecond)
+				if err == nil {
+					var st TrainStats
+					_, st, err = train(ex)
+					ex.Close()
+					if st.Steps != 0 {
+						err = fmt.Errorf("trained %d examples: %v", st.Steps, err)
+					}
+				}
+				errs <- err
+			}()
+		}
+		for range world {
+			if err := <-errs; err == nil {
+				t.Fatal("a rank of a fleet torn mid-gather returned no error")
+			}
+		}
+		if err := <-coordErr; err == nil {
+			t.Fatal("the coordinator of a fleet torn mid-gather exited cleanly")
+		}
+	})
 }

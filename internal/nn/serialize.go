@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/ckptio"
@@ -36,12 +35,7 @@ func WriteParams(w io.Writer, params []*ag.Value) error {
 	for _, p := range params {
 		data := p.T.Data
 		buf = appendShape(ckptio.NewSection(buf, (1+len(p.T.Shape))*binary.MaxVarintLen64+8*len(data)), p.T.Shape)
-		off := len(buf)
-		buf = buf[:off+8*len(data)]
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(v))
-		}
-		buf = ckptio.SealSection(buf)
+		buf = ckptio.SealSection(ckptio.AppendF64Run(buf, data))
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
@@ -145,9 +139,7 @@ func (pr *ParamReader) ReadInto(params []*ag.Value) error {
 		if err != nil {
 			return err
 		}
-		for i := range p.T.Data {
-			p.T.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
+		ckptio.DecodeF64Run(p.T.Data, raw)
 	}
 	return nil
 }

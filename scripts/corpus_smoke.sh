@@ -28,9 +28,13 @@ if "$TMP/mtmlf-datagen" "${GEN_ARGS[@]}" -single-table 0 -out "$TMP/none.mtc" >"
 fi
 grep -q -- "-single-table 0" "$TMP/refuse.out" || { cat "$TMP/refuse.out"; exit 1; }
 
-echo "== refusing an -out or a -resume snapshot that cannot be written, before any work"
+echo "== refusing an -out, a -resume snapshot or a -loss-out that cannot be written, before any work"
 refuse_fast -out "$TMP/missing/x.mtc" "$TMP/mtmlf-datagen" -n 3 -seed "$SEED"
 refuse_fast -resume "$TMP/missing/s.snap" "$TMP/mtmlf-train" -epochs 1
+# An output that exists but is not a regular file: the atomic write's
+# rename would replace it, so it is refused and left in place.
+mkfifo "$TMP/fifo"
+refuse_fast -loss-out "$TMP/fifo" "$TMP/mtmlf-train" -epochs 1
 
 echo "== a labelling run killed by SIGTERM leaves no temp file"
 # -n 3 at default row counts labels its 48 queries a database in about

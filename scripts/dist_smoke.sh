@@ -10,7 +10,11 @@
 # `-resume` until it exits clean. The checkpoint and hex-float loss
 # trajectory from rank 0 must be BYTE-IDENTICAL to the single-process
 # reference: distributing the run across processes, killing it, and
-# resuming it must not change the trained model by a single bit. Last,
+# resuming it must not change the trained model by a single bit. The
+# same drill then kills a worker while the ranks pre-train their shares
+# of the (F) encoders or gather them — before the first snapshot, with
+# -encoder-epochs raised so that phase lasts — against a reference run
+# with the same flags. Last,
 # two mislaunched fleets — `-load` on rank 0 only, `-resume` on rank 0
 # only — must die at the handshake with "job mismatch". Run via
 # `make dist-smoke`; CI runs it on every push.
@@ -26,14 +30,17 @@ SEED=11
 CORPUS="$TMP/fleet.mtc"
 SNAP="$TMP/dist.snap"
 TRAIN_ARGS=(-mla -corpus "$CORPUS" -epochs 4 -encoder-epochs 1 -batch 4)
+F_ARGS=(-mla -corpus "$CORPUS" -epochs 2 -encoder-epochs 20 -batch 4)
 
 echo "== generating a tiny 3-DB fleet corpus"
 "$TMP/mtmlf-datagen" -n 3 -seed "$SEED" -minrows 60 -maxrows 120 \
     -queries 10 -maxtables 4 -single-table 5 -out "$CORPUS" | tail -1
 
-echo "== uninterrupted single-process reference run"
+echo "== uninterrupted single-process reference runs"
 "$TMP/mtmlf-train" "${TRAIN_ARGS[@]}" \
     -save "$TMP/ref.ckpt" -loss-out "$TMP/ref.loss" | tail -2
+"$TMP/mtmlf-train" "${F_ARGS[@]}" \
+    -save "$TMP/fref.ckpt" -loss-out "$TMP/fref.loss" | tail -1
 
 # start_coordinator: start a coordinator for $WORLD ranks on a random
 # loopback port. Sets CPID and ADDR and empties WPIDS.
@@ -64,14 +71,22 @@ start_rank() {
     WPIDS+=($!)
 }
 
-# launch_fleet: a coordinator plus $WORLD workers, every rank with
-# identical training flags and -resume; rank 0 owns the artifacts.
+# launch_fleet: a coordinator plus $WORLD workers, every rank with the
+# training flags in RUN_ARGS and -resume; rank 0 owns the artifacts.
 launch_fleet() {
     start_coordinator
     local rank
     for rank in $(seq 0 $((WORLD - 1))); do
-        start_rank "$rank" "${TRAIN_ARGS[@]}" -resume "$SNAP" -snapshot-every 1 \
+        start_rank "$rank" "${RUN_ARGS[@]}" -resume "$SNAP" -snapshot-every 1 \
             -save "$TMP/dist.ckpt" -loss-out "$TMP/dist.loss"
+    done
+}
+
+# in_f_phase: every rank of the fleet has started its (F) phase.
+in_f_phase() {
+    local rank
+    for rank in $(seq 0 $((WORLD - 1))); do
+        grep -q '^fleet pretraining' "$TMP/rank$rank.out" 2>/dev/null || return 1
     done
 }
 
@@ -84,19 +99,27 @@ reap_fleet() {
     return "$ok"
 }
 
-# drill: the kill -9 + resume drill at $WORLD ranks, then the bitwise
-# comparison against the reference.
+# drill PHASE REF: the kill -9 + resume drill at $WORLD ranks with the
+# training flags in RUN_ARGS, striking in PHASE — "joint" once the
+# fleet has snapshotted, "F" while it pre-trains or gathers (F), before
+# any snapshot — then the bitwise comparison against the reference
+# files $REF.ckpt and $REF.loss.
 drill() {
+    local phase=$1 ref=$2
     rm -f "$SNAP" "$TMP/dist.ckpt" "$TMP/dist.loss"
-    echo "== fleet drill: coordinator + $WORLD workers, SIGKILL one mid-epoch"
+    echo "== fleet drill: coordinator + $WORLD workers, SIGKILL one during the $phase phase"
     launch_fleet
-    # Let the fleet reach at least one snapshot, then strike a random
-    # worker at a random instant. The whole fleet fail-stops: the
-    # coordinator aborts, every surviving rank exits non-zero.
-    for _ in $(seq 1 200); do
-        [ -s "$SNAP" ] && break
+    # Wait for the phase, then strike a random worker at a random
+    # instant. The whole fleet fail-stops: the coordinator aborts, every
+    # surviving rank exits non-zero.
+    for _ in $(seq 1 400); do
+        if [ "$phase" = joint ]; then
+            [ -s "$SNAP" ] && break
+        else
+            in_f_phase && break
+        fi
         kill -0 "${WPIDS[0]}" 2>/dev/null || break
-        sleep 0.05
+        sleep 0.01
     done
     sleep "0.0$((RANDOM % 10))"
     local victim=${WPIDS[$((RANDOM % WORLD))]}
@@ -104,6 +127,9 @@ drill() {
         echo "   killed worker pid $victim"
     else
         echo "   fleet finished before the kill"
+    fi
+    if [ "$phase" = F ] && [ -e "$SNAP" ]; then
+        echo "FAIL: the (F)-phase kill landed after the first snapshot"; exit 1
     fi
     reap_fleet || true
 
@@ -126,9 +152,9 @@ drill() {
     tail -2 "$TMP/rank0.out"
 
     echo "== comparing rank 0 checkpoint and trajectory against the single-process reference (bitwise)"
-    cmp "$TMP/dist.ckpt" "$TMP/ref.ckpt" || {
+    cmp "$TMP/dist.ckpt" "$ref.ckpt" || {
         echo "FAIL: $WORLD-rank checkpoint differs from single-process reference"; exit 1; }
-    cmp "$TMP/dist.loss" "$TMP/ref.loss" || {
+    cmp "$TMP/dist.loss" "$ref.loss" || {
         echo "FAIL: $WORLD-rank loss trajectory differs from single-process reference"; exit 1; }
 }
 
@@ -153,7 +179,10 @@ expect_mismatch() {
 }
 
 for WORLD in 2 3; do
-    drill
+    RUN_ARGS=("${TRAIN_ARGS[@]}")
+    drill joint "$TMP/ref"
+    RUN_ARGS=("${F_ARGS[@]}")
+    drill F "$TMP/fref"
 done
 STEPS=$(wc -l < "$TMP/ref.loss")
 
@@ -165,4 +194,4 @@ R0=("${TRAIN_ARGS[@]}" -resume "$TMP/mismatch.snap")
 R1=("${TRAIN_ARGS[@]}")
 expect_mismatch -resume
 
-echo "dist-smoke: 2- and 3-rank fleets survived kill -9 + resume — checkpoint and $STEPS-step trajectory bitwise identical to the single-process run; mismatched -load and -resume refused at the handshake"
+echo "dist-smoke: 2- and 3-rank fleets survived kill -9 + resume, in the joint loop and in the (F) phase — checkpoint and $STEPS-step trajectory bitwise identical to the single-process run; mismatched -load and -resume refused at the handshake"
