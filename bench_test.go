@@ -1,6 +1,6 @@
 // Package bench times the paper's figures and ablations (see DESIGN.md
-// §4 for the experiment index; Tables 1–3 are regenerated by
-// mtmlf-bench -exp and pinned by internal/experiments' tests):
+// §4 for the experiment index; Tables 1–3 are regenerated by make
+// claims and pinned by internal/experiments' tests):
 //
 //	BenchmarkFigure2Pipeline      — Figure 2 (one I→F→S→T forward pass)
 //	BenchmarkFigure4Decoding      — Figure 4 (tree↔seq decoding embeddings)

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -60,12 +59,10 @@ func fleetGolden(est estimator, qs []*workload.LabeledQuery) tierGolden {
 // the deterministic smoke fleet, bit for bit. The file was recorded
 // before the f64/f32 inference stacks were collapsed into one generic
 // stack, so it proves the collapse (and any later refactor of that
-// path) changed no served value. amd64 only: arm64 fuses a*b+c into
-// FMA, which rounds once where amd64 rounds twice.
+// path) changed no served value. It holds on every port: every product
+// that feeds a sum is rounded explicitly, so no port fuses one (make
+// cross).
 func TestFleetGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
-	}
 	m, qs := SmokeFleet(7, 12)
 	got := map[string]tierGolden{"f64": fleetGolden(m, qs)}
 	for _, p := range []nn.Precision{nn.PrecisionF32, nn.PrecisionInt8} {

@@ -172,36 +172,45 @@ func joinQErrors(test []*workload.LabeledQuery, predict func(*workload.LabeledQu
 	return card, costq
 }
 
-// orderTimes is the simulated C_out execution time, summed in query
-// order over the test queries that carry an optimal order, of the
+// orderTimes is the simulated C_out execution time of each test query
+// that carries an optimal order, in query order, under the
 // PostgreSQL-style order (exact DP over st's estimates), the optimal
-// order and each model's order, in that order. opt counts, per model,
-// the queries it ordered optimally; n is the number of queries summed.
-func orderTimes(db *sqldb.DB, st *stats.DBStats, test []*workload.LabeledQuery, models ...*mtmlf.Model) (times []float64, opt []int, n int, err error) {
-	times, opt = make([]float64, 2+len(models)), make([]int, len(models))
+// order and each model's order: times[k][q] is method k's time on
+// query q, k in that order. opt counts, per model, the queries it
+// ordered optimally.
+func orderTimes(db *sqldb.DB, st *stats.DBStats, test []*workload.LabeledQuery, models ...*mtmlf.Model) (times [][]float64, opt []int, err error) {
+	times, opt = make([][]float64, 2+len(models)), make([]int, len(models))
 	for _, lq := range test {
 		if len(lq.OptimalOrder) < 2 {
 			continue
 		}
-		n++
 		ex := sqldb.NewExecutor(db, lq.Q)
 		pg, err := optimizer.BestLeftDeep(lq.Q, optimizer.EstimatedCards{S: st, Q: lq.Q})
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		times[0] += cost.SimulatedTimeOrder(ex, pg.Order)
-		times[1] += cost.SimulatedTimeOrder(ex, lq.OptimalOrder)
+		times[0] = append(times[0], cost.SimulatedTimeOrder(ex, pg.Order))
+		times[1] = append(times[1], cost.SimulatedTimeOrder(ex, lq.OptimalOrder))
 		for i, m := range models {
 			// The no-grad KV-cached fast path: the grad path's order,
 			// bitwise.
 			order := m.InferJoinOrder(lq.Q, lq.Plan)
-			times[2+i] += cost.SimulatedTimeOrder(ex, order)
+			times[2+i] = append(times[2+i], cost.SimulatedTimeOrder(ex, order))
 			if metrics.JOEU(order, lq.OptimalOrder) == 1 {
 				opt[i]++
 			}
 		}
 	}
-	return times, opt, n, nil
+	return times, opt, nil
+}
+
+// total is the sum of a method's per-query times, in query order.
+func total(times []float64) float64 {
+	var t float64
+	for _, x := range times {
+		t += x
+	}
+	return t
 }
 
 // ---------------------------------------------------------------------------
@@ -345,9 +354,10 @@ func f3(v float64) string {
 // Table2Row is one method's total simulated time.
 type Table2Row struct {
 	Method      string
-	TotalTime   float64
-	Improvement float64 // vs the PostgreSQL baseline; baseline row is 0
-	OptimalFrac float64 // fraction of test queries with the optimal order
+	TotalTime   float64   // the sum of Times
+	Times       []float64 // each test query's simulated time, in query order
+	Improvement float64   // vs the PostgreSQL baseline; baseline row is 0
+	OptimalFrac float64   // fraction of test queries with the optimal order
 }
 
 // Table2Result reproduces the paper's Table 2.
@@ -389,16 +399,18 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
-	times, opt, n, err := orderTimes(db, cat.Stats(), test, joint, joOnly)
+	times, opt, err := orderTimes(db, cat.Stats(), test, joint, joOnly)
 	if err != nil {
 		return nil, err
 	}
+	n := len(times[0])
 	if n == 0 {
 		return nil, fmt.Errorf("experiments: no labeled test queries")
 	}
 	res := &Table2Result{}
 	for i, method := range []string{"PostgreSQL", "Optimal", "MTMLF-QO", "MTMLF-JoinSel"} {
-		res.Rows = append(res.Rows, Table2Row{Method: method, TotalTime: times[i], Improvement: metrics.ImprovementRatio(times[0], times[i])})
+		res.Rows = append(res.Rows, Table2Row{Method: method, TotalTime: total(times[i]), Times: times[i],
+			Improvement: metrics.ImprovementRatio(total(times[0]), total(times[i]))})
 	}
 	res.Rows[1].OptimalFrac = 1
 	for i, k := range opt {
@@ -429,7 +441,8 @@ func (r *Table2Result) String() string {
 // Table3Row is one method's total time on the held-out database.
 type Table3Row struct {
 	Method      string
-	TotalTime   float64
+	TotalTime   float64   // the sum of Times
+	Times       []float64 // each evaluation query's simulated time, in query order
 	Improvement float64
 }
 
@@ -536,13 +549,14 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
-	times, _, _, err := orderTimes(testCat.DB(), testCat.Stats(), evalSet, mla, single, fresh)
+	times, _, err := orderTimes(testCat.DB(), testCat.Stats(), evalSet, mla, single, fresh)
 	if err != nil {
 		return nil, err
 	}
 	res := &Table3Result{}
 	for i, method := range []string{"PostgreSQL", "Optimal", "MTMLF-QO (MLA)", "MTMLF-QO (single)", "MTMLF-QO (no pre-train)"} {
-		res.Rows = append(res.Rows, Table3Row{Method: method, TotalTime: times[i], Improvement: metrics.ImprovementRatio(times[0], times[i])})
+		res.Rows = append(res.Rows, Table3Row{Method: method, TotalTime: total(times[i]), Times: times[i],
+			Improvement: metrics.ImprovementRatio(total(times[0]), total(times[i]))})
 	}
 	return res, nil
 }

@@ -11,7 +11,6 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
-	"runtime"
 	"testing"
 
 	"mtmlf/internal/nn"
@@ -89,12 +88,10 @@ func goldenJoint(t *testing.T, opts TrainOptions) trainGolden {
 // slot through dist.Local's fold), and TrainJointStream at batch 4 with
 // the sequence-level loss. The drills elsewhere compare topologies
 // within one tree; this is what says a change to the backward pass or
-// the training loop moved no number. amd64 only, like calib's
-// TestFleetGolden: arm64 may fuse a*b+c into FMA.
+// the training loop moved no number. It holds on every port: every
+// product that feeds a sum is rounded explicitly, so no port fuses one
+// (make cross).
 func TestTrainGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
-	}
 	got := map[string]trainGolden{
 		"mla_batch8_workers1":  goldenMLA(t, 1),
 		"mla_batch8_workers2":  goldenMLA(t, 2),
