@@ -841,41 +841,3 @@ func TestOwns(t *testing.T) {
 		}
 	}
 }
-
-// TestCoordinatorDropsGatherBuffer: a rank's serve goroutine keeps its
-// receive buffer across gradient rounds, but not at the size of a
-// gather's frame. After a 2 MB gather and one 64 KB gradient hop the
-// buffer holds what the hop needs, not the gather.
-func TestCoordinatorDropsGatherBuffer(t *testing.T) {
-	coord, rank := net.Pipe()
-	defer rank.Close()
-	rc := &rankConn{conn: coord, in: make([]byte, headerLen), next: make(chan struct{}, 1)}
-	arrivals := make(chan arrival, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rc.serve(0, arrivals)
-	}()
-	gather := ckptio.SealSection(gatherMsg(0, make([]byte, 2<<20)))
-	hop := ckptio.SealSection(append(newMsg(nil, msgGrads, 64<<10), make([]byte, 64<<10)...))
-	for _, frame := range [][]byte{gather, hop} {
-		go rank.Write(frame)
-		a := <-arrivals
-		if a.err != nil {
-			t.Fatal(a.err)
-		}
-		if !bytes.Equal(a.frame, frame) {
-			t.Fatalf("relayed frame of kind %s differs from the one sent", kindName(a.msg[0]))
-		}
-		rc.next <- struct{}{}
-	}
-	// The goroutine has let go of the hop and is reading again: rc.in is
-	// its buffer for the next round.
-	close(rc.next)
-	rank.Close()
-	<-done
-	if c := cap(rc.in); c < len(hop) || c > 2*len(hop) {
-		t.Fatalf("receive buffer kept %d bytes after a %d-byte gather and a %d-byte hop, want between %d and %d",
-			c, len(gather), len(hop), len(hop), 2*len(hop))
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -249,6 +250,11 @@ func TestClaims(t *testing.T) {
 	got.Paired = rowBits(pooled)
 	fmt.Printf("\n=== per query against PostgreSQL's order, seeds 1..%d pooled\n%s\n", claimSeeds, pairedTable(pooled, true))
 
+	// The counts above are read on any port; the pin is amd64's bits,
+	// like checkTableGolden's.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pin recorded on amd64; %s has its own math.Exp/Log/Tanh/Pow", runtime.GOARCH)
+	}
 	path := "testdata/claims_" + *claimsScale + ".json"
 	if *updateGolden {
 		var b bytes.Buffer
