@@ -9,7 +9,7 @@ RACE_PKGS := ./internal/parallel ./internal/tensor ./internal/ag ./internal/nn .
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build vet purego cross vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-build calib-smoke claims claims-full serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import loc ci
+.PHONY: all build vet purego cross vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-build calib-smoke claims claims-full gelu-exhaustive serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint no-testing-import no-gob-import loc ci
 
 all: build
 
@@ -140,7 +140,7 @@ bench:
 # that pass (EncodeTableMiss: miss_overhead_% under 2).
 bench-smoke:
 	$(GO) test -run=NONE -bench='MatMul|BeamWidth|Figure2Pipeline|Figure4Decoding' -benchtime=1x .
-	$(GO) test -run=NONE -bench='MatMulM8' -benchtime=1x ./internal/tensor
+	$(GO) test -run=NONE -bench='MatMulM8|GELU' -benchtime=1x ./internal/tensor
 	$(GO) test -run=NONE -bench='EngineSolo|EngineModelOnly' -benchtime=1x ./internal/serve
 	$(GO) test -run=NONE -bench='AllReduceTCP|AllReduceLocal' -benchtime=1x ./internal/dist
 	$(GO) test -run=NONE -bench='EncodeTableHit' -benchmem -cpu=1,2,4 -benchtime=20000x ./internal/featurize
@@ -175,6 +175,12 @@ claims:
 
 claims-full:
 	$(GO) test -count=1 -timeout 30m -run '^TestClaims$$' -v ./internal/experiments -claims=full
+
+# Every one of the 2^32 float32 inputs of GELUInto[float32] (the AVX2
+# lanes where the CPU has them) against the scalar body, bit for bit,
+# on this CPU's math.Exp path; CI's scheduled job runs it.
+gelu-exhaustive:
+	$(GO) test -count=1 -timeout 30m -run '^TestGELUFloat32Exhaustive$$' -v ./internal/tensor -gelu-exhaustive
 
 # End-to-end serving check: train a tiny full-model checkpoint, boot
 # mtmlf-serve on a random port, curl every endpoint (including the
@@ -292,7 +298,7 @@ no-gob-import:
 # not exceed LOC_MAX. Lower the bound when code goes; a change that has
 # to grow the count raises LOC_MAX in its own diff, next to what the
 # lines buy.
-LOC_MAX := 21286
+LOC_MAX := 21720
 loc:
 	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \

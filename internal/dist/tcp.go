@@ -257,8 +257,11 @@ func (c *Coordinator) Waits() []time.Duration { return c.waits }
 
 // rankConn is one admitted rank. After the handshake its connection is
 // read by a serve goroutine and written by Run alone. in is the
-// goroutine's receive buffer, kept across rounds; the message it
-// delivers aliases it until Run sends on next.
+// goroutine's receive buffer, kept across gradient rounds; the message
+// it delivers aliases it until Run sends on next. A gather's frame (a
+// rank's share of the trained encoders, megabytes, once a job) is
+// dropped once relayed, so in is then regrown to a gradient round's
+// size, a fraction of that.
 type rankConn struct {
 	conn net.Conn
 	in   []byte
@@ -302,6 +305,9 @@ func (rc *rankConn) serve(rank int, arrivals chan<- arrival) {
 		arrivals <- arrival{rank: rank, msg: p, frame: rc.in[:frame], at: now()}
 		if _, ok := <-rc.next; !ok {
 			return
+		}
+		if p[0] == msgGather {
+			rc.in = make([]byte, headerLen)
 		}
 	}
 }

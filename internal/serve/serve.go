@@ -572,18 +572,30 @@ func runBatch[T tensor.Float](e *Engine, lm mtmlf.Lowered[T], batch []*request) 
 	ev := ag.Acquire[T]()
 	defer ag.Release(ev)
 
+	// Each stage's time goes to the endpoint of the requests it served.
+	var st [numEndpoints]stageTimes
 	reps := make([]*mtmlf.Rep[*tensor.Dense[T]], len(batch))
 	for i, r := range batch {
+		t := time.Now()
 		reps[i] = represent(lm, ev, r)
+		st[r.ep].n++
+		st[r.ep].represent += time.Since(t)
 	}
-	runHeads(lm, ev, EndpointCard, batch, reps)
-	runHeads(lm, ev, EndpointCost, batch, reps)
-	for i, r := range batch {
-		if r.ep == EndpointJoinOrder && reps[i] != nil {
-			runJoinOrder(lm, r, reps[i])
+	for _, ep := range []Endpoint{EndpointCard, EndpointCost} {
+		if st[ep].n > 0 {
+			t := time.Now()
+			runHeads(lm, ev, ep, batch, reps)
+			st[ep].heads += time.Since(t)
 		}
 	}
-	e.stats.recordBatch(len(batch))
+	for i, r := range batch {
+		if r.ep == EndpointJoinOrder && reps[i] != nil {
+			t := time.Now()
+			runJoinOrder(lm, r, reps[i])
+			st[r.ep].beam += time.Since(t)
+		}
+	}
+	e.stats.recordBatch(len(batch), &st)
 }
 
 // represent computes one request's shared representation in the

@@ -118,9 +118,25 @@ func TestEngineMatchesSerialBitwise(t *testing.T) {
 	for _, lq := range qs {
 		leaves += len(lq.Q.Tables)
 	}
-	fm := e.Stats().FeatMemo
+	// A batch's stages are recorded after its answers are sent; Close
+	// waits for the workers, so every batch is in the snapshot.
+	e.Close()
+	snap := e.Stats()
+	fm := snap.FeatMemo
 	if fm.Misses != uint64(fm.Rows) || fm.Rows == 0 || fm.Hits+fm.Misses != uint64(6*leaves) || fm.Bypassed+fm.Resets != 0 {
 		t.Fatalf("feat_memo %+v after 6 requests over each of %d leaves", fm, leaves)
+	}
+	// Every request went through represent; the estimates through a
+	// head and no beam, the join orders through a beam and no head.
+	st := snap.Stages
+	for _, c := range []struct {
+		name  string
+		s     StageStats
+		heads bool
+	}{{"card", st.Card, true}, {"cost", st.Cost, true}, {"joinorder", st.JoinOrder, false}} {
+		if c.s.Requests != uint64(2*len(qs)) || c.s.RepresentUs <= 0 || (c.s.HeadsUs > 0) != c.heads || (c.s.BeamUs > 0) == c.heads {
+			t.Fatalf("stages.%s = %+v after %d requests", c.name, c.s, 2*len(qs))
+		}
 	}
 }
 

@@ -67,6 +67,8 @@ type stats struct {
 	featMemo featurize.MemoCounters
 
 	lat [numEndpoints]latRing
+	// stages is each endpoint's engine time by stage.
+	stages [numEndpoints]stageTimes
 	// queueWait is submit → batch pickup of served requests, across
 	// endpoints.
 	queueWait latRing
@@ -112,11 +114,25 @@ func (s *stats) recordPanic() {
 	s.mu.Unlock()
 }
 
-func (s *stats) recordBatch(size int) {
+// stageTimes is what one endpoint's requests cost the engine, stage by
+// stage: n requests through represent, the heads run over them (card or
+// cost) and the beam search (join order).
+type stageTimes struct {
+	n                      uint64
+	represent, heads, beam time.Duration
+}
+
+func (s *stats) recordBatch(size int, st *[numEndpoints]stageTimes) {
 	s.mu.Lock()
 	s.batches++
 	if size > 1 {
 		s.fused += uint64(size)
+	}
+	for ep, t := range st {
+		s.stages[ep].n += t.n
+		s.stages[ep].represent += t.represent
+		s.stages[ep].heads += t.heads
+		s.stages[ep].beam += t.beam
 	}
 	s.mu.Unlock()
 }
@@ -128,6 +144,19 @@ type EndpointStats struct {
 	P50Ms    float64 `json:"p50_ms"`
 	P95Ms    float64 `json:"p95_ms"`
 	P99Ms    float64 `json:"p99_ms"`
+}
+
+// StageStats is one endpoint's engine time by stage, summed since
+// boot at the snapshot's Precision: RepresentUs is the shared
+// representation (featurization, Trans_S, Trans_T), HeadsUs the card or
+// cost head over each micro-batch, BeamUs the join-order beam search.
+// Requests counts the requests those sums cover; a sum over it is the
+// stage's mean per request.
+type StageStats struct {
+	Requests    uint64  `json:"requests"`
+	RepresentUs float64 `json:"represent_us"`
+	HeadsUs     float64 `json:"heads_us"`
+	BeamUs      float64 `json:"beam_us"`
 }
 
 // PoolStats reports the process-wide tensor-arena telemetry: how many
@@ -208,6 +237,13 @@ type StatsSnapshot struct {
 	Cost      EndpointStats `json:"cost"`
 	JoinOrder EndpointStats `json:"joinorder"`
 
+	// Stages splits the engine's time per endpoint by stage.
+	Stages struct {
+		Card      StageStats `json:"card"`
+		Cost      StageStats `json:"cost"`
+		JoinOrder StageStats `json:"joinorder"`
+	} `json:"stages"`
+
 	// QueueWait percentiles are submit → batch pickup over the most
 	// recent latWindow served requests, all endpoints together: the
 	// share of the latencies above spent waiting for a session.
@@ -252,7 +288,7 @@ func (s *stats) snapshot(queueDepth, maxQueue int) StatsSnapshot {
 			Bypassed: s.featMemo.Bypassed.Load(),
 		},
 	}
-	counts := s.counts
+	counts, stages := s.counts, s.stages
 	var lat [numEndpoints][]time.Duration
 	for ep := range lat {
 		lat[ep] = slices.Clone(s.lat[ep].buf)
@@ -264,6 +300,11 @@ func (s *stats) snapshot(queueDepth, maxQueue int) StatsSnapshot {
 		es.Requests = counts[ep]
 		es.P50Ms, es.P95Ms, es.P99Ms = ringPercentiles(lat[ep])
 		snap.Requests += counts[ep]
+	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	for ep, ss := range []*StageStats{&snap.Stages.Card, &snap.Stages.Cost, &snap.Stages.JoinOrder} {
+		t := stages[ep]
+		*ss = StageStats{Requests: t.n, RepresentUs: us(t.represent), HeadsUs: us(t.heads), BeamUs: us(t.beam)}
 	}
 	if snap.UptimeSeconds > 0 {
 		snap.QPS = float64(snap.Requests) / snap.UptimeSeconds

@@ -203,30 +203,41 @@ func ReLUInto[T Float](a, out *Dense[T]) {
 }
 
 // GELUInto computes the tanh-approximation GELU elementwise. out may
-// alias a.
+// alias a. With AVX2 the assembly computes every element (same bits);
+// the loops here are the fallback and its oracle.
 func GELUInto[T Float](a, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic("tensor: GELUInto shape mismatch")
 	}
-	const c = 0.7978845608028654 // sqrt(2/pi)
+	if geluTanhLanes(a.Data, out.Data, true) {
+		return
+	}
 	if narrowerThanFloat64[T]() {
 		viaFloat64(a.Data, out.Data, func(x []float64) {
 			for i, v := range x {
-				x[i] = 0.5 * v * (1 + math.Tanh(c*(v+float64(0.044715*v*v*v))))
+				x[i] = gelu(v)
 			}
 		})
 		return
 	}
 	for i, v := range a.Data {
-		x := float64(v)
-		out.Data[i] = T(0.5 * x * (1 + math.Tanh(c*(x+float64(0.044715*x*x*x)))))
+		out.Data[i] = T(gelu(float64(v)))
 	}
 }
 
-// TanhInto computes out = tanh(a) elementwise. out may alias a.
+func gelu(v float64) float64 {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	return 0.5 * v * (1 + math.Tanh(c*(v+float64(0.044715*v*v*v))))
+}
+
+// TanhInto computes out = tanh(a) elementwise. out may alias a. With
+// AVX2 the assembly computes it, as for GELUInto.
 func TanhInto[T Float](a, out *Dense[T]) {
 	if !a.SameShape(out) {
 		panic("tensor: TanhInto shape mismatch")
+	}
+	if geluTanhLanes(a.Data, out.Data, false) {
+		return
 	}
 	if narrowerThanFloat64[T]() {
 		viaFloat64(a.Data, out.Data, func(x []float64) {

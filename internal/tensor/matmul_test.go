@@ -275,3 +275,27 @@ func BenchmarkMatMulM8(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGELU times GELUInto over the wide model's feed-forward
+// activations ([8,512], unit-normal) in Melem/s: ~100 at f64 with the
+// AVX2 lanes, ~50 through math.Tanh.
+func BenchmarkGELU(b *testing.B) {
+	const m, n = 8, 512
+	rng := rand.New(rand.NewSource(1))
+	a64 := RandNorm(rng, m, n, 1)
+	a32, o64, o32 := Convert[float32](a64), New(m, n), NewF32(m, n)
+	for _, bc := range []struct {
+		name string
+		f    func()
+	}{
+		{"f64", func() { GELUInto(a64, o64) }},
+		{"f32", func() { GELUInto(a32, o32) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.f()
+			}
+			b.ReportMetric(m*n*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+		})
+	}
+}

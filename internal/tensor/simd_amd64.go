@@ -2,20 +2,33 @@
 
 package tensor
 
+import (
+	"math"
+	"unsafe"
+)
+
 // The amd64 row loops: the same kcBlock blocking, row order and zero
 // skip as the pure-Go kernels they stand in for (matMulRows,
 // matMulF32Rows, matMulTransARows, matMulInt8Rows), with the innermost
 // j loop handed to the AVX2 primitives of simd_amd64.s; a @ bᵀ
 // (matMulTransBRows) hands over four output columns at a time. The
-// training-side elementwise kernels (addInPlace, adamUpdate) go whole
-// rows to assembly. Go keeps the blocking, the row sharding and the
-// dispatch; see DESIGN.md §9 for why the lanes are output columns or
-// elements and why nothing here fuses.
+// elementwise kernels (addInPlace, adamUpdate, GELU and tanh) and the
+// int8 product's dequantize-and-bias go whole rows to assembly. Go
+// keeps the blocking, the row sharding and the dispatch; see DESIGN.md
+// §9 for why the lanes are output columns or elements, why nothing
+// fuses but math.Exp's own FMA path inside tanh.
 
 // useAVX2 is decided once, at init: the CPU has AVX2 and the OS saves
 // the YMM state. No flag, environment variable or build tag selects it
 // (the purego tag only exists so CI can run the fallback on amd64).
 var useAVX2 = detectAVX2()
+
+// useFMA is math.Exp's own choice of its FMA path (AVX and FMA, unless
+// GODEBUG=cpu.fma=off), read once at init from an argument the two
+// paths round apart: geluTanh's exp lanes take the path math.Exp takes.
+var useFMA = math.Exp(expProbe) == expProbeFMA
+
+const expProbe, expProbeFMA = 3.163846725179284, 23.661440148271208
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -59,13 +72,23 @@ func addToF64(dst, src *float64, n int)
 func adamF64(p, grad, m, v *float64, n int, s, b1, c1, b2, c2, lr, b1c, b2c, eps float64)
 
 //go:noescape
-func dotInt8(q, w *int8, k16, stride, nch int, acc *int32)
+func dotInt8(q, w *int8, k, nch int, as float32, scales, bias, out *float32)
 
 //go:noescape
 func maxAbsF32(row *float32, n8 int) float32
 
 //go:noescape
 func quantizeF32(row *float32, q *int8, n8 int, inv float64)
+
+//go:noescape
+func geluTanh(x, out unsafe.Pointer, n8, op int)
+
+// geluTanh's op bits.
+const (
+	opF32  = 1 << iota // float32 elements
+	opGELU             // gelu(x) rather than tanh(x)
+	opFMA              // math.Exp's FMA path
+)
 
 func matMulRowsF64(a, b, out []float64, k, n, i0, i1 int) {
 	if useAVX2 {
@@ -92,11 +115,47 @@ func matMulTransARowsF64(a, b, out []float64, k, m, n, i0, i1 int) {
 }
 
 func matMulInt8RowsOf[T Float](a []T, w *Int8Matrix, bias, out []T, qbuf []int8, k, n, i0, i1 int) {
-	if useAVX2 {
-		matMulInt8RowsAVX2(a, w, bias, out, qbuf, k, n, i0, i1)
+	if a, ok := any(a).([]float32); ok && useAVX2 {
+		matMulInt8RowsAVX2(a, w, any(bias).([]float32), any(out).([]float32), qbuf, k, n, i0, i1)
 		return
 	}
 	matMulInt8Rows(a, w, bias, out, qbuf, k, n, i0, i1)
+}
+
+// geluTanhLanes computes GELUInto's (gelu) or TanhInto's elements in
+// assembly and reports whether it did.
+func geluTanhLanes[T Float](x, out []T, gelu bool) bool {
+	if !useAVX2 {
+		return false
+	}
+	op := 0
+	if gelu {
+		op |= opGELU
+	}
+	if useFMA {
+		op |= opFMA
+	}
+	geluTanhRows(x, out, op)
+	return true
+}
+
+// geluTanhRows runs geluTanh over x into out, the last len(x)%8
+// elements through a zero-padded copy; T sets op's opF32 bit.
+func geluTanhRows[T Float](x, out []T, op int) {
+	if narrowerThanFloat64[T]() {
+		op |= opF32
+	}
+	out = out[:len(x)]
+	n8 := len(x) &^ 7
+	if n8 > 0 {
+		geluTanh(unsafe.Pointer(&x[0]), unsafe.Pointer(&out[0]), n8, op)
+	}
+	if n8 < len(x) {
+		var buf [8]T
+		copy(buf[:], x[n8:])
+		geluTanh(unsafe.Pointer(&buf[0]), unsafe.Pointer(&buf[0]), 8, op)
+		copy(out[n8:], buf[:])
+	}
 }
 
 func addInPlaceF64(dst, src []float64) {
@@ -225,45 +284,31 @@ func matMulTransBRowsF64(a, b, out []float64, k, n, i0, i1 int) {
 	}
 }
 
-// matMulInt8RowsAVX2 is matMulInt8Rows with the quantizer and the dot
-// products in assembly: dotInt8 sums the first k&^15 products of a
-// block of output channels, Go adds the rest of each row and applies
-// the same fused dequantize-and-bias expression. Integer sums are
-// exact, so the different association changes nothing.
-func matMulInt8RowsAVX2[T Float](a []T, w *Int8Matrix, bias, out []T, qbuf []int8, k, n, i0, i1 int) {
-	k16 := k &^ 15
-	if k16 == 0 || n == 0 || i0 >= i1 {
+// matMulInt8RowsAVX2 is matMulInt8Rows at float32 with the quantizer
+// and every output element in assembly: dotInt8 sums a row's products
+// against each channel in int32, exact in any order, and applies the
+// dequantize-and-bias expression with Go's roundings. Rows shorter than
+// one 16-byte step take the Go kernel.
+func matMulInt8RowsAVX2(a []float32, w *Int8Matrix, bias, out []float32, qbuf []int8, k, n, i0, i1 int) {
+	if k < 16 || n == 0 || i0 >= i1 {
 		matMulInt8Rows(a, w, bias, out, qbuf, k, n, i0, i1)
 		return
 	}
 	wd, scales, bias := w.Data[:n*k], w.Scales[:n], bias[:n]
-	var acc [64]int32
 	for i := i0; i < i1; i++ {
 		q := qbuf[i*k : i*k+k : i*k+k]
 		as := quantizeRowAVX2(a[i*k:i*k+k:i*k+k], q)
-		orow := out[i*n : i*n+n : i*n+n]
-		for j0 := 0; j0 < n; j0 += len(acc) {
-			nc := min(len(acc), n-j0)
-			dotInt8(&q[0], &wd[j0*k], k16, k, nc, &acc[0])
-			for c, s := range acc[:nc] {
-				j := j0 + c
-				for l := k16; l < k; l++ {
-					s += int32(q[l]) * int32(wd[j*k+l])
-				}
-				orow[j] = T(s)*as*T(scales[j]) + bias[j]
-			}
-		}
+		dotInt8(&q[0], &wd[0], k, n, as, &scales[0], &bias[0], &out[i*n : i*n+n][0])
 	}
 }
 
 // quantizeRowAVX2 is QuantizeRowInt8 with both passes in assembly when
-// the row is float32 (the int8 tier's activations) and a whole number
-// of vectors, which every model dimension is; any other row takes the
-// Go quantizer. Same scale, same codes: see quantizeF32.
-func quantizeRowAVX2[T Float](row []T, q []int8) T {
-	r, ok := any(row).([]float32)
-	if !ok || len(r) == 0 || len(r)%8 != 0 {
-		return QuantizeRowInt8(row, q)
+// the row is a whole number of vectors, which every model dimension is;
+// any other row takes the Go quantizer. Same scale, same codes: see
+// quantizeF32.
+func quantizeRowAVX2(r []float32, q []int8) float32 {
+	if len(r) == 0 || len(r)%8 != 0 {
+		return QuantizeRowInt8(r, q)
 	}
 	q = q[:len(r)]
 	maxAbs := maxAbsF32(&r[0], len(r))
@@ -272,5 +317,5 @@ func quantizeRowAVX2[T Float](row []T, q []int8) T {
 		return 1
 	}
 	quantizeF32(&r[0], &q[0], len(r), 127/float64(maxAbs))
-	return T(float64(maxAbs) / 127)
+	return float32(float64(maxAbs) / 127)
 }

@@ -520,19 +520,49 @@ adamdone:
 	VZEROUPPER
 	RET
 
-// func dotInt8(q, w *int8, k16, stride, nch int, acc *int32)
-// acc[c] = sum over l < k16 of q[l] * w[c*stride+l] for c in [0, nch);
-// k16 is a positive multiple of 16. Exact in any order: bytes are
-// sign-extended to int16, VPMADDWD sums adjacent products into int32
-// (2 * 127 * 127 fits with room), and int32 addition is associative.
-// Four channels share each load of q.
-TEXT ·dotInt8(SB), NOSPLIT, $0-48
+// QUADSTEP adds one 16-byte step of four channels (Y5..Y8, widened)
+// against q's widened bytes Q to the accumulators Y0..Y3.
+#define QUADSTEP(Q) \
+	VPMADDWD Q, Y5, Y5; \
+	VPMADDWD Q, Y6, Y6; \
+	VPMADDWD Q, Y7, Y7; \
+	VPMADDWD Q, Y8, Y8; \
+	VPADDD Y5, Y0, Y0;  \
+	VPADDD Y6, Y1, Y1;  \
+	VPADDD Y7, Y2, Y2;  \
+	VPADDD Y8, Y3, Y3
+
+// tailmask's 16 bytes from offset r are 16−r zeros, then r ones.
+DATA tailmask<>+16(SB)/8, $-1
+DATA tailmask<>+24(SB)/8, $-1
+GLOBL tailmask<>(SB), RODATA|NOPTR, $32
+
+// func dotInt8(q, w *int8, k, nch int, as float32, scales, bias, out *float32)
+// out[c] = float32(acc_c)·as·scales[c] + bias[c] for c in [0, nch), acc_c
+// = sum over l < k of q[l] * w[c*k+l], k >= 16: matMulInt8Rows's output
+// row, its four roundings in the Go expression's order. The sums are
+// exact in any order: bytes are sign-extended to int16, VPMADDWD sums
+// adjacent products into int32 (2 * 127 * 127 fits with room), and
+// int32 addition is associative. Four channels share each load of q.
+// The k%16 tail is one more step on each row's last 16 bytes, with the
+// q bytes before k&^15 masked to zero (Y9), so no load leaves a row.
+TEXT ·dotInt8(SB), NOSPLIT, $0-64
 	MOVQ q+0(FP), SI
 	MOVQ w+8(FP), DI
-	MOVQ k16+16(FP), CX
-	MOVQ stride+24(FP), DX
-	MOVQ nch+32(FP), BX
-	MOVQ acc+40(FP), R8
+	MOVQ k+16(FP), DX
+	MOVQ nch+24(FP), BX
+	VBROADCASTSS as+32(FP), X15
+	MOVQ scales+40(FP), R12
+	MOVQ bias+48(FP), R13
+	MOVQ out+56(FP), R8
+	MOVQ DX, CX
+	ANDQ $-16, CX // k&^15
+	MOVQ DX, AX
+	ANDQ $15, AX
+	LEAQ tailmask<>(SB), R9
+	VMOVDQU -16(SI)(DX*1), X9
+	VPAND (R9)(AX*1), X9, X9 // keeps the last k%16 bytes
+	VPMOVSXBW X9, Y9
 
 quad:
 	CMPQ BX, $4
@@ -552,27 +582,34 @@ quadk:
 	VPMOVSXBW (R9)(AX*1), Y6
 	VPMOVSXBW (R10)(AX*1), Y7
 	VPMOVSXBW (R11)(AX*1), Y8
-	VPMADDWD Y4, Y5, Y5
-	VPMADDWD Y4, Y6, Y6
-	VPMADDWD Y4, Y7, Y7
-	VPMADDWD Y4, Y8, Y8
-	VPADDD Y5, Y0, Y0
-	VPADDD Y6, Y1, Y1
-	VPADDD Y7, Y2, Y2
-	VPADDD Y8, Y3, Y3
+	QUADSTEP(Y4)
 	ADDQ $16, AX
 	CMPQ AX, CX
 	JLT  quadk
+	CMPQ CX, DX
+	JEQ  quadsum
+	VPMOVSXBW -16(DI)(DX*1), Y5
+	VPMOVSXBW -16(R9)(DX*1), Y6
+	VPMOVSXBW -16(R10)(DX*1), Y7
+	VPMOVSXBW -16(R11)(DX*1), Y8
+	QUADSTEP(Y9)
 
-	// Fold the four 8-lane accumulators to [s0 s1 s2 s3].
+quadsum:
+	// Fold the four 8-lane accumulators to [s0 s1 s2 s3], then dequantize.
 	VPHADDD Y1, Y0, Y0
 	VPHADDD Y3, Y2, Y2
 	VPHADDD Y2, Y0, Y0
 	VEXTRACTI128 $1, Y0, X1
 	VPADDD X1, X0, X0
-	VMOVDQU X0, (R8)
+	VCVTDQ2PS X0, X0
+	VMULPS X15, X0, X0
+	VMULPS (R12), X0, X0
+	VADDPS (R13), X0, X0
+	VMOVUPS X0, (R8)
 	LEAQ (R11)(DX*1), DI
 	ADDQ $16, R8
+	ADDQ $16, R12
+	ADDQ $16, R13
 	SUBQ $4, BX
 	JMP  quad
 
@@ -590,14 +627,26 @@ singlek:
 	ADDQ $16, AX
 	CMPQ AX, CX
 	JLT  singlek
+	CMPQ CX, DX
+	JEQ  singlesum
+	VPMOVSXBW -16(DI)(DX*1), Y5
+	VPMADDWD Y9, Y5, Y5
+	VPADDD Y5, Y0, Y0
 
+singlesum:
 	VEXTRACTI128 $1, Y0, X1
 	VPADDD X1, X0, X0
 	VPHADDD X0, X0, X0
 	VPHADDD X0, X0, X0
-	VMOVD X0, (R8)
+	VCVTDQ2PS X0, X0
+	VMULSS X15, X0, X0
+	VMULSS (R12), X0, X0
+	VADDSS (R13), X0, X0
+	VMOVSS X0, (R8)
 	ADDQ DX, DI
 	ADDQ $4, R8
+	ADDQ $4, R12
+	ADDQ $4, R13
 	DECQ BX
 	JMP  single
 
@@ -677,5 +726,273 @@ quantloop:
 	SUBQ $8, CX
 	JNZ  quantloop
 
+	VZEROUPPER
+	RET
+
+// The GELU and tanh lanes: GELUInto's and TanhInto's scalar bodies,
+//	gelu(v) = 0.5·v·(1 + tanh(c·(v + 0.044715·v·v·v)))
+// with math.Tanh four lanes at a time. Go's tanh (math/tanh.go) has
+// three cases on z = |x|, computed here for every lane and blended:
+// z > MAXLOG/2 gives ±1; z ≥ 0.625 gives 1 − 2/(exp(2z)+1), negated
+// when x < 0; below that the rational x + x·s·P(s)/Q(s), s = x·x, and
+// ±0 itself. The exp is math.Exp's amd64 assembly (exp_amd64.s) run
+// lane-wise, each instruction's packed twin in its order. Only its main
+// path is needed: the lanes whose result is kept have 2z in [1.25,
+// 88.03], where the argument is finite, below its overflow bound and
+// 2ⁿ is a normal number, so exp_amd64.s's NaN, Inf, overflow and
+// denormal branches never decide a kept lane. The other lanes compute
+// garbage that the blends drop. exp_amd64.s fuses its multiply-adds
+// when math.useFMA is set (AVX and FMA); so does this code when op says
+// so, and the result is math.Tanh's on every amd64 CPU. This is the one
+// place in the package that uses FMA.
+//
+// Every constant is a 32-byte row so it can be a memory operand.
+#define C4(o, v) DATA tanhc<>+o(SB)/8, v; DATA tanhc<>+o+8(SB)/8, v; DATA tanhc<>+o+16(SB)/8, v; DATA tanhc<>+o+24(SB)/8, v
+#define K(o) tanhc<>+o(SB)
+#define ABS 0
+#define SIGN 32
+#define ONE 64
+#define TWO 96
+#define HALF 128
+#define GC 160
+#define G3 192
+#define TMAX 224
+#define MID 256
+#define P0 288
+#define P1 320
+#define P2 352
+#define Q0 384
+#define Q1 416
+#define Q2 448
+#define LOG2E 480
+#define LN2U 512
+#define LN2L 544
+#define SIXTEENTH 576
+#define EX7 608
+#define EX6 640
+#define EX5 672
+#define EX4 704
+#define EX3 736
+#define EX2 768
+#define BIAS 800
+#define ZERO 832
+C4(ABS, $0x7fffffffffffffff)
+C4(SIGN, $-0x8000000000000000)
+C4(ONE, $1.0)
+C4(TWO, $2.0)
+C4(HALF, $0.5)
+C4(GC, $0.7978845608028654) // sqrt(2/pi)
+C4(G3, $0.044715)
+C4(TMAX, $44.014845965556527147994) // MAXLOG/2
+C4(MID, $0.625)
+C4(P0, $-9.64399179425052238628e-1) // tanhP, tanhQ
+C4(P1, $-9.92877231001918586564e1)
+C4(P2, $-1.61468768441708447952e3)
+C4(Q0, $1.12811678491632931402e2)
+C4(Q1, $2.23548839060100448583e3)
+C4(Q2, $4.84406305325125486048e3)
+C4(LOG2E, $1.4426950408889634073599246810018920) // exp_amd64.s's
+C4(LN2U, $0.69314718055966295651160180568695068359375)
+C4(LN2L, $0.28235290563031577122588448175013436025525412068e-12)
+C4(SIXTEENTH, $0.0625)
+C4(EX7, $2.4801587301587301587e-5)
+C4(EX6, $1.9841269841269841270e-4)
+C4(EX5, $1.3888888888888888889e-3)
+C4(EX4, $8.3333333333333333333e-3)
+C4(EX3, $4.1666666666666666667e-2)
+C4(EX2, $1.6666666666666666667e-1)
+C4(BIAS, $0x3ff)
+GLOBL tanhc<>(SB), RODATA|NOPTR, $864
+
+// GELUIN: U = c·(v + ((0.044715·v)·v)·v).
+#define GELUIN(V, U) \
+	VMULPD K(G3), V, U; \
+	VMULPD V, U, U;     \
+	VMULPD V, U, U;     \
+	VADDPD U, V, U;     \
+	VMULPD K(GC), U, U
+
+// RATIONAL: P = x + ((x·s)·P(s))/Q(s), s = x·x, for x = U; x itself
+// where x is ±0.
+#define RATIONAL(U, P, Q, S, T) \
+	VMULPD U, U, S;           \
+	VMULPD K(P0), S, P;       \
+	VADDPD K(P1), P, P;       \
+	VMULPD S, P, P;           \
+	VADDPD K(P2), P, P;       \
+	VADDPD K(Q0), S, Q;       \
+	VMULPD S, Q, Q;           \
+	VADDPD K(Q1), Q, Q;       \
+	VMULPD S, Q, Q;           \
+	VADDPD K(Q2), Q, Q;       \
+	VMULPD S, U, T;           \
+	VMULPD P, T, T;           \
+	VDIVPD Q, T, T;           \
+	VADDPD T, U, P;           \
+	VCMPPD $0, K(ZERO), U, T; \
+	VBLENDVPD T, U, P, P
+
+// EXPARG: E = 2|x|, exp's argument; n = rint(E·log2 e) as int32 lanes
+// in XT and as doubles in S.
+#define EXPARG(U, E, S, XT) \
+	VANDPD K(ABS), U, E;   \
+	VADDPD E, E, E;        \
+	VMULPD K(LOG2E), E, S; \
+	VCVTPD2DQY S, XT;      \
+	VCVTDQ2PD XT, S
+
+// EXPMUL: E = exp(E)/2ⁿ by exp_amd64.s's MULSD/ADDSD path: reduce by
+// n·ln2 in two parts, scale by 1/16, Taylor series, square four times.
+#define SQUARE(E, Q) VADDPD K(TWO), E, Q; VMULPD Q, E, E
+#define EXPMUL(E, S, Q) \
+	VMULPD K(LN2U), S, Q;                   \
+	VSUBPD Q, E, E;                         \
+	VMULPD K(LN2L), S, Q;                   \
+	VSUBPD Q, E, E;                         \
+	VMULPD K(SIXTEENTH), E, E;              \
+	VMULPD K(EX7), E, Q;                    \
+	VADDPD K(EX6), Q, Q; VMULPD E, Q, Q;    \
+	VADDPD K(EX5), Q, Q; VMULPD E, Q, Q;    \
+	VADDPD K(EX4), Q, Q; VMULPD E, Q, Q;    \
+	VADDPD K(EX3), Q, Q; VMULPD E, Q, Q;    \
+	VADDPD K(EX2), Q, Q; VMULPD E, Q, Q;    \
+	VADDPD K(HALF), Q, Q; VMULPD E, Q, Q;   \
+	VADDPD K(ONE), Q, Q;                    \
+	VMULPD Q, E, E;                         \
+	SQUARE(E, Q); SQUARE(E, Q); SQUARE(E, Q); SQUARE(E, Q); \
+	VADDPD K(ONE), E, E
+
+// EXPFMA is EXPMUL by exp_amd64.s's avxfma path, fused where it fuses.
+#define EXPFMA(E, S, Q) \
+	VFNMADD231PD K(LN2U), S, E;             \
+	VFNMADD231PD K(LN2L), S, E;             \
+	VMULPD K(SIXTEENTH), E, E;              \
+	VMOVUPD K(EX7), Q;                      \
+	VFMADD213PD K(EX6), E, Q;               \
+	VFMADD213PD K(EX5), E, Q;               \
+	VFMADD213PD K(EX4), E, Q;               \
+	VFMADD213PD K(EX3), E, Q;               \
+	VFMADD213PD K(EX2), E, Q;               \
+	VFMADD213PD K(HALF), E, Q;              \
+	VFMADD213PD K(ONE), E, Q;               \
+	VMULPD Q, E, E;                         \
+	SQUARE(E, Q); SQUARE(E, Q); SQUARE(E, Q); \
+	VADDPD K(TWO), E, Q;                    \
+	VFMADD213PD K(ONE), Q, E
+
+// TANHMID: E = 1 − 2/(E·2ⁿ + 1), |tanh x| for 0.625 ≤ |x|.
+#define TANHMID(E, S, T, XT) \
+	VPMOVSXDQ XT, S;      \
+	VPADDQ K(BIAS), S, S; \
+	VPSLLQ $52, S, S;     \
+	VMULPD S, E, E;       \
+	VADDPD K(ONE), E, E;  \
+	VMOVUPD K(TWO), T;    \
+	VDIVPD E, T, T;       \
+	VMOVUPD K(ONE), E;    \
+	VSUBPD T, E, E
+
+// SELECT: P = tanh x from the three cases: E where |x| ≥ 0.625, 1 where
+// |x| > MAXLOG/2, either with x's sign; P (the rational) elsewhere, NaN
+// included.
+#define SELECT(U, P, E, S, T) \
+	VANDPD K(ABS), U, S;         \
+	VCMPPD $0x1e, K(TMAX), S, T; \
+	VBLENDVPD T, K(ONE), E, E;   \
+	VANDPD K(SIGN), U, T;        \
+	VORPD T, E, E;               \
+	VCMPPD $0x1d, K(MID), S, T;  \
+	VBLENDVPD T, E, P, P
+
+// GELUOUT: V = (0.5·v)·(1 + tanh), tanh in P.
+#define GELUOUT(V, P) \
+	VADDPD K(ONE), P, P;  \
+	VMULPD K(HALF), V, V; \
+	VMULPD P, V, V
+
+// func geluTanh(x, out unsafe.Pointer, n8, op int)
+// out[i] = gelu(x[i]) (op&2) or tanh(x[i]) for i in [0, n8), a positive
+// multiple of 8; float32 elements (op&1) are widened on load and rounded
+// on store, exactly as the Go loops convert them; op&4 takes exp's FMA
+// path. Two vectors a trip, A in Y0..Y6 and B in Y7..Y13, step by step
+// in turn: each alone is one long dependency chain. out may be x.
+TEXT ·geluTanh(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), SI
+	MOVQ out+8(FP), DI
+	MOVQ n8+16(FP), CX
+	MOVQ op+24(FP), R8
+
+gtloop:
+	TESTQ $1, R8
+	JNZ   gtload32
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y7
+	ADDQ  $64, SI
+	JMP   gtin
+
+gtload32:
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y7
+	ADDQ  $32, SI
+
+gtin:
+	TESTQ $2, R8
+	JZ    gttanh
+	GELUIN(Y0, Y1)
+	GELUIN(Y7, Y8)
+	JMP   gtcore
+
+gttanh:
+	VMOVAPD Y0, Y1
+	VMOVAPD Y7, Y8
+
+gtcore:
+	RATIONAL(Y1, Y2, Y4, Y5, Y6)
+	RATIONAL(Y8, Y9, Y11, Y12, Y13)
+	EXPARG(Y1, Y3, Y5, X6)
+	EXPARG(Y8, Y10, Y12, X13)
+	TESTQ $4, R8
+	JNZ   gtfma
+	EXPMUL(Y3, Y5, Y4)
+	EXPMUL(Y10, Y12, Y11)
+	JMP   gtmid
+
+gtfma:
+	EXPFMA(Y3, Y5, Y4)
+	EXPFMA(Y10, Y12, Y11)
+
+gtmid:
+	TANHMID(Y3, Y5, Y6, X6)
+	TANHMID(Y10, Y12, Y13, X13)
+	SELECT(Y1, Y2, Y3, Y5, Y6)
+	SELECT(Y8, Y9, Y10, Y12, Y13)
+	TESTQ $2, R8
+	JNZ   gtgelu
+	VMOVAPD Y2, Y0
+	VMOVAPD Y9, Y7
+	JMP   gtstore
+
+gtgelu:
+	GELUOUT(Y0, Y2)
+	GELUOUT(Y7, Y9)
+
+gtstore:
+	TESTQ $1, R8
+	JNZ   gtstore32
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y7, 32(DI)
+	ADDQ  $64, DI
+	JMP   gtnext
+
+gtstore32:
+	VCVTPD2PSY Y0, X0
+	VCVTPD2PSY Y7, X7
+	VMOVUPS X0, (DI)
+	VMOVUPS X7, 16(DI)
+	ADDQ  $32, DI
+
+gtnext:
+	SUBQ $8, CX
+	JNZ  gtloop
 	VZEROUPPER
 	RET

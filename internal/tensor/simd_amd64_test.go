@@ -198,6 +198,17 @@ func TestSIMDMatchesPureGo(t *testing.T) {
 	testRowsMatch(t, "matMulF32Rows", false, matMulF32Rows, matMulF32RowsAVX2)
 	testRowsMatch(t, "matMulTransARows", true, transA(matMulTransARows), transA(matMulTransARowsAVX2))
 	testRowsMatch(t, "matMulTransBRows", false, transB(matMulTransBRows), transB(matMulTransBRowsF64))
+	// The int8 product at k%16 of 1, 7 and 15 (its masked last step;
+	// NodeProj's k is 159 at Dim 128) and channel counts ≡ 1–3 mod 4
+	// (its one-channel epilogue).
+	rng := rand.New(rand.NewSource(54))
+	for _, k := range []int{17, 23, 31, 39, 47, 159} {
+		for _, n := range []int{1, 2, 3, 5, 6, 7, 129, 130, 131} {
+			for _, f := range int8Fills(rng) {
+				checkInt8(t, rng, f.name, f.at, k, n)
+			}
+		}
+	}
 }
 
 // elementwiseLengths are the row lengths the elementwise kernels are
@@ -301,18 +312,14 @@ func TestSIMDAdamMatchesPureGo(t *testing.T) {
 	}
 }
 
-// TestSIMDInt8MatchesScalar checks the int8 path against the scalar
-// accumulator: saturated rows (all +127, all -127, alternating) at
-// k = 512 where the int32 lanes carry their largest sums, k that is no
-// multiple of 16, channel counts on both sides of the 4-channel group
-// and the 64-channel block, and random operands — quantizer included,
-// so codes, scale and the fused dequantization all have to agree.
-func TestSIMDInt8MatchesScalar(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2: the pure-Go kernels are the ones running")
-	}
-	rng := rand.New(rand.NewSource(8))
-	fills := []struct {
+// int8Fills are the weight patterns the int8 checks run: saturated
+// rows (all +127, all -127, alternating), where the int32 lanes carry
+// their largest sums, and random codes.
+func int8Fills(rng *rand.Rand) []struct {
+	name string
+	at   func(i int) int8
+} {
+	return []struct {
 		name string
 		at   func(i int) int8
 	}{
@@ -321,49 +328,68 @@ func TestSIMDInt8MatchesScalar(t *testing.T) {
 		{"alternating", func(i int) int8 { return int8(127 - 254*(i%2)) }},
 		{"random", func(int) int8 { return int8(rng.Intn(255) - 127) }},
 	}
+}
+
+// checkInt8 runs one [3,k] @ int8[n,k] product through matMulInt8Rows
+// and, in two row ranges, through matMulInt8RowsAVX2, and compares the
+// codes and every output bit — quantizer included, so codes, scale and
+// the fused dequantization all have to agree.
+func checkInt8(t *testing.T, rng *rand.Rand, name string, fill func(int) int8, k, n int) {
+	t.Helper()
+	const m = 3
+	w := &Int8Matrix{Data: make([]int8, n*k), Scales: make([]float32, n), Out: n, In: k}
+	for i := range w.Data {
+		w.Data[i] = fill(i)
+	}
+	for j := range w.Scales {
+		w.Scales[j] = float32(0.001 + rng.Float64())
+	}
+	_, a := offset[float32](m * k)
+	for i := range a {
+		// Row 0 quantizes to the fill pattern itself; the others are
+		// ordinary activations.
+		if i < k {
+			a[i] = float32(fill(i)) / 3
+		} else {
+			a[i] = float32(rng.NormFloat64())
+		}
+	}
+	_, bias := offset[float32](n)
+	for j := range bias {
+		bias[j] = float32(rng.NormFloat64())
+	}
+	_, want := offset[float32](m * n)
+	whole, got := offset[float32](m * n)
+	qWant, qGot := make([]int8, m*k), make([]int8, m*k+1)
+	matMulInt8Rows(a, w, bias, want, qWant, k, n, 0, m)
+	matMulInt8RowsAVX2(a, w, bias, got, qGot[1:], k, n, 0, 1)
+	matMulInt8RowsAVX2(a, w, bias, got, qGot[1:], k, n, 1, m)
+	checkCanary(t, whole, m*n)
+	for i := range qWant {
+		if qWant[i] != qGot[1+i] {
+			t.Fatalf("%s k=%d n=%d: code %d = %d, scalar %d", name, k, n, i, qGot[1+i], qWant[i])
+		}
+	}
+	for i := range want {
+		if !sameBits(want[i], got[i]) {
+			t.Fatalf("%s k=%d n=%d: element (%d,%d) = %v, scalar %v", name, k, n, i/n, i%n, got[i], want[i])
+		}
+	}
+}
+
+// TestSIMDInt8MatchesScalar checks the int8 path against the scalar
+// accumulator at k = 512, where the saturated rows' sums are largest,
+// k below one 16-byte step (the Go kernel), k with every kind of
+// remainder, and channel counts on both sides of the 4-channel group.
+func TestSIMDInt8MatchesScalar(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: the pure-Go kernels are the ones running")
+	}
+	rng := rand.New(rand.NewSource(8))
 	for _, k := range []int{512, 1, 5, 15, 16, 17, 31, 40, 100, 130} {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 67, 130} {
-			for _, f := range fills {
-				name, fill := f.name, f.at
-				const m = 3
-				w := &Int8Matrix{Data: make([]int8, n*k), Scales: make([]float32, n), Out: n, In: k}
-				for i := range w.Data {
-					w.Data[i] = fill(i)
-				}
-				for j := range w.Scales {
-					w.Scales[j] = float32(0.001 + rng.Float64())
-				}
-				_, a := offset[float32](m * k)
-				for i := range a {
-					// Row 0 quantizes to the fill pattern itself; the
-					// others are ordinary activations.
-					if i < k {
-						a[i] = float32(fill(i)) / 3
-					} else {
-						a[i] = float32(rng.NormFloat64())
-					}
-				}
-				_, bias := offset[float32](n)
-				for j := range bias {
-					bias[j] = float32(rng.NormFloat64())
-				}
-				_, want := offset[float32](m * n)
-				whole, got := offset[float32](m * n)
-				qWant, qGot := make([]int8, m*k), make([]int8, m*k+1)
-				matMulInt8Rows(a, w, bias, want, qWant, k, n, 0, m)
-				matMulInt8RowsAVX2(a, w, bias, got, qGot[1:], k, n, 0, 1)
-				matMulInt8RowsAVX2(a, w, bias, got, qGot[1:], k, n, 1, m)
-				checkCanary(t, whole, m*n)
-				for i := range qWant {
-					if qWant[i] != qGot[1+i] {
-						t.Fatalf("%s k=%d n=%d: code %d = %d, scalar %d", name, k, n, i, qGot[1+i], qWant[i])
-					}
-				}
-				for i := range want {
-					if !sameBits(want[i], got[i]) {
-						t.Fatalf("%s k=%d n=%d: element (%d,%d) = %v, scalar %v", name, k, n, i/n, i%n, got[i], want[i])
-					}
-				}
+			for _, f := range int8Fills(rng) {
+				checkInt8(t, rng, f.name, f.at, k, n)
 			}
 		}
 	}

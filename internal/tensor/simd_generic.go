@@ -27,6 +27,8 @@ func matMulInt8RowsOf[T Float](a []T, w *Int8Matrix, bias, out []T, qbuf []int8,
 	matMulInt8Rows(a, w, bias, out, qbuf, k, n, i0, i1)
 }
 
+func geluTanhLanes[T Float](x, out []T, gelu bool) bool { return false }
+
 func addInPlaceF64(dst, src []float64) { addInPlace(dst, src) }
 
 func adamUpdateF64(p, g, m, v []float64, c AdamCoeffs) { adamUpdate(p, g, m, v, c) }
