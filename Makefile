@@ -94,8 +94,12 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The kernel tests again at GOAMD64=v3: gc does not fuse multiply-adds
+# on amd64 at any level, so the pure-Go kernels stay the oracle there
+# and the assembly's exactness tests must run, not skip.
 test:
 	$(GO) test ./...
+	GOAMD64=v3 $(GO) test ./internal/tensor
 
 # Race-detect the concurrent packages: kernels, autodiff gradient
 # sinks, the featurizer's no-grad Enc_i path (every data-parallel
@@ -298,7 +302,7 @@ no-gob-import:
 # not exceed LOC_MAX. Lower the bound when code goes; a change that has
 # to grow the count raises LOC_MAX in its own diff, next to what the
 # lines buy.
-LOC_MAX := 21720
+LOC_MAX := 21699
 loc:
 	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \

@@ -71,9 +71,9 @@
 // own -dist-rank. Each rank fetches and backwards only the minibatch
 // slots it owns (a contiguous block per rank) — for a corpus job that
 // means each rank reads only its slice of the stream — and the ranks
-// fold the example-ordered sum from rank to rank through the
-// coordinator, which only relays, so the trajectory and every artifact
-// are bitwise identical to the single-process run at the same seed,
+// fold the example-ordered sum from rank to rank over direct links (the
+// coordinator only admits the fleet and hands out the ranks'
+// addresses), so the trajectory and every artifact are bitwise identical to the single-process run at the same seed,
 // batch, and example set, for any fleet size. Rank 0 owns all
 // artifacts (-save, -loss-out, -resume); with -resume, rank 0's
 // snapshot is broadcast at startup so a supervisor can kill -9 any
@@ -208,7 +208,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Runs at clean exit only (log.Fatal skips it): where this rank's
-		// exchange time went, next to the coordinator's per-rank waits.
+		// exchange time went; a straggler shows in the others' wait prefix.
 		defer func() {
 			t.Close()
 			fmt.Printf("rank %d exchange: %v\n", distRank, t.Stats())
@@ -220,8 +220,8 @@ func main() {
 	// -load would hand back a from-scratch model when the user asked to
 	// continue from a checkpoint, and silently ignoring -db would train
 	// on a database the user did not pick. A rank refuses after
-	// joining, so the coordinator sees it leave instead of waiting for
-	// it.
+	// joining, so the coordinator and its peers see it leave instead of
+	// waiting for it.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
@@ -491,7 +491,7 @@ func interruptOnSignal(enabled bool) <-chan struct{} {
 // process is one rank of a
 // distributed fleet: it prepares every featurizer deterministically
 // like the others, then fetches and backwards only the minibatch slots
-// it owns, exchanging gradients through the coordinator. It returns
+// it owns, exchanging gradients with the other ranks. It returns
 // database 0's model, whose shared modules are the transfer artifact.
 func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger, phase *job) (*mtmlf.Model, mtmlf.TrainStats, error) {
 	meta := r.Meta()
@@ -543,12 +543,14 @@ func trainMLA(r *corpus.Reader, snap mtmlf.SnapshotOptions, ex dist.Exchanger, p
 	return tasks[0].Model, st, nil
 }
 
-// runCoordinator is the -dist-coordinator mode: a model-free relay
-// that admits exactly world ranks, serves lockstep gradient-exchange
-// rounds, and exits 0 on a clean fleet shutdown. Any rank failure,
-// drift, or frame corruption aborts the whole fleet (exit 1) — the
-// supervisor then restarts coordinator and workers with -resume, and
-// rank 0's snapshot re-synchronizes everyone.
+// runCoordinator is the -dist-coordinator mode: the fleet's model-free
+// rendezvous. It admits exactly world ranks, checks that they run one
+// job, hands each rank the others' addresses, and exits 0 once every
+// rank has said it is done. The ranks exchange gradients over their own
+// links; a rank that dies or fails an exchange leaves without its done,
+// and the coordinator exits 1 — the supervisor then restarts coordinator
+// and workers with -resume, and rank 0's snapshot re-synchronizes
+// everyone.
 func runCoordinator(addr string, world int) {
 	if world < 1 {
 		log.Fatalf("-dist-world %d: a fleet needs at least one rank", world)
@@ -563,9 +565,6 @@ func runCoordinator(addr string, world int) {
 		log.Fatal(err)
 	}
 	fmt.Printf("fleet of %d ranks completed cleanly\n", world)
-	for rank, wait := range c.Waits() {
-		fmt.Printf("relay waited %v in total for rank %d's gradient hops\n", wait.Round(time.Millisecond), rank)
-	}
 }
 
 // writeTrajectory writes one hex-formatted float64 per line. Hex

@@ -126,8 +126,8 @@ func ReadSection(r io.Reader, artifact string) ([]byte, error) {
 // it fits and in a grown one when it does not, so a caller reading
 // frames of a steady size — the dist exchange, every round — allocates
 // only while they still grow. The payload aliases the buffer, with its
-// checksum in the 4 bytes right behind it (a relay resends the frame
-// from there); hand it back as buf to reuse it.
+// checksum in the 4 bytes right behind it; hand it back as buf to reuse
+// it.
 func ReadSectionInto(r io.Reader, artifact string, buf []byte) ([]byte, error) {
 	return ReadSectionSized(r, artifact, buf, -1)
 }

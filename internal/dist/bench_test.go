@@ -12,7 +12,8 @@ import (
 // fleet shape — 8 slots, a model-sized parameter list, over loopback —
 // at 2 ranks, and at 3, the smallest fleet with a middle rank that both
 // receives and forwards a prefix. Bytes are what the round puts on the
-// wire, allocs are every worker's and the coordinator's.
+// wire, allocs are every worker's (the coordinator takes no part in a
+// round).
 func BenchmarkAllReduceTCP(b *testing.B) {
 	for _, world := range []int{2, 3} {
 		b.Run(fmt.Sprintf("world%d", world), func(b *testing.B) {

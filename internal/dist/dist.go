@@ -17,21 +17,30 @@
 // accumulators are kept from round to round:
 //
 //   - Local: world 1, in-process: the fold over every slot.
-//   - TCP: a coordinator process plus world worker ranks over
-//     length-prefixed, CRC32C-framed messages (internal/ckptio
-//     section framing). Because the blocks are contiguous, the
-//     slot-ordered sum is a fold from rank to rank (TCP.AllReduce):
-//     each rank ships one gradient per round, the coordinator only
-//     relays frames, and every rank ends the round with the same sum
-//     and every slot's loss, so optimizers and statistics advance in
-//     lockstep.
+//   - TCP: world worker ranks linked to each other over TCP, with
+//     length-prefixed, CRC32C-framed messages (internal/ckptio section
+//     framing), plus a coordinator process that only admits the fleet:
+//     it checks every rank's handshake and job fingerprint, hands each
+//     rank the others' addresses, and waits for every rank's done.
+//     Because the blocks are contiguous, the slot-ordered sum is a fold
+//     from rank to rank (TCP.AllReduce): rank r reads its prefix from
+//     rank r−1 and sends the next one to rank r+1, the last rank sends
+//     the total to every other, and every rank ends the round with the
+//     same sum and every slot's loss, so optimizers and statistics
+//     advance in lockstep.
 //
-// Failure model: fail-stop. Any broken connection, rank drift
-// (mismatched step or batch shape), or frame corruption aborts the
-// whole fleet with an error; a supervisor restarts every process with
-// -resume and rank 0's training snapshot re-synchronizes the fleet
-// through BroadcastBytes (see mtmlf's snapshot plumbing). Nothing is
-// retried in place — determinism comes before availability here.
+// Failure model: fail-stop. Any broken link, rank drift (mismatched
+// step, batch shape or round kind) or frame corruption fails the rank
+// that reads it, and that rank closes its links without a done: each
+// peer that reads from it fails in turn, so the failure cascades
+// through the mesh, and the coordinator, which sees a rank go without
+// its done, exits with an error. The drift checks live at the receiver
+// because only the receiver holds what a frame must match — its own
+// step, batch, scale and model; a middle process would repeat them a
+// hop early. A supervisor restarts every process with -resume and rank
+// 0's training snapshot re-synchronizes the fleet through BroadcastBytes
+// (see mtmlf's snapshot plumbing). Nothing is retried in place —
+// determinism comes before availability here.
 //
 // Besides the gradient fold there is one lockstep collective,
 // AllGather: every rank contributes a byte payload and receives every
@@ -69,8 +78,8 @@ type Exchanger interface {
 	AllGather(payload []byte) ([][]byte, error)
 
 	// Close releases the exchanger. For the TCP backend it tells the
-	// coordinator this rank is done; the coordinator exits cleanly
-	// once every rank has closed.
+	// coordinator this rank is done, unless an exchange on it failed;
+	// the coordinator exits cleanly once every rank is done.
 	Close() error
 }
 

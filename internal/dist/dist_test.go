@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -384,8 +385,27 @@ func TestTCPFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// coordinatorFails waits for Run to return and fails the test unless it
+// returned an error.
+func coordinatorFails(t *testing.T, errc chan error, within time.Duration) error {
+	t.Helper()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("the coordinator of a failed fleet exited cleanly")
+		}
+		return err
+	case <-time.After(within):
+		t.Fatal("coordinator did not exit")
+	}
+	return nil
+}
+
 // TestTCPRankDriftAborts: ranks disagreeing on the minibatch shape is
-// drift, and the whole fleet must fail rather than reduce garbage.
+// drift, and the whole fleet must fail rather than reduce garbage: the
+// rank that reads the other's prefix names the drift, the other fails
+// when that rank closes its links, and the coordinator sees both go
+// without done.
 func TestTCPRankDriftAborts(t *testing.T) {
 	const world = 2
 	addr, coordErr := startCoordinator(t, world)
@@ -417,26 +437,23 @@ func TestTCPRankDriftAborts(t *testing.T) {
 		}(rank)
 	}
 	wg.Wait()
-	select {
-	case err := <-coordErr:
-		if err == nil || !strings.Contains(err.Error(), "rank drift") {
-			t.Fatalf("coordinator error = %v, want rank drift", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("coordinator did not exit")
-	}
+	t.Logf("coordinator: %v", coordinatorFails(t, coordErr, 30*time.Second))
 	for rank, err := range results {
 		if err == nil {
 			t.Fatalf("rank %d AllReduce succeeded in a drifted fleet", rank)
 		}
 	}
+	if !strings.Contains(results[1].Error(), "rank drift") {
+		t.Fatalf("rank 1, which read the drifted prefix, failed with %v; want rank drift", results[1])
+	}
 }
 
 // TestTCPRoundKindDriftAborts: a rank in a gradient round while another
-// is in a gather is drift, whichever rank is where. Ranks after the
-// first wait for a prefix without sending a gradient, so the join they
-// open the round with is what lets the coordinator see it instead of
-// waiting for ever.
+// is in a gather is drift, whichever rank is where. Rank 1 reads first
+// in both cases — rank 0's prefix where it wants a gather, or rank 0's
+// gather where it wants a prefix — names the drift and closes its
+// links, which fails rank 0, and the coordinator sees both go without
+// done.
 func TestTCPRoundKindDriftAborts(t *testing.T) {
 	const world = 2
 	for reducer := 0; reducer < world; reducer++ {
@@ -463,75 +480,15 @@ func TestTCPRoundKindDriftAborts(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		select {
-		case err := <-coordErr:
-			if err == nil || !strings.Contains(err.Error(), "rank drift") {
-				t.Fatalf("rank %d reducing: coordinator error = %v, want rank drift", reducer, err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("rank %d reducing: coordinator did not exit", reducer)
-		}
+		coordinatorFails(t, coordErr, 30*time.Second)
 		for rank, err := range results {
 			if err == nil {
 				t.Fatalf("rank %d reducing: rank %d succeeded in a drifted fleet", reducer, rank)
 			}
 		}
-	}
-}
-
-// TestTCPHopOutOfTurnAborts: mid-chain, a hop from any rank but the
-// one whose turn it is aborts the fleet — here the last rank sends a
-// total before the middle rank has forwarded its prefix.
-func TestTCPHopOutOfTurnAborts(t *testing.T) {
-	const world = 3
-	addr, coordErr := startCoordinator(t, world)
-	ranks := make([]*TCP, world)
-	var wg sync.WaitGroup
-	for rank := range ranks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			if ranks[rank], err = DialRetry(addr, rank, world, "out-of-turn", 50, 20*time.Millisecond); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	defer func() {
-		for _, ex := range ranks {
-			ex.Close()
+		if !strings.Contains(results[1].Error(), "rank drift") {
+			t.Fatalf("rank %d reducing: rank 1 failed with %v; want rank drift", reducer, results[1])
 		}
-	}()
-	send := func(rank int, msg []byte) {
-		t.Helper()
-		if err := sendMsg(ranks[rank].conn, msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	params := makeParams()
-	var f fold
-	f.start(params)
-	send(1, appendU64(newMsg(nil, msgJoin, 8), 1))
-	send(2, appendU64(newMsg(nil, msgJoin, 8), 1))
-	send(2, f.appendHop(nil, msgReduced, 1, 3, 1, make([]float64, 3)))
-	rank0 := make(chan error, 1)
-	go func() {
-		rank0 <- ranks[0].AllReduce(params, []ag.Grads{fillSlot(1, 0, params), nil, nil}, make([]float64, 3), 1)
-	}()
-	select {
-	case err := <-coordErr:
-		if err == nil || !strings.Contains(err.Error(), "rank 2 sent reduced (step 1) while rank 1's hop of step 1 was due") {
-			t.Fatalf("coordinator error = %v, want rank 2's total out of turn", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("coordinator did not exit")
-	}
-	if err := <-rank0; err == nil {
-		t.Fatal("rank 0's AllReduce succeeded in an aborted fleet")
 	}
 }
 
@@ -699,10 +656,10 @@ var modelShapes = func() [][]int {
 }()
 
 // TestTCPRoundAllocatesNothing: once its buffers have grown, a round
-// costs the two workers and the coordinator together a small constant
-// number of allocations, the same for a 100-float model and a
-// 65 000-float one — frames, accumulators and Grad tensors are all
-// kept.
+// costs the two workers together a small constant number of allocations
+// (the coordinator takes no part in a round), the same for a 100-float
+// model and a 65 000-float one — frames, accumulators and Grad tensors
+// are all kept.
 func TestTCPRoundAllocatesNothing(t *testing.T) {
 	perRound := func(shapes [][]int) float64 {
 		f := newLoopFleet(t, shapes, 8)
@@ -726,7 +683,7 @@ func TestTCPRoundAllocatesNothing(t *testing.T) {
 		return allocs
 	}
 	small, large := perRound([][]int{{5, 10}, {1, 10}, {8, 5}}), perRound(modelShapes)
-	t.Logf("allocations per round, both workers and the coordinator: %v (100 floats), %v (65k floats)", small, large)
+	t.Logf("allocations per round, both workers: %v (100 floats), %v (65k floats)", small, large)
 	if small > 4 || large > 4 {
 		t.Fatalf("a warm round allocates %v (100 floats) / %v (65k floats) times, want a handful at most", small, large)
 	}
@@ -743,13 +700,9 @@ func TestLocalRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestTCPRankDiesMidFrame: a rank that dies halfway through a frame
-// must abort the fleet at once, also while the round is still waiting
-// for a different, slower rank — every rank has its own reader, so the
-// death is seen whichever rank the coordinator would have read first.
-func TestTCPRankDiesMidFrame(t *testing.T) {
-	const world = 2
-	addr, coordErr := startCoordinator(t, world)
+// dialFleet connects every rank of a world-rank fleet at addr.
+func dialFleet(t *testing.T, addr string, world int, fingerprint string) []*TCP {
+	t.Helper()
 	ranks := make([]*TCP, world)
 	var wg sync.WaitGroup
 	for rank := range ranks {
@@ -757,51 +710,158 @@ func TestTCPRankDiesMidFrame(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var err error
-			if ranks[rank], err = DialRetry(addr, rank, world, "mid-frame", 50, 20*time.Millisecond); err != nil {
+			if ranks[rank], err = DialRetry(addr, rank, world, fingerprint, 50, 20*time.Millisecond); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 	if t.Failed() {
-		return
+		t.FailNow()
 	}
+	return ranks
+}
+
+// TestTCPRankDiesMidFrame: a rank that dies halfway through a frame on a
+// peer link fails the rank reading it, and the coordinator sees the
+// death at once, while the other rank is still computing.
+func TestTCPRankDiesMidFrame(t *testing.T) {
+	const world = 2
+	addr, coordErr := startCoordinator(t, world)
+	ranks := dialFleet(t, addr, world, "mid-frame")
 	defer ranks[0].Close()
 	// Rank 0 is still computing: it has sent nothing. Rank 1 gets half
-	// of its join out and dies.
+	// of its total out and dies, sending no done.
 	params := makeParams()
-	frame := ckptio.SealSection(appendU64(newMsg(nil, msgJoin, 8), 1))
-	if _, err := ranks[1].conn.Write(frame[:len(frame)/2]); err != nil {
+	var f fold
+	f.start(params)
+	f.add(params, []ag.Grads{nil, fillSlot(1, 1, params)}, 1, 2, 0.5)
+	frame := ckptio.SealSection(f.appendHop(nil, msgReduced, 1, 2, 0.5, make([]float64, 2)))
+	if _, err := ranks[1].peers[0].Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
-	ranks[1].conn.Close()
-	select {
-	case err := <-coordErr:
-		if err == nil || !strings.Contains(err.Error(), "rank 1") {
-			t.Fatalf("coordinator error = %v, want rank 1's truncated frame", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator still waiting for rank 0 after rank 1 died mid-frame")
+	ranks[1].fail(nil)
+	if err := coordinatorFails(t, coordErr, 10*time.Second); !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("coordinator error = %v, want rank 1 gone", err)
 	}
-	// Rank 0 learns why when it gets to its exchange.
+	// Rank 0 learns of it when it reads the torn total.
 	err := ranks[0].AllReduce(params, []ag.Grads{fillSlot(1, 0, params), nil}, make([]float64, 2), 0.5)
-	if err == nil {
-		t.Fatal("rank 0's AllReduce succeeded in an aborted fleet")
+	var ce *ckptio.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("rank 0's AllReduce returned %v, want the torn frame's corruption error", err)
 	}
 }
 
-// TestAddWaits: the relay's wait for rank 0's hop runs from the round's
-// earliest opener, whichever rank sent it and in whatever order the
-// openers were handed over; every later rank's from the hop before it.
-func TestAddWaits(t *testing.T) {
-	t0 := time.Unix(100, 0)
-	waits := []time.Duration{time.Second, 0, 0}
-	opened := []time.Time{t0.Add(3 * time.Millisecond), t0.Add(time.Millisecond), t0.Add(5 * time.Millisecond)}
-	hops := []time.Time{t0.Add(3 * time.Millisecond), t0.Add(4 * time.Millisecond), t0.Add(9 * time.Millisecond)}
-	addWaits(waits, opened, hops)
-	want := []time.Duration{time.Second + 2*time.Millisecond, time.Millisecond, 5 * time.Millisecond}
-	if !slices.Equal(waits, want) {
-		t.Fatalf("waits %v, want %v", waits, want)
+// TestTCPAllGatherLarge: at world 2 and 3 every rank gathers 16 MB from
+// every other, more than a socket holds in flight, so a rank that wrote
+// to its peers before reading from them would wait for ever on a peer
+// doing the same.
+func TestTCPAllGatherLarge(t *testing.T) {
+	for _, world := range []int{2, 3} {
+		t.Run(fmt.Sprintf("world%d", world), func(t *testing.T) {
+			addr, coordErr := startCoordinator(t, world)
+			ranks := dialFleet(t, addr, world, "large")
+			payloads := make([][]byte, world)
+			for rank := range payloads {
+				payloads[rank] = bytes.Repeat([]byte{byte(rank + 1)}, 16<<20)
+			}
+			errs := make(chan error, world)
+			for rank, ex := range ranks {
+				go func() {
+					all, err := ex.AllGather(payloads[rank])
+					for q, p := range all {
+						if err == nil && q != rank && !bytes.Equal(p, payloads[q]) {
+							err = fmt.Errorf("rank %d got %d bytes from rank %d, not its payload", rank, len(p), q)
+						}
+					}
+					ex.Close()
+					errs <- err
+				}()
+			}
+			for range ranks {
+				select {
+				case err := <-errs:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(time.Minute):
+					t.Fatal("a 16 MB gather did not complete")
+				}
+			}
+			waitCoordinator(t, coordErr)
+		})
+	}
+}
+
+// TestTCPRankDiesBeforeMesh: a rank that is admitted and then dies
+// before it links to its peers — whether they dial it or wait for it to
+// dial them — ends every other rank's DialRetry with an error within
+// the dial budget, and Run with an error.
+func TestTCPRankDiesBeforeMesh(t *testing.T) {
+	const world, attempts, delay = 3, 25, 20 * time.Millisecond
+	for dead := range world {
+		addr, coordErr := startCoordinator(t, world)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sendMsg(conn, encodeHello(hello{rank: dead, world: world, fingerprint: "doomed", addr: ln.Addr().String()})); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		errs := make(chan error, world)
+		for rank := range world {
+			if rank == dead {
+				continue
+			}
+			go func() {
+				ex, err := DialRetry(addr, rank, world, "doomed", attempts, delay)
+				if err == nil {
+					ex.Close()
+					err = fmt.Errorf("rank %d linked to a fleet whose rank %d died", rank, dead)
+				} else {
+					t.Logf("rank %d of %d dead: %v", rank, dead, err)
+				}
+				errs <- err
+			}()
+		}
+		// The rank stops accepting before the ack is out, so no peer's
+		// dial can reach its backlog first, and is gone once it is read.
+		ln.Close()
+		if _, err := readMsg(conn, nil, msgHelloAck); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		for range world - 1 {
+			if err := <-errs; err == nil || strings.Contains(err.Error(), "linked to a fleet") {
+				t.Fatalf("rank %d dead: %v", dead, err)
+			}
+		}
+		if took, budget := time.Since(start), attempts*delay; took > budget+5*time.Second {
+			t.Fatalf("rank %d dead: the fleet took %v to fail, budget %v", dead, took, budget)
+		}
+		coordinatorFails(t, coordErr, 10*time.Second)
+	}
+}
+
+// TestTCPFailedRankSendsNoDone: a rank whose exchange failed closes
+// without done, so a coordinator whose other ranks all finished still
+// returns an error naming it.
+func TestTCPFailedRankSendsNoDone(t *testing.T) {
+	const world = 2
+	addr, coordErr := startCoordinator(t, world)
+	ranks := dialFleet(t, addr, world, "no-done")
+	ranks[0].Close()
+	if _, err := ranks[1].AllGather([]byte("x")); err == nil {
+		t.Fatal("a gather with a rank that had closed succeeded")
+	}
+	ranks[1].Close()
+	if err := coordinatorFails(t, coordErr, 10*time.Second); !strings.Contains(err.Error(), "rank 1 left without done") {
+		t.Fatalf("coordinator error = %v, want rank 1 gone without done", err)
 	}
 }
 
@@ -839,43 +899,5 @@ func TestOwns(t *testing.T) {
 				t.Fatalf("n=%d world=%d: block sizes %v differ by more than one", n, world, sizes)
 			}
 		}
-	}
-}
-
-// TestCoordinatorDropsGatherBuffer: a rank's serve goroutine keeps its
-// receive buffer across gradient rounds, but not at the size of a
-// gather's frame. After a 2 MB gather and one 64 KB gradient hop the
-// buffer holds what the hop needs, not the gather.
-func TestCoordinatorDropsGatherBuffer(t *testing.T) {
-	coord, rank := net.Pipe()
-	defer rank.Close()
-	rc := &rankConn{conn: coord, in: make([]byte, headerLen), next: make(chan struct{}, 1)}
-	arrivals := make(chan arrival, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rc.serve(0, arrivals)
-	}()
-	gather := ckptio.SealSection(gatherMsg(0, make([]byte, 2<<20)))
-	hop := ckptio.SealSection(append(newMsg(nil, msgGrads, 64<<10), make([]byte, 64<<10)...))
-	for _, frame := range [][]byte{gather, hop} {
-		go rank.Write(frame)
-		a := <-arrivals
-		if a.err != nil {
-			t.Fatal(a.err)
-		}
-		if !bytes.Equal(a.frame, frame) {
-			t.Fatalf("relayed frame of kind %s differs from the one sent", kindName(a.msg[0]))
-		}
-		rc.next <- struct{}{}
-	}
-	// The goroutine has let go of the hop and is reading again: rc.in is
-	// its buffer for the next round.
-	close(rc.next)
-	rank.Close()
-	<-done
-	if c := cap(rc.in); c < len(hop) || c > 2*len(hop) {
-		t.Fatalf("receive buffer kept %d bytes after a %d-byte gather and a %d-byte hop, want between %d and %d",
-			c, len(gather), len(hop), len(hop), 2*len(hop))
 	}
 }

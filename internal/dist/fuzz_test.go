@@ -11,7 +11,8 @@ import (
 )
 
 // FuzzWireFrame: arbitrary bytes handed to everything that decodes
-// what a peer sent — the frame reader, the hello and gather decoders,
+// what a peer sent — the frame reader, the hello, hello-ack and gather
+// decoders,
 // and a rank's two fold decoders (the prefix it absorbs as rank 1 of a
 // 2-rank round whose rank 0 is honest, and the total it installs) —
 // must come back as an error or a result, never a panic, and must never
@@ -40,13 +41,14 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	rank1.add(params, slots, 1, 2, 0.5)
 	for _, msg := range [][]byte{
-		encodeHello(hello{rank: 1, world: 2, fingerprint: "seed=1 batch=8"}),
+		encodeHello(hello{rank: 1, world: 2, fingerprint: "seed=1 batch=8", addr: "127.0.0.1:40001"}),
+		encodeHelloAck([]string{"127.0.0.1:40000", "127.0.0.1:40001"}),
+		encodeHelloAck([]string{"[::1]:40000", "[fe80::1%eth0]:40001"}),
 		gatherMsg(1, []byte("resume point")),
 		gatherMsg(0, nil),
 		encodeError("rank drift"),
 		prefix,
 		rank1.appendHop(nil, msgReduced, 1, 2, 0.5, losses),
-		appendU64(newMsg(nil, msgJoin, 8), 1),
 	} {
 		f.Add(msgBody(msg))
 		f.Add(ckptio.SealSection(msg))
@@ -58,10 +60,11 @@ func FuzzWireFrame(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 
-		if p, err := readMsg(bytes.NewReader(data), nil, msgAny); err == nil && len(p) == 0 {
+		if p, err := readMsg(bytes.NewReader(data), nil, msgGather); err == nil && len(p) == 0 {
 			t.Fatal("readMsg returned an empty payload without error")
 		}
 		_, _ = decodeHello(data)
+		_, _ = decodeHelloAck(data, 2)
 		_, _ = decodeGather(data, 1)
 		_ = absorbAsRank1(data)
 		var fd fold

@@ -23,13 +23,12 @@ import (
 // bitwise.
 //
 // A gradient round is a fold along the ranks (see Owns and TCP.AllReduce),
-// and its frames are never decoded into values of their own: a rank
-// encodes its accumulators straight into a kept buffer (fold.appendHop),
-// the coordinator forwards the bytes it received, and the next rank
-// decodes them into its kept accumulators (fold.absorb) or onto its
-// parameters (fold.install). Its messages:
+// over links from rank to rank, and its frames are never decoded into
+// values of their own: a rank encodes its accumulators straight into a
+// kept buffer (fold.appendHop) and the rank it sends them to decodes
+// them into its kept accumulators (fold.absorb) or onto its parameters
+// (fold.install). Its messages:
 //
-//	join:    step u64 — ranks 1.. open the round with it, then wait
 //	grads:   the prefix, rank r → rank r+1: the slots [0, covered)
 //	         summed in slot order
 //	reduced: the total, last rank → every other rank: all n slots
@@ -40,31 +39,34 @@ import (
 // parameter (ascending): param u32, len u32, len × f64.
 //
 // The one other lockstep round is the all-gather (TCP.AllGather): every
-// rank sends one gather message — its rank u32, then its payload — and
-// the coordinator relays each to every other rank, in rank order.
+// rank sends one gather message — its rank u32, then its payload — to
+// every other rank.
+//
+// The coordinator sees only the handshake and the end: a rank's hello
+// (which also opens every link between two ranks), the hello-ack that
+// carries every rank's address, an error that aborts the fleet at the
+// handshake, and each rank's done.
 
 const (
 	// protoMagic opens every handshake.
 	protoMagic = "MTMLF-DIST"
-	// protoVersion is the exchange protocol version: 3 since float runs
-	// travel little-endian and the all-gather replaced the broadcast
-	// and the barrier.
-	protoVersion = 3
+	// protoVersion is the exchange protocol version: 4 since the ranks
+	// exchange frames over links of their own and the coordinator only
+	// admits the fleet (3: float runs little-endian, the all-gather).
+	protoVersion = 4
 )
 
-// Message kinds. Workers send hello/join/grads/reduced/gather/done; the
-// coordinator answers hello with helloAck, relays every other kind but
-// done, and may send msgError to abort the fleet with a reason.
+// Message kinds. Ranks send each other hello/grads/reduced/gather, and
+// the coordinator hello/done; the coordinator answers hello with
+// helloAck, or with msgError to abort the fleet with a reason.
 const (
-	msgAny byte = iota // readMsg only: whatever kind the peer sent
-	msgHello
+	msgHello byte = iota + 1
 	msgHelloAck
 	msgGrads
 	msgReduced
 	msgGather
 	msgDone
 	msgError
-	msgJoin
 )
 
 // kindName names a message kind for error text.
@@ -84,8 +86,6 @@ func kindName(k byte) string {
 		return "done"
 	case msgError:
 		return "error"
-	case msgJoin:
-		return "join"
 	}
 	return fmt.Sprintf("kind-%d", k)
 }
@@ -106,8 +106,8 @@ func sendMsg(w io.Writer, msg []byte) error {
 // readMsg receives one framed message of the given kind into buf's
 // backing array (grown when it is too small) and returns its payload,
 // kind byte included: a caller that keeps the payload as its next buf
-// receives steady-sized messages without allocating. msgAny accepts
-// every kind but the coordinator's abort, which is always an error.
+// receives steady-sized messages without allocating. Another kind is
+// rank drift, and the coordinator's abort is always an error.
 func readMsg(r io.Reader, buf []byte, kind byte) ([]byte, error) {
 	p, err := ckptio.ReadSectionInto(r, "dist", buf)
 	if err != nil {
@@ -121,8 +121,8 @@ func readMsg(r io.Reader, buf []byte, kind byte) ([]byte, error) {
 		reason := string(c.take(int(c.u32()))) // best effort; may be truncated
 		return nil, fmt.Errorf("dist: coordinator aborted the fleet: %s", reason)
 	}
-	if kind != msgAny && p[0] != kind {
-		return nil, fmt.Errorf("dist: expected %s message, got %s", kindName(kind), kindName(p[0]))
+	if p[0] != kind {
+		return nil, fmt.Errorf("dist: rank drift: expected %s message, got %s", kindName(kind), kindName(p[0]))
 	}
 	return p, nil
 }
@@ -200,11 +200,13 @@ func (c *cursor) done() error {
 // Frames
 // ---------------------------------------------------------------------------
 
-// hello is the handshake a worker opens its connection with.
+// hello is the handshake a rank opens its connection to the coordinator
+// and each link to a peer with; addr is where it accepts its peers.
 type hello struct {
 	rank        int
 	world       int
 	fingerprint string
+	addr        string
 }
 
 func encodeHello(h hello) []byte {
@@ -213,7 +215,8 @@ func encodeHello(h hello) []byte {
 	b = appendU16(b, protoVersion)
 	b = appendU32(b, uint32(h.rank))
 	b = appendU32(b, uint32(h.world))
-	return appendBytes(b, []byte(h.fingerprint))
+	b = appendBytes(b, []byte(h.fingerprint))
+	return appendBytes(b, []byte(h.addr))
 }
 
 func decodeHello(body []byte) (hello, error) {
@@ -222,16 +225,44 @@ func decodeHello(body []byte) (hello, error) {
 	version := c.u16()
 	h := hello{rank: int(c.u32()), world: int(c.u32())}
 	h.fingerprint = string(c.take(int(c.u32())))
-	if err := c.done(); err != nil {
+	h.addr = string(c.take(int(c.u32())))
+	// Magic and version first: another version's hello may well not
+	// parse as this one's.
+	switch err := c.done(); {
+	case string(magic) != protoMagic:
+		return h, fmt.Errorf("dist: handshake magic %q, want %q (not an mtmlf dist worker?)", magic, protoMagic)
+	case version != protoVersion:
+		return h, fmt.Errorf("dist: protocol version %d, this build speaks %d", version, protoVersion)
+	default:
 		return h, err
 	}
-	if string(magic) != protoMagic {
-		return h, fmt.Errorf("dist: handshake magic %q, want %q (not an mtmlf dist worker?)", magic, protoMagic)
+}
+
+// encodeHelloAck builds the coordinator's release of the fleet: every
+// rank's address, in rank order.
+func encodeHelloAck(addrs []string) []byte {
+	b := appendU32(newMsg(nil, msgHelloAck, 0), uint32(len(addrs)))
+	for _, a := range addrs {
+		b = appendBytes(b, []byte(a))
 	}
-	if version != protoVersion {
-		return h, fmt.Errorf("dist: protocol version %d, coordinator speaks %d", version, protoVersion)
+	return b
+}
+
+// decodeHelloAck returns the addresses of a hello-ack body, which must
+// name world ranks.
+func decodeHelloAck(body []byte, world int) ([]string, error) {
+	c := cursor{b: body}
+	if n := c.u32(); c.err == nil && int(n) != world {
+		return nil, fmt.Errorf("dist: hello-ack names %d ranks, want %d", n, world)
 	}
-	return h, nil
+	addrs := make([]string, world)
+	for q := range addrs {
+		addrs[q] = string(c.take(int(c.u32())))
+	}
+	if err := c.done(); err != nil {
+		return nil, err
+	}
+	return addrs, nil
 }
 
 // gatherHead is the front of rank's gather message; the payload

@@ -28,7 +28,7 @@ func msgBody(msg []byte) []byte {
 // across rounds like a TCP exchanger keeps its own.
 type chain struct{ folds []fold }
 
-// round runs one gradient round hop by hop, as the relay would: each
+// round runs one gradient round hop by hop, as the links carry it: each
 // rank's frame to the next rank, the last rank's total to every other.
 // params[r], slots[r] and losses[r] are rank r's; a rank reads only its
 // own block of slots. It returns the body of every rank's hop.
@@ -70,17 +70,32 @@ func prefixBody(params []*ag.Value, losses []float64) []byte {
 }
 
 // TestWireRoundTrip pins the frame codecs: hello encode→decode is
-// lossless; a one-rank fleet's total installs every bit, −0.0 losses
+// lossless, and a hello of another version is refused for its version;
+// a hello-ack carries every rank's address, and exactly world of them;
+// a one-rank fleet's total installs every bit, −0.0 losses
 // included, and accumulates into a Grad already held; and a truncated or
 // overlong prefix or total is an error at every cut, never a panic.
 func TestWireRoundTrip(t *testing.T) {
-	h := hello{rank: 1, world: 3, fingerprint: "fp"}
+	h := hello{rank: 1, world: 3, fingerprint: "fp", addr: "127.0.0.1:40001"}
 	gotH, err := decodeHello(msgBody(encodeHello(h)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotH != h {
 		t.Fatalf("hello round trip: got %+v, want %+v", gotH, h)
+	}
+	// A version-3 hello has no address; it is refused for its version.
+	v3 := appendU16(append(newMsg(nil, msgHello, 0), protoMagic...), 3)
+	v3 = appendBytes(appendU32(appendU32(v3, 1), 3), []byte("fp"))
+	if _, err := decodeHello(msgBody(v3)); err == nil || !strings.Contains(err.Error(), "protocol version 3") {
+		t.Fatalf("a version-3 hello decoded with %v, want its version refused", err)
+	}
+	addrs := []string{"127.0.0.1:40000", "[::1]:40001"}
+	if got, err := decodeHelloAck(msgBody(encodeHelloAck(addrs)), 2); err != nil || !slices.Equal(got, addrs) {
+		t.Fatalf("hello-ack round trip: got %q, %v", got, err)
+	}
+	if _, err := decodeHelloAck(msgBody(encodeHelloAck(addrs)), 3); err == nil {
+		t.Fatal("a hello-ack naming 2 ranks decoded for a world of 3")
 	}
 
 	params := makeParams()
@@ -352,8 +367,8 @@ func TestReducerSizesNothingByWireIndices(t *testing.T) {
 }
 
 // TestReducerRejectsIncoherentRounds: what a receiving rank refuses
-// beyond malformed bytes — the hub relays without looking, so the rank
-// is the one that knows its round and its model.
+// beyond malformed bytes: only the receiving rank knows its round and
+// its model, so the checks live there.
 func TestReducerRejectsIncoherentRounds(t *testing.T) {
 	params := makeParams()
 	prefix := prefixBody(params, []float64{1, 2})

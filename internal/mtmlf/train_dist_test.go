@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,54 +349,43 @@ func TestTrainJointDistResume(t *testing.T) {
 	}
 }
 
-// cutMidFrame relays one rank's connection to the coordinator at addr,
-// frame by frame, and drops both ends halfway through the nth frame of
-// more than 4 KiB the rank sends: a process dying in the middle of a
-// gradient frame. Smaller frames (hello, the resume broadcast's empty
-// half, barriers) pass through uncounted.
-func cutMidFrame(t *testing.T, addr string, nth int) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// tearMidFrame makes rank's links to its peers tear the nth write of
+// more than 4 KiB the rank makes — a gradient frame, or a gather frame's
+// payload — halfway through, and close: a process dying in the middle of
+// a frame. Smaller writes (a gather's header and checksum, the resume
+// broadcast's empty half) pass through uncounted. The hook is removed
+// when the test ends.
+func tearMidFrame(t *testing.T, rank, nth int) {
+	var big atomic.Int32
+	dist.PeerLink = func(r, _ int, c net.Conn) net.Conn {
+		if r != rank {
+			return c
+		}
+		return &tearConn{Conn: c, big: &big, nth: int32(nth)}
 	}
-	go func() {
-		defer ln.Close()
-		down, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer down.Close()
-		up, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		defer up.Close()
-		go io.Copy(down, up) // ends when up is closed
-		for big := 0; big < nth; {
-			p, err := ckptio.ReadSection(down, "relay")
-			if err != nil {
-				return
-			}
-			var frame bytes.Buffer
-			_ = ckptio.WriteSection(&frame, p)
-			b := frame.Bytes()
-			if len(p) > 4096 {
-				big++
-			}
-			if big == nth {
-				b = b[:len(b)/2]
-			}
-			if _, err := up.Write(b); err != nil {
-				return
-			}
-		}
-	}()
-	return ln.Addr().String()
+	t.Cleanup(func() { dist.PeerLink = nil })
 }
 
-// TestTrainJointDistRankDiesMidFrame: rank 1's connection is cut in the
-// middle of its third gradient frame while rank 0 snapshots every step.
+// tearConn is one of tearMidFrame's links; big counts the large writes
+// over all of the rank's links.
+type tearConn struct {
+	net.Conn
+	big *atomic.Int32
+	nth int32
+}
+
+func (c *tearConn) Write(p []byte) (int, error) {
+	if len(p) <= 4096 || c.big.Add(1) != c.nth {
+		return c.Conn.Write(p)
+	}
+	n, _ := c.Conn.Write(p[:len(p)/2])
+	c.Conn.Close()
+	return n, errors.New("link torn mid-frame")
+}
+
+// TestTrainJointDistRankDiesMidFrame: rank 1's link to rank 0 is cut in
+// the middle of its third gradient frame while rank 0 snapshots every
+// step.
 // Every process must come down with an error, promptly, and a fresh
 // fleet resuming from rank 0's snapshot must finish with the parameters
 // and stats of the run that was never interrupted: a frame torn on the
@@ -413,11 +402,11 @@ func TestTrainJointDistRankDiesMidFrame(t *testing.T) {
 	}
 	// Leg 1: the fleet dies with rank 1's third gradient frame.
 	addr, coordErr := startDistCoordinator(t, world)
-	addrs := []string{addr, cutMidFrame(t, addr, 3)}
+	tearMidFrame(t, 1, 3)
 	rankErr := make(chan error, world)
 	for rank := 0; rank < world; rank++ {
 		go func() {
-			ex, err := dist.DialRetry(addrs[rank], rank, world, "joint-cut", 100, 20*time.Millisecond)
+			ex, err := dist.DialRetry(addr, rank, world, "joint-cut", 100, 20*time.Millisecond)
 			if err == nil {
 				_, _, err = trainRank(ex)
 				ex.Close()
@@ -442,6 +431,7 @@ func TestTrainJointDistRankDiesMidFrame(t *testing.T) {
 		}
 	}
 	// Leg 2: a fresh fleet resumes from rank 0's snapshot and finishes.
+	dist.PeerLink = nil
 	models := make([]*Model, world)
 	stats := make([]TrainStats, world)
 	runFleet(t, world, "joint-cut", func(rank int, ex dist.Exchanger) error {
@@ -631,11 +621,11 @@ func TestAttachFleetRefusesBadGather(t *testing.T) {
 	}
 	t.Run("torn-on-the-wire", func(t *testing.T) {
 		addr, coordErr := startDistCoordinator(t, world)
-		addrs := []string{addr, cutMidFrame(t, addr, 1)}
+		tearMidFrame(t, 1, 1)
 		errs := make(chan error, world)
 		for rank := range world {
 			go func() {
-				ex, err := dist.DialRetry(addrs[rank], rank, world, "torn-gather", 100, 20*time.Millisecond)
+				ex, err := dist.DialRetry(addr, rank, world, "torn-gather", 100, 20*time.Millisecond)
 				if err == nil {
 					var st TrainStats
 					_, st, err = train(ex)

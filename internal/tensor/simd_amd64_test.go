@@ -1,7 +1,4 @@
-//go:build amd64 && !purego && !amd64.v3
-
-// (At GOAMD64=v3 gc fuses the pure-Go kernels' multiply-adds, so they
-// stop being the oracle the assembly is defined against.)
+//go:build amd64 && !purego
 
 package tensor
 
