@@ -302,7 +302,7 @@ no-gob-import:
 # not exceed LOC_MAX. Lower the bound when code goes; a change that has
 # to grow the count raises LOC_MAX in its own diff, next to what the
 # lines buy.
-LOC_MAX := 21699
+LOC_MAX := 21647
 loc:
 	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \

@@ -30,18 +30,22 @@
 // the smaller tiers boot smaller, not only serve smaller.
 //
 // Hot reload: SIGHUP (or POST /reloadz) re-reads the -checkpoint path
-// the same way and atomically swaps the new weights in; in-flight micro-batches
+// the same way and atomically swaps the new weights in; in-flight requests
 // drain on the old model, so no request is dropped or served from a
 // mix of old and new weights. Retrain → overwrite the checkpoint file
 // → SIGHUP is the zero-downtime update loop.
 //
 // On SIGTERM/SIGINT the server shuts down gracefully: it flips
 // /healthz to 503 so load balancers stop routing, stops accepting,
-// drains in-flight requests and micro-batches, and flushes the final
+// drains in-flight requests, and flushes the final
 // /statsz counters to the log before exiting. The same readiness
 // split covers boot: the listener opens (and /livez answers 200)
 // before the checkpoint is loaded, with /healthz at 503 until the
 // model is actually servable.
+//
+// -debug-addr serves net/http/pprof and expvar on a listener of their
+// own (internal/debugsrv), never on the public address; empty (the
+// default) opens none.
 //
 // Usage:
 //
@@ -66,6 +70,7 @@ import (
 	"time"
 
 	"mtmlf/internal/datagen"
+	"mtmlf/internal/debugsrv"
 	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/nn"
 	"mtmlf/internal/serve"
@@ -104,7 +109,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "database seed; must match the training run")
 	scale := flag.Float64("scale", 0.06, "database scale; must match the training run")
 	sessions := flag.Int("sessions", 0, "concurrent inference sessions (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("maxbatch", 8, "max queued requests fused per micro-batch (1 disables batching)")
+	debugAddr := flag.String("debug-addr", "", "listen address for /debug/pprof/ and /debug/vars (empty = none; port 0 picks a free port)")
 	maxQueue := flag.Int("max-queue", 0, "admission queue depth; a full queue sheds with 429 (0 = 4x sessions)")
 	workers := flag.Int("workers", 0, "tensor-kernel worker pool size (0 = all cores)")
 	precision := flag.String("precision", "f64", "serving tier: f64 (reference), f32, or int8 (calibrated lowered replica; see DESIGN.md §9)")
@@ -121,6 +126,9 @@ func main() {
 		os.Exit(2)
 	}
 	tensor.SetParallelism(*workers)
+	if _, err := debugsrv.Start(*debugAddr); err != nil {
+		log.Fatal(err)
+	}
 
 	// Listen before the checkpoint load so orchestrators can probe the
 	// process the moment it exists: /livez answers 200 (alive) and
@@ -157,7 +165,6 @@ func main() {
 	}
 	engine, info, err := serve.Open(f, db, serve.Options{
 		Sessions:   *sessions,
-		MaxBatch:   *maxBatch,
 		QueueDepth: *maxQueue,
 		// An HTTP front end sheds; blocking admission is for
 		// in-process embedding (see serve.Options).
@@ -216,8 +223,8 @@ func main() {
 	}()
 
 	// Graceful shutdown: on SIGTERM/SIGINT stop accepting, let active
-	// HTTP requests (and with them the engine's in-flight
-	// micro-batches) drain, then stop the session workers and flush
+	// HTTP requests (and with them the engine's in-flight requests)
+	// drain, then stop the session workers and flush
 	// the final serving counters to the log — the numbers /statsz
 	// would have reported had anyone asked in time.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -243,12 +250,12 @@ func main() {
 			log.Printf("serve: %v", err)
 		}
 		signal.Stop(hup)
-		engine.Close() // waits for every in-flight micro-batch
+		engine.Close() // waits for every in-flight request
 		snap := engine.Stats()
 		if b, err := json.Marshal(snap); err == nil {
 			log.Printf("final statsz: %s", b)
 		}
-		log.Printf("drained: %d requests served, %d errors, %d shed, %d micro-batches; bye",
-			snap.Requests, snap.Errors, snap.Shed, snap.Batches)
+		log.Printf("drained: %d requests served, %d errors, %d shed; bye",
+			snap.Requests, snap.Errors, snap.Shed)
 	}
 }

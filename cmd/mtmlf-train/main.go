@@ -33,7 +33,7 @@
 //	            [-mla] [-encoder-epochs 2]
 //	            [-resume state.snap] [-snapshot-every 0]
 //	            [-dist-coordinator :0 | -dist-worker addr]
-//	            [-dist-rank 0] [-dist-world 1]
+//	            [-dist-rank 0] [-dist-world 1] [-debug-addr host:port]
 //
 // -resume makes the run durable: training state (parameters, Adam
 // moments, shuffle position, running stats) is snapshotted atomically
@@ -86,6 +86,10 @@
 // for every -workers. -loss-out writes every example's loss as a hex
 // float64 per line — the bitwise trajectory probe the corpus smoke
 // test compares across backends.
+//
+// -debug-addr serves net/http/pprof and expvar on a listener of their
+// own (internal/debugsrv) for as long as the process runs; port 0
+// picks a free port, logged, so several ranks can share a host.
 package main
 
 import (
@@ -107,6 +111,7 @@ import (
 	"mtmlf/internal/ckptio"
 	"mtmlf/internal/corpus"
 	"mtmlf/internal/datagen"
+	"mtmlf/internal/debugsrv"
 	"mtmlf/internal/dist"
 	"mtmlf/internal/featurize"
 	"mtmlf/internal/metrics"
@@ -119,7 +124,7 @@ import (
 var queries, epochs, workers, batch, encEpochs, snapEvery, distRank, distWorld int
 var scale float64
 var seed int64
-var savePath, loadPath, corpusPath, dbName, lossOut, resumePath, distCoord, distWorker string
+var savePath, loadPath, corpusPath, dbName, lossOut, resumePath, distCoord, distWorker, debugAddr string
 var sharedOnly, seqLoss, mla bool
 
 // job is where a training job's time went, for the closing line: setup
@@ -181,9 +186,13 @@ func main() {
 	flag.StringVar(&distWorker, "dist-worker", "", "coordinator address (host:port): train as one rank of a distributed fleet")
 	flag.IntVar(&distRank, "dist-rank", 0, "this process's rank (0-based) in the -dist-worker fleet")
 	flag.IntVar(&distWorld, "dist-world", 1, "number of worker ranks in the distributed fleet")
+	flag.StringVar(&debugAddr, "debug-addr", "", "listen address for /debug/pprof/ and /debug/vars (empty = none; port 0 picks a free port)")
 	flag.Parse()
 
 	tensor.SetParallelism(workers)
+	if _, err := debugsrv.Start(debugAddr); err != nil {
+		log.Fatal(err)
+	}
 	begun = time.Now()
 
 	if distCoord != "" {

@@ -28,7 +28,7 @@ var specialFloats = []float64{
 	-1.0 / 3,
 }
 
-func (f *filler) fill(t *testing.T, v reflect.Value, depth int) {
+func (f *filler) set(t *testing.T, v reflect.Value, depth int) {
 	f.n++
 	switch v.Kind() {
 	case reflect.String:
@@ -49,20 +49,20 @@ func (f *filler) fill(t *testing.T, v reflect.Value, depth int) {
 		if f.sliceLen >= 0 {
 			s := reflect.MakeSlice(v.Type(), f.sliceLen, f.sliceLen)
 			for i := range f.sliceLen {
-				f.fill(t, s.Index(i), depth)
+				f.set(t, s.Index(i), depth)
 			}
 			v.Set(s)
 		}
 	case reflect.Pointer:
 		if depth < 3 { // plan.Node points to itself
 			p := reflect.New(v.Type().Elem())
-			f.fill(t, p.Elem(), depth+1)
+			f.set(t, p.Elem(), depth+1)
 			v.Set(p)
 		}
 	case reflect.Struct:
 		for i := range v.NumField() {
 			if v.Type().Field(i).IsExported() {
-				f.fill(t, v.Field(i), depth)
+				f.set(t, v.Field(i), depth)
 			}
 		}
 	default:
@@ -129,7 +129,7 @@ func checkCodec[T any](t *testing.T, c codec[T]) {
 	}
 	filled := func(sliceLen int) T {
 		var v T
-		(&filler{sliceLen: sliceLen}).fill(t, reflect.ValueOf(&v).Elem(), 0)
+		(&filler{sliceLen: sliceLen}).set(t, reflect.ValueOf(&v).Elem(), 0)
 		return v
 	}
 	full := filled(2)

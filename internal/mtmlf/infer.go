@@ -122,10 +122,9 @@ func (lm Lowered[T]) PredictLogCostsInfer(e *ag.Session[T], rep *Rep[*tensor.Den
 
 // ExpClamp maps log-space head outputs to estimates: exponentiated
 // with the exponent clamped (an untrained model cannot overflow) and
-// floored at 1. Exported for the serving layer, whose fused
-// micro-batch path must clamp exactly like the serial estimators. It
-// copies into a fresh float64 slice, so no pooled memory escapes the
-// session.
+// floored at 1. Exported for the serving layer, which must clamp
+// exactly like the serial estimators. It copies into a fresh float64
+// slice, so no pooled memory escapes the session.
 func ExpClamp[T tensor.Float](logs []T) []float64 {
 	out := make([]float64, len(logs))
 	for i, v := range logs {

@@ -20,7 +20,7 @@ import (
 var benchSink float64
 
 // BenchmarkEngineSolo is a lone caller on an engine at default Options:
-// no backlog ever forms, so every batch is one request.
+// no backlog ever forms.
 func BenchmarkEngineSolo(b *testing.B) {
 	m, qs := testModel(b)
 	e, err := NewEngine(m, Options{})
@@ -46,8 +46,7 @@ func BenchmarkEngineSolo(b *testing.B) {
 
 // BenchmarkEngineModelOnly is the model work of BenchmarkEngineSolo
 // with no engine around it: per request, one evaluator session running
-// the representation and the card head, as runBatch does for a batch
-// of one.
+// the representation and the card head, as runRequest does.
 func BenchmarkEngineModelOnly(b *testing.B) {
 	m, qs := testModel(b)
 	pass := func() {

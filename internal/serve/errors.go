@@ -44,8 +44,8 @@ var (
 	ErrOverloaded = errors.New("serve: overloaded")
 	// ErrDeadline marks a request rejected because its deadline
 	// (propagated via context / the X-Deadline-Ms header) expired
-	// before a worker could admit it into a micro-batch. No model
-	// compute was spent. The HTTP layer maps it to 504.
+	// before a worker could pick it up. No model compute was
+	// spent. The HTTP layer maps it to 504.
 	ErrDeadline = errors.New("serve: deadline exceeded")
 	// ErrReloadMismatch marks a Reload whose new model serves a
 	// different database (name or table list) than the current one —

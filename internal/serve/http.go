@@ -284,7 +284,7 @@ func (h *handler) joinOrder(w http.ResponseWriter, r *http.Request) {
 }
 
 // reloadz hot-swaps the served checkpoint through the configured
-// reloader. The swap itself is atomic and in-flight batches drain on
+// reloader. The swap itself is atomic and in-flight requests drain on
 // the old bundle — see Engine.Reload. A checkpoint for another schema
 // answers 409; any other failure (an unreadable or damaged file) is the
 // server's, 500. Either way the old bundle keeps serving.

@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	// Linked as mtmlf-serve links it: net/http/pprof registers its
+	// handlers on http.DefaultServeMux.
+	_ "mtmlf/internal/debugsrv"
 	"mtmlf/internal/workload"
 )
 
@@ -142,6 +145,14 @@ func TestHTTPHealthStatsExample(t *testing.T) {
 	h := decodeBody[HealthJSON](t, r)
 	if h.Status != "ok" || h.Tables == 0 || h.Sessions == 0 {
 		t.Fatalf("healthz %+v", h)
+	}
+	// Profiles are served on -debug-addr's own listener only.
+	if r, err = http.Get(srv.URL + "/debug/pprof/"); err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("public handler answered %d on /debug/pprof/, want 404", r.StatusCode)
 	}
 
 	// Generate some traffic, then check /statsz reflects it.

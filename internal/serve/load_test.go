@@ -9,6 +9,7 @@ import (
 
 	"mtmlf/internal/datagen"
 	"mtmlf/internal/mtmlf"
+	"mtmlf/internal/plan"
 	"mtmlf/internal/workload"
 )
 
@@ -56,7 +57,6 @@ func TestEngineShedBurstServesAdmitted(t *testing.T) {
 	want := serialExpected(m, qs)
 	e, err := NewEngine(m, Options{
 		Sessions:     1,
-		MaxBatch:     1,
 		QueueDepth:   1,
 		ShedOverload: true,
 	})
@@ -159,7 +159,7 @@ func TestEngineDeadlineExpiredAtSubmit(t *testing.T) {
 
 // newIdleEngine builds an Engine with zero workers so the admission
 // path can be driven deterministically (requests stay queued until
-// the test pulls them through admit/fill itself).
+// the test pulls them through admit and runRequest itself).
 func newIdleEngine(t *testing.T, m *mtmlf.Model, opts Options) *Engine {
 	t.Helper()
 	e := newEngine(opts)
@@ -183,13 +183,12 @@ func expiredRequest(lq *workload.LabeledQuery) *request {
 	return r
 }
 
-// TestEngineDeadlineRejectedBeforeBatchAdmission: a queued request
-// whose deadline lapses before a worker picks it up is answered with
-// ErrDeadline at admission — no session, no model compute — and a
-// batch fill skips expired stragglers the same way.
-func TestEngineDeadlineRejectedBeforeBatchAdmission(t *testing.T) {
+// TestEngineDeadlineRejectedAtPickup: a queued request whose deadline
+// lapses before a worker picks it up is answered with ErrDeadline at
+// pickup — no session, no model compute.
+func TestEngineDeadlineRejectedAtPickup(t *testing.T) {
 	m, qs := testModel(t)
-	e := newIdleEngine(t, m, Options{Sessions: 1, MaxBatch: 4})
+	e := newIdleEngine(t, m, Options{Sessions: 1})
 
 	expired := expiredRequest(qs[0])
 	if e.admit(expired) {
@@ -202,54 +201,51 @@ func TestEngineDeadlineRejectedBeforeBatchAdmission(t *testing.T) {
 	if snap := e.Stats(); snap.DeadlineMisses != 1 {
 		t.Fatalf("stats counted %d deadline misses, want 1", snap.DeadlineMisses)
 	}
-
-	// fill must exclude an expired straggler from the batch and answer
-	// it, while keeping the live ones.
-	live := liveRequest(qs[0])
-	lateStraggler := expiredRequest(qs[1%len(qs)])
-	e.reqs <- lateStraggler
-	batch := e.fill(live)
-	if len(batch) != 1 || batch[0] != live {
-		t.Fatalf("fill admitted %d requests, want just the live one", len(batch))
-	}
-	res = <-lateStraggler.done
-	if !errors.Is(res.err, ErrDeadline) {
-		t.Fatalf("straggler got %v, want ErrDeadline", res.err)
-	}
 }
 
-// TestEngineFillTakesBacklog: with k live requests queued, fill returns
-// min(k+1, MaxBatch) in arrival order and leaves the rest queued. It
-// never waits for more: the k = 0 case would hang if it did, since
-// nothing ever sends on an idle engine's queue. MaxBatch 1 disables
-// batching even over a backlog.
-func TestEngineFillTakesBacklog(t *testing.T) {
+// TestRunRequestPanicBackstop: a request that skipped Validate and
+// panics in the model is answered with exactly one ErrInternal, the
+// session run returns, and the next valid request on the same engine
+// is still the serial answer bit for bit.
+func TestRunRequestPanicBackstop(t *testing.T) {
 	m, qs := testModel(t)
-	for _, tc := range []struct{ maxBatch, k int }{{4, 0}, {4, 1}, {4, 3}, {4, 4}, {4, 8}, {1, 2}} {
-		e := newIdleEngine(t, m, Options{Sessions: 1, MaxBatch: tc.maxBatch, QueueDepth: 8})
-		first := liveRequest(qs[0])
-		queued := make([]*request, tc.k)
-		for i := range queued {
-			queued[i] = liveRequest(qs[i%len(qs)])
-			e.reqs <- queued[i]
-		}
-		batch := e.fill(first)
-		wantLen := min(tc.k+1, tc.maxBatch)
-		if len(batch) != wantLen {
-			t.Fatalf("%+v: fill returned %d requests, want %d", tc, len(batch), wantLen)
-		}
-		if batch[0] != first {
-			t.Fatalf("%+v: first request is not at the head of its batch", tc)
-		}
-		for i, r := range batch[1:] {
-			if r != queued[i] {
-				t.Fatalf("%+v: batch[%d] is out of arrival order", tc, i+1)
-			}
-		}
-		if left := tc.k + 1 - wantLen; len(e.reqs) != left {
-			t.Fatalf("%+v: %d requests left queued, want %d", tc, len(e.reqs), left)
+	want := serialExpected(m, qs)
+	e := newIdleEngine(t, m, Options{Sessions: 1})
+	ref := m.Reference()
+	run := func(r *request) {
+		t.Helper()
+		returned := make(chan struct{})
+		go func() {
+			defer close(returned)
+			runRequest(e, ref, r)
+		}()
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatal("runRequest did not return")
 		}
 	}
+
+	// A plan over a table the model does not know, past validation.
+	bad := liveRequest(qs[0])
+	bad.p = plan.LeftDeepFromOrder([]string{"no_such_table"}, plan.SeqScan, plan.HashJoin)
+	run(bad)
+	if res := <-bad.done; !errors.Is(res.err, ErrInternal) {
+		t.Fatalf("panicking request got %v, want ErrInternal", res.err)
+	}
+	select {
+	case res := <-bad.done:
+		t.Fatalf("a second answer arrived: %+v", res)
+	default:
+	}
+
+	good := liveRequest(qs[0])
+	run(good)
+	res := <-good.done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	sameFloats(t, "card after a panic", res.nodes, want[0].cards)
 }
 
 // TestEngineQueueWaitRecorded: admit stamps submit → pickup on the
@@ -366,7 +362,7 @@ func TestEngineReloadWhileServing(t *testing.T) {
 	want1 := serialExpected(m1, qs)
 	want2 := serialExpected(m2, qs)
 
-	e, err := NewEngine(m1, Options{Sessions: 4, MaxBatch: 4})
+	e, err := NewEngine(m1, Options{Sessions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestMemoWarmEngineBitwiseAllTiers(t *testing.T) {
 	for _, p := range allTiers {
 		t.Run(p.String(), func(t *testing.T) {
 			want := uncachedExpected(m, p, qs)
-			e, err := NewEngine(m, Options{Sessions: 4, MaxBatch: 4, Precision: p})
+			e, err := NewEngine(m, Options{Sessions: 4, Precision: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestMemoReloadMidTraffic(t *testing.T) {
 			if !differ {
 				t.Fatal("the two checkpoints answer alike; the drill would prove nothing")
 			}
-			e, err := NewEngine(m1, Options{Sessions: 4, MaxBatch: 4, Precision: p})
+			e, err := NewEngine(m1, Options{Sessions: 4, Precision: p})
 			if err != nil {
 				t.Fatal(err)
 			}

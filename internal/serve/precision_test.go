@@ -22,7 +22,7 @@ func TestEnginePrecisionTiers(t *testing.T) {
 	for _, p := range []nn.Precision{nn.PrecisionF32, nn.PrecisionInt8} {
 		t.Run(p.String(), func(t *testing.T) {
 			lm := m.Lower(p)
-			e, err := NewEngine(m, Options{Sessions: 2, MaxBatch: 4, Precision: p})
+			e, err := NewEngine(m, Options{Sessions: 2, Precision: p})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,26 +3,22 @@
 // mtmlf-serve HTTP server) to consume a pretrained full-model
 // checkpoint, and the layer mtmlf-loadgen is built to saturate.
 //
-// Architecture: a bounded pool of session workers, each owning one
-// inference session per batch (one ag.Session checked out of the
-// process-wide pool via ag.Acquire, released — and with it every
-// pooled tensor — when the batch completes). Requests funnel
-// through one bounded queue; a worker blocks only for its first
-// request, then takes whatever is already queued (up to MaxBatch-1
-// more, never waiting) and serves them as a micro-batch — so batches
-// form from backlog exactly when every session is busy, and an idle
+// Architecture: a bounded pool of session workers. Requests funnel
+// through one bounded queue; a worker takes one request at a time and
+// serves it in one inference session (one ag.Session checked out of
+// the process-wide pool via ag.Acquire, released — and with it every
+// pooled tensor — when the answer has been copied out), so an idle
 // engine answers a lone request with no added wait. Each request's (S)
-// representation runs in the batch's session; its (F) table encodings
-// come from the bundle's memo — Enc_i runs once per (table, ordered
-// filter list) per weight set, in the session of whichever request
-// asks first, and its row is kept bit for bit (featurize/memo.go) —
-// and the cardinality/cost head projections of the whole batch fuse
-// into single kernel dispatches over the row-concatenated node
-// representations. The kernels compute every output row independently
-// with a fixed accumulation order (see tensor/matmul.go), so each
-// request's slice of the fused result is BITWISE identical to a solo,
-// uncached forward — concurrency, batching and the memo never perturb
-// a served number (asserted by the -race equivalence tests).
+// representation runs in its session; its (F) table encodings come
+// from the bundle's memo — Enc_i runs once per (table, ordered filter
+// list) per weight set, in the session of whichever request asks
+// first, and its row is kept bit for bit (featurize/memo.go) — and the
+// cardinality/cost head or the join-order beam search runs over the
+// representation. The kernels compute every output row independently
+// with a fixed accumulation order (see tensor/matmul.go), so every
+// answer is BITWISE identical to a solo, uncached forward —
+// concurrency and the memo never perturb a served number (asserted by
+// the -race equivalence tests).
 //
 // Admission control: the queue is the only buffer in the system. In
 // the default (blocking) mode a full queue applies backpressure to
@@ -36,22 +32,21 @@
 // deadline (mtmlf-serve derives one from the X-Deadline-Ms header)
 // into the scheduler. A request whose deadline has already expired is
 // rejected with ErrDeadline at submit; a worker re-checks at pickup,
-// for the first request and for every companion it drains, so compute
-// is never spent on an answer nobody can use.
+// so compute is never spent on an answer nobody can use.
 //
 // Hot reload: Reload atomically swaps in a new model for the same
-// database. Each micro-batch snapshots the model pointer exactly once,
-// after its last request is dequeued, so every response is computed
-// entirely under one set of weights — in-flight batches drain on the
-// old model while new batches run on the new one, with zero dropped
-// requests (asserted by the -race reload test).
+// database. A worker snapshots the model pointer exactly once per
+// request, after it dequeued the request, so every response is
+// computed entirely under one set of weights — in-flight requests
+// drain on the old model while new ones run on the new one, with zero
+// dropped requests (asserted by the -race reload test).
 //
 // Error boundary: the model layer panics on malformed inputs (unknown
 // tables, plans that don't cover the query). Engine validates every
 // request up front and returns typed errors (ErrUnknownTable,
-// ErrPlanMismatch, ...) instead; a recover() backstop converts any
-// surviving panic into ErrInternal so one bad request cannot take
-// down the server.
+// ErrPlanMismatch, ...) instead; one recover() backstop per request
+// converts any surviving panic into ErrInternal so one bad request
+// cannot take down the server.
 package serve
 
 import (
@@ -78,9 +73,6 @@ type Options struct {
 	// maximum number of in-flight inference sessions). 0 means
 	// GOMAXPROCS.
 	Sessions int
-	// MaxBatch is the maximum number of requests fused into one
-	// micro-batch (and one session). 0 means 8; 1 disables batching.
-	MaxBatch int
 	// QueueDepth bounds the request queue. 0 means 4*Sessions.
 	QueueDepth int
 	// ShedOverload selects the admission policy for a full queue:
@@ -102,12 +94,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Sessions <= 0 {
 		o.Sessions = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 8
-	}
-	if o.MaxBatch < 1 {
-		o.MaxBatch = 1
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.Sessions
@@ -171,7 +157,7 @@ type request struct {
 	start time.Time
 	// deadline is the wall-clock point after which the answer is
 	// useless to the caller; zero means none. Checked at submit and
-	// re-checked at batch admission.
+	// re-checked at pickup.
 	deadline time.Time
 	// queued is the submit → pickup wait, set by the worker in admit
 	// before it answers on done (which orders the caller's read).
@@ -184,21 +170,21 @@ func (r *request) expired(now time.Time) bool {
 	return !r.deadline.IsZero() && !now.Before(r.deadline)
 }
 
-// served bundles everything one micro-batch needs to be consistent: the
+// served bundles everything one request needs to be consistent: the
 // inference form at the engine's tier — a view of a model's own weights
 // at f64, an f32 or int8-weight replica otherwise — bound into run, and
 // the schema and limit requests are validated against. No *mtmlf.Model:
 // a replica streamed from a checkpoint never had one. A reload builds a
-// fresh bundle and swaps the one pointer, so a batch that snapshotted
+// fresh bundle and swaps the one pointer, so a request that snapshotted
 // the old bundle finishes on it. The inference form is the memoizing
 // copy: the bundle's weights never change, so it owns the table
 // encodings computed from them, and they go when it goes.
 type served struct {
 	db        *sqldb.DB
 	maxTables int
-	// run serves one micro-batch; memoRows reports the table encodings
-	// the memo holds.
-	run      func(e *Engine, batch []*request)
+	// run serves one request; memoRows reports the table encodings the
+	// memo holds.
+	run      func(e *Engine, r *request)
 	memoRows func() int
 	// load is how the bundle came to be, for /statsz.
 	load LoadStats
@@ -212,7 +198,7 @@ func bundle[T tensor.Float](lm *mtmlf.Lowered[T], c *featurize.MemoCounters) (*s
 	s := &served{
 		db:        lm.DB(),
 		maxTables: lm.Cfg.MaxTables,
-		run:       func(e *Engine, batch []*request) { runBatch(e, *lm, batch) },
+		run:       func(e *Engine, r *request) { runRequest(e, *lm, r) },
 		memoRows:  lm.Feat.MemoRows,
 		load:      LoadStats{ParamBytes: lm.ParamBytes()},
 	}
@@ -277,8 +263,8 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 // model. Safe for concurrent use by any number of goroutines.
 type Engine struct {
 	// cur is the currently served model bundle. Workers snapshot it
-	// once per micro-batch, so a Reload never mixes weights inside one
-	// response (or one batch).
+	// once per request, so a Reload never mixes weights inside one
+	// response.
 	cur   atomic.Pointer[served]
 	opts  Options
 	reqs  chan *request
@@ -335,9 +321,9 @@ func (e *Engine) start(s *served) *Engine {
 // Reload atomically swaps in a new model. The new model must serve
 // the same database (same table list, in order) as the current one:
 // queued requests were validated against that schema and must stay
-// valid under the new weights. In-flight micro-batches finish on the
-// old model; batches picked up after Reload returns run entirely on
-// the new one. No request is ever dropped or served from a mix.
+// valid under the new weights. In-flight requests finish on the old
+// model; requests picked up after Reload returns run entirely on the
+// new one. No request is ever dropped or served from a mix.
 func (e *Engine) Reload(m *mtmlf.Model) error {
 	// Lowered before the swap: the engine's precision is fixed at
 	// construction, so the new weights must arrive already lowered.
@@ -505,36 +491,29 @@ func (e *Engine) submit(ctx context.Context, ep Endpoint, q *sqldb.Query, p *pla
 	}
 }
 
-// worker is one session loop: block for a request, take its queued
-// companions, serve them from a freshly checked-out evaluator session.
-// The model is snapshotted once per batch, so a concurrent Reload
-// never splits a batch (or a response) across two weight sets.
+// worker is one session loop: block for a request, admit it, and serve
+// it from a freshly checked-out evaluator session.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
-		var first *request
+		var r *request
 		select {
-		case first = <-e.reqs:
+		case r = <-e.reqs:
 		case <-e.quit:
 			return
 		}
-		if !e.admit(first) {
-			continue
+		// The bundle is loaded after the receive: a request sent after
+		// Reload returned was sent after Reload's store, so the new model
+		// serves it.
+		if e.admit(r) {
+			e.cur.Load().run(e, r)
 		}
-		// Form the batch, then load the bundle: a request sent after
-		// Reload returned was sent after Reload's store and received
-		// here before the load, so the new model serves it. Not one
-		// call: Go evaluates operands left to right, so the bundle would
-		// be loaded before fill dequeued the batch's companions.
-		batch := e.fill(first)
-		e.cur.Load().run(e, batch)
 	}
 }
 
-// admit is the batch-admission deadline gate: a request that has
-// already missed its deadline is answered with ErrDeadline (without
-// spending a session on it) and excluded from the batch. A live one
-// has its queue wait stamped here, at pickup.
+// admit is the pickup deadline gate: a request that has already missed
+// its deadline is answered with ErrDeadline without spending a session
+// on it. A live one has its queue wait stamped here, at pickup.
 func (e *Engine) admit(r *request) bool {
 	now := time.Now()
 	if r.expired(now) {
@@ -546,139 +525,57 @@ func (e *Engine) admit(r *request) bool {
 	return true
 }
 
-// fill forms a micro-batch around first from whatever is already
-// queued, up to MaxBatch. It never blocks: a batch grows past one only
-// when requests arrived faster than the sessions served them, which is
-// the only time fusing pays.
-func (e *Engine) fill(first *request) []*request {
-	batch := []*request{first}
-	for len(batch) < e.opts.MaxBatch {
-		select {
-		case r := <-e.reqs:
-			if e.admit(r) {
-				batch = append(batch, r)
-			}
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// runBatch serves one micro-batch inside one inference session. The
-// session (and every pooled tensor of the batch) is released at the
-// end — see DESIGN.md "Session ownership".
-func runBatch[T tensor.Float](e *Engine, lm mtmlf.Lowered[T], batch []*request) {
+// runRequest serves one request inside one inference session. The
+// session (and every pooled tensor of the request) is released at the
+// end — see DESIGN.md "Session ownership". Validation should have
+// caught every malformed request; the deferred backstop turns a panic
+// that survives it into ErrInternal. done holds one buffered result
+// and a second send would block this worker forever, so the answer is
+// the last statement: a recovered panic means none was sent.
+func runRequest[T tensor.Float](e *Engine, lm mtmlf.Lowered[T], r *request) {
 	ev := ag.Acquire[T]()
 	defer ag.Release(ev)
-
-	// Each stage's time goes to the endpoint of the requests it served.
-	var st [numEndpoints]stageTimes
-	reps := make([]*mtmlf.Rep[*tensor.Dense[T]], len(batch))
-	for i, r := range batch {
-		t := time.Now()
-		reps[i] = represent(lm, ev, r)
-		st[r.ep].n++
-		st[r.ep].represent += time.Since(t)
-	}
-	for _, ep := range []Endpoint{EndpointCard, EndpointCost} {
-		if st[ep].n > 0 {
-			t := time.Now()
-			runHeads(lm, ev, ep, batch, reps)
-			st[ep].heads += time.Since(t)
-		}
-	}
-	for i, r := range batch {
-		if r.ep == EndpointJoinOrder && reps[i] != nil {
-			t := time.Now()
-			runJoinOrder(lm, r, reps[i])
-			st[r.ep].beam += time.Since(t)
-		}
-	}
-	e.stats.recordBatch(len(batch), &st)
-}
-
-// represent computes one request's shared representation in the
-// session, converting any surviving model panic into ErrInternal
-// (validation should have caught everything typed).
-func represent[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], r *request) (rep *mtmlf.Rep[*tensor.Dense[T]]) {
 	defer func() {
 		if p := recover(); p != nil {
-			rep = nil
 			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
 		}
 	}()
-	return lm.RepresentInfer(ev, r.q, r.p)
-}
 
-// runHeads fuses one head over every batch request of the given kind:
-// a single MLP dispatch over the row-concatenated node
-// representations. Each request's rows are computed independently by
-// the kernels, so its slice is bitwise identical to a solo forward.
-func runHeads[T tensor.Float](lm mtmlf.Lowered[T], ev *ag.Session[T], ep Endpoint, batch []*request, reps []*mtmlf.Rep[*tensor.Dense[T]]) {
-	var idx []int
-	var ss []*tensor.Dense[T]
-	for i, r := range batch {
-		if r.ep == ep && reps[i] != nil {
-			idx = append(idx, i)
-			ss = append(ss, reps[i].S)
+	var st stageTimes
+	t := time.Now()
+	rep := lm.RepresentInfer(ev, r.q, r.p)
+	st.represent = time.Since(t)
+	var res result
+	t = time.Now()
+	if r.ep == EndpointJoinOrder {
+		res = joinOrder(lm, r.q, rep)
+		st.beam = time.Since(t)
+	} else {
+		head := lm.CardHead
+		if r.ep == EndpointCost {
+			head = lm.CostHead
 		}
-	}
-	if len(idx) == 0 {
-		return
-	}
-	// delivered counts responses already sent; the panic backstop
-	// must error only the undelivered suffix — done channels hold one
-	// buffered result, so a second send to an answered request would
-	// block this worker forever.
-	delivered := 0
-	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("%w: %v", ErrInternal, p)
-			for _, i := range idx[delivered:] {
-				batch[i].done <- result{err: err}
-			}
-		}
-	}()
-	fused := ss[0]
-	if len(ss) > 1 {
-		fused = ev.ConcatRows(ss...)
-	}
-	head := lm.CardHead
-	if ep == EndpointCost {
-		head = lm.CostHead
-	}
-	out := head.Forward(ev, fused) // [total nodes, 1]
-	row := 0
-	for _, i := range idx {
-		nRows := reps[i].S.Rows()
 		// ExpClamp copies into a fresh slice, so no pooled memory
 		// escapes the session.
-		batch[i].done <- result{nodes: mtmlf.ExpClamp(out.Data[row : row+nRows])}
-		delivered++
-		row += nRows
+		res.nodes = mtmlf.ExpClamp(head.Forward(ev, rep.S).Data)
+		st.heads = time.Since(t)
 	}
+	e.stats.recordRun(r.ep, &st)
+	r.done <- res
 }
 
-// runJoinOrder serves one join-order request from its representation:
+// joinOrder answers a join-order request from its representation:
 // KV-cached constrained beam search by the float64 Trans_JO, same as
 // the serial fast path. A reduced-precision
 // representation's [m, Dim] memory is up-converted once first, so join
 // orders are identical across tiers by construction of the decoder,
 // not merely close.
-func runJoinOrder[T tensor.Float](lm mtmlf.Lowered[T], r *request, rep *mtmlf.Rep[*tensor.Dense[T]]) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
-		}
-	}()
-	res := lm.JO.BeamSearchTensor(rep.Memory.ToTensor(), r.q, lm.Cfg.BeamWidth, true)
-	best, ok := mtmlf.BestBeam(res)
+func joinOrder[T tensor.Float](lm mtmlf.Lowered[T], q *sqldb.Query, rep *mtmlf.Rep[*tensor.Dense[T]]) result {
+	best, ok := mtmlf.BestBeam(lm.JO.BeamSearchTensor(rep.Memory.ToTensor(), q, lm.Cfg.BeamWidth, true))
 	if !ok {
-		r.done <- result{err: fmt.Errorf("%w: join graph admits no connected order", ErrNoJoinOrder)}
-		return
+		return result{err: fmt.Errorf("%w: join graph admits no connected order", ErrNoJoinOrder)}
 	}
-	r.done <- result{order: JoinOrderResult{
+	return result{order: JoinOrderResult{
 		Order:   best.OrderTables(rep.Tables),
 		LogProb: best.LogProb,
 		Legal:   best.Legal,

@@ -147,7 +147,7 @@ func TestEngineMatchesSerialBitwise(t *testing.T) {
 func TestEngineConcurrentBitwise(t *testing.T) {
 	m, qs := testModel(t)
 	want := serialExpected(m, qs)
-	e, err := NewEngine(m, Options{Sessions: 4, MaxBatch: 4})
+	e, err := NewEngine(m, Options{Sessions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,42 +264,6 @@ func TestNoGradAndBeamSearchConcurrentDirect(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestEngineMicroBatching drives one session's worth of scheduling by
-// hand over a pre-filled queue (no workers, so nothing depends on
-// arrival timing) and checks that (a) the backlog fuses into full
-// batches and (b) fused answers stay bitwise identical.
-func TestEngineMicroBatching(t *testing.T) {
-	m, qs := testModel(t)
-	want := serialExpected(m, qs)
-	const n, maxBatch = 16, 8
-	e := newIdleEngine(t, m, Options{Sessions: 1, MaxBatch: maxBatch, QueueDepth: n})
-
-	reqs := make([]*request, n)
-	for i := range reqs {
-		reqs[i] = liveRequest(qs[i%len(qs)])
-		e.reqs <- reqs[i]
-	}
-	for len(e.reqs) > 0 {
-		batch := e.fill(<-e.reqs)
-		if len(batch) != maxBatch {
-			t.Fatalf("fill took %d of a %d-deep backlog, want %d", len(batch), n, maxBatch)
-		}
-		e.cur.Load().run(e, batch)
-	}
-	for i, r := range reqs {
-		res := <-r.done
-		if res.err != nil {
-			t.Fatal(res.err)
-		}
-		sameFloats(t, "batched card", res.nodes, want[i%len(qs)].cards)
-	}
-	snap := e.Stats()
-	if snap.Batches != n/maxBatch || snap.FusedRequests != n {
-		t.Fatalf("got %d batches fusing %d requests, want %d fusing %d",
-			snap.Batches, snap.FusedRequests, n/maxBatch, n)
 	}
 }
 

@@ -43,12 +43,8 @@ type stats struct {
 	start    time.Time
 	sessions int
 
-	counts  [numEndpoints]uint64
-	errors  uint64
-	batches uint64
-	// fused counts requests that shared their batch with at least one
-	// other request — the micro-batching hit rate numerator.
-	fused uint64
+	counts [numEndpoints]uint64
+	errors uint64
 	// shed counts requests rejected at admission with ErrOverloaded
 	// (queue full, ShedOverload on).
 	shed uint64
@@ -69,7 +65,7 @@ type stats struct {
 	lat [numEndpoints]latRing
 	// stages is each endpoint's engine time by stage.
 	stages [numEndpoints]stageTimes
-	// queueWait is submit → batch pickup of served requests, across
+	// queueWait is submit → pickup of served requests, across
 	// endpoints.
 	queueWait latRing
 }
@@ -122,18 +118,15 @@ type stageTimes struct {
 	represent, heads, beam time.Duration
 }
 
-func (s *stats) recordBatch(size int, st *[numEndpoints]stageTimes) {
+// recordRun adds one session run's stage times to the sums of its
+// request's endpoint ep.
+func (s *stats) recordRun(ep Endpoint, t *stageTimes) {
 	s.mu.Lock()
-	s.batches++
-	if size > 1 {
-		s.fused += uint64(size)
-	}
-	for ep, t := range st {
-		s.stages[ep].n += t.n
-		s.stages[ep].represent += t.represent
-		s.stages[ep].heads += t.heads
-		s.stages[ep].beam += t.beam
-	}
+	st := &s.stages[ep]
+	st.n++
+	st.represent += t.represent
+	st.heads += t.heads
+	st.beam += t.beam
 	s.mu.Unlock()
 }
 
@@ -149,7 +142,7 @@ type EndpointStats struct {
 // StageStats is one endpoint's engine time by stage, summed since
 // boot at the snapshot's Precision: RepresentUs is the shared
 // representation (featurization, Trans_S, Trans_T), HeadsUs the card or
-// cost head over each micro-batch, BeamUs the join-order beam search.
+// cost head, BeamUs the join-order beam search.
 // Requests counts the requests those sums cover; a sum over it is the
 // stage's mean per request.
 type StageStats struct {
@@ -216,7 +209,7 @@ type StatsSnapshot struct {
 	Errors    uint64 `json:"errors"`
 	// Shed counts 429-rejected requests (queue full under
 	// ShedOverload); DeadlineMisses counts 504-rejected ones (expired
-	// before batch admission). Neither is in Requests or Errors: they
+	// before pickup). Neither is in Requests or Errors: they
 	// never reached a session.
 	Shed           uint64 `json:"shed"`
 	DeadlineMisses uint64 `json:"deadline_misses"`
@@ -244,17 +237,19 @@ type StatsSnapshot struct {
 		JoinOrder StageStats `json:"joinorder"`
 	} `json:"stages"`
 
-	// QueueWait percentiles are submit → batch pickup over the most
+	// QueueWait percentiles are submit → pickup over the most
 	// recent latWindow served requests, all endpoints together: the
 	// share of the latencies above spent waiting for a session.
 	QueueWaitP50Ms float64 `json:"queue_wait_p50_ms"`
 	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
 
-	// Batches is the number of micro-batches served; FusedRequests the
-	// requests that shared a batch with at least one other.
-	Batches       uint64  `json:"batches"`
-	FusedRequests uint64  `json:"fused_requests"`
-	AvgBatch      float64 `json:"avg_batch"`
+	// Batches counts session runs, one request each (the sum of the
+	// Stages' Requests), and AvgBatch is Requests over Batches: at most
+	// 1 by construction. Both
+	// are kept only for the frozen benchmark client, which reads
+	// avg_batch, and go when it is unfrozen (ROADMAP item 2(c)).
+	Batches  uint64  `json:"batches"`
+	AvgBatch float64 `json:"avg_batch"`
 
 	Pool PoolStats `json:"pool"`
 
@@ -279,8 +274,6 @@ func (s *stats) snapshot(queueDepth, maxQueue int) StatsSnapshot {
 		Panics:         s.panics,
 		QueueDepth:     queueDepth,
 		MaxQueue:       maxQueue,
-		Batches:        s.batches,
-		FusedRequests:  s.fused,
 		FeatMemo: FeatMemoStats{
 			Hits:     s.featMemo.Hits.Load(),
 			Misses:   s.featMemo.Misses.Load(),
@@ -305,6 +298,7 @@ func (s *stats) snapshot(queueDepth, maxQueue int) StatsSnapshot {
 	for ep, ss := range []*StageStats{&snap.Stages.Card, &snap.Stages.Cost, &snap.Stages.JoinOrder} {
 		t := stages[ep]
 		*ss = StageStats{Requests: t.n, RepresentUs: us(t.represent), HeadsUs: us(t.heads), BeamUs: us(t.beam)}
+		snap.Batches += t.n
 	}
 	if snap.UptimeSeconds > 0 {
 		snap.QPS = float64(snap.Requests) / snap.UptimeSeconds

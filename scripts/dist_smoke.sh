@@ -46,7 +46,7 @@ echo "== uninterrupted single-process reference runs"
 # loopback port. Sets CPID and ADDR and empties WPIDS.
 start_coordinator() {
     : >"$TMP/coord.out"
-    "$TMP/mtmlf-train" -dist-coordinator 127.0.0.1:0 -dist-world "$WORLD" \
+    "$TMP/mtmlf-train" -dist-coordinator 127.0.0.1:0 -dist-world "$WORLD" -debug-addr 127.0.0.1:0 \
         >"$TMP/coord.out" 2>&1 &
     CPID=$!
     ADDR=""
@@ -58,6 +58,7 @@ start_coordinator() {
         sleep 0.05
     done
     [ -n "$ADDR" ] || { echo "FAIL: coordinator never printed its address"; exit 1; }
+    curl -fsS "$(sed -n 's/.*debug endpoints on \(http:[^ ]*\)/\1/p' "$TMP/coord.out")" | grep -q goroutine || { echo "FAIL: no pprof index on the coordinator's -debug-addr"; exit 1; }
     WPIDS=()
 }
 

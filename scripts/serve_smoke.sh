@@ -29,7 +29,7 @@ echo "== training a tiny checkpoint"
 boot() {
     local log="$TMP/serve.$1.log"
     "$TMP/mtmlf-serve" -checkpoint "$TMP/model.ckpt" -seed "$SEED" -scale "$SCALE" \
-        -precision "$1" -addr 127.0.0.1:0 >"$log" 2>&1 &
+        -precision "$1" -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 >"$log" 2>&1 &
     PID=$!
     BASE=""
     for _ in $(seq 1 100); do
@@ -67,6 +67,7 @@ curl -fsS -d @"$TMP/req.json" "$BASE/joinorder"     | check joinorder '"order"'
 curl -fsS "$BASE/statsz" | check statsz '"qps"'
 curl -fsS "$BASE/statsz" | check statsz-feat-memo '"feat_memo":{"hits":'
 curl -fsS "$BASE/statsz" | check statsz-checkpoint '"checkpoint":{"version":4,"tensors":'
+curl -fsS "$(sed -n 's/.*debug endpoints on \(http:[^ ]*\)/\1/p' "$TMP/serve.f64.log")" | check debug-addr 'goroutine'
 # Typed-error path: an unknown table must 400 with a JSON error, not
 # crash the server.
 code=$(curl -s -o "$TMP/err.json" -w '%{http_code}' \
