@@ -29,6 +29,13 @@
 // the float64 model it would have been lowered from never exists — so
 // the smaller tiers boot smaller, not only serve smaller.
 //
+// A replica's live heap is almost all its weights, so once the server is
+// ready, and after every reload, the GC percent is set to
+// serve.GCPercent of the served parameter bytes: the heap may grow
+// 16 MiB past its live size instead of doubling (logged as "gc: … GC
+// percent N"; /statsz "memory"). GOGC set in the environment governs
+// instead; GOMEMLIMIT is honoured either way.
+//
 // Hot reload: SIGHUP (or POST /reloadz) re-reads the -checkpoint path
 // the same way and atomically swaps the new weights in; in-flight requests
 // drain on the old model, so no request is dropped or served from a
@@ -65,6 +72,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -101,6 +109,20 @@ func logLoad(verb, path string, info *mtmlf.CheckpointInfo, e *serve.Engine) {
 	log.Printf("%s checkpoint %s: v%d, db %q (%d tables), dim %d; %d tensors, %d bytes read in %.1f ms (+ %.1f ms lowering); serving at %s: %d resident parameter bytes (f64 model: %d)",
 		verb, path, info.Version, info.DBName, len(info.Tables), info.Config.Dim,
 		ck.Tensors, ck.Bytes, ck.LoadMs, ck.LowerMs, e.Precision(), ck.ParamBytes, info.ParamBytes)
+}
+
+// sizeGC sets the GC percent to the served bundle's serve.GCPercent, so
+// the heap grows serve.GCHeadroom past its live size instead of doubling
+// it, and logs the choice. A GOGC in the environment (as the runtime
+// reads it: set and non-empty) is the operator's, and governs instead.
+func sizeGC(e *serve.Engine) {
+	if os.Getenv("GOGC") != "" {
+		return
+	}
+	pb := e.Stats().Checkpoint.ParamBytes
+	pct := serve.GCPercent(pb)
+	debug.SetGCPercent(pct)
+	log.Printf("gc: %d resident parameter bytes + %d MiB heap headroom: GC percent %d", pb, serve.GCHeadroom>>20, pct)
 }
 
 func main() {
@@ -190,12 +212,14 @@ func main() {
 			return fmt.Errorf("reload %s: %w", *ckpt, err)
 		}
 		logLoad("reloaded", *ckpt, info, engine)
+		sizeGC(engine)
 		return nil
 	}
 
 	// The example generator gives clients (and the smoke tests) valid
-	// request bodies without knowing the synthetic schema.
-	gen := workload.NewGenerator(db, *seed+1000)
+	// request bodies without knowing the synthetic schema. It reads the
+	// statistics the loader computed: ANALYZE runs once per boot.
+	gen := workload.NewGeneratorFrom(engine.Catalog(), *seed+1000)
 
 	handler.Store(serve.NewHandlerConfig(engine, serve.HandlerConfig{
 		Gen:    gen,
@@ -207,6 +231,9 @@ func main() {
 	// can parse the bound port when -addr ends in :0. Printed only
 	// once /healthz actually answers 200.
 	log.Printf("serving on http://%s", ln.Addr())
+	// Sized once ready, so boot does no extra work; reload sizes it
+	// again for every bundle it swaps in.
+	sizeGC(engine)
 
 	// SIGHUP hot-reloads the checkpoint without dropping traffic; it
 	// gets its own channel so it never races the shutdown signals.

@@ -169,6 +169,9 @@ func TestHTTPHealthStatsExample(t *testing.T) {
 	if snap.Pool.Gets == 0 || snap.Pool.ReuseRate <= 0 {
 		t.Fatalf("pool counters empty: %+v", snap.Pool)
 	}
+	if mem := snap.Memory; mem.HeapLiveBytes == 0 || mem.HeapGoalBytes < mem.HeapLiveBytes || mem.GCPercent == 0 || mem.GCCycles == 0 {
+		t.Fatalf("memory rows empty: %+v", mem)
+	}
 	// One request on a cold engine: every leaf's encoding was a miss
 	// and is now a row of the bundle's memo.
 	if fm := snap.FeatMemo; fm.Misses != uint64(len(lq.Q.Tables)) || fm.Rows != len(lq.Q.Tables) || fm.Hits != 0 {

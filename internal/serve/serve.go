@@ -59,11 +59,13 @@ import (
 	"time"
 
 	"mtmlf/internal/ag"
+	"mtmlf/internal/catalog"
 	"mtmlf/internal/featurize"
 	"mtmlf/internal/mtmlf"
 	"mtmlf/internal/nn"
 	"mtmlf/internal/plan"
 	"mtmlf/internal/sqldb"
+	dbstats "mtmlf/internal/stats"
 	"mtmlf/internal/tensor"
 )
 
@@ -188,7 +190,21 @@ type served struct {
 	memoRows func() int
 	// load is how the bundle came to be, for /statsz.
 	load LoadStats
+	// st is the ANALYZE product the featurizer was built over.
+	st *dbstats.DBStats
 }
+
+// analyzed is the catalog.Catalog Engine.Catalog returns: the served
+// database and its statistics, without the bundle, so a caller that
+// keeps it does not keep a swapped-out model's weights alive.
+type analyzed struct {
+	db *sqldb.DB
+	st *dbstats.DBStats
+}
+
+func (a analyzed) Name() string            { return a.db.Name }
+func (a analyzed) DB() *sqldb.DB           { return a.db }
+func (a analyzed) Stats() *dbstats.DBStats { return a.st }
 
 // bundle builds the served bundle of lm at its element type, with a
 // fresh memo counting into c, and applies the one limit a bundle can
@@ -201,6 +217,7 @@ func bundle[T tensor.Float](lm *mtmlf.Lowered[T], c *featurize.MemoCounters) (*s
 		run:       func(e *Engine, r *request) { runRequest(e, *lm, r) },
 		memoRows:  lm.Feat.MemoRows,
 		load:      LoadStats{ParamBytes: lm.ParamBytes()},
+		st:        lm.Feat.Src.Stats,
 	}
 	if n := len(s.db.Tables); n > s.maxTables {
 		return nil, fmt.Errorf("%w: database has %d tables, model supports %d", ErrModelLimit, n, s.maxTables)
@@ -379,6 +396,15 @@ func (e *Engine) Precision() nn.Precision { return e.opts.Precision }
 // DB returns the served database schema (read-only; stable across
 // reloads by the Reload contract).
 func (e *Engine) DB() *sqldb.DB { return e.cur.Load().db }
+
+// Catalog returns the served database with the statistics the loader's
+// ANALYZE computed for the featurizer, so a front end's workload
+// generator (workload.NewGeneratorFrom) reuses them instead of running
+// ANALYZE again.
+func (e *Engine) Catalog() catalog.Catalog {
+	s := e.cur.Load()
+	return analyzed{s.db, s.st}
+}
 
 // Close stops the workers. In-flight requests finish; subsequent
 // calls return ErrClosed.
@@ -595,5 +621,6 @@ func (e *Engine) Stats() StatsSnapshot {
 	cur := e.cur.Load()
 	snap.FeatMemo.Rows = cur.memoRows()
 	snap.Checkpoint = cur.load
+	snap.Memory = readMemory()
 	return snap
 }

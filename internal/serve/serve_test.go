@@ -118,9 +118,8 @@ func TestEngineMatchesSerialBitwise(t *testing.T) {
 	for _, lq := range qs {
 		leaves += len(lq.Q.Tables)
 	}
-	// A batch's stages are recorded after its answers are sent; Close
-	// waits for the workers, so every batch is in the snapshot.
-	e.Close()
+	// A request's stages are recorded before its answer is sent, so
+	// every request answered above is in the snapshot.
 	snap := e.Stats()
 	fm := snap.FeatMemo
 	if fm.Misses != uint64(fm.Rows) || fm.Rows == 0 || fm.Hits+fm.Misses != uint64(6*leaves) || fm.Bypassed+fm.Resets != 0 {

@@ -217,6 +217,46 @@ func TestMatMulBatchMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestMatMulBatchSmallStaysOnCaller: a warm batch of four attention-head
+// products, [11,32] @ [32,11] and [11,32] @ [11,32]^T, sums to far below
+// serialFlops, so it runs on the calling goroutine — no goroutine,
+// WaitGroup or closure, 0 allocations even with a pool of 4 — and
+// equals the products computed one at a time, bit for bit.
+func TestMatMulBatchSmallStaysOnCaller(t *testing.T) {
+	defer SetParallelism(SetParallelism(4))
+	rng := rand.New(rand.NewSource(6))
+	const heads = 4
+	as, bs, bts := make([]*Tensor, heads), make([]*Tensor, heads), make([]*Tensor, heads)
+	outs, touts := make([]*Tensor, heads), make([]*Tensor, heads)
+	for i := range as {
+		as[i], bs[i] = randPair(rng, 11, 32, 11)
+		bts[i] = Transpose(bs[i])
+		outs[i], touts[i] = New(11, 11), New(11, 11)
+	}
+	run := func() {
+		for _, o := range outs {
+			o.Fill(0)
+		}
+		MatMulBatchInto(as, bs, outs)
+		MatMulTransBBatchInto(as, bts, touts)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Fatalf("warm 4-head batch: %v allocs/run, want 0", allocs)
+	}
+	for i := range as {
+		want := New(11, 11)
+		MatMulInto(as[i], bs[i], want)
+		if !Equal(outs[i], want, 0) {
+			t.Fatalf("head %d: batched a @ b differs from the serial product", i)
+		}
+		MatMulTransBInto(as[i], bts[i], want)
+		if !Equal(touts[i], want, 0) {
+			t.Fatalf("head %d: batched a @ b^T differs from the serial product", i)
+		}
+	}
+}
+
 // TestMatMulConcurrentCallers exercises the kernels from many
 // goroutines at once (the data-parallel training pattern) so the race
 // detector can see any shared-state mistakes in the pool.

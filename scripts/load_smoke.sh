@@ -5,11 +5,13 @@
 # (with a hot checkpoint reload mid-way through the first), and
 # asserts: nonzero successes on every endpoint at every level, zero
 # failed requests (shed 429s and deadline 504s are allowed — they are
-# correct overload behavior), a successful mid-run reload, and a
+# correct overload behavior), a successful mid-run reload after which
+# the GC percent is sized again for the new bundle, and a
 # well-formed report in load-smoke.json (git-ignored). First it checks
 # that a -json path in a missing directory is refused before any work. Run via `make
 # load-smoke`; CI runs it on every push and uploads the report.
 source "$(dirname "$0")/lib.sh" mtmlf-train mtmlf-serve mtmlf-loadgen
+unset GOGC
 
 SERVER_PID=""
 smoke_cleanup() {
@@ -66,5 +68,10 @@ jq -e '[.load[] | .name] | sort == ["card/c4","card/c8","cost/c4","cost/c8","joi
 # queue drained.
 curl -fsS "$BASE/healthz" | jq -e '.status == "ok" and .reloads == 1' >/dev/null \
     || { echo "FAIL: server unhealthy or reload not counted:"; curl -fsS "$BASE/healthz"; exit 1; }
+
+# The GC percent was sized at boot and again for the swapped-in bundle.
+n=$(grep -c ' gc: .*GC percent' "$TMP/serve.log" || true)
+[ "$n" = 2 ] && sed -n '/reloaded checkpoint/,$p' "$TMP/serve.log" | grep -q ' gc: .*GC percent' \
+    || { echo "FAIL: want the GC percent sized at boot and after the reload, got $n lines:"; cat "$TMP/serve.log"; exit 1; }
 
 echo "load-smoke: $(jq -r '[.load[].requests] | add' "$REPORT") requests, 0 failures, reload OK"

@@ -6,14 +6,19 @@
 # ways. Then boots a second server on the same checkpoint at
 # -precision int8 and requires it to have come up SMALLER than the f64
 # one (peak resident set, VmHWM): the reduced tiers build their replica
-# from the checkpoint stream and never hold the f64 model. Run via
-# `make serve-smoke`; CI runs it on every push.
+# from the checkpoint stream and never hold the f64 model. Along the way
+# it checks the GC sizing: the server logs the GC percent it chose and
+# /statsz reports it, while a server started with GOGC set logs no
+# choice and keeps GOGC's. Run via `make serve-smoke`; CI runs it on
+# every push.
 source "$(dirname "$0")/lib.sh" mtmlf-train mtmlf-serve
+unset GOGC
 
 SERVER_PID=""
 INT8_PID=""
+GOGC_PID=""
 smoke_cleanup() {
-    for pid in $SERVER_PID $INT8_PID; do kill "$pid" 2>/dev/null || true; done
+    for pid in $SERVER_PID $INT8_PID $GOGC_PID; do kill "$pid" 2>/dev/null || true; done
 }
 
 SEED=7
@@ -68,6 +73,17 @@ curl -fsS "$BASE/statsz" | check statsz '"qps"'
 curl -fsS "$BASE/statsz" | check statsz-feat-memo '"feat_memo":{"hits":'
 curl -fsS "$BASE/statsz" | check statsz-checkpoint '"checkpoint":{"version":4,"tensors":'
 curl -fsS "$(sed -n 's/.*debug endpoints on \(http:[^ ]*\)/\1/p' "$TMP/serve.f64.log")" | check debug-addr 'goroutine'
+# The GC percent is sized to the served weights once the server is
+# ready (a model this small keeps 100), logged, and reported in /statsz.
+for _ in $(seq 1 50); do
+    grep -q ' gc: .*GC percent' "$TMP/serve.f64.log" && break
+    sleep 0.1
+done
+PCT=$(sed -n 's/.* gc: .*GC percent \([0-9]*\)$/\1/p' "$TMP/serve.f64.log")
+[ -n "$PCT" ] || { echo "FAIL gc: no GC percent logged:"; cat "$TMP/serve.f64.log"; exit 1; }
+curl -fsS "$BASE/statsz" | jq -e ".memory.gc_percent == $PCT and .memory.heap_live_bytes > 0" >/dev/null \
+    || { echo "FAIL statsz-memory: want gc_percent $PCT:"; curl -fsS "$BASE/statsz" | jq .memory; exit 1; }
+echo "   ok gc: percent $PCT logged and in /statsz memory"
 # Typed-error path: an unknown table must 400 with a JSON error, not
 # crash the server.
 code=$(curl -s -o "$TMP/err.json" -w '%{http_code}' \
@@ -84,5 +100,15 @@ curl -fsS "$BASE/statsz" | check statsz-int8 '"precision":"int8"'
 curl -fsS -d @"$TMP/req.json" "$BASE/estimate/card" | check int8-estimate/card '"root"'
 echo "   peak RSS at boot: f64 $F64_HWM kB, int8 $HWM kB"
 [ "$HWM" -lt "$F64_HWM" ] || { echo "FAIL: the int8 server peaked at $HWM kB, not under the f64 server's $F64_HWM kB"; exit 1; }
+
+echo "== a GOGC in the environment governs instead"
+GOGC=100 boot f32
+GOGC_PID=$PID
+curl -fsS "$BASE/statsz" | jq -e '.memory.gc_percent == 100' >/dev/null \
+    || { echo "FAIL: GOGC=100 server reports:"; curl -fsS "$BASE/statsz" | jq .memory; exit 1; }
+if grep -q ' gc: ' "$TMP/serve.f32.log"; then
+    echo "FAIL: the GOGC=100 server logged a GC policy:"; cat "$TMP/serve.f32.log"; exit 1
+fi
+echo "   ok GOGC=100: no policy logged, gc_percent 100"
 
 echo "serve-smoke: all endpoints OK"
