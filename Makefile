@@ -301,11 +301,12 @@ no-gob-import:
 # item 5's line target reads. A ratchet, like FUSED_MAX: the total may
 # not exceed LOC_MAX. Lower the bound when code goes; a change that has
 # to grow the count raises LOC_MAX in its own diff, next to what the
-# lines buy. Last raised by 145: sizing the serving GC percent to the
-# weights with /statsz memory rows (internal/serve +95,
-# cmd/mtmlf-serve +27) and small matmul batches on the caller
-# (internal/tensor +23).
-LOC_MAX := 21792
+# lines buy. Last raised by 121: sizing the serving GC percent to the
+# weights with /statsz memory rows and the /example generator over the
+# loader's statistics (internal/serve +100, cmd/mtmlf-serve +27), less
+# the pool dispatch of per-head matmul batches (internal/tensor -4,
+# internal/nn -2).
+LOC_MAX := 21768
 loc:
 	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \

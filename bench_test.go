@@ -269,8 +269,8 @@ func BenchmarkMatMul256(b *testing.B) { benchMatMulN(b, 256) }
 // BenchmarkMatMul512 shows kernel scaling one size up.
 func BenchmarkMatMul512(b *testing.B) { benchMatMulN(b, 512) }
 
-// BenchmarkMatMulBatchHeads times the fused per-head products the
-// attention layers issue: many small matmuls in one pool dispatch.
+// BenchmarkMatMulBatchHeads times the batched per-head products the
+// attention layers issue: many small matmuls in one call.
 func BenchmarkMatMulBatchHeads(b *testing.B) {
 	rng := randpkg.New(randpkg.NewSource(1))
 	const heads = 8

@@ -111,15 +111,15 @@ func logLoad(verb, path string, info *mtmlf.CheckpointInfo, e *serve.Engine) {
 		ck.Tensors, ck.Bytes, ck.LoadMs, ck.LowerMs, e.Precision(), ck.ParamBytes, info.ParamBytes)
 }
 
-// sizeGC sets the GC percent to the served bundle's serve.GCPercent, so
-// the heap grows serve.GCHeadroom past its live size instead of doubling
-// it, and logs the choice. A GOGC in the environment (as the runtime
-// reads it: set and non-empty) is the operator's, and governs instead.
-func sizeGC(e *serve.Engine) {
+// sizeGC sets the GC percent to serve.GCPercent of the served bundle's
+// pb resident parameter bytes, so the heap grows serve.GCHeadroom past
+// its live size instead of doubling it, and logs the choice. A GOGC in
+// the environment (as the runtime reads it: set and non-empty) is the
+// operator's, and governs instead.
+func sizeGC(pb int) {
 	if os.Getenv("GOGC") != "" {
 		return
 	}
-	pb := e.Stats().Checkpoint.ParamBytes
 	pct := serve.GCPercent(pb)
 	debug.SetGCPercent(pct)
 	log.Printf("gc: %d resident parameter bytes + %d MiB heap headroom: GC percent %d", pb, serve.GCHeadroom>>20, pct)
@@ -212,7 +212,7 @@ func main() {
 			return fmt.Errorf("reload %s: %w", *ckpt, err)
 		}
 		logLoad("reloaded", *ckpt, info, engine)
-		sizeGC(engine)
+		sizeGC(engine.Stats().Checkpoint.ParamBytes)
 		return nil
 	}
 
@@ -233,7 +233,7 @@ func main() {
 	log.Printf("serving on http://%s", ln.Addr())
 	// Sized once ready, so boot does no extra work; reload sizes it
 	// again for every bundle it swaps in.
-	sizeGC(engine)
+	sizeGC(engine.Stats().Checkpoint.ParamBytes)
 
 	// SIGHUP hot-reloads the checkpoint without dropping traffic; it
 	// gets its own channel so it never races the shutdown signals.

@@ -1,7 +1,7 @@
 // Batched linear-algebra ops: many independent products computed in
-// one fan-out over the worker pool. The nn attention layers use these
-// to fuse their per-head projections — each head's product is far too
-// small to shard internally, but the batch as a whole parallelizes.
+// one call. The nn attention layers use these for their per-head
+// products; each head's product is far too small to shard, so the batch
+// runs on the calling goroutine.
 package ag
 
 import (
@@ -11,7 +11,7 @@ import (
 )
 
 // MatMulBatch returns nodes for as[i] @ bs[i], computing every forward
-// product in one parallel batch. Each returned node carries the same
+// product in one batch. Each returned node carries the same
 // backward rule as MatMul, so gradients are identical to the unbatched
 // form.
 func MatMulBatch(as, bs []*Value) []*Value {
@@ -19,13 +19,13 @@ func MatMulBatch(as, bs []*Value) []*Value {
 }
 
 // MatMulTransBBatch returns nodes for as[i] @ bs[i]^T computed in one
-// parallel batch; gradients match MatMulTransB.
+// batch; gradients match MatMulTransB.
 func MatMulTransBBatch(as, bs []*Value) []*Value {
 	return batch(as, bs, true)
 }
 
-// batch makes every node — its Value and result from its arena, which
-// is single-goroutine — before the products fan out.
+// batch makes every node — its Value and result from its arena — and
+// then computes the products.
 func batch(as, bs []*Value, transB bool) []*Value {
 	if len(as) != len(bs) {
 		panic(fmt.Sprintf("ag: batched matmul length mismatch %d vs %d", len(as), len(bs)))

@@ -221,7 +221,7 @@ func (e *Session[T]) MatMulTransB(a, b *tensor.Dense[T]) *tensor.Dense[T] {
 	return out
 }
 
-// MatMulBatch returns as[i] @ bs[i] computed in one pool dispatch.
+// MatMulBatch returns as[i] @ bs[i] computed in one batch.
 func (e *Session[T]) MatMulBatch(as, bs []*tensor.Dense[T]) []*tensor.Dense[T] {
 	outs := make([]*tensor.Dense[T], len(as))
 	for i := range as {
@@ -231,7 +231,7 @@ func (e *Session[T]) MatMulBatch(as, bs []*tensor.Dense[T]) []*tensor.Dense[T] {
 	return outs
 }
 
-// MatMulTransBBatch returns as[i] @ bs[i]^T in one pool dispatch.
+// MatMulTransBBatch returns as[i] @ bs[i]^T computed in one batch.
 func (e *Session[T]) MatMulTransBBatch(as, bs []*tensor.Dense[T]) []*tensor.Dense[T] {
 	outs := make([]*tensor.Dense[T], len(as))
 	for i := range as {

@@ -168,8 +168,7 @@ func (c *DecCache[T]) Clone() *DecCache[T] {
 // self-attention (crosses == nil) each beam's K/V rows are appended to
 // its cache first, so the new token attends to itself like the masked
 // full forward does. The nb×heads tiny products run through the
-// batched kernels in single pool dispatches — that is what lets a
-// k-wide beam use more than one core per step.
+// batched kernels, one call per step for the whole beam.
 func stepAttention[T tensor.Float](e *ag.Session[T], a *MultiHeadAttention[*tensor.Dense[T]], x *tensor.Dense[T], selves []*AttnKV[T], crosses []*CrossKV[T]) *tensor.Dense[T] {
 	nb := x.Rows()
 	dh := a.Dim / a.Heads

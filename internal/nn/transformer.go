@@ -38,10 +38,9 @@ func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention[*
 // mask, if non-nil, is a [lq, lk] additive mask (use -1e9 to block).
 //
 // The per-head products run through the batched matmul ops: each
-// head's score and context matrices are tiny, so fusing them into one
-// worker-pool dispatch is what lets multi-head attention use more
-// than one core. The math (and gradients) are identical to the
-// head-at-a-time form.
+// head's score and context matrices are tiny, so they run one after
+// another on the calling goroutine. The math (and gradients) are
+// identical to the head-at-a-time form.
 func (a *MultiHeadAttention[V]) Forward(o ag.Ops[V], q, kv V, mask *tensor.Tensor) V {
 	Q := a.WQ.Forward(o, q)
 	K := a.WK.Forward(o, kv)

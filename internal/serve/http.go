@@ -8,7 +8,7 @@
 //	POST /joinorder      {"query": ..., "plan": ...} → {"order": [...], "logprob": ..., "legal": ...}
 //	POST /reloadz        hot-swap the checkpoint (when a reloader is configured)
 //	GET  /healthz        liveness + checkpoint/database identity
-//	GET  /statsz         QPS, per-endpoint p50/p95/p99, shed/deadline/reload and pool counters
+//	GET  /statsz         QPS, per-endpoint p50/p95/p99, shed/deadline/reload and pool counters, process heap
 //	GET  /example        a valid random request body (for curl | POST round trips)
 //
 // "plan" is optional everywhere: when omitted, a left-deep
@@ -339,8 +339,16 @@ func livez(w http.ResponseWriter, _ *http.Request) {
 	}{"alive"})
 }
 
+// statszBody is the /statsz document: the engine's snapshot and, beside
+// it, the process heap. The heap is the process's, not the engine's, so
+// it is read here rather than in Engine.Stats.
+type statszBody struct {
+	StatsSnapshot
+	Memory MemoryStats `json:"memory"`
+}
+
 func (h *handler) statsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, h.engine.Stats())
+	writeJSON(w, http.StatusOK, statszBody{h.engine.Stats(), readMemory()})
 }
 
 func (h *handler) example(w http.ResponseWriter, _ *http.Request) {

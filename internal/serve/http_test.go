@@ -162,7 +162,7 @@ func TestHTTPHealthStatsExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := decodeBody[StatsSnapshot](t, r)
+	snap := decodeBody[statszBody](t, r)
 	if snap.Requests == 0 || snap.Card.Requests == 0 {
 		t.Fatalf("statsz counted nothing: %+v", snap)
 	}

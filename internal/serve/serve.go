@@ -621,6 +621,5 @@ func (e *Engine) Stats() StatsSnapshot {
 	cur := e.cur.Load()
 	snap.FeatMemo.Rows = cur.memoRows()
 	snap.Checkpoint = cur.load
-	snap.Memory = readMemory()
 	return snap
 }

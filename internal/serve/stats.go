@@ -256,8 +256,6 @@ type StatsSnapshot struct {
 	FeatMemo FeatMemoStats `json:"feat_memo"`
 
 	Checkpoint LoadStats `json:"checkpoint"`
-
-	Memory MemoryStats `json:"memory"`
 }
 
 // snapshot copies the counters and the four latency rings under the

@@ -337,27 +337,18 @@ func MatMulTransAInto(a, b, out *Tensor) {
 	})
 }
 
-// MatMulBatchInto computes outs[i] = as[i] @ bs[i] for every triple. A
-// batch of serialFlops multiply-adds or more is sharded by triple across
-// the worker pool, so per-head attention uses the pool even when each
-// product is below the parallel threshold; a smaller one runs on the
-// calling goroutine. Each outs[i] must be zeroed (the kernel
-// accumulates).
+// MatMulBatchInto computes outs[i] = as[i] @ bs[i] for every triple, one
+// after another on the calling goroutine: per-head attention products
+// are a few thousand multiply-adds each, too small for a pool dispatch
+// to pay (a product of serialFlops or more still shards inside
+// MatMulInto). Each outs[i] must be zeroed (the kernel accumulates).
 func MatMulBatchInto[T Float](as, bs, outs []*Dense[T]) {
 	if len(as) != len(bs) || len(as) != len(outs) {
 		panic(fmt.Sprintf("tensor: MatMulBatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))
 	}
-	if batchFlops(as, bs) < serialFlops {
-		for i := range as {
-			MatMulInto(as[i], bs[i], outs[i])
-		}
-		return
+	for i := range as {
+		MatMulInto(as[i], bs[i], outs[i])
 	}
-	parallel.For(len(as), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			MatMulInto(as[i], bs[i], outs[i])
-		}
-	})
 }
 
 // MatMulTransBBatchInto computes outs[i] = as[i] @ bs[i]^T for every
@@ -366,25 +357,7 @@ func MatMulTransBBatchInto[T Float](as, bs, outs []*Dense[T]) {
 	if len(as) != len(bs) || len(as) != len(outs) {
 		panic(fmt.Sprintf("tensor: MatMulTransBBatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))
 	}
-	if batchFlops(as, bs) < serialFlops {
-		for i := range as {
-			MatMulTransBInto(as[i], bs[i], outs[i])
-		}
-		return
+	for i := range as {
+		MatMulTransBInto(as[i], bs[i], outs[i])
 	}
-	parallel.For(len(as), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			MatMulTransBInto(as[i], bs[i], outs[i])
-		}
-	})
-}
-
-// batchFlops is the multiply-adds of a batch of products as[i] @ bs[i]
-// or as[i] @ bs[i]^T: rows of a times the k*n elements of b, either way.
-func batchFlops[T Float](as, bs []*Dense[T]) int {
-	n := 0
-	for i, a := range as {
-		n += a.Shape[0] * len(bs[i].Data)
-	}
-	return n
 }

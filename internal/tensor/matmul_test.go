@@ -218,10 +218,10 @@ func TestMatMulBatchMatchesLoop(t *testing.T) {
 }
 
 // TestMatMulBatchSmallStaysOnCaller: a warm batch of four attention-head
-// products, [11,32] @ [32,11] and [11,32] @ [11,32]^T, sums to far below
-// serialFlops, so it runs on the calling goroutine — no goroutine,
-// WaitGroup or closure, 0 allocations even with a pool of 4 — and
-// equals the products computed one at a time, bit for bit.
+// products, [11,32] @ [32,11] and [11,32] @ [11,32]^T, runs on the
+// calling goroutine — no goroutine, WaitGroup or closure, 0 allocations
+// even with a pool of 4 — and equals the products computed one at a
+// time, bit for bit.
 func TestMatMulBatchSmallStaysOnCaller(t *testing.T) {
 	defer SetParallelism(SetParallelism(4))
 	rng := rand.New(rand.NewSource(6))

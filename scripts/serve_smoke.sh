@@ -8,8 +8,8 @@
 # one (peak resident set, VmHWM): the reduced tiers build their replica
 # from the checkpoint stream and never hold the f64 model. Along the way
 # it checks the GC sizing: the server logs the GC percent it chose and
-# /statsz reports it, while a server started with GOGC set logs no
-# choice and keeps GOGC's. Run via `make serve-smoke`; CI runs it on
+# /statsz reports it, while a server started with GOGC=50 logs no
+# choice and reports 50. Run via `make serve-smoke`; CI runs it on
 # every push.
 source "$(dirname "$0")/lib.sh" mtmlf-train mtmlf-serve
 unset GOGC
@@ -102,13 +102,15 @@ echo "   peak RSS at boot: f64 $F64_HWM kB, int8 $HWM kB"
 [ "$HWM" -lt "$F64_HWM" ] || { echo "FAIL: the int8 server peaked at $HWM kB, not under the f64 server's $F64_HWM kB"; exit 1; }
 
 echo "== a GOGC in the environment governs instead"
-GOGC=100 boot f32
+# 50, not the 100 this small model would get, so the check fails if the
+# server overrode GOGC.
+GOGC=50 boot f32
 GOGC_PID=$PID
-curl -fsS "$BASE/statsz" | jq -e '.memory.gc_percent == 100' >/dev/null \
-    || { echo "FAIL: GOGC=100 server reports:"; curl -fsS "$BASE/statsz" | jq .memory; exit 1; }
+curl -fsS "$BASE/statsz" | jq -e '.memory.gc_percent == 50' >/dev/null \
+    || { echo "FAIL: GOGC=50 server reports:"; curl -fsS "$BASE/statsz" | jq .memory; exit 1; }
 if grep -q ' gc: ' "$TMP/serve.f32.log"; then
-    echo "FAIL: the GOGC=100 server logged a GC policy:"; cat "$TMP/serve.f32.log"; exit 1
+    echo "FAIL: the GOGC=50 server logged a GC policy:"; cat "$TMP/serve.f32.log"; exit 1
 fi
-echo "   ok GOGC=100: no policy logged, gc_percent 100"
+echo "   ok GOGC=50: no policy logged, gc_percent 50"
 
 echo "serve-smoke: all endpoints OK"
